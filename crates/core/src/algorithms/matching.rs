@@ -184,7 +184,9 @@ impl IterativeAlgorithm for MatchingTasks<'_> {
 }
 
 /// Thread-safe greedy matching: the [`crate::algorithms::mis::ConcurrentMis`]
-/// protocol on the implicit line graph (identical determinism argument).
+/// protocol on the implicit line graph (identical determinism argument, and
+/// the same test-before-CAS kills and one `remaining` decrement per call:
+/// `e` itself is `IN_MATCH` by then, so the kill loop's CAS skips it).
 #[derive(Debug)]
 pub struct ConcurrentMatching<'a> {
     inst: &'a MatchingInstance,
@@ -252,23 +254,25 @@ impl ConcurrentAlgorithm for ConcurrentMatching<'_> {
                 }
             }
         }
-        match self.state[e].compare_exchange(LIVE, IN_MATCH, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => {
-                self.remaining.fetch_sub(1, Ordering::AcqRel);
-                for &v in &[a, b] {
-                    for &e2 in self.inst.incidence.incident(v) {
-                        if self.state[e2 as usize]
-                            .compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                        {
-                            self.remaining.fetch_sub(1, Ordering::AcqRel);
-                        }
-                    }
-                }
-                TaskOutcome::Processed
-            }
-            Err(_) => TaskOutcome::Obsolete,
+        if self.state[e]
+            .compare_exchange(LIVE, IN_MATCH, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return TaskOutcome::Obsolete;
         }
+        let mut decided = 1;
+        for &v in &[a, b] {
+            for &e2 in self.inst.incidence.incident(v) {
+                let s = &self.state[e2 as usize];
+                if s.load(Ordering::Acquire) == LIVE
+                    && s.compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire).is_ok()
+                {
+                    decided += 1;
+                }
+            }
+        }
+        self.remaining.fetch_sub(decided, Ordering::AcqRel);
+        TaskOutcome::Processed
     }
 }
 

@@ -139,6 +139,12 @@ impl IterativeAlgorithm for MisTasks<'_> {
 /// `Dead`, and becomes `Dead` only from a smaller-labeled `InMis` neighbor.
 /// By induction over labels the final state vector equals [`greedy_mis`] for
 /// the same permutation, regardless of thread interleaving.
+///
+/// Hot-path contention: a kill tests the neighbor before the CAS (an
+/// already-decided neighbor costs a shared read, not an exclusive line
+/// fetch; the CAS winners are the same), and a call publishes everything it
+/// decided with one `remaining` decrement *after* its last state CAS, so
+/// `remaining` reaches 0 only once every decision is visible.
 #[derive(Debug)]
 pub struct ConcurrentMis<'a> {
     g: &'a CsrGraph,
@@ -208,21 +214,23 @@ impl ConcurrentAlgorithm for ConcurrentMis<'_> {
         // All smaller-labeled neighbors are Dead (terminal), so v is in the
         // greedy MIS; the CAS cannot lose to a concurrent kill (any killer
         // would need a smaller InMis neighbor, which we just ruled out).
-        match self.state[v].compare_exchange(LIVE, IN_MIS, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => {
-                self.remaining.fetch_sub(1, Ordering::AcqRel);
-                for &u in self.g.neighbors(task) {
-                    if self.state[u as usize]
-                        .compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        self.remaining.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-                TaskOutcome::Processed
-            }
-            Err(_) => TaskOutcome::Obsolete,
+        if self.state[v]
+            .compare_exchange(LIVE, IN_MIS, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return TaskOutcome::Obsolete;
         }
+        let mut decided = 1;
+        for &u in self.g.neighbors(task) {
+            let s = &self.state[u as usize];
+            if s.load(Ordering::Acquire) == LIVE
+                && s.compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire).is_ok()
+            {
+                decided += 1;
+            }
+        }
+        self.remaining.fetch_sub(decided, Ordering::AcqRel);
+        TaskOutcome::Processed
     }
 }
 

@@ -42,6 +42,11 @@ impl<T: fmt::Debug> fmt::Debug for Run<T> {
 }
 
 impl<T> Run<T> {
+    /// Entries still to be popped.
+    fn live(&self) -> usize {
+        self.sorted.len() - self.head + self.overflow.len()
+    }
+
     fn peek_key(&self) -> Option<(u64, u64)> {
         let run = self.sorted.get(self.head).map(Entry::key);
         let over = self.overflow.peek().map(|Reverse(e)| e.key());
@@ -70,12 +75,35 @@ impl<T> Run<T> {
     }
 }
 
+/// A bucket lock and, on the same padded line, the live count of the run
+/// behind it. Only the lock's holder stores `live`, so counting costs the
+/// hot path no line it does not already own and [`BulkMultiQueue::len`]
+/// sums the buckets without locking any.
+struct Bucket<L> {
+    lock: L,
+    live: AtomicUsize,
+}
+
+impl<L> Bucket<L> {
+    /// Runs `f` on this bucket's locked `run` and republishes its count.
+    fn update<T, R>(&self, run: &mut Run<T>, f: impl FnOnce(&mut Run<T>) -> R) -> R {
+        let out = f(run);
+        self.live.store(run.live(), Ordering::Release);
+        out
+    }
+}
+
 /// MultiQueue over sorted runs with overflow heaps; the fast scheduler for
 /// prefilled task sets (`T: Copy` since runs are consumed in place).
 ///
 /// As for [`super::MultiQueue`], the bucket lock is pluggable: `L` is any
 /// [`BucketLock`] — `parking_lot::Mutex` by default, or a queue lock from
 /// [`crate::lock`] via [`BulkMultiQueue::prefilled_with_lock`].
+///
+/// The two-choice pair of a pop is *sticky* (`rng::sticky_pair`): a thread
+/// keeps it for `rng::STICKY_POPS` pops, so no line that every worker
+/// writes is touched per pop, at the price of a rank bound larger by about
+/// that factor (DESIGN.md "Hot-path contention").
 ///
 /// # Examples
 ///
@@ -88,11 +116,14 @@ impl<T> Run<T> {
 /// q.insert(0, 999); // re-insertions go to the overflow heap
 /// ```
 pub struct BulkMultiQueue<T, L = Mutex<Run<T>>> {
-    queues: Box<[CachePadded<L>]>,
-    len: CachePadded<AtomicUsize>,
+    buckets: Box<[CachePadded<Bucket<L>>]>,
     seq: CachePadded<AtomicU64>,
     _elem: std::marker::PhantomData<fn() -> T>,
 }
+
+/// Prefills smaller than this are sorted on the calling thread: spawning
+/// sort threads would cost more than the sort.
+const PARALLEL_SORT_MIN: u64 = 1 << 14;
 
 impl<T: Copy + Send> BulkMultiQueue<T> {
     /// Bulk-loads `entries`, scattering them over `num_queues` runs behind
@@ -108,12 +139,14 @@ impl<T: Copy + Send> BulkMultiQueue<T> {
         Self::prefilled_with_lock(num_queues, entries)
     }
 
-    /// Creates a queue sized as in the paper (four per thread), prefilled.
+    /// Creates a queue sized as in the paper (four per thread), prefilled;
+    /// large inputs sort their runs on up to `threads` scoped threads.
     pub fn prefilled_for_threads<I>(threads: usize, entries: I) -> Self
     where
         I: IntoIterator<Item = (u64, T)>,
     {
-        Self::prefilled(4 * threads.max(1), entries)
+        let threads = threads.max(1);
+        Self::build(4 * threads, entries, threads)
     }
 }
 
@@ -128,38 +161,117 @@ impl<T: Copy + Send, L: BucketLock<Run<T>>> BulkMultiQueue<T, L> {
     where
         I: IntoIterator<Item = (u64, T)>,
     {
+        Self::build(num_queues, entries, 1)
+    }
+
+    fn build<I>(num_queues: usize, entries: I, sort_threads: usize) -> Self
+    where
+        I: IntoIterator<Item = (u64, T)>,
+    {
         assert!(num_queues >= 1, "need at least one internal queue");
-        let mut buckets: Vec<Vec<Entry<T>>> = (0..num_queues).map(|_| Vec::new()).collect();
+        let entries = entries.into_iter();
+        // The scatter is binomial: a sixteenth over the mean covers its
+        // spread at every size where a regrowth would cost anything.
+        let per_run = entries.size_hint().0 / num_queues;
+        let mut runs: Vec<Vec<Entry<T>>> =
+            (0..num_queues).map(|_| Vec::with_capacity(per_run + per_run / 16)).collect();
         let mut seq = 0u64;
         for (priority, item) in entries {
-            buckets[rng::next_index(num_queues)].push(Entry::new(priority, seq, item));
+            runs[rng::next_index(num_queues)].push(Entry::new(priority, seq, item));
             seq += 1;
         }
-        let mut total = 0usize;
-        let queues: Box<[CachePadded<L>]> = buckets
+        if sort_threads > 1 && seq >= PARALLEL_SORT_MIN {
+            std::thread::scope(|s| {
+                for chunk in runs.chunks_mut(num_queues.div_ceil(sort_threads)) {
+                    s.spawn(move || chunk.iter_mut().for_each(|r| r.sort_unstable()));
+                }
+            });
+        } else {
+            runs.iter_mut().for_each(|r| r.sort_unstable());
+        }
+        let buckets = runs
             .into_iter()
-            .map(|mut b| {
-                b.sort_unstable();
-                total += b.len();
-                CachePadded::new(L::new(Run { sorted: b, head: 0, overflow: BinaryHeap::new() }))
+            .map(|sorted| {
+                let run = Run { sorted, head: 0, overflow: BinaryHeap::new() };
+                let live = AtomicUsize::new(run.live());
+                CachePadded::new(Bucket { lock: L::new(run), live })
             })
             .collect();
         BulkMultiQueue {
-            queues,
-            len: CachePadded::new(AtomicUsize::new(total)),
+            buckets,
             seq: CachePadded::new(AtomicU64::new(seq)),
             _elem: std::marker::PhantomData,
         }
     }
 
-    /// Number of internal queues.
-    pub fn num_queues(&self) -> usize {
-        self.queues.len()
+    /// Locks the two-choice winner — of the thread's sticky pair, the
+    /// nonempty bucket with the smaller head — runs `f` on it and
+    /// republishes its count. `None` iff the queue was observed empty.
+    fn with_winner<R>(&self, f: impl FnOnce(&mut Run<T>) -> R) -> Option<R> {
+        let (bucket, mut guard) = self.lock_winner()?;
+        Some(bucket.update(&mut guard, f))
     }
 
-    /// Number of elements currently stored (snapshot).
+    fn lock_winner(&self) -> Option<(&Bucket<L>, L::Guard<'_>)> {
+        let q = self.buckets.len();
+        for _ in 0..16 {
+            let (i, j) = rng::sticky_pair(q);
+            let (bi, bj): (&Bucket<L>, &Bucket<L>) = (&self.buckets[i], &self.buckets[j]);
+            let gi = bi.lock.try_lock();
+            let gj = if j != i { bj.lock.try_lock() } else { None };
+            let contended = gi.is_none() || (j != i && gj.is_none());
+            // The loser's guard drops with its match arm.
+            let winner = match (gi, gj) {
+                (Some(a), Some(b)) => match (a.peek_key(), b.peek_key()) {
+                    (Some(x), Some(y)) if y < x => Some((bj, b)),
+                    (Some(_), _) => Some((bi, a)),
+                    (None, Some(_)) => Some((bj, b)),
+                    (None, None) => None,
+                },
+                (Some(a), None) => a.peek_key().map(|_| (bi, a)),
+                (None, Some(b)) => b.peek_key().map(|_| (bj, b)),
+                (None, None) => None,
+            };
+            if contended || winner.is_none() {
+                rng::redraw_pair(); // pop elsewhere next time
+            }
+            if winner.is_some() {
+                return winner;
+            }
+            if self.is_empty() {
+                return None;
+            }
+        }
+        // Sparse queue: blocking scan for the first nonempty bucket.
+        self.buckets.iter().find_map(|b| {
+            let guard = b.lock.lock();
+            (guard.live() > 0).then_some((&**b, guard))
+        })
+    }
+
+    /// Runs `f` on a random bucket — where insertions go — and
+    /// republishes its count.
+    fn with_random(&self, f: impl FnOnce(&mut Run<T>)) {
+        let (bucket, mut guard) = loop {
+            let b = &self.buckets[rng::next_index(self.buckets.len())];
+            if let Some(g) = b.lock.try_lock() {
+                break (b, g);
+            }
+        };
+        bucket.update(&mut guard, f);
+    }
+}
+
+impl<T, L> BulkMultiQueue<T, L> {
+    /// Number of internal queues.
+    pub fn num_queues(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Number of elements currently stored: the sum of the per-bucket
+    /// counts, a snapshot under concurrency and exact at quiescence.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+        self.buckets.iter().map(|b| b.live.load(Ordering::Acquire)).sum()
     }
 
     /// Whether the queue was observed empty.
@@ -171,165 +283,50 @@ impl<T: Copy + Send, L: BucketLock<Run<T>>> BulkMultiQueue<T, L> {
 impl<T: Copy + Send, L: BucketLock<Run<T>>> ConcurrentScheduler<T> for BulkMultiQueue<T, L> {
     fn insert(&self, priority: u64, item: T) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let entry = Entry::new(priority, seq, item);
-        let q = self.queues.len();
-        loop {
-            let i = rng::next_index(q);
-            if let Some(mut guard) = self.queues[i].try_lock() {
-                guard.overflow.push(Reverse(entry));
-                self.len.fetch_add(1, Ordering::AcqRel);
-                return;
-            }
-        }
+        self.with_random(|run| run.overflow.push(Reverse(Entry::new(priority, seq, item))));
     }
 
     fn insert_batch(&self, entries: &[(u64, T)])
     where
         T: Clone,
     {
-        if entries.is_empty() {
-            return;
-        }
         // One sequence-number claim per batch; each run of up to
         // BATCH_SCATTER_RUN entries goes to one overflow heap under one lock.
         let mut seq = self.seq.fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let q = self.queues.len();
-        for run in entries.chunks(BATCH_SCATTER_RUN) {
-            let mut guard = loop {
-                if let Some(g) = self.queues[rng::next_index(q)].try_lock() {
-                    break g;
+        for chunk in entries.chunks(BATCH_SCATTER_RUN) {
+            self.with_random(|run| {
+                for &(priority, item) in chunk {
+                    run.overflow.push(Reverse(Entry::new(priority, seq, item)));
+                    seq += 1;
                 }
-            };
-            for &(priority, item) in run {
-                guard.overflow.push(Reverse(Entry::new(priority, seq, item)));
-                seq += 1;
-            }
-            // Count while still holding the guard, as the scalar insert
-            // does: an entry must never be poppable before it is counted,
-            // or concurrent pops can drive `len` below zero.
-            self.len.fetch_add(run.len(), Ordering::AcqRel);
-            drop(guard);
+            });
         }
     }
 
+    /// The winning run/overflow pair is drained for the whole batch under
+    /// its single lock acquisition.
     fn pop_batch(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        if max == 0 || self.len.load(Ordering::Acquire) == 0 {
+        if max == 0 {
             return 0;
         }
-        let q = self.queues.len();
-        // Two-choice selection as in `pop`; the winning run/overflow pair is
-        // drained for the whole batch under its single lock acquisition.
-        for _ in 0..16 {
-            let i = rng::next_index(q);
-            let j = rng::next_index(q);
-            let gi = self.queues[i].try_lock();
-            let gj = if j != i { self.queues[j].try_lock() } else { None };
-            let (mut guard, other) = match (gi, gj) {
-                (Some(a), Some(b)) => match (a.peek_key(), b.peek_key()) {
-                    (Some(x), Some(y)) => {
-                        if x <= y {
-                            (a, Some(b))
-                        } else {
-                            (b, Some(a))
-                        }
-                    }
-                    (Some(_), None) => (a, Some(b)),
-                    (None, Some(_)) => (b, Some(a)),
-                    (None, None) => continue,
-                },
-                (Some(a), None) => (a, None),
-                (None, Some(b)) => (b, None),
-                (None, None) => continue,
-            };
-            drop(other);
-            let mut got = 0usize;
-            while got < max {
-                match guard.pop() {
-                    Some(e) => {
-                        out.push((e.priority, e.item));
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            if got > 0 {
-                self.len.fetch_sub(got, Ordering::AcqRel);
-                return got;
-            }
-        }
-        // Fallback: blocking scan, draining until the batch is full or every
-        // queue was observed empty.
-        let mut got = 0usize;
-        for i in 0..q {
-            let mut guard = self.queues[i].lock();
-            while got < max {
-                match guard.pop() {
-                    Some(e) => {
-                        out.push((e.priority, e.item));
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            if got == max {
-                break;
-            }
-        }
-        if got > 0 {
-            self.len.fetch_sub(got, Ordering::AcqRel);
-        }
-        got
+        let drain = |run: &mut Run<T>| {
+            let before = out.len();
+            out.extend(std::iter::from_fn(|| run.pop()).take(max).map(|e| (e.priority, e.item)));
+            out.len() - before
+        };
+        self.with_winner(drain).unwrap_or(0)
     }
 
     fn pop(&self) -> Option<(u64, T)> {
-        if self.len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let q = self.queues.len();
-        for _ in 0..16 {
-            let i = rng::next_index(q);
-            let j = rng::next_index(q);
-            let gi = self.queues[i].try_lock();
-            let gj = if j != i { self.queues[j].try_lock() } else { None };
-            let (mut guard, other) = match (gi, gj) {
-                (Some(a), Some(b)) => match (a.peek_key(), b.peek_key()) {
-                    (Some(x), Some(y)) => {
-                        if x <= y {
-                            (a, Some(b))
-                        } else {
-                            (b, Some(a))
-                        }
-                    }
-                    (Some(_), None) => (a, Some(b)),
-                    (None, Some(_)) => (b, Some(a)),
-                    (None, None) => continue,
-                },
-                (Some(a), None) => (a, None),
-                (None, Some(b)) => (b, None),
-                (None, None) => continue,
-            };
-            drop(other);
-            if let Some(e) = guard.pop() {
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return Some((e.priority, e.item));
-            }
-        }
-        for i in 0..q {
-            let mut guard = self.queues[i].lock();
-            if let Some(e) = guard.pop() {
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return Some((e.priority, e.item));
-            }
-        }
-        None
+        self.with_winner(Run::pop).flatten().map(|e| (e.priority, e.item))
     }
 }
 
 impl<T, L> fmt::Debug for BulkMultiQueue<T, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BulkMultiQueue")
-            .field("num_queues", &self.queues.len())
-            .field("len", &self.len.load(Ordering::Relaxed))
+            .field("num_queues", &self.buckets.len())
+            .field("len", &self.len())
             .finish()
     }
 }
