@@ -1,14 +1,14 @@
 //! The concurrent relaxed executor: worker threads share a relaxed
 //! scheduler, re-inserting blocked tasks and dropping obsolete ones.
 //!
-//! One worker **engine** ([`worker_loop`]) drives every configuration; the
-//! scalar and batched executors differ only in their [`PopFlush`] strategy
-//! (how the next run of tasks is acquired and how failed deletes go back).
-//! Each worker carries a stable `worker_id` that is passed to the
-//! scheduler's [`ConcurrentScheduler::pop_for`]/
-//! [`ConcurrentScheduler::pop_batch_for`], so partitioned schedulers (e.g.
-//! `rsched_queues::sharded::ShardedScheduler`) can pin the worker to an
-//! affinity shard; monolithic schedulers ignore the hint by default.
+//! One worker **engine** ([`worker_loop`]) drives every configuration: it
+//! pops a run of up to `batch_size` tasks, processes them, and returns the
+//! run's failed deletes in one `insert_batch`; the scalar executor is the
+//! `batch_size == 1` case. Each worker carries a stable `worker_id` that is
+//! passed to the scheduler's [`ConcurrentScheduler::pop_batch_for`], so
+//! partitioned schedulers (e.g. `rsched_queues::sharded::ShardedScheduler`)
+//! can pin the worker to an affinity shard; monolithic schedulers ignore
+//! the hint by default.
 
 use super::{ConcurrentAlgorithm, TaskOutcome};
 use crate::stats::ConcurrentStats;
@@ -152,99 +152,24 @@ impl<A: ConcurrentAlgorithm> EngineDriver for PrefillDriver<'_, A> {
     }
 }
 
-/// A worker's pop/flush strategy: how the next run of tasks is acquired and
-/// how the run's failed deletes return to the scheduler. This is the entire
-/// difference between the scalar and batched executors; everything else —
-/// termination, backoff, counter accounting, the process/blocked/obsolete
-/// dispatch — lives once in [`worker_loop`].
-trait PopFlush<S> {
-    /// Pops the next run into `run` (cleared by the engine) for `worker`;
-    /// returning 0 means the scheduler was observed empty (one empty
-    /// observation regardless of run size, so `empty_pops` stays comparable
-    /// across batch sizes).
-    fn pop_run(&mut self, sched: &S, worker: usize, run: &mut Vec<(u64, TaskId)>) -> usize;
-
-    /// Hands one failed delete back; may buffer until [`PopFlush::flush`].
-    fn give_back(&mut self, sched: &S, priority: u64, task: TaskId);
-
-    /// Flushes buffered failed deletes at the end of a run.
-    fn flush(&mut self, sched: &S);
-}
-
-/// The scalar strategy: one `pop_for` per run, immediate scalar re-insert.
-/// Its scheduler op sequence is exactly the pre-engine scalar executor's
-/// (pop → process → conditional insert), so `batch_size == 1` reproduces
-/// that executor bit-for-bit on the same seed.
-struct ScalarPopFlush;
-
-impl<S: ConcurrentScheduler<TaskId>> PopFlush<S> for ScalarPopFlush {
-    fn pop_run(&mut self, sched: &S, worker: usize, run: &mut Vec<(u64, TaskId)>) -> usize {
-        match sched.pop_for(worker) {
-            Some(e) => {
-                run.push(e);
-                1
-            }
-            None => 0,
-        }
-    }
-
-    fn give_back(&mut self, sched: &S, priority: u64, task: TaskId) {
-        // Immediately, inside the run — identical op order to the scalar
-        // executor this strategy replaces.
-        sched.insert(priority, task);
-    }
-
-    fn flush(&mut self, _sched: &S) {}
-}
-
-/// The batched strategy: one `pop_batch_for` per run, failed deletes
-/// buffered and returned in one `insert_batch` per run.
-struct BatchedPopFlush {
-    batch_size: usize,
-    blocked: Vec<(u64, TaskId)>,
-}
-
-impl<S: ConcurrentScheduler<TaskId>> PopFlush<S> for BatchedPopFlush {
-    fn pop_run(&mut self, sched: &S, worker: usize, run: &mut Vec<(u64, TaskId)>) -> usize {
-        sched.pop_batch_for(worker, run, self.batch_size)
-    }
-
-    fn give_back(&mut self, _sched: &S, priority: u64, task: TaskId) {
-        self.blocked.push((priority, task));
-    }
-
-    fn flush(&mut self, sched: &S) {
-        if !self.blocked.is_empty() {
-            // All failed deletes of the batch go back in one
-            // synchronization round-trip.
-            sched.insert_batch(&self.blocked);
-            self.blocked.clear();
-        }
-    }
-}
-
-/// The worker engine: pops runs via `strategy`, dispatches each task to the
-/// `driver`, hands failed deletes back, and spins briefly on empty
-/// observations (a blocked task may be in another worker's hands, about to
-/// be re-inserted). Termination is by [`EngineDriver::keep_running`], never
-/// scheduler emptiness — dead MIS vertices may still sit in the queue when a
-/// prefill run completes, and a streaming scheduler is *expected* to sit
-/// empty between arrivals.
-fn worker_loop<D, S, P>(
-    driver: &D,
-    sched: &S,
-    worker: usize,
-    mut strategy: P,
-    run_capacity: usize,
-) -> WorkerCounters
+/// The worker engine: pops a run of up to `batch_size` tasks with one
+/// `pop_batch_for`, dispatches each task to the `driver`, returns the run's
+/// failed deletes in one `insert_batch` (at `batch_size == 1` that is the
+/// scalar executor's op order: pop, process, conditional re-insert), and
+/// spins briefly on empty observations (a blocked task may be in another
+/// worker's hands, about to be re-inserted). Termination is by
+/// [`EngineDriver::keep_running`], never scheduler emptiness — dead MIS
+/// vertices may still sit in the queue when a prefill run completes, and a
+/// streaming scheduler is *expected* to sit empty between arrivals.
+fn worker_loop<D, S>(driver: &D, sched: &S, worker: usize, batch_size: usize) -> WorkerCounters
 where
     D: EngineDriver,
     S: ConcurrentScheduler<TaskId>,
-    P: PopFlush<S>,
 {
     let mut c = WorkerCounters::default();
     let backoff = Backoff::new();
-    let mut run: Vec<(u64, TaskId)> = Vec::with_capacity(run_capacity);
+    let mut run: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
+    let mut blocked: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
     // Adaptive affinity: a run with zero progress (every popped task
     // blocked) means this worker is ahead of the dependency frontier — the
     // tasks its scheduler partition serves are waiting on tasks housed
@@ -259,7 +184,7 @@ where
     let mut hint = worker;
     while driver.keep_running() {
         run.clear();
-        let got = strategy.pop_run(sched, hint, &mut run);
+        let got = sched.pop_batch_for(hint, &mut run, batch_size);
         if got == 0 {
             c.empty += 1;
             rsched_obs::counter!(r#"engine_pop_total{outcome="empty"}"#).inc();
@@ -269,7 +194,6 @@ where
         backoff.reset();
         let _run_span = rsched_obs::span!("engine_run");
         rsched_obs::hist!("engine_run_batch_size").record(got as u64);
-        let mut blocked_in_run = 0usize;
         for &(priority, v) in &run {
             c.pops += 1;
             let t0 = rsched_obs::now_ns();
@@ -283,9 +207,8 @@ where
                 }
                 TaskOutcome::Blocked => {
                     c.wasted += 1;
-                    blocked_in_run += 1;
                     rsched_obs::counter!(r#"engine_pop_total{outcome="blocked"}"#).inc();
-                    strategy.give_back(sched, priority, v);
+                    blocked.push((priority, v));
                 }
                 TaskOutcome::Obsolete => {
                     c.obsolete += 1;
@@ -293,12 +216,17 @@ where
                 }
             }
         }
-        strategy.flush(sched);
-        driver.after_run(got - blocked_in_run);
-        if blocked_in_run == got {
+        if !blocked.is_empty() {
+            // All failed deletes of the run go back in one synchronization
+            // round-trip.
+            sched.insert_batch(&blocked);
+        }
+        driver.after_run(got - blocked.len());
+        if blocked.len() == got {
             hint = hint.wrapping_add(1);
             rsched_obs::counter!("engine_affinity_drift_total").inc();
         }
+        blocked.clear();
     }
     c
 }
@@ -314,9 +242,9 @@ pub(crate) struct EngineTotals {
     pub empty: u64,
 }
 
-/// Spawns `threads` workers over `sched`, each running [`worker_loop`] with
-/// the strategy `batch_size` selects (1 → scalar, else batched), and blocks
-/// until every worker's [`EngineDriver::keep_running`] goes false. This is
+/// Spawns `threads` workers over `sched`, each running [`worker_loop`] at
+/// `batch_size`, and blocks until every worker's
+/// [`EngineDriver::keep_running`] goes false. This is
 /// the one engine behind both entry points: [`run_concurrent_batched`]
 /// (prefill) and `crate::service::run_service` (streaming).
 ///
@@ -345,13 +273,7 @@ where
             let (pops, processed, wasted, obsolete, empty) =
                 (&pops, &processed, &wasted, &obsolete, &empty);
             s.spawn(move || {
-                let c = if batch_size == 1 {
-                    worker_loop(driver, sched, worker, ScalarPopFlush, 1)
-                } else {
-                    let strategy =
-                        BatchedPopFlush { batch_size, blocked: Vec::with_capacity(batch_size) };
-                    worker_loop(driver, sched, worker, strategy, batch_size)
-                };
+                let c = worker_loop(driver, sched, worker, batch_size);
                 // Thread-local counters; one atomic flush at exit.
                 pops.fetch_add(c.pops, Ordering::Relaxed);
                 processed.fetch_add(c.processed, Ordering::Relaxed);
@@ -391,10 +313,9 @@ where
 /// to `batch_size` tasks, process them locally, and re-insert every blocked
 /// task of the batch in one [`ConcurrentScheduler::insert_batch`].
 ///
-/// `batch_size == 1` drives the engine with the scalar strategy, whose
-/// scheduler op sequence is exactly the original scalar executor's, so it
-/// reproduces its behavior bit-for-bit on the same seed. Larger batches
-/// amortize scheduler synchronization at the price of extra relaxation: a
+/// At `batch_size == 1` the scheduler op sequence is the scalar executor's:
+/// pop, process, conditional re-insert. Larger batches amortize scheduler
+/// synchronization at the price of extra relaxation: a
 /// batch is popped in full before any of its tasks is processed, so a
 /// `k`-relaxed scheduler drives the algorithm like an
 /// `O(k·batch_size)`-relaxed one and Theorem 2's waste bound degrades
@@ -402,8 +323,8 @@ where
 /// of `n`).
 ///
 /// Every worker passes its index to the scheduler through
-/// [`ConcurrentScheduler::pop_for`]/[`ConcurrentScheduler::pop_batch_for`];
-/// sharded schedulers use it to pin the worker to an affinity shard
+/// [`ConcurrentScheduler::pop_batch_for`]; sharded schedulers use it to pin
+/// the worker to an affinity shard
 /// (relaxation then grows with the shard count instead: `O(k·s)` — see
 /// DESIGN.md "Sharding semantics").
 ///
@@ -454,22 +375,51 @@ mod tests {
     use std::collections::BinaryHeap;
     use std::sync::Mutex;
 
-    /// A deterministic exact concurrent scheduler (one mutex-guarded heap)
-    /// that logs every operation, for op-sequence equivalence tests.
+    /// One logged scheduler call: the priority a `pop` returned, or the
+    /// priorities one `insert_batch` carried.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Op {
+        Pop(Option<u64>),
+        InsertBatch(Vec<u64>),
+    }
+
+    /// A deterministic concurrent scheduler (one mutex-guarded heap) that
+    /// logs every call, for op-sequence tests. Exact by default; `relaxed`
+    /// makes every other pop return the second-smallest entry when there
+    /// is one, so a dependency chain blocks and still terminates.
     #[derive(Debug, Default)]
     struct LoggedHeap {
+        relaxed: bool,
+        pops: AtomicU64,
         heap: Mutex<BinaryHeap<Reverse<(u64, TaskId)>>>,
-        log: Mutex<Vec<String>>,
+        log: Mutex<Vec<Op>>,
     }
 
     impl ConcurrentScheduler<TaskId> for LoggedHeap {
         fn insert(&self, priority: u64, item: TaskId) {
-            self.log.lock().unwrap().push(format!("insert {priority}"));
-            self.heap.lock().unwrap().push(Reverse((priority, item)));
+            self.insert_batch(&[(priority, item)]);
+        }
+        fn insert_batch(&self, entries: &[(u64, TaskId)]) {
+            self.log.lock().unwrap().push(Op::InsertBatch(entries.iter().map(|e| e.0).collect()));
+            self.heap.lock().unwrap().extend(entries.iter().copied().map(Reverse));
         }
         fn pop(&self) -> Option<(u64, TaskId)> {
-            self.log.lock().unwrap().push("pop".into());
-            self.heap.lock().unwrap().pop().map(|Reverse(e)| e)
+            let mut heap = self.heap.lock().unwrap();
+            let second_turn = self.pops.fetch_add(1, Ordering::Relaxed) % 2 == 1;
+            let min = heap.pop();
+            let out = match heap.pop() {
+                Some(second) if self.relaxed && second_turn => {
+                    heap.extend(min);
+                    Some(second)
+                }
+                second => {
+                    heap.extend(second);
+                    min
+                }
+            };
+            let out = out.map(|Reverse(e)| e);
+            self.log.lock().unwrap().push(Op::Pop(out.map(|e| e.0)));
+            out
         }
     }
 
@@ -512,25 +462,50 @@ mod tests {
         }
     }
 
-    /// The engine's scalar strategy at one thread must issue the exact op
-    /// sequence of the pre-engine scalar executor: pop → (insert on
-    /// blocked) → pop → …, never buffering re-inserts.
+    /// One thread over the relaxed `LoggedHeap`, whose default
+    /// `pop_batch` logs one `Pop` per element. Every re-insert must sit
+    /// between the run that popped it and the next pop — at batch 1 directly
+    /// after its own pop, one entry at most; at batch 8 as the run's single
+    /// `insert_batch`.
     #[test]
-    fn scalar_engine_op_sequence_is_pop_then_immediate_insert() {
+    fn failed_deletes_return_in_one_insert_batch_before_the_next_run() {
         use rand::{rngs::StdRng, SeedableRng};
         let pi = Permutation::random(30, &mut StdRng::seed_from_u64(3));
-        let sched = LoggedHeap::default();
-        fill_scheduler(&sched, &pi);
-        sched.log.lock().unwrap().clear();
-        let alg = Chain::new(&pi);
-        let stats = run_concurrent(&alg, &pi, &sched, 1);
-        assert_eq!(stats.processed, 30);
-        let log = sched.log.lock().unwrap().clone();
-        // With an exact scheduler on one thread nothing ever blocks, so the
-        // log is exactly `total_pops` pops and no inserts.
-        assert_eq!(stats.wasted, 0);
-        assert_eq!(log.len() as u64, stats.total_pops + stats.empty_pops);
-        assert!(log.iter().all(|op| op == "pop"));
+        for batch in [1usize, 8] {
+            let sched = LoggedHeap { relaxed: true, ..Default::default() };
+            fill_scheduler(&sched, &pi);
+            sched.log.lock().unwrap().clear();
+            let alg = Chain::new(&pi);
+            let stats = run_concurrent_batched(&alg, &pi, &sched, 1, batch);
+            assert_eq!(stats.processed, 30);
+            assert!(stats.wasted > 0, "batch={batch}: the relaxed heap must block the chain");
+            let log = sched.log.lock().unwrap().clone();
+            let (mut reinserted, mut largest) = (0, 0);
+            for (at, op) in log.iter().enumerate() {
+                let Op::InsertBatch(back) = op else { continue };
+                // The run: the pops since the previous insert_batch.
+                let run: Vec<u64> = log[..at]
+                    .iter()
+                    .rev()
+                    .map_while(|op| if let Op::Pop(p) = op { Some(*p) } else { None })
+                    .flatten()
+                    .collect();
+                assert!(!back.is_empty() && back.len() <= run.len().min(batch), "batch={batch}");
+                // In pop order, and nothing a later run popped.
+                let mut popped = run.iter().rev();
+                assert!(back.iter().all(|p| popped.any(|q| q == p)), "batch={batch}: {log:?}");
+                if batch == 1 {
+                    assert_eq!(log[at - 1], Op::Pop(Some(back[0])));
+                }
+                reinserted += back.len() as u64;
+                largest = largest.max(back.len());
+            }
+            assert_eq!(reinserted, stats.wasted, "batch={batch}");
+            assert!(batch == 1 || largest > 1, "batch 8 never buffered two failed deletes");
+            // At batch 1 a run is one scheduler pop, hit or miss.
+            let pops = log.iter().filter(|op| matches!(op, Op::Pop(_))).count() as u64;
+            assert!(batch > 1 || pops == stats.total_pops + stats.empty_pops);
+        }
     }
 
     /// One shard must behave exactly like the bare inner scheduler under

@@ -10,9 +10,8 @@
 //! exactly the pre-PR-9 behavior); with [`Vbr`](crate::reclaim::Vbr) nodes
 //! live in a version-stamped slot arena and readers validate instead of
 //! pinning. The `*_with(guard)` variants let callers amortize one pin over
-//! a batch; batches long enough to stall global reclamation should
-//! [`HarrisList::repin_guard`] between runs, as
-//! `LockFreeMultiQueue::insert_batch` does (both are no-ops under VBR).
+//! a batch; batches long enough to stall global reclamation should take a
+//! fresh guard per run, as the MultiQueue core does for `insert_batch`.
 //!
 //! The list is rooted at a never-retired sentinel node, so every traversal
 //! step — including the head — is a uniform `(node, link word)` pair for
@@ -128,12 +127,6 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
     /// epoch pin under EBR; free under VBR).
     pub fn guard(&self) -> R::Guard<T> {
         R::pin(&self.dom)
-    }
-
-    /// Exits and re-enters the critical section, letting reclamation
-    /// progress mid-batch.
-    pub fn repin_guard(&self, guard: &mut R::Guard<T>) {
-        R::repin(&self.dom, guard);
     }
 
     /// Flushes thread-local deferred garbage toward the collector.

@@ -2,18 +2,76 @@
 //!
 //! "We implemented a simple version of our scheduling framework, using a
 //! variant of the MultiQueue \[21\] … We use lock-free lists to maintain the
-//! individual priority queues." — this module is exactly that: a MultiQueue
-//! whose per-queue structure is a [`HarrisList`], generic over the
+//! individual priority queues." — this module is exactly that: the
+//! [`MultiQueueCore`] over buckets that are [`HarrisList`]s, generic over the
 //! [`Reclaim`] backend (epoch pins by default; version validation under
 //! [`Vbr`](crate::reclaim::Vbr), which removes the per-pop pin fence).
 
+use super::multiqueue::{Bucket, MultiQueueCore};
 use crate::concurrent::HarrisList;
 use crate::reclaim::{Ebr, Reclaim};
-use crate::rng;
-use crate::{ConcurrentScheduler, BATCH_SCATTER_RUN};
-use crossbeam::utils::CachePadded;
-use rsched_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::fmt;
+use crate::Entry;
+use rsched_sync::atomic::{AtomicIsize, Ordering};
+
+/// The lock-free bucket: a [`HarrisList`] and, on the same padded line, its
+/// live count. Opening never blocks and needs only the operation's
+/// reclamation guard. The count is published **after** a run is linked
+/// (counted first, early pops see half-inserted runs and shrink their
+/// batches — DESIGN.md "Hot-path contention"), so a racing pop can debit
+/// entries not yet credited and [`Bucket::count`] can dip below zero.
+#[derive(Debug)]
+pub struct ListBucket<T: Send, R: Reclaim> {
+    list: HarrisList<T, R>,
+    live: AtomicIsize,
+}
+
+impl<T: Send, R: Reclaim> Bucket<T> for ListBucket<T, R> {
+    type Guard = R::Guard<T>;
+    type Open<'a>
+        = &'a R::Guard<T>
+    where
+        Self: 'a;
+
+    fn from_sorted(run: Vec<Entry<T>>) -> Self {
+        let live = AtomicIsize::new(run.len() as isize);
+        let run = run.into_iter().map(|e| (e.priority, e.seq, e.item));
+        ListBucket { list: HarrisList::from_sorted_in(run), live }
+    }
+
+    fn guard(&self) -> R::Guard<T> {
+        self.list.guard()
+    }
+
+    fn try_open<'a>(&'a self, guard: &'a R::Guard<T>) -> Option<&'a R::Guard<T>> {
+        Some(guard)
+    }
+
+    fn open<'a>(&'a self, guard: &'a R::Guard<T>) -> &'a R::Guard<T> {
+        guard
+    }
+
+    fn peek(&self, open: &&R::Guard<T>) -> Option<u64> {
+        self.list.peek_min_with(open)
+    }
+
+    fn pop(&self, open: &mut &R::Guard<T>) -> Option<(u64, T)> {
+        self.list.pop_min_with(open)
+    }
+
+    fn push(&self, open: &mut &R::Guard<T>, entry: Entry<T>) {
+        self.list.insert_with(entry.priority, entry.seq, entry.item, open);
+    }
+
+    fn close(&self, _open: &R::Guard<T>, delta: isize) {
+        if delta != 0 {
+            self.live.fetch_add(delta, Ordering::AcqRel);
+        }
+    }
+
+    fn count(&self) -> isize {
+        self.live.load(Ordering::Acquire)
+    }
+}
 
 /// A MultiQueue over Harris lists.
 ///
@@ -25,7 +83,9 @@ use std::fmt;
 /// The second type parameter selects the reclamation backend (default
 /// [`Ebr`]); `*_in` constructors build a queue over another backend, e.g.
 /// `LockFreeMultiQueue::<u64, Vbr>::prefilled_in(..)` for the pin-free
-/// read path.
+/// read path. Every `pop`, `pop_batch` and ≤ 64-entry run of an
+/// `insert_batch` takes one guard (an epoch pin under EBR; free under VBR),
+/// so a large batch never stalls other threads' reclamation.
 ///
 /// # Examples
 ///
@@ -36,11 +96,7 @@ use std::fmt;
 /// let (p, _) = q.pop().unwrap();
 /// assert!(p < 10);
 /// ```
-pub struct LockFreeMultiQueue<T: Send, R: Reclaim = Ebr> {
-    lists: Box<[CachePadded<HarrisList<T, R>>]>,
-    len: CachePadded<AtomicUsize>,
-    seq: CachePadded<AtomicU64>,
-}
+pub type LockFreeMultiQueue<T, R = Ebr> = MultiQueueCore<T, ListBucket<T, R>>;
 
 impl<T: Send> LockFreeMultiQueue<T, Ebr> {
     /// Creates an empty queue with `num_queues` internal lists.
@@ -75,12 +131,7 @@ impl<T: Send, R: Reclaim> LockFreeMultiQueue<T, R> {
     ///
     /// Panics if `num_queues == 0`.
     pub fn new_in(num_queues: usize) -> Self {
-        assert!(num_queues >= 1, "need at least one internal queue");
-        LockFreeMultiQueue {
-            lists: (0..num_queues).map(|_| CachePadded::new(HarrisList::new_in())).collect(),
-            len: CachePadded::new(AtomicUsize::new(0)),
-            seq: CachePadded::new(AtomicU64::new(0)),
-        }
+        Self::prefilled_in(num_queues, std::iter::empty())
     }
 
     /// [`LockFreeMultiQueue::for_threads`] for an explicit backend `R`.
@@ -89,304 +140,31 @@ impl<T: Send, R: Reclaim> LockFreeMultiQueue<T, R> {
     }
 
     /// [`LockFreeMultiQueue::prefilled`] for an explicit backend `R`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_queues == 0`.
     pub fn prefilled_in<I>(num_queues: usize, entries: I) -> Self
     where
         I: IntoIterator<Item = (u64, T)>,
     {
-        assert!(num_queues >= 1, "need at least one internal queue");
-        let mut buckets: Vec<Vec<(u64, u64, T)>> = (0..num_queues).map(|_| Vec::new()).collect();
-        let mut seq = 0u64;
-        for (priority, item) in entries {
-            buckets[rng::next_index(num_queues)].push((priority, seq, item));
-            seq += 1;
-        }
-        let mut total = 0usize;
-        let lists: Box<[CachePadded<HarrisList<T, R>>]> = buckets
-            .into_iter()
-            .map(|mut b| {
-                b.sort_unstable_by_key(|&(p, s, _)| (p, s));
-                total += b.len();
-                CachePadded::new(HarrisList::from_sorted_in(b))
-            })
-            .collect();
-        LockFreeMultiQueue {
-            lists,
-            len: CachePadded::new(AtomicUsize::new(total)),
-            seq: CachePadded::new(AtomicU64::new(seq)),
-        }
-    }
-
-    /// Number of internal lists.
-    pub fn num_queues(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// Number of elements currently stored (snapshot).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Whether the queue was observed empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: Send, R: Reclaim> ConcurrentScheduler<T> for LockFreeMultiQueue<T, R> {
-    fn insert(&self, priority: u64, item: T) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let i = rng::next_index(self.lists.len());
-        self.lists[i].insert(priority, seq, item);
-        self.len.fetch_add(1, Ordering::AcqRel);
-    }
-
-    fn insert_batch(&self, entries: &[(u64, T)])
-    where
-        T: Clone,
-    {
-        if entries.is_empty() {
-            return;
-        }
-        // One guard (epoch pin under EBR; free under VBR) and one
-        // sequence-number claim for the whole batch; each run of up to
-        // BATCH_SCATTER_RUN entries goes to one random list (the sorted
-        // walk restarts per entry, but runs are short and the framework's
-        // runtime batches are the poly(k) failed deletes). Repinning
-        // between runs lets the global epoch advance past this thread
-        // mid-batch, so an arbitrarily large insert_batch never stalls
-        // other threads' reclamation.
-        let mut guard = self.lists[0].guard();
-        let mut seq = self.seq.fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let q = self.lists.len();
-        for (chunk, run) in entries.chunks(BATCH_SCATTER_RUN).enumerate() {
-            if chunk > 0 {
-                self.lists[0].repin_guard(&mut guard);
-            }
-            let i = rng::next_index(q);
-            for (priority, item) in run {
-                self.lists[i].insert_with(*priority, seq, item.clone(), &guard);
-                seq += 1;
-            }
-            self.len.fetch_add(run.len(), Ordering::AcqRel);
-        }
-    }
-
-    fn pop_batch(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        if max == 0 || self.len.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        // One guard for the whole batch; two-choice selection as in `pop`,
-        // then the winning list is drained head-first.
-        let guard = &self.lists[0].guard();
-        let q = self.lists.len();
-        for _ in 0..16 {
-            let i = rng::next_index(q);
-            let j = rng::next_index(q);
-            let ki = self.lists[i].peek_min_with(guard);
-            let kj = self.lists[j].peek_min_with(guard);
-            let best = match (ki, kj) {
-                (Some(a), Some(b)) => {
-                    if a <= b {
-                        i
-                    } else {
-                        j
-                    }
-                }
-                (Some(_), None) => i,
-                (None, Some(_)) => j,
-                (None, None) => continue,
-            };
-            let mut got = 0usize;
-            while got < max {
-                match self.lists[best].pop_min_with(guard) {
-                    Some(e) => {
-                        out.push(e);
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            if got > 0 {
-                self.len.fetch_sub(got, Ordering::AcqRel);
-                return got;
-            }
-        }
-        // Fallback scan, draining until the batch is full or every list was
-        // observed empty.
-        let mut got = 0usize;
-        for list in self.lists.iter() {
-            while got < max {
-                match list.pop_min_with(guard) {
-                    Some(e) => {
-                        out.push(e);
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            if got == max {
-                break;
-            }
-        }
-        if got > 0 {
-            self.len.fetch_sub(got, Ordering::AcqRel);
-        }
-        got
-    }
-
-    fn pop(&self) -> Option<(u64, T)> {
-        if self.len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let q = self.lists.len();
-        for _ in 0..16 {
-            let i = rng::next_index(q);
-            let j = rng::next_index(q);
-            let ki = self.lists[i].peek_min();
-            let kj = self.lists[j].peek_min();
-            let best = match (ki, kj) {
-                (Some(a), Some(b)) => {
-                    if a <= b {
-                        i
-                    } else {
-                        j
-                    }
-                }
-                (Some(_), None) => i,
-                (None, Some(_)) => j,
-                (None, None) => continue,
-            };
-            if let Some(out) = self.lists[best].pop_min() {
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return Some(out);
-            }
-        }
-        // Fallback scan.
-        for list in self.lists.iter() {
-            if let Some(out) = list.pop_min() {
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return Some(out);
-            }
-        }
-        None
-    }
-}
-
-impl<T: Send, R: Reclaim> fmt::Debug for LockFreeMultiQueue<T, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockFreeMultiQueue")
-            .field("num_queues", &self.lists.len())
-            .field("len", &self.len.load(Ordering::Relaxed))
-            .field("reclaim", &R::name())
-            .finish()
+        Self::build(num_queues, entries, 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reclaim::Vbr;
-    use std::collections::HashSet;
-    use std::sync::Mutex;
+    use crate::ConcurrentScheduler;
 
+    /// Prefilled and inserted entries share one order on a list: the
+    /// `(priority, seq)` key, with `seq` continuing past the prefill.
     #[test]
-    fn prefilled_pops_everything() {
-        let q = LockFreeMultiQueue::prefilled(4, (0..1000u64).map(|p| (p, p)));
-        assert_eq!(q.len(), 1000);
-        let mut out: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(p, _)| p)).collect();
-        out.sort_unstable();
-        assert_eq!(out, (0..1000).collect::<Vec<_>>());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn prefilled_pops_everything_vbr() {
-        let q = LockFreeMultiQueue::<u64, Vbr>::prefilled_in(4, (0..1000u64).map(|p| (p, p)));
-        assert_eq!(q.len(), 1000);
-        let mut out: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(p, _)| p)).collect();
-        out.sort_unstable();
-        assert_eq!(out, (0..1000).collect::<Vec<_>>());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn insert_then_pop_single_thread() {
-        let q = LockFreeMultiQueue::new(2);
-        for p in [9u64, 3, 7, 1] {
-            q.insert(p, p);
-        }
-        assert_eq!(q.len(), 4);
-        let mut out: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(p, _)| p)).collect();
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 3, 7, 9]);
-    }
-
-    #[test]
-    fn approximate_order_with_prefill() {
-        let q = LockFreeMultiQueue::prefilled(2, (0..10_000u64).map(|p| (p, ())));
-        let (p, _) = q.pop().unwrap();
-        assert!(p < 100, "first pop {p} absurd for 2 queues");
-    }
-
-    fn concurrent_mixed_workload_impl<R: Reclaim>() {
-        let q = LockFreeMultiQueue::<u64, R>::prefilled_in(4, (0..4_000u64).map(|p| (p, p)));
-        let popped = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let q = &q;
-                let popped = &popped;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    for i in 0..1_000u64 {
-                        if let Some((_, v)) = q.pop() {
-                            local.push(v);
-                        }
-                        if i % 10 == 0 {
-                            // Occasional re-insertions, as the framework does.
-                            q.insert(100_000 + t * 10_000 + i, 100_000 + t * 10_000 + i);
-                        }
-                    }
-                    popped.lock().unwrap().extend(local);
-                });
-            }
-        });
-        let mut all = popped.into_inner().unwrap();
-        while let Some((_, v)) = q.pop() {
-            all.push(v);
-        }
-        let unique: HashSet<u64> = all.iter().copied().collect();
-        assert_eq!(unique.len(), all.len(), "an element was popped twice");
-        assert_eq!(all.len(), 4_000 + 4 * 100);
-    }
-
-    #[test]
-    fn concurrent_mixed_workload_conserves_elements() {
-        concurrent_mixed_workload_impl::<Ebr>();
-        concurrent_mixed_workload_impl::<Vbr>();
-    }
-
-    #[test]
-    fn batched_ops_work_on_both_backends() {
-        fn run<R: Reclaim>() {
-            let q = LockFreeMultiQueue::<u64, R>::new_in(4);
-            let entries: Vec<(u64, u64)> = (0..500u64).map(|p| (p, p)).collect();
-            q.insert_batch(&entries);
-            assert_eq!(q.len(), 500);
-            let mut out = Vec::new();
-            while q.pop_batch(&mut out, 64) > 0 {}
-            let mut got: Vec<u64> = out.into_iter().map(|(_, v)| v).collect();
-            got.sort_unstable();
-            assert_eq!(got, (0..500).collect::<Vec<_>>());
-        }
-        run::<Ebr>();
-        run::<Vbr>();
-    }
-
-    #[test]
-    fn for_threads_sizing() {
-        let q: LockFreeMultiQueue<()> = LockFreeMultiQueue::for_threads(2);
-        assert_eq!(q.num_queues(), 8);
-        let v: LockFreeMultiQueue<(), Vbr> = LockFreeMultiQueue::for_threads_in(2);
-        assert_eq!(v.num_queues(), 8);
+    fn prefill_and_insert_share_one_order() {
+        let q = LockFreeMultiQueue::prefilled(1, [(10u64, 'a'), (20, 'b'), (20, 'c')]);
+        q.insert(20, 'd');
+        q.insert(5, 'e');
+        let order: String = std::iter::from_fn(|| q.pop().map(|(_, c)| c)).collect();
+        assert_eq!(order, "eabcd");
     }
 }

@@ -1,33 +1,363 @@
-//! The lock-based MultiQueue relaxed scheduler \[21\].
+//! The MultiQueue relaxed scheduler \[21\], implemented once:
+//! [`MultiQueueCore`] over a choice of [`Bucket`]. This file holds the core,
+//! the lock-based bucket [`Locked`] and its classic instantiation over
+//! binary heaps, [`MultiQueue`]; the sorted-run and Harris-list buckets are
+//! in `bulk_multiqueue.rs` and `lf_multiqueue.rs`.
 
 use crate::lock::BucketLock;
 use crate::rng;
 use crate::{ConcurrentScheduler, Entry, BATCH_SCATTER_RUN};
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
-use rsched_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use rsched_sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::marker::PhantomData;
+
+/// One internal queue of a [`MultiQueueCore`]. Which bucket to pop, when
+/// to retry, where an insert goes and what `len` is are the core's; the
+/// bucket supplies access and its **count discipline**: [`Bucket::close`]
+/// decides when a change shows in [`Bucket::count`] (DESIGN.md "Hot-path
+/// contention" has the table).
+pub trait Bucket<T>: Send + Sync + Sized {
+    /// Taken at most once per core operation and shared by every bucket
+    /// the operation touches: a reclamation guard, or `()` under locks.
+    type Guard;
+
+    /// Access to an opened bucket: a lock guard, or the borrowed
+    /// reclamation guard of a lock-free list.
+    type Open<'a>
+    where
+        Self: 'a;
+
+    /// Builds a bucket holding `run`, which is sorted ascending.
+    fn from_sorted(run: Vec<Entry<T>>) -> Self;
+
+    /// Enters the per-operation critical section.
+    fn guard(&self) -> Self::Guard;
+
+    /// Opens the bucket unless that would block.
+    fn try_open<'a>(&'a self, guard: &'a Self::Guard) -> Option<Self::Open<'a>>;
+
+    /// Opens the bucket, waiting for it if need be.
+    fn open<'a>(&'a self, guard: &'a Self::Guard) -> Self::Open<'a>;
+
+    /// The smallest priority held, `None` if the bucket is empty.
+    fn peek(&self, open: &Self::Open<'_>) -> Option<u64>;
+
+    /// Removes and returns the bucket's minimum.
+    fn pop(&self, open: &mut Self::Open<'_>) -> Option<(u64, T)>;
+
+    /// Adds `entry`.
+    fn push(&self, open: &mut Self::Open<'_>, entry: Entry<T>);
+
+    /// Publishes the count after `delta` net insertions through `open`,
+    /// then gives the bucket up.
+    fn close(&self, open: Self::Open<'_>, delta: isize);
+
+    /// The published live count: exact at quiescence, and transiently
+    /// behind — below zero even — for a bucket that counts after linking.
+    fn count(&self) -> isize;
+}
+
+/// The MultiQueue over buckets of kind `B`: the padded bucket array, the
+/// two-choice pop, random-bucket inserts scattered in runs, `len` as the
+/// sum of the bucket counts, the bulk-load build. Use it through the aliases
+/// [`MultiQueue`], [`super::BulkMultiQueue`] and
+/// [`super::LockFreeMultiQueue`], which carry the constructors.
+///
+/// `insert` pushes to a random bucket; `pop` compares the heads of two
+/// buckets and pops the smaller (power-of-two-choices). With `q = c·threads`
+/// buckets this is an `O(q)`-rank-bounded, `O(q log q)`-fair scheduler with
+/// exponential tails \[2\] — a `k`-relaxed scheduler in the paper's sense.
+/// The pair is *sticky* (`rng::sticky_pair`): a thread keeps it for
+/// `rng::STICKY_POPS` pops, so no line that every worker writes is touched
+/// per pop, at the price of a `k` larger by about that factor (DESIGN.md
+/// "Hot-path contention").
+pub struct MultiQueueCore<T, B> {
+    buckets: Box<[CachePadded<B>]>,
+    seq: CachePadded<AtomicU64>,
+    _elem: PhantomData<fn() -> T>,
+}
+
+/// Prefills smaller than this are sorted on the calling thread: spawning
+/// sort threads would cost more than the sort.
+const PARALLEL_SORT_MIN: u64 = 1 << 14;
+
+impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
+    /// Scatters `entries` over `num_queues` buckets, sorting the runs on up
+    /// to `sort_threads` scoped threads when there is enough to sort.
+    pub(super) fn build<I>(num_queues: usize, entries: I, sort_threads: usize) -> Self
+    where
+        I: IntoIterator<Item = (u64, T)>,
+    {
+        assert!(num_queues >= 1, "need at least one internal queue");
+        let entries = entries.into_iter();
+        // The scatter is binomial: a sixteenth over the mean covers its
+        // spread at every size where a regrowth would cost anything.
+        let per_run = entries.size_hint().0 / num_queues;
+        let mut runs: Vec<Vec<Entry<T>>> =
+            (0..num_queues).map(|_| Vec::with_capacity(per_run + per_run / 16)).collect();
+        let mut seq = 0u64;
+        for (priority, item) in entries {
+            runs[rng::next_index(num_queues)].push(Entry::new(priority, seq, item));
+            seq += 1;
+        }
+        if sort_threads > 1 && seq >= PARALLEL_SORT_MIN {
+            std::thread::scope(|s| {
+                for chunk in runs.chunks_mut(num_queues.div_ceil(sort_threads)) {
+                    s.spawn(move || chunk.iter_mut().for_each(|r| r.sort_unstable()));
+                }
+            });
+        } else {
+            runs.iter_mut().for_each(|r| r.sort_unstable());
+        }
+        MultiQueueCore {
+            buckets: runs.into_iter().map(|run| CachePadded::new(B::from_sorted(run))).collect(),
+            seq: CachePadded::new(AtomicU64::new(seq)),
+            _elem: PhantomData,
+        }
+    }
+
+    /// Number of internal queues.
+    pub fn num_queues(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Number of elements currently stored: the sum of the per-bucket
+    /// counts, clamped at zero (a bucket that counts after linking can be
+    /// popped before it is counted). A snapshot under concurrency, exact at
+    /// quiescence, and never more than the entries ever inserted.
+    pub fn len(&self) -> usize {
+        self.buckets.iter().map(|b| b.count()).sum::<isize>().max(0) as usize
+    }
+
+    /// Whether the queue was observed empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Pops up to `max` entries into `sink` from the two-choice winner — of
+    /// the thread's sticky pair, the nonempty bucket with the smaller head —
+    /// under its single opening. Returns how many; 0 iff the queue was
+    /// observed empty, which is decided from the published counts before
+    /// any guard is taken or lock tried.
+    fn pop_into(&self, max: usize, mut sink: impl FnMut((u64, T))) -> usize {
+        // Pops of one opened bucket; publishes its count and gives it up.
+        let mut drain = |bucket: &B, mut open: B::Open<'_>| {
+            let mut got = 0usize;
+            while got < max {
+                let Some(e) = bucket.pop(&mut open) else { break };
+                sink(e);
+                got += 1;
+            }
+            bucket.close(open, -(got as isize));
+            got
+        };
+        let mut guard = None;
+        for _ in 0..16 {
+            let (i, j) = rng::sticky_pair(self.buckets.len());
+            let (bi, bj): (&B, &B) = (&self.buckets[i], &self.buckets[j]);
+            let (mut got, mut contended) = (0, false);
+            if bi.count() > 0 || bj.count() > 0 {
+                let g = &*guard.get_or_insert_with(|| bi.guard());
+                let oi = bi.try_open(g);
+                let oj = if j != i { bj.try_open(g) } else { None };
+                contended = oi.is_none() || (j != i && oj.is_none());
+                // The loser's opening drops with its match arm.
+                let winner = match (oi, oj) {
+                    (Some(a), Some(b)) => match (bi.peek(&a), bj.peek(&b)) {
+                        (Some(x), Some(y)) if y < x => Some((bj, b)),
+                        (Some(_), _) => Some((bi, a)),
+                        (None, Some(_)) => Some((bj, b)),
+                        (None, None) => None,
+                    },
+                    (Some(a), None) => Some((bi, a)),
+                    (None, Some(b)) => Some((bj, b)),
+                    (None, None) => None,
+                };
+                got = winner.map_or(0, |(bucket, open)| drain(bucket, open));
+            }
+            if contended || got == 0 {
+                rng::redraw_pair(); // pop elsewhere next time
+            }
+            if got > 0 || self.is_empty() {
+                return got;
+            }
+        }
+        // Sparse queue: blocking scan for the first nonempty bucket.
+        let g = &*guard.get_or_insert_with(|| self.buckets[0].guard());
+        self.buckets.iter().map(|b| drain(b, b.open(g))).find(|&got| got > 0).unwrap_or(0)
+    }
+
+    /// Pushes `run` into one random bucket — where insertions go — under
+    /// one guard and one opening, and publishes it with one count update.
+    fn push_run(&self, run: impl Iterator<Item = Entry<T>>) {
+        let guard = self.buckets[0].guard();
+        let (bucket, mut open) = loop {
+            let b: &B = &self.buckets[rng::next_index(self.buckets.len())];
+            if let Some(open) = b.try_open(&guard) {
+                break (b, open);
+            }
+        };
+        let mut pushed = 0isize;
+        for entry in run {
+            bucket.push(&mut open, entry);
+            pushed += 1;
+        }
+        bucket.close(open, pushed);
+    }
+}
+
+impl<T: Send, B: Bucket<T>> ConcurrentScheduler<T> for MultiQueueCore<T, B> {
+    fn insert(&self, priority: u64, item: T) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        self.push_run(std::iter::once(Entry::new(priority, seq, item)));
+    }
+
+    fn insert_batch(&self, entries: &[(u64, T)])
+    where
+        T: Clone,
+    {
+        // One sequence-number claim per batch; each run of up to
+        // BATCH_SCATTER_RUN entries goes to one bucket under one opening, so
+        // small batches synchronize once and no bucket swallows a bulk load.
+        let mut seq = self.seq.fetch_add(entries.len() as u64, Ordering::Relaxed);
+        for chunk in entries.chunks(BATCH_SCATTER_RUN) {
+            self.push_run(chunk.iter().map(|(priority, item)| {
+                seq += 1;
+                Entry::new(*priority, seq - 1, item.clone())
+            }));
+        }
+    }
+
+    /// The winning bucket is drained for the whole batch under its single
+    /// opening; a batch never spans buckets.
+    fn pop_batch(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
+        if max == 0 {
+            return 0;
+        }
+        self.pop_into(max, |e| out.push(e))
+    }
+
+    fn pop(&self) -> Option<(u64, T)> {
+        let mut out = None;
+        self.pop_into(1, |e| out = Some(e));
+        out
+    }
+}
+
+impl<T: Send, B: Bucket<T>> fmt::Debug for MultiQueueCore<T, B> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MultiQueue")
+            .field("bucket", &std::any::type_name::<B>())
+            .field("num_queues", &self.buckets.len())
+            .field("len", &self.len())
+            .finish()
+    }
+}
+
+/// What a [`Locked`] bucket guards: a sequential min-queue of entries.
+pub trait BucketQueue<T>: Send {
+    /// Builds the queue from `run`, which is sorted ascending.
+    fn from_sorted(run: Vec<Entry<T>>) -> Self;
+    /// The smallest priority held.
+    fn peek_min(&self) -> Option<u64>;
+    /// Removes and returns the minimum.
+    fn pop_min(&mut self) -> Option<Entry<T>>;
+    /// Adds `entry`.
+    fn push_entry(&mut self, entry: Entry<T>);
+}
+
+/// The lock-based bucket: a sequential queue `Q` behind a [`BucketLock`]
+/// `L` and, on the same padded line, the queue's length. Only the lock's
+/// holder updates the count, before it releases: counting costs the hot
+/// path no line it does not already own, and an entry is never poppable
+/// before it is counted.
+#[derive(Debug)]
+pub struct Locked<L, Q> {
+    lock: L,
+    live: AtomicIsize,
+    _queue: PhantomData<fn() -> Q>,
+}
+
+impl<T, Q: BucketQueue<T>, L: BucketLock<Q>> Bucket<T> for Locked<L, Q> {
+    type Guard = ();
+    type Open<'a>
+        = L::Guard<'a>
+    where
+        Self: 'a;
+
+    fn from_sorted(run: Vec<Entry<T>>) -> Self {
+        let live = AtomicIsize::new(run.len() as isize);
+        Locked { lock: L::new(Q::from_sorted(run)), live, _queue: PhantomData }
+    }
+
+    fn guard(&self) {}
+
+    fn try_open<'a>(&'a self, (): &'a ()) -> Option<L::Guard<'a>> {
+        self.lock.try_lock()
+    }
+
+    fn open<'a>(&'a self, (): &'a ()) -> L::Guard<'a> {
+        self.lock.lock()
+    }
+
+    fn peek(&self, open: &L::Guard<'_>) -> Option<u64> {
+        open.peek_min()
+    }
+
+    fn pop(&self, open: &mut L::Guard<'_>) -> Option<(u64, T)> {
+        open.pop_min().map(|e| (e.priority, e.item))
+    }
+
+    fn push(&self, open: &mut L::Guard<'_>, entry: Entry<T>) {
+        open.push_entry(entry);
+    }
+
+    fn close(&self, _open: L::Guard<'_>, delta: isize) {
+        // `_open` holds the lock until return, so no other writer: a plain
+        // load and store, no read-modify-write.
+        self.live.store(self.live.load(Ordering::Relaxed) + delta, Ordering::Release);
+    }
+
+    fn count(&self) -> isize {
+        self.live.load(Ordering::Acquire)
+    }
+}
 
 /// The per-bucket structure a [`MultiQueue`] guards behind each bucket
 /// lock: a min-heap of entries. Public because it names the default bucket
 /// lock's contents (`Mutex<Heap<T>>`) in the type parameter list.
 pub type Heap<T> = BinaryHeap<Reverse<Entry<T>>>;
 
-/// A MultiQueue: `q` binary heaps behind try-locks.
-///
-/// `insert` pushes to a random heap; `pop` peeks two random heaps and pops
-/// the smaller top (power-of-two-choices). With `q = c·threads` queues this
-/// is an `O(q)`-rank-bounded, `O(q log q)`-fair scheduler with exponential
-/// tails \[2\] — a `k`-relaxed scheduler in the paper's sense. The paper's
-/// experiments use `c = 4`.
+impl<T: Send> BucketQueue<T> for Heap<T> {
+    fn from_sorted(run: Vec<Entry<T>>) -> Self {
+        run.into_iter().map(Reverse).collect()
+    }
+
+    fn peek_min(&self) -> Option<u64> {
+        self.peek().map(|Reverse(e)| e.priority)
+    }
+
+    fn pop_min(&mut self) -> Option<Entry<T>> {
+        self.pop().map(|Reverse(e)| e)
+    }
+
+    fn push_entry(&mut self, entry: Entry<T>) {
+        self.push(Reverse(entry));
+    }
+}
+
+/// The lock-based MultiQueue of Rihani–Sanders–Dementiev \[21\]: `q` binary
+/// heaps behind try-locks, scheduled by [`MultiQueueCore`]. The paper's
+/// experiments use four heaps per thread.
 ///
 /// The bucket lock is pluggable: `L` is any [`BucketLock`] —
-/// `parking_lot::Mutex` by default (unchanged behavior), or a queue lock
-/// from [`crate::lock`] via [`MultiQueue::with_lock`], the contention
-/// comparison the `lock_ops`/`cross_scheduler_contention` criterion groups
-/// measure.
+/// `parking_lot::Mutex` by default, or a queue lock from [`crate::lock`]
+/// via [`MultiQueue::with_lock`], the contention comparison the
+/// `lock_ops`/`cross_scheduler_contention` criterion groups measure.
 ///
 /// # Examples
 ///
@@ -45,12 +375,7 @@ pub type Heap<T> = BinaryHeap<Reverse<Entry<T>>>;
 /// q.insert(1, 1);
 /// assert_eq!(q.pop(), Some((1, 1)));
 /// ```
-pub struct MultiQueue<T, L = Mutex<Heap<T>>> {
-    queues: Box<[CachePadded<L>]>,
-    len: CachePadded<AtomicUsize>,
-    seq: CachePadded<AtomicU64>,
-    _elem: std::marker::PhantomData<fn() -> T>,
-}
+pub type MultiQueue<T, L = Mutex<Heap<T>>> = MultiQueueCore<T, Locked<L, Heap<T>>>;
 
 impl<T: Send> MultiQueue<T> {
     /// Creates a MultiQueue with `num_queues` internal heaps behind the
@@ -78,357 +403,176 @@ impl<T: Send, L: BucketLock<Heap<T>>> MultiQueue<T, L> {
     ///
     /// Panics if `num_queues == 0`.
     pub fn with_lock(num_queues: usize) -> Self {
-        assert!(num_queues >= 1, "need at least one internal queue");
-        MultiQueue {
-            queues: (0..num_queues).map(|_| CachePadded::new(L::new(BinaryHeap::new()))).collect(),
-            len: CachePadded::new(AtomicUsize::new(0)),
-            seq: CachePadded::new(AtomicU64::new(0)),
-            _elem: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of internal heaps.
-    pub fn num_queues(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Number of elements currently stored (exact while quiescent, else a
-    /// snapshot).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Whether the queue was observed empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push_entry(&self, entry: Entry<T>) {
-        let q = self.queues.len();
-        let mut entry = Some(entry);
-        loop {
-            let i = rng::next_index(q);
-            if let Some(mut heap) = self.queues[i].try_lock() {
-                heap.push(Reverse(entry.take().expect("entry consumed once")));
-                self.len.fetch_add(1, Ordering::AcqRel);
-                return;
-            }
-        }
-    }
-}
-
-impl<T: Send, L: BucketLock<Heap<T>>> ConcurrentScheduler<T> for MultiQueue<T, L> {
-    fn insert(&self, priority: u64, item: T) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.push_entry(Entry::new(priority, seq, item));
-    }
-
-    fn insert_batch(&self, entries: &[(u64, T)])
-    where
-        T: Clone,
-    {
-        if entries.is_empty() {
-            return;
-        }
-        // One sequence-number claim for the whole batch; each run of up to
-        // BATCH_SCATTER_RUN entries takes one lock on one random heap.
-        let mut seq = self.seq.fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let q = self.queues.len();
-        for run in entries.chunks(BATCH_SCATTER_RUN) {
-            let mut heap = loop {
-                if let Some(h) = self.queues[rng::next_index(q)].try_lock() {
-                    break h;
-                }
-            };
-            for (priority, item) in run {
-                heap.push(Reverse(Entry::new(*priority, seq, item.clone())));
-                seq += 1;
-            }
-            // Count while still holding the guard, as the scalar insert
-            // does: an entry must never be poppable before it is counted,
-            // or concurrent pops can drive `len` below zero.
-            self.len.fetch_add(run.len(), Ordering::AcqRel);
-            drop(heap);
-        }
-    }
-
-    fn pop_batch(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        if max == 0 || self.len.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        let q = self.queues.len();
-        // Power-of-two-choices as in `pop`, but the winning heap is drained
-        // for the whole batch under its single lock acquisition.
-        for _ in 0..16 {
-            let i = rng::next_index(q);
-            let j = rng::next_index(q);
-            let gi = self.queues[i].try_lock();
-            let gj = if j != i { self.queues[j].try_lock() } else { None };
-            let (mut guard, other) = match (gi, gj) {
-                (Some(a), Some(b)) => {
-                    let ka = a.peek().map(|Reverse(e)| e.key());
-                    let kb = b.peek().map(|Reverse(e)| e.key());
-                    match (ka, kb) {
-                        (Some(x), Some(y)) => {
-                            if x <= y {
-                                (a, Some(b))
-                            } else {
-                                (b, Some(a))
-                            }
-                        }
-                        (Some(_), None) => (a, Some(b)),
-                        (None, Some(_)) => (b, Some(a)),
-                        (None, None) => continue,
-                    }
-                }
-                (Some(a), None) => (a, None),
-                (None, Some(b)) => (b, None),
-                (None, None) => continue,
-            };
-            drop(other);
-            let mut got = 0usize;
-            while got < max {
-                match guard.pop() {
-                    Some(Reverse(e)) => {
-                        out.push((e.priority, e.item));
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            if got > 0 {
-                self.len.fetch_sub(got, Ordering::AcqRel);
-                return got;
-            }
-        }
-        // Fallback: scan every queue with a blocking lock, draining until
-        // the batch is full or every queue was observed empty.
-        let mut got = 0usize;
-        for i in 0..q {
-            let mut guard = self.queues[i].lock();
-            while got < max {
-                match guard.pop() {
-                    Some(Reverse(e)) => {
-                        out.push((e.priority, e.item));
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            if got == max {
-                break;
-            }
-        }
-        if got > 0 {
-            self.len.fetch_sub(got, Ordering::AcqRel);
-        }
-        got
-    }
-
-    fn pop(&self) -> Option<(u64, T)> {
-        if self.len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let q = self.queues.len();
-        // Power-of-two-choices with try-locks; a handful of attempts before
-        // falling back to a full scan.
-        for _ in 0..16 {
-            let i = rng::next_index(q);
-            let j = rng::next_index(q);
-            // try_lock never blocks, so holding two guards cannot deadlock.
-            let gi = self.queues[i].try_lock();
-            let gj = if j != i { self.queues[j].try_lock() } else { None };
-            let (mut guard, other) = match (gi, gj) {
-                (Some(a), Some(b)) => {
-                    let ka = a.peek().map(|Reverse(e)| e.key());
-                    let kb = b.peek().map(|Reverse(e)| e.key());
-                    match (ka, kb) {
-                        (Some(x), Some(y)) => {
-                            if x <= y {
-                                (a, Some(b))
-                            } else {
-                                (b, Some(a))
-                            }
-                        }
-                        (Some(_), None) => (a, Some(b)),
-                        (None, Some(_)) => (b, Some(a)),
-                        (None, None) => continue,
-                    }
-                }
-                (Some(a), None) => (a, None),
-                (None, Some(b)) => (b, None),
-                (None, None) => continue,
-            };
-            drop(other);
-            if let Some(Reverse(e)) = guard.pop() {
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return Some((e.priority, e.item));
-            }
-        }
-        // Fallback: scan every queue with a blocking lock, one at a time.
-        for i in 0..q {
-            let mut guard = self.queues[i].lock();
-            if let Some(Reverse(e)) = guard.pop() {
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return Some((e.priority, e.item));
-            }
-        }
-        None
-    }
-}
-
-impl<T, L> fmt::Debug for MultiQueue<T, L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MultiQueue")
-            .field("num_queues", &self.queues.len())
-            .field("len", &self.len.load(Ordering::Relaxed))
-            .finish()
+        Self::build(num_queues, std::iter::empty(), 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The MultiQueue contract, written once over [`MultiQueueCore`] and run
+    //! for every bucket kind × lock × reclamation backend the aliases offer.
+
     use super::*;
+    use crate::concurrent::{BulkMultiQueue, LockFreeMultiQueue};
+    use crate::lock::{Lock, McsLock, TicketLock};
+    use crate::reclaim::{Ebr, Reclaim, Vbr};
+    use rsched_sync::atomic::{AtomicBool, AtomicUsize};
     use std::collections::HashSet;
+    use std::ops::Range;
     use std::sync::Mutex as StdMutex;
 
-    #[test]
-    fn single_threaded_pop_all() {
-        let q = MultiQueue::new(4);
-        for p in 0..100u64 {
-            q.insert(p, p);
-        }
-        assert_eq!(q.len(), 100);
-        let mut out = Vec::new();
-        while let Some((p, _)) = q.pop() {
-            out.push(p);
-        }
+    /// Adds `popped` to `seen`, failing on an element popped twice.
+    fn record(seen: &StdMutex<HashSet<u64>>, popped: impl IntoIterator<Item = u64>) {
+        let mut seen = seen.lock().unwrap();
+        popped.into_iter().for_each(|v| assert!(seen.insert(v), "element {v} popped twice"));
+    }
+
+    fn drain_sorted<B: Bucket<u64>>(q: &MultiQueueCore<u64, B>) -> Vec<u64> {
+        let mut out: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
         out.sort_unstable();
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
+        out
     }
 
-    #[test]
-    fn concurrent_producers_consumers_pop_each_once() {
-        let threads = 4;
-        let per_thread = 5_000u64;
-        let q = MultiQueue::new(8);
-        let seen = StdMutex::new(HashSet::new());
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let q = &q;
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        q.insert(t as u64 * per_thread + i, t as u64 * per_thread + i);
-                    }
-                });
-            }
-        });
-        assert_eq!(q.len(), threads as usize * per_thread as usize);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let q = &q;
-                let seen = &seen;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    while let Some((_, v)) = q.pop() {
-                        local.push(v);
-                    }
-                    let mut set = seen.lock().unwrap();
-                    for v in local {
-                        assert!(set.insert(v), "value {v} popped twice");
-                    }
-                });
-            }
-        });
-        assert_eq!(seen.lock().unwrap().len(), threads as usize * per_thread as usize);
-    }
+    /// `make(q, r)` builds the variant under test with `q` buckets holding
+    /// `(p, p)` for `p` in `r`, the way its callers build it.
+    fn contract<B: Bucket<u64>>(make: impl Fn(usize, Range<u64>) -> MultiQueueCore<u64, B>) {
+        // Quiescent: len is exact, a full drain returns every entry once.
+        let q = make(4, 0..1000);
+        assert_eq!((q.num_queues(), q.len(), q.is_empty()), (4, 1000, false));
+        assert_eq!(drain_sorted(&q), (0..1000).collect::<Vec<_>>());
+        assert_eq!((q.len(), q.is_empty(), q.pop()), (0, true, None));
+        // An emptied (or never filled) queue takes runtime inserts.
+        for q in [q, make(2, 0..0)] {
+            assert_eq!((q.is_empty(), q.pop()), (true, None));
+            [9u64, 3, 7, 1].into_iter().for_each(|p| q.insert(p, p));
+            assert_eq!(q.len(), 4);
+            assert_eq!(drain_sorted(&q), vec![1, 3, 7, 9]);
+        }
+        // Two choices over two buckets: the first pop is near the front.
+        let (p, _) = make(2, 0..10_000).pop().unwrap();
+        assert!(p < 100, "first pop rank {p} absurd for q = 2");
+        // Batched ops round-trip, never exceeding `max`.
+        let q = make(4, 0..0);
+        q.insert_batch(&(0..500u64).map(|p| (p, p)).collect::<Vec<_>>());
+        assert_eq!(q.len(), 500);
+        let mut out = Vec::new();
+        while let got @ 1.. = q.pop_batch(&mut out, 64) {
+            assert!(got <= 64);
+        }
+        let mut got: Vec<u64> = out.into_iter().map(|(_, v)| v).collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..500).collect::<Vec<_>>());
 
-    #[test]
-    fn mixed_insert_pop_under_contention() {
-        let q = MultiQueue::new(4);
-        let popped = StdMutex::new(Vec::<u64>::new());
+        // 4 producers, then 4 consumers: len exact in between, each once.
+        let (q, seen) = (make(8, 0..0), StdMutex::new(HashSet::new()));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let q = &q;
-                let popped = &popped;
+                // Scrambled priorities: a list insert walks half its list.
                 s.spawn(move || {
-                    let mut local = Vec::new();
-                    for i in 0..2_000u64 {
-                        q.insert(t * 10_000 + i, t * 10_000 + i);
-                        if i % 2 == 1 {
-                            if let Some((_, v)) = q.pop() {
-                                local.push(v);
-                            }
-                        }
-                    }
-                    popped.lock().unwrap().extend(local);
+                    (t * 5_000..(t + 1) * 5_000).for_each(|v| q.insert(v * 7919 % 20_011, v))
                 });
             }
         });
-        // Drain the rest.
-        let mut rest = Vec::new();
-        while let Some((_, v)) = q.pop() {
-            rest.push(v);
-        }
-        let mut all = popped.into_inner().unwrap();
-        all.extend(rest);
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 8_000, "every inserted element popped exactly once");
-    }
-
-    #[test]
-    fn approximate_priority_order() {
-        // With q=2 queues the mean rank error must stay small: check the
-        // first pop is within the global top few after a large prefill.
-        let q = MultiQueue::new(2);
-        for p in 0..10_000u64 {
-            q.insert(p, ());
-        }
-        let (p, _) = q.pop().unwrap();
-        assert!(p < 100, "first pop rank {p} absurd for q = 2");
-    }
-
-    #[test]
-    fn for_threads_uses_four_per_thread() {
-        let q: MultiQueue<()> = MultiQueue::for_threads(3);
-        assert_eq!(q.num_queues(), 12);
-    }
-
-    #[test]
-    fn queue_lock_buckets_pop_exactly_once() {
-        use crate::lock::{Lock, McsLock, TicketLock};
-
-        fn drive<L: crate::lock::BucketLock<super::Heap<u64>>>(q: &MultiQueue<u64, L>) {
-            let seen = StdMutex::new(HashSet::new());
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let (q, seen) = (q, &seen);
-                    s.spawn(move || {
-                        for i in 0..2_000 {
-                            q.insert(t * 2_000 + i, t * 2_000 + i);
-                        }
-                        let mut local = Vec::new();
-                        while let Some((_, v)) = q.pop() {
-                            local.push(v);
-                        }
-                        let mut set = seen.lock().unwrap();
-                        for v in local {
-                            assert!(set.insert(v), "value {v} popped twice");
-                        }
-                    });
-                }
-            });
-            let mut rest = seen.into_inner().unwrap();
-            while let Some((_, v)) = q.pop() {
-                assert!(rest.insert(v), "value {v} popped twice");
+        assert_eq!(q.len(), 20_000);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| record(&seen, drain_sorted(&q)));
             }
-            assert_eq!(rest.len(), 8_000);
-        }
+        });
+        assert_eq!((seen.lock().unwrap().len(), q.len()), (20_000, 0));
 
-        drive(&MultiQueue::<u64, Lock<McsLock, _>>::with_lock(8));
-        drive(&MultiQueue::<u64, Lock<TicketLock, _>>::with_lock(8));
+        // 4 threads mixing inserts and pops over a prefill conserve elements.
+        let (q, seen) = (make(4, 0..4_000), StdMutex::new(HashSet::new()));
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (q, seen) = (&q, &seen);
+                s.spawn(move || {
+                    let mut local = Vec::new();
+                    for i in 0..2_000u64 {
+                        q.insert(i, 10_000 + t * 2_000 + i);
+                        if i % 2 == 1 {
+                            local.extend(q.pop().map(|(_, v)| v));
+                        }
+                    }
+                    record(seen, local);
+                });
+            }
+        });
+        let popped = seen.lock().unwrap().len();
+        assert_eq!(q.len(), 12_000 - popped, "len exact at quiescence");
+        record(&seen, drain_sorted(&q));
+        assert_eq!(seen.into_inner().unwrap().len(), 12_000, "every element exactly once");
+
+        // Batch churn: whatever a pop has debited and an insert not yet
+        // credited, `len` never reads more than was ever inserted.
+        let (q, inserted, done) = (make(4, 0..0), AtomicUsize::new(0), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    while !done.load(Ordering::Acquire) || !q.is_empty() {
+                        q.pop_batch(&mut out, 8);
+                        let len = q.len();
+                        assert!(len <= inserted.load(Ordering::Acquire), "len() read {len}");
+                        out.clear();
+                    }
+                });
+            }
+            for run in 0..500u64 {
+                inserted.fetch_add(100, Ordering::AcqRel);
+                q.insert_batch(&(run * 100..(run + 1) * 100).map(|p| (p, p)).collect::<Vec<_>>());
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(q.len(), 0);
+    }
+
+    fn heap<L: BucketLock<Heap<u64>>>(queues: usize, fill: Range<u64>) -> MultiQueue<u64, L> {
+        let q = MultiQueue::with_lock(queues);
+        fill.for_each(|p| q.insert(p, p));
+        q
+    }
+
+    fn list<R: Reclaim>(queues: usize, fill: Range<u64>) -> LockFreeMultiQueue<u64, R> {
+        LockFreeMultiQueue::prefilled_in(queues, fill.map(|p| (p, p)))
+    }
+
+    #[test]
+    fn heap_buckets_behind_mutex() {
+        contract(heap::<Mutex<_>>);
+    }
+
+    #[test]
+    fn heap_buckets_behind_mcs_lock() {
+        contract(heap::<Lock<McsLock, _>>);
+    }
+
+    #[test]
+    fn heap_buckets_behind_ticket_lock() {
+        contract(heap::<Lock<TicketLock, _>>);
+    }
+
+    #[test]
+    fn run_buckets_behind_mutex() {
+        contract(|queues, fill| BulkMultiQueue::prefilled(queues, fill.map(|p| (p, p))));
+    }
+
+    #[test]
+    fn list_buckets_over_ebr() {
+        contract(list::<Ebr>);
+    }
+
+    #[test]
+    fn list_buckets_over_vbr() {
+        contract(list::<Vbr>);
+    }
+
+    #[test]
+    fn for_threads_is_four_buckets_per_thread() {
+        assert_eq!(MultiQueue::<()>::for_threads(3).num_queues(), 12);
+        assert_eq!(BulkMultiQueue::<()>::prefilled_for_threads(3, []).num_queues(), 12);
+        assert_eq!(LockFreeMultiQueue::<()>::for_threads(2).num_queues(), 8);
+        assert_eq!(LockFreeMultiQueue::<(), Vbr>::for_threads_in(2).num_queues(), 8);
     }
 }

@@ -8,10 +8,10 @@
 //!   uniform* scheduler from the paper's analysis, an adversarial top-k
 //!   variant, and faithful sequential simulations of the MultiQueue and the
 //!   SprayList. These drive Table 1 and the rank/fairness validation.
-//! * **Concurrent schedulers** ([`concurrent`]): the lock-based MultiQueue
-//!   \[21\], a lock-free MultiQueue over Harris lists (the paper's §4
-//!   implementation), a lock-free SprayList \[3\], and the FAA array queue
-//!   standing in for the exact wait-free scheduler \[27\].
+//! * **Concurrent schedulers** ([`concurrent`]): one MultiQueue core \[21\]
+//!   over heap, sorted-run or Harris-list buckets (the last is the paper's
+//!   §4 implementation), a lock-free SprayList \[3\], and the FAA array
+//!   queue standing in for the exact wait-free scheduler \[27\].
 //! * **Instrumentation** ([`instrument`]): rank-error and priority-inversion
 //!   tracking to check Definition 1's exponential tails empirically.
 //!

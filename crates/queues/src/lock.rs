@@ -37,9 +37,10 @@
 //!   single `T` (the Delaunay cavity protocol holds many cell locks at
 //!   once).
 //! * [`Lock<R, T>`] — a `Mutex<T>`-shaped data wrapper over any `RawLock`.
-//! * [`BucketLock<T>`] — the lock-choice trait `MultiQueue`/`BulkMultiQueue`
-//!   buckets are generic over, implemented by `parking_lot::Mutex<T>` (the
-//!   default) and every `Lock<R, T>` with `R: RawTryLock`.
+//! * [`BucketLock<T>`] — the lock-choice trait the MultiQueue's lock-based
+//!   bucket (`concurrent::Locked`, behind `MultiQueue` and `BulkMultiQueue`)
+//!   is generic over, implemented by `parking_lot::Mutex<T>` (the default)
+//!   and every `Lock<R, T>` with `R: RawTryLock`.
 //!
 //! # Examples
 //!
@@ -700,9 +701,9 @@ impl<R: RawLock, T: ?Sized + fmt::Debug> fmt::Debug for LockGuard<'_, R, T> {
 // BucketLock: the MultiQueue bucket-lock choice
 // ---------------------------------------------------------------------------
 
-/// The lock shape `MultiQueue`/`BulkMultiQueue` buckets are generic over:
-/// a `Mutex<T>`-alike with blocking *and* non-blocking acquisition (the
-/// two-choice pop protocol is built on `try_lock`).
+/// The lock shape [`Locked`](crate::concurrent::Locked) MultiQueue buckets
+/// are generic over: a `Mutex<T>`-alike with blocking *and* non-blocking
+/// acquisition (the two-choice pop protocol is built on `try_lock`).
 ///
 /// Implemented by `parking_lot::Mutex<T>` (the default bucket lock,
 /// unchanged behavior) and by every [`Lock<R, T>`] whose raw lock supports

@@ -106,10 +106,6 @@ unsafe impl Reclaim for Ebr {
         epoch::pin()
     }
 
-    fn repin<T: Send>(_dom: &EbrDomain<T>, guard: &mut Guard) {
-        guard.repin();
-    }
-
     fn flush<T: Send>(_dom: &EbrDomain<T>, guard: &Guard) {
         guard.flush();
     }

@@ -92,10 +92,6 @@ pub unsafe trait Reclaim: Copy + Default + fmt::Debug + Send + Sync + 'static {
     /// Enters a read-side critical section.
     fn pin<T: Send>(dom: &Self::Domain<T>) -> Self::Guard<T>;
 
-    /// Exits and re-enters the critical section, letting reclamation
-    /// progress mid-batch (no-op for `Vbr`, which never blocks it).
-    fn repin<T: Send>(dom: &Self::Domain<T>, guard: &mut Self::Guard<T>);
-
     /// Flushes any thread-local deferred garbage (no-op for `Vbr`).
     fn flush<T: Send>(dom: &Self::Domain<T>, guard: &Self::Guard<T>);
 

@@ -288,8 +288,6 @@ unsafe impl Reclaim for Vbr {
         VbrGuard
     }
 
-    fn repin<T: Send>(_dom: &VbrDomain<T>, _guard: &mut VbrGuard) {}
-
     fn flush<T: Send>(_dom: &VbrDomain<T>, _guard: &VbrGuard) {}
 
     fn null<T: Send>() -> VbrPtr<T> {
