@@ -229,7 +229,7 @@ impl ConcurrentAlgorithm for ConcurrentMatching<'_> {
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
         let e = task as usize;
-        if self.state[e].load(Ordering::Acquire) != LIVE {
+        if self.is_obsolete(task) {
             return TaskOutcome::Obsolete;
         }
         let le = self.labels[e];
@@ -273,6 +273,11 @@ impl ConcurrentAlgorithm for ConcurrentMatching<'_> {
         }
         self.remaining.fetch_sub(decided, Ordering::AcqRel);
         TaskOutcome::Processed
+    }
+
+    /// As for MIS: terminal states, counted by the call whose CAS set them.
+    fn is_obsolete(&self, task: TaskId) -> bool {
+        self.state[task as usize].load(Ordering::Acquire) != LIVE
     }
 }
 

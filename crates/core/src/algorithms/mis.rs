@@ -187,7 +187,7 @@ impl ConcurrentAlgorithm for ConcurrentMis<'_> {
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
         let v = task as usize;
-        if self.state[v].load(Ordering::Acquire) != LIVE {
+        if self.is_obsolete(task) {
             return TaskOutcome::Obsolete;
         }
         let lv = self.labels[v];
@@ -231,6 +231,12 @@ impl ConcurrentAlgorithm for ConcurrentMis<'_> {
         }
         self.remaining.fetch_sub(decided, Ordering::AcqRel);
         TaskOutcome::Processed
+    }
+
+    /// A vertex leaves `LIVE` for a terminal state, and the call whose CAS
+    /// moved it is the one that counts it.
+    fn is_obsolete(&self, task: TaskId) -> bool {
+        self.state[task as usize].load(Ordering::Acquire) != LIVE
     }
 }
 

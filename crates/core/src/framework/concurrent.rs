@@ -5,10 +5,13 @@
 //! pops a run of up to `batch_size` tasks, processes them, and returns the
 //! run's failed deletes in one `insert_batch`; the scalar executor is the
 //! `batch_size == 1` case. Each worker carries a stable `worker_id` that is
-//! passed to the scheduler's [`ConcurrentScheduler::pop_batch_for`], so
+//! passed to the scheduler's [`ConcurrentScheduler::pop_purging_for`], so
 //! partitioned schedulers (e.g. `rsched_queues::sharded::ShardedScheduler`)
 //! can pin the worker to an affinity shard; monolithic schedulers ignore
-//! the hint by default.
+//! the hint by default. The same call hands the scheduler
+//! [`ConcurrentAlgorithm::is_obsolete`], so a scheduler that can purge
+//! drops already-decided tasks where it finds them instead of returning
+//! each through a pop of its own (DESIGN.md "Purging semantics").
 
 use super::{ConcurrentAlgorithm, TaskOutcome};
 use crate::stats::ConcurrentStats;
@@ -105,6 +108,7 @@ struct WorkerCounters {
     processed: u64,
     wasted: u64,
     obsolete: u64,
+    purged: u64,
     empty: u64,
 }
 
@@ -128,10 +132,18 @@ pub(crate) trait EngineDriver: Sync {
     /// priority; the driver must not re-insert it itself.
     fn dispatch(&self, priority: u64, task: TaskId) -> TaskOutcome;
 
+    /// Whether the scheduler may discard `task`'s entry unseen; the
+    /// contract is [`ConcurrentAlgorithm::is_obsolete`]'s. A driver that
+    /// accounts for a task in [`EngineDriver::dispatch`] keeps the default.
+    fn is_obsolete(&self, task: TaskId) -> bool {
+        let _ = task;
+        false
+    }
+
     /// Called once per nonempty run, after the run's failed deletes are
-    /// flushed. `net_drained` is pops minus re-inserts — how much scheduler
-    /// occupancy the run retired. The service driver uses it to wake
-    /// ingestion pumps blocked on the shard high watermark.
+    /// flushed. `net_drained` is pops and purges minus re-inserts — how
+    /// much scheduler occupancy the run retired. The service driver uses it
+    /// to wake ingestion pumps blocked on the shard high watermark.
     fn after_run(&self, net_drained: usize) {
         let _ = net_drained;
     }
@@ -150,14 +162,20 @@ impl<A: ConcurrentAlgorithm> EngineDriver for PrefillDriver<'_, A> {
     fn dispatch(&self, _priority: u64, task: TaskId) -> TaskOutcome {
         self.0.try_process(task)
     }
+
+    fn is_obsolete(&self, task: TaskId) -> bool {
+        self.0.is_obsolete(task)
+    }
 }
 
 /// The worker engine: pops a run of up to `batch_size` tasks with one
-/// `pop_batch_for`, dispatches each task to the `driver`, returns the run's
-/// failed deletes in one `insert_batch` (at `batch_size == 1` that is the
-/// scalar executor's op order: pop, process, conditional re-insert), and
-/// spins briefly on empty observations (a blocked task may be in another
-/// worker's hands, about to be re-inserted). Termination is by
+/// `pop_purging_for`, dispatches each task to the `driver`, returns the
+/// run's failed deletes in one `insert_batch` (at `batch_size == 1` that is
+/// the scalar executor's op order: pop, process, conditional re-insert),
+/// and spins briefly on empty observations (a blocked task may be in
+/// another worker's hands, about to be re-inserted). Tasks the scheduler
+/// purged on the way count as obsolete pops, and a call that only purged is
+/// a run like any other: progress, not an empty observation. Termination is by
 /// [`EngineDriver::keep_running`], never scheduler emptiness — dead MIS
 /// vertices may still sit in the queue when a prefill run completes, and a
 /// streaming scheduler is *expected* to sit empty between arrivals.
@@ -184,14 +202,21 @@ where
     let mut hint = worker;
     while driver.keep_running() {
         run.clear();
-        let got = sched.pop_batch_for(hint, &mut run, batch_size);
-        if got == 0 {
+        let (got, purged) =
+            sched.pop_purging_for(hint, &mut run, batch_size, |_, &task| driver.is_obsolete(task));
+        if got + purged == 0 {
             c.empty += 1;
             rsched_obs::counter!(r#"engine_pop_total{outcome="empty"}"#).inc();
             backoff.snooze();
             continue;
         }
         backoff.reset();
+        if purged > 0 {
+            c.pops += purged as u64;
+            c.obsolete += purged as u64;
+            c.purged += purged as u64;
+            rsched_obs::counter!(r#"engine_pop_total{outcome="obsolete"}"#).add(purged as u64);
+        }
         let _run_span = rsched_obs::span!("engine_run");
         rsched_obs::hist!("engine_run_batch_size").record(got as u64);
         for &(priority, v) in &run {
@@ -221,8 +246,8 @@ where
             // round-trip.
             sched.insert_batch(&blocked);
         }
-        driver.after_run(got - blocked.len());
-        if blocked.len() == got {
+        driver.after_run(got + purged - blocked.len());
+        if got > 0 && blocked.len() == got {
             hint = hint.wrapping_add(1);
             rsched_obs::counter!("engine_affinity_drift_total").inc();
         }
@@ -239,6 +264,7 @@ pub(crate) struct EngineTotals {
     pub processed: u64,
     pub wasted: u64,
     pub obsolete: u64,
+    pub purged: u64,
     pub empty: u64,
 }
 
@@ -267,11 +293,12 @@ where
     let processed = AtomicU64::new(0);
     let wasted = AtomicU64::new(0);
     let obsolete = AtomicU64::new(0);
+    let purged = AtomicU64::new(0);
     let empty = AtomicU64::new(0);
     std::thread::scope(|s| {
         for worker in 0..threads {
-            let (pops, processed, wasted, obsolete, empty) =
-                (&pops, &processed, &wasted, &obsolete, &empty);
+            let (pops, processed, wasted, obsolete, purged, empty) =
+                (&pops, &processed, &wasted, &obsolete, &purged, &empty);
             s.spawn(move || {
                 let c = worker_loop(driver, sched, worker, batch_size);
                 // Thread-local counters; one atomic flush at exit.
@@ -279,6 +306,7 @@ where
                 processed.fetch_add(c.processed, Ordering::Relaxed);
                 wasted.fetch_add(c.wasted, Ordering::Relaxed);
                 obsolete.fetch_add(c.obsolete, Ordering::Relaxed);
+                purged.fetch_add(c.purged, Ordering::Relaxed);
                 empty.fetch_add(c.empty, Ordering::Relaxed);
             });
         }
@@ -288,6 +316,7 @@ where
         processed: processed.into_inner(),
         wasted: wasted.into_inner(),
         obsolete: obsolete.into_inner(),
+        purged: purged.into_inner(),
         empty: empty.into_inner(),
     }
 }
@@ -362,6 +391,7 @@ where
         processed: t.processed,
         wasted: t.wasted,
         obsolete: t.obsolete,
+        purged: t.purged,
         empty_pops: t.empty,
         elapsed: start.elapsed(),
     }
@@ -528,6 +558,32 @@ mod tests {
         assert_eq!(bare_stats.processed, sharded_stats.processed);
         assert_eq!(bare_stats.wasted, sharded_stats.wasted);
         assert_eq!(*bare.log.lock().unwrap(), *sharded.shards()[0].log.lock().unwrap());
+    }
+
+    /// A star whose centre has the smallest label, then two isolated
+    /// vertices at the largest: once the centre is in, the queue is dead
+    /// leaves with `remaining()` held above zero by the two at the tails.
+    /// The buckets that end in leaves yield calls that purge and return
+    /// nothing; those are runs, not empty observations.
+    #[test]
+    fn dead_queue_tail_is_purged_without_an_empty_pop() {
+        use crate::algorithms::mis::ConcurrentMis;
+        use rsched_graph::CsrGraph;
+        use rsched_queues::concurrent::BulkMultiQueue;
+        let leaves = 2_000u32;
+        let n = leaves as usize + 3;
+        let g = CsrGraph::from_edges(n, (1..=leaves).map(|v| (0, v)));
+        let pi = Permutation::identity(n);
+        for batch in [1usize, 8] {
+            let alg = ConcurrentMis::new(&g, &pi);
+            let sched = BulkMultiQueue::prefilled(8, (0..n as TaskId).map(|v| (v as u64, v)));
+            let stats = run_concurrent_batched(&alg, &pi, &sched, 1, batch);
+            assert_eq!((alg.remaining(), stats.processed), (0, 3), "batch={batch}");
+            assert_eq!(stats.empty_pops, 0, "batch={batch}: a purge was taken for emptiness");
+            assert_eq!(stats.total_pops, stats.processed + stats.wasted + stats.obsolete);
+            assert!(0 < stats.purged && stats.purged <= stats.obsolete, "batch={batch}: {stats}");
+            assert!(stats.obsolete <= leaves as u64, "batch={batch}: {stats}");
+        }
     }
 
     #[test]

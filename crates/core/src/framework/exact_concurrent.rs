@@ -78,6 +78,7 @@ where
         processed: processed.into_inner(),
         wasted: wasted.into_inner(),
         obsolete: obsolete.into_inner(),
+        purged: 0,
         empty_pops: 0,
         elapsed: start.elapsed(),
     }

@@ -85,4 +85,24 @@ pub trait ConcurrentAlgorithm: Sync {
 
     /// Attempts to process `task`.
     fn try_process(&self, task: TaskId) -> TaskOutcome;
+
+    /// Whether the queued `task` is already decided, so that the scheduler
+    /// may discard its entry without handing it over (DESIGN.md "Purging
+    /// semantics"). The test must be cheap and read-only — it runs under a
+    /// scheduler bucket's lock — and may answer `true` only if
+    ///
+    /// 1. the task's outcome is final: [`ConcurrentAlgorithm::try_process`]
+    ///    would return [`TaskOutcome::Obsolete`] and change nothing;
+    /// 2. whoever decided the task subtracts it from
+    ///    [`ConcurrentAlgorithm::remaining`] — a discarded entry is never
+    ///    passed to `try_process`, so nothing else will;
+    /// 3. the answer is monotone: once `true`, `true` for good.
+    ///
+    /// The default, `false`, is always correct, and it is the only correct
+    /// answer for an algorithm that decides *and counts* an obsolete task at
+    /// the task's own pop (connectivity, Delaunay, the service's handlers).
+    fn is_obsolete(&self, task: TaskId) -> bool {
+        let _ = task;
+        false
+    }
 }

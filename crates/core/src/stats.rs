@@ -68,15 +68,22 @@ pub struct ConcurrentStats {
     pub tasks: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Total successful pops across threads.
+    /// Total tasks taken out of the scheduler across threads, whether handed
+    /// to a worker or purged by the scheduler itself: always
+    /// `processed + wasted + obsolete`.
     pub total_pops: u64,
     /// Tasks processed.
     pub processed: u64,
     /// Failed deletes (blocked task popped, re-inserted).
     pub wasted: u64,
-    /// Obsolete tasks dropped.
+    /// Obsolete tasks dropped, by a worker that popped one or by the
+    /// scheduler's purge (`purged` of them).
     pub obsolete: u64,
-    /// Pops that found the scheduler (transiently) empty.
+    /// The part of `obsolete` the scheduler discarded itself, told by
+    /// `ConcurrentAlgorithm::is_obsolete` that the task was already decided;
+    /// no worker saw these tasks.
+    pub purged: u64,
+    /// Scheduler calls that found it (transiently) empty.
     pub empty_pops: u64,
     /// Wall-clock time of the parallel section.
     pub elapsed: Duration,
@@ -102,13 +109,14 @@ impl fmt::Display for ConcurrentStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "threads={} elapsed={:?} pops={} (processed={} wasted={} obsolete={}) extra={}",
+            "threads={} elapsed={:?} pops={} (processed={} wasted={} obsolete={}, {} purged) extra={}",
             self.threads,
             self.elapsed,
             self.total_pops,
             self.processed,
             self.wasted,
             self.obsolete,
+            self.purged,
             self.extra_iterations()
         )
     }

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched_core::algorithms::incremental::connectivity::ConcurrentConnectivity;
 use rsched_core::algorithms::incremental::insertion_order;
-use rsched_core::algorithms::mis::MisTasks;
+use rsched_core::algorithms::mis::{ConcurrentMis, MisTasks};
 use rsched_core::framework::{
     fill_scheduler_parallel, run_concurrent_batched, run_relaxed_batched, TaskOutcome,
 };
@@ -87,6 +87,27 @@ proptest! {
         // And the ledger itself must balance, or the equalities above are
         // agreeing on nonsense.
         prop_assert_eq!(stats.processed + stats.obsolete, edges.len() as u64);
+
+        // MIS answers `is_obsolete`, so its run purges: the obsolete counter
+        // takes purged entries by the call, and must still land on a ledger
+        // whose `obsolete` includes them.
+        let g = gen::gnm(n, m, &mut StdRng::seed_from_u64(seed ^ 1));
+        let pi = Permutation::random(n, &mut StdRng::seed_from_u64(seed ^ 2));
+        let alg = ConcurrentMis::new(&g, &pi);
+        let sched: ShardedScheduler<MultiQueue<TaskId>> =
+            ShardedScheduler::from_fn(shards, |_| MultiQueue::new(2));
+        fill_scheduler_parallel(&sched, &pi, threads);
+
+        let base = rsched_obs::snapshot();
+        let stats = run_concurrent_batched(&alg, &pi, &sched, threads, batch);
+        let end = rsched_obs::snapshot();
+
+        prop_assert_eq!(delta(&end, &base, "success", "engine_pop_total"), stats.processed);
+        prop_assert_eq!(delta(&end, &base, "blocked", "engine_pop_total"), stats.wasted);
+        prop_assert_eq!(delta(&end, &base, "obsolete", "engine_pop_total"), stats.obsolete);
+        prop_assert_eq!(delta(&end, &base, "empty", "engine_pop_total"), stats.empty_pops);
+        prop_assert_eq!(stats.total_pops, stats.processed + stats.wasted + stats.obsolete);
+        prop_assert!(0 < stats.purged && stats.purged <= stats.obsolete, "{}", stats);
     }
 
     /// Sequential framework: `seq_pop_total` deltas equal the

@@ -138,28 +138,40 @@ impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
         self.len() == 0
     }
 
-    /// Pops up to `max` entries into `sink` from the two-choice winner — of
-    /// the thread's sticky pair, the nonempty bucket with the smaller head —
-    /// under its single opening. Returns how many; 0 iff the queue was
-    /// observed empty, which is decided from the published counts before
-    /// any guard is taken or lock tried.
-    fn pop_into(&self, max: usize, mut sink: impl FnMut((u64, T))) -> usize {
-        // Pops of one opened bucket; publishes its count and gives it up.
+    /// Pops up to `max` live entries into `sink` from the two-choice winner
+    /// — of the thread's sticky pair, the nonempty bucket with the smaller
+    /// head — under its single opening, dropping on the way every popped
+    /// entry `obsolete` reports (DESIGN.md "Purging semantics"). Returns
+    /// `(live, purged)`; both 0 iff the queue was observed empty, which is
+    /// decided from the published counts before any guard is taken or lock
+    /// tried.
+    fn pop_into(
+        &self,
+        max: usize,
+        obsolete: impl Fn(u64, &T) -> bool,
+        mut sink: impl FnMut((u64, T)),
+    ) -> (usize, usize) {
+        // Pops of one opened bucket; publishes its count once, live and
+        // purged together, and gives it up.
         let mut drain = |bucket: &B, mut open: B::Open<'_>| {
-            let mut got = 0usize;
-            while got < max {
+            let (mut live, mut purged) = (0usize, 0usize);
+            while live < max {
                 let Some(e) = bucket.pop(&mut open) else { break };
-                sink(e);
-                got += 1;
+                if obsolete(e.0, &e.1) {
+                    purged += 1;
+                } else {
+                    sink(e);
+                    live += 1;
+                }
             }
-            bucket.close(open, -(got as isize));
-            got
+            bucket.close(open, -((live + purged) as isize));
+            (live, purged)
         };
         let mut guard = None;
         for _ in 0..16 {
             let (i, j) = rng::sticky_pair(self.buckets.len());
             let (bi, bj): (&B, &B) = (&self.buckets[i], &self.buckets[j]);
-            let (mut got, mut contended) = (0, false);
+            let (mut got, mut contended) = ((0, 0), false);
             if bi.count() > 0 || bj.count() > 0 {
                 let g = &*guard.get_or_insert_with(|| bi.guard());
                 let oi = bi.try_open(g);
@@ -177,18 +189,22 @@ impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
                     (None, Some(b)) => Some((bj, b)),
                     (None, None) => None,
                 };
-                got = winner.map_or(0, |(bucket, open)| drain(bucket, open));
+                got = winner.map_or((0, 0), |(bucket, open)| drain(bucket, open));
             }
-            if contended || got == 0 {
+            if contended || got == (0, 0) {
                 rng::redraw_pair(); // pop elsewhere next time
             }
-            if got > 0 || self.is_empty() {
+            if got != (0, 0) || self.is_empty() {
                 return got;
             }
         }
         // Sparse queue: blocking scan for the first nonempty bucket.
         let g = &*guard.get_or_insert_with(|| self.buckets[0].guard());
-        self.buckets.iter().map(|b| drain(b, b.open(g))).find(|&got| got > 0).unwrap_or(0)
+        self.buckets
+            .iter()
+            .map(|b| drain(b, b.open(g)))
+            .find(|&got| got != (0, 0))
+            .unwrap_or((0, 0))
     }
 
     /// Pushes `run` into one random bucket — where insertions go — under
@@ -235,16 +251,31 @@ impl<T: Send, B: Bucket<T>> ConcurrentScheduler<T> for MultiQueueCore<T, B> {
     /// The winning bucket is drained for the whole batch under its single
     /// opening; a batch never spans buckets.
     fn pop_batch(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        self.pop_into(max, |e| out.push(e))
+        self.pop_purging_for(0, out, max, |_, _| false).0
     }
 
     fn pop(&self) -> Option<(u64, T)> {
         let mut out = None;
-        self.pop_into(1, |e| out = Some(e));
+        self.pop_into(1, |_, _| false, |e| out = Some(e));
         out
+    }
+
+    /// Purges at the head of the winning bucket, under the opening the pop
+    /// pays for anyway; the batch and the purge never span buckets.
+    fn pop_purging_for<F>(
+        &self,
+        _worker: usize,
+        out: &mut Vec<(u64, T)>,
+        max: usize,
+        obsolete: F,
+    ) -> (usize, usize)
+    where
+        F: Fn(u64, &T) -> bool,
+    {
+        if max == 0 {
+            return (0, 0);
+        }
+        self.pop_into(max, obsolete, |e| out.push(e))
     }
 }
 
@@ -526,6 +557,53 @@ mod tests {
             done.store(true, Ordering::Release);
         });
         assert_eq!(q.len(), 0);
+
+        // Purging pops, 4 threads, a dead set that only grows (level 0 of 8
+        // at the start, 7 of 8 after ~450 calls): every entry is returned
+        // xor purged, once; the count covers both; no call exceeds `max`.
+        let (q, seen, calls) =
+            (make(8, 0..20_000), StdMutex::new(HashSet::new()), AtomicUsize::new(0));
+        let totals = StdMutex::new((0usize, 0usize));
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (q, seen, calls, totals) = (&q, &seen, &calls, &totals);
+                s.spawn(move || {
+                    let (max, purged_here) = (1 + t, std::cell::RefCell::new(Vec::new()));
+                    let obsolete = |p: u64, v: &u64| {
+                        assert_eq!(p, *v, "priority detached from its item");
+                        let level = (calls.load(Ordering::Acquire) / 64).min(7) as u64;
+                        let dead = v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61 < level;
+                        if dead {
+                            purged_here.borrow_mut().push(*v);
+                        }
+                        dead
+                    };
+                    let (mut out, mut sums) = (Vec::new(), (0, 0));
+                    loop {
+                        calls.fetch_add(1, Ordering::AcqRel);
+                        let (live, purged) = q.pop_purging_for(t, &mut out, max, obsolete);
+                        if live + purged == 0 {
+                            break;
+                        }
+                        sums = (sums.0 + live, sums.1 + purged);
+                        assert!(live <= max, "{live} live entries from a call with max {max}");
+                        assert_eq!((out.len(), purged_here.borrow().len()), sums);
+                    }
+                    record(seen, out.into_iter().map(|(_, v)| v).chain(purged_here.into_inner()));
+                    let mut totals = totals.lock().unwrap();
+                    *totals = (totals.0 + sums.0, totals.1 + sums.1);
+                });
+            }
+        });
+        let (live, purged) = totals.into_inner().unwrap();
+        assert!(live > 0 && purged > 0, "live {live}, purged {purged}: one path never ran");
+        assert_eq!((live + purged, seen.lock().unwrap().len(), q.len()), (20_000, 20_000, 0));
+        // A predicate that is never true purges nothing.
+        let (q, mut out) = (make(4, 0..300), Vec::new());
+        while let (live @ 1.., purged) = q.pop_purging_for(0, &mut out, 7, |_, _| false) {
+            assert!(live <= 7 && purged == 0);
+        }
+        assert_eq!((out.len(), q.len()), (300, 0));
     }
 
     fn heap<L: BucketLock<Heap<u64>>>(queues: usize, fill: Range<u64>) -> MultiQueue<u64, L> {

@@ -264,6 +264,39 @@ pub trait ConcurrentScheduler<T: Send>: Send + Sync {
         let _ = worker;
         self.pop_batch(out, max)
     }
+
+    /// [`ConcurrentScheduler::pop_batch_for`] for a caller that knows some
+    /// queued entries are already decided: entries `obsolete(priority,
+    /// &item)` reports may be removed and dropped instead of returned.
+    /// Returns `(live, purged)`: `live ≤ max` entries were appended to
+    /// `out`, `purged` were discarded. `(0, 0)` is the (transient) empty
+    /// observation; `(0, purged > 0)` is progress, not emptiness.
+    ///
+    /// `obsolete` must be cheap, read-only and *monotone* (once `true` for
+    /// an entry, `true` for good): schedulers that purge call it while
+    /// holding the internal structure the entry came from. An entry nothing
+    /// can depend on has no rank to invert, so purging leaves the rank and
+    /// fairness bounds over the remaining entries as they were (DESIGN.md
+    /// "Purging semantics").
+    ///
+    /// The default purges nothing and forwards to
+    /// [`ConcurrentScheduler::pop_batch_for`]. The MultiQueue family purges
+    /// at the head of the bucket a pop has already opened;
+    /// [`sharded::ShardedScheduler`] forwards to its shards.
+    fn pop_purging_for<F>(
+        &self,
+        worker: usize,
+        out: &mut Vec<(u64, T)>,
+        max: usize,
+        obsolete: F,
+    ) -> (usize, usize)
+    where
+        Self: Sized,
+        F: Fn(u64, &T) -> bool,
+    {
+        let _ = obsolete;
+        (self.pop_batch_for(worker, out, max), 0)
+    }
 }
 
 #[cfg(test)]

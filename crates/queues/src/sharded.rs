@@ -361,28 +361,24 @@ where
 }
 
 /// Batched pop from the first non-empty shard probing round-robin from
-/// `start`; a batch never spans shards. Returns `(serving_shard, got)`;
-/// `got == 0` means every shard was observed empty (the shard index then
-/// carries no information).
-fn pop_batch_from<T, S>(
+/// `start`, `pop(shard)` being the inner call and returning `(live,
+/// purged)`; a batch never spans shards. Returns `(serving_shard, live,
+/// purged)`; `live + purged == 0` means every shard was observed empty (the
+/// shard index then carries no information).
+fn pop_batch_from<S>(
     shards: &[S],
     start: usize,
-    out: &mut Vec<(u64, T)>,
-    max: usize,
-) -> (usize, usize)
-where
-    T: Send,
-    S: ConcurrentScheduler<T>,
-{
+    mut pop: impl FnMut(&S) -> (usize, usize),
+) -> (usize, usize, usize) {
     let s = shards.len();
     for probe in 0..s {
         let idx = (start + probe) % s;
-        let got = shards[idx].pop_batch(out, max);
-        if got > 0 {
-            return (idx, got);
+        let (live, purged) = pop(&shards[idx]);
+        if live + purged > 0 {
+            return (idx, live, purged);
         }
     }
-    (0, 0)
+    (0, 0, 0)
 }
 
 impl<T, S> ConcurrentScheduler<T> for ShardedScheduler<S>
@@ -445,7 +441,7 @@ where
     fn pop_batch(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
         let s = self.shards.len();
         let start = if s == 1 { 0 } else { rng::next_index(s) };
-        let (shard, got) = pop_batch_from(&self.shards, start, out, max);
+        let (shard, got, _) = pop_batch_from(&self.shards, start, |q| (q.pop_batch(out, max), 0));
         if got > 0 {
             self.note_popped(shard, got);
         }
@@ -456,14 +452,32 @@ where
     /// the 1-in-[`STEAL_PERIOD`] random start — see its docs) and steals
     /// round-robin when it is observed empty.
     fn pop_batch_for(&self, worker: usize, out: &mut Vec<(u64, T)>, max: usize) -> usize {
+        self.pop_purging_for(worker, out, max, |_, _| false).0
+    }
+
+    /// [`ConcurrentScheduler::pop_batch_for`]'s affinity-then-steal order
+    /// over the shards' own purging pops. A shard that only purged serves
+    /// the call (progress, no steal past it), and its occupancy is debited
+    /// by live + purged: both left the shard.
+    fn pop_purging_for<F>(
+        &self,
+        worker: usize,
+        out: &mut Vec<(u64, T)>,
+        max: usize,
+        obsolete: F,
+    ) -> (usize, usize)
+    where
+        F: Fn(u64, &T) -> bool,
+    {
         let s = self.shards.len();
         let start = if s == 1 { 0 } else { start_shard(worker, s) };
-        let (shard, got) = pop_batch_from(&self.shards, start, out, max);
-        if got > 0 {
-            self.note_popped(shard, got);
+        let (shard, live, purged) =
+            pop_batch_from(&self.shards, start, |q| q.pop_purging_for(worker, out, max, &obsolete));
+        if live + purged > 0 {
+            self.note_popped(shard, live + purged);
             note_steal(worker, shard, s);
         }
-        got
+        (live, purged)
     }
 }
 

@@ -6,6 +6,7 @@
 //! MultiQueue alias, since the pop policy is the shared core's.
 
 use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue};
+use rsched_queues::hash::splitmix64;
 use rsched_queues::{ConcurrentScheduler, IndexedSet};
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -77,6 +78,64 @@ fn sticky_pop_mean_rank_error_is_bounded() {
     ] {
         assert!(mean <= 64.0, "{name} buckets: mean rank error {mean} above the pinned bound");
     }
+}
+
+/// Purging leaves Definition 1 alone: an entry nothing can depend on has no
+/// rank to invert, so what is pinned is the rank *among live entries* — at
+/// every dead share under the same 64, and within 15 % of the same queue
+/// built from the live entries only (DESIGN.md "Purging semantics").
+#[test]
+fn purging_pop_keeps_the_rank_error_among_live_entries() {
+    /// Live entries at every dead share, so every mean has the same spread.
+    const LIVE: u64 = 100_000;
+    /// Mean rank among `live` of what `pop` returns until it returns `None`.
+    fn mean_live_rank(live: &[u64], mut pop: impl FnMut() -> Option<u64>) -> f64 {
+        let mut queued = IndexedSet::with_capacity(live.last().map_or(0, |&p| p as usize + 1));
+        live.iter().for_each(|&p| assert!(queued.insert(p)));
+        let mut rank_sum = 0usize;
+        while let Some(p) = pop() {
+            rank_sum += queued.rank_of(p);
+            assert!(queued.remove(p), "entry {p} returned twice, or dead");
+        }
+        assert!(queued.is_empty(), "{} live entries never returned", queued.len());
+        rank_sum as f64 / live.len() as f64
+    }
+    fn check<S: ConcurrentScheduler<u32>>(
+        name: &str,
+        build: impl Fn(&mut dyn Iterator<Item = (u64, u32)>) -> S,
+    ) {
+        for pct in [0u64, 50, 85, 97] {
+            let n = LIVE * 100 / (100 - pct);
+            let dead = |p: u64| splitmix64(p) % 100 < pct;
+            let live: Vec<u64> = (0..n).filter(|&p| !dead(p)).collect();
+            let (q, mut out, mut purged) = (build(&mut (0..n).map(|p| (p, p as u32))), vec![], 0);
+            let purging = mean_live_rank(&live, || loop {
+                // A call that only purged is progress, not emptiness.
+                match q.pop_purging_for(0, &mut out, 1, |p, _| dead(p)) {
+                    (0, 0) => return None,
+                    (_, gone) => purged += gone,
+                }
+                if let Some((p, _)) = out.pop() {
+                    return Some(p);
+                }
+            });
+            assert_eq!(purged, n as usize - live.len(), "{name} {pct}%: dead entries not purged");
+            let q = build(&mut live.iter().map(|&p| (p, p as u32)));
+            let live_only = mean_live_rank(&live, || q.pop().map(|(p, _)| p));
+            assert!(purging <= 64.0, "{name} {pct}%: mean live rank {purging} above the pin");
+            assert!(
+                (purging - live_only).abs() <= 0.15 * live_only,
+                "{name} {pct}% dead: mean live rank {purging} purging, {live_only} without the dead"
+            );
+        }
+    }
+    check("run", |entries| BulkMultiQueue::prefilled(8, entries));
+    check("heap", |entries| {
+        let heap = MultiQueue::new(8);
+        entries.for_each(|(p, v)| heap.insert(p, v));
+        heap
+    });
+    check("list", |entries| LockFreeMultiQueue::prefilled(8, entries));
 }
 
 /// The parallel run sort loses and reorders nothing: every thread count

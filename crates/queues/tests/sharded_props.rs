@@ -9,9 +9,9 @@
 //! live element is eventually served.
 
 use proptest::prelude::*;
-use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue, SprayList};
+use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue, SprayList};
 use rsched_queues::sharded::ShardedScheduler;
-use rsched_queues::ConcurrentScheduler;
+use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
 use std::collections::HashSet;
 
 /// The shard counts the ShardedScheduler suite sweeps.
@@ -188,5 +188,42 @@ proptest! {
             worker += 1;
         }
         prop_assert_eq!(seen.len() as u64, n);
+    }
+
+    #[test]
+    fn purging_drain_partitions_the_prefill_and_settles_the_loads(
+        shard_sel in 0usize..SHARD_COUNTS.len(),
+        n in 0u64..300,
+        max in 1usize..24,
+        keep in 1u64..6,
+    ) {
+        // The purging pop is forwarded to the shards (were it not, nothing
+        // would be purged) and debits a shard by live + purged (were it by
+        // live alone, the loads would over-read for good).
+        let shards = SHARD_COUNTS[shard_sel];
+        let q: ShardedScheduler<BulkMultiQueue<u64>> = ShardedScheduler::prefilled_with(
+            shards,
+            (0..n).map(|i| (i, i)),
+            |_, part| BulkMultiQueue::prefilled(2, part),
+        );
+        prop_assert_eq!(q.total_load() as u64, n);
+        let dead = |_: u64, v: &u64| !v.is_multiple_of(keep);
+        let (mut live, mut purged, mut worker) = (Vec::new(), 0usize, 0usize);
+        loop {
+            let before = live.len();
+            let (got, gone) = q.pop_purging_for(worker, &mut live, max, dead);
+            if got + gone == 0 {
+                break;
+            }
+            prop_assert!(got <= max && live.len() == before + got);
+            purged += gone;
+            prop_assert_eq!(q.total_load(), n as usize - live.len() - purged);
+            worker += 1;
+        }
+        prop_assert_eq!((q.total_load(), q.max_partition_load()), (0, 0));
+        let mut live: Vec<u64> = live.into_iter().map(|(_, v)| v).collect();
+        live.sort_unstable();
+        prop_assert_eq!(live, (0..n).filter(|v| v.is_multiple_of(keep)).collect::<Vec<_>>());
+        prop_assert_eq!(purged as u64, (0..n).filter(|v| !v.is_multiple_of(keep)).count() as u64);
     }
 }
