@@ -18,7 +18,7 @@
 //! 4-socket, 72-core Xeon), never for CI.
 //!
 //! Usage: `figure2 [--threads 1,2,4] [--reps R] [--seed S] [--batch-size B]
-//! [--shards S] [--json PATH] [--trace PATH] [--metrics [PATH]]
+//! [--shards S] [--trace PATH] [--metrics [PATH]]
 //! [--quick | --paper-scale]`
 //!
 //! Built with `--features obs`, the relaxed runs feed the live
@@ -26,10 +26,6 @@
 //! from a `--metrics` snapshot mid-run) and the final snapshot is
 //! asserted to agree exactly with the relaxed executor's end-of-run
 //! totals; the exact FAA executor never touches the engine counters.
-//!
-//! `--json PATH` merges machine-readable medians (per class: sequential
-//! baseline, relaxed/exact seconds and extra iterations per thread count)
-//! into the shared bench report (see `rsched_bench::report`).
 //!
 //! `--batch-size B` (default 1) runs the relaxed executor in batched mode:
 //! each worker pops `B` tasks per scheduler round-trip and re-inserts the
@@ -44,7 +40,6 @@
 //! with `S` while the output stays exactly the sequential MIS.
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsched_bench::report::{update_report, Json};
 use rsched_bench::{BenchCli, Table};
 use rsched_core::algorithms::mis::{greedy_mis, ConcurrentMis};
 use rsched_core::framework::{run_concurrent_batched, run_exact_concurrent};
@@ -126,7 +121,6 @@ fn main() {
         ("--seed S", "base RNG seed"),
         ("--shards S", "hash-routed scheduler shards with worker affinity (default 1)"),
         ("--threads LIST", "comma-separated thread counts"),
-        ("--json PATH", "merge machine-readable medians into the report at PATH"),
     ];
     options.extend_from_slice(&rsched_bench::obs::OPTIONS);
     let Some(cli) = BenchCli::parse(
@@ -197,15 +191,6 @@ fn main() {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
     );
 
-    // Machine-readable medians for `--json` (ROADMAP: figure2 still wrote
-    // text only): per class, the sequential baseline plus one relaxed /
-    // exact median per thread count.
-    let mut json_fields: Vec<(String, Json)> = vec![
-        ("batch_size".to_string(), Json::Int(batch_size as u64)),
-        ("shards".to_string(), Json::Int(shards as u64)),
-        ("reps".to_string(), Json::Int(reps as u64)),
-    ];
-
     for spec in &classes {
         let mut rng = StdRng::seed_from_u64(seed);
         eprintln!("generating {} graph (n = {}, m = {}) ...", spec.name, spec.n, spec.m);
@@ -220,7 +205,6 @@ fn main() {
         );
 
         let seq = time_sequential(&g, &pi, reps);
-        json_fields.push((format!("{}/sequential_s", spec.name), Json::Num(seq.as_secs_f64())));
         let expected = greedy_mis(&g, &pi);
         println!(
             "class {}: n = {}, m = {}, sequential baseline = {:.3}s",
@@ -287,12 +271,6 @@ fn main() {
             }
             let rt = rt.as_secs_f64();
             let et = median(exact_times).as_secs_f64();
-            json_fields.push((format!("{}/t{threads}/relaxed_s", spec.name), Json::Num(rt)));
-            json_fields.push((format!("{}/t{threads}/exact_s", spec.name), Json::Num(et)));
-            json_fields.push((
-                format!("{}/t{threads}/relaxed_extra", spec.name),
-                Json::Int(relaxed_extra),
-            ));
             table.row(&[
                 &threads,
                 &format!("{rt:.3}"),
@@ -325,13 +303,5 @@ fn main() {
         );
     }
 
-    if let Some(path) = args.get_str("json") {
-        if let Some(metrics) = rsched_bench::obs::metrics_json(&obs_base) {
-            json_fields.push(("metrics".to_string(), metrics));
-        }
-        let path = std::path::Path::new(path);
-        update_report(path, "figure2", &Json::Obj(json_fields));
-        println!("json medians merged into {}", path.display());
-    }
     rsched_bench::obs::emit(&args);
 }

@@ -21,11 +21,7 @@
 //!
 //! Usage: `incremental_algos [--n N] [--m M] [--pts P] [--ks 4,16,64]
 //! [--threads 1,2,4] [--reps R] [--seed S] [--batch-size B] [--shards S]
-//! [--json PATH] [--quick]`
-//!
-//! `--json PATH` additionally merges machine-readable medians into the
-//! shared bench report (see `rsched_bench::report`; the committed
-//! `BENCH_6.json` at the workspace root is regenerated this way).
+//! [--quick]`
 //!
 //! (The target is named `incremental_algos` because cargo forbids a binary
 //! called plain `incremental` — it collides with the build directory.)
@@ -50,9 +46,9 @@ use rsched_core::TaskId;
 use rsched_graph::gen;
 use rsched_graph::geom::{uniform_square, Point};
 use rsched_graph::Permutation;
-use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue, SprayList};
+use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue};
 use rsched_queues::instrument::Instrumented;
-use rsched_queues::relaxed::{RoundRobinTopK, SimMultiQueue, SimSprayList, TopKUniform};
+use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
 use rsched_queues::sharded::ShardedScheduler;
 use rsched_queues::{ConcurrentScheduler, PriorityScheduler};
 use std::time::{Duration, Instant};
@@ -111,7 +107,6 @@ fn sequential_tables(
             "sim SprayList",
             Box::new(|k, s| Box::new(SimSprayList::with_threads(k, StdRng::seed_from_u64(s)))),
         ),
-        ("round-robin", Box::new(|k, _| Box::new(RoundRobinTopK::new(k)))),
         (
             "sharded sim-MQ",
             Box::new(move |k, s| {
@@ -229,14 +224,6 @@ fn concurrent_tables(
                         t,
                         (0..pi.len() as u32).map(|v| (pi.label(v) as u64, v)),
                     );
-                    run_prefilled(inst, w, &sched, t, b)
-                }),
-            ),
-            (
-                "SprayList",
-                Box::new(move |inst, w, t, b| {
-                    let sched: SprayList<TaskId> = SprayList::new(t);
-                    fill_scheduler(&sched, pi_of(inst, w));
                     run_prefilled(inst, w, &sched, t, b)
                 }),
             ),
@@ -396,7 +383,6 @@ fn main() {
             ("--seed S", "base RNG seed"),
             ("--batch-size B", "tasks popped per scheduler round-trip (default 1)"),
             ("--shards S", "shards for the sharded rows (default 4)"),
-            ("--json PATH", "merge machine-readable medians into the report at PATH"),
         ],
     ) else {
         return;
@@ -447,69 +433,4 @@ fn main() {
     sequential_tables(&inst, &ks, reps, seed, batch, shards);
     concurrent_tables(&inst, &threads_list, reps, batch, shards);
     dependency_depth_table(&inst, &ks, seed);
-
-    if let Some(path) = args.get_str("json") {
-        json_summary(&inst, &threads_list, reps, batch, shards, std::path::Path::new(path));
-    }
-}
-
-/// Machine-readable medians for the shared bench report (`--json PATH`):
-/// per workload, the median concurrent wall-clock and throughput over the
-/// Sharded(MultiQueue) substrate at the largest requested thread count.
-/// Every timed run is still output-verified by [`run_prefilled`].
-fn json_summary(
-    inst: &Instances,
-    threads_list: &[usize],
-    reps: usize,
-    batch: usize,
-    shards: usize,
-    path: &std::path::Path,
-) {
-    use rsched_bench::report::{update_report, Json};
-    let threads = threads_list.iter().copied().max().unwrap_or(1);
-    let mut fields = vec![
-        ("threads".to_string(), Json::Int(threads as u64)),
-        ("shards".to_string(), Json::Int(shards as u64)),
-        ("batch_size".to_string(), Json::Int(batch as u64)),
-        ("reps".to_string(), Json::Int(reps as u64)),
-    ];
-    for workload in ["connectivity", "delaunay"] {
-        let tasks = pi_of(inst, workload).len();
-        let mut times = Vec::new();
-        let mut extra = 0u64;
-        for _ in 0..reps {
-            let sched: ShardedScheduler<MultiQueue<TaskId>> =
-                ShardedScheduler::from_fn(shards, |_| MultiQueue::new(2));
-            fill_scheduler(&sched, pi_of(inst, workload));
-            let (elapsed, e) = run_prefilled(inst, workload, &sched, threads, batch);
-            times.push(elapsed);
-            extra += e;
-        }
-        let median_s = median(times).as_secs_f64();
-        fields.push((format!("{workload}_tasks"), Json::Int(tasks as u64)));
-        fields.push((format!("{workload}_median_s"), Json::Num(median_s)));
-        fields.push((format!("{workload}_tasks_per_sec"), Json::Num(tasks as f64 / median_s)));
-        fields.push((format!("{workload}_extra_avg"), Json::Num(extra as f64 / reps as f64)));
-        if workload == "delaunay" {
-            // The fine-grained-locking headline: concurrent wall-clock
-            // against the sequential label-order run of the same instance.
-            // > 1 means the per-cell MCS locks actually bought parallelism
-            // over the old structure-wide mutex (which could never exceed
-            // 1/(1 + coordination overhead)).
-            let seq = median(
-                (0..reps)
-                    .map(|_| {
-                        let t = Instant::now();
-                        std::hint::black_box(delaunay_reference(&inst.pts, &inst.pt_pi));
-                        t.elapsed()
-                    })
-                    .collect(),
-            )
-            .as_secs_f64();
-            fields.push(("delaunay_sequential_s".to_string(), Json::Num(seq)));
-            fields.push(("delaunay_concurrent_speedup".to_string(), Json::Num(seq / median_s)));
-        }
-    }
-    update_report(path, "incremental_algos", &Json::Obj(fields));
-    println!("json medians merged into {}", path.display());
 }

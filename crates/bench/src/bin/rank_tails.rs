@@ -17,12 +17,7 @@
 //! band linear in `s`, i.e. sharding degrades the tail exponent no worse
 //! than linearly in the shard count.
 //!
-//! Usage: `rank_tails [--n N] [--k K] [--shards LIST] [--seed S]
-//! [--json PATH]`
-//!
-//! `--json PATH` additionally merges the per-scheduler fitted tail
-//! exponents into the shared bench report (see `rsched_bench::report`; the
-//! committed `BENCH_7.json` at the workspace root is regenerated this way).
+//! Usage: `rank_tails [--n N] [--k K] [--shards LIST] [--seed S]`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,7 +59,6 @@ fn main() {
             ("--k K", "nominal relaxation factor"),
             ("--shards LIST", "shard counts for the sharded sim-MultiQueue rows"),
             ("--seed S", "base RNG seed"),
-            ("--json PATH", "merge machine-readable tail fits into the report at PATH"),
         ],
     ) else {
         return;
@@ -137,25 +131,9 @@ fn main() {
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(&header_refs);
 
-    // Per-scheduler summary rows for the optional `--json` report.
-    let mut json_scheds: Vec<(String, rsched_bench::report::Json)> = Vec::new();
-
     for (name, fitted_band, run) in schedulers {
         let (rank_tail, inv_tail, mean_rank, max_rank) = run();
         let fitted = fit_tail_exponent(&rank_tail);
-        {
-            use rsched_bench::report::Json;
-            // A missing fit (exact queue, degenerate tail) renders as null.
-            let khat = fitted.filter(|&l| l > 0.0).map_or(f64::NAN, |l| 1.0 / l);
-            json_scheds.push((
-                name.clone(),
-                Json::obj([
-                    ("mean_rank", Json::Num(mean_rank)),
-                    ("max_rank", Json::Int(max_rank as u64)),
-                    ("khat_fit", Json::Num(khat)),
-                ]),
-            ));
-        }
         let mut cells: Vec<String> =
             vec![name.to_string(), format!("{mean_rank:.2}"), max_rank.to_string()];
         for &l in &ls {
@@ -197,15 +175,4 @@ fn main() {
     println!("sharded rows' k̂fit tracks k·s (linear degradation in shard count); the");
     println!("adversarial scheduler shows a rank *cliff* at k and an inversion tail that");
     println!("scales with n instead of k (unfairness).");
-
-    if let Some(path) = args.get_str("json") {
-        use rsched_bench::report::{update_report, Json};
-        let fields = vec![
-            ("n".to_string(), Json::Int(n)),
-            ("k".to_string(), Json::Int(k as u64)),
-            ("schedulers".to_string(), Json::Obj(json_scheds)),
-        ];
-        update_report(std::path::Path::new(path), "rank_tails", &Json::Obj(fields));
-        println!("json tail fits merged into {path}");
-    }
 }

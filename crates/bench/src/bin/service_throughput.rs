@@ -31,20 +31,15 @@
 //! Usage: `service_throughput [--workload all|connectivity|sssp] [--n N]
 //! [--m M] [--producers P] [--workers W] [--queues Q] [--queue-capacity C]
 //! [--flush-batch F] [--watermark H] [--batch-size B] [--shards S]
-//! [--reps R] [--seed S] [--reclaim ebr|vbr] [--json PATH]
-//! [--trace PATH] [--metrics [PATH]] [--quick]`
+//! [--reps R] [--seed S] [--reclaim ebr|vbr] [--trace PATH]
+//! [--metrics [PATH]] [--quick]`
 //!
 //! `--reclaim vbr` swaps the shard queues' memory reclamation from the
 //! default epoch scheme to version-based reclamation (no pin on the pop
 //! path; see DESIGN.md "Reclamation semantics").
-//!
-//! `--json PATH` merges machine-readable medians into the shared bench
-//! report (see `rsched_bench::report`; the committed `BENCH_6.json` at the
-//! workspace root is regenerated this way).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsched_bench::report::{update_report, Json};
 use rsched_bench::{BenchCli, Table};
 use rsched_core::algorithms::incremental::connectivity::{components, ConcurrentConnectivity};
 use rsched_core::algorithms::sssp::dijkstra;
@@ -197,12 +192,6 @@ fn sssp_rep<R: Reclaim>(
     (stats.elapsed.as_secs_f64(), stats.accepted as f64 / stats.elapsed.as_secs_f64())
 }
 
-#[derive(Default)]
-struct Medians {
-    conn: Option<(f64, f64, f64, f64)>, // ops/sec, p50, p95, p99 (µs)
-    sssp: Option<(f64, f64)>,           // flood seconds, relaxations/sec
-}
-
 fn main() {
     let mut options = vec![
         ("--workload W", "all | connectivity | sssp (default all)"),
@@ -220,7 +209,6 @@ fn main() {
         ("--reps R", "repetitions per workload"),
         ("--seed S", "base RNG seed"),
         ("--reclaim R", "scheduler memory reclamation: ebr | vbr (default ebr)"),
-        ("--json PATH", "merge machine-readable medians into the report at PATH"),
     ];
     options.extend_from_slice(&rsched_bench::obs::OPTIONS);
     let Some(cli) = BenchCli::parse(
@@ -274,7 +262,6 @@ fn main() {
         knobs.reclaim
     );
 
-    let mut medians = Medians::default();
     if workload != "sssp" {
         let edges = gen::gnm(n, m, &mut StdRng::seed_from_u64(knobs.seed)).edge_list();
         let expected = components(n, &edges);
@@ -304,7 +291,6 @@ fn main() {
             "latency = producer offer -> worker decision (medians over {} reps)\n",
             knobs.reps
         );
-        medians.conn = Some(row);
     }
     if workload != "connectivity" {
         let mut rng = StdRng::seed_from_u64(knobs.seed ^ 0x55);
@@ -330,7 +316,6 @@ fn main() {
         ]);
         println!("{t}");
         println!("each flood seeded live, wavefront entirely handler-submitted\n");
-        medians.sssp = Some(row);
     }
 
     if rsched_obs::ENABLED {
@@ -345,31 +330,5 @@ fn main() {
         println!("obs: engine_pop_total counters reconcile with the exactly-once ledger\n");
     }
 
-    if let Some(path) = args.get_str("json") {
-        let mut fields = vec![
-            ("producers".to_string(), Json::Int(knobs.producers as u64)),
-            ("workers".to_string(), Json::Int(knobs.config.workers as u64)),
-            ("shards".to_string(), Json::Int(knobs.shards as u64)),
-            ("batch_size".to_string(), Json::Int(knobs.config.batch_size as u64)),
-            ("reps".to_string(), Json::Int(knobs.reps as u64)),
-            ("reclaim".to_string(), Json::Str(knobs.reclaim.as_str().to_string())),
-        ];
-        if let Some((ops, p50, p95, p99)) = medians.conn {
-            fields.push(("connectivity_ops_per_sec".to_string(), Json::Num(ops)));
-            fields.push(("connectivity_p50_us".to_string(), Json::Num(p50)));
-            fields.push(("connectivity_p95_us".to_string(), Json::Num(p95)));
-            fields.push(("connectivity_p99_us".to_string(), Json::Num(p99)));
-        }
-        if let Some((secs, rps)) = medians.sssp {
-            fields.push(("sssp_flood_median_s".to_string(), Json::Num(secs)));
-            fields.push(("sssp_relaxations_per_sec".to_string(), Json::Num(rps)));
-        }
-        if let Some(metrics) = rsched_bench::obs::metrics_json(&obs_base) {
-            fields.push(("metrics".to_string(), metrics));
-        }
-        let path = std::path::Path::new(path);
-        update_report(path, "service_throughput", &Json::Obj(fields));
-        println!("json medians merged into {}", path.display());
-    }
     rsched_bench::obs::emit(&args);
 }

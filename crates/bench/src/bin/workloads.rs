@@ -9,8 +9,7 @@
 //! `poly(k)` waste regardless of density (Theorem 2).
 //!
 //! Usage: `workloads [--n N] [--m M] [--reps R] [--ks 4,16,64] [--seed S]
-//! [--batch-size B] [--shards S] [--json PATH] [--trace PATH]
-//! [--metrics [PATH]]`
+//! [--batch-size B] [--shards S] [--trace PATH] [--metrics [PATH]]`
 //!
 //! Built with `--features obs`, the run feeds the live `seq_pop_total`
 //! wasted-work counters (so extra-iterations is readable from a metrics
@@ -18,10 +17,6 @@
 //! exactly with the framework's end-of-run totals. Compiled without the
 //! feature, every probe is a no-op and the output is byte-identical to
 //! the uninstrumented binary.
-//!
-//! `--json PATH` additionally merges the per-workload average-extra curves
-//! into the shared bench report (see `rsched_bench::report`; the committed
-//! `BENCH_7.json` at the workspace root is regenerated this way).
 //!
 //! `--batch-size B` (default 1) runs the framework in batched mode: `B`
 //! tasks are popped per scheduler round-trip and the batch's failed deletes
@@ -76,7 +71,6 @@ fn main() {
         ("--seed S", "base RNG seed"),
         ("--batch-size B", "tasks popped per scheduler round-trip (default 1)"),
         ("--shards S", "hash-routed scheduler shards, drained round-robin (default 1)"),
-        ("--json PATH", "merge machine-readable averages into the report at PATH"),
     ];
     options.extend_from_slice(&rsched_bench::obs::OPTIONS);
     let Some(cli) = BenchCli::parse(
@@ -135,10 +129,6 @@ fn main() {
         extra as f64 / reps as f64
     };
 
-    // Per-workload average-extra curves (one value per k), kept alongside
-    // the formatted table cells for the optional `--json` report.
-    let mut json_rows: Vec<(&str, Vec<f64>)> = Vec::new();
-
     // MIS
     {
         let g = &g;
@@ -147,10 +137,8 @@ fn main() {
             let sched = sharded_sim(shards, k, s ^ 1);
             run_relaxed_batched(MisTasks::new(g, &pi), &pi, sched, batch_size).1
         };
-        let vals: Vec<f64> = ks.iter().map(|&k| run_avg(&f, k)).collect();
         let mut cells = vec!["MIS".to_string(), n.to_string()];
-        cells.extend(vals.iter().map(|v| format!("{v:.1}")));
-        json_rows.push(("mis", vals));
+        cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
         let refs: Vec<&dyn std::fmt::Display> =
             cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
         table.row(&refs);
@@ -163,10 +151,8 @@ fn main() {
             let sched = sharded_sim(shards, k, s ^ 2);
             run_relaxed_batched(MatchingTasks::new(inst, &pi), &pi, sched, batch_size).1
         };
-        let vals: Vec<f64> = ks.iter().map(|&k| run_avg(&f, k)).collect();
         let mut cells = vec!["matching".to_string(), inst.num_edges().to_string()];
-        cells.extend(vals.iter().map(|v| format!("{v:.1}")));
-        json_rows.push(("matching", vals));
+        cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
         let refs: Vec<&dyn std::fmt::Display> =
             cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
         table.row(&refs);
@@ -179,10 +165,8 @@ fn main() {
             let sched = sharded_sim(shards, k, s ^ 3);
             run_relaxed_batched(ColoringTasks::new(g, &pi), &pi, sched, batch_size).1
         };
-        let vals: Vec<f64> = ks.iter().map(|&k| run_avg(&f, k)).collect();
         let mut cells = vec!["coloring".to_string(), n.to_string()];
-        cells.extend(vals.iter().map(|v| format!("{v:.1}")));
-        json_rows.push(("coloring", vals));
+        cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
         let refs: Vec<&dyn std::fmt::Display> =
             cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
         table.row(&refs);
@@ -195,10 +179,8 @@ fn main() {
             let sched = sharded_sim(shards, k, s ^ 4);
             run_relaxed_batched(ShuffleTasks::new(targets), &pi, sched, batch_size).1
         };
-        let vals: Vec<f64> = ks.iter().map(|&k| run_avg(&f, k)).collect();
         let mut cells = vec!["knuth-shuffle".to_string(), n.to_string()];
-        cells.extend(vals.iter().map(|v| format!("{v:.1}")));
-        json_rows.push(("knuth_shuffle", vals));
+        cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
         let refs: Vec<&dyn std::fmt::Display> =
             cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
         table.row(&refs);
@@ -212,10 +194,8 @@ fn main() {
             let sched = sharded_sim(shards, k, s ^ 5);
             run_relaxed_batched(ContractionTasks::new(&list, &pi), &pi, sched, batch_size).1
         };
-        let vals: Vec<f64> = ks.iter().map(|&k| run_avg(&f, k)).collect();
         let mut cells = vec!["list-contraction".to_string(), n.to_string()];
-        cells.extend(vals.iter().map(|v| format!("{v:.1}")));
-        json_rows.push(("list_contraction", vals));
+        cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
         let refs: Vec<&dyn std::fmt::Display> =
             cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
         table.row(&refs);
@@ -243,27 +223,5 @@ fn main() {
         );
     }
 
-    if let Some(path) = args.get_str("json") {
-        use rsched_bench::report::{update_report, Json};
-        let mut fields = vec![
-            ("n".to_string(), Json::Int(n as u64)),
-            ("m".to_string(), Json::Int(m as u64)),
-            ("reps".to_string(), Json::Int(reps as u64)),
-            ("batch_size".to_string(), Json::Int(batch_size as u64)),
-            ("shards".to_string(), Json::Int(shards as u64)),
-            ("ks".to_string(), Json::Arr(ks.iter().map(|&k| Json::Int(k as u64)).collect())),
-        ];
-        for (name, vals) in &json_rows {
-            fields.push((
-                format!("{name}_extra_avg"),
-                Json::Arr(vals.iter().map(|&v| Json::Num(v)).collect()),
-            ));
-        }
-        if let Some(metrics) = rsched_bench::obs::metrics_json(&obs_base) {
-            fields.push(("metrics".to_string(), metrics));
-        }
-        update_report(std::path::Path::new(path), "workloads", &Json::Obj(fields));
-        println!("json averages merged into {path}");
-    }
     rsched_bench::obs::emit(&args);
 }

@@ -194,21 +194,15 @@ impl Args {
         if !self.has_flag("help") {
             return false;
         }
-        println!("{binary} — {purpose}");
-        println!("\nUsage: {binary} [OPTIONS]\n");
-        println!("Options:");
-        let width = options.iter().map(|(flag, _)| flag.len()).max().unwrap_or(0).max(6);
-        for (flag, desc) in options {
-            println!("  {flag:<width$}  {desc}");
-        }
-        println!("  {:<width$}  print this message and exit", "--help");
+        print!("{}", usage(binary, purpose, options));
         true
     }
 
-    /// Whether fast mode is on: the `--quick` flag or the
-    /// `RSCHED_BENCH_FAST` environment variable (what CI smoke runs set).
+    /// Whether fast mode is on: the `--quick` flag or `RSCHED_BENCH_FAST=1`
+    /// in the environment (what CI smoke runs set; any other value is off,
+    /// as in the criterion shim).
     pub fn quick(&self) -> bool {
-        self.has_flag("quick") || std::env::var_os("RSCHED_BENCH_FAST").is_some()
+        self.has_flag("quick") || std::env::var("RSCHED_BENCH_FAST").is_ok_and(|v| v == "1")
     }
 
     /// Comma-separated list of `usize` for `--key`, or `default`.
@@ -227,10 +221,22 @@ impl Args {
     }
 }
 
+/// The text `--help` prints (and an unknown flag prints to stderr).
+fn usage(binary: &str, purpose: &str, options: &[(&str, &str)]) -> String {
+    let mut out = format!("{binary} — {purpose}\n\nUsage: {binary} [OPTIONS]\n\nOptions:\n");
+    let width = options.iter().map(|(flag, _)| flag.len()).max().unwrap_or(0).max(6);
+    for (flag, desc) in options {
+        out.push_str(&format!("  {flag:<width$}  {desc}\n"));
+    }
+    out.push_str(&format!("  {:<width$}  print this message and exit\n", "--help"));
+    out
+}
+
 /// The standard experiment-binary preamble, hoisted out of the individual
 /// `main`s: parse the command line, answer `--help` (every binary gets the
-/// `--quick` row appended automatically), and resolve fast mode from
-/// `--quick` / `RSCHED_BENCH_FAST`.
+/// `--quick` row appended automatically), reject any flag the binary's
+/// option table does not list, and resolve fast mode from `--quick` /
+/// `RSCHED_BENCH_FAST=1`.
 ///
 /// Returns `None` when `--help` was printed — the binary returns
 /// immediately, so `binary --help` never starts a workload (the smoke
@@ -257,170 +263,48 @@ pub struct BenchCli {
 
 impl BenchCli {
     /// Parses the process arguments; prints usage and returns `None` on
-    /// `--help`.
+    /// `--help`. A flag that is not the first token of an `options` row (nor
+    /// `--quick` / `--help`) prints the usage to stderr and exits with
+    /// status 2, so a misspelt or retired option never runs a workload that
+    /// silently ignores it.
     pub fn parse(binary: &str, purpose: &str, options: &[(&str, &str)]) -> Option<Self> {
-        Self::from_args(Args::parse(), binary, purpose, options)
+        Self::from_args(Args::parse(), binary, purpose, options).unwrap_or_else(|message| {
+            eprint!("{message}");
+            std::process::exit(2)
+        })
     }
 
+    /// `Err` names the first flag `options` does not list, followed by the
+    /// usage text.
     fn from_args(
         args: Args,
         binary: &str,
         purpose: &str,
         options: &[(&str, &str)],
-    ) -> Option<Self> {
+    ) -> Result<Option<Self>, String> {
         let mut opts: Vec<(&str, &str)> = options.to_vec();
         opts.push(("--quick", "seconds-long smoke sizes (also via RSCHED_BENCH_FAST=1)"));
         if args.help(binary, purpose, &opts) {
-            return None;
+            return Ok(None);
+        }
+        let listed = |key: &str| {
+            opts.iter().any(|(row, _)| {
+                row.split_whitespace().next().and_then(|f| f.strip_prefix("--")) == Some(key)
+            })
+        };
+        if let Some((key, _)) = args.pairs.iter().find(|(key, _)| !listed(key)) {
+            return Err(format!(
+                "error: unknown option --{key}\n\n{}",
+                usage(binary, purpose, &opts)
+            ));
         }
         let quick = args.quick();
-        Some(BenchCli { args, quick })
-    }
-}
-
-/// Machine-readable benchmark reports: a dependency-free JSON emitter plus
-/// a per-binary merge into one shared report file (`BENCH_6.json` at the
-/// workspace root).
-///
-/// The file format is deliberately line-structured JSON — a top-level
-/// object with one line per binary:
-///
-/// ```json
-/// {
-///   "incremental_algos": {"connectivity_median_s": 0.12, ...},
-///   "service_throughput": {"ops_per_sec": 1.5e6, ...}
-/// }
-/// ```
-///
-/// [`update_report`] replaces exactly the caller's line and leaves every
-/// other binary's entry byte-identical, so independent binaries can append
-/// to the same committed report without a JSON parser.
-pub mod report {
-    use std::fmt::Write as _;
-    use std::path::Path;
-
-    /// A JSON value (only the shapes bench reports need).
-    #[derive(Clone, Debug)]
-    pub enum Json {
-        /// A finite number, rendered with enough precision to round-trip.
-        Num(f64),
-        /// An integer, rendered without a decimal point.
-        Int(u64),
-        /// A string (escaped minimally: quotes and backslashes).
-        Str(String),
-        /// An object, rendered in insertion order.
-        Obj(Vec<(String, Json)>),
-        /// An array.
-        Arr(Vec<Json>),
-    }
-
-    impl Json {
-        /// Convenience constructor for an object.
-        pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-            Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-        }
-
-        /// Renders as compact (single-line) JSON.
-        pub fn render(&self) -> String {
-            let mut s = String::new();
-            self.write(&mut s);
-            s
-        }
-
-        fn write(&self, out: &mut String) {
-            match self {
-                Json::Num(x) => {
-                    if x.is_finite() {
-                        // {:?} prints the shortest representation that
-                        // round-trips the f64.
-                        let _ = write!(out, "{x:?}");
-                    } else {
-                        out.push_str("null");
-                    }
-                }
-                Json::Int(x) => {
-                    let _ = write!(out, "{x}");
-                }
-                Json::Str(s) => {
-                    out.push('"');
-                    for c in s.chars() {
-                        match c {
-                            '"' => out.push_str("\\\""),
-                            '\\' => out.push_str("\\\\"),
-                            c if (c as u32) < 0x20 => {
-                                let _ = write!(out, "\\u{:04x}", c as u32);
-                            }
-                            c => out.push(c),
-                        }
-                    }
-                    out.push('"');
-                }
-                Json::Obj(fields) => {
-                    out.push('{');
-                    for (i, (k, v)) in fields.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        Json::Str(k.clone()).write(out);
-                        out.push_str(": ");
-                        v.write(out);
-                    }
-                    out.push('}');
-                }
-                Json::Arr(items) => {
-                    out.push('[');
-                    for (i, v) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        v.write(out);
-                    }
-                    out.push(']');
-                }
-            }
-        }
-    }
-
-    /// Inserts or replaces the `key` entry of the line-structured report at
-    /// `path` (see the [module docs](self) for the format), creating the
-    /// file if needed. Entries stay sorted by key so regeneration is
-    /// deterministic regardless of which binary ran last.
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors — a bench binary has nothing useful to do with
-    /// a report it cannot write.
-    pub fn update_report(path: &Path, key: &str, value: &Json) {
-        let mut entries: Vec<(String, String)> = match std::fs::read_to_string(path) {
-            Ok(existing) => existing
-                .lines()
-                .filter_map(|line| {
-                    let line = line.trim().trim_end_matches(',');
-                    let (k, v) = line.split_once(':')?;
-                    let k = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-                    Some((k.to_string(), v.trim().to_string()))
-                })
-                .collect(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => panic!("cannot read bench report {}: {e}", path.display()),
-        };
-        entries.retain(|(k, _)| k != key);
-        entries.push((key.to_string(), value.render()));
-        entries.sort();
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in entries.iter().enumerate() {
-            let comma = if i + 1 < entries.len() { "," } else { "" };
-            let _ = writeln!(out, "  \"{k}\": {v}{comma}");
-        }
-        out.push_str("}\n");
-        std::fs::write(path, out)
-            .unwrap_or_else(|e| panic!("cannot write bench report {}: {e}", path.display()));
+        Ok(Some(BenchCli { args, quick }))
     }
 }
 
 /// Shared observability plumbing for the experiment binaries: the `--trace
-/// <path>` / `--metrics [path]` flags, and the metrics→JSON merge that puts
-/// counter deltas in the bench report next to the medians.
+/// <path>` / `--metrics [path]` flags.
 ///
 /// Everything here degrades gracefully when the workspace is built without
 /// `--features obs`: the snapshot is empty and the trace JSON is the empty
@@ -428,8 +312,7 @@ pub mod report {
 /// and when neither flag is passed, nothing is printed at all (default
 /// output stays byte-identical).
 pub mod obs {
-    use crate::{report::Json, Args};
-    use rsched_obs::Snapshot;
+    use crate::Args;
 
     /// Help rows for the shared flags; append to each binary's option list.
     pub const OPTIONS: [(&str, &str); 2] = [
@@ -473,35 +356,6 @@ pub mod obs {
                 }
             }
         }
-    }
-
-    /// The run's metrics (counter deltas against `base`, gauge levels, and
-    /// histogram summaries) as a JSON object for the bench-report merge.
-    /// Returns `None` when observability is compiled out, so report entries
-    /// never grow an empty `"metrics"` field.
-    pub fn metrics_json(base: &Snapshot) -> Option<Json> {
-        let end = rsched_obs::snapshot();
-        if end.is_empty() {
-            return None;
-        }
-        let mut fields: Vec<(String, Json)> = end
-            .counters
-            .iter()
-            .map(|(name, _)| (name.clone(), Json::Int(end.counter_delta(base, name))))
-            .collect();
-        fields.extend(
-            end.gauges.iter().map(|(name, v)| (name.clone(), Json::Int((*v).max(0) as u64))),
-        );
-        fields.extend(end.hists.iter().map(|(name, h)| {
-            let summary = Json::obj([
-                ("count", Json::Int(h.count)),
-                ("p50", Json::Int(h.p50)),
-                ("p95", Json::Int(h.p95)),
-                ("p99", Json::Int(h.p99)),
-            ]);
-            (name.clone(), summary)
-        }));
-        Some(Json::Obj(fields))
     }
 }
 
@@ -697,40 +551,33 @@ mod tests {
     #[test]
     fn bench_cli_help_short_circuits_and_quick_folds() {
         let help = Args::parse_from(["--help"].iter().map(|s| s.to_string()));
-        assert!(BenchCli::from_args(help, "demo", "Demo.", &[]).is_none());
+        assert!(BenchCli::from_args(help, "demo", "Demo.", &[]).unwrap().is_none());
         let quick = Args::parse_from(["--quick"].iter().map(|s| s.to_string()));
-        let cli = BenchCli::from_args(quick, "demo", "Demo.", &[]).unwrap();
+        let cli = BenchCli::from_args(quick, "demo", "Demo.", &[]).unwrap().unwrap();
         assert!(cli.quick);
         let plain = Args::parse_from(std::iter::empty());
-        // May still be quick if the ambient RSCHED_BENCH_FAST is set (CI
-        // smoke does); only assert the flag path, not the env path.
-        let cli = BenchCli::from_args(plain, "demo", "Demo.", &[]).unwrap();
-        assert_eq!(cli.quick, std::env::var_os("RSCHED_BENCH_FAST").is_some());
+        // Quick only if the ambient RSCHED_BENCH_FAST is exactly "1" (CI
+        // smoke sets it); any other value, like the unset variable, is off.
+        let cli = BenchCli::from_args(plain, "demo", "Demo.", &[]).unwrap().unwrap();
+        assert_eq!(cli.quick, std::env::var("RSCHED_BENCH_FAST").as_deref() == Ok("1"));
     }
 
     #[test]
-    fn json_renders_compact_and_escaped() {
-        let j = report::Json::obj([
-            ("ops", report::Json::Num(1.5)),
-            ("n", report::Json::Int(42)),
-            ("name", report::Json::Str("a\"b".into())),
-            ("xs", report::Json::Arr(vec![report::Json::Int(1), report::Json::Int(2)])),
-        ]);
-        assert_eq!(j.render(), r#"{"ops": 1.5, "n": 42, "name": "a\"b", "xs": [1, 2]}"#);
-    }
-
-    #[test]
-    fn report_merge_replaces_only_own_key() {
-        let dir = std::env::temp_dir().join(format!("rsched_report_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.json");
-        let _ = std::fs::remove_file(&path);
-        report::update_report(&path, "b_bin", &report::Json::obj([("x", report::Json::Int(1))]));
-        report::update_report(&path, "a_bin", &report::Json::obj([("y", report::Json::Int(2))]));
-        report::update_report(&path, "b_bin", &report::Json::obj([("x", report::Json::Int(9))]));
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(got, "{\n  \"a_bin\": {\"y\": 2},\n  \"b_bin\": {\"x\": 9}\n}\n");
-        std::fs::remove_file(&path).unwrap();
+    fn bench_cli_rejects_unlisted_flags() {
+        let options = [("--reps N", "repetitions"), ("--metrics [PATH]", "snapshot")];
+        let parse = |items: &[&str]| {
+            let args = Args::parse_from(items.iter().map(|s| s.to_string()));
+            BenchCli::from_args(args, "demo", "Demo.", &options)
+        };
+        assert!(parse(&["--reps", "3", "--metrics", "--quick"]).is_ok());
+        let rejected = |items: &[&str]| parse(items).unwrap_err();
+        assert!(
+            rejected(&["--reps", "3", "--json", "x"]).starts_with("error: unknown option --json\n")
+        );
+        assert!(rejected(&["--rep", "3"]).starts_with("error: unknown option --rep\n"));
+        assert!(rejected(&["--rep", "3"]).contains("Usage: demo [OPTIONS]"));
+        // `--help` wins over an unknown flag: usage is what the caller needs.
+        assert!(parse(&["--nope", "--help"]).unwrap().is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Smoke tests for the experiment binaries: every binary must support
 //! `--help` (printing usage without starting a workload) so future PRs
-//! cannot silently break the CLI surface. One binary also runs a real
-//! (tiny) workload end-to-end.
+//! cannot silently break the CLI surface, and must reject a flag it does
+//! not list. One binary also runs a real (tiny) workload end-to-end.
 
 use std::process::Command;
 
@@ -38,6 +38,25 @@ fn every_binary_answers_help() {
             "{name} --help looks like it ran the workload ({} lines)",
             stdout.lines().count()
         );
+    }
+}
+
+#[test]
+fn every_binary_rejects_unknown_flags() {
+    // `--json` is a retired option: it must fail like any other unknown
+    // flag, not run the workload and silently write nothing.
+    for (name, exe) in BINARIES {
+        for args in [&["--no-such-flag"][..], &["--json", "x"]] {
+            let out = Command::new(exe)
+                .args(args)
+                .output()
+                .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?} exited {:?}", out.status);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(args[0]), "{name} {args:?} does not name the flag:\n{stderr}");
+            assert!(stderr.contains("Usage:"), "{name} {args:?} printed no usage:\n{stderr}");
+            assert!(out.stdout.is_empty(), "{name} {args:?} started the workload");
+        }
     }
 }
 

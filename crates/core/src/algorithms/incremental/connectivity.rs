@@ -305,8 +305,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::gen;
-    use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue, SprayList};
-    use rsched_queues::relaxed::{RoundRobinTopK, SimMultiQueue, SimSprayList, TopKUniform};
+    use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue};
+    use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
     use rsched_queues::sharded::ShardedScheduler;
 
     fn random_edges(n: usize, m: usize, seed: u64) -> Vec<(u32, u32)> {
@@ -396,12 +396,6 @@ mod tests {
                 }),
             ),
             (
-                "round-robin",
-                Box::new(|| {
-                    run_relaxed(ConnectivityTasks::new(n, &edges), &pi, RoundRobinTopK::new(16)).0
-                }),
-            ),
-            (
                 "sharded",
                 Box::new(|| {
                     let sched = ShardedScheduler::from_fn(4, |i| {
@@ -449,12 +443,6 @@ mod tests {
                 );
                 run_concurrent_batched(&alg, &pi, &sched, threads, batch);
                 assert_eq!(alg.into_labels(), expected, "bulk t={threads} b={batch}");
-
-                let alg = ConcurrentConnectivity::new(n, &edges);
-                let sched: SprayList<TaskId> = SprayList::new(threads);
-                fill_scheduler(&sched, &pi);
-                run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(alg.into_labels(), expected, "spray t={threads} b={batch}");
 
                 let alg = ConcurrentConnectivity::new(n, &edges);
                 let sched: ShardedScheduler<MultiQueue<TaskId>> =

@@ -1035,7 +1035,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::geom::{degenerate_grid, gaussian_clusters, uniform_square};
-    use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue, SprayList};
+    use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
     use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
     use rsched_queues::sharded::ShardedScheduler;
 
@@ -1191,13 +1191,6 @@ mod tests {
                 run_concurrent_batched(&alg, &pi, &sched, threads, batch);
                 let out = alg.into_output();
                 assert!(verify_delaunay(&pts, &out.triangles), "lfmq t={threads} b={batch}");
-
-                let alg = ConcurrentDelaunay::new(&pts, &pi);
-                let sched: SprayList<TaskId> = SprayList::new(threads);
-                fill_scheduler(&sched, &pi);
-                run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                let out = alg.into_output();
-                assert!(verify_delaunay(&pts, &out.triangles), "spray t={threads} b={batch}");
 
                 let alg = ConcurrentDelaunay::new(&pts, &pi);
                 let sched: ShardedScheduler<MultiQueue<TaskId>> =

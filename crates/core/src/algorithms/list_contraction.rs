@@ -127,7 +127,9 @@ impl IterativeAlgorithm for ContractionTasks<'_> {
 /// (the Release/Acquire pair guarantees the re-read observes the splice).
 /// Two current-adjacent elements are never simultaneously ready (the
 /// smaller-labeled one blocks the other), so the link cells written by
-/// concurrent splices are disjoint.
+/// concurrent splices are disjoint — provided an element whose `next` link
+/// already skips a splicing neighbor waits for that splice's second store
+/// (the back-link check in `try_process`).
 #[derive(Debug)]
 pub struct ConcurrentContraction<'a> {
     labels: &'a [u32],
@@ -204,6 +206,13 @@ impl ConcurrentAlgorithm for ConcurrentContraction<'_> {
         }
         let nx = self.stable_link(&self.next, v);
         if nx != NIL && self.labels[nx as usize] < lv {
+            return TaskOutcome::Blocked;
+        }
+        // A splice of z between v and nx stores `next[v] = nx` before
+        // `prev[nx] = v`. Between the two, v no longer sees z; splicing v
+        // now would have z's second store overwrite ours with a pointer to
+        // a done v, and nx would chase it forever. Wait for the back link.
+        if nx != NIL && self.prev[nx as usize].load(Ordering::Acquire) != task {
             return TaskOutcome::Blocked;
         }
         // p and nx are stable: a larger-labeled live neighbor cannot splice
@@ -314,6 +323,25 @@ mod tests {
             let _ = run_exact_concurrent(&alg, &pi, threads);
             assert_eq!(alg.into_output(), expected);
         }
+    }
+
+    #[test]
+    fn half_published_splice_blocks_the_left_neighbor() {
+        // List 0↔1↔2, labels [1, 0, 2]: element 1 splices first. Freeze it
+        // between its two stores: next[0] already skips it, prev[2] does
+        // not yet. Element 0 looks ready (its neighbor 2 has a larger
+        // label) but must wait, or 1's second store would clobber 0's.
+        let list = ListInstance::new_identity(3);
+        let pi = Permutation::from_order(vec![1, 0, 2]);
+        let alg = ConcurrentContraction::new(&list, &pi);
+        alg.next[0].store(2, Ordering::Release);
+        assert_eq!(alg.try_process(0), TaskOutcome::Blocked);
+        // Element 1 finishes: second store, then done.
+        alg.prev[2].store(0, Ordering::Release);
+        alg.done[1].store(true, Ordering::Release);
+        assert_eq!(alg.try_process(0), TaskOutcome::Processed);
+        assert_eq!(alg.try_process(2), TaskOutcome::Processed);
+        assert_eq!(alg.prev[2].load(Ordering::Acquire), NIL);
     }
 
     #[test]

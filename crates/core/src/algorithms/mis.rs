@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn batched_concurrent_matches_greedy_on_every_scheduler() {
-        use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, SprayList};
+        use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue};
         let mut rng = StdRng::seed_from_u64(13);
         let g = gen::gnm(400, 2400, &mut rng);
         let pi = Permutation::random(400, &mut rng);
@@ -371,12 +371,6 @@ mod tests {
                 );
                 let _ = crate::framework::run_concurrent_batched(&alg, &pi, &sched, threads, batch);
                 assert_eq!(alg.into_output(), expected, "lfmq t={threads} b={batch}");
-
-                let alg = ConcurrentMis::new(&g, &pi);
-                let sched: SprayList<TaskId> = SprayList::new(threads);
-                crate::framework::fill_scheduler(&sched, &pi);
-                let _ = crate::framework::run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(alg.into_output(), expected, "spray t={threads} b={batch}");
             }
         }
     }

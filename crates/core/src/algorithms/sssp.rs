@@ -181,7 +181,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::gen;
-    use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue, SprayList};
+    use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
     use rsched_queues::relaxed::SimMultiQueue;
 
     fn random_weighted(n: usize, m: usize, seed: u64) -> WeightedCsr {
@@ -245,8 +245,6 @@ mod tests {
         }
         let lf: LockFreeMultiQueue<u32> = LockFreeMultiQueue::for_threads(2);
         assert_eq!(concurrent_sssp(&g, 0, &lf, 2), expected, "LockFreeMultiQueue");
-        let spray: SprayList<u32> = SprayList::new(2);
-        assert_eq!(concurrent_sssp(&g, 0, &spray, 2), expected, "SprayList");
     }
 
     #[test]

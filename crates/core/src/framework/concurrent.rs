@@ -351,11 +351,13 @@ where
 /// accordingly (gracefully — waste stays `poly(k·batch_size)`, independent
 /// of `n`).
 ///
-/// Every worker passes its index to the scheduler through
-/// [`ConcurrentScheduler::pop_batch_for`]; sharded schedulers use it to pin
-/// the worker to an affinity shard
-/// (relaxation then grows with the shard count instead: `O(k·s)` — see
-/// DESIGN.md "Sharding semantics").
+/// Every worker passes its index and the algorithm's
+/// [`ConcurrentAlgorithm::is_obsolete`] to the scheduler through
+/// [`ConcurrentScheduler::pop_purging_for`]: sharded schedulers use the
+/// index to pin the worker to an affinity shard (relaxation then grows with
+/// the shard count instead: `O(k·s)` — see DESIGN.md "Sharding
+/// semantics"), and the MultiQueue family drops decided tasks at the head
+/// of the bucket the pop opened (DESIGN.md "Purging semantics").
 ///
 /// Counter semantics across batch sizes: `total_pops` counts popped
 /// *elements*; `empty_pops` counts empty *observations* — a `pop_batch`

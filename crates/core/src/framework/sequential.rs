@@ -48,40 +48,18 @@ where
 /// determinism claim, and the test suite checks it for every algorithm and
 /// scheduler combination.
 ///
+/// This is [`run_relaxed_batched`] at batch size 1: one pop, one state
+/// check, one conditional re-insert per iteration.
+///
 /// # Panics
 ///
 /// Panics if `pi.len() != alg.num_tasks()`.
-pub fn run_relaxed<A, S>(mut alg: A, pi: &Permutation, mut sched: S) -> (A::Output, ExecutionStats)
+pub fn run_relaxed<A, S>(alg: A, pi: &Permutation, sched: S) -> (A::Output, ExecutionStats)
 where
     A: IterativeAlgorithm,
     S: PriorityScheduler<TaskId>,
 {
-    let n = alg.num_tasks();
-    assert_eq!(n, pi.len(), "permutation size must match task count");
-    for v in 0..n as u32 {
-        sched.insert(pi.label(v) as u64, v);
-    }
-    let mut stats = ExecutionStats::new(n);
-    while let Some((priority, v)) = sched.pop() {
-        stats.total_pops += 1;
-        match alg.state(v) {
-            TaskState::Ready => {
-                alg.execute(v);
-                stats.processed += 1;
-                rsched_obs::counter!(r#"seq_pop_total{outcome="success"}"#).inc();
-            }
-            TaskState::Blocked => {
-                stats.wasted += 1;
-                rsched_obs::counter!(r#"seq_pop_total{outcome="blocked"}"#).inc();
-                sched.insert(priority, v); // failed delete; re-insert
-            }
-            TaskState::Obsolete => {
-                stats.obsolete += 1;
-                rsched_obs::counter!(r#"seq_pop_total{outcome="obsolete"}"#).inc();
-            }
-        }
-    }
-    (alg.into_output(), stats)
+    run_relaxed_batched(alg, pi, sched, 1)
 }
 
 /// [`run_relaxed`] with a batch size: pops a batch of up to `batch_size`
@@ -93,10 +71,11 @@ where
 /// effective relaxation grows by the batch size (a `k`-relaxed scheduler
 /// drives the run like an `O(k·batch_size)`-relaxed one) while the output
 /// stays identical to [`run_exact`] — the paper's determinism claim is
-/// insensitive to relaxation, batched or not. `batch_size == 1` performs
-/// the exact operation sequence of [`run_relaxed`] (one pop, one state
-/// check, one conditional re-insert), so on the same seed it is
-/// bit-for-bit identical.
+/// insensitive to relaxation, batched or not. At `batch_size == 1` every
+/// `pop_batch` / `insert_batch` override must degenerate to its scalar
+/// `pop` / `insert` — same element, same RNG draws — which
+/// `tests/determinism.rs` pins against a scalar reference loop for every
+/// scheduler that overrides either.
 ///
 /// # Panics
 ///
@@ -112,13 +91,6 @@ where
     S: PriorityScheduler<TaskId>,
 {
     assert!(batch_size >= 1, "need a positive batch size");
-    if batch_size == 1 {
-        // The batched loop below is operation-for-operation identical at
-        // batch size 1, but routing through pop_batch/insert_batch would
-        // trust every scheduler override to degenerate exactly; the scalar
-        // loop keeps "identical to pre-batching output" trivially true.
-        return run_relaxed(alg, pi, sched);
-    }
     let n = alg.num_tasks();
     assert_eq!(n, pi.len(), "permutation size must match task count");
     for v in 0..n as u32 {
@@ -248,18 +220,6 @@ mod tests {
             assert_eq!(stats.processed, 60);
             assert_eq!(stats.total_pops, 60 + stats.wasted + stats.obsolete);
         }
-    }
-
-    #[test]
-    fn batch_size_one_is_bit_identical_to_scalar() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let pi = Permutation::random(80, &mut StdRng::seed_from_u64(5));
-        let sched_a = TopKUniform::new(8, StdRng::seed_from_u64(77));
-        let sched_b = TopKUniform::new(8, StdRng::seed_from_u64(77));
-        let (log_a, stats_a) = run_relaxed(Chain::new(&pi), &pi, sched_a);
-        let (log_b, stats_b) = run_relaxed_batched(Chain::new(&pi), &pi, sched_b, 1);
-        assert_eq!(log_a, log_b);
-        assert_eq!(stats_a, stats_b);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use rsched_core::stats::ConcurrentStats;
 use rsched_core::TaskId;
 use rsched_graph::geom::{gaussian_clusters, uniform_square, Point};
 use rsched_graph::Permutation;
-use rsched_queues::concurrent::{Heap, LockFreeMultiQueue, MultiQueue, SprayList};
+use rsched_queues::concurrent::{Heap, LockFreeMultiQueue, MultiQueue};
 use rsched_queues::lock::{Lock, McsLock};
 use rsched_queues::sharded::ShardedScheduler;
 use rsched_queues::ConcurrentScheduler;
@@ -78,9 +78,6 @@ fn every_scheduler_at_every_thread_count_is_verifier_clean() {
 
         let lf: LockFreeMultiQueue<TaskId> = LockFreeMultiQueue::for_threads(threads);
         run_and_audit(&pts, &pi, lf, threads, 1, expected, &format!("lfmq t={threads}"));
-
-        let spray: SprayList<TaskId> = SprayList::new(threads);
-        run_and_audit(&pts, &pi, spray, threads, 1, expected, &format!("spray t={threads}"));
 
         let sharded: ShardedScheduler<MultiQueue<TaskId>> =
             ShardedScheduler::from_fn(3, |_| MultiQueue::new(2));

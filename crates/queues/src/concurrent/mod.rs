@@ -15,25 +15,19 @@
 //!   variant for the framework's prefilled workload (the performance
 //!   analogue of the paper's list-based queues).
 //!
-//! Beside it:
-//!
-//! * [`SprayList`] — the lock-free skiplist with spray deletion of Alistarh
-//!   et al. \[3\], the second realistic scheduler satisfying Definition 1.
-//! * [`FaaArrayQueue`] — the exact scheduler baseline: a prefilled
-//!   priority-sorted array popped with one `fetch_add` per operation,
-//!   standing in for the wait-free queue of \[27\] (see DESIGN.md
-//!   substitution #2).
+//! Beside it, [`FaaArrayQueue`] is the exact scheduler baseline: a
+//! prefilled priority-sorted array popped with one `fetch_add` per
+//! operation, standing in for the wait-free queue of \[27\] (see DESIGN.md
+//! substitution #2).
 
 mod bulk_multiqueue;
 mod faa_queue;
 mod lf_list;
 mod lf_multiqueue;
 mod multiqueue;
-mod spraylist;
 
 pub use bulk_multiqueue::{BulkMultiQueue, Run};
 pub use faa_queue::FaaArrayQueue;
 pub use lf_list::HarrisList;
 pub use lf_multiqueue::{ListBucket, LockFreeMultiQueue};
 pub use multiqueue::{Bucket, BucketQueue, Heap, Locked, MultiQueue, MultiQueueCore};
-pub use spraylist::SprayList;

@@ -1,7 +1,5 @@
-//! Exact (1-relaxed) sequential priority queues — Algorithm 1's `Q`.
+//! The exact (1-relaxed) sequential priority queue — Algorithm 1's `Q`.
 
 mod binary_heap;
-mod pairing_heap;
 
 pub use binary_heap::BinaryHeapScheduler;
-pub use pairing_heap::PairingHeap;

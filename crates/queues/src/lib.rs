@@ -2,16 +2,16 @@
 //!
 //! The scheduler zoo of the paper, in four groups:
 //!
-//! * **Exact sequential queues** ([`exact`]): binary heap and pairing heap —
-//!   the `Q.GetMin()` of Algorithm 1.
+//! * **Exact sequential queue** ([`exact`]): the binary heap — the
+//!   `Q.GetMin()` of Algorithm 1.
 //! * **Relaxed sequential models** ([`relaxed`]): the canonical *top-k
 //!   uniform* scheduler from the paper's analysis, an adversarial top-k
 //!   variant, and faithful sequential simulations of the MultiQueue and the
 //!   SprayList. These drive Table 1 and the rank/fairness validation.
 //! * **Concurrent schedulers** ([`concurrent`]): one MultiQueue core \[21\]
 //!   over heap, sorted-run or Harris-list buckets (the last is the paper's
-//!   §4 implementation), a lock-free SprayList \[3\], and the FAA array
-//!   queue standing in for the exact wait-free scheduler \[27\].
+//!   §4 implementation), and the FAA array queue standing in for the exact
+//!   wait-free scheduler \[27\].
 //! * **Instrumentation** ([`instrument`]): rank-error and priority-inversion
 //!   tracking to check Definition 1's exponential tails empirically.
 //!

@@ -1,10 +1,10 @@
-//! Queue-based spin locks: MCS, CLH, and ticket locks behind one raw trait.
+//! Queue-based spin locks: MCS and ticket locks behind one raw trait.
 //!
 //! `parking_lot::Mutex` (the shim wraps `std::sync::Mutex`) is a *global
 //! spin target*: every contending thread hammers the same word, so handoff
 //! cost grows with the number of waiters (cache-line ping-pong on every
-//! release). The classic queue locks fix this by giving each waiter its own
-//! spin location and handing the lock to exactly one successor:
+//! release). Queue locks hand the lock to exactly one successor, in arrival
+//! order:
 //!
 //! * [`McsLock`] — waiters form an explicit linked queue; each spins on a
 //!   flag in its **own** node (cache-padded, so the handoff write invalidates
@@ -12,19 +12,11 @@
 //!   hand off. Supports a genuinely non-blocking [`RawTryLock::try_acquire`]
 //!   (CAS the tail from null), which is why the fine-grained Delaunay uses
 //!   MCS for per-cell cavity locks.
-//! * [`ClhLock`] — waiters spin on their **predecessor's** node (implicit
-//!   queue through an atomic tail; node ownership rotates to the successor).
-//!   One fewer pointer chase than MCS on release, but no sound non-blocking
-//!   `try_acquire` exists for it: testing the predecessor's flag and CASing
-//!   the tail are separate steps, and node recycling makes the pointer
-//!   ABA-prone, so a try-acquirer could enqueue behind a live holder and be
-//!   forced to wait. CLH is therefore blocking-only here (DESIGN.md
-//!   substitution #9).
 //! * [`TicketLock`] — fetch-and-add FIFO: one RMW per acquire, zero
 //!   allocation, but all waiters spin on the shared owner word. The baseline
 //!   queue lock, and the cheapest under low contention.
 //!
-//! All three are strict FIFO for blocking acquirers (the fairness half of
+//! Both are strict FIFO for blocking acquirers (the fairness half of
 //! the toolkit; `lock_props.rs` pins it), spin through
 //! [`crossbeam::utils::Backoff::snooze`] so waiters degrade to yielding on
 //! oversubscribed hosts (the 1-CPU CI container), and release in *O(1)*
@@ -132,7 +124,7 @@ pub unsafe trait RawTryLock: RawLock {
 pub struct RawGuard<'a, R: RawLock> {
     lock: &'a R,
     token: R::Token,
-    // Queue-lock tokens are thread-affine (MCS/CLH nodes return to the
+    // Queue-lock tokens are thread-affine (MCS nodes return to the
     // releasing thread's pool), so guards must not cross threads — same
     // rule as `std::sync::MutexGuard`.
     _not_send: PhantomData<*const ()>,
@@ -163,7 +155,7 @@ impl<R: RawLock> fmt::Debug for RawGuard<'_, R> {
 /// invalidates only the spinners' line, not the enqueue line. All waiters
 /// spin on the shared `owner` word — the one queue-lock property ticket
 /// locks lack — which is what the `lock_ops` criterion group measures
-/// against MCS/CLH.
+/// against MCS.
 #[derive(Default)]
 pub struct TicketLock {
     next: CachePadded<AtomicU64>,
@@ -425,173 +417,6 @@ impl fmt::Debug for McsLock {
 }
 
 // ---------------------------------------------------------------------------
-// CLH lock
-// ---------------------------------------------------------------------------
-
-/// One CLH queue slot: just the flag the *successor* spins on.
-struct ClhNode {
-    locked: CachePadded<AtomicBool>,
-}
-
-thread_local! {
-    /// Per-thread CLH node pool. CLH nodes migrate between threads (each
-    /// acquirer recycles its predecessor's node), which is fine: a pooled
-    /// node is quiescent and `Box<ClhNode>` is `Send`. Boxed for stable
-    /// addresses, as for the MCS pool.
-    #[allow(clippy::vec_box)]
-    static CLH_POOL: RefCell<Vec<Box<ClhNode>>> = const { RefCell::new(Vec::new()) };
-}
-
-fn clh_node_pop() -> *mut ClhNode {
-    let node = CLH_POOL
-        .try_with(|pool| pool.borrow_mut().pop())
-        .unwrap_or(None)
-        .unwrap_or_else(|| Box::new(ClhNode { locked: CachePadded::new(AtomicBool::new(false)) }));
-    Box::into_raw(node)
-}
-
-/// # Safety
-///
-/// `node` must be quiescent (no other thread holds a reference).
-unsafe fn clh_node_push(node: *mut ClhNode) {
-    // SAFETY: contract above — we are the unique owner of `node`.
-    let node = unsafe { Box::from_raw(node) };
-    let _ = CLH_POOL.try_with(move |pool| pool.borrow_mut().push(node));
-}
-
-/// CLH queue lock \[Craig; Landin & Hagersten '94\]: an implicit queue
-/// through an atomic tail; each waiter spins on its **predecessor's**
-/// cache-padded flag and releases by clearing its own.
-///
-/// One fewer pointer chase than MCS on the release path (no `next` link to
-/// follow), at the cost of node ownership rotating to the successor.
-/// Blocking-only: there is no sound non-blocking `try_acquire` for CLH —
-/// see the module docs — so it implements [`RawLock`] but not
-/// [`RawTryLock`], and cannot serve as a [`BucketLock`].
-pub struct ClhLock {
-    /// Never null: points at the most recent node enqueued (initially a
-    /// pre-cleared dummy standing for "unlocked").
-    tail: AtomicPtr<ClhNode>,
-}
-
-impl ClhLock {
-    /// Creates an unlocked CLH lock.
-    pub fn new() -> Self {
-        let dummy =
-            Box::into_raw(Box::new(ClhNode { locked: CachePadded::new(AtomicBool::new(false)) }));
-        ClhLock { tail: AtomicPtr::new(dummy) }
-    }
-
-    /// Snapshot of the queue tail, as an opaque address. Changes whenever a
-    /// thread enqueues — the fairness tests use it to stage deterministic
-    /// arrival orders.
-    pub fn tail_snapshot(&self) -> usize {
-        self.tail.load(Ordering::Relaxed) as usize
-    }
-}
-
-impl Default for ClhLock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for ClhLock {
-    fn drop(&mut self) {
-        // The node left in `tail` (the last holder's, or the initial dummy)
-        // is referenced by nothing else once the lock is unreachable.
-        let tail = *self.tail.get_mut();
-        // SAFETY: exclusive access via &mut self; the tail node is owned by
-        // the lock at rest (its enqueuer pooled the *predecessor*, not it).
-        unsafe { drop(Box::from_raw(tail)) };
-    }
-}
-
-// SAFETY: standard CLH protocol. The tail `swap` totally orders acquirers
-// and atomically hands each one a private reference to its predecessor's
-// node; spinning until that node's flag clears (`Acquire`, paired with the
-// owner's `Release` clear) means the predecessor's critical section
-// happened-before ours. The predecessor's node is quiescent once its flag
-// is observed clear — its owner's release store was its final access — so
-// recycling it into the pool is sound.
-unsafe impl RawLock for ClhLock {
-    type Token = usize;
-
-    fn acquire(&self) -> usize {
-        let node = clh_node_pop();
-        // SAFETY: exclusively ours until published by the swap.
-        unsafe { (*node).locked.store(true, Ordering::Relaxed) };
-        let pred = self.tail.swap(node, Ordering::AcqRel);
-        let backoff = Backoff::new();
-        // SAFETY: the swap gave us the only outstanding reference to
-        // `pred`; it stays allocated until we pool it below.
-        while unsafe { (*pred).locked.load(Ordering::Acquire) } {
-            backoff.snooze();
-        }
-        // SAFETY: quiescent — see the impl-level argument.
-        unsafe { clh_node_push(pred) };
-        node as usize
-    }
-
-    // SAFETY contract on `RawLock::release`: `token` came from `acquire`
-    // and the caller still holds the lock.
-    unsafe fn release(&self, token: usize) {
-        let node = token as *mut ClhNode;
-        // SAFETY: our own enqueued node; the successor (or a future
-        // acquirer) observes the clear and recycles it.
-        unsafe { (*node).locked.store(false, Ordering::Release) };
-    }
-}
-
-#[cfg(rsched_model)]
-impl ClhLock {
-    /// The tempting-but-**unsound** non-blocking CLH acquire: read the
-    /// tail, check its flag is clear, then CAS a fresh node over it.
-    ///
-    /// This is exactly the `try_acquire` the module docs rule out, kept
-    /// (model-builds only) as a permanent regression witness: CLH nodes
-    /// rotate to their successor's pool, so the tail *address* can be
-    /// recycled and re-enqueued **locked** between the flag check and the
-    /// CAS — the CAS then succeeds against a node whose flag check is
-    /// stale (classic ABA), admitting two holders at once. The
-    /// `model_lock` suite demands the checker find that interleaving.
-    ///
-    /// Unlike the sound acquire path, a successful call *leaks* the
-    /// predecessor node instead of pooling it: in the ABA interleaving
-    /// the address is simultaneously another holder's live token, and
-    /// pooling it would turn the demonstration into a genuine double-free
-    /// in the host process.
-    pub fn try_acquire_unsound(&self) -> Option<usize> {
-        let tail = self.tail.load(Ordering::Acquire);
-        // SAFETY: model-only demonstration code. The scenario keeps every
-        // node allocated for the whole execution (pools recycle but never
-        // free until thread exit), so the deref reads live memory even
-        // when the protocol-level ABA fires.
-        if unsafe { (*tail).locked.load(Ordering::Acquire) } {
-            return None;
-        }
-        let node = clh_node_pop();
-        // SAFETY: exclusively ours until published by the CAS.
-        unsafe { (*node).locked.store(true, Ordering::Relaxed) };
-        match self.tail.compare_exchange(tail, node, Ordering::AcqRel, Ordering::Relaxed) {
-            // Deliberately do NOT pool `tail` (see the doc comment).
-            Ok(_) => Some(node as usize),
-            Err(_) => {
-                // SAFETY: never published — still exclusively ours.
-                unsafe { clh_node_push(node) };
-                None
-            }
-        }
-    }
-}
-
-impl fmt::Debug for ClhLock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClhLock").finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Lock<R, T>: Mutex-shaped data wrapper
 // ---------------------------------------------------------------------------
 
@@ -601,9 +426,9 @@ impl fmt::Debug for ClhLock {
 /// # Examples
 ///
 /// ```
-/// use rsched_queues::lock::{ClhLock, Lock};
+/// use rsched_queues::lock::{Lock, TicketLock};
 ///
-/// let m: Lock<ClhLock, Vec<u32>> = Lock::new(vec![1]);
+/// let m: Lock<TicketLock, Vec<u32>> = Lock::new(vec![1]);
 /// m.lock().push(2);
 /// assert_eq!(m.into_inner(), vec![1, 2]);
 /// ```
@@ -708,7 +533,7 @@ impl<R: RawLock, T: ?Sized + fmt::Debug> fmt::Debug for LockGuard<'_, R, T> {
 /// Implemented by `parking_lot::Mutex<T>` (the default bucket lock,
 /// unchanged behavior) and by every [`Lock<R, T>`] whose raw lock supports
 /// [`RawTryLock`] — i.e. [`McsLock`] and [`TicketLock`], the rows the
-/// `lock_ops`/`cross_scheduler_contention` criterion groups compare.
+/// `lock_ops` criterion group compares.
 pub trait BucketLock<T>: Send + Sync {
     /// RAII hold, dereferencing to the bucket contents.
     type Guard<'a>: DerefMut<Target = T>
@@ -798,11 +623,6 @@ mod tests {
     #[test]
     fn mcs_exactly_once_handoff() {
         torture::<McsLock>(4, 5_000);
-    }
-
-    #[test]
-    fn clh_exactly_once_handoff() {
-        torture::<ClhLock>(4, 5_000);
     }
 
     #[test]
@@ -908,12 +728,6 @@ mod tests {
     fn ticket_handoff_is_fifo() {
         let lock: Lock<TicketLock, ()> = Lock::new(());
         fifo_handoff(&lock, || lock.raw.issued() as usize);
-    }
-
-    #[test]
-    fn clh_handoff_is_fifo() {
-        let lock: Lock<ClhLock, ()> = Lock::new(());
-        fifo_handoff(&lock, || lock.raw.tail_snapshot());
     }
 
     #[test]

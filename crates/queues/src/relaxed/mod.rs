@@ -5,12 +5,10 @@
 //! the caller's control (seeded `rand::Rng`), so experiments are exactly
 //! reproducible. The concurrent counterparts live in [`crate::concurrent`].
 
-mod round_robin;
 mod sim_multiqueue;
 mod sim_spray;
 mod top_k;
 
-pub use round_robin::RoundRobinTopK;
 pub use sim_multiqueue::SimMultiQueue;
 pub use sim_spray::SimSprayList;
 pub use top_k::{AdversarialTopK, TopKUniform, UniformRandom};

@@ -7,9 +7,7 @@
 //! scalar and batched operations conserve `len`.
 
 use proptest::prelude::*;
-use rsched_queues::concurrent::{
-    BulkMultiQueue, FaaArrayQueue, LockFreeMultiQueue, MultiQueue, SprayList,
-};
+use rsched_queues::concurrent::{BulkMultiQueue, FaaArrayQueue, LockFreeMultiQueue, MultiQueue};
 use rsched_queues::exact::BinaryHeapScheduler;
 use rsched_queues::{ConcurrentScheduler, PriorityScheduler};
 use std::collections::HashSet;
@@ -139,15 +137,6 @@ proptest! {
     ) {
         let q: LockFreeMultiQueue<u64> = LockFreeMultiQueue::new(queues);
         run_interleaving(&q, |s: &LockFreeMultiQueue<u64>| s.len(), &ops)?;
-    }
-
-    #[test]
-    fn spraylist_batch_interleavings(
-        threads in 1usize..8,
-        ops in proptest::collection::vec(op_strategy(), 0..40),
-    ) {
-        let q: SprayList<u64> = SprayList::new(threads);
-        run_interleaving(&q, |s: &SprayList<u64>| s.len(), &ops)?;
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   must equal the number of acquisitions exactly.
 //! * **FIFO fairness** — waiters gated into the queue one at a time (their
 //!   arrival observed through the lock's own diagnostics) must be served in
-//!   arrival order, for any waiter count: the defining property of ticket,
-//!   MCS, and CLH locks that `parking_lot`'s adaptive mutex does not give.
+//!   arrival order, for any waiter count: the defining property of ticket
+//!   and MCS locks that `parking_lot`'s adaptive mutex does not give.
 //! * **Panic safety** — a guard dropped during unwind after an arbitrary
 //!   number of writes releases the lock and leaves exactly those writes
 //!   visible to the next acquirer.
@@ -18,7 +18,7 @@
 //! shape coverage, not statistical volume.
 
 use proptest::prelude::*;
-use rsched_queues::lock::{ClhLock, Lock, McsLock, RawLock, RawTryLock, TicketLock};
+use rsched_queues::lock::{Lock, McsLock, RawLock, RawTryLock, TicketLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -125,14 +125,11 @@ proptest! {
     #[test]
     fn mutual_exclusion_all_locks(threads in 2usize..5, iters in 50usize..400) {
         torture::<McsLock>(threads, iters);
-        torture::<ClhLock>(threads, iters);
         torture::<TicketLock>(threads, iters);
     }
 
     #[test]
     fn mutual_exclusion_mixed_try_paths(threads in 2usize..5, iters in 50usize..400) {
-        // CLH is blocking-only (no sound try-acquire; DESIGN.md #9), so the
-        // mixed-path sweep covers the two RawTryLock implementations.
         try_torture::<McsLock>(threads, iters);
         try_torture::<TicketLock>(threads, iters);
     }
@@ -141,13 +138,11 @@ proptest! {
     fn fifo_fairness_any_waiter_count(waiters in 1usize..8) {
         fifo::<TicketLock, _>(waiters, |l| l.issued() as usize);
         fifo::<McsLock, _>(waiters, McsLock::tail_snapshot);
-        fifo::<ClhLock, _>(waiters, ClhLock::tail_snapshot);
     }
 
     #[test]
     fn guards_release_on_panic(prefix in 0u64..64) {
         panic_safety::<McsLock>(prefix);
-        panic_safety::<ClhLock>(prefix);
         panic_safety::<TicketLock>(prefix);
     }
 }

@@ -1,19 +1,16 @@
 //! Model-checked verification of the queue-lock protocols (run with
 //! `RUSTFLAGS="--cfg rsched_model" cargo test -p rsched-queues --test model_lock`).
 //!
-//! Three kinds of evidence, per ISSUE 8:
+//! Two kinds of evidence:
 //!
-//! * the real Ticket/MCS/CLH protocols pass mutual exclusion + ordered
+//! * the real ticket and MCS protocols pass mutual exclusion + ordered
 //!   handoff clean over thousands of explored interleavings;
 //! * the seeded `mcs-unlock-relaxed` mutation (Release→Relaxed on the MCS
 //!   handoff store) is *caught* — as a data race on the protected data,
-//!   the precise failure a weaker-than-Release publish causes;
-//! * the documented-unsound CLH `try_acquire` (DESIGN.md substitution #9's
-//!   "why CLH has no try") is demonstrated: the checker finds the ABA
-//!   interleaving that admits two holders.
+//!   the precise failure a weaker-than-Release publish causes.
 #![cfg(rsched_model)]
 
-use rsched_queues::lock::{ClhLock, McsLock, RawLock, TicketLock};
+use rsched_queues::lock::{McsLock, RawLock, TicketLock};
 use rsched_sync::atomic::{AtomicUsize, Ordering};
 use rsched_sync::model::{Model, RaceCell, Report, Sim};
 use std::sync::Arc;
@@ -50,11 +47,6 @@ fn ticket_lock_mutual_exclusion() {
 #[test]
 fn mcs_lock_mutual_exclusion() {
     check_mutual_exclusion::<McsLock>("mcs-mutex", 20_000);
-}
-
-#[test]
-fn clh_lock_mutual_exclusion() {
-    check_mutual_exclusion::<ClhLock>("clh-mutex", 30_000);
 }
 
 /// FIFO handoff: three ticket-lock waiters staged to enqueue in a fixed
@@ -130,66 +122,6 @@ fn mcs_unlock_relaxed_mutant_found() {
             }
         },
     );
-    let v = report.expect_violation();
-    assert!(v.message.contains("data race"), "expected a data race, got: {}", v.message);
-}
-
-/// The documented-unsound CLH `try_acquire`: between its tail-flag check
-/// and its tail CAS, the tail *address* can be recycled and re-enqueued
-/// locked (nodes rotate to the successor's pool), so the CAS succeeds
-/// against a stale check — two holders at once. Needs two preemptions:
-/// one to park the trier before its CAS, one to catch the re-acquirer
-/// inside its critical section.
-#[test]
-fn clh_unsound_try_acquire_aba_found() {
-    let report =
-        Model::new("clh-unsound-try").quiet().preemptions_at_least(2).check(|sim: &mut Sim| {
-            let lock = Arc::new(ClhLock::new());
-            let cell = Arc::new(RaceCell::new(0u64));
-            let t1_done = Arc::new(AtomicUsize::new(0));
-            {
-                // T1: one acquire/release, leaving its node as the tail.
-                let (lock, cell, t1_done) = (lock.clone(), cell.clone(), t1_done.clone());
-                sim.thread(move || {
-                    let guard = lock.lock();
-                    let v = cell.get();
-                    cell.set(v + 1);
-                    drop(guard);
-                    t1_done.store(1, Ordering::Release);
-                });
-            }
-            {
-                // T2: the unsound non-blocking attempt.
-                let (lock, cell, t1_done) = (lock.clone(), cell.clone(), t1_done.clone());
-                sim.thread(move || {
-                    while t1_done.load(Ordering::Acquire) == 0 {
-                        rsched_sync::spin_wait();
-                    }
-                    if let Some(token) = lock.try_acquire_unsound() {
-                        let v = cell.get();
-                        cell.set(v + 1);
-                        // SAFETY: `token` is a full (if ill-gotten) hold.
-                        unsafe { lock.release(token) };
-                    }
-                });
-            }
-            {
-                // T3: acquire/release twice — the second acquire recycles
-                // T1's node, re-creating the tail address T2 checked.
-                let (lock, cell, t1_done) = (lock.clone(), cell.clone(), t1_done.clone());
-                sim.thread(move || {
-                    while t1_done.load(Ordering::Acquire) == 0 {
-                        rsched_sync::spin_wait();
-                    }
-                    for _ in 0..2 {
-                        let guard = lock.lock();
-                        let v = cell.get();
-                        cell.set(v + 1);
-                        drop(guard);
-                    }
-                });
-            }
-        });
     let v = report.expect_violation();
     assert!(v.message.contains("data race"), "expected a data race, got: {}", v.message);
 }

@@ -9,7 +9,7 @@
 //! live element is eventually served.
 
 use proptest::prelude::*;
-use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue, SprayList};
+use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue};
 use rsched_queues::sharded::ShardedScheduler;
 use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
 use std::collections::HashSet;
@@ -143,18 +143,6 @@ proptest! {
         let q: ShardedScheduler<LockFreeMultiQueue<u64>> =
             ShardedScheduler::from_fn(shards, |_| LockFreeMultiQueue::new(queues));
         run_interleaving(&q, |s: &LockFreeMultiQueue<u64>| s.len(), &ops)?;
-    }
-
-    #[test]
-    fn sharded_spraylist_interleavings(
-        shard_sel in 0usize..SHARD_COUNTS.len(),
-        threads in 1usize..4,
-        ops in proptest::collection::vec(op_strategy(), 0..40),
-    ) {
-        let shards = SHARD_COUNTS[shard_sel];
-        let q: ShardedScheduler<SprayList<u64>> =
-            ShardedScheduler::from_fn(shards, |_| SprayList::new(threads));
-        run_interleaving(&q, |s: &SprayList<u64>| s.len(), &ops)?;
     }
 
     #[test]

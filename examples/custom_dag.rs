@@ -5,7 +5,7 @@
 //!
 //! Here: dependency-chain depth (the "iteration depth" the parallelism
 //! literature studies) computed over a random DAG, identical under an exact
-//! heap, a heavily relaxed scheduler, and a deterministic round-robin one.
+//! heap and a heavily relaxed scheduler.
 //!
 //! Run with: `cargo run --release --example custom_dag`
 
@@ -16,7 +16,7 @@ use rsched::core::framework::run_relaxed;
 use rsched::core::TaskId;
 use rsched::graph::{gen, Permutation};
 use rsched::queues::exact::BinaryHeapScheduler;
-use rsched::queues::relaxed::{RoundRobinTopK, SimMultiQueue};
+use rsched::queues::relaxed::SimMultiQueue;
 use rsched::queues::PriorityScheduler;
 
 fn chain_depths<S: PriorityScheduler<TaskId>>(
@@ -50,10 +50,6 @@ fn main() {
     let (relaxed, extra) = chain_depths(&g, &pi, SimMultiQueue::new(64, StdRng::seed_from_u64(1)));
     assert_eq!(relaxed, exact);
     println!("64-relaxed MultiQueue model: identical depths, {extra} extra iterations");
-
-    let (rr, extra) = chain_depths(&g, &pi, RoundRobinTopK::new(64));
-    assert_eq!(rr, exact);
-    println!("deterministic round-robin top-64: identical depths, {extra} extra iterations");
 
     println!("\nAny DAG + any Process(v) closure runs deterministically under relaxation.");
 }

@@ -121,43 +121,6 @@ impl Bencher {
     }
 }
 
-/// In-process record of every benchmark result, so `harness = false`
-/// mains can emit machine-readable reports after the groups run (the
-/// upstream crate writes its own JSON; this shim just hands the numbers
-/// back to the caller).
-pub mod results {
-    use std::sync::Mutex;
-
-    /// One benchmark's timing summary, in nanoseconds per iteration.
-    #[derive(Debug, Clone)]
-    pub struct Sample {
-        /// Full benchmark id (`group/function`).
-        pub id: String,
-        /// Fastest timed sample.
-        pub min_ns: f64,
-        /// Median timed sample.
-        pub median_ns: f64,
-        /// Mean over all timed samples.
-        pub mean_ns: f64,
-        /// Mean with the fastest and slowest ~10% of samples dropped —
-        /// robust to the rare scheduling stall the plain mean is not
-        /// (equals `mean_ns` when too few samples to trim).
-        pub trimmed_mean_ns: f64,
-    }
-
-    static RESULTS: Mutex<Vec<Sample>> = Mutex::new(Vec::new());
-
-    pub(crate) fn record(sample: Sample) {
-        RESULTS.lock().expect("results registry poisoned").push(sample);
-    }
-
-    /// Drains and returns every sample recorded since the last call, in
-    /// execution order.
-    pub fn take() -> Vec<Sample> {
-        std::mem::take(&mut *RESULTS.lock().expect("results registry poisoned"))
-    }
-}
-
 fn fast_mode() -> bool {
     std::env::var_os("RSCHED_BENCH_FAST").is_some_and(|v| v == "1")
 }
@@ -166,7 +129,7 @@ fn fast_mode() -> bool {
 /// the first warm-up itself *creates* one-time work — growing allocator
 /// arenas, faulting in freshly mapped pages, spawning lazy worker state —
 /// that then landed in the first timed sample and dragged the mean far off
-/// the median (BENCH_8 `lock_ops/handoff_mcs/4`: mean 2.24ms against a
+/// the median (`lock_ops/handoff_mcs/4` once read mean 2.24ms against a
 /// 231µs median). A second warm-up absorbs those knock-on costs.
 const WARMUP_RUNS: usize = 2;
 
@@ -200,13 +163,6 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(id: &str, sample_size: usize, mut f: F)
     println!(
         "{id:<50} min {min:>12.3?}  median {median:>12.3?}  mean {mean:>12.3?}  trimmed {trimmed:>12.3?}"
     );
-    results::record(results::Sample {
-        id: id.to_string(),
-        min_ns: min.as_secs_f64() * 1e9,
-        median_ns: median.as_secs_f64() * 1e9,
-        mean_ns: mean.as_secs_f64() * 1e9,
-        trimmed_mean_ns: trimmed.as_secs_f64() * 1e9,
-    });
 }
 
 /// Declares a group of benchmark functions, mirroring upstream's macro.
@@ -266,21 +222,6 @@ mod tests {
         let samples =
             vec![Duration::from_nanos(10), Duration::from_nanos(20), Duration::from_nanos(30)];
         assert_eq!(trimmed_mean(&samples), Duration::from_nanos(20));
-    }
-
-    #[test]
-    fn results_registry_records_and_drains() {
-        let mut c = Criterion::default();
-        {
-            let mut group = c.benchmark_group("reg");
-            group.sample_size(2);
-            group.bench_function("probe", |b| b.iter(|| black_box(1 + 1)));
-            group.finish();
-        }
-        let samples = results::take();
-        assert!(samples.iter().any(|s| s.id == "reg/probe"));
-        let again = results::take();
-        assert!(!again.iter().any(|s| s.id == "reg/probe"), "take() must drain");
     }
 
     #[test]

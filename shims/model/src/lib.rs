@@ -1,6 +1,6 @@
 //! # rsched-sync — synchronization façade + deterministic model checker
 //!
-//! Every hand-rolled protocol in this workspace (the MCS/CLH/ticket lock
+//! Every hand-rolled protocol in this workspace (the MCS/ticket lock
 //! toolkit, the epoch shim's pin/advance handshake, the service layer's
 //! `CapacityWaiters` backpressure wakeups) imports its atomics from this
 //! crate instead of `std::sync::atomic` — a rule enforced by the

@@ -747,14 +747,6 @@ impl Model {
         }
     }
 
-    /// Raise the preemption bound to at least `n` (the env override can
-    /// raise it further, never below: some expected-violation scenarios
-    /// need a minimum number of preemptions to manifest).
-    pub fn preemptions_at_least(mut self, n: usize) -> Model {
-        self.preemption_bound = self.preemption_bound.max(n);
-        self
-    }
-
     pub fn max_executions(mut self, n: u64) -> Model {
         self.max_executions = n;
         self

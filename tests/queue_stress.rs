@@ -2,7 +2,7 @@
 //! under churn from multiple producers and consumers, every inserted element
 //! is popped exactly once and nothing is lost.
 
-use rsched::queues::concurrent::{LockFreeMultiQueue, MultiQueue, SprayList};
+use rsched::queues::concurrent::{LockFreeMultiQueue, MultiQueue};
 use rsched::queues::ConcurrentScheduler;
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -69,12 +69,6 @@ fn lock_free_multiqueue_churn() {
 }
 
 #[test]
-fn spraylist_churn() {
-    let q: SprayList<u64> = SprayList::new(4);
-    churn(&q, 3, 3, 5_000);
-}
-
-#[test]
 fn multiqueue_respects_rough_priority_under_contention() {
     // After concurrent prefill, the first pops should come from the global
     // front region — the rank bound in action.
@@ -94,19 +88,4 @@ fn multiqueue_respects_rough_priority_under_contention() {
         let (p, _) = q.pop().unwrap();
         assert!(p < 10_000, "pop of rank ≈ {p} from a 100k-element MultiQueue with 8 queues");
     }
-}
-
-#[test]
-fn spraylist_heavy_single_consumer() {
-    // Pop-only load after a big prefill: exercises spray walks over a
-    // shrinking list, including the dead-prefix cleanup path.
-    let q: SprayList<u64> = SprayList::new(8);
-    for v in 0..50_000u64 {
-        q.insert(v, v);
-    }
-    let mut seen = HashSet::new();
-    while let Some((_, v)) = q.pop() {
-        assert!(seen.insert(v));
-    }
-    assert_eq!(seen.len(), 50_000);
 }

@@ -5,23 +5,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched::core::algorithms::sssp::{concurrent_sssp, dijkstra, relaxed_sssp, UNREACHABLE};
 use rsched::graph::{gen, WeightedCsr};
-use rsched::queues::concurrent::{LockFreeMultiQueue, MultiQueue, SprayList};
-use rsched::queues::exact::PairingHeap;
+use rsched::queues::concurrent::{LockFreeMultiQueue, MultiQueue};
 use rsched::queues::relaxed::SimMultiQueue;
 
 fn weighted(n: usize, m: usize, seed: u64) -> WeightedCsr {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::gnm(n, m, &mut rng);
     WeightedCsr::with_uniform_weights(&g, 1, 1000, &mut rng)
-}
-
-#[test]
-fn pairing_heap_matches_binary_heap_dijkstra() {
-    let g = weighted(500, 3000, 1);
-    let expected = dijkstra(&g, 0);
-    let (dist, stats) = relaxed_sssp(&g, 0, PairingHeap::new());
-    assert_eq!(dist, expected);
-    assert_eq!(stats.pops, 1 + stats.relaxations);
 }
 
 #[test]
@@ -44,8 +34,6 @@ fn concurrent_schedulers_converge() {
     }
     let lf: LockFreeMultiQueue<u32> = LockFreeMultiQueue::new(8);
     assert_eq!(concurrent_sssp(&g, 0, &lf, 2), expected);
-    let spray: SprayList<u32> = SprayList::new(2);
-    assert_eq!(concurrent_sssp(&g, 0, &spray, 2), expected);
 }
 
 #[test]
