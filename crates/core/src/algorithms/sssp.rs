@@ -7,15 +7,23 @@
 //! label-correcting formulation stays correct under any pop order — relaxed
 //! scheduling costs only re-expansions (stale pops), never correctness.
 //!
+//! The sequential references ([`dijkstra`], [`relaxed_sssp`]) carry their
+//! own loop; the concurrent kernel is [`SsspHandler`], one CAS-min
+//! relaxation that [`concurrent_sssp`] drains on the worker engine and
+//! [`crate::service`] re-exports for streamed requests.
+//!
 //! Priorities pack `(distance << vertex_bits) | vertex` so keys stay unique;
 //! use heap- or MultiQueue-style schedulers here (the dense-priority model
 //! schedulers in `rsched_queues::relaxed` are not suitable — their slab is
 //! indexed by priority).
 
-use crossbeam::utils::Backoff;
+use crate::framework::TaskOutcome;
+use crate::service::{run_sealed, RequestHandler, SubmitCtx};
+use crate::TaskId;
 use rsched_graph::WeightedCsr;
 use rsched_queues::{ConcurrentScheduler, PriorityScheduler};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Distance value for unreachable vertices.
 pub const UNREACHABLE: u64 = u64::MAX;
@@ -32,11 +40,11 @@ pub struct SsspStats {
     pub relaxations: u64,
 }
 
-pub(crate) fn vertex_bits(n: usize) -> u32 {
+fn vertex_bits(n: usize) -> u32 {
     usize::BITS - n.next_power_of_two().leading_zeros()
 }
 
-pub(crate) fn pack(dist: u64, v: u32, vbits: u32) -> u64 {
+fn pack(dist: u64, v: u32, vbits: u32) -> u64 {
     debug_assert!(dist < (1u64 << (63 - vbits)), "distance overflows priority packing");
     (dist << vbits) | v as u64
 }
@@ -104,12 +112,104 @@ where
     (dist, stats)
 }
 
-/// Concurrent label-correcting SSSP over a shared relaxed scheduler.
+/// The concurrent SSSP kernel, as a [`RequestHandler`]: a request is a
+/// packed `(tentative distance, vertex)` relaxation, and improving
+/// relaxations submit the next wavefront as follow-ups.
 ///
-/// Distances are CAS-min updated; termination is by an in-flight counter
-/// (queued entries plus entries being expanded), as scheduler emptiness can
-/// be transient. The result equals [`dijkstra`]'s for any scheduler and any
-/// interleaving.
+/// Seed one or more [`SsspHandler::request`]s (typically the source at
+/// distance 0); the handler floods the rest of the graph through
+/// [`SubmitCtx::submit`]. Distances converge to exact shortest paths under
+/// any pop order and any interleaving. [`concurrent_sssp`] runs one sealed
+/// request; under [`run_service`](crate::service::run_service) producers
+/// push the requests and may keep doing so while the flood is in progress.
+pub struct SsspHandler<'g> {
+    g: &'g WeightedCsr,
+    dist: Vec<AtomicU64>,
+    vbits: u32,
+}
+
+impl fmt::Debug for SsspHandler<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SsspHandler").field("vertices", &self.dist.len()).finish_non_exhaustive()
+    }
+}
+
+impl<'g> SsspHandler<'g> {
+    /// A handler over `g` with all distances unreachable.
+    pub fn new(g: &'g WeightedCsr) -> Self {
+        let n = g.num_vertices();
+        SsspHandler {
+            g,
+            dist: (0..n).map(|_| AtomicU64::new(UNREACHABLE)).collect(),
+            vbits: vertex_bits(n),
+        }
+    }
+
+    /// The `(priority, task)` pair that requests "relax vertex `v` at
+    /// tentative distance `dist`" — e.g. `request(0, source)` to seed a
+    /// flood.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn request(&self, dist: u64, v: u32) -> (u64, TaskId) {
+        assert!((v as usize) < self.dist.len(), "vertex out of range");
+        (pack(dist, v, self.vbits), v)
+    }
+
+    /// The final distances (exact once the run has drained).
+    pub fn into_dist(self) -> Vec<u64> {
+        self.dist.into_iter().map(|d| d.into_inner()).collect()
+    }
+
+    /// CAS-min `dist[v]` down to `d`; true if `d` improved it.
+    fn relax(&self, v: u32, d: u64) -> bool {
+        let mut cur = self.dist[v as usize].load(Ordering::Acquire);
+        while d < cur {
+            match self.dist[v as usize].compare_exchange_weak(
+                cur,
+                d,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return true,
+                Err(actual) => cur = actual,
+            }
+        }
+        false
+    }
+}
+
+impl RequestHandler for SsspHandler<'_> {
+    fn handle(&self, priority: u64, v: TaskId, ctx: &SubmitCtx<'_>) -> TaskOutcome {
+        let d = priority >> self.vbits;
+        self.relax(v, d);
+        if d > self.dist[v as usize].load(Ordering::Acquire) {
+            // A better relaxation of `v` already ran (or is running); this
+            // request is superseded — the stale pop of the paper's cost
+            // model.
+            return TaskOutcome::Obsolete;
+        }
+        for (u, w) in self.g.neighbors_weighted(v) {
+            let nd = d + w as u64;
+            if self.relax(u, nd) {
+                ctx.submit(pack(nd, u, self.vbits), u);
+            }
+        }
+        TaskOutcome::Processed
+    }
+}
+
+/// Concurrent label-correcting SSSP over a shared relaxed scheduler: one
+/// sealed [`SsspHandler`] request — relax `source` at distance 0 — drained
+/// by `threads` workers of the engine that runs every other relaxed
+/// executor.
+///
+/// Termination is the service's exactly-once ledger, not scheduler
+/// emptiness (which can be transient): every relaxation that improved a
+/// distance is accepted before the task that found it is decided, so
+/// `decided == accepted` means nothing is queued or in a worker's hands.
+/// The result equals [`dijkstra`]'s for any scheduler and any interleaving.
 ///
 /// # Panics
 ///
@@ -118,61 +218,9 @@ pub fn concurrent_sssp<S>(g: &WeightedCsr, source: u32, sched: &S, threads: usiz
 where
     S: ConcurrentScheduler<u32>,
 {
-    let n = g.num_vertices();
-    assert!(threads >= 1, "need at least one worker");
-    assert!((source as usize) < n, "source vertex out of range");
-    let vbits = vertex_bits(n);
-    let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(UNREACHABLE)).collect();
-    dist[source as usize].store(0, Ordering::Release);
-    // Queued + in-flight entries; workers may exit only when it hits zero.
-    let pending = AtomicI64::new(1);
-    sched.insert(pack(0, source, vbits), source);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let dist = &dist;
-            let pending = &pending;
-            s.spawn(move || {
-                let backoff = Backoff::new();
-                loop {
-                    match sched.pop() {
-                        Some((priority, v)) => {
-                            backoff.reset();
-                            let d = priority >> vbits;
-                            if d <= dist[v as usize].load(Ordering::Acquire) {
-                                for (u, w) in g.neighbors_weighted(v) {
-                                    let nd = d + w as u64;
-                                    let mut cur = dist[u as usize].load(Ordering::Acquire);
-                                    while nd < cur {
-                                        match dist[u as usize].compare_exchange_weak(
-                                            cur,
-                                            nd,
-                                            Ordering::AcqRel,
-                                            Ordering::Acquire,
-                                        ) {
-                                            Ok(_) => {
-                                                pending.fetch_add(1, Ordering::AcqRel);
-                                                sched.insert(pack(nd, u, vbits), u);
-                                                break;
-                                            }
-                                            Err(actual) => cur = actual,
-                                        }
-                                    }
-                                }
-                            }
-                            pending.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        None => {
-                            if pending.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            backoff.snooze();
-                        }
-                    }
-                }
-            });
-        }
-    });
-    dist.into_iter().map(|d| d.into_inner()).collect()
+    let handler = SsspHandler::new(g);
+    run_sealed(&handler, sched, &[handler.request(0, source)], threads);
+    handler.into_dist()
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use crate::TaskId;
 use crossbeam::utils::Backoff;
 use rsched_graph::Permutation;
 use rsched_queues::ConcurrentScheduler;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Chunk size used by [`fill_scheduler`]'s bulk load: large enough to
@@ -27,15 +27,21 @@ use std::time::Instant;
 /// stays cache-resident.
 const FILL_CHUNK: usize = 1024;
 
-/// Bulk-loads the tasks `lo..hi` into `sched` with their permutation labels
-/// as priorities, in [`FILL_CHUNK`]-sized `insert_batch` calls.
-fn fill_range<S>(sched: &S, pi: &Permutation, lo: u32, hi: u32)
+/// Loads every task into `sched` with its permutation label as priority,
+/// bulk-loading through [`ConcurrentScheduler::insert_batch`] in chunks of
+/// [`FILL_CHUNK`].
+///
+/// Schedulers with a bulk-load constructor (e.g.
+/// `LockFreeMultiQueue::prefilled`) can be filled at construction instead;
+/// [`run_concurrent`] only requires that all `n` tasks are in the scheduler
+/// when it starts.
+pub fn fill_scheduler<S>(sched: &S, pi: &Permutation)
 where
     S: ConcurrentScheduler<TaskId>,
 {
-    let span = (hi - lo) as usize;
-    let mut buf: Vec<(u64, TaskId)> = Vec::with_capacity(FILL_CHUNK.min(span));
-    for v in lo..hi {
+    let n = pi.len() as u32;
+    let mut buf: Vec<(u64, TaskId)> = Vec::with_capacity(FILL_CHUNK.min(n as usize));
+    for v in 0..n {
         buf.push((pi.label(v) as u64, v));
         if buf.len() == FILL_CHUNK {
             sched.insert_batch(&buf);
@@ -47,69 +53,44 @@ where
     }
 }
 
-/// Loads every task into `sched` with its permutation label as priority,
-/// bulk-loading through [`ConcurrentScheduler::insert_batch`] in chunks of
-/// [`FILL_CHUNK`].
-///
-/// Schedulers with a bulk-load constructor (e.g.
-/// `LockFreeMultiQueue::prefilled`) can be filled at construction instead;
-/// [`run_concurrent`] only requires that all `n` tasks are in the scheduler
-/// when it starts. For large task sets, [`fill_scheduler_parallel`] splits
-/// the load across threads.
-pub fn fill_scheduler<S>(sched: &S, pi: &Permutation)
-where
-    S: ConcurrentScheduler<TaskId>,
-{
-    fill_range(sched, pi, 0, pi.len() as u32);
+/// Engine counters: each worker counts into its own copy and returns it
+/// from its join handle; [`run_engine`] sums them. The shared core of
+/// [`ConcurrentStats`] and the service's stats.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct EngineTotals {
+    pub pops: u64,
+    pub processed: u64,
+    pub wasted: u64,
+    pub obsolete: u64,
+    pub purged: u64,
+    pub empty: u64,
 }
 
-/// [`fill_scheduler`] split across `threads` worker threads, each
-/// bulk-loading a contiguous range of the task space.
-///
-/// At paper-scale instance sizes the single-threaded bulk load dominates
-/// setup time; splitting it parallelizes both the batch staging and the
-/// scheduler-side work. Sharded schedulers benefit twice: their
-/// `insert_batch` groups each chunk by shard internally (one inner bulk call
-/// per shard touched), so concurrent fill threads mostly touch disjoint
-/// shards. With `threads == 1` this is exactly [`fill_scheduler`], same
-/// insert order and chunking, no threads spawned.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn fill_scheduler_parallel<S>(sched: &S, pi: &Permutation, threads: usize)
-where
-    S: ConcurrentScheduler<TaskId>,
-{
-    assert!(threads >= 1, "need at least one fill thread");
-    let n = pi.len() as u32;
-    if threads == 1 || n == 0 {
-        return fill_range(sched, pi, 0, n);
+impl std::ops::AddAssign for EngineTotals {
+    fn add_assign(&mut self, c: Self) {
+        self.pops += c.pops;
+        self.processed += c.processed;
+        self.wasted += c.wasted;
+        self.obsolete += c.obsolete;
+        self.purged += c.purged;
+        self.empty += c.empty;
     }
-    // Range math in u64: `lo + per` can exceed u32 when `n` is within
-    // `threads` of u32::MAX, and wrapping would silently drop the tail.
-    let per = n.div_ceil(threads as u32) as u64;
-    std::thread::scope(|scope| {
-        for t in 0..threads as u64 {
-            let lo = (t * per).min(n as u64) as u32;
-            let hi = ((t + 1) * per).min(n as u64) as u32;
-            if lo >= hi {
-                break;
-            }
-            scope.spawn(move || fill_range(sched, pi, lo, hi));
-        }
-    });
 }
 
-/// Per-worker counters, flushed to the shared atomics once at worker exit.
-#[derive(Default)]
-struct WorkerCounters {
-    pops: u64,
-    processed: u64,
-    wasted: u64,
-    obsolete: u64,
-    purged: u64,
-    empty: u64,
+/// Set when a worker unwinds out of [`worker_loop`]. A task whose
+/// `dispatch` panicked is never decided, so no driver's
+/// [`EngineDriver::keep_running`] would turn false again: the surviving
+/// workers read this flag beside it and leave, and [`run_engine`] re-raises
+/// the panic once all of them have joined. `Relaxed` both ways — the flag
+/// publishes nothing but itself.
+struct PoisonOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// What a worker does between pops: the *workload half* of the engine.
@@ -118,9 +99,9 @@ struct WorkerCounters {
 /// counters, and affinity drift; the driver supplies termination and the
 /// per-task processing step. Two drivers exist: [`PrefillDriver`] (the
 /// classic run-to-empty executors — terminate when the algorithm's
-/// remaining-task counter hits zero) and the streaming service's driver in
-/// `crate::service` (terminate when producers are sealed and the completion
-/// ledger balances).
+/// remaining-task counter hits zero) and the service's driver in
+/// `crate::service` (terminate when the request set is sealed and the
+/// completion ledger balances — streaming runs and sealed ones alike).
 pub(crate) trait EngineDriver: Sync {
     /// Whether workers should keep popping. Checked before every run; must
     /// eventually become `false` and, once `false`, stay `false` (workers
@@ -150,8 +131,7 @@ pub(crate) trait EngineDriver: Sync {
 }
 
 /// The run-to-empty driver: dispatch is the algorithm's `try_process`,
-/// termination its remaining-task counter — exactly the pre-refactor
-/// executor semantics, op for op.
+/// termination its remaining-task counter.
 pub(crate) struct PrefillDriver<'a, A>(pub &'a A);
 
 impl<A: ConcurrentAlgorithm> EngineDriver for PrefillDriver<'_, A> {
@@ -179,12 +159,19 @@ impl<A: ConcurrentAlgorithm> EngineDriver for PrefillDriver<'_, A> {
 /// [`EngineDriver::keep_running`], never scheduler emptiness — dead MIS
 /// vertices may still sit in the queue when a prefill run completes, and a
 /// streaming scheduler is *expected* to sit empty between arrivals.
-fn worker_loop<D, S>(driver: &D, sched: &S, worker: usize, batch_size: usize) -> WorkerCounters
+fn worker_loop<D, S>(
+    driver: &D,
+    sched: &S,
+    worker: usize,
+    batch_size: usize,
+    poisoned: &AtomicBool,
+) -> EngineTotals
 where
     D: EngineDriver,
     S: ConcurrentScheduler<TaskId>,
 {
-    let mut c = WorkerCounters::default();
+    let _poison = PoisonOnUnwind(poisoned);
+    let mut c = EngineTotals::default();
     let backoff = Backoff::new();
     let mut run: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
     let mut blocked: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
@@ -200,7 +187,7 @@ where
     // instead of churning failed deletes in place; for monolithic
     // schedulers the hint is ignored and the drift is free.
     let mut hint = worker;
-    while driver.keep_running() {
+    while !poisoned.load(Ordering::Relaxed) && driver.keep_running() {
         run.clear();
         let (got, purged) =
             sched.pop_purging_for(hint, &mut run, batch_size, |_, &task| driver.is_obsolete(task));
@@ -256,27 +243,19 @@ where
     c
 }
 
-/// Aggregated engine counters across all workers of one run; the shared
-/// core of [`ConcurrentStats`] and the service's stats.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct EngineTotals {
-    pub pops: u64,
-    pub processed: u64,
-    pub wasted: u64,
-    pub obsolete: u64,
-    pub purged: u64,
-    pub empty: u64,
-}
-
 /// Spawns `threads` workers over `sched`, each running [`worker_loop`] at
 /// `batch_size`, and blocks until every worker's
-/// [`EngineDriver::keep_running`] goes false. This is
-/// the one engine behind both entry points: [`run_concurrent_batched`]
-/// (prefill) and `crate::service::run_service` (streaming).
+/// [`EngineDriver::keep_running`] goes false. This is the one engine behind
+/// every relaxed entry point: [`run_concurrent_batched`] (prefill),
+/// `crate::service::run_service` (streaming) and
+/// `crate::service::run_sealed` (a closed request set that spawns its own
+/// follow-ups — [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp)).
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0` or `batch_size == 0`.
+/// Panics if `threads == 0` or `batch_size == 0`, and re-raises a worker's
+/// panic (a panicking `dispatch`) after every other worker has left its
+/// loop.
 pub(crate) fn run_engine<D, S>(
     driver: &D,
     sched: &S,
@@ -289,36 +268,20 @@ where
 {
     assert!(threads >= 1, "need at least one worker");
     assert!(batch_size >= 1, "need a positive batch size");
-    let pops = AtomicU64::new(0);
-    let processed = AtomicU64::new(0);
-    let wasted = AtomicU64::new(0);
-    let obsolete = AtomicU64::new(0);
-    let purged = AtomicU64::new(0);
-    let empty = AtomicU64::new(0);
+    let poisoned = &AtomicBool::new(false);
     std::thread::scope(|s| {
-        for worker in 0..threads {
-            let (pops, processed, wasted, obsolete, purged, empty) =
-                (&pops, &processed, &wasted, &obsolete, &purged, &empty);
-            s.spawn(move || {
-                let c = worker_loop(driver, sched, worker, batch_size);
-                // Thread-local counters; one atomic flush at exit.
-                pops.fetch_add(c.pops, Ordering::Relaxed);
-                processed.fetch_add(c.processed, Ordering::Relaxed);
-                wasted.fetch_add(c.wasted, Ordering::Relaxed);
-                obsolete.fetch_add(c.obsolete, Ordering::Relaxed);
-                purged.fetch_add(c.purged, Ordering::Relaxed);
-                empty.fetch_add(c.empty, Ordering::Relaxed);
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|w| s.spawn(move || worker_loop(driver, sched, w, batch_size, poisoned)))
+            .collect();
+        let mut totals = EngineTotals::default();
+        for worker in workers {
+            match worker.join() {
+                Ok(c) => totals += c,
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
-    });
-    EngineTotals {
-        pops: pops.into_inner(),
-        processed: processed.into_inner(),
-        wasted: wasted.into_inner(),
-        obsolete: obsolete.into_inner(),
-        purged: purged.into_inner(),
-        empty: empty.into_inner(),
-    }
+        totals
+    })
 }
 
 /// Runs `alg` to completion on `threads` workers sharing `sched`.
@@ -405,6 +368,7 @@ mod tests {
     use rsched_queues::sharded::ShardedScheduler;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
 
     /// One logged scheduler call: the priority a `pop` returned, or the
@@ -589,42 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_loads_every_task_exactly_once() {
-        use rand::{rngs::StdRng, SeedableRng};
-        use rsched_queues::concurrent::MultiQueue;
-        let pi = Permutation::random(5_000, &mut StdRng::seed_from_u64(5));
-        for threads in [1usize, 2, 4, 7] {
-            let sched: MultiQueue<TaskId> = MultiQueue::new(4);
-            fill_scheduler_parallel(&sched, &pi, threads);
-            assert_eq!(sched.len(), 5_000, "threads={threads}");
-            let mut seen = vec![false; 5_000];
-            while let Some((p, v)) = sched.pop() {
-                assert_eq!(p, pi.label(v) as u64, "priority must be the label");
-                assert!(!std::mem::replace(&mut seen[v as usize], true), "task {v} twice");
-            }
-            assert!(seen.iter().all(|&s| s), "threads={threads}: tasks missing");
-        }
-    }
-
-    #[test]
-    fn parallel_fill_into_sharded_scheduler_routes_correctly() {
-        use rand::{rngs::StdRng, SeedableRng};
-        use rsched_queues::concurrent::MultiQueue;
-        let pi = Permutation::random(4_000, &mut StdRng::seed_from_u64(6));
-        let sched: ShardedScheduler<MultiQueue<TaskId>> =
-            ShardedScheduler::from_fn(4, |_| MultiQueue::new(2));
-        fill_scheduler_parallel(&sched, &pi, 4);
-        let mut count = 0usize;
-        for (shard, inner) in sched.shards().iter().enumerate() {
-            while let Some((_, v)) = inner.pop() {
-                assert_eq!(sched.shard_for(&v), shard, "task {v} filled into wrong shard");
-                count += 1;
-            }
-        }
-        assert_eq!(count, 4_000);
-    }
-
-    #[test]
     fn engine_runs_chain_on_sharded_scheduler_all_batch_sizes() {
         use rand::{rngs::StdRng, SeedableRng};
         use rsched_queues::concurrent::MultiQueue;
@@ -634,7 +562,7 @@ mod tests {
                 for threads in [1usize, 4] {
                     let sched: ShardedScheduler<MultiQueue<TaskId>> =
                         ShardedScheduler::from_fn(shards, |_| MultiQueue::new(2));
-                    fill_scheduler_parallel(&sched, &pi, threads);
+                    fill_scheduler(&sched, &pi);
                     let alg = Chain::new(&pi);
                     let stats = run_concurrent_batched(&alg, &pi, &sched, threads, batch);
                     assert_eq!(alg.remaining(), 0, "s={shards} b={batch} t={threads}");

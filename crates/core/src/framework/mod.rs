@@ -11,9 +11,7 @@ pub(crate) mod concurrent;
 mod exact_concurrent;
 mod sequential;
 
-pub use concurrent::{
-    fill_scheduler, fill_scheduler_parallel, run_concurrent, run_concurrent_batched,
-};
+pub use concurrent::{fill_scheduler, run_concurrent, run_concurrent_batched};
 pub use exact_concurrent::run_exact_concurrent;
 pub use sequential::{run_exact, run_relaxed, run_relaxed_batched};
 

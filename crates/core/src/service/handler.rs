@@ -6,16 +6,14 @@
 //! [`SubmitCtx`] — the capability a prefilled run never needed (its task set
 //! is closed) but a live service is built around. Any
 //! `ConcurrentAlgorithm` lifts to a handler via [`AlgorithmHandler`];
-//! [`SsspHandler`] is a natively streaming workload whose follow-ups are the
-//! label-correcting relaxation wavefront.
+//! [`SsspHandler`](crate::algorithms::sssp::SsspHandler) is a natively
+//! streaming workload whose follow-ups are the label-correcting relaxation
+//! wavefront.
 
 use super::ingest::Ledger;
-use crate::algorithms::sssp::UNREACHABLE;
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
-use rsched_graph::WeightedCsr;
 use rsched_queues::ConcurrentScheduler;
-use rsched_sync::atomic::{AtomicU64, Ordering};
 use std::fmt;
 
 /// Capability to submit follow-up tasks from inside a handler.
@@ -88,93 +86,3 @@ impl<A: ConcurrentAlgorithm> RequestHandler for AlgorithmHandler<'_, A> {
 /// tasks-arrive-over-time workload of the incremental-algorithms line.)
 pub type ConnectivityHandler<'a, 'e> =
     AlgorithmHandler<'a, crate::algorithms::incremental::connectivity::ConcurrentConnectivity<'e>>;
-
-/// Natively streaming single-source shortest paths: a request is a packed
-/// `(tentative distance, vertex)` relaxation, and improving relaxations
-/// submit the next wavefront as follow-ups.
-///
-/// Producers seed one or more [`SsspHandler::request`]s (typically the
-/// source at distance 0); the handler floods the rest of the graph through
-/// [`SubmitCtx::submit`]. Distances converge to exact shortest paths under
-/// any pop order and any interleaving, exactly as
-/// [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp) — the
-/// difference is that termination is the service ledger instead of a
-/// dedicated in-flight counter, and requests may keep arriving while the
-/// flood is in progress.
-pub struct SsspHandler<'g> {
-    g: &'g WeightedCsr,
-    dist: Vec<AtomicU64>,
-    vbits: u32,
-}
-
-impl fmt::Debug for SsspHandler<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SsspHandler").field("vertices", &self.dist.len()).finish_non_exhaustive()
-    }
-}
-
-impl<'g> SsspHandler<'g> {
-    /// A handler over `g` with all distances unreachable.
-    pub fn new(g: &'g WeightedCsr) -> Self {
-        let n = g.num_vertices();
-        SsspHandler {
-            g,
-            dist: (0..n).map(|_| AtomicU64::new(UNREACHABLE)).collect(),
-            vbits: crate::algorithms::sssp::vertex_bits(n),
-        }
-    }
-
-    /// The `(priority, task)` pair a producer pushes to request "relax
-    /// vertex `v` at tentative distance `dist`" — e.g. `request(0, source)`
-    /// to seed a flood.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn request(&self, dist: u64, v: u32) -> (u64, TaskId) {
-        assert!((v as usize) < self.dist.len(), "vertex out of range");
-        (crate::algorithms::sssp::pack(dist, v, self.vbits), v)
-    }
-
-    /// The final distances (exact once the service has drained).
-    pub fn into_dist(self) -> Vec<u64> {
-        self.dist.into_iter().map(|d| d.into_inner()).collect()
-    }
-
-    /// CAS-min `dist[v]` down to `d`; true if `d` improved it.
-    fn relax(&self, v: u32, d: u64) -> bool {
-        let mut cur = self.dist[v as usize].load(Ordering::Acquire);
-        while d < cur {
-            match self.dist[v as usize].compare_exchange_weak(
-                cur,
-                d,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-        false
-    }
-}
-
-impl RequestHandler for SsspHandler<'_> {
-    fn handle(&self, priority: u64, v: TaskId, ctx: &SubmitCtx<'_>) -> TaskOutcome {
-        let d = priority >> self.vbits;
-        self.relax(v, d);
-        if d > self.dist[v as usize].load(Ordering::Acquire) {
-            // A better relaxation of `v` already ran (or is running); this
-            // request is superseded — the stale pop of the paper's cost
-            // model.
-            return TaskOutcome::Obsolete;
-        }
-        for (u, w) in self.g.neighbors_weighted(v) {
-            let nd = d + w as u64;
-            if self.relax(u, nd) {
-                ctx.submit(crate::algorithms::sssp::pack(nd, u, self.vbits), u);
-            }
-        }
-        TaskOutcome::Processed
-    }
-}

@@ -16,10 +16,11 @@
 //! * **Producers** ([`Producer`]) are plain closures on their own threads;
 //!   [`Producer::push`] blocks when the assigned queue is full — the
 //!   backpressure boundary.
-//! * **Pumps** are hand-rolled futures (one per queue). By default one
-//!   thread drives them all through the vendored `futures` shim's
-//!   `block_on(join_all(..))`; setting [`ServiceConfig::pump_threads`]
-//!   above 1 spreads them over the shim's `ThreadPool` instead, so one
+//! * **Pumps** are hand-rolled futures (one per queue), driven by
+//!   `min(pump_threads, ingest_queues)` threads
+//!   ([`ServiceConfig::pump_threads`]): thread `t` runs the vendored
+//!   `futures` shim's `block_on(join_all(..))` over the pumps of queues
+//!   `t`, `t + P`, … — a static assignment, so with one thread per queue a
 //!   busy queue cannot delay another's flush. A pump
 //!   drains its queue FIFO in batches into
 //!   [`ConcurrentScheduler::insert_batch`], but first awaits shard
@@ -31,11 +32,14 @@
 //!   instead of ballooning the scheduler.
 //! * **Workers** run the exact engine of
 //!   [`run_concurrent_batched`](crate::framework::run_concurrent_batched) —
-//!   same pop/flush strategies, same counters, same affinity drift — with a
+//!   same pop and flush path, same counters, same affinity drift — with a
 //!   streaming driver: tasks are dispatched to a [`RequestHandler`], and
 //!   termination is the ledger condition below. The prefill executors are
 //!   the degenerate configuration of this engine (every task present at
-//!   t = 0, producers sealed before the first pop).
+//!   t = 0, producers sealed before the first pop), and
+//!   [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp) is this
+//!   driver on a request set sealed before the first pop: no queue, no
+//!   pump, no producer thread.
 //!
 //! # Graceful drain and exactly-once completion
 //!
@@ -62,10 +66,11 @@
 mod handler;
 mod ingest;
 
-pub use handler::{AlgorithmHandler, ConnectivityHandler, RequestHandler, SsspHandler, SubmitCtx};
+pub use crate::algorithms::sssp::SsspHandler;
+pub use handler::{AlgorithmHandler, ConnectivityHandler, RequestHandler, SubmitCtx};
 pub use ingest::PushError;
 
-use crate::framework::concurrent::{run_engine, EngineDriver, EngineTotals};
+use crate::framework::concurrent::{run_engine, EngineDriver};
 use crate::framework::TaskOutcome;
 use crate::TaskId;
 use ingest::{IngestQueue, Ledger, TakeStatus};
@@ -95,11 +100,12 @@ pub struct ServiceConfig {
     /// Pumps stall while any shard holds at least this many tasks;
     /// `usize::MAX` (the default) disables the watermark.
     pub shard_watermark: usize,
-    /// Threads driving the ingestion pumps. The default (1) runs every
-    /// queue's pump on one `block_on(join_all(..))` loop — any pump wake
-    /// re-polls all of them. Larger values spread the pumps over a
-    /// [`futures::executor::ThreadPool`] of this size, so a stalled or
-    /// busy queue no longer delays its siblings' flushes.
+    /// Threads driving the ingestion pumps, capped at `ingest_queues`:
+    /// thread `t` of `P` drives the pumps of queues `t`, `t + P`, … on one
+    /// `block_on(join_all(..))` loop, where any pump wake re-polls that
+    /// thread's pumps. The default (1) runs every pump on one thread; one
+    /// thread per queue keeps a stalled or busy queue from delaying its
+    /// siblings' flushes.
     pub pump_threads: usize,
 }
 
@@ -286,11 +292,14 @@ struct ServiceCore {
 
 /// The streaming [`EngineDriver`]: dispatch goes to the request handler
 /// (with a submit capability), termination is the ledger condition, and
-/// runs that retire occupancy wake watermark-parked pumps.
+/// runs that retire occupancy wake watermark-parked pumps — `capacity` is
+/// `None` on a sealed run, which has no pump to wake and so skips
+/// `wake_all`'s fence.
 struct ServiceDriver<'a, H, S> {
     handler: &'a H,
     sched: &'a S,
-    core: &'a ServiceCore,
+    ledger: &'a Ledger,
+    capacity: Option<&'a CapacityWaiters>,
 }
 
 impl<H, S> EngineDriver for ServiceDriver<'_, H, S>
@@ -299,26 +308,58 @@ where
     S: ConcurrentScheduler<TaskId>,
 {
     fn keep_running(&self) -> bool {
-        !self.core.ledger.drained()
+        !self.ledger.drained()
     }
 
     fn dispatch(&self, priority: u64, task: TaskId) -> TaskOutcome {
-        let ctx = SubmitCtx { ledger: &self.core.ledger, sched: self.sched };
+        let ctx = SubmitCtx { ledger: self.ledger, sched: self.sched };
         let outcome = self.handler.handle(priority, task, &ctx);
         if outcome != TaskOutcome::Blocked {
             // Decide strictly after any follow-up submits inside `handle`
             // were accepted: `decided == accepted` can then never be
             // observed with work still in flight.
-            self.core.ledger.decide();
+            self.ledger.decide();
         }
         outcome
     }
 
     fn after_run(&self, net_drained: usize) {
-        if net_drained > 0 {
-            self.core.capacity.wake_all();
+        match self.capacity {
+            Some(capacity) if net_drained > 0 => capacity.wake_all(),
+            _ => {}
         }
     }
+}
+
+/// Drains a closed request set on the worker engine: `requests` are
+/// accepted and inserted, the ledger is sealed, and `workers` engine
+/// workers run the [`run_service`] driver until every request and every
+/// follow-up it submitted is decided. The streaming pipeline with nothing
+/// upstream of the scheduler — what a task-spawning algorithm with a known
+/// seed set (e.g. [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp))
+/// runs on.
+///
+/// # Panics
+///
+/// Panics if `workers == 0`, or if `handler` panics.
+pub(crate) fn run_sealed<H, S>(handler: &H, sched: &S, requests: &[(u64, TaskId)], workers: usize)
+where
+    H: RequestHandler,
+    S: ConcurrentScheduler<TaskId>,
+{
+    let ledger = Ledger::new();
+    for _ in requests {
+        ledger.accept();
+    }
+    sched.insert_batch(requests);
+    ledger.seal();
+    let driver = ServiceDriver { handler, sched, ledger: &ledger, capacity: None };
+    let totals = run_engine(&driver, sched, workers, 1);
+    debug_assert!(
+        ledger.decided() == ledger.accepted()
+            && totals.processed + totals.obsolete == ledger.decided(),
+        "sealed run ledger out of balance: {totals:?}"
+    );
 }
 
 /// One queue's pump: awaits shard capacity, drains a FIFO batch, bulk-loads
@@ -353,9 +394,9 @@ where
 }
 
 /// Runs a streaming service to drain: spawns one thread per producer
-/// closure, the pump driver (one `block_on` thread, or a
-/// [`ServiceConfig::pump_threads`]-sized pool), and `config.workers`
-/// engine workers; returns when the
+/// closure, `min(pump_threads, ingest_queues)` pump threads (queue `q`'s
+/// pump runs on thread `q % P`, see [`ServiceConfig::pump_threads`]), and
+/// `config.workers` engine workers; returns when the
 /// last producer is done, ingestion is flushed, the scheduler is drained,
 /// and every thread has joined. See the [module docs](self) for the
 /// architecture and the drain protocol.
@@ -367,7 +408,10 @@ where
 /// # Panics
 ///
 /// Panics if any `config` knob is zero (except `shard_watermark`), or if a
-/// producer closure panics.
+/// producer closure or the handler panics. A handler panic stops every
+/// worker and is re-raised once producers and pumps have finished — which
+/// a pump parked on the watermark, with no worker left to wake it, never
+/// does (DESIGN.md "Service semantics").
 pub fn run_service<H, S>(
     handler: &H,
     sched: &S,
@@ -402,60 +446,27 @@ where
         core.ledger.seal();
     }
     let start = Instant::now();
-    let mut totals = EngineTotals::default();
-    std::thread::scope(|scope| {
+    let totals = std::thread::scope(|scope| {
         for (i, body) in producers.into_iter().enumerate() {
             let producer = Producer { core: &core, queue: i % nqueues };
             scope.spawn(move || body(producer));
         }
-        let core_ref = &core;
-        scope.spawn(move || {
-            if config.pump_threads <= 1 {
-                let pumps: Vec<_> = core_ref
+        let core = &core;
+        let pump_threads = config.pump_threads.min(nqueues);
+        for t in 0..pump_threads {
+            scope.spawn(move || {
+                let pumps = core
                     .queues
                     .iter()
-                    .map(|q| pump(q, sched, core_ref, config.shard_watermark, config.flush_batch))
-                    .collect();
+                    .skip(t)
+                    .step_by(pump_threads)
+                    .map(|q| pump(q, sched, core, config.shard_watermark, config.flush_batch));
                 futures::executor::block_on(futures::future::join_all(pumps));
-            } else {
-                let pool = futures::executor::ThreadPool::builder()
-                    .pool_size(config.pump_threads)
-                    .create()
-                    .expect("pump thread pool");
-                for q in &core_ref.queues {
-                    let fut: std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + '_>> =
-                        Box::pin(pump(
-                            q,
-                            sched,
-                            core_ref,
-                            config.shard_watermark,
-                            config.flush_batch,
-                        ));
-                    // SAFETY: `spawn_ok` wants `'static`, but every pump
-                    // borrow (queues, scheduler, core) outlives the pool:
-                    // `pool` is dropped at the end of this closure, and
-                    // `ThreadPool::drop` blocks until all spawned tasks
-                    // have completed — no pump can be polled after the
-                    // borrows expire.
-                    let fut = unsafe {
-                        std::mem::transmute::<
-                            std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + '_>>,
-                            std::pin::Pin<
-                                Box<dyn std::future::Future<Output = ()> + Send + 'static>,
-                            >,
-                        >(fut)
-                    };
-                    pool.spawn_ok(fut);
-                }
-                drop(pool); // waits for every pump to drain its queue
-            }
-        });
-        totals = run_engine(
-            &ServiceDriver { handler, sched, core: &core },
-            sched,
-            config.workers,
-            config.batch_size,
-        );
+            });
+        }
+        let driver =
+            ServiceDriver { handler, sched, ledger: &core.ledger, capacity: Some(&core.capacity) };
+        run_engine(&driver, sched, config.workers, config.batch_size)
     });
     rsched_obs::instant!("service_drained");
     let stats = ServiceStats {

@@ -18,9 +18,7 @@ use rsched_core::algorithms::incremental::delaunay::{
     delaunay_reference, verify_delaunay, ConcurrentDelaunay,
 };
 use rsched_core::algorithms::incremental::insertion_order;
-use rsched_core::framework::{
-    fill_scheduler_parallel, run_concurrent_batched, ConcurrentAlgorithm,
-};
+use rsched_core::framework::{fill_scheduler, run_concurrent_batched, ConcurrentAlgorithm};
 use rsched_core::TaskId;
 use rsched_graph::gen;
 use rsched_graph::geom::uniform_square;
@@ -41,7 +39,7 @@ fn eight_thread_connectivity_over_sharded_lock_free_scheduler() {
         let alg = ConcurrentConnectivity::new(n, &edges);
         let sched: ShardedScheduler<LockFreeMultiQueue<TaskId>> =
             ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new(4));
-        fill_scheduler_parallel(&sched, &pi, THREADS);
+        fill_scheduler(&sched, &pi);
         let stats = run_concurrent_batched(&alg, &pi, &sched, THREADS, batch);
         // Exactly-once ledger: every edge decided once, nothing blocks.
         assert_eq!(stats.processed + stats.obsolete, edges.len() as u64, "batch {batch}");
@@ -63,7 +61,7 @@ fn eight_thread_delaunay_over_sharded_scheduler() {
         let alg = ConcurrentDelaunay::new(&pts, &pi);
         let sched: ShardedScheduler<MultiQueue<TaskId>> =
             ShardedScheduler::from_fn(SHARDS, |_| MultiQueue::new(4));
-        fill_scheduler_parallel(&sched, &pi, THREADS);
+        fill_scheduler(&sched, &pi);
         let stats = run_concurrent_batched(&alg, &pi, &sched, THREADS, batch);
         assert_eq!(stats.processed + stats.obsolete, pts.len() as u64, "batch {batch}");
         assert_eq!(

@@ -26,7 +26,7 @@ use rsched_core::algorithms::incremental::connectivity::ConcurrentConnectivity;
 use rsched_core::algorithms::incremental::insertion_order;
 use rsched_core::algorithms::mis::{ConcurrentMis, MisTasks};
 use rsched_core::framework::{
-    fill_scheduler_parallel, run_concurrent_batched, run_relaxed_batched, TaskOutcome,
+    fill_scheduler, run_concurrent_batched, run_relaxed_batched, TaskOutcome,
 };
 use rsched_core::service::{
     run_service, Producer, ProducerFn, RequestHandler, ServiceConfig, SubmitCtx,
@@ -74,7 +74,7 @@ proptest! {
         let alg = ConcurrentConnectivity::new(n, &edges);
         let sched: ShardedScheduler<MultiQueue<TaskId>> =
             ShardedScheduler::from_fn(shards, |_| MultiQueue::new(2));
-        fill_scheduler_parallel(&sched, &pi, threads);
+        fill_scheduler(&sched, &pi);
 
         let base = rsched_obs::snapshot();
         let stats = run_concurrent_batched(&alg, &pi, &sched, threads, batch);
@@ -96,7 +96,7 @@ proptest! {
         let alg = ConcurrentMis::new(&g, &pi);
         let sched: ShardedScheduler<MultiQueue<TaskId>> =
             ShardedScheduler::from_fn(shards, |_| MultiQueue::new(2));
-        fill_scheduler_parallel(&sched, &pi, threads);
+        fill_scheduler(&sched, &pi);
 
         let base = rsched_obs::snapshot();
         let stats = run_concurrent_batched(&alg, &pi, &sched, threads, batch);

@@ -39,33 +39,42 @@ fn storm_of_producers_under_tight_backpressure_completes_exactly_once() {
             TaskOutcome::Processed
         }
     }
-    let handler = Hits((0..n).map(|_| AtomicU32::new(0)).collect());
-    let sched: ShardedScheduler<LockFreeMultiQueue<TaskId>> =
-        ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new(4));
-    let config = ServiceConfig {
-        workers: WORKERS,
-        batch_size: 16,
-        ingest_queues: 3,
-        queue_capacity: 32,
-        flush_batch: 64,
-        shard_watermark: 48,
-        // One pump thread per queue: every stall/wake path runs with the
-        // pumps genuinely concurrent, not cooperatively scheduled.
-        pump_threads: 3,
-    };
-    let producers: Vec<ProducerFn<'_>> = (0..PRODUCERS as u32)
-        .map(|p| {
-            Box::new(move |prod: Producer<'_>| {
-                for t in (p..n).step_by(PRODUCERS) {
-                    prod.push(u64::from(t), t).unwrap();
-                }
-            }) as ProducerFn<'_>
-        })
-        .collect();
-    let stats = run_service(&handler, &sched, &config, producers);
-    assert!(stats.exactly_once(), "{stats:?}");
-    assert_eq!(stats.accepted, u64::from(n));
-    assert!(handler.0.iter().all(|h| h.load(Ordering::Relaxed) == 1), "a task ran twice or never");
+    // The shapes the static queue → pump-thread assignment takes: one
+    // thread per queue (every stall/wake path runs with the pumps genuinely
+    // concurrent, not cooperatively scheduled), threads that each drive an
+    // uneven share (queues {0, 2, 4} and {1, 3}), and more threads asked
+    // for than there are queues.
+    for (ingest_queues, pump_threads) in [(3, 3), (5, 2), (1, 4)] {
+        let handler = Hits((0..n).map(|_| AtomicU32::new(0)).collect());
+        let sched: ShardedScheduler<LockFreeMultiQueue<TaskId>> =
+            ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new(4));
+        let config = ServiceConfig {
+            workers: WORKERS,
+            batch_size: 16,
+            ingest_queues,
+            queue_capacity: 32,
+            flush_batch: 64,
+            shard_watermark: 48,
+            pump_threads,
+        };
+        let producers: Vec<ProducerFn<'_>> = (0..PRODUCERS as u32)
+            .map(|p| {
+                Box::new(move |prod: Producer<'_>| {
+                    for t in (p..n).step_by(PRODUCERS) {
+                        prod.push(u64::from(t), t).unwrap();
+                    }
+                }) as ProducerFn<'_>
+            })
+            .collect();
+        let stats = run_service(&handler, &sched, &config, producers);
+        let shape = format!("{ingest_queues} queues x {pump_threads} pump threads");
+        assert!(stats.exactly_once(), "{shape}: {stats:?}");
+        assert_eq!(stats.accepted, u64::from(n), "{shape}");
+        assert!(
+            handler.0.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            "{shape}: a task ran twice or never"
+        );
+    }
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Offline stand-in for the subset of the `futures` 0.3 API used by this
 //! workspace: [`executor::block_on`] (a single-threaded `Waker`-based poll
-//! loop), [`executor::ThreadPool`] (a small multi-threaded executor for
-//! `'static` tasks), and [`future::join_all`] (drive many futures to
-//! completion on one poll loop).
+//! loop), [`future::join_all`] (drive many futures to completion on one
+//! poll loop) and [`future::poll_fn`].
 //!
 //! The build container has no route to crates.io; see `shims/README.md`.
 //! Upstream's combinator zoo, streams, sinks, and `select!` machinery are
@@ -12,9 +11,6 @@
 //!   when the future's [`Waker`](std::task::Waker) fires (no busy spin), so
 //!   a producer awaiting backpressure capacity costs nothing while it
 //!   waits;
-//! * `ThreadPool` re-enqueues a task when its waker fires, with the
-//!   standard idle/queued/running/notified state machine so concurrent
-//!   wakes neither lose a notification nor double-queue a task;
 //! * `join_all` re-polls only futures that are still pending, completing
 //!   when all children have.
 //!
@@ -24,15 +20,11 @@
 
 #![warn(missing_docs)]
 
-/// Future execution: single-threaded [`block_on`](executor::block_on) and
-/// the multi-threaded [`ThreadPool`](executor::ThreadPool).
+/// Future execution: the single-threaded [`block_on`](executor::block_on).
 pub mod executor {
     use std::future::Future;
-    use std::pin::Pin;
-    use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
     use std::task::{Context, Poll, Wake, Waker};
-    use std::thread::{self, JoinHandle};
 
     /// One thread's parking slot: `block_on` parks on it between polls and
     /// the future's waker unparks it. A `notified` flag absorbs the wake /
@@ -91,278 +83,10 @@ pub mod executor {
             }
         }
     }
-
-    /// Task states for the pool's wake machinery.
-    const IDLE: u8 = 0; // pending, not queued: a wake must enqueue it
-    const QUEUED: u8 = 1; // in the run queue awaiting a worker
-    const RUNNING: u8 = 2; // being polled right now
-    const NOTIFIED: u8 = 3; // woken *while* being polled: re-queue after
-
-    /// A spawned task: the future plus its wake state.
-    struct PoolTask {
-        future: Mutex<Option<Pin<Box<dyn Future<Output = ()> + Send>>>>,
-        state: AtomicU8,
-        pool: Arc<PoolShared>,
-    }
-
-    impl Wake for PoolTask {
-        fn wake(self: Arc<Self>) {
-            self.wake_by_ref();
-        }
-
-        fn wake_by_ref(self: &Arc<Self>) {
-            // IDLE → QUEUED enqueues; RUNNING → NOTIFIED defers the
-            // re-queue to the worker that is polling; QUEUED / NOTIFIED
-            // wakes coalesce.
-            loop {
-                match self.state.load(Ordering::Acquire) {
-                    IDLE => {
-                        if self
-                            .state
-                            .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                        {
-                            self.pool.enqueue(Arc::clone(self));
-                            return;
-                        }
-                    }
-                    RUNNING => {
-                        if self
-                            .state
-                            .compare_exchange(
-                                RUNNING,
-                                NOTIFIED,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_ok()
-                        {
-                            return;
-                        }
-                    }
-                    _ => return, // QUEUED or NOTIFIED: wake already pending
-                }
-            }
-        }
-    }
-
-    /// State shared by the pool handle and its worker threads.
-    struct PoolShared {
-        queue: Mutex<PoolQueue>,
-        available: Condvar,
-        /// Tasks spawned and not yet completed; `Drop` waits for zero.
-        live: AtomicUsize,
-        idle: Condvar,
-    }
-
-    struct PoolQueue {
-        tasks: std::collections::VecDeque<Arc<PoolTask>>,
-        closed: bool,
-    }
-
-    impl PoolShared {
-        fn enqueue(&self, task: Arc<PoolTask>) {
-            let mut q = self.queue.lock().expect("pool queue");
-            q.tasks.push_back(task);
-            self.available.notify_one();
-        }
-    }
-
-    /// A small fixed-size thread-pool executor for `'static` futures — the
-    /// multi-threaded poll loop. API-compatible with the subset of
-    /// upstream `futures::executor::ThreadPool` the workspace uses
-    /// ([`ThreadPool::new`], [`ThreadPool::builder`],
-    /// [`ThreadPool::spawn_ok`]).
-    ///
-    /// Divergence from upstream, by design: dropping the pool first waits
-    /// for every spawned task to complete, then joins the worker threads —
-    /// the offline harness must never leak a detached thread past `main`.
-    /// Tasks must therefore be completable (their wakers eventually fire).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use std::sync::atomic::{AtomicUsize, Ordering};
-    ///
-    /// let pool = futures::executor::ThreadPool::new().expect("pool");
-    /// let hits = Arc::new(AtomicUsize::new(0));
-    /// for _ in 0..16 {
-    ///     let hits = Arc::clone(&hits);
-    ///     pool.spawn_ok(async move {
-    ///         hits.fetch_add(1, Ordering::SeqCst);
-    ///     });
-    /// }
-    /// drop(pool); // waits for all 16
-    /// assert_eq!(hits.load(Ordering::SeqCst), 16);
-    /// ```
-    pub struct ThreadPool {
-        shared: Arc<PoolShared>,
-        workers: Vec<JoinHandle<()>>,
-    }
-
-    impl std::fmt::Debug for ThreadPool {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("ThreadPool").field("workers", &self.workers.len()).finish()
-        }
-    }
-
-    /// Configures a [`ThreadPool`] (upstream's `ThreadPoolBuilder` subset).
-    #[derive(Debug)]
-    pub struct ThreadPoolBuilder {
-        pool_size: usize,
-    }
-
-    impl Default for ThreadPoolBuilder {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl ThreadPoolBuilder {
-        /// A builder with the default pool size (available parallelism).
-        pub fn new() -> Self {
-            let cpus = thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-            ThreadPoolBuilder { pool_size: cpus }
-        }
-
-        /// Sets the number of worker threads.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `size == 0`.
-        pub fn pool_size(mut self, size: usize) -> Self {
-            assert!(size >= 1, "pool size must be positive");
-            self.pool_size = size;
-            self
-        }
-
-        /// Builds the pool, spawning its worker threads.
-        ///
-        /// # Errors
-        ///
-        /// Returns an error if a worker thread cannot be spawned.
-        pub fn create(self) -> std::io::Result<ThreadPool> {
-            let shared = Arc::new(PoolShared {
-                queue: Mutex::new(PoolQueue {
-                    tasks: std::collections::VecDeque::new(),
-                    closed: false,
-                }),
-                available: Condvar::new(),
-                live: AtomicUsize::new(0),
-                idle: Condvar::new(),
-            });
-            let mut workers = Vec::with_capacity(self.pool_size);
-            for i in 0..self.pool_size {
-                let shared = Arc::clone(&shared);
-                let handle = thread::Builder::new()
-                    .name(format!("futures-pool-{i}"))
-                    .spawn(move || worker_loop(&shared))?;
-                workers.push(handle);
-            }
-            Ok(ThreadPool { shared, workers })
-        }
-    }
-
-    fn worker_loop(shared: &Arc<PoolShared>) {
-        loop {
-            let task = {
-                let mut q = shared.queue.lock().expect("pool queue");
-                loop {
-                    if let Some(task) = q.tasks.pop_front() {
-                        break task;
-                    }
-                    if q.closed {
-                        return;
-                    }
-                    q = shared.available.wait(q).expect("pool queue");
-                }
-            };
-            task.state.store(RUNNING, Ordering::Release);
-            let waker = Waker::from(Arc::clone(&task));
-            let mut cx = Context::from_waker(&waker);
-            let mut slot = task.future.lock().expect("task future");
-            let Some(fut) = slot.as_mut() else { continue };
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => {
-                    *slot = None; // drop the future; the task is done
-                    drop(slot);
-                    if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Last task out: wake a dropping pool handle.
-                        let _guard = shared.queue.lock().expect("pool queue");
-                        shared.idle.notify_all();
-                    }
-                }
-                Poll::Pending => {
-                    drop(slot);
-                    // RUNNING → IDLE hands wake responsibility back to the
-                    // waker; a NOTIFIED set while polling re-queues now.
-                    if task
-                        .state
-                        .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                        .is_err()
-                    {
-                        task.state.store(QUEUED, Ordering::Release);
-                        shared.enqueue(Arc::clone(&task));
-                    }
-                }
-            }
-        }
-    }
-
-    impl ThreadPool {
-        /// A pool sized to the machine's available parallelism.
-        ///
-        /// # Errors
-        ///
-        /// Returns an error if a worker thread cannot be spawned.
-        pub fn new() -> std::io::Result<Self> {
-            ThreadPoolBuilder::new().create()
-        }
-
-        /// A fresh [`ThreadPoolBuilder`].
-        pub fn builder() -> ThreadPoolBuilder {
-            ThreadPoolBuilder::new()
-        }
-
-        /// Spawns `fut` onto the pool (fire-and-forget, as upstream's
-        /// `spawn_ok`). Completion is the task's own business — signal it
-        /// through shared state; dropping the pool waits for all of them.
-        pub fn spawn_ok<F>(&self, fut: F)
-        where
-            F: Future<Output = ()> + Send + 'static,
-        {
-            self.shared.live.fetch_add(1, Ordering::AcqRel);
-            let task = Arc::new(PoolTask {
-                future: Mutex::new(Some(Box::pin(fut))),
-                state: AtomicU8::new(QUEUED),
-                pool: Arc::clone(&self.shared),
-            });
-            self.shared.enqueue(task);
-        }
-    }
-
-    impl Drop for ThreadPool {
-        fn drop(&mut self) {
-            // Wait until every spawned task completed, then close the
-            // queue and join the workers.
-            {
-                let mut q = self.shared.queue.lock().expect("pool queue");
-                while self.shared.live.load(Ordering::Acquire) > 0 {
-                    q = self.shared.idle.wait(q).expect("pool queue");
-                }
-                q.closed = true;
-                self.shared.available.notify_all();
-            }
-            for w in self.workers.drain(..) {
-                let _ = w.join();
-            }
-        }
-    }
 }
 
 /// Future constructors and combinators: [`join_all`](future::join_all),
-/// [`poll_fn`](future::poll_fn), [`ready`](future::ready).
+/// [`poll_fn`](future::poll_fn).
 pub mod future {
     use std::future::Future;
     use std::pin::Pin;
@@ -485,35 +209,14 @@ pub mod future {
             (unsafe { &mut Pin::into_inner_unchecked(self).f })(cx)
         }
     }
-
-    /// Future returned by [`ready`].
-    #[derive(Debug)]
-    #[must_use = "futures do nothing unless polled"]
-    pub struct Ready<T>(Option<T>);
-
-    impl<T> Unpin for Ready<T> {}
-
-    /// A future immediately ready with `value`.
-    pub fn ready<T>(value: T) -> Ready<T> {
-        Ready(Some(value))
-    }
-
-    impl<T> Future for Ready<T> {
-        type Output = T;
-
-        fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
-            Poll::Ready(self.0.take().expect("Ready polled after completion"))
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::executor::{block_on, ThreadPool};
-    use super::future::{join_all, poll_fn, ready};
+    use super::executor::block_on;
+    use super::future::{join_all, poll_fn};
     use std::future::Future;
     use std::pin::Pin;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
     use std::task::{Context, Poll, Waker};
 
@@ -556,7 +259,6 @@ mod tests {
 
     #[test]
     fn block_on_immediate() {
-        assert_eq!(block_on(ready(5)), 5);
         assert_eq!(block_on(async { "x" }), "x");
     }
 
@@ -600,66 +302,5 @@ mod tests {
             }
         }));
         assert_eq!(out, 3);
-    }
-
-    #[test]
-    fn pool_runs_all_tasks_before_drop_returns() {
-        let pool = ThreadPool::builder().pool_size(3).create().expect("pool");
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..64 {
-            let hits = Arc::clone(&hits);
-            pool.spawn_ok(async move {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool);
-        assert_eq!(hits.load(Ordering::SeqCst), 64);
-    }
-
-    #[test]
-    fn pool_tasks_survive_pending_and_external_wake() {
-        let pool = ThreadPool::builder().pool_size(2).create().expect("pool");
-        let done = Arc::new(AtomicUsize::new(0));
-        let mut states = Vec::new();
-        for _ in 0..8 {
-            let (fut, state) = ExternalSignal::new();
-            states.push(state);
-            let done = Arc::clone(&done);
-            pool.spawn_ok(async move {
-                assert_eq!(fut.await, 99);
-                done.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(done.load(Ordering::SeqCst), 0, "nothing may complete before the signal");
-        for s in &states {
-            ExternalSignal::fire(s);
-        }
-        drop(pool);
-        assert_eq!(done.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn pool_handles_wake_during_poll() {
-        // A future that wakes itself while being polled: the NOTIFIED path.
-        let pool = ThreadPool::builder().pool_size(1).create().expect("pool");
-        let finished = Arc::new(AtomicUsize::new(0));
-        let finished2 = Arc::clone(&finished);
-        pool.spawn_ok(async move {
-            let mut spins = 0;
-            poll_fn(move |cx| {
-                spins += 1;
-                if spins < 10 {
-                    cx.waker().wake_by_ref(); // wake while RUNNING
-                    Poll::Pending
-                } else {
-                    Poll::Ready(())
-                }
-            })
-            .await;
-            finished2.fetch_add(1, Ordering::SeqCst);
-        });
-        drop(pool);
-        assert_eq!(finished.load(Ordering::SeqCst), 1);
     }
 }

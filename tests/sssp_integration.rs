@@ -6,7 +6,9 @@ use rand::SeedableRng;
 use rsched::core::algorithms::sssp::{concurrent_sssp, dijkstra, relaxed_sssp, UNREACHABLE};
 use rsched::graph::{gen, WeightedCsr};
 use rsched::queues::concurrent::{LockFreeMultiQueue, MultiQueue};
+use rsched::queues::reclaim::Vbr;
 use rsched::queues::relaxed::SimMultiQueue;
+use rsched::queues::sharded::ShardedScheduler;
 
 fn weighted(n: usize, m: usize, seed: u64) -> WeightedCsr {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -34,6 +36,13 @@ fn concurrent_schedulers_converge() {
     }
     let lf: LockFreeMultiQueue<u32> = LockFreeMultiQueue::new(8);
     assert_eq!(concurrent_sssp(&g, 0, &lf, 2), expected);
+    // The engine passes worker hints and drifts affinity: more workers than
+    // shards, so some share a home shard and all of them steal.
+    let sharded: ShardedScheduler<MultiQueue<u32>> =
+        ShardedScheduler::from_fn(3, |_| MultiQueue::new(2));
+    assert_eq!(concurrent_sssp(&g, 0, &sharded, 4), expected, "3 shards, t=4");
+    let vbr: LockFreeMultiQueue<u32, Vbr> = LockFreeMultiQueue::new_in(8);
+    assert_eq!(concurrent_sssp(&g, 0, &vbr, 2), expected, "lock-free over VBR");
 }
 
 #[test]
