@@ -32,11 +32,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched_bench::{fit_tail_exponent, shard_seed, BenchCli, Table};
-use rsched_core::algorithms::incremental::connectivity::{
-    components, ConcurrentConnectivity, ConnectivityTasks,
-};
+use rsched_core::algorithms::incremental::connectivity::{components, ConcurrentConnectivity};
 use rsched_core::algorithms::incremental::delaunay::{
-    delaunay_reference, verify_delaunay, ConcurrentDelaunay, DelaunayTasks,
+    delaunay_reference, verify_delaunay, ConcurrentDelaunay,
 };
 use rsched_core::algorithms::incremental::insertion_order;
 use rsched_core::framework::{
@@ -124,14 +122,19 @@ fn sequential_tables(
             let (mut cextra, mut cwaste, mut dextra, mut dchurn) = (0u64, 0u64, 0u64, 0u64);
             for rep in 0..reps as u64 {
                 let s = seed ^ (rep * 7919 + k as u64);
-                let alg = ConnectivityTasks::new(inst.n, &inst.edges);
-                let (out, stats) = run_relaxed_batched(alg, &inst.edge_pi, make(k, s), batch);
-                assert_eq!(out.0, inst.edge_truth, "connectivity diverged: {name} k={k}");
+                let alg = ConcurrentConnectivity::new(inst.n, &inst.edges);
+                let stats = run_relaxed_batched(&alg, &inst.edge_pi, make(k, s), batch);
+                assert_eq!(
+                    alg.into_labels(),
+                    inst.edge_truth,
+                    "connectivity diverged: {name} k={k}"
+                );
                 cextra += stats.extra_iterations();
                 cwaste += stats.obsolete;
 
-                let alg = DelaunayTasks::new(&inst.pts, &inst.pt_pi);
-                let (out, stats) = run_relaxed_batched(alg, &inst.pt_pi, make(k, s ^ 1), batch);
+                let alg = ConcurrentDelaunay::new(&inst.pts, &inst.pt_pi);
+                let stats = run_relaxed_batched(&alg, &inst.pt_pi, make(k, s ^ 1), batch);
+                let out = alg.into_output();
                 assert!(verify_delaunay(&inst.pts, &out.triangles), "delaunay: {name} k={k}");
                 assert_eq!(out.triangles.len(), inst.delaunay_count, "{name} k={k}");
                 dextra += stats.extra_iterations();
@@ -322,24 +325,24 @@ fn dependency_depth_table(inst: &Instances, ks: &[usize], seed: u64) {
     let mut table = Table::new(&["k", "k̂fit(rank)", "delaunay extra", "conn extra"]);
     for &k in ks {
         let mut sched = Instrumented::new(SimMultiQueue::new(k, StdRng::seed_from_u64(seed)));
-        let alg = DelaunayTasks::new(&inst.pts, &inst.pt_pi);
+        let alg = ConcurrentDelaunay::new(&inst.pts, &inst.pt_pi);
         // Drive through the instrumented scheduler by hand-rolling the
         // framework loop is unnecessary: Instrumented is itself a
         // PriorityScheduler, so the framework runs it unmodified.
-        let (out, dstats) = rsched_core::framework::run_relaxed(alg, &inst.pt_pi, &mut sched);
-        assert!(verify_delaunay(&inst.pts, &out.triangles));
+        let dstats = rsched_core::framework::run_relaxed(&alg, &inst.pt_pi, &mut sched);
+        assert!(verify_delaunay(&inst.pts, &alg.into_output().triangles));
         let khat = fit_tail_exponent(&sched.rank_tail())
             .map(|l| format!("{:.1}", 1.0 / l))
             .unwrap_or_else(|| "-".into());
 
-        let alg = ConnectivityTasks::new(inst.n, &inst.edges);
-        let (cout, cstats) = run_relaxed_batched(
-            alg,
+        let alg = ConcurrentConnectivity::new(inst.n, &inst.edges);
+        let cstats = run_relaxed_batched(
+            &alg,
             &inst.edge_pi,
             SimMultiQueue::new(k, StdRng::seed_from_u64(seed ^ 5)),
             1,
         );
-        assert_eq!(cout.0, inst.edge_truth);
+        assert_eq!(alg.into_labels(), inst.edge_truth);
         table.row(&[&k, &khat, &dstats.extra_iterations(), &cstats.extra_iterations()]);
     }
     println!("dependency-depth probe (sim MultiQueue): fitted k̂ vs measured waste\n");
@@ -352,13 +355,13 @@ fn dependency_depth_table(inst: &Instances, ks: &[usize], seed: u64) {
         let m = inst.pts.len() / div;
         let pts = &inst.pts[..m];
         let pi = insertion_order(m, seed ^ 9);
-        let alg = DelaunayTasks::new(pts, &pi);
-        let (out, stats) = rsched_core::framework::run_relaxed(
-            alg,
+        let alg = ConcurrentDelaunay::new(pts, &pi);
+        let stats = rsched_core::framework::run_relaxed(
+            &alg,
             &pi,
             SimMultiQueue::new(k, StdRng::seed_from_u64(seed ^ 3)),
         );
-        assert!(verify_delaunay(pts, &out.triangles));
+        assert!(verify_delaunay(pts, &alg.into_output().triangles));
         sweep.row(&[
             &m,
             &stats.extra_iterations(),

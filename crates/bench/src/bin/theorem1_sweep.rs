@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched_bench::{BenchCli, Table};
-use rsched_core::algorithms::coloring::ColoringTasks;
+use rsched_core::algorithms::coloring::ConcurrentColoring;
 use rsched_core::framework::run_relaxed;
 use rsched_core::theory;
 use rsched_graph::{gen, CsrGraph, Permutation};
@@ -26,7 +26,7 @@ fn coloring_extra(g: &CsrGraph, reps: usize, k: usize, seed: u64) -> f64 {
         let s = seed + rep as u64 * 7919;
         let pi = Permutation::random(g.num_vertices(), &mut StdRng::seed_from_u64(s));
         let sched = TopKUniform::new(k, StdRng::seed_from_u64(s ^ 0xFFFF));
-        let (_, stats) = run_relaxed(ColoringTasks::new(g, &pi), &pi, sched);
+        let stats = run_relaxed(&ConcurrentColoring::new(g, &pi), &pi, sched);
         total += stats.extra_iterations();
     }
     total as f64 / reps as f64

@@ -16,8 +16,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched_bench::{BenchCli, Table};
-use rsched_core::algorithms::matching::{MatchingInstance, MatchingTasks};
-use rsched_core::algorithms::mis::MisTasks;
+use rsched_core::algorithms::matching::{ConcurrentMatching, MatchingInstance};
+use rsched_core::algorithms::mis::ConcurrentMis;
 use rsched_core::framework::run_relaxed;
 use rsched_graph::{gen, CsrGraph, Permutation};
 use rsched_queues::relaxed::SimMultiQueue;
@@ -28,7 +28,7 @@ fn mis_extra(g: &CsrGraph, reps: usize, k: usize, seed: u64) -> f64 {
         let s = seed + rep as u64 * 104_729;
         let pi = Permutation::random(g.num_vertices(), &mut StdRng::seed_from_u64(s));
         let sched = SimMultiQueue::new(k, StdRng::seed_from_u64(s ^ 0xBEEF));
-        let (_, stats) = run_relaxed(MisTasks::new(g, &pi), &pi, sched);
+        let stats = run_relaxed(&ConcurrentMis::new(g, &pi), &pi, sched);
         total += stats.extra_iterations();
     }
     total as f64 / reps as f64
@@ -41,7 +41,7 @@ fn matching_extra(g: &CsrGraph, reps: usize, k: usize, seed: u64) -> f64 {
         let s = seed + rep as u64 * 104_729;
         let pi = Permutation::random(inst.num_edges(), &mut StdRng::seed_from_u64(s));
         let sched = SimMultiQueue::new(k, StdRng::seed_from_u64(s ^ 0xBEEF));
-        let (_, stats) = run_relaxed(MatchingTasks::new(&inst, &pi), &pi, sched);
+        let stats = run_relaxed(&ConcurrentMatching::new(&inst, &pi), &pi, sched);
         total += stats.extra_iterations();
     }
     total as f64 / reps as f64

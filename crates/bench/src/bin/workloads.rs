@@ -36,11 +36,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched_bench::{shard_seed, BenchCli, Table};
-use rsched_core::algorithms::coloring::ColoringTasks;
-use rsched_core::algorithms::knuth_shuffle::{random_targets, shuffle_priorities, ShuffleTasks};
-use rsched_core::algorithms::list_contraction::ContractionTasks;
-use rsched_core::algorithms::matching::{MatchingInstance, MatchingTasks};
-use rsched_core::algorithms::mis::MisTasks;
+use rsched_core::algorithms::coloring::ConcurrentColoring;
+use rsched_core::algorithms::knuth_shuffle::{
+    random_targets, shuffle_priorities, ConcurrentShuffle,
+};
+use rsched_core::algorithms::list_contraction::ConcurrentContraction;
+use rsched_core::algorithms::matching::{ConcurrentMatching, MatchingInstance};
+use rsched_core::algorithms::mis::ConcurrentMis;
 use rsched_core::framework::run_relaxed_batched;
 use rsched_core::stats::ExecutionStats;
 use rsched_core::TaskId;
@@ -135,7 +137,7 @@ fn main() {
         let f = move |k: usize, s: u64| -> ExecutionStats {
             let pi = Permutation::random(g.num_vertices(), &mut StdRng::seed_from_u64(s));
             let sched = sharded_sim(shards, k, s ^ 1);
-            run_relaxed_batched(MisTasks::new(g, &pi), &pi, sched, batch_size).1
+            run_relaxed_batched(&ConcurrentMis::new(g, &pi), &pi, sched, batch_size)
         };
         let mut cells = vec!["MIS".to_string(), n.to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
@@ -149,7 +151,7 @@ fn main() {
         let f = move |k: usize, s: u64| -> ExecutionStats {
             let pi = Permutation::random(inst.num_edges(), &mut StdRng::seed_from_u64(s));
             let sched = sharded_sim(shards, k, s ^ 2);
-            run_relaxed_batched(MatchingTasks::new(inst, &pi), &pi, sched, batch_size).1
+            run_relaxed_batched(&ConcurrentMatching::new(inst, &pi), &pi, sched, batch_size)
         };
         let mut cells = vec!["matching".to_string(), inst.num_edges().to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
@@ -163,7 +165,7 @@ fn main() {
         let f = move |k: usize, s: u64| -> ExecutionStats {
             let pi = Permutation::random(g.num_vertices(), &mut StdRng::seed_from_u64(s));
             let sched = sharded_sim(shards, k, s ^ 3);
-            run_relaxed_batched(ColoringTasks::new(g, &pi), &pi, sched, batch_size).1
+            run_relaxed_batched(&ConcurrentColoring::new(g, &pi), &pi, sched, batch_size)
         };
         let mut cells = vec!["coloring".to_string(), n.to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
@@ -177,7 +179,7 @@ fn main() {
             let targets = random_targets(n, &mut StdRng::seed_from_u64(s));
             let pi = shuffle_priorities(n);
             let sched = sharded_sim(shards, k, s ^ 4);
-            run_relaxed_batched(ShuffleTasks::new(targets), &pi, sched, batch_size).1
+            run_relaxed_batched(&ConcurrentShuffle::new(targets), &pi, sched, batch_size)
         };
         let mut cells = vec!["knuth-shuffle".to_string(), n.to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
@@ -192,7 +194,7 @@ fn main() {
             let list = ListInstance::new_shuffled(n, &mut rng);
             let pi = Permutation::random(n, &mut rng);
             let sched = sharded_sim(shards, k, s ^ 5);
-            run_relaxed_batched(ContractionTasks::new(&list, &pi), &pi, sched, batch_size).1
+            run_relaxed_batched(&ConcurrentContraction::new(&list, &pi), &pi, sched, batch_size)
         };
         let mut cells = vec!["list-contraction".to_string(), n.to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));

@@ -379,7 +379,7 @@ pub fn percentiles(samples: &[f64]) -> (f64, f64, f64) {
 pub mod table1 {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rsched_core::algorithms::mis::MisTasks;
+    use rsched_core::algorithms::mis::ConcurrentMis;
     use rsched_core::framework::run_relaxed;
     use rsched_core::TaskId;
     use rsched_graph::{gen, Permutation};
@@ -399,8 +399,8 @@ pub mod table1 {
             let mut rng = StdRng::seed_from_u64(rep_seed);
             let g = gen::gnm(n, m, &mut rng);
             let pi = Permutation::random(n, &mut rng);
-            let (_, stats) =
-                run_relaxed(MisTasks::new(&g, &pi), &pi, make_sched(rep_seed ^ 0xABCD));
+            let stats =
+                run_relaxed(&ConcurrentMis::new(&g, &pi), &pi, make_sched(rep_seed ^ 0xABCD));
             total += stats.extra_iterations();
         }
         total as f64 / reps as f64

@@ -6,7 +6,7 @@
 //! `O(m/n)·poly(k)` — and `Θ(nk)` on the clique, the paper's tightness
 //! example (exercised by the `theorem1_sweep` bench).
 
-use crate::framework::{ConcurrentAlgorithm, IterativeAlgorithm, TaskOutcome, TaskState};
+use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
 use rsched_graph::{CsrGraph, Permutation};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -75,63 +75,10 @@ pub fn verify_coloring(g: &CsrGraph, colors: &[u32]) -> bool {
 }
 
 /// Coloring as a framework instance (Algorithm 2 with the Algorithm 3
-/// `Process`).
-#[derive(Debug)]
-pub struct ColoringTasks<'a> {
-    g: &'a CsrGraph,
-    pi: &'a Permutation,
-    colors: Vec<u32>,
-}
-
-impl<'a> ColoringTasks<'a> {
-    /// Creates the instance with every vertex uncolored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi.len() != g.num_vertices()`.
-    pub fn new(g: &'a CsrGraph, pi: &'a Permutation) -> Self {
-        assert_eq!(g.num_vertices(), pi.len(), "permutation size must match vertex count");
-        ColoringTasks { g, pi, colors: vec![u32::MAX; g.num_vertices()] }
-    }
-}
-
-impl IterativeAlgorithm for ColoringTasks<'_> {
-    type Output = Vec<u32>;
-
-    fn num_tasks(&self) -> usize {
-        self.g.num_vertices()
-    }
-
-    fn state(&self, task: TaskId) -> TaskState {
-        for &u in self.g.neighbors(task) {
-            if self.pi.precedes(u, task) && self.colors[u as usize] == u32::MAX {
-                return TaskState::Blocked;
-            }
-        }
-        TaskState::Ready
-    }
-
-    fn execute(&mut self, task: TaskId) {
-        let mut used: Vec<u32> = self
-            .g
-            .neighbors(task)
-            .iter()
-            .filter(|&&u| self.pi.precedes(u, task))
-            .map(|&u| self.colors[u as usize])
-            .collect();
-        debug_assert!(used.iter().all(|&c| c != u32::MAX));
-        self.colors[task as usize] = mex(&mut used);
-    }
-
-    fn into_output(self) -> Vec<u32> {
-        self.colors
-    }
-}
-
-/// Thread-safe greedy coloring.
+/// `Process`), thread-safe.
 ///
 /// A vertex's color is stored before its `done` flag is released, and
-/// readers check the flag before the color, so every `Ready` execution sees
+/// readers check the flag before the color, so every processing step sees
 /// final predecessor colors — the output equals [`greedy_coloring`] for any
 /// interleaving.
 #[derive(Debug)]
@@ -255,24 +202,19 @@ mod tests {
         let expected = greedy_coloring(&g, &pi);
         assert!(verify_coloring(&g, &expected));
 
-        let (out, stats) = run_exact(ColoringTasks::new(&g, &pi), &pi);
-        assert_eq!(out, expected);
+        let alg = ConcurrentColoring::new(&g, &pi);
+        let stats = run_exact(&alg, &pi);
+        assert_eq!(alg.into_output(), expected);
         assert_eq!(stats.total_pops, 300);
 
         for seed in 0..3 {
-            let (out, stats) = run_relaxed(
-                ColoringTasks::new(&g, &pi),
-                &pi,
-                TopKUniform::new(12, StdRng::seed_from_u64(seed)),
-            );
-            assert_eq!(out, expected);
+            let alg = ConcurrentColoring::new(&g, &pi);
+            let stats = run_relaxed(&alg, &pi, TopKUniform::new(12, StdRng::seed_from_u64(seed)));
+            assert_eq!(alg.into_output(), expected);
             assert_eq!(stats.processed, 300); // no obsolete tasks in coloring
-            let (out, _) = run_relaxed(
-                ColoringTasks::new(&g, &pi),
-                &pi,
-                SimMultiQueue::new(6, StdRng::seed_from_u64(seed)),
-            );
-            assert_eq!(out, expected);
+            let alg = ConcurrentColoring::new(&g, &pi);
+            let _ = run_relaxed(&alg, &pi, SimMultiQueue::new(6, StdRng::seed_from_u64(seed)));
+            assert_eq!(alg.into_output(), expected);
         }
     }
 

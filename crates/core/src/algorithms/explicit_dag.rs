@@ -2,24 +2,29 @@
 //! graph plus a user-supplied `Process(v)` callback.
 //!
 //! The named workloads in this crate (MIS, coloring, …) specialize the
-//! framework with implicit dependency queries; this adapter is the fully
+//! framework with implicit dependency queries; this one is the fully
 //! generic entry point for *"iterative algorithms with explicit
 //! dependencies"* (§2.2): hand it any undirected conflict graph, a priority
 //! permutation to orient it, and a closure, and run it through any
-//! scheduler — the closure observes tasks in an order consistent with the
-//! orientation, and the set of (task → already-processed predecessors)
-//! inputs it sees is independent of the scheduler.
+//! scheduler, in the sequential model or on threads — the closure observes
+//! tasks in an order consistent with the orientation, and the set of
+//! (task → already-processed predecessors) inputs it sees is independent of
+//! the scheduler.
 
-use crate::framework::{IterativeAlgorithm, TaskState};
+use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
 use rsched_graph::{CsrGraph, Permutation};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Generic explicit-DAG framework instance.
 ///
 /// Dependencies are the edges of `dag` oriented by `pi` (the
 /// smaller-labeled endpoint is the predecessor). `process` is invoked
-/// exactly once per task, only after all its predecessors were invoked.
+/// exactly once per task, only after all its predecessors were invoked —
+/// by whichever worker popped the task, so it takes `&self` state (atomics,
+/// or a lock if it wants a log); a predecessor's writes are visible to it
+/// (`Release` on the predecessor's flag, `Acquire` on the read).
 ///
 /// # Examples
 ///
@@ -27,35 +32,37 @@ use std::fmt;
 /// scheduler-independent:
 ///
 /// ```
-/// use rsched_core::algorithms::explicit_dag::ExplicitDagTasks;
+/// use rsched_core::algorithms::explicit_dag::ExplicitDag;
 /// use rsched_core::framework::run_relaxed;
 /// use rsched_graph::{gen, Permutation};
 /// use rsched_queues::relaxed::TopKUniform;
 /// use rand::{SeedableRng, rngs::StdRng};
+/// use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 ///
 /// let dag = gen::path(5);
 /// let pi = Permutation::identity(5);
-/// let mut level = vec![0u32; 5];
-/// let tasks = ExplicitDagTasks::new(&dag, &pi, |v, preds| {
-///     level[v as usize] = preds.iter().map(|&u| level[u as usize] + 1).max().unwrap_or(0);
+/// let level: Vec<AtomicU32> = (0..5).map(|_| AtomicU32::new(0)).collect();
+/// let tasks = ExplicitDag::new(&dag, &pi, |v, preds| {
+///     let depth = preds.iter().map(|&u| level[u as usize].load(Relaxed) + 1).max();
+///     level[v as usize].store(depth.unwrap_or(0), Relaxed);
 /// });
 /// let sched = TopKUniform::new(3, StdRng::seed_from_u64(1));
-/// let (order, _) = run_relaxed(tasks, &pi, sched);
+/// let stats = run_relaxed(&tasks, &pi, sched);
+/// let level: Vec<u32> = level.into_iter().map(AtomicU32::into_inner).collect();
 /// assert_eq!(level, vec![0, 1, 2, 3, 4]);
-/// assert_eq!(order.len(), 5);
+/// assert_eq!(stats.processed, 5);
 /// ```
-pub struct ExplicitDagTasks<'a, F> {
+pub struct ExplicitDag<'a, F> {
     dag: &'a CsrGraph,
-    pi: &'a Permutation,
-    processed: Vec<bool>,
-    order: Vec<TaskId>,
-    scratch: Vec<TaskId>,
+    labels: &'a [u32],
+    processed: Vec<AtomicBool>,
+    remaining: AtomicUsize,
     process: F,
 }
 
-impl<'a, F> ExplicitDagTasks<'a, F>
+impl<'a, F> ExplicitDag<'a, F>
 where
-    F: FnMut(TaskId, &[TaskId]),
+    F: Fn(TaskId, &[TaskId]) + Sync,
 {
     /// Creates the instance. `process(v, preds)` receives the task and its
     /// (already processed) predecessor list, sorted by vertex id.
@@ -64,62 +71,56 @@ where
     ///
     /// Panics if `pi.len() != dag.num_vertices()`.
     pub fn new(dag: &'a CsrGraph, pi: &'a Permutation, process: F) -> Self {
-        assert_eq!(dag.num_vertices(), pi.len(), "permutation size must match task count");
-        ExplicitDagTasks {
+        let n = dag.num_vertices();
+        assert_eq!(n, pi.len(), "permutation size must match task count");
+        ExplicitDag {
             dag,
-            pi,
-            processed: vec![false; dag.num_vertices()],
-            order: Vec::with_capacity(dag.num_vertices()),
-            scratch: Vec::new(),
+            labels: pi.labels(),
+            processed: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            remaining: AtomicUsize::new(n),
             process,
         }
     }
 }
 
-impl<F> IterativeAlgorithm for ExplicitDagTasks<'_, F>
+impl<F> ConcurrentAlgorithm for ExplicitDag<'_, F>
 where
-    F: FnMut(TaskId, &[TaskId]),
+    F: Fn(TaskId, &[TaskId]) + Sync,
 {
-    /// The order in which tasks were processed (a linear extension of the
-    /// oriented DAG; *which* extension depends on the scheduler, but the
-    /// per-task predecessor inputs do not).
-    type Output = Vec<TaskId>;
-
     fn num_tasks(&self) -> usize {
         self.dag.num_vertices()
     }
 
-    fn state(&self, task: TaskId) -> TaskState {
-        for &u in self.dag.neighbors(task) {
-            if self.pi.precedes(u, task) && !self.processed[u as usize] {
-                return TaskState::Blocked;
-            }
-        }
-        TaskState::Ready
+    fn remaining(&self) -> usize {
+        self.remaining.load(Ordering::Acquire)
     }
 
-    fn execute(&mut self, task: TaskId) {
-        self.scratch.clear();
+    fn try_process(&self, task: TaskId) -> TaskOutcome {
+        if self.processed[task as usize].load(Ordering::Acquire) {
+            return TaskOutcome::Obsolete; // defensive; tasks pop once
+        }
+        let lt = self.labels[task as usize];
+        let mut preds = Vec::new();
         for &u in self.dag.neighbors(task) {
-            if self.pi.precedes(u, task) {
-                self.scratch.push(u);
+            if self.labels[u as usize] < lt {
+                if !self.processed[u as usize].load(Ordering::Acquire) {
+                    return TaskOutcome::Blocked;
+                }
+                preds.push(u);
             }
         }
-        (self.process)(task, &self.scratch);
-        self.processed[task as usize] = true;
-        self.order.push(task);
-    }
-
-    fn into_output(self) -> Vec<TaskId> {
-        self.order
+        (self.process)(task, &preds);
+        self.processed[task as usize].store(true, Ordering::Release);
+        self.remaining.fetch_sub(1, Ordering::AcqRel);
+        TaskOutcome::Processed
     }
 }
 
-impl<F> fmt::Debug for ExplicitDagTasks<'_, F> {
+impl<F> fmt::Debug for ExplicitDag<'_, F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExplicitDagTasks")
+        f.debug_struct("ExplicitDag")
             .field("num_tasks", &self.dag.num_vertices())
-            .field("processed", &self.order.len())
+            .field("remaining", &self.remaining.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -132,20 +133,21 @@ mod tests {
     use rand::SeedableRng;
     use rsched_graph::gen;
     use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
+    use std::sync::atomic::AtomicU32;
+    use std::sync::Mutex;
 
     /// Chain depth: level(v) = 1 + max level of predecessors.
     fn levels_via<Sched>(g: &CsrGraph, pi: &Permutation, sched: Sched) -> Vec<u32>
     where
         Sched: rsched_queues::PriorityScheduler<TaskId>,
     {
-        let mut level = vec![0u32; g.num_vertices()];
-        {
-            let tasks = ExplicitDagTasks::new(g, pi, |v, preds| {
-                level[v as usize] = preds.iter().map(|&u| level[u as usize] + 1).max().unwrap_or(0);
-            });
-            let _ = run_relaxed(tasks, pi, sched);
-        }
-        level
+        let level: Vec<AtomicU32> = (0..g.num_vertices()).map(|_| AtomicU32::new(0)).collect();
+        let tasks = ExplicitDag::new(g, pi, |v, preds| {
+            let depth = preds.iter().map(|&u| level[u as usize].load(Ordering::Relaxed) + 1).max();
+            level[v as usize].store(depth.unwrap_or(0), Ordering::Relaxed);
+        });
+        let _ = run_relaxed(&tasks, pi, sched);
+        level.into_iter().map(AtomicU32::into_inner).collect()
     }
 
     #[test]
@@ -153,8 +155,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let g = gen::gnm(200, 800, &mut rng);
         let pi = Permutation::random(200, &mut rng);
-        let tasks = ExplicitDagTasks::new(&g, &pi, |_, _| {});
-        let (order, stats) = run_relaxed(tasks, &pi, TopKUniform::new(8, StdRng::seed_from_u64(2)));
+        let order = Mutex::new(Vec::new());
+        let tasks = ExplicitDag::new(&g, &pi, |v, _| order.lock().unwrap().push(v));
+        let stats = run_relaxed(&tasks, &pi, TopKUniform::new(8, StdRng::seed_from_u64(2)));
+        let order = order.into_inner().unwrap();
         assert_eq!(order.len(), 200);
         let mut pos = vec![0usize; 200];
         for (i, &v) in order.iter().enumerate() {
@@ -188,22 +192,22 @@ mod tests {
     fn exact_order_is_the_permutation_itself() {
         let g = gen::empty(10); // no dependencies at all
         let pi = Permutation::from_order(vec![3, 1, 4, 0, 9, 5, 8, 6, 7, 2]);
-        let tasks = ExplicitDagTasks::new(&g, &pi, |_, _| {});
-        let (order, _) = run_exact(tasks, &pi);
-        assert_eq!(order, vec![3, 1, 4, 0, 9, 5, 8, 6, 7, 2]);
+        let order = Mutex::new(Vec::new());
+        let tasks = ExplicitDag::new(&g, &pi, |v, _| order.lock().unwrap().push(v));
+        let _ = run_exact(&tasks, &pi);
+        assert_eq!(order.into_inner().unwrap(), vec![3, 1, 4, 0, 9, 5, 8, 6, 7, 2]);
     }
 
     #[test]
     fn predecessor_lists_are_exactly_the_oriented_in_edges() {
         let g = gen::star(6); // center 0
         let pi = Permutation::identity(6); // center first
-        let mut seen: Vec<(TaskId, Vec<TaskId>)> = Vec::new();
-        {
-            let tasks = ExplicitDagTasks::new(&g, &pi, |v, preds| {
-                seen.push((v, preds.to_vec()));
-            });
-            let _ = run_exact(tasks, &pi);
-        }
+        let seen: Mutex<Vec<(TaskId, Vec<TaskId>)>> = Mutex::new(Vec::new());
+        let tasks = ExplicitDag::new(&g, &pi, |v, preds| {
+            seen.lock().unwrap().push((v, preds.to_vec()));
+        });
+        let _ = run_exact(&tasks, &pi);
+        let seen = seen.into_inner().unwrap();
         assert_eq!(seen[0], (0, vec![]));
         for (v, preds) in &seen[1..] {
             assert_eq!(preds, &vec![0], "leaf {v} depends only on the center");

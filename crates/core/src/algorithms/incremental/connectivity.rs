@@ -3,7 +3,7 @@
 //! Each task is one edge insertion. A popped edge whose endpoints are
 //! already connected is **wasted** work in the incremental-algorithms sense
 //! (arXiv 2003.09363) — the framework classifies it
-//! [`TaskState::Obsolete`]: its outcome is decided and it is dropped
+//! [`TaskOutcome::Obsolete`]: its outcome is decided and it is dropped
 //! without re-insertion. An edge joining two components is a *tree edge*
 //! and unions them.
 //!
@@ -16,14 +16,14 @@
 //! relaxation factor `k`, in the batch size, and in the shard count, while
 //! Delaunay's grows.
 //!
-//! The concurrent adapter is a lock-free union-find: `parent` is an array
+//! The framework instance is a lock-free union-find: `parent` is an array
 //! of atomics, `find` path-halves with CAS, and `union` links the larger
 //! root under the smaller with a CAS on the root — so the canonical
 //! representative of every component is its minimum vertex id, giving a
 //! deterministic output vector to diff against the sequential ground truth
 //! regardless of thread interleaving.
 
-use crate::framework::{ConcurrentAlgorithm, IterativeAlgorithm, TaskOutcome, TaskState};
+use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -55,17 +55,6 @@ impl UnionFind {
             let gp = self.parent[p as usize];
             self.parent[v as usize] = gp; // halve
             v = gp;
-        }
-    }
-
-    /// Read-only find (no halving): usable through a shared reference.
-    pub fn find_no_compress(&self, mut v: u32) -> u32 {
-        loop {
-            let p = self.parent[v as usize];
-            if p == v {
-                return v;
-            }
-            v = p;
         }
     }
 
@@ -114,68 +103,9 @@ pub fn components(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     uf.labels()
 }
 
-/// Incremental connectivity as a framework instance: task `i` inserts
-/// `edges[i]`.
-#[derive(Debug)]
-pub struct ConnectivityTasks<'a> {
-    edges: &'a [(u32, u32)],
-    uf: UnionFind,
-    tree_edges: u64,
-}
-
-impl<'a> ConnectivityTasks<'a> {
-    /// Creates the instance over `n` vertices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge endpoint is out of range.
-    pub fn new(n: usize, edges: &'a [(u32, u32)]) -> Self {
-        assert!(
-            edges.iter().all(|&(u, v)| (u as usize) < n && (v as usize) < n),
-            "edge endpoint out of range"
-        );
-        ConnectivityTasks { edges, uf: UnionFind::new(n), tree_edges: 0 }
-    }
-
-    /// Tree edges inserted so far.
-    pub fn tree_edges(&self) -> u64 {
-        self.tree_edges
-    }
-}
-
-impl IterativeAlgorithm for ConnectivityTasks<'_> {
-    /// Canonical component labels plus the tree-edge count.
-    type Output = (Vec<u32>, u64);
-
-    fn num_tasks(&self) -> usize {
-        self.edges.len()
-    }
-
-    fn state(&self, task: TaskId) -> TaskState {
-        let (u, v) = self.edges[task as usize];
-        if self.uf.find_no_compress(u) == self.uf.find_no_compress(v) {
-            // Already connected: the wasted pop of the incremental model —
-            // decided, dropped, never re-inserted.
-            TaskState::Obsolete
-        } else {
-            // Unions commute; there is never an unprocessed predecessor.
-            TaskState::Ready
-        }
-    }
-
-    fn execute(&mut self, task: TaskId) {
-        let (u, v) = self.edges[task as usize];
-        let merged = self.uf.union(u, v);
-        debug_assert!(merged, "execute called on a connected edge");
-        self.tree_edges += 1;
-    }
-
-    fn into_output(self) -> (Vec<u32>, u64) {
-        (self.uf.labels(), self.tree_edges)
-    }
-}
-
-/// Lock-free concurrent union-find over atomic parent links.
+/// Incremental connectivity as a framework instance — task `i` inserts
+/// `edges[i]` — over a lock-free concurrent union-find of atomic parent
+/// links.
 ///
 /// Linearizability: `find` returns a vertex that was a root of `v`'s
 /// component at some point during the call; since components only merge and
@@ -302,9 +232,11 @@ mod tests {
     use crate::framework::{
         fill_scheduler, run_concurrent_batched, run_exact, run_exact_concurrent, run_relaxed,
     };
+    use crate::stats::ExecutionStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::gen;
+    use rsched_graph::Permutation;
     use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue};
     use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
     use rsched_queues::sharded::ShardedScheduler;
@@ -328,6 +260,22 @@ mod tests {
         }
     }
 
+    /// One sequential-model run: labels, tree edges and the pop counters.
+    fn relaxed<S>(
+        n: usize,
+        edges: &[(u32, u32)],
+        pi: &Permutation,
+        sched: S,
+    ) -> (Vec<u32>, u64, ExecutionStats)
+    where
+        S: rsched_queues::PriorityScheduler<TaskId>,
+    {
+        let alg = ConcurrentConnectivity::new(n, edges);
+        let stats = run_relaxed(&alg, pi, sched);
+        let tree = alg.tree_edges();
+        (alg.into_labels(), tree, stats)
+    }
+
     #[test]
     fn waste_is_order_independent() {
         // The defining property of the commutative workload: every pop
@@ -339,15 +287,16 @@ mod tests {
         let expected_obsolete = (edges.len() - (n - c)) as u64;
         let pi = insertion_order(edges.len(), 3);
 
-        let (out, stats) = run_exact(ConnectivityTasks::new(n, &edges), &pi);
-        assert_eq!(out.0, expected);
+        let alg = ConcurrentConnectivity::new(n, &edges);
+        let stats = run_exact(&alg, &pi);
+        assert_eq!(alg.into_labels(), expected);
         assert_eq!(stats.obsolete, expected_obsolete);
 
         for seed in 0..3 {
             let sched = SimMultiQueue::new(16, StdRng::seed_from_u64(seed));
-            let (out, stats) = run_relaxed(ConnectivityTasks::new(n, &edges), &pi, sched);
-            assert_eq!(out.0, expected, "seed {seed}");
-            assert_eq!(out.1, (n - c) as u64, "tree edges are n − c");
+            let (labels, tree, stats) = relaxed(n, &edges, &pi, sched);
+            assert_eq!(labels, expected, "seed {seed}");
+            assert_eq!(tree, (n - c) as u64, "tree edges are n − c");
             assert_eq!(stats.obsolete, expected_obsolete, "seed {seed}");
             assert_eq!(stats.wasted, 0, "unions commute: nothing ever blocks");
             assert_eq!(stats.total_pops, edges.len() as u64);
@@ -360,53 +309,22 @@ mod tests {
         let edges = random_edges(n, 700, 5);
         let expected = components(n, &edges);
         let pi = insertion_order(edges.len(), 7);
-        type Run<'a> = Box<dyn FnMut() -> (Vec<u32>, u64) + 'a>;
-        let runs: Vec<(&str, Run)> = vec![
-            (
-                "top-k",
-                Box::new(|| {
-                    run_relaxed(
-                        ConnectivityTasks::new(n, &edges),
-                        &pi,
-                        TopKUniform::new(32, StdRng::seed_from_u64(1)),
-                    )
-                    .0
-                }),
-            ),
+        let sharded = ShardedScheduler::from_fn(4, |i| {
+            SimMultiQueue::new(4, StdRng::seed_from_u64(10 + i as u64))
+        });
+        let runs = [
+            ("top-k", relaxed(n, &edges, &pi, TopKUniform::new(32, StdRng::seed_from_u64(1)))),
             (
                 "sim-multiqueue",
-                Box::new(|| {
-                    run_relaxed(
-                        ConnectivityTasks::new(n, &edges),
-                        &pi,
-                        SimMultiQueue::new(8, StdRng::seed_from_u64(2)),
-                    )
-                    .0
-                }),
+                relaxed(n, &edges, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(2))),
             ),
             (
                 "sim-spray",
-                Box::new(|| {
-                    run_relaxed(
-                        ConnectivityTasks::new(n, &edges),
-                        &pi,
-                        SimSprayList::with_threads(8, StdRng::seed_from_u64(3)),
-                    )
-                    .0
-                }),
+                relaxed(n, &edges, &pi, SimSprayList::with_threads(8, StdRng::seed_from_u64(3))),
             ),
-            (
-                "sharded",
-                Box::new(|| {
-                    let sched = ShardedScheduler::from_fn(4, |i| {
-                        SimMultiQueue::new(4, StdRng::seed_from_u64(10 + i as u64))
-                    });
-                    run_relaxed(ConnectivityTasks::new(n, &edges), &pi, sched).0
-                }),
-            ),
+            ("sharded", relaxed(n, &edges, &pi, sharded)),
         ];
-        for (name, mut run) in runs {
-            let (labels, tree) = run();
+        for (name, (labels, tree, _)) in runs {
             assert_eq!(labels, expected, "{name}");
             let c = expected.iter().zip(0u32..).filter(|&(&l, v)| l == v).count();
             assert_eq!(tree, (n - c) as u64, "{name}");
@@ -466,15 +384,16 @@ mod tests {
         // Self-loop-free parallel edges: second is wasted.
         let edges = [(0u32, 1u32), (1, 0)];
         let pi = insertion_order(2, 0);
-        let (out, stats) = run_exact(ConnectivityTasks::new(2, &edges), &pi);
-        assert_eq!(out.0, vec![0, 0]);
-        assert_eq!(out.1, 1);
+        let alg = ConcurrentConnectivity::new(2, &edges);
+        let stats = run_exact(&alg, &pi);
+        assert_eq!(alg.tree_edges(), 1);
+        assert_eq!(alg.into_labels(), vec![0, 0]);
         assert_eq!(stats.obsolete, 1);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
-        let _ = ConnectivityTasks::new(2, &[(0, 5)]);
+        let _ = ConcurrentConnectivity::new(2, &[(0, 5)]);
     }
 }

@@ -13,7 +13,7 @@
 //! be uninserted inside `p`'s containing cell. Inserting `p` first would
 //! destroy the very cell that defines `q`'s history — the dependency the
 //! incremental-algorithms analysis (arXiv 2003.09363) bounds. The task
-//! oracle therefore reports `p` [`TaskState::Blocked`] (a failed delete;
+//! oracle therefore reports `p` [`TaskOutcome::Blocked`] (a failed delete;
 //! the executor re-inserts it) whenever its bucket holds a smaller-label
 //! uninserted point. The smallest-label uninserted point is never blocked,
 //! so the run always terminates; the number of failed deletes is the
@@ -38,7 +38,7 @@
 //! order-independent invariants: empty circumcircles, exact convex-hull
 //! coverage (Euler count + area), and CCW orientation.
 
-use crate::framework::{ConcurrentAlgorithm, IterativeAlgorithm, TaskOutcome, TaskState};
+use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
 use rsched_graph::geom::{in_circle, on_open_segment, orient2d, Point};
 use rsched_graph::Permutation;
@@ -75,8 +75,8 @@ struct Cell {
     mark: u32,
 }
 
-/// The mutable Bowyer–Watson state shared by the sequential and concurrent
-/// adapters.
+/// The mutable Bowyer–Watson state of [`delaunay_reference`], which also
+/// seeds [`ConcurrentDelaunay`].
 #[derive(Debug)]
 pub struct Triangulation {
     pts: Vec<Point>,
@@ -186,20 +186,6 @@ impl Triangulation {
     /// Whether `task` is already decided (inserted seed or duplicate).
     fn decided(&self, task: TaskId) -> bool {
         !matches!(self.loc[task as usize], Loc::Pending(_))
-    }
-
-    /// The conflict/dependency check: does `task`'s bucket cell hold an
-    /// uninserted point with a smaller label? (Never true for the smallest
-    /// pending label, so the framework always makes progress.)
-    fn blocked_by_smaller(&self, task: TaskId) -> bool {
-        if self.degenerate {
-            return false;
-        }
-        let Loc::Pending(cell) = self.loc[task as usize] else {
-            return false;
-        };
-        let lt = self.labels[task as usize];
-        self.cells[cell as usize].bucket.iter().any(|&q| q != task && self.labels[q as usize] < lt)
     }
 
     /// Whether `p` lies in the conflict region ("circumdisk") of `cell`:
@@ -404,50 +390,6 @@ pub fn delaunay_reference(points: &[Point], pi: &Permutation) -> DelaunayOutput 
     tri.into_output()
 }
 
-/// Delaunay as a framework instance: task `v` inserts `points[v]`.
-#[derive(Debug)]
-pub struct DelaunayTasks {
-    tri: Triangulation,
-}
-
-impl DelaunayTasks {
-    /// Creates the instance (seeding and duplicate filtering happen here;
-    /// see [`Triangulation::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi.len() != points.len()`.
-    pub fn new(points: &[Point], pi: &Permutation) -> Self {
-        DelaunayTasks { tri: Triangulation::new(points, pi) }
-    }
-}
-
-impl IterativeAlgorithm for DelaunayTasks {
-    type Output = DelaunayOutput;
-
-    fn num_tasks(&self) -> usize {
-        self.tri.pts.len()
-    }
-
-    fn state(&self, task: TaskId) -> TaskState {
-        if self.tri.decided(task) {
-            TaskState::Obsolete // seed or duplicate: decided at construction
-        } else if self.tri.blocked_by_smaller(task) {
-            TaskState::Blocked // conflicting earlier point still pending
-        } else {
-            TaskState::Ready
-        }
-    }
-
-    fn execute(&mut self, task: TaskId) {
-        self.tri.insert(task);
-    }
-
-    fn into_output(self) -> DelaunayOutput {
-        self.tri.into_output()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Fine-grained concurrent triangulation
 // ---------------------------------------------------------------------------
@@ -556,9 +498,10 @@ impl fmt::Debug for CellArena {
     }
 }
 
-/// Thread-safe Delaunay with **fine-grained cavity locking**: every cell
-/// carries its own [`McsLock`] and [`ConcurrentAlgorithm::try_process`]
-/// locks exactly the cells an insertion touches — no structure-wide mutex.
+/// Delaunay as a framework instance — task `v` inserts `points[v]` —
+/// thread-safe with **fine-grained cavity locking**: every cell carries its
+/// own [`McsLock`] and [`ConcurrentAlgorithm::try_process`] locks exactly
+/// the cells an insertion touches — no structure-wide mutex.
 ///
 /// The protocol per popped task:
 ///
@@ -607,7 +550,7 @@ impl fmt::Debug for ConcurrentDelaunay {
 impl ConcurrentDelaunay {
     /// Creates the instance; seeding and duplicate filtering run through
     /// [`Triangulation::new`], so every scheduler starts from the identical
-    /// structure the sequential adapters use.
+    /// structure the sequential reference uses.
     ///
     /// # Panics
     ///
@@ -825,9 +768,9 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
                 }
             }
         }
-        // Dependency oracle, same semantics as the sequential adapter: an
-        // uninserted smaller-label point in `task`'s own bucket blocks it.
-        // Never true for the smallest pending label, so progress is assured.
+        // Dependency oracle: an uninserted smaller-label point in `task`'s
+        // own bucket blocks it. Never true for the smallest pending label,
+        // so progress is assured.
         let lt = self.labels[ti];
         // SAFETY: `start` is locked by us.
         let dep_blocked = unsafe {
@@ -1032,12 +975,30 @@ mod tests {
     use super::*;
     use crate::algorithms::incremental::insertion_order;
     use crate::framework::{fill_scheduler, run_concurrent_batched, run_exact, run_relaxed};
+    use crate::stats::ExecutionStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::geom::{degenerate_grid, gaussian_clusters, uniform_square};
     use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
     use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
     use rsched_queues::sharded::ShardedScheduler;
+
+    /// One sequential-model run: the output and the pop counters.
+    fn relaxed<S>(pts: &[Point], pi: &Permutation, sched: S) -> (DelaunayOutput, ExecutionStats)
+    where
+        S: rsched_queues::PriorityScheduler<TaskId>,
+    {
+        let alg = ConcurrentDelaunay::new(pts, pi);
+        let stats = run_relaxed(&alg, pi, sched);
+        (alg.into_output(), stats)
+    }
+
+    /// The same in exact label order.
+    fn exact(pts: &[Point], pi: &Permutation) -> (DelaunayOutput, ExecutionStats) {
+        let alg = ConcurrentDelaunay::new(pts, pi);
+        let stats = run_exact(&alg, pi);
+        (alg.into_output(), stats)
+    }
 
     #[test]
     fn reference_on_square_with_center() {
@@ -1077,7 +1038,7 @@ mod tests {
         let pts = uniform_square(200, 1 << 13, &mut StdRng::seed_from_u64(21));
         let pi = insertion_order(200, 2);
         let expected = delaunay_reference(&pts, &pi);
-        let (out, stats) = run_exact(DelaunayTasks::new(&pts, &pi), &pi);
+        let (out, stats) = exact(&pts, &pi);
         assert_eq!(out, expected, "label order must reproduce the reference bit-for-bit");
         assert_eq!(stats.total_pops, 200);
         assert_eq!(stats.obsolete, 3, "exactly the three seeds");
@@ -1090,11 +1051,8 @@ mod tests {
         let pi = insertion_order(250, 3);
         let expected = delaunay_reference(&pts, &pi);
         for seed in 0..3 {
-            let (out, stats) = run_relaxed(
-                DelaunayTasks::new(&pts, &pi),
-                &pi,
-                SimMultiQueue::new(16, StdRng::seed_from_u64(seed)),
-            );
+            let (out, stats) =
+                relaxed(&pts, &pi, SimMultiQueue::new(16, StdRng::seed_from_u64(seed)));
             assert!(verify_delaunay(&pts, &out.triangles), "seed {seed}");
             // The triangle *count* is order-independent (2d − 2 − h).
             assert_eq!(out.triangles.len(), expected.triangles.len(), "seed {seed}");
@@ -1109,11 +1067,7 @@ mod tests {
         // pops regularly hit the smaller-label conflict and must retry.
         let pts = gaussian_clusters(400, 3, 200.0, &mut StdRng::seed_from_u64(23));
         let pi = insertion_order(400, 4);
-        let (out, stats) = run_relaxed(
-            DelaunayTasks::new(&pts, &pi),
-            &pi,
-            TopKUniform::new(64, StdRng::seed_from_u64(0)),
-        );
+        let (out, stats) = relaxed(&pts, &pi, TopKUniform::new(64, StdRng::seed_from_u64(0)));
         assert!(verify_delaunay(&pts, &out.triangles));
         assert!(stats.wasted > 0, "a 64-relaxed scheduler must hit some conflicts");
     }
@@ -1123,45 +1077,20 @@ mod tests {
         let pts = degenerate_grid(144, 2);
         let pi = insertion_order(144, 5);
         let expected_count = delaunay_reference(&pts, &pi).triangles.len();
-        let runs: Vec<(&str, DelaunayOutput)> = vec![
-            (
-                "top-k",
-                run_relaxed(
-                    DelaunayTasks::new(&pts, &pi),
-                    &pi,
-                    TopKUniform::new(16, StdRng::seed_from_u64(1)),
-                )
-                .0,
-            ),
+        let sharded = ShardedScheduler::from_fn(3, |i| {
+            SimMultiQueue::new(4, StdRng::seed_from_u64(4 + i as u64))
+        });
+        let runs = [
+            ("top-k", relaxed(&pts, &pi, TopKUniform::new(16, StdRng::seed_from_u64(1))).0),
             (
                 "sim-multiqueue",
-                run_relaxed(
-                    DelaunayTasks::new(&pts, &pi),
-                    &pi,
-                    SimMultiQueue::new(8, StdRng::seed_from_u64(2)),
-                )
-                .0,
+                relaxed(&pts, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(2))).0,
             ),
             (
                 "sim-spray",
-                run_relaxed(
-                    DelaunayTasks::new(&pts, &pi),
-                    &pi,
-                    SimSprayList::with_threads(8, StdRng::seed_from_u64(3)),
-                )
-                .0,
+                relaxed(&pts, &pi, SimSprayList::with_threads(8, StdRng::seed_from_u64(3))).0,
             ),
-            (
-                "sharded",
-                run_relaxed(
-                    DelaunayTasks::new(&pts, &pi),
-                    &pi,
-                    ShardedScheduler::from_fn(3, |i| {
-                        SimMultiQueue::new(4, StdRng::seed_from_u64(4 + i as u64))
-                    }),
-                )
-                .0,
-            ),
+            ("sharded", relaxed(&pts, &pi, sharded).0),
         ];
         for (name, out) in runs {
             assert!(verify_delaunay(&pts, &out.triangles), "{name}");
@@ -1209,7 +1138,7 @@ mod tests {
         let dups = pts[..20].to_vec();
         pts.extend(dups); // 20 coordinate duplicates
         let pi = insertion_order(pts.len(), 7);
-        let (out, stats) = run_exact(DelaunayTasks::new(&pts, &pi), &pi);
+        let (out, stats) = exact(&pts, &pi);
         assert!(verify_delaunay(&pts, &out.triangles));
         assert_eq!(stats.obsolete, 3 + 20, "seeds plus duplicates");
     }
@@ -1227,7 +1156,7 @@ mod tests {
             assert!(out.triangles.is_empty());
             assert!(verify_delaunay(&pts, &out.triangles));
             // And through the framework: everything processes trivially.
-            let (out2, _) = run_exact(DelaunayTasks::new(&pts, &pi), &pi);
+            let (out2, _) = exact(&pts, &pi);
             assert_eq!(out2.triangles, out.triangles);
         }
     }

@@ -12,8 +12,8 @@
 //! dependencies.
 //!
 //! This subsystem reproduces that claim with two workloads spanning the
-//! dependency spectrum, both implementing the existing framework traits so
-//! every sequential model and every concurrent scheduler drives them
+//! dependency spectrum, both implementing the framework's one task oracle
+//! so every sequential model and every concurrent scheduler drives them
 //! unmodified:
 //!
 //! * [`connectivity`] — incremental graph connectivity. Edge insertions

@@ -12,7 +12,7 @@
 //! chaining consecutive touchers in processing order gives each task at most
 //! two direct predecessors and transitively orders every conflicting pair.
 
-use crate::framework::{ConcurrentAlgorithm, IterativeAlgorithm, TaskOutcome, TaskState};
+use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::{TaskId, NIL};
 use rand::Rng;
 use rsched_graph::Permutation;
@@ -94,55 +94,7 @@ pub fn dependency_predecessors(targets: &[u32]) -> Vec<[u32; 2]> {
     preds
 }
 
-/// Knuth shuffle as a framework instance.
-#[derive(Debug)]
-pub struct ShuffleTasks {
-    targets: Vec<u32>,
-    preds: Vec<[u32; 2]>,
-    done: Vec<bool>,
-    arr: Vec<u32>,
-}
-
-impl ShuffleTasks {
-    /// Creates the instance for the given swap targets.
-    pub fn new(targets: Vec<u32>) -> Self {
-        let n = targets.len();
-        let preds = dependency_predecessors(&targets);
-        ShuffleTasks { targets, preds, done: vec![false; n], arr: (0..n as u32).collect() }
-    }
-}
-
-impl IterativeAlgorithm for ShuffleTasks {
-    type Output = Vec<u32>;
-
-    fn num_tasks(&self) -> usize {
-        self.targets.len()
-    }
-
-    fn state(&self, task: TaskId) -> TaskState {
-        for &p in &self.preds[task as usize] {
-            if p != NIL && !self.done[p as usize] {
-                return TaskState::Blocked;
-            }
-        }
-        TaskState::Ready
-    }
-
-    fn execute(&mut self, task: TaskId) {
-        let i = task as usize;
-        if i > 0 {
-            let t = self.targets[i] as usize;
-            self.arr.swap(i, t);
-        }
-        self.done[i] = true;
-    }
-
-    fn into_output(self) -> Vec<u32> {
-        self.arr
-    }
-}
-
-/// Thread-safe Knuth shuffle.
+/// Knuth shuffle as a framework instance, thread-safe.
 ///
 /// When a task is ready, both of its cells are quiescent: every earlier
 /// toucher has finished (predecessor flags) and every later toucher is
@@ -294,23 +246,18 @@ mod tests {
         let pi = shuffle_priorities(300);
         let expected = fisher_yates(&targets);
 
-        let (out, stats) = run_exact(ShuffleTasks::new(targets.clone()), &pi);
-        assert_eq!(out, expected);
+        let alg = ConcurrentShuffle::new(targets.clone());
+        let stats = run_exact(&alg, &pi);
+        assert_eq!(alg.into_output(), expected);
         assert_eq!(stats.wasted, 0);
 
         for seed in 0..3 {
-            let (out, _) = run_relaxed(
-                ShuffleTasks::new(targets.clone()),
-                &pi,
-                TopKUniform::new(16, StdRng::seed_from_u64(seed)),
-            );
-            assert_eq!(out, expected);
-            let (out, _) = run_relaxed(
-                ShuffleTasks::new(targets.clone()),
-                &pi,
-                SimMultiQueue::new(8, StdRng::seed_from_u64(seed)),
-            );
-            assert_eq!(out, expected);
+            let alg = ConcurrentShuffle::new(targets.clone());
+            let _ = run_relaxed(&alg, &pi, TopKUniform::new(16, StdRng::seed_from_u64(seed)));
+            assert_eq!(alg.into_output(), expected);
+            let alg = ConcurrentShuffle::new(targets.clone());
+            let _ = run_relaxed(&alg, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(seed)));
+            assert_eq!(alg.into_output(), expected);
         }
     }
 
@@ -365,7 +312,8 @@ mod tests {
     #[test]
     fn empty_shuffle() {
         assert!(fisher_yates(&[]).is_empty());
-        let (out, _) = run_exact(ShuffleTasks::new(vec![]), &shuffle_priorities(0));
-        assert!(out.is_empty());
+        let alg = ConcurrentShuffle::new(vec![]);
+        let _ = run_exact(&alg, &shuffle_priorities(0));
+        assert!(alg.into_output().is_empty());
     }
 }

@@ -10,7 +10,7 @@
 //! readiness is on the *current* links; that is what makes concurrent
 //! splices race-free (two adjacent elements are never both ready).
 
-use crate::framework::{ConcurrentAlgorithm, IterativeAlgorithm, TaskOutcome, TaskState};
+use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
 use rsched_graph::list::NIL;
 use rsched_graph::{ListInstance, Permutation};
@@ -55,72 +55,7 @@ pub fn sequential_contraction(list: &ListInstance, pi: &Permutation) -> Vec<(u32
     out
 }
 
-/// List contraction as a framework instance.
-#[derive(Debug)]
-pub struct ContractionTasks<'a> {
-    pi: &'a Permutation,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    out: Vec<(u32, u32)>,
-}
-
-impl<'a> ContractionTasks<'a> {
-    /// Creates the instance from the list arrangement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi.len() != list.len()`.
-    pub fn new(list: &ListInstance, pi: &'a Permutation) -> Self {
-        assert_eq!(list.len(), pi.len(), "permutation size must match list length");
-        ContractionTasks {
-            pi,
-            prev: list.pred_slice().to_vec(),
-            next: list.succ_slice().to_vec(),
-            out: vec![(NIL, NIL); list.len()],
-        }
-    }
-}
-
-impl IterativeAlgorithm for ContractionTasks<'_> {
-    type Output = Vec<(u32, u32)>;
-
-    fn num_tasks(&self) -> usize {
-        self.out.len()
-    }
-
-    fn state(&self, task: TaskId) -> TaskState {
-        // Current-link predecessor query, exactly as the paper specifies.
-        // Sequentially, current neighbors are always unprocessed, so a
-        // smaller-labeled current neighbor means "blocked".
-        let p = self.prev[task as usize];
-        if p != NIL && self.pi.precedes(p, task) {
-            return TaskState::Blocked;
-        }
-        let nx = self.next[task as usize];
-        if nx != NIL && self.pi.precedes(nx, task) {
-            return TaskState::Blocked;
-        }
-        TaskState::Ready
-    }
-
-    fn execute(&mut self, task: TaskId) {
-        let v = task as usize;
-        let (p, nx) = (self.prev[v], self.next[v]);
-        self.out[v] = (p, nx);
-        if p != NIL {
-            self.next[p as usize] = nx;
-        }
-        if nx != NIL {
-            self.prev[nx as usize] = p;
-        }
-    }
-
-    fn into_output(self) -> Vec<(u32, u32)> {
-        self.out
-    }
-}
-
-/// Thread-safe list contraction.
+/// List contraction as a framework instance, thread-safe.
 ///
 /// Protocol: a splice writes both neighbor links **before** releasing its
 /// `done` flag; a reader that sees a `done` neighbor re-reads its own link
@@ -275,24 +210,19 @@ mod tests {
         let pi = Permutation::random(300, &mut rng);
         let expected = sequential_contraction(&list, &pi);
 
-        let (out, stats) = run_exact(ContractionTasks::new(&list, &pi), &pi);
-        assert_eq!(out, expected);
+        let alg = ConcurrentContraction::new(&list, &pi);
+        let stats = run_exact(&alg, &pi);
+        assert_eq!(alg.into_output(), expected);
         assert_eq!(stats.wasted, 0);
 
         for seed in 0..3 {
-            let (out, stats) = run_relaxed(
-                ContractionTasks::new(&list, &pi),
-                &pi,
-                TopKUniform::new(16, StdRng::seed_from_u64(seed)),
-            );
-            assert_eq!(out, expected);
+            let alg = ConcurrentContraction::new(&list, &pi);
+            let stats = run_relaxed(&alg, &pi, TopKUniform::new(16, StdRng::seed_from_u64(seed)));
+            assert_eq!(alg.into_output(), expected);
             assert_eq!(stats.processed, 300);
-            let (out, _) = run_relaxed(
-                ContractionTasks::new(&list, &pi),
-                &pi,
-                SimMultiQueue::new(8, StdRng::seed_from_u64(seed)),
-            );
-            assert_eq!(out, expected);
+            let alg = ConcurrentContraction::new(&list, &pi);
+            let _ = run_relaxed(&alg, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(seed)));
+            assert_eq!(alg.into_output(), expected);
         }
     }
 

@@ -8,7 +8,7 @@
 //! line-graph route is provided for cross-checking via
 //! [`matching_via_line_graph`].
 
-use crate::framework::{ConcurrentAlgorithm, IterativeAlgorithm, TaskOutcome, TaskState};
+use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
 use rsched_graph::{line_graph, CsrGraph, Incidence, Permutation};
 use std::fmt;
@@ -116,77 +116,11 @@ pub fn matching_via_line_graph(g: &CsrGraph, pi: &Permutation) -> Vec<bool> {
 }
 
 /// Matching as a framework instance (Algorithm 4 over the implicit line
-/// graph, with dead-edge dropping).
-#[derive(Debug)]
-pub struct MatchingTasks<'a> {
-    inst: &'a MatchingInstance,
-    pi: &'a Permutation,
-    status: Vec<u8>,
-}
-
-impl<'a> MatchingTasks<'a> {
-    /// Creates the instance; all edges start live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi.len() != inst.num_edges()`.
-    pub fn new(inst: &'a MatchingInstance, pi: &'a Permutation) -> Self {
-        assert_eq!(inst.num_edges(), pi.len(), "permutation size must match edge count");
-        MatchingTasks { inst, pi, status: vec![LIVE; inst.num_edges()] }
-    }
-
-    fn conflicting<'b>(&'b self, e: TaskId) -> impl Iterator<Item = u32> + 'b {
-        let (a, b) = self.inst.edges[e as usize];
-        self.inst
-            .incidence
-            .incident(a)
-            .iter()
-            .chain(self.inst.incidence.incident(b).iter())
-            .copied()
-            .filter(move |&e2| e2 != e)
-    }
-}
-
-impl IterativeAlgorithm for MatchingTasks<'_> {
-    type Output = Vec<bool>;
-
-    fn num_tasks(&self) -> usize {
-        self.inst.num_edges()
-    }
-
-    fn state(&self, task: TaskId) -> TaskState {
-        if self.status[task as usize] != LIVE {
-            return TaskState::Obsolete;
-        }
-        for e2 in self.conflicting(task) {
-            if self.pi.precedes(e2, task) && self.status[e2 as usize] == LIVE {
-                return TaskState::Blocked;
-            }
-        }
-        TaskState::Ready
-    }
-
-    fn execute(&mut self, task: TaskId) {
-        self.status[task as usize] = IN_MATCH;
-        let (a, b) = self.inst.edges[task as usize];
-        for &v in &[a, b] {
-            for &e2 in self.inst.incidence.incident(v) {
-                if self.status[e2 as usize] == LIVE {
-                    self.status[e2 as usize] = DEAD;
-                }
-            }
-        }
-    }
-
-    fn into_output(self) -> Vec<bool> {
-        self.status.into_iter().map(|s| s == IN_MATCH).collect()
-    }
-}
-
-/// Thread-safe greedy matching: the [`crate::algorithms::mis::ConcurrentMis`]
-/// protocol on the implicit line graph (identical determinism argument, and
-/// the same test-before-CAS kills and one `remaining` decrement per call:
-/// `e` itself is `IN_MATCH` by then, so the kill loop's CAS skips it).
+/// graph, with dead-edge dropping), thread-safe: the
+/// [`crate::algorithms::mis::ConcurrentMis`] protocol on the implicit line
+/// graph (identical determinism argument, and the same test-before-CAS
+/// kills and one `remaining` decrement per call: `e` itself is `IN_MATCH`
+/// by then, so the kill loop's CAS skips it).
 #[derive(Debug)]
 pub struct ConcurrentMatching<'a> {
     inst: &'a MatchingInstance,
@@ -342,23 +276,18 @@ mod tests {
         let pi = Permutation::random(inst.num_edges(), &mut rng);
         let expected = greedy_matching(&inst, &pi);
 
-        let (out, _) = run_exact(MatchingTasks::new(&inst, &pi), &pi);
-        assert_eq!(out, expected);
+        let alg = ConcurrentMatching::new(&inst, &pi);
+        let _ = run_exact(&alg, &pi);
+        assert_eq!(alg.into_output(), expected);
 
         for seed in 0..3 {
-            let (out, stats) = run_relaxed(
-                MatchingTasks::new(&inst, &pi),
-                &pi,
-                TopKUniform::new(16, StdRng::seed_from_u64(seed)),
-            );
-            assert_eq!(out, expected);
+            let alg = ConcurrentMatching::new(&inst, &pi);
+            let stats = run_relaxed(&alg, &pi, TopKUniform::new(16, StdRng::seed_from_u64(seed)));
+            assert_eq!(alg.into_output(), expected);
             assert_eq!(stats.processed + stats.obsolete, inst.num_edges() as u64);
-            let (out, _) = run_relaxed(
-                MatchingTasks::new(&inst, &pi),
-                &pi,
-                SimMultiQueue::new(8, StdRng::seed_from_u64(seed)),
-            );
-            assert_eq!(out, expected);
+            let alg = ConcurrentMatching::new(&inst, &pi);
+            let _ = run_relaxed(&alg, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(seed)));
+            assert_eq!(alg.into_output(), expected);
         }
     }
 

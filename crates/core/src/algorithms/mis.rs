@@ -7,7 +7,7 @@
 //! re-inserting. Theorem 2 shows this makes the relaxation cost `poly(k)`,
 //! independent of the graph.
 
-use crate::framework::{ConcurrentAlgorithm, IterativeAlgorithm, TaskOutcome, TaskState};
+use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
 use rsched_graph::{CsrGraph, Permutation};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -76,63 +76,9 @@ pub fn verify_mis(g: &CsrGraph, in_mis: &[bool]) -> bool {
     true
 }
 
-/// MIS as a framework instance (Algorithm 4's task oracle).
-///
-/// See the crate-level example for usage with
+/// MIS as a framework instance (Algorithm 4's task oracle), thread-safe
+/// with per-vertex atomic state. See the crate-level example for usage with
 /// [`crate::framework::run_relaxed`].
-#[derive(Debug)]
-pub struct MisTasks<'a> {
-    g: &'a CsrGraph,
-    pi: &'a Permutation,
-    status: Vec<u8>,
-}
-
-impl<'a> MisTasks<'a> {
-    /// Creates the instance; all vertices start live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi.len() != g.num_vertices()`.
-    pub fn new(g: &'a CsrGraph, pi: &'a Permutation) -> Self {
-        assert_eq!(g.num_vertices(), pi.len(), "permutation size must match vertex count");
-        MisTasks { g, pi, status: vec![LIVE; g.num_vertices()] }
-    }
-}
-
-impl IterativeAlgorithm for MisTasks<'_> {
-    type Output = Vec<bool>;
-
-    fn num_tasks(&self) -> usize {
-        self.g.num_vertices()
-    }
-
-    fn state(&self, task: TaskId) -> TaskState {
-        if self.status[task as usize] != LIVE {
-            return TaskState::Obsolete; // dead vertex: drop, don't re-insert
-        }
-        for &u in self.g.neighbors(task) {
-            if self.pi.precedes(u, task) && self.status[u as usize] == LIVE {
-                return TaskState::Blocked; // live predecessor: failed delete
-            }
-        }
-        TaskState::Ready
-    }
-
-    fn execute(&mut self, task: TaskId) {
-        self.status[task as usize] = IN_MIS;
-        for &u in self.g.neighbors(task) {
-            if self.status[u as usize] == LIVE {
-                self.status[u as usize] = DEAD;
-            }
-        }
-    }
-
-    fn into_output(self) -> Vec<bool> {
-        self.status.into_iter().map(|s| s == IN_MIS).collect()
-    }
-}
-
-/// Thread-safe MIS with per-vertex atomic state.
 ///
 /// Determinism argument: `InMis` and `Dead` are terminal states; a vertex
 /// enters the MIS only after observing **all** smaller-labeled neighbors
@@ -244,6 +190,7 @@ impl ConcurrentAlgorithm for ConcurrentMis<'_> {
 mod tests {
     use super::*;
     use crate::framework::{run_concurrent, run_exact, run_exact_concurrent, run_relaxed};
+    use crate::stats::ExecutionStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::gen;
@@ -280,6 +227,16 @@ mod tests {
         assert!(greedy_mis(&g0, &Permutation::identity(0)).is_empty());
     }
 
+    /// One sequential-model run: the output and the pop counters.
+    fn relaxed<S>(g: &CsrGraph, pi: &Permutation, sched: S) -> (Vec<bool>, ExecutionStats)
+    where
+        S: rsched_queues::PriorityScheduler<TaskId>,
+    {
+        let alg = ConcurrentMis::new(g, pi);
+        let stats = run_relaxed(&alg, pi, sched);
+        (alg.into_output(), stats)
+    }
+
     #[test]
     fn framework_matches_greedy_across_schedulers() {
         let mut rng = StdRng::seed_from_u64(10);
@@ -287,37 +244,23 @@ mod tests {
         let pi = Permutation::random(300, &mut rng);
         let expected = greedy_mis(&g, &pi);
 
-        let (out, stats) = run_exact(MisTasks::new(&g, &pi), &pi);
-        assert_eq!(out, expected);
+        let alg = ConcurrentMis::new(&g, &pi);
+        let stats = run_exact(&alg, &pi);
+        assert_eq!(alg.into_output(), expected);
         assert_eq!(stats.total_pops, 300);
 
         for seed in 0..3 {
-            let (out, stats) = run_relaxed(
-                MisTasks::new(&g, &pi),
-                &pi,
-                TopKUniform::new(16, StdRng::seed_from_u64(seed)),
-            );
+            let (out, stats) = relaxed(&g, &pi, TopKUniform::new(16, StdRng::seed_from_u64(seed)));
             assert_eq!(out, expected, "top-k seed {seed}");
             // Every task's final pop is either a process or an obsolete drop.
             assert_eq!(stats.processed + stats.obsolete, 300);
             assert_eq!(stats.total_pops, 300 + stats.wasted);
-            let (out, _) = run_relaxed(
-                MisTasks::new(&g, &pi),
-                &pi,
-                SimMultiQueue::new(8, StdRng::seed_from_u64(seed)),
-            );
+            let (out, _) = relaxed(&g, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(seed)));
             assert_eq!(out, expected, "multiqueue seed {seed}");
-            let (out, _) = run_relaxed(
-                MisTasks::new(&g, &pi),
-                &pi,
-                SimSprayList::with_threads(8, StdRng::seed_from_u64(seed)),
-            );
+            let (out, _) =
+                relaxed(&g, &pi, SimSprayList::with_threads(8, StdRng::seed_from_u64(seed)));
             assert_eq!(out, expected, "spray seed {seed}");
-            let (out, _) = run_relaxed(
-                MisTasks::new(&g, &pi),
-                &pi,
-                UniformRandom::new(StdRng::seed_from_u64(seed)),
-            );
+            let (out, _) = relaxed(&g, &pi, UniformRandom::new(StdRng::seed_from_u64(seed)));
             assert_eq!(out, expected, "uniform-random seed {seed}");
         }
     }
@@ -396,8 +339,7 @@ mod tests {
         let mis = greedy_mis(&g, &pi);
         assert_eq!(mis.iter().filter(|&&b| b).count(), 1);
         assert!(mis[19]); // highest priority = first in order
-        let (out, _) =
-            run_relaxed(MisTasks::new(&g, &pi), &pi, TopKUniform::new(4, StdRng::seed_from_u64(0)));
+        let (out, _) = relaxed(&g, &pi, TopKUniform::new(4, StdRng::seed_from_u64(0)));
         assert_eq!(out, mis);
     }
 
@@ -406,11 +348,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let g = gen::gnm(200, 800, &mut rng);
         let pi = Permutation::random(200, &mut rng);
-        let (_, stats) = run_relaxed(
-            MisTasks::new(&g, &pi),
-            &pi,
-            rsched_queues::exact::BinaryHeapScheduler::new(),
-        );
+        let (_, stats) = relaxed(&g, &pi, rsched_queues::exact::BinaryHeapScheduler::new());
         assert_eq!(stats.wasted, 0);
         assert_eq!(stats.total_pops, 200);
     }

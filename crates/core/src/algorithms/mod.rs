@@ -1,10 +1,9 @@
 //! The paper's workloads as framework instances.
 //!
 //! Every module follows the same pattern: a plain sequential reference
-//! implementation (the ground truth for determinism tests), an
-//! [`crate::framework::IterativeAlgorithm`] adapter for the sequential
-//! framework, a [`crate::framework::ConcurrentAlgorithm`] adapter for the
-//! concurrent executors, and a verifier.
+//! implementation (the ground truth for determinism tests), one
+//! [`crate::framework::ConcurrentAlgorithm`] — the task oracle every
+//! executor drives, sequential model and threads alike — and a verifier.
 
 pub mod coloring;
 pub mod explicit_dag;

@@ -54,7 +54,7 @@ where
 }
 
 /// Engine counters: each worker counts into its own copy and returns it
-/// from its join handle; [`run_engine`] sums them. The shared core of
+/// from its join handle; [`run_workers`] sums them. The shared core of
 /// [`ConcurrentStats`] and the service's stats.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct EngineTotals {
@@ -77,12 +77,12 @@ impl std::ops::AddAssign for EngineTotals {
     }
 }
 
-/// Set when a worker unwinds out of [`worker_loop`]. A task whose
-/// `dispatch` panicked is never decided, so no driver's
-/// [`EngineDriver::keep_running`] would turn false again: the surviving
-/// workers read this flag beside it and leave, and [`run_engine`] re-raises
-/// the panic once all of them have joined. `Relaxed` both ways — the flag
-/// publishes nothing but itself.
+/// Set when a worker of [`run_workers`] unwinds. A task whose processing
+/// step panicked is never decided, so nothing its dependants or a driver's
+/// [`EngineDriver::keep_running`] wait for would ever happen: the surviving
+/// workers read this flag where they would otherwise wait and leave, and
+/// [`run_workers`] re-raises the panic once all of them have joined.
+/// `Relaxed` both ways — the flag publishes nothing but itself.
 struct PoisonOnUnwind<'a>(&'a AtomicBool);
 
 impl Drop for PoisonOnUnwind<'_> {
@@ -170,7 +170,6 @@ where
     D: EngineDriver,
     S: ConcurrentScheduler<TaskId>,
 {
-    let _poison = PoisonOnUnwind(poisoned);
     let mut c = EngineTotals::default();
     let backoff = Backoff::new();
     let mut run: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
@@ -243,13 +242,50 @@ where
     c
 }
 
-/// Spawns `threads` workers over `sched`, each running [`worker_loop`] at
-/// `batch_size`, and blocks until every worker's
-/// [`EngineDriver::keep_running`] goes false. This is the one engine behind
-/// every relaxed entry point: [`run_concurrent_batched`] (prefill),
-/// `crate::service::run_service` (streaming) and
-/// `crate::service::run_sealed` (a closed request set that spawns its own
-/// follow-ups — [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp)).
+/// Spawns `threads` scoped workers running `work(index, poisoned)`, joins
+/// them all and sums the counters they return. `poisoned` turns true when
+/// any worker unwinds ([`PoisonOnUnwind`]); `work` must read it wherever it
+/// waits on another worker's progress. The thread scaffolding shared by
+/// [`run_engine`] and [`run_exact_concurrent`](super::run_exact_concurrent).
+///
+/// # Panics
+///
+/// Panics if `threads == 0`, and re-raises a worker's panic after every
+/// other worker has returned.
+pub(crate) fn run_workers<W>(threads: usize, work: W) -> EngineTotals
+where
+    W: Fn(usize, &AtomicBool) -> EngineTotals + Sync,
+{
+    assert!(threads >= 1, "need at least one worker");
+    let poisoned = &AtomicBool::new(false);
+    let work = &work;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|w| {
+                s.spawn(move || {
+                    let _poison = PoisonOnUnwind(poisoned);
+                    work(w, poisoned)
+                })
+            })
+            .collect();
+        let mut totals = EngineTotals::default();
+        for worker in workers {
+            match worker.join() {
+                Ok(c) => totals += c,
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        totals
+    })
+}
+
+/// Runs [`worker_loop`] at `batch_size` on `threads` workers over `sched`,
+/// and blocks until every worker's [`EngineDriver::keep_running`] goes
+/// false. This is the one engine behind every relaxed entry point:
+/// [`run_concurrent_batched`] (prefill), `crate::service::run_service`
+/// (streaming) and `crate::service::run_sealed` (a closed request set that
+/// spawns its own follow-ups —
+/// [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp)).
 ///
 /// # Panics
 ///
@@ -266,22 +302,8 @@ where
     D: EngineDriver,
     S: ConcurrentScheduler<TaskId>,
 {
-    assert!(threads >= 1, "need at least one worker");
     assert!(batch_size >= 1, "need a positive batch size");
-    let poisoned = &AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|w| s.spawn(move || worker_loop(driver, sched, w, batch_size, poisoned)))
-            .collect();
-        let mut totals = EngineTotals::default();
-        for worker in workers {
-            match worker.join() {
-                Ok(c) => totals += c,
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        totals
-    })
+    run_workers(threads, |w, poisoned| worker_loop(driver, sched, w, batch_size, poisoned))
 }
 
 /// Runs `alg` to completion on `threads` workers sharing `sched`.
@@ -365,6 +387,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::testing::Chain;
     use rsched_queues::sharded::ShardedScheduler;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -416,45 +439,6 @@ mod tests {
             let out = out.map(|Reverse(e)| e);
             self.log.lock().unwrap().push(Op::Pop(out.map(|e| e.0)));
             out
-        }
-    }
-
-    /// A permutation-chain algorithm: task at label `i` depends on the task
-    /// at label `i − 1`, forcing retries under any relaxed order.
-    struct Chain<'p> {
-        pi: &'p Permutation,
-        done: Vec<std::sync::atomic::AtomicBool>,
-        remaining: std::sync::atomic::AtomicUsize,
-    }
-
-    impl<'p> Chain<'p> {
-        fn new(pi: &'p Permutation) -> Self {
-            Chain {
-                pi,
-                done: (0..pi.len()).map(|_| std::sync::atomic::AtomicBool::new(false)).collect(),
-                remaining: std::sync::atomic::AtomicUsize::new(pi.len()),
-            }
-        }
-    }
-
-    impl ConcurrentAlgorithm for Chain<'_> {
-        fn num_tasks(&self) -> usize {
-            self.done.len()
-        }
-        fn remaining(&self) -> usize {
-            self.remaining.load(Ordering::Acquire)
-        }
-        fn try_process(&self, task: TaskId) -> TaskOutcome {
-            let pos = self.pi.label(task);
-            let ready =
-                pos == 0 || self.done[self.pi.task_at(pos - 1) as usize].load(Ordering::Acquire);
-            if ready {
-                self.done[task as usize].store(true, Ordering::Release);
-                self.remaining.fetch_sub(1, Ordering::AcqRel);
-                TaskOutcome::Processed
-            } else {
-                TaskOutcome::Blocked
-            }
         }
     }
 

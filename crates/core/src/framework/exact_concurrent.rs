@@ -6,12 +6,13 @@
 //! we elect to use a backoff scheme wherein if an unprocessed predecessor is
 //! encountered, we wait for the predecessor to process." (§4)
 
+use super::concurrent::{run_workers, EngineTotals};
 use super::{ConcurrentAlgorithm, TaskOutcome};
 use crate::stats::ConcurrentStats;
 use crossbeam::utils::Backoff;
 use rsched_graph::Permutation;
 use rsched_queues::concurrent::FaaArrayQueue;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Runs `alg` on `threads` workers popping tasks in exact priority order.
@@ -22,62 +23,56 @@ use std::time::Instant;
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0` or `pi.len() != alg.num_tasks()`.
+/// Panics if `threads == 0` or `pi.len() != alg.num_tasks()`, and re-raises
+/// a panicking `try_process` after every other worker has stopped waiting
+/// on the task it left undecided.
 pub fn run_exact_concurrent<A>(alg: &A, pi: &Permutation, threads: usize) -> ConcurrentStats
 where
     A: ConcurrentAlgorithm,
 {
-    assert!(threads >= 1, "need at least one worker");
     let n = alg.num_tasks();
     assert_eq!(n, pi.len(), "permutation size must match task count");
     let queue = FaaArrayQueue::from_sorted(
         (0..n as u32).map(|pos| (pos as u64, pi.task_at(pos))).collect(),
     );
-    let pops = AtomicU64::new(0);
-    let processed = AtomicU64::new(0);
-    let wasted = AtomicU64::new(0);
-    let obsolete = AtomicU64::new(0);
     let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let queue = &queue;
-            s.spawn(|| {
-                let (mut l_pops, mut l_proc, mut l_waste, mut l_obs) = (0u64, 0u64, 0u64, 0u64);
-                while let Some((_, v)) = queue.pop() {
-                    l_pops += 1;
-                    let backoff = Backoff::new();
-                    loop {
-                        match alg.try_process(v) {
-                            TaskOutcome::Processed => {
-                                l_proc += 1;
-                                break;
-                            }
-                            TaskOutcome::Obsolete => {
-                                l_obs += 1;
-                                break;
-                            }
-                            TaskOutcome::Blocked => {
-                                // Wait for the predecessor (paper's backoff).
-                                l_waste += 1;
-                                backoff.snooze();
-                            }
+    let t = run_workers(threads, |_, poisoned| {
+        let mut c = EngineTotals::default();
+        while let Some((_, v)) = queue.pop() {
+            c.pops += 1;
+            let backoff = Backoff::new();
+            loop {
+                match alg.try_process(v) {
+                    TaskOutcome::Processed => {
+                        c.processed += 1;
+                        break;
+                    }
+                    TaskOutcome::Obsolete => {
+                        c.obsolete += 1;
+                        break;
+                    }
+                    TaskOutcome::Blocked => {
+                        // The predecessor may be the task a panicked worker
+                        // left undecided; read only here, off the hot path.
+                        if poisoned.load(Ordering::Relaxed) {
+                            return c;
                         }
+                        // Wait for the predecessor (paper's backoff).
+                        c.wasted += 1;
+                        backoff.snooze();
                     }
                 }
-                pops.fetch_add(l_pops, Ordering::Relaxed);
-                processed.fetch_add(l_proc, Ordering::Relaxed);
-                wasted.fetch_add(l_waste, Ordering::Relaxed);
-                obsolete.fetch_add(l_obs, Ordering::Relaxed);
-            });
+            }
         }
+        c
     });
     ConcurrentStats {
         tasks: n,
         threads,
-        total_pops: pops.into_inner(),
-        processed: processed.into_inner(),
-        wasted: wasted.into_inner(),
-        obsolete: obsolete.into_inner(),
+        total_pops: t.pops,
+        processed: t.processed,
+        wasted: t.wasted,
+        obsolete: t.obsolete,
         purged: 0,
         empty_pops: 0,
         elapsed: start.elapsed(),

@@ -1,15 +1,34 @@
-//! The scheduling framework: task-state model and executors.
+//! The scheduling framework: one task oracle, two kinds of executor.
+//!
+//! The paper states each algorithm once — a `Process(v)` plus a dependency
+//! check (Algorithms 2 and 4) — analyses it in the sequential model and
+//! runs it on threads. So does this crate: an algorithm is one
+//! [`ConcurrentAlgorithm`], whose [`ConcurrentAlgorithm::try_process`]
+//! answers with a [`TaskOutcome`], and every executor calls it.
+//!
+//! * **Sequential-model executors** — [`run_exact`] (Algorithm 1, no queue)
+//!   and [`run_relaxed`] / [`run_relaxed_batched`] (Algorithms 2 and 4 over
+//!   any [`rsched_queues::PriorityScheduler`]) — call `try_process` from
+//!   one thread, where it is the state check followed by the processing
+//!   step, and count pops into [`crate::stats::ExecutionStats`]: the
+//!   quantities Theorems 1–2 bound.
+//! * **Thread executors** — [`run_concurrent`] / [`run_concurrent_batched`]
+//!   (relaxed, over any [`rsched_queues::ConcurrentScheduler`]) and
+//!   [`run_exact_concurrent`] (the §4 comparison framework) — call it from
+//!   many.
 //!
 //! One loop serves both Algorithm 2 (generic) and Algorithm 4 (MIS): the
-//! difference is entirely in the algorithm's task-state oracle, which may
-//! report a task [`TaskState::Obsolete`] (Algorithm 4's dead vertices are
-//! dropped on sight instead of re-inserted). Total iterations therefore
-//! decompose exactly as in the paper: `n` first-touches plus one iteration
-//! per failed delete.
+//! difference is entirely in the oracle, which may report a task
+//! [`TaskOutcome::Obsolete`] (Algorithm 4's dead vertices are dropped on
+//! sight instead of re-inserted). Total iterations therefore decompose
+//! exactly as in the paper: `n` first-touches plus one iteration per failed
+//! delete.
 
 pub(crate) mod concurrent;
 mod exact_concurrent;
 mod sequential;
+#[cfg(test)]
+pub(crate) mod testing;
 
 pub use concurrent::{fill_scheduler, run_concurrent, run_concurrent_batched};
 pub use exact_concurrent::run_exact_concurrent;
@@ -17,12 +36,13 @@ pub use sequential::{run_exact, run_relaxed, run_relaxed_batched};
 
 use crate::TaskId;
 
-/// The scheduler-visible state of a task.
+/// Outcome of a processing attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskState {
-    /// No unprocessed predecessor: can be processed now.
-    Ready,
-    /// Some predecessor is unprocessed: processing now would break
+pub enum TaskOutcome {
+    /// The task had no unprocessed predecessor and was processed by this
+    /// call.
+    Processed,
+    /// An unprocessed predecessor was observed: processing now would break
     /// determinism; the executor re-inserts (a *failed delete*).
     Blocked,
     /// The task's outcome is already decided (e.g. a dead MIS vertex): drop
@@ -30,49 +50,15 @@ pub enum TaskState {
     Obsolete,
 }
 
-/// A sequential iterative algorithm with explicit dependencies.
-///
-/// Implementations provide the `Process(v)` of the paper's Algorithms 2–4
-/// plus the predecessor oracle. The contract:
-///
-/// * [`IterativeAlgorithm::execute`] is only called on tasks reported
-///   [`TaskState::Ready`], each at most once.
-/// * `state` must be consistent with the priority order: with an exact
-///   scheduler, a popped task is never `Blocked`.
-pub trait IterativeAlgorithm {
-    /// The algorithm's result (e.g. the MIS membership vector).
-    type Output;
-
-    /// Number of tasks, `n`. Tasks are `0..n`.
-    fn num_tasks(&self) -> usize;
-
-    /// The current state of `task`.
-    fn state(&self, task: TaskId) -> TaskState;
-
-    /// Processes `task`. Called exactly once per non-obsolete task, only
-    /// when [`TaskState::Ready`].
-    fn execute(&mut self, task: TaskId);
-
-    /// Consumes the algorithm, returning its output.
-    fn into_output(self) -> Self::Output;
-}
-
-/// Outcome of a concurrent processing attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskOutcome {
-    /// The task was processed by this call.
-    Processed,
-    /// An unprocessed predecessor was observed: re-insert.
-    Blocked,
-    /// The task was already decided: drop.
-    Obsolete,
-}
-
-/// A thread-safe iterative algorithm.
+/// An iterative algorithm with explicit dependencies: the `Process(v)` of
+/// the paper's Algorithms 2–4 plus the predecessor oracle, thread-safe.
 ///
 /// `try_process` combines the state check and the processing step and must
 /// be linearizable: the final output must equal the sequential algorithm's
-/// for the same priority permutation, regardless of interleaving.
+/// for the same priority permutation, regardless of interleaving. It must
+/// also be consistent with the priority order: in exact order a task is
+/// never `Blocked`. The output is taken from the algorithm's own
+/// `into_output` once the run returns.
 pub trait ConcurrentAlgorithm: Sync {
     /// Number of tasks, `n`.
     fn num_tasks(&self) -> usize;

@@ -6,17 +6,20 @@
 //!
 //! The moving parts:
 //!
-//! * [`framework`] — the executors. [`framework::run_exact`] is Algorithm 1
-//!   (the optimized sequential baseline), [`framework::run_relaxed`] is the
-//!   unified Algorithm 2/4 loop (pop, re-insert on unprocessed predecessor,
-//!   drop obsolete tasks), and [`framework::run_concurrent`] /
-//!   [`framework::run_exact_concurrent`] are the shared-memory versions the
-//!   paper's §4 evaluates.
+//! * [`framework`] — one task oracle, [`framework::ConcurrentAlgorithm`],
+//!   and the executors that drive it. [`framework::run_exact`] is
+//!   Algorithm 1 (the optimized sequential baseline),
+//!   [`framework::run_relaxed`] is the unified Algorithm 2/4 loop (pop,
+//!   re-insert on unprocessed predecessor, drop obsolete tasks) in the
+//!   paper's sequential model, and [`framework::run_concurrent`] /
+//!   [`framework::run_exact_concurrent`] run the same oracle on the shared
+//!   memory the paper's §4 evaluates.
 //! * [`algorithms`] — the paper's workloads as framework instances: greedy
 //!   MIS (Algorithm 4), greedy maximal matching (direct and via line graph),
 //!   greedy vertex coloring (Algorithm 3), list contraction, Knuth shuffle,
-//!   and SSSP. Each has a plain sequential reference, a framework adapter,
-//!   a concurrent adapter, and a verifier.
+//!   the generic explicit DAG, and SSSP. Each has a plain sequential
+//!   reference, one framework instance — thread-safe, so every executor
+//!   takes it — and a verifier.
 //! * [`algorithms::incremental`] — the follow-up papers' workload family
 //!   (arXiv 2003.09363): incremental connectivity over a union-find and
 //!   randomized incremental Delaunay triangulation, with conflict-retry
@@ -34,7 +37,7 @@
 //! # Examples
 //!
 //! ```
-//! use rsched_core::algorithms::mis::{greedy_mis, MisTasks};
+//! use rsched_core::algorithms::mis::{greedy_mis, ConcurrentMis};
 //! use rsched_core::framework::run_relaxed;
 //! use rsched_graph::{gen, Permutation};
 //! use rsched_queues::relaxed::SimMultiQueue;
@@ -44,10 +47,11 @@
 //! let g = gen::gnm(500, 2_000, &mut rng);
 //! let pi = Permutation::random(g.num_vertices(), &mut rng);
 //!
+//! let alg = ConcurrentMis::new(&g, &pi);
 //! let sched = SimMultiQueue::new(8, StdRng::seed_from_u64(2));
-//! let (mis, stats) = run_relaxed(MisTasks::new(&g, &pi), &pi, sched);
+//! let stats = run_relaxed(&alg, &pi, sched);
 //!
-//! assert_eq!(mis, greedy_mis(&g, &pi));           // deterministic output
+//! assert_eq!(alg.into_output(), greedy_mis(&g, &pi)); // deterministic output
 //! assert_eq!(stats.processed + stats.obsolete, 500); // every task decided once
 //! ```
 

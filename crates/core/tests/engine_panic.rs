@@ -1,11 +1,13 @@
 //! A task that panics must end the run, not hang it. The panicking task is
-//! never decided, so neither `remaining()` nor the ledger can reach the
-//! state that stops the other workers; the engine's poison flag has to.
-//! Every case runs under a watchdog: without the flag the surviving worker
-//! spins in the engine forever and the run never returns.
+//! never decided, so neither `remaining()`, nor the ledger, nor a dependant
+//! waiting on it can reach the state that stops the other workers; the
+//! executors' poison flag has to. Every case runs under a watchdog: without
+//! the flag the surviving worker spins forever and the run never returns.
 
 use rsched_core::algorithms::sssp::concurrent_sssp;
-use rsched_core::framework::{fill_scheduler, run_concurrent, ConcurrentAlgorithm, TaskOutcome};
+use rsched_core::framework::{
+    fill_scheduler, run_concurrent, run_exact_concurrent, ConcurrentAlgorithm, TaskOutcome,
+};
 use rsched_core::service::{
     run_service, Producer, ProducerFn, RequestHandler, ServiceConfig, SubmitCtx,
 };
@@ -15,7 +17,7 @@ use rsched_queues::concurrent::MultiQueue;
 use rsched_queues::sharded::ShardedScheduler;
 use rsched_queues::ConcurrentScheduler;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -62,6 +64,27 @@ impl RequestHandler for OneBadTask {
     }
 }
 
+/// A chain — task `i` waits for task `i − 1` — whose sixth link panics, so
+/// every later task stays blocked on a task nobody will decide.
+struct BrokenChain(Vec<AtomicBool>);
+
+impl ConcurrentAlgorithm for BrokenChain {
+    fn num_tasks(&self) -> usize {
+        self.0.len()
+    }
+    fn remaining(&self) -> usize {
+        self.0.iter().filter(|done| !done.load(Ordering::Acquire)).count()
+    }
+    fn try_process(&self, task: TaskId) -> TaskOutcome {
+        assert!(task != 5, "task failed");
+        if task > 0 && !self.0[task as usize - 1].load(Ordering::Acquire) {
+            return TaskOutcome::Blocked;
+        }
+        self.0[task as usize].store(true, Ordering::Release);
+        TaskOutcome::Processed
+    }
+}
+
 /// A MultiQueue whose hundredth scalar insert panics: a follow-up submit
 /// that fails inside `handle`.
 struct BadInsert {
@@ -86,6 +109,14 @@ fn panicking_task_ends_a_prefill_run() {
         let sched: MultiQueue<TaskId> = MultiQueue::new(4);
         fill_scheduler(&sched, &pi);
         run_concurrent(&OneBadTask(AtomicUsize::new(TASKS as usize)), &pi, &sched, 2);
+    });
+}
+
+#[test]
+fn panicking_task_ends_an_exact_concurrent_run() {
+    assert_panics_promptly("run_exact_concurrent", || {
+        let chain = BrokenChain((0..64).map(|_| AtomicBool::new(false)).collect());
+        run_exact_concurrent(&chain, &Permutation::identity(64), 2);
     });
 }
 

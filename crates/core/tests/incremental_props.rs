@@ -13,9 +13,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsched_core::algorithms::incremental::connectivity::{components, ConnectivityTasks};
+use rsched_core::algorithms::incremental::connectivity::{components, ConcurrentConnectivity};
 use rsched_core::algorithms::incremental::delaunay::{
-    delaunay_reference, verify_delaunay, DelaunayTasks,
+    delaunay_reference, verify_delaunay, ConcurrentDelaunay,
 };
 use rsched_core::algorithms::incremental::insertion_order;
 use rsched_core::framework::run_relaxed;
@@ -39,7 +39,9 @@ proptest! {
         prop_assert!(verify_delaunay(&pts, &reference.triangles));
 
         let sched = SimMultiQueue::new(8, StdRng::seed_from_u64(seed ^ 0xD1));
-        let (out, stats) = run_relaxed(DelaunayTasks::new(&pts, &pi), &pi, sched);
+        let alg = ConcurrentDelaunay::new(&pts, &pi);
+        let stats = run_relaxed(&alg, &pi, sched);
+        let out = alg.into_output();
         prop_assert!(verify_delaunay(&pts, &out.triangles));
         prop_assert_eq!(out.triangles.len(), reference.triangles.len());
         // Exactly-once: every task is decided once; pops beyond that are
@@ -61,7 +63,9 @@ proptest! {
         let reference = delaunay_reference(&pts, &pi);
         prop_assert!(verify_delaunay(&pts, &reference.triangles));
         let sched = TopKUniform::new(32, StdRng::seed_from_u64(seed));
-        let (out, _) = run_relaxed(DelaunayTasks::new(&pts, &pi), &pi, sched);
+        let alg = ConcurrentDelaunay::new(&pts, &pi);
+        run_relaxed(&alg, &pi, sched);
+        let out = alg.into_output();
         prop_assert!(verify_delaunay(&pts, &out.triangles));
         prop_assert_eq!(out.triangles.len(), reference.triangles.len());
     }
@@ -83,20 +87,23 @@ proptest! {
         let pi = insertion_order(edges.len(), seed);
 
         let sched = SimMultiQueue::new(8, StdRng::seed_from_u64(seed));
-        let (out, stats) = run_relaxed(ConnectivityTasks::new(n, &edges), &pi, sched);
-        prop_assert_eq!(&out.0, &expected);
+        let alg = ConcurrentConnectivity::new(n, &edges);
+        let stats = run_relaxed(&alg, &pi, sched);
+        prop_assert_eq!(&alg.into_labels(), &expected);
         prop_assert_eq!(stats.wasted, 0);
         prop_assert_eq!(stats.processed + stats.obsolete, edges.len() as u64);
         prop_assert_eq!(stats.total_pops, edges.len() as u64);
 
         let sched = SimSprayList::with_threads(8, StdRng::seed_from_u64(seed ^ 1));
-        let (out, _) = run_relaxed(ConnectivityTasks::new(n, &edges), &pi, sched);
-        prop_assert_eq!(&out.0, &expected);
+        let alg = ConcurrentConnectivity::new(n, &edges);
+        run_relaxed(&alg, &pi, sched);
+        prop_assert_eq!(&alg.into_labels(), &expected);
 
         let sched = ShardedScheduler::from_fn(3, |i| {
             SimMultiQueue::new(4, StdRng::seed_from_u64(seed ^ (2 + i as u64)))
         });
-        let (out, _) = run_relaxed(ConnectivityTasks::new(n, &edges), &pi, sched);
-        prop_assert_eq!(&out.0, &expected);
+        let alg = ConcurrentConnectivity::new(n, &edges);
+        run_relaxed(&alg, &pi, sched);
+        prop_assert_eq!(&alg.into_labels(), &expected);
     }
 }

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched_core::algorithms::incremental::connectivity::ConcurrentConnectivity;
 use rsched_core::algorithms::incremental::insertion_order;
-use rsched_core::algorithms::mis::{ConcurrentMis, MisTasks};
+use rsched_core::algorithms::mis::ConcurrentMis;
 use rsched_core::framework::{
     fill_scheduler, run_concurrent_batched, run_relaxed_batched, TaskOutcome,
 };
@@ -125,7 +125,7 @@ proptest! {
         let sched = SimMultiQueue::new(k, StdRng::seed_from_u64(seed ^ 2));
 
         let base = rsched_obs::snapshot();
-        let (_, stats) = run_relaxed_batched(MisTasks::new(&g, &pi), &pi, sched, batch);
+        let stats = run_relaxed_batched(&ConcurrentMis::new(&g, &pi), &pi, sched, batch);
         let end = rsched_obs::snapshot();
 
         prop_assert_eq!(delta(&end, &base, "success", "seq_pop_total"), stats.processed);

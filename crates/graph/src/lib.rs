@@ -5,8 +5,8 @@
 //! ([`gen`]), priority permutations ([`Permutation`]), line graphs and edge
 //! incidence ([`line_graph`], [`Incidence`]), linked-list instances for list
 //! contraction ([`list`]), planar points with exact predicates for the
-//! incremental Delaunay workload ([`geom`]), connected components
-//! ([`components`]), persistence ([`io`]) and degree statistics ([`stats`]).
+//! incremental Delaunay workload ([`geom`]) and connected components
+//! ([`components`]).
 //!
 //! # Examples
 //!
@@ -28,13 +28,11 @@ pub mod components;
 mod csr;
 pub mod gen;
 pub mod geom;
-pub mod io;
 mod linegraph;
 /// Doubly-linked-list instances for the list-contraction workload.
 #[path = "linkedlist.rs"]
 pub mod list;
 mod permutation;
-pub mod stats;
 mod weighted;
 
 pub use csr::CsrGraph;

@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsched::core::algorithms::coloring::{greedy_coloring, verify_coloring, ColoringTasks};
+use rsched::core::algorithms::coloring::{greedy_coloring, verify_coloring, ConcurrentColoring};
 use rsched::core::framework::run_relaxed;
 use rsched::graph::{gen, Permutation};
 use rsched::queues::relaxed::TopKUniform;
@@ -25,7 +25,9 @@ fn main() {
         println!("G(n={n}, m={}): greedy palette = {palette} colors", density * n);
         for &k in &[4usize, 16, 64] {
             let sched = TopKUniform::new(k, StdRng::seed_from_u64(99));
-            let (colors, stats) = run_relaxed(ColoringTasks::new(&g, &pi), &pi, sched);
+            let alg = ConcurrentColoring::new(&g, &pi);
+            let stats = run_relaxed(&alg, &pi, sched);
+            let colors = alg.into_output();
             assert!(verify_coloring(&g, &colors));
             assert_eq!(colors, expected, "coloring is deterministic under relaxation");
             println!(

@@ -8,8 +8,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsched::core::algorithms::incremental::connectivity::{components, ConnectivityTasks};
-use rsched::core::algorithms::incremental::delaunay::{verify_delaunay, DelaunayTasks};
+use rsched::core::algorithms::incremental::connectivity::{components, ConcurrentConnectivity};
+use rsched::core::algorithms::incremental::delaunay::{verify_delaunay, ConcurrentDelaunay};
 use rsched::core::algorithms::incremental::insertion_order;
 use rsched::core::framework::run_relaxed;
 use rsched::graph::gen;
@@ -28,8 +28,14 @@ fn main() {
     let edges = gen::gnm(n, 50_000, &mut rng).edge_list();
     let pi = insertion_order(edges.len(), 1);
     let sched = SimMultiQueue::new(16, StdRng::seed_from_u64(2));
-    let ((labels, tree_edges), stats) = run_relaxed(ConnectivityTasks::new(n, &edges), &pi, sched);
-    assert_eq!(labels, components(n, &edges), "components must match the sequential run");
+    let alg = ConcurrentConnectivity::new(n, &edges);
+    let stats = run_relaxed(&alg, &pi, sched);
+    let tree_edges = alg.tree_edges();
+    assert_eq!(
+        alg.into_labels(),
+        components(n, &edges),
+        "components must match the sequential run"
+    );
     println!(
         "connectivity: {} edges → {tree_edges} tree edges, {} already-connected pops, {stats}",
         edges.len(),
@@ -43,7 +49,9 @@ fn main() {
     let pts = uniform_square(3_000, 1 << 18, &mut rng);
     let pi = insertion_order(pts.len(), 3);
     let sched = SimMultiQueue::new(16, StdRng::seed_from_u64(4));
-    let (out, stats) = run_relaxed(DelaunayTasks::new(&pts, &pi), &pi, sched);
+    let alg = ConcurrentDelaunay::new(&pts, &pi);
+    let stats = run_relaxed(&alg, &pi, sched);
+    let out = alg.into_output();
     assert!(verify_delaunay(&pts, &out.triangles), "empty-circumcircle check failed");
     println!(
         "delaunay: {} points → {} triangles ({} cells built, {} torn down), {stats}",

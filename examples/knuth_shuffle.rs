@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched::core::algorithms::knuth_shuffle::{
-    fisher_yates, random_targets, shuffle_priorities, ShuffleTasks,
+    fisher_yates, random_targets, shuffle_priorities, ConcurrentShuffle,
 };
 use rsched::core::framework::run_relaxed;
 use rsched::queues::relaxed::SimMultiQueue;
@@ -24,8 +24,9 @@ fn main() {
 
     for &k in &[4usize, 32, 256] {
         let sched = SimMultiQueue::new(k, StdRng::seed_from_u64(8));
-        let (shuffled, stats) = run_relaxed(ShuffleTasks::new(targets.clone()), &pi, sched);
-        assert_eq!(shuffled, expected, "the shuffle is deterministic given H");
+        let alg = ConcurrentShuffle::new(targets.clone());
+        let stats = run_relaxed(&alg, &pi, sched);
+        assert_eq!(alg.into_output(), expected, "the shuffle is deterministic given H");
         println!(
             "k={k:>4}: {} extra iterations over {} swaps ({:.5}% waste)",
             stats.extra_iterations(),

@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsched::core::algorithms::list_contraction::{sequential_contraction, ContractionTasks};
+use rsched::core::algorithms::list_contraction::{sequential_contraction, ConcurrentContraction};
 use rsched::core::framework::run_relaxed;
 use rsched::graph::{ListInstance, Permutation};
 use rsched::queues::relaxed::SimMultiQueue;
@@ -21,8 +21,9 @@ fn main() {
 
     for &k in &[4usize, 16, 64, 256] {
         let sched = SimMultiQueue::new(k, StdRng::seed_from_u64(2));
-        let (records, stats) = run_relaxed(ContractionTasks::new(&list, &pi), &pi, sched);
-        assert_eq!(records, expected, "contraction records are deterministic");
+        let alg = ConcurrentContraction::new(&list, &pi);
+        let stats = run_relaxed(&alg, &pi, sched);
+        assert_eq!(alg.into_output(), expected, "contraction records are deterministic");
         println!(
             "k={k:>4}: {} extra iterations on {} elements ({:.5}% waste)",
             stats.extra_iterations(),

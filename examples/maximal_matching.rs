@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched::core::algorithms::matching::{
-    greedy_matching, matching_via_line_graph, verify_matching, MatchingInstance, MatchingTasks,
+    greedy_matching, matching_via_line_graph, verify_matching, ConcurrentMatching, MatchingInstance,
 };
 use rsched::core::framework::run_relaxed;
 use rsched::graph::{gen, Permutation};
@@ -31,7 +31,9 @@ fn main() {
     // MIS on the line graph).
     for &k in &[4usize, 16, 64] {
         let sched = SimMultiQueue::new(k, StdRng::seed_from_u64(3));
-        let (m, stats) = run_relaxed(MatchingTasks::new(&inst, &pi), &pi, sched);
+        let alg = ConcurrentMatching::new(&inst, &pi);
+        let stats = run_relaxed(&alg, &pi, sched);
+        let m = alg.into_output();
         assert!(verify_matching(&inst, &m));
         assert_eq!(m, expected);
         println!("  k={k:>3}: extra iterations = {}", stats.extra_iterations());

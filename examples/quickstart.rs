@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsched::core::algorithms::mis::{greedy_mis, verify_mis, MisTasks};
+use rsched::core::algorithms::mis::{greedy_mis, verify_mis, ConcurrentMis};
 use rsched::core::framework::run_relaxed;
 use rsched::graph::{gen, Permutation};
 use rsched::queues::relaxed::SimMultiQueue;
@@ -30,7 +30,9 @@ fn main() {
     // The same computation through a 16-relaxed scheduler (a simulated
     // MultiQueue with 16 internal queues).
     let sched = SimMultiQueue::new(16, StdRng::seed_from_u64(7));
-    let (mis, stats) = run_relaxed(MisTasks::new(&g, &pi), &pi, sched);
+    let alg = ConcurrentMis::new(&g, &pi);
+    let stats = run_relaxed(&alg, &pi, sched);
+    let mis = alg.into_output();
 
     assert!(verify_mis(&g, &mis), "output must be a maximal independent set");
     assert_eq!(mis, expected, "relaxation must not change the output");

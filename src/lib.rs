@@ -18,7 +18,7 @@
 //! use rsched::graph::gen::gnm;
 //! use rsched::graph::Permutation;
 //! use rsched::queues::relaxed::TopKUniform;
-//! use rsched::core::algorithms::mis::{MisTasks, verify_mis, greedy_mis};
+//! use rsched::core::algorithms::mis::{ConcurrentMis, verify_mis, greedy_mis};
 //! use rsched::core::framework::run_relaxed;
 //! use rand::{SeedableRng, rngs::StdRng};
 //!
@@ -27,8 +27,10 @@
 //! let pi = Permutation::random(g.num_vertices(), &mut rng);
 //!
 //! // Run greedy MIS through a 16-relaxed scheduler (Algorithm 4).
+//! let alg = ConcurrentMis::new(&g, &pi);
 //! let sched = TopKUniform::new(16, StdRng::seed_from_u64(7));
-//! let (mis, stats) = run_relaxed(MisTasks::new(&g, &pi), &pi, sched);
+//! let stats = run_relaxed(&alg, &pi, sched);
+//! let mis = alg.into_output();
 //!
 //! // Output is deterministic: identical to the sequential greedy MIS for pi.
 //! assert_eq!(mis, greedy_mis(&g, &pi));

@@ -4,8 +4,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsched::core::algorithms::coloring::ColoringTasks;
-use rsched::core::algorithms::mis::MisTasks;
+use rsched::core::algorithms::coloring::ConcurrentColoring;
+use rsched::core::algorithms::mis::ConcurrentMis;
 use rsched::core::framework::run_relaxed;
 use rsched::graph::{gen, Permutation};
 use rsched::queues::relaxed::{SimMultiQueue, TopKUniform};
@@ -18,7 +18,7 @@ fn mis_extra(n: usize, m: usize, k: usize, seed: u64, reps: usize) -> f64 {
         let g = gen::gnm(n, m, &mut rng);
         let pi = Permutation::random(n, &mut rng);
         let sched = SimMultiQueue::new(k, StdRng::seed_from_u64(s ^ 0xA5A5));
-        let (_, stats) = run_relaxed(MisTasks::new(&g, &pi), &pi, sched);
+        let stats = run_relaxed(&ConcurrentMis::new(&g, &pi), &pi, sched);
         total += stats.extra_iterations();
     }
     total as f64 / reps as f64
@@ -47,7 +47,7 @@ fn exact_scheduler_wastes_nothing() {
     let g = gen::gnm(3_000, 30_000, &mut rng);
     let pi = Permutation::random(3_000, &mut rng);
     let sched = TopKUniform::new(1, StdRng::seed_from_u64(1)); // k = 1 ≡ exact
-    let (_, stats) = run_relaxed(MisTasks::new(&g, &pi), &pi, sched);
+    let stats = run_relaxed(&ConcurrentMis::new(&g, &pi), &pi, sched);
     assert_eq!(stats.wasted, 0);
     assert_eq!(stats.total_pops, 3_000);
 }
@@ -66,7 +66,7 @@ fn theorem1_coloring_extra_scales_with_density() {
             let g = gen::gnm(n, m, &mut rng);
             let pi = Permutation::random(n, &mut rng);
             let sched = TopKUniform::new(k, StdRng::seed_from_u64(s ^ 0x5A5A));
-            let (_, stats) = run_relaxed(ColoringTasks::new(&g, &pi), &pi, sched);
+            let stats = run_relaxed(&ConcurrentColoring::new(&g, &pi), &pi, sched);
             total += stats.extra_iterations();
         }
         total as f64 / 3.0
@@ -89,7 +89,7 @@ fn clique_coloring_extra_is_order_nk() {
     let pi = Permutation::random(n, &mut StdRng::seed_from_u64(700));
     for k in [4usize, 16] {
         let sched = TopKUniform::new(k, StdRng::seed_from_u64(701));
-        let (_, stats) = run_relaxed(ColoringTasks::new(&g, &pi), &pi, sched);
+        let stats = run_relaxed(&ConcurrentColoring::new(&g, &pi), &pi, sched);
         let extra = stats.extra_iterations() as f64;
         let nk = (n * k) as f64;
         assert!(
@@ -110,7 +110,7 @@ fn waste_is_monotone_in_relaxation_on_average() {
         (0..5)
             .map(|s| {
                 let sched = SimMultiQueue::new(k, StdRng::seed_from_u64(900 + s));
-                run_relaxed(MisTasks::new(&g, &pi), &pi, sched).1.extra_iterations() as f64
+                run_relaxed(&ConcurrentMis::new(&g, &pi), &pi, sched).extra_iterations() as f64
             })
             .sum::<f64>()
             / 5.0

@@ -5,13 +5,15 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsched::core::algorithms::coloring::{greedy_coloring, verify_coloring, ColoringTasks};
-use rsched::core::algorithms::knuth_shuffle::{fisher_yates, shuffle_priorities, ShuffleTasks};
-use rsched::core::algorithms::list_contraction::{sequential_contraction, ContractionTasks};
-use rsched::core::algorithms::matching::{
-    greedy_matching, verify_matching, MatchingInstance, MatchingTasks,
+use rsched::core::algorithms::coloring::{greedy_coloring, verify_coloring, ConcurrentColoring};
+use rsched::core::algorithms::knuth_shuffle::{
+    fisher_yates, shuffle_priorities, ConcurrentShuffle,
 };
-use rsched::core::algorithms::mis::{greedy_mis, verify_mis, MisTasks};
+use rsched::core::algorithms::list_contraction::{sequential_contraction, ConcurrentContraction};
+use rsched::core::algorithms::matching::{
+    greedy_matching, verify_matching, ConcurrentMatching, MatchingInstance,
+};
+use rsched::core::algorithms::mis::{greedy_mis, verify_mis, ConcurrentMis};
 use rsched::core::framework::run_relaxed;
 use rsched::graph::{CsrGraph, ListInstance, Permutation};
 use rsched::queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
@@ -38,7 +40,9 @@ proptest! {
         let expected = greedy_mis(&g, &pi);
         prop_assert!(verify_mis(&g, &expected));
         let sched = TopKUniform::new(k, StdRng::seed_from_u64(sched_seed));
-        let (out, stats) = run_relaxed(MisTasks::new(&g, &pi), &pi, sched);
+        let alg = ConcurrentMis::new(&g, &pi);
+        let stats = run_relaxed(&alg, &pi, sched);
+        let out = alg.into_output();
         prop_assert_eq!(&out, &expected);
         prop_assert_eq!(stats.processed + stats.obsolete, g.num_vertices() as u64);
     }
@@ -54,7 +58,9 @@ proptest! {
         let expected = greedy_coloring(&g, &pi);
         prop_assert!(verify_coloring(&g, &expected));
         let sched = SimMultiQueue::new(q, StdRng::seed_from_u64(sched_seed));
-        let (out, _) = run_relaxed(ColoringTasks::new(&g, &pi), &pi, sched);
+        let alg = ConcurrentColoring::new(&g, &pi);
+        run_relaxed(&alg, &pi, sched);
+        let out = alg.into_output();
         prop_assert_eq!(&out, &expected);
         // Greedy never uses more colors than max degree + 1.
         let max_color = *out.iter().max().unwrap_or(&0) as usize;
@@ -73,7 +79,9 @@ proptest! {
         let expected = greedy_matching(&inst, &pi);
         prop_assert!(verify_matching(&inst, &expected));
         let sched = SimSprayList::with_threads(8, StdRng::seed_from_u64(sched_seed));
-        let (out, _) = run_relaxed(MatchingTasks::new(&inst, &pi), &pi, sched);
+        let alg = ConcurrentMatching::new(&inst, &pi);
+        run_relaxed(&alg, &pi, sched);
+        let out = alg.into_output();
         prop_assert_eq!(&out, &expected);
     }
 
@@ -89,7 +97,9 @@ proptest! {
         let pi = Permutation::random(n, &mut StdRng::seed_from_u64(pi_seed));
         let expected = sequential_contraction(&list, &pi);
         let sched = TopKUniform::new(k, StdRng::seed_from_u64(sched_seed));
-        let (out, _) = run_relaxed(ContractionTasks::new(&list, &pi), &pi, sched);
+        let alg = ConcurrentContraction::new(&list, &pi);
+        run_relaxed(&alg, &pi, sched);
+        let out = alg.into_output();
         prop_assert_eq!(&out, &expected);
     }
 
@@ -112,7 +122,9 @@ proptest! {
         check.sort_unstable();
         prop_assert_eq!(check, (0..n as u32).collect::<Vec<_>>());
         let sched = SimMultiQueue::new(q, StdRng::seed_from_u64(sched_seed));
-        let (out, _) = run_relaxed(ShuffleTasks::new(targets), &pi, sched);
+        let alg = ConcurrentShuffle::new(targets);
+        run_relaxed(&alg, &pi, sched);
+        let out = alg.into_output();
         prop_assert_eq!(&out, &expected);
     }
 
