@@ -199,8 +199,7 @@ impl Args {
     }
 
     /// Whether fast mode is on: the `--quick` flag or `RSCHED_BENCH_FAST=1`
-    /// in the environment (what CI smoke runs set; any other value is off,
-    /// as in the criterion shim).
+    /// in the environment (what CI smoke runs set; any other value is off).
     pub fn quick(&self) -> bool {
         self.has_flag("quick") || std::env::var("RSCHED_BENCH_FAST").is_ok_and(|v| v == "1")
     }

@@ -42,7 +42,7 @@ use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
 use rsched_graph::geom::{in_circle, on_open_segment, orient2d, Point};
 use rsched_graph::Permutation;
-use rsched_queues::lock::{McsLock, RawTryLock};
+use rsched_queues::lock::{McsLock, RawLock};
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;

@@ -78,6 +78,7 @@ use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
 use rsched_sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use rsched_sync::sync::Mutex;
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
@@ -186,10 +187,7 @@ impl Producer<'_> {
     /// producers' subsequent pushes are rejected) and starts the drain.
     /// Already-accepted tasks still complete exactly once.
     pub fn seal_all(&self) {
-        for q in &self.core.queues {
-            q.seal();
-        }
-        self.core.ledger.seal();
+        self.core.seal_all();
     }
 }
 
@@ -288,6 +286,29 @@ struct ServiceCore {
     ledger: Ledger,
     capacity: CapacityWaiters,
     open_producers: AtomicUsize,
+    /// Set when the engine unwound: the pumps complete without flushing.
+    aborted: AtomicBool,
+}
+
+impl ServiceCore {
+    fn seal_all(&self) {
+        for q in &self.queues {
+            q.seal();
+        }
+        self.ledger.seal();
+    }
+
+    /// The workers are gone and nothing will be popped again: releases
+    /// everyone who waits on them. Sealing returns blocked pushers
+    /// [`PushError::Sealed`] and wakes pumps parked on an empty queue;
+    /// `wake_all` wakes pumps parked on the watermark. The flag store
+    /// precedes `wake_all`'s fence and the pump re-checks the flag after
+    /// `register`'s, so a pump either sees the flag or is woken to.
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::SeqCst);
+        self.seal_all();
+        self.capacity.wake_all();
+    }
 }
 
 /// The streaming [`EngineDriver`]: dispatch goes to the request handler
@@ -376,10 +397,17 @@ where
 {
     let mut buf: Vec<(u64, TaskId)> = Vec::with_capacity(flush_batch);
     futures::future::poll_fn(move |cx| loop {
+        if core.aborted.load(Ordering::SeqCst) {
+            return Poll::Ready(());
+        }
         if sched.max_partition_load() >= watermark {
-            // Register first, re-check second: a worker draining between
-            // the two wakes us immediately instead of being missed.
+            // Register first, re-check second: a worker draining (or the
+            // abort) between the two wakes us immediately instead of being
+            // missed.
             core.capacity.register(cx.waker());
+            if core.aborted.load(Ordering::SeqCst) {
+                return Poll::Ready(());
+            }
             if sched.max_partition_load() >= watermark {
                 return Poll::Pending;
             }
@@ -409,9 +437,10 @@ where
 ///
 /// Panics if any `config` knob is zero (except `shard_watermark`), or if a
 /// producer closure or the handler panics. A handler panic stops every
-/// worker and is re-raised once producers and pumps have finished — which
-/// a pump parked on the watermark, with no worker left to wake it, never
-/// does (DESIGN.md "Service semantics").
+/// worker, seals ingestion (blocked and later pushes return
+/// [`PushError::Sealed`]), completes the pumps without flushing, and is
+/// re-raised once producers and pumps have finished (DESIGN.md "Service
+/// semantics").
 pub fn run_service<H, S>(
     handler: &H,
     sched: &S,
@@ -441,6 +470,7 @@ where
         ledger: Ledger::new(),
         capacity: CapacityWaiters::default(),
         open_producers: AtomicUsize::new(producers.len()),
+        aborted: AtomicBool::new(false),
     };
     if producers.is_empty() {
         core.ledger.seal();
@@ -466,7 +496,14 @@ where
         }
         let driver =
             ServiceDriver { handler, sched, ledger: &core.ledger, capacity: Some(&core.capacity) };
-        run_engine(&driver, sched, config.workers, config.batch_size)
+        let engine =
+            AssertUnwindSafe(|| run_engine(&driver, sched, config.workers, config.batch_size));
+        // Inside the scope: it joins producers and pumps before returning,
+        // and they wait on workers that no longer exist.
+        catch_unwind(engine).unwrap_or_else(|panic| {
+            core.abort();
+            resume_unwind(panic)
+        })
     });
     rsched_obs::instant!("service_drained");
     let stats = ServiceStats {

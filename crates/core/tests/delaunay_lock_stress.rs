@@ -12,10 +12,9 @@
 //!   convex-hull coverage (Euler count + doubled-area equality), and the
 //!   order-independent triangle count against the sequential reference.
 //!
-//! The grid covers every concurrent scheduler in the zoo — including a
-//! MultiQueue whose buckets sit behind the same MCS queue lock the cells
-//! use — at 1/2/4/8 workers, plus the exact FAA executor whose backoff
-//! loop retries lock-conflict `Blocked` outcomes in place.
+//! The grid covers every concurrent scheduler in the zoo at 1/2/4/8
+//! workers, plus the exact FAA executor whose backoff loop retries
+//! lock-conflict `Blocked` outcomes in place.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,8 +29,7 @@ use rsched_core::stats::ConcurrentStats;
 use rsched_core::TaskId;
 use rsched_graph::geom::{gaussian_clusters, uniform_square, Point};
 use rsched_graph::Permutation;
-use rsched_queues::concurrent::{Heap, LockFreeMultiQueue, MultiQueue};
-use rsched_queues::lock::{Lock, McsLock};
+use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
 use rsched_queues::sharded::ShardedScheduler;
 use rsched_queues::ConcurrentScheduler;
 
@@ -71,10 +69,6 @@ fn every_scheduler_at_every_thread_count_is_verifier_clean() {
     for threads in [1usize, 2, 4, 8] {
         let mq: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
         run_and_audit(&pts, &pi, mq, threads, 1, expected, &format!("mq t={threads}"));
-
-        let mcs: MultiQueue<TaskId, Lock<McsLock, Heap<TaskId>>> =
-            MultiQueue::with_lock(2 * threads);
-        run_and_audit(&pts, &pi, mcs, threads, 1, expected, &format!("mq-mcs t={threads}"));
 
         let lf: LockFreeMultiQueue<TaskId> = LockFreeMultiQueue::for_threads(threads);
         run_and_audit(&pts, &pi, lf, threads, 1, expected, &format!("lfmq t={threads}"));

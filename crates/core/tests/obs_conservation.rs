@@ -36,6 +36,7 @@ use rsched_graph::{gen, Permutation};
 use rsched_queues::concurrent::MultiQueue;
 use rsched_queues::relaxed::SimMultiQueue;
 use rsched_queues::sharded::ShardedScheduler;
+use rsched_queues::PriorityScheduler;
 use std::sync::Mutex;
 
 /// Serialises every counter-diffing test body; the registry is global.
@@ -132,6 +133,26 @@ proptest! {
         prop_assert_eq!(delta(&end, &base, "blocked", "seq_pop_total"), stats.wasted);
         prop_assert_eq!(delta(&end, &base, "obsolete", "seq_pop_total"), stats.obsolete);
     }
+}
+
+/// Sequential sharded scheduler: every insert path credits the
+/// `sharded_shard_load` gauges every pop debits — a batch longer than the
+/// shard count takes the scatter path, which once skipped the credit.
+#[test]
+fn sequential_sharded_load_gauge_conserves() {
+    let _guard = locked();
+    let load = |snap: &rsched_obs::Snapshot| -> i64 {
+        (0..2).map(|shard| snap.gauge(&format!(r#"sharded_shard_load{{shard="{shard}"}}"#))).sum()
+    };
+    let mut sched: ShardedScheduler<SimMultiQueue<TaskId, StdRng>> =
+        ShardedScheduler::from_fn(2, |i| SimMultiQueue::new(2, StdRng::seed_from_u64(i as u64)));
+    let entries: Vec<(u64, TaskId)> = (0..100).map(|t| (u64::from(t), t)).collect();
+
+    let base = rsched_obs::snapshot();
+    sched.insert_batch(&entries);
+    assert_eq!(load(&rsched_obs::snapshot()) - load(&base), 100);
+    while sched.pop().is_some() {}
+    assert_eq!(load(&rsched_obs::snapshot()) - load(&base), 0);
 }
 
 /// An always-`Processed` handler that chains one follow-up submit per

@@ -16,8 +16,7 @@
 //! * **Compile-time gating** — in the style of the `rsched_sync` model
 //!   façade: with the `obs` feature *off* (the default), every probe macro
 //!   expands to a ZST no-op pinned by `tests/zero_cost.rs`; instrumented
-//!   crates are bit-for-bit the uninstrumented ones. With it on, a runtime
-//!   kill-switch ([`set_enabled`]) remains.
+//!   crates are bit-for-bit the uninstrumented ones.
 //!
 //! ## Probing code
 //!
@@ -52,9 +51,7 @@ mod metrics;
 mod trace;
 
 #[cfg(feature = "obs")]
-pub use metrics::{
-    counter, enabled, gauge, histogram, set_enabled, snapshot, Counter, Gauge, Histogram,
-};
+pub use metrics::{counter, gauge, histogram, snapshot, Counter, Gauge, Histogram};
 #[cfg(feature = "obs")]
 pub use trace::{chrome_trace_json, instant_event, intern, now_ns, Span};
 
@@ -63,8 +60,8 @@ mod noop;
 
 #[cfg(not(feature = "obs"))]
 pub use noop::{
-    chrome_trace_json, counter, enabled, gauge, histogram, instant_event, intern, now_ns,
-    set_enabled, snapshot, Counter, Gauge, Histogram, Span,
+    chrome_trace_json, counter, gauge, histogram, instant_event, intern, now_ns, snapshot, Counter,
+    Gauge, Histogram, Span,
 };
 
 /// `true` iff the `obs` feature compiled the live probes in. Lets callers

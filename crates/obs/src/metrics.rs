@@ -9,7 +9,7 @@
 use crate::hist::LogHistogram;
 use crate::{HistSummary, Snapshot};
 use crossbeam::utils::CachePadded;
-use rsched_sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use rsched_sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -53,9 +53,7 @@ impl Counter {
     /// Adds `n`. Wait-free: one `Relaxed` fetch_add on this thread's cell.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.cells[stripe()].fetch_add(n, Relaxed);
-        }
+        self.0.cells[stripe()].fetch_add(n, Relaxed);
     }
 
     /// Adds 1.
@@ -94,9 +92,7 @@ impl Gauge {
     /// Adds `n` (may be negative via [`Gauge::sub`]).
     #[inline]
     pub fn add(&self, n: i64) {
-        if enabled() {
-            self.0.cell.fetch_add(n as isize, Relaxed);
-        }
+        self.0.cell.fetch_add(n as isize, Relaxed);
     }
 
     /// Subtracts `n`.
@@ -108,9 +104,7 @@ impl Gauge {
     /// Overwrites the level.
     #[inline]
     pub fn set(&self, n: i64) {
-        if enabled() {
-            self.0.cell.store(n as isize, Relaxed);
-        }
+        self.0.cell.store(n as isize, Relaxed);
     }
 
     /// Current level.
@@ -131,12 +125,10 @@ impl std::fmt::Debug for Gauge {
 pub struct Histogram(pub(crate) &'static LogHistogram);
 
 impl Histogram {
-    /// Records one sample (no-op while probes are disabled).
+    /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        if enabled() {
-            self.0.record(value);
-        }
+        self.0.record(value);
     }
 
     /// The underlying histogram, for direct quantile queries.
@@ -164,22 +156,6 @@ struct Registry {
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(Registry::default)
-}
-
-/// Runtime kill-switch (compile-time gating is the `obs` feature; this is
-/// the coarser in-process toggle). Probes check it with a `Relaxed` load.
-static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether probes currently record. Always `false` when the `obs` feature
-/// is off (that variant lives in `noop.rs` and is `const`-foldable).
-#[inline]
-pub fn enabled() -> bool {
-    RUNTIME_ENABLED.load(Relaxed)
-}
-
-/// Turns all probes on or off at runtime (they start on).
-pub fn set_enabled(on: bool) {
-    RUNTIME_ENABLED.store(on, Relaxed);
 }
 
 /// Registers (or looks up) the counter `name`. Cold path; cache the handle.

@@ -87,15 +87,6 @@ pub fn now_ns() -> u64 {
     0
 }
 
-/// Always `false`: the compile-time gate subsumes the runtime one.
-#[inline(always)]
-pub fn enabled() -> bool {
-    false
-}
-
-#[inline(always)]
-pub fn set_enabled(_on: bool) {}
-
 /// An empty snapshot: nothing is ever registered.
 #[inline(always)]
 pub fn snapshot() -> Snapshot {

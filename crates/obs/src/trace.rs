@@ -1,8 +1,7 @@
 //! Span tracing: per-thread fixed-capacity ring buffers flushed on demand
 //! to chrome://tracing JSON.
 //!
-//! Each thread lazily registers one ring (capacity fixed at registration,
-//! default 4096 slots, `RSCHED_OBS_RING_CAP` overrides). Recording a span
+//! Each thread lazily registers one ring of 4096 slots. Recording a span
 //! or instant is allocation-free: claim the next slot (`head` counter,
 //! thread-local so uncontended), store three `Relaxed` words. When the ring
 //! wraps, the oldest events are overwritten — the policy is *keep most
@@ -19,14 +18,13 @@
 //! traces. This is a deliberate monitoring-grade trade — see DESIGN.md,
 //! "Observability semantics".
 
-use crate::metrics::enabled;
 use rsched_sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default ring capacity (slots per thread); `RSCHED_OBS_RING_CAP` wins.
-const DEFAULT_RING_CAP: usize = 4096;
+/// Ring capacity (slots per thread).
+const RING_CAP: usize = 4096;
 
 /// Event kinds packed into the low bits of `Slot::meta`.
 const KIND_EMPTY: u64 = 0;
@@ -78,30 +76,15 @@ fn state() -> &'static TraceState {
         .get_or_init(|| TraceState { rings: Mutex::new(Vec::new()), names: Mutex::new(Vec::new()) })
 }
 
-fn ring_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("RSCHED_OBS_RING_CAP")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&c: &usize| c > 0)
-            .unwrap_or(DEFAULT_RING_CAP)
-    })
-}
-
 /// The process time origin; all event timestamps are ns since this instant.
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Nanoseconds since the process trace epoch (0 when probes are disabled,
-/// so timing probes cost nothing while switched off).
+/// Nanoseconds since the process trace epoch.
 #[inline]
 pub fn now_ns() -> u64 {
-    if !enabled() {
-        return 0;
-    }
     epoch().elapsed().as_nanos() as u64
 }
 
@@ -125,13 +108,12 @@ fn ring() -> &'static Ring {
         if let Some(ring) = r.get() {
             return ring;
         }
-        let cap = ring_cap();
         let mut rings = state().rings.lock().unwrap();
         let ring: &'static Ring = Box::leak(Box::new(Ring {
             tid: rings.len() as u64 + 1,
             name: std::thread::current().name().unwrap_or("worker").to_owned(),
             head: AtomicU64::new(0),
-            slots: (0..cap)
+            slots: (0..RING_CAP)
                 .map(|_| Slot {
                     meta: AtomicU64::new(KIND_EMPTY),
                     start: AtomicU64::new(0),
@@ -150,7 +132,6 @@ fn ring() -> &'static Ring {
 /// `let _span = span!("worker_run");`.
 #[must_use = "a span records its duration when dropped; bind it with `let _span = ...`"]
 pub struct Span {
-    /// `u32::MAX` = disabled at entry; record nothing on drop.
     name_id: u32,
     start: u64,
 }
@@ -159,9 +140,6 @@ impl Span {
     /// Enters a span for the interned `name_id` (macro-facing).
     #[inline]
     pub fn enter(name_id: u32) -> Span {
-        if !enabled() {
-            return Span { name_id: u32::MAX, start: 0 };
-        }
         Span { name_id, start: now_ns() }
     }
 }
@@ -169,9 +147,6 @@ impl Span {
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        if self.name_id == u32::MAX || !enabled() {
-            return;
-        }
         let end = now_ns();
         ring().push(KIND_SPAN, self.name_id, self.start, end.saturating_sub(self.start));
     }
@@ -181,9 +156,6 @@ impl Drop for Span {
 /// [`instant!`](crate::instant) macro).
 #[inline]
 pub fn instant_event(name_id: u32) {
-    if !enabled() {
-        return;
-    }
     ring().push(KIND_INSTANT, name_id, now_ns(), 0);
 }
 

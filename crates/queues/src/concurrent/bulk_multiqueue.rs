@@ -12,17 +12,14 @@
 //! here; the scheduler around it is [`MultiQueueCore`].
 
 use super::multiqueue::{BucketQueue, Locked, MultiQueueCore};
-use crate::lock::BucketLock;
 use crate::Entry;
-use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
 /// One [`BulkMultiQueue`] bucket: a sorted prefilled run consumed from the
 /// front plus a small overflow heap for runtime re-insertions. Public
-/// (fields private) because it names the default bucket lock's contents
-/// (`Mutex<Run<T>>`) in the type parameter list.
+/// (fields private) because the [`BulkMultiQueue`] alias names it.
 pub struct Run<T> {
     /// Prefilled entries, sorted ascending; `sorted[head..]` are live.
     sorted: Vec<Entry<T>>,
@@ -78,10 +75,6 @@ impl<T: Copy + Send> BucketQueue<T> for Run<T> {
 /// MultiQueue over sorted runs with overflow heaps; the fast scheduler for
 /// prefilled task sets (`T: Copy` since runs are consumed in place).
 ///
-/// As for [`super::MultiQueue`], the bucket lock is pluggable: `L` is any
-/// [`BucketLock`] — `parking_lot::Mutex` by default, or a queue lock from
-/// [`crate::lock`] via [`BulkMultiQueue::prefilled_with_lock`].
-///
 /// # Examples
 ///
 /// ```
@@ -92,11 +85,10 @@ impl<T: Copy + Send> BucketQueue<T> for Run<T> {
 /// assert!(p < 100);
 /// q.insert(0, 999); // re-insertions go to the overflow heap
 /// ```
-pub type BulkMultiQueue<T, L = Mutex<Run<T>>> = MultiQueueCore<T, Locked<L, Run<T>>>;
+pub type BulkMultiQueue<T> = MultiQueueCore<T, Locked<Run<T>>>;
 
 impl<T: Copy + Send> BulkMultiQueue<T> {
-    /// Bulk-loads `entries`, scattering them over `num_queues` runs behind
-    /// the default bucket lock (`parking_lot::Mutex`).
+    /// Bulk-loads `entries`, scattering them over `num_queues` runs.
     ///
     /// # Panics
     ///
@@ -105,7 +97,7 @@ impl<T: Copy + Send> BulkMultiQueue<T> {
     where
         I: IntoIterator<Item = (u64, T)>,
     {
-        Self::prefilled_with_lock(num_queues, entries)
+        Self::build(num_queues, entries, 1)
     }
 
     /// Creates a queue sized as in the paper (four per thread), prefilled;
@@ -116,21 +108,6 @@ impl<T: Copy + Send> BulkMultiQueue<T> {
     {
         let threads = threads.max(1);
         Self::build(4 * threads, entries, threads)
-    }
-}
-
-impl<T: Copy + Send, L: BucketLock<Run<T>>> BulkMultiQueue<T, L> {
-    /// Bulk-loads `entries` over `num_queues` runs behind the bucket lock
-    /// chosen by the `L` type parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_queues == 0`.
-    pub fn prefilled_with_lock<I>(num_queues: usize, entries: I) -> Self
-    where
-        I: IntoIterator<Item = (u64, T)>,
-    {
-        Self::build(num_queues, entries, 1)
     }
 }
 

@@ -4,11 +4,10 @@
 //! binary heaps, [`MultiQueue`]; the sorted-run and Harris-list buckets are
 //! in `bulk_multiqueue.rs` and `lf_multiqueue.rs`.
 
-use crate::lock::BucketLock;
 use crate::rng;
 use crate::{ConcurrentScheduler, Entry, BATCH_SCATTER_RUN};
 use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rsched_sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -301,53 +300,53 @@ pub trait BucketQueue<T>: Send {
     fn push_entry(&mut self, entry: Entry<T>);
 }
 
-/// The lock-based bucket: a sequential queue `Q` behind a [`BucketLock`]
-/// `L` and, on the same padded line, the queue's length. Only the lock's
-/// holder updates the count, before it releases: counting costs the hot
-/// path no line it does not already own, and an entry is never poppable
-/// before it is counted.
+/// The lock-based bucket: a sequential queue `Q` behind a
+/// `parking_lot::Mutex` and, on the same padded line, the queue's length.
+/// Only the lock's holder updates the count, before it releases: counting
+/// costs the hot path no line it does not already own, and an entry is
+/// never poppable before it is counted. Which mutex guards the queue is a
+/// constant, not a parameter (DESIGN.md "Locking semantics").
 #[derive(Debug)]
-pub struct Locked<L, Q> {
-    lock: L,
+pub struct Locked<Q> {
+    lock: Mutex<Q>,
     live: AtomicIsize,
-    _queue: PhantomData<fn() -> Q>,
 }
 
-impl<T, Q: BucketQueue<T>, L: BucketLock<Q>> Bucket<T> for Locked<L, Q> {
+impl<T, Q: BucketQueue<T>> Bucket<T> for Locked<Q> {
     type Guard = ();
     type Open<'a>
-        = L::Guard<'a>
+        = MutexGuard<'a, Q>
     where
         Self: 'a;
 
     fn from_sorted(run: Vec<Entry<T>>) -> Self {
         let live = AtomicIsize::new(run.len() as isize);
-        Locked { lock: L::new(Q::from_sorted(run)), live, _queue: PhantomData }
+        Locked { lock: Mutex::new(Q::from_sorted(run)), live }
     }
 
     fn guard(&self) {}
 
-    fn try_open<'a>(&'a self, (): &'a ()) -> Option<L::Guard<'a>> {
+    fn try_open<'a>(&'a self, (): &'a ()) -> Option<MutexGuard<'a, Q>> {
         self.lock.try_lock()
     }
 
-    fn open<'a>(&'a self, (): &'a ()) -> L::Guard<'a> {
+    fn open<'a>(&'a self, (): &'a ()) -> MutexGuard<'a, Q> {
         self.lock.lock()
     }
 
-    fn peek(&self, open: &L::Guard<'_>) -> Option<u64> {
+    fn peek(&self, open: &MutexGuard<'_, Q>) -> Option<u64> {
         open.peek_min()
     }
 
-    fn pop(&self, open: &mut L::Guard<'_>) -> Option<(u64, T)> {
+    fn pop(&self, open: &mut MutexGuard<'_, Q>) -> Option<(u64, T)> {
         open.pop_min().map(|e| (e.priority, e.item))
     }
 
-    fn push(&self, open: &mut L::Guard<'_>, entry: Entry<T>) {
+    fn push(&self, open: &mut MutexGuard<'_, Q>, entry: Entry<T>) {
         open.push_entry(entry);
     }
 
-    fn close(&self, _open: L::Guard<'_>, delta: isize) {
+    fn close(&self, _open: MutexGuard<'_, Q>, delta: isize) {
         // `_open` holds the lock until return, so no other writer: a plain
         // load and store, no read-modify-write.
         self.live.store(self.live.load(Ordering::Relaxed) + delta, Ordering::Release);
@@ -359,8 +358,8 @@ impl<T, Q: BucketQueue<T>, L: BucketLock<Q>> Bucket<T> for Locked<L, Q> {
 }
 
 /// The per-bucket structure a [`MultiQueue`] guards behind each bucket
-/// lock: a min-heap of entries. Public because it names the default bucket
-/// lock's contents (`Mutex<Heap<T>>`) in the type parameter list.
+/// lock: a min-heap of entries. Public because the [`MultiQueue`] alias
+/// names it.
 pub type Heap<T> = BinaryHeap<Reverse<Entry<T>>>;
 
 impl<T: Send> BucketQueue<T> for Heap<T> {
@@ -385,38 +384,26 @@ impl<T: Send> BucketQueue<T> for Heap<T> {
 /// heaps behind try-locks, scheduled by [`MultiQueueCore`]. The paper's
 /// experiments use four heaps per thread.
 ///
-/// The bucket lock is pluggable: `L` is any [`BucketLock`] —
-/// `parking_lot::Mutex` by default, or a queue lock from [`crate::lock`]
-/// via [`MultiQueue::with_lock`], the contention comparison the
-/// `lock_ops`/`cross_scheduler_contention` criterion groups measure.
-///
 /// # Examples
 ///
 /// ```
 /// use rsched_queues::{ConcurrentScheduler, concurrent::MultiQueue};
-/// use rsched_queues::lock::{Lock, McsLock};
 ///
 /// let q = MultiQueue::for_threads(2);
 /// q.insert(3, "c");
 /// q.insert(1, "a");
 /// assert!(q.pop().is_some());
-///
-/// // Same scheduler over MCS bucket locks:
-/// let q: MultiQueue<u32, Lock<McsLock, _>> = MultiQueue::with_lock(8);
-/// q.insert(1, 1);
-/// assert_eq!(q.pop(), Some((1, 1)));
 /// ```
-pub type MultiQueue<T, L = Mutex<Heap<T>>> = MultiQueueCore<T, Locked<L, Heap<T>>>;
+pub type MultiQueue<T> = MultiQueueCore<T, Locked<Heap<T>>>;
 
 impl<T: Send> MultiQueue<T> {
-    /// Creates a MultiQueue with `num_queues` internal heaps behind the
-    /// default bucket lock (`parking_lot::Mutex`).
+    /// Creates a MultiQueue with `num_queues` internal heaps.
     ///
     /// # Panics
     ///
     /// Panics if `num_queues == 0`.
     pub fn new(num_queues: usize) -> Self {
-        Self::with_lock(num_queues)
+        Self::build(num_queues, std::iter::empty(), 1)
     }
 
     /// Creates a MultiQueue sized as in the paper's experiments: four heaps
@@ -426,26 +413,13 @@ impl<T: Send> MultiQueue<T> {
     }
 }
 
-impl<T: Send, L: BucketLock<Heap<T>>> MultiQueue<T, L> {
-    /// Creates a MultiQueue with `num_queues` internal heaps behind the
-    /// bucket lock chosen by the `L` type parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_queues == 0`.
-    pub fn with_lock(num_queues: usize) -> Self {
-        Self::build(num_queues, std::iter::empty(), 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     //! The MultiQueue contract, written once over [`MultiQueueCore`] and run
-    //! for every bucket kind × lock × reclamation backend the aliases offer.
+    //! for every bucket kind × reclamation backend the aliases offer.
 
     use super::*;
     use crate::concurrent::{BulkMultiQueue, LockFreeMultiQueue};
-    use crate::lock::{Lock, McsLock, TicketLock};
     use crate::reclaim::{Ebr, Reclaim, Vbr};
     use rsched_sync::atomic::{AtomicBool, AtomicUsize};
     use std::collections::HashSet;
@@ -606,8 +580,8 @@ mod tests {
         assert_eq!((out.len(), q.len()), (300, 0));
     }
 
-    fn heap<L: BucketLock<Heap<u64>>>(queues: usize, fill: Range<u64>) -> MultiQueue<u64, L> {
-        let q = MultiQueue::with_lock(queues);
+    fn heap(queues: usize, fill: Range<u64>) -> MultiQueue<u64> {
+        let q = MultiQueue::new(queues);
         fill.for_each(|p| q.insert(p, p));
         q
     }
@@ -618,17 +592,7 @@ mod tests {
 
     #[test]
     fn heap_buckets_behind_mutex() {
-        contract(heap::<Mutex<_>>);
-    }
-
-    #[test]
-    fn heap_buckets_behind_mcs_lock() {
-        contract(heap::<Lock<McsLock, _>>);
-    }
-
-    #[test]
-    fn heap_buckets_behind_ticket_lock() {
-        contract(heap::<Lock<TicketLock, _>>);
+        contract(heap);
     }
 
     #[test]

@@ -1,56 +1,52 @@
-//! Queue-based spin locks: MCS and ticket locks behind one raw trait.
+//! The MCS queue lock behind a raw trait.
 //!
 //! `parking_lot::Mutex` (the shim wraps `std::sync::Mutex`) is a *global
 //! spin target*: every contending thread hammers the same word, so handoff
 //! cost grows with the number of waiters (cache-line ping-pong on every
-//! release). Queue locks hand the lock to exactly one successor, in arrival
-//! order:
+//! release). A queue lock hands the lock to exactly one successor, in
+//! arrival order.
 //!
-//! * [`McsLock`] — waiters form an explicit linked queue; each spins on a
-//!   flag in its **own** node (cache-padded, so the handoff write invalidates
-//!   one waiter's line only) and the releaser follows its `next` pointer to
-//!   hand off. Supports a genuinely non-blocking [`RawTryLock::try_acquire`]
-//!   (CAS the tail from null), which is why the fine-grained Delaunay uses
-//!   MCS for per-cell cavity locks.
-//! * [`TicketLock`] — fetch-and-add FIFO: one RMW per acquire, zero
-//!   allocation, but all waiters spin on the shared owner word. The baseline
-//!   queue lock, and the cheapest under low contention.
+//! In [`McsLock`] waiters form an explicit linked queue; each spins on a
+//! flag in its **own** node (cache-padded, so the handoff write invalidates
+//! one waiter's line only) and the releaser follows its `next` pointer to
+//! hand off. It supports a genuinely non-blocking [`RawLock::try_acquire`]
+//! (CAS the tail from null), which is why the fine-grained Delaunay uses
+//! one per cell for its cavity locks — and takes them by `try_lock` only.
 //!
-//! Both are strict FIFO for blocking acquirers (the fairness half of
-//! the toolkit; `lock_props.rs` pins it), spin through
+//! It is strict FIFO for blocking acquirers (the fairness half of the
+//! toolkit; `lock_props.rs` pins it), spins through
 //! [`crossbeam::utils::Backoff::snooze`] so waiters degrade to yielding on
-//! oversubscribed hosts (the 1-CPU CI container), and release in *O(1)*
+//! oversubscribed hosts (the 1-CPU CI container), and releases in *O(1)*
 //! independent of the waiter count.
 //!
-//! Three API layers:
+//! Two API layers:
 //!
-//! * [`RawLock`] / [`RawTryLock`] — state-token protocol plus the RAII
-//!   [`RawGuard`]; use this when the lock guards something that is not a
-//!   single `T` (the Delaunay cavity protocol holds many cell locks at
-//!   once).
-//! * [`Lock<R, T>`] — a `Mutex<T>`-shaped data wrapper over any `RawLock`.
-//! * [`BucketLock<T>`] — the lock-choice trait the MultiQueue's lock-based
-//!   bucket (`concurrent::Locked`, behind `MultiQueue` and `BulkMultiQueue`)
-//!   is generic over, implemented by `parking_lot::Mutex<T>` (the default)
-//!   and every `Lock<R, T>` with `R: RawTryLock`.
+//! * [`RawLock`] — state-token protocol plus the RAII [`RawGuard`]; use
+//!   this when the lock guards something that is not a single `T` (the
+//!   Delaunay cavity protocol holds many cell locks at once).
+//! * [`Lock<R, T>`] — a `Mutex<T>`-shaped data wrapper over a `RawLock`.
+//!
+//! The MultiQueue's lock-based bucket (`concurrent::Locked`) uses neither:
+//! its lock is `parking_lot::Mutex`, a constant (DESIGN.md "Locking
+//! semantics").
 //!
 //! # Examples
 //!
 //! ```
-//! use rsched_queues::lock::{Lock, McsLock, RawLock, TicketLock};
+//! use rsched_queues::lock::{Lock, McsLock, RawLock};
 //!
 //! let counter: Lock<McsLock, u64> = Lock::new(0);
 //! *counter.lock() += 1;
 //! assert_eq!(counter.into_inner(), 1);
 //!
-//! let raw = TicketLock::new();
+//! let raw = McsLock::new();
 //! let guard = raw.lock(); // RAII: released on drop, even on panic
+//! assert!(raw.try_lock().is_none());
 //! drop(guard);
 //! ```
 
 use crossbeam::utils::{Backoff, CachePadded};
-use parking_lot::Mutex;
-use rsched_sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use rsched_sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::cell::{RefCell, UnsafeCell};
 use std::fmt;
 use std::marker::PhantomData;
@@ -61,17 +57,20 @@ use std::ptr;
 /// the matching release consumes.
 ///
 /// The token carries the handoff state a queue lock needs at release time
-/// (the holder's queue node; the ticket number). Prefer the safe RAII
-/// surface — [`RawLock::lock`] or the [`Lock`] data wrapper — over calling
-/// `acquire`/`release` directly.
+/// (the holder's queue node). Prefer the safe RAII surface —
+/// [`RawLock::lock`] / [`RawLock::try_lock`] or the [`Lock`] data wrapper —
+/// over calling `acquire`/`release` directly.
+///
+/// [`McsLock`] is the one implementor; the trait stays because the
+/// benchmark names `Lock<McsLock, u64>` (DESIGN.md "Keep table").
 ///
 /// # Safety
 ///
 /// Implementations must guarantee mutual exclusion: between an `acquire`
-/// (or successful [`RawTryLock::try_acquire`]) and the `release` of its
-/// token, no other `acquire`/`try_acquire` on the same lock may return.
-/// Release must synchronize-with the next acquire (critical sections are
-/// ordered by happens-before).
+/// (or successful `try_acquire`) and the `release` of its token, no other
+/// `acquire`/`try_acquire` on the same lock may return. Release must
+/// synchronize-with the next acquire (critical sections are ordered by
+/// happens-before).
 pub unsafe trait RawLock: Default + Send + Sync {
     /// Per-hold handoff state, returned by acquisition and consumed by the
     /// matching release.
@@ -80,6 +79,12 @@ pub unsafe trait RawLock: Default + Send + Sync {
     /// Acquires the lock, blocking (spinning, then yielding) until it is
     /// held.
     fn acquire(&self) -> Self::Token;
+
+    /// Attempts to acquire without blocking; `None` means the lock was
+    /// observed held (or contended — spurious failure is allowed, waiting
+    /// is not). A `Some` is a full acquisition and must be released
+    /// exactly once.
+    fn try_acquire(&self) -> Option<Self::Token>;
 
     /// Releases a hold of the lock.
     ///
@@ -96,19 +101,6 @@ pub unsafe trait RawLock: Default + Send + Sync {
     {
         RawGuard { lock: self, token: self.acquire(), _not_send: PhantomData }
     }
-}
-
-/// A [`RawLock`] that can also be acquired without blocking.
-///
-/// # Safety
-///
-/// Same contract as [`RawLock`]: a `Some` from `try_acquire` is a full
-/// acquisition and must be released exactly once.
-pub unsafe trait RawTryLock: RawLock {
-    /// Attempts to acquire without blocking; `None` means the lock was
-    /// observed held (or contended — spurious failure is allowed, waiting
-    /// is not).
-    fn try_acquire(&self) -> Option<Self::Token>;
 
     /// Non-blocking [`RawLock::lock`].
     fn try_lock(&self) -> Option<RawGuard<'_, Self>>
@@ -141,91 +133,6 @@ impl<R: RawLock> Drop for RawGuard<'_, R> {
 impl<R: RawLock> fmt::Debug for RawGuard<'_, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RawGuard").finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Ticket lock
-// ---------------------------------------------------------------------------
-
-/// FIFO ticket lock: acquire takes a ticket with one `fetch_add`, release
-/// advances the owner counter.
-///
-/// The two counters live on separate cache lines so the release store
-/// invalidates only the spinners' line, not the enqueue line. All waiters
-/// spin on the shared `owner` word — the one queue-lock property ticket
-/// locks lack — which is what the `lock_ops` criterion group measures
-/// against MCS.
-#[derive(Default)]
-pub struct TicketLock {
-    next: CachePadded<AtomicU64>,
-    owner: CachePadded<AtomicU64>,
-}
-
-impl TicketLock {
-    /// Creates an unlocked ticket lock.
-    pub const fn new() -> Self {
-        TicketLock {
-            next: CachePadded::new(AtomicU64::new(0)),
-            owner: CachePadded::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Tickets issued so far (monotone; diagnostic for fairness tests).
-    pub fn issued(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    /// Tickets served so far (monotone; `issued() - served()` is the
-    /// current holder-plus-waiter count).
-    pub fn served(&self) -> u64 {
-        self.owner.load(Ordering::Relaxed)
-    }
-}
-
-// SAFETY: classic ticket protocol — `owner` is written only by the holder
-// (store of its own ticket + 1), so exactly the thread whose ticket equals
-// `owner` is inside; release's `Release` store synchronizes with the next
-// holder's `Acquire` spin load.
-unsafe impl RawLock for TicketLock {
-    type Token = u64;
-
-    fn acquire(&self) -> u64 {
-        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
-        let backoff = Backoff::new();
-        while self.owner.load(Ordering::Acquire) != ticket {
-            backoff.snooze();
-        }
-        ticket
-    }
-
-    // SAFETY contract on `RawLock::release`: `ticket` came from `acquire`
-    // and the caller still holds the lock.
-    unsafe fn release(&self, ticket: u64) {
-        self.owner.store(ticket.wrapping_add(1), Ordering::Release);
-    }
-}
-
-// SAFETY: the CAS succeeds only if `next == owner` (queue empty and lock
-// free): `owner` was read `== ticket` first and is monotone with
-// `owner <= next`, so at CAS success time both still equal `ticket` — the
-// acquirer holds the lock it just took the ticket for.
-unsafe impl RawTryLock for TicketLock {
-    fn try_acquire(&self) -> Option<u64> {
-        let ticket = self.owner.load(Ordering::Relaxed);
-        self.next
-            .compare_exchange(ticket, ticket.wrapping_add(1), Ordering::Acquire, Ordering::Relaxed)
-            .ok()
-            .map(|_| ticket)
-    }
-}
-
-impl fmt::Debug for TicketLock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TicketLock")
-            .field("issued", &self.issued())
-            .field("served", &self.served())
-            .finish()
     }
 }
 
@@ -324,7 +231,10 @@ impl McsLock {
 // predecessor with a `Release` store to `pred.next` and spins on its own
 // flag with `Acquire`; release either closes the queue with a tail CAS or
 // clears exactly its successor's flag with a `Release` store, so exactly
-// one thread proceeds per release.
+// one thread proceeds per release. `try_acquire`'s CAS publishes an
+// initialized node and succeeds only when tail is null — the lock is free
+// with no waiters — so success is a full uncontended acquisition; failure
+// touches nothing shared.
 unsafe impl RawLock for McsLock {
     type Token = usize;
 
@@ -348,6 +258,24 @@ unsafe impl RawLock for McsLock {
             }
         }
         node as usize
+    }
+
+    fn try_acquire(&self) -> Option<usize> {
+        let node = mcs_node_pop();
+        // SAFETY: exclusively ours until published.
+        unsafe {
+            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
+            (*node).locked.store(true, Ordering::Relaxed);
+        }
+        match self.tail.compare_exchange(ptr::null_mut(), node, Ordering::AcqRel, Ordering::Relaxed)
+        {
+            Ok(_) => Some(node as usize),
+            Err(_) => {
+                // SAFETY: never published — still exclusively ours.
+                unsafe { mcs_node_push(node) };
+                None
+            }
+        }
     }
 
     // SAFETY contract on `RawLock::release`: `token` came from `acquire`
@@ -385,29 +313,6 @@ unsafe impl RawLock for McsLock {
     }
 }
 
-// SAFETY: the CAS publishes an initialized node and succeeds only when
-// tail is null — the lock is free with no waiters — so success is a full
-// uncontended acquisition; failure touches nothing shared.
-unsafe impl RawTryLock for McsLock {
-    fn try_acquire(&self) -> Option<usize> {
-        let node = mcs_node_pop();
-        // SAFETY: exclusively ours until published.
-        unsafe {
-            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
-            (*node).locked.store(true, Ordering::Relaxed);
-        }
-        match self.tail.compare_exchange(ptr::null_mut(), node, Ordering::AcqRel, Ordering::Relaxed)
-        {
-            Ok(_) => Some(node as usize),
-            Err(_) => {
-                // SAFETY: never published — still exclusively ours.
-                unsafe { mcs_node_push(node) };
-                None
-            }
-        }
-    }
-}
-
 impl fmt::Debug for McsLock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("McsLock")
@@ -420,15 +325,15 @@ impl fmt::Debug for McsLock {
 // Lock<R, T>: Mutex-shaped data wrapper
 // ---------------------------------------------------------------------------
 
-/// `Mutex<T>` shaped over any [`RawLock`]: pairs the raw lock with the data
+/// `Mutex<T>` shaped over a [`RawLock`]: pairs the raw lock with the data
 /// it guards, yielding RAII guards that deref to `T`.
 ///
 /// # Examples
 ///
 /// ```
-/// use rsched_queues::lock::{Lock, TicketLock};
+/// use rsched_queues::lock::{Lock, McsLock};
 ///
-/// let m: Lock<TicketLock, Vec<u32>> = Lock::new(vec![1]);
+/// let m: Lock<McsLock, Vec<u32>> = Lock::new(vec![1]);
 /// m.lock().push(2);
 /// assert_eq!(m.into_inner(), vec![1, 2]);
 /// ```
@@ -465,10 +370,7 @@ impl<R: RawLock, T: ?Sized> Lock<R, T> {
     }
 
     /// Attempts to acquire without blocking.
-    pub fn try_lock(&self) -> Option<LockGuard<'_, R, T>>
-    where
-        R: RawTryLock,
-    {
+    pub fn try_lock(&self) -> Option<LockGuard<'_, R, T>> {
         self.raw.try_acquire().map(|token| LockGuard { lock: self, token, _not_send: PhantomData })
     }
 
@@ -522,74 +424,6 @@ impl<R: RawLock, T: ?Sized + fmt::Debug> fmt::Debug for LockGuard<'_, R, T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// BucketLock: the MultiQueue bucket-lock choice
-// ---------------------------------------------------------------------------
-
-/// The lock shape [`Locked`](crate::concurrent::Locked) MultiQueue buckets
-/// are generic over: a `Mutex<T>`-alike with blocking *and* non-blocking
-/// acquisition (the two-choice pop protocol is built on `try_lock`).
-///
-/// Implemented by `parking_lot::Mutex<T>` (the default bucket lock,
-/// unchanged behavior) and by every [`Lock<R, T>`] whose raw lock supports
-/// [`RawTryLock`] — i.e. [`McsLock`] and [`TicketLock`], the rows the
-/// `lock_ops` criterion group compares.
-pub trait BucketLock<T>: Send + Sync {
-    /// RAII hold, dereferencing to the bucket contents.
-    type Guard<'a>: DerefMut<Target = T>
-    where
-        Self: 'a,
-        T: 'a;
-
-    /// Wraps `value` behind a fresh (unlocked) bucket lock.
-    fn new(value: T) -> Self;
-
-    /// Acquires, blocking until held.
-    fn lock(&self) -> Self::Guard<'_>;
-
-    /// Attempts to acquire without blocking.
-    fn try_lock(&self) -> Option<Self::Guard<'_>>;
-}
-
-impl<T: Send> BucketLock<T> for Mutex<T> {
-    type Guard<'a>
-        = parking_lot::MutexGuard<'a, T>
-    where
-        T: 'a;
-
-    fn new(value: T) -> Self {
-        Mutex::new(value)
-    }
-
-    fn lock(&self) -> Self::Guard<'_> {
-        Mutex::lock(self)
-    }
-
-    fn try_lock(&self) -> Option<Self::Guard<'_>> {
-        Mutex::try_lock(self)
-    }
-}
-
-impl<R: RawTryLock, T: Send> BucketLock<T> for Lock<R, T> {
-    type Guard<'a>
-        = LockGuard<'a, R, T>
-    where
-        R: 'a,
-        T: 'a;
-
-    fn new(value: T) -> Self {
-        Lock::new(value)
-    }
-
-    fn lock(&self) -> Self::Guard<'_> {
-        Lock::lock(self)
-    }
-
-    fn try_lock(&self) -> Option<Self::Guard<'_>> {
-        Lock::try_lock(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,8 +433,10 @@ mod tests {
     /// Exactly-once handoff torture: `threads × iters` increments of an
     /// unsynchronized counter, with an atomic tripwire asserting no two
     /// threads are ever inside the critical section at once.
-    fn torture<R: RawLock>(threads: usize, iters: usize) {
-        let lock: Lock<R, u64> = Lock::new(0);
+    #[test]
+    fn mcs_exactly_once_handoff() {
+        let (threads, iters) = (4, 5_000);
+        let lock: Lock<McsLock, u64> = Lock::new(0);
         let inside = AtomicBool::new(false);
         std::thread::scope(|s| {
             for _ in 0..threads {
@@ -620,19 +456,11 @@ mod tests {
         assert_eq!(lock.into_inner(), (threads * iters) as u64);
     }
 
+    /// Mixed blocking/non-blocking torture.
     #[test]
-    fn mcs_exactly_once_handoff() {
-        torture::<McsLock>(4, 5_000);
-    }
-
-    #[test]
-    fn ticket_exactly_once_handoff() {
-        torture::<TicketLock>(4, 5_000);
-    }
-
-    /// Mixed blocking/non-blocking torture for the try-capable locks.
-    fn try_torture<R: RawTryLock>(threads: usize, iters: usize) {
-        let lock: Lock<R, u64> = Lock::new(0);
+    fn mcs_try_lock_torture() {
+        let (threads, iters) = (4, 5_000);
+        let lock: Lock<McsLock, u64> = Lock::new(0);
         let done = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -654,17 +482,8 @@ mod tests {
     }
 
     #[test]
-    fn mcs_try_lock_torture() {
-        try_torture::<McsLock>(4, 5_000);
-    }
-
-    #[test]
-    fn ticket_try_lock_torture() {
-        try_torture::<TicketLock>(4, 5_000);
-    }
-
-    fn try_contract<R: RawTryLock>() {
-        let lock = R::default();
+    fn mcs_try_contract() {
+        let lock = McsLock::new();
         let g = lock.lock();
         assert!(lock.try_acquire().is_none(), "try_acquire succeeded under a held lock");
         drop(g);
@@ -675,33 +494,20 @@ mod tests {
         assert!(lock.try_lock().is_some());
     }
 
-    #[test]
-    fn mcs_try_contract() {
-        try_contract::<McsLock>();
-    }
-
-    #[test]
-    fn ticket_try_contract() {
-        try_contract::<TicketLock>();
-    }
-
     /// Deterministic FIFO handoff: the main thread holds the lock, releases
-    /// gate `i` and *observes thread i enqueue* (via the arrival snapshot)
+    /// gate `i` and *observes thread i enqueue* (via the tail snapshot)
     /// before gating thread `i + 1`, so the arrival order is exact; strict
     /// FIFO then forces the acquisition order to match.
-    fn fifo_handoff<R, F>(lock: &Lock<R, ()>, arrivals: F)
-    where
-        R: RawLock,
-        F: Fn() -> usize + Sync,
-    {
+    #[test]
+    fn mcs_handoff_is_fifo() {
         const WAITERS: usize = 4;
+        let lock: Lock<McsLock, ()> = Lock::new(());
         let order = StdMutex::new(Vec::new());
         let gate = AtomicUsize::new(0);
         std::thread::scope(|s| {
             let held = lock.lock();
             for i in 0..WAITERS {
-                let order = &order;
-                let gate = &gate;
+                let (lock, order, gate) = (&lock, &order, &gate);
                 s.spawn(move || {
                     while gate.load(Ordering::Acquire) <= i {
                         std::thread::yield_now();
@@ -712,28 +518,16 @@ mod tests {
                 });
             }
             for i in 0..WAITERS {
-                let before = arrivals();
+                let before = lock.raw.tail_snapshot();
                 gate.store(i + 1, Ordering::Release);
                 // Wait until thread i is visibly enqueued behind us.
-                while arrivals() == before {
+                while lock.raw.tail_snapshot() == before {
                     std::thread::yield_now();
                 }
             }
             drop(held);
         });
         assert_eq!(*order.lock().unwrap(), (0..WAITERS).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ticket_handoff_is_fifo() {
-        let lock: Lock<TicketLock, ()> = Lock::new(());
-        fifo_handoff(&lock, || lock.raw.issued() as usize);
-    }
-
-    #[test]
-    fn mcs_handoff_is_fifo() {
-        let lock: Lock<McsLock, ()> = Lock::new(());
-        fifo_handoff(&lock, || lock.raw.tail_snapshot());
     }
 
     /// Many simultaneous holds from one thread (the Delaunay cavity
@@ -762,22 +556,5 @@ mod tests {
         assert!(result.is_err());
         // The guard's Drop ran during unwinding: the lock is free again.
         assert_eq!(*lock.try_lock().expect("released during unwind"), 7);
-    }
-
-    #[test]
-    fn bucket_lock_surface_is_interchangeable() {
-        fn exercise<L: BucketLock<Vec<u32>>>() {
-            let l = L::new(vec![1]);
-            l.lock().push(2);
-            {
-                let g = l.lock();
-                assert_eq!(*g, vec![1, 2]);
-            }
-            let g = l.try_lock().expect("free");
-            drop(g);
-        }
-        exercise::<Mutex<Vec<u32>>>();
-        exercise::<Lock<McsLock, Vec<u32>>>();
-        exercise::<Lock<TicketLock, Vec<u32>>>();
     }
 }

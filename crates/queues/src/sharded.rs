@@ -293,11 +293,9 @@ where
             }
             return;
         }
-        let shards = &mut self.shards;
-        let loads = &self.loads;
         scatter_batch(entries, s, |shard, group| {
-            shards[shard].insert_batch(group);
-            loads[shard].fetch_add(group.len() as isize, Ordering::Relaxed);
+            self.shards[shard].insert_batch(group);
+            self.note_inserted(shard, group.len());
         });
     }
 

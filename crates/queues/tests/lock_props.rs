@@ -1,6 +1,6 @@
 //! Property tests for the queue-lock toolkit (`rsched_queues::lock`).
 //!
-//! Three families, each swept across every lock implementation:
+//! Three families, over [`McsLock`]:
 //!
 //! * **Mutual exclusion** — arbitrary thread × iteration shapes increment a
 //!   plain counter under the lock while an atomic tripwire asserts no two
@@ -8,8 +8,8 @@
 //!   must equal the number of acquisitions exactly.
 //! * **FIFO fairness** — waiters gated into the queue one at a time (their
 //!   arrival observed through the lock's own diagnostics) must be served in
-//!   arrival order, for any waiter count: the defining property of ticket
-//!   and MCS locks that `parking_lot`'s adaptive mutex does not give.
+//!   arrival order, for any waiter count: the defining property of a queue
+//!   lock that `parking_lot`'s adaptive mutex does not give.
 //! * **Panic safety** — a guard dropped during unwind after an arbitrary
 //!   number of writes releases the lock and leaves exactly those writes
 //!   visible to the next acquirer.
@@ -18,15 +18,15 @@
 //! shape coverage, not statistical volume.
 
 use proptest::prelude::*;
-use rsched_queues::lock::{Lock, McsLock, RawLock, RawTryLock, TicketLock};
+use rsched_queues::lock::{Lock, McsLock, RawLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Counter torture under blocking acquisition: exactly-once accounting plus
 /// the two-threads-inside tripwire.
-fn torture<R: RawLock>(threads: usize, iters: usize) {
-    let lock = Lock::<R, u64>::new(0);
+fn torture(threads: usize, iters: usize) {
+    let lock = Lock::<McsLock, u64>::new(0);
     let inside = AtomicBool::new(false);
     std::thread::scope(|s| {
         for _ in 0..threads {
@@ -46,8 +46,8 @@ fn torture<R: RawLock>(threads: usize, iters: usize) {
 
 /// Counter torture where every third acquisition goes through the try path
 /// (spun until it succeeds), so try- and blocking-acquisitions interleave.
-fn try_torture<R: RawTryLock>(threads: usize, iters: usize) {
-    let lock = Lock::<R, u64>::new(0);
+fn try_torture(threads: usize, iters: usize) {
+    let lock = Lock::<McsLock, u64>::new(0);
     let inside = AtomicBool::new(false);
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -75,15 +75,15 @@ fn try_torture<R: RawTryLock>(threads: usize, iters: usize) {
 }
 
 /// FIFO handoff: while the main thread holds the lock, `waiters` threads
-/// are released into the queue one at a time — `snap` must change when a
-/// waiter has enqueued (ticket counter or queue-tail pointer) — and the
-/// service order must equal the arrival order.
-fn fifo<R: RawLock, F: Fn(&R) -> usize>(waiters: usize, snap: F) {
-    let lock = R::default();
+/// are released into the queue one at a time — the queue-tail snapshot
+/// changes when a waiter has enqueued — and the service order must equal
+/// the arrival order.
+fn fifo(waiters: usize) {
+    let lock = McsLock::new();
     let order: Mutex<Vec<usize>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         let gate = lock.lock();
-        let mut last = snap(&lock);
+        let mut last = lock.tail_snapshot();
         for i in 0..waiters {
             let (lock, order) = (&lock, &order);
             s.spawn(move || {
@@ -91,12 +91,12 @@ fn fifo<R: RawLock, F: Fn(&R) -> usize>(waiters: usize, snap: F) {
                 order.lock().unwrap().push(i);
             });
             // Admit the next waiter only once this one is visibly queued:
-            // nodes/tickets are in use while queued, so the snapshot is
-            // fresh for every arrival.
-            while snap(lock) == last {
+            // nodes are in use while queued, so the snapshot is fresh for
+            // every arrival.
+            while lock.tail_snapshot() == last {
                 std::thread::yield_now();
             }
-            last = snap(lock);
+            last = lock.tail_snapshot();
         }
         drop(gate);
     });
@@ -105,8 +105,8 @@ fn fifo<R: RawLock, F: Fn(&R) -> usize>(waiters: usize, snap: F) {
 
 /// Unwinding with a held guard after `prefix` writes: the lock must be
 /// reacquirable and hold exactly the prefix.
-fn panic_safety<R: RawLock>(prefix: u64) {
-    let lock = Lock::<R, u64>::new(0);
+fn panic_safety(prefix: u64) {
+    let lock = Lock::<McsLock, u64>::new(0);
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut g = lock.lock();
         for _ in 0..prefix {
@@ -123,26 +123,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn mutual_exclusion_all_locks(threads in 2usize..5, iters in 50usize..400) {
-        torture::<McsLock>(threads, iters);
-        torture::<TicketLock>(threads, iters);
+    fn mutual_exclusion_blocking_path(threads in 2usize..5, iters in 50usize..400) {
+        torture(threads, iters);
     }
 
     #[test]
     fn mutual_exclusion_mixed_try_paths(threads in 2usize..5, iters in 50usize..400) {
-        try_torture::<McsLock>(threads, iters);
-        try_torture::<TicketLock>(threads, iters);
+        try_torture(threads, iters);
     }
 
     #[test]
     fn fifo_fairness_any_waiter_count(waiters in 1usize..8) {
-        fifo::<TicketLock, _>(waiters, |l| l.issued() as usize);
-        fifo::<McsLock, _>(waiters, McsLock::tail_snapshot);
+        fifo(waiters);
     }
 
     #[test]
     fn guards_release_on_panic(prefix in 0u64..64) {
-        panic_safety::<McsLock>(prefix);
-        panic_safety::<TicketLock>(prefix);
+        panic_safety(prefix);
     }
 }
