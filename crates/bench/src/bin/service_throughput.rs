@@ -67,7 +67,7 @@ struct TimedHandler<'a, H> {
 }
 
 impl<H: RequestHandler> RequestHandler for TimedHandler<'_, H> {
-    fn handle(&self, priority: u64, task: TaskId, ctx: &SubmitCtx<'_>) -> TaskOutcome {
+    fn handle(&self, priority: u64, task: TaskId, ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
         let outcome = self.inner.handle(priority, task, ctx);
         if outcome != TaskOutcome::Blocked {
             self.done_ns[task as usize]

@@ -134,7 +134,7 @@ fn service_throughput_emits_trace_and_metrics() {
         r#"engine_pop_total{outcome="success"}"#,
         r#"engine_pop_total{outcome="empty"}"#,
         "engine_run_batch_size_count",
-        "engine_task_service_ns_count",
+        "engine_run_service_ns_count",
         "sharded_steal_total",
         "sharded_fairness_probe_total",
         r#"sharded_shard_load{shard="0"}"#,

@@ -118,10 +118,13 @@ where
 ///
 /// Seed one or more [`SsspHandler::request`]s (typically the source at
 /// distance 0); the handler floods the rest of the graph through
-/// [`SubmitCtx::submit`]. Distances converge to exact shortest paths under
-/// any pop order and any interleaving. [`concurrent_sssp`] runs one sealed
-/// request; under [`run_service`](crate::service::run_service) producers
-/// push the requests and may keep doing so while the flood is in progress.
+/// [`SubmitCtx::submit`] — a push into the popping worker's outgoing
+/// buffer, so the edges a run of pops improved reach the scheduler in one
+/// `insert_batch` when the run ends. Distances converge to exact shortest
+/// paths under any pop order and any interleaving. [`concurrent_sssp`] runs
+/// one sealed request; under [`run_service`](crate::service::run_service)
+/// producers push the requests and may keep doing so while the flood is in
+/// progress.
 pub struct SsspHandler<'g> {
     g: &'g WeightedCsr,
     dist: Vec<AtomicU64>,
@@ -181,7 +184,7 @@ impl<'g> SsspHandler<'g> {
 }
 
 impl RequestHandler for SsspHandler<'_> {
-    fn handle(&self, priority: u64, v: TaskId, ctx: &SubmitCtx<'_>) -> TaskOutcome {
+    fn handle(&self, priority: u64, v: TaskId, ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
         let d = priority >> self.vbits;
         self.relax(v, d);
         if d > self.dist[v as usize].load(Ordering::Acquire) {
@@ -203,13 +206,21 @@ impl RequestHandler for SsspHandler<'_> {
 /// Concurrent label-correcting SSSP over a shared relaxed scheduler: one
 /// sealed [`SsspHandler`] request — relax `source` at distance 0 — drained
 /// by `threads` workers of the engine that runs every other relaxed
-/// executor.
+/// executor, in runs of 32 pops: a worker opens a bucket once per run, and
+/// everything the run relaxed goes back in one `insert_batch`. A
+/// `k`-relaxed scheduler is thereby driven as an `O(32·k)`-relaxed one,
+/// which label-correcting SSSP pays for in re-expansions only (≤ 0.4 % of
+/// the vertices on the benchmark's G(n, m); DESIGN.md "Batching
+/// semantics") — and that holds for *any* scheduler passed in, a one-heap
+/// `MultiQueue` included, which is then no longer an exact order.
 ///
 /// Termination is the service's exactly-once ledger, not scheduler
 /// emptiness (which can be transient): every relaxation that improved a
-/// distance is accepted before the task that found it is decided, so
-/// `decided == accepted` means nothing is queued or in a worker's hands.
-/// The result equals [`dijkstra`]'s for any scheduler and any interleaving.
+/// distance is accepted before it can be popped and before the task that
+/// found it is decided, so `decided == accepted` means nothing is queued
+/// or in a worker's hands; the balance is asserted after the join, in
+/// release builds too. The result equals [`dijkstra`]'s for any scheduler
+/// and any interleaving.
 ///
 /// # Panics
 ///

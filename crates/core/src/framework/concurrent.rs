@@ -3,9 +3,10 @@
 //!
 //! One worker **engine** ([`worker_loop`]) drives every configuration: it
 //! pops a run of up to `batch_size` tasks, processes them, and returns the
-//! run's failed deletes in one `insert_batch`; the scalar executor is the
-//! `batch_size == 1` case. Each worker carries a stable `worker_id` that is
-//! passed to the scheduler's [`ConcurrentScheduler::pop_purging_for`], so
+//! run's failed deletes — and whatever tasks the run spawned — in one
+//! `insert_batch`; the scalar executor is the `batch_size == 1` case. Each
+//! worker carries a stable `worker_id` that is passed to the scheduler's
+//! [`ConcurrentScheduler::pop_purging_for`], so
 //! partitioned schedulers (e.g. `rsched_queues::sharded::ShardedScheduler`)
 //! can pin the worker to an affinity shard; monolithic schedulers ignore
 //! the hint by default. The same call hands the scheduler
@@ -95,10 +96,11 @@ impl Drop for PoisonOnUnwind<'_> {
 
 /// What a worker does between pops: the *workload half* of the engine.
 ///
-/// [`worker_loop`] owns popping, re-insertion of failed deletes, backoff,
-/// counters, and affinity drift; the driver supplies termination and the
-/// per-task processing step. Two drivers exist: [`PrefillDriver`] (the
-/// classic run-to-empty executors — terminate when the algorithm's
+/// [`worker_loop`] owns popping, the one outgoing buffer a run fills
+/// (spawned tasks and failed deletes) and its flush, backoff, counters, and
+/// affinity drift; the driver supplies termination, the per-task processing
+/// step and the per-run bookkeeping. Two drivers exist: [`PrefillDriver`]
+/// (the classic run-to-empty executors — terminate when the algorithm's
 /// remaining-task counter hits zero) and the service's driver in
 /// `crate::service` (terminate when the request set is sealed and the
 /// completion ledger balances — streaming runs and sealed ones alike).
@@ -108,10 +110,13 @@ pub(crate) trait EngineDriver: Sync {
     /// race through it independently).
     fn keep_running(&self) -> bool;
 
-    /// Processes one popped task. A [`TaskOutcome::Blocked`] return makes
-    /// the engine hand the task back to the scheduler at its original
-    /// priority; the driver must not re-insert it itself.
-    fn dispatch(&self, priority: u64, task: TaskId) -> TaskOutcome;
+    /// Processes one popped task. Tasks it spawns are pushed onto `out`,
+    /// the worker's outgoing buffer: the engine inserts them with the run's
+    /// failed deletes when the run ends, whatever the outcome returned. A
+    /// [`TaskOutcome::Blocked`] return makes the engine hand the task back
+    /// to the scheduler at its original priority; the driver must not
+    /// re-insert it itself.
+    fn dispatch(&self, priority: u64, task: TaskId, out: &mut Vec<(u64, TaskId)>) -> TaskOutcome;
 
     /// Whether the scheduler may discard `task`'s entry unseen; the
     /// contract is [`ConcurrentAlgorithm::is_obsolete`]'s. A driver that
@@ -121,10 +126,20 @@ pub(crate) trait EngineDriver: Sync {
         false
     }
 
-    /// Called once per nonempty run, after the run's failed deletes are
-    /// flushed. `net_drained` is pops and purges minus re-inserts — how
-    /// much scheduler occupancy the run retired. The service driver uses it
-    /// to wake ingestion pumps blocked on the shard high watermark.
+    /// Called once per nonempty run, **before** the run's outgoing buffer
+    /// is flushed: `spawned` tasks were pushed by the run's dispatches and
+    /// `decided` dispatches returned a terminal outcome. The order is the
+    /// driver's to rely on — no spawned task is poppable until this
+    /// returns (DESIGN.md "Service semantics", graceful drain).
+    fn book_run(&self, spawned: usize, decided: usize) {
+        let _ = (spawned, decided);
+    }
+
+    /// Called once per nonempty run, after the run's outgoing buffer is
+    /// flushed. `net_drained` is pops and purges minus inserts — how much
+    /// scheduler occupancy the run retired, 0 for a run that spawned more
+    /// than it retired. The service driver uses it to wake ingestion pumps
+    /// blocked on the shard high watermark.
     fn after_run(&self, net_drained: usize) {
         let _ = net_drained;
     }
@@ -139,7 +154,7 @@ impl<A: ConcurrentAlgorithm> EngineDriver for PrefillDriver<'_, A> {
         self.0.remaining() > 0
     }
 
-    fn dispatch(&self, _priority: u64, task: TaskId) -> TaskOutcome {
+    fn dispatch(&self, _priority: u64, task: TaskId, _out: &mut Vec<(u64, TaskId)>) -> TaskOutcome {
         self.0.try_process(task)
     }
 
@@ -149,16 +164,23 @@ impl<A: ConcurrentAlgorithm> EngineDriver for PrefillDriver<'_, A> {
 }
 
 /// The worker engine: pops a run of up to `batch_size` tasks with one
-/// `pop_purging_for`, dispatches each task to the `driver`, returns the
-/// run's failed deletes in one `insert_batch` (at `batch_size == 1` that is
-/// the scalar executor's op order: pop, process, conditional re-insert),
-/// and spins briefly on empty observations (a blocked task may be in
+/// `pop_purging_for`, dispatches each task to the `driver`, and returns
+/// the run's outgoing buffer — the tasks the run spawned and its failed
+/// deletes — in one `insert_batch` (at `batch_size == 1` that is the scalar
+/// executor's op order: pop, process, conditional insert; the engine never
+/// calls the scalar `insert`). Everything the driver hears about a run it
+/// hears once: [`EngineDriver::book_run`] before the flush,
+/// [`EngineDriver::after_run`] after it; outcome counters and the obs
+/// probes are tallied in the run's locals and land once per run too. The
+/// worker spins briefly on empty observations (a blocked task may be in
 /// another worker's hands, about to be re-inserted). Tasks the scheduler
 /// purged on the way count as obsolete pops, and a call that only purged is
 /// a run like any other: progress, not an empty observation. Termination is by
 /// [`EngineDriver::keep_running`], never scheduler emptiness — dead MIS
 /// vertices may still sit in the queue when a prefill run completes, and a
-/// streaming scheduler is *expected* to sit empty between arrivals.
+/// streaming scheduler is *expected* to sit empty between arrivals. A
+/// panicking `dispatch` drops the run's buffer with the run: nothing in it
+/// was booked or inserted.
 fn worker_loop<D, S>(
     driver: &D,
     sched: &S,
@@ -173,7 +195,7 @@ where
     let mut c = EngineTotals::default();
     let backoff = Backoff::new();
     let mut run: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
-    let mut blocked: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
+    let mut out: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
     // Adaptive affinity: a run with zero progress (every popped task
     // blocked) means this worker is ahead of the dependency frontier — the
     // tasks its scheduler partition serves are waiting on tasks housed
@@ -197,47 +219,53 @@ where
             continue;
         }
         backoff.reset();
-        if purged > 0 {
-            c.pops += purged as u64;
-            c.obsolete += purged as u64;
-            c.purged += purged as u64;
-            rsched_obs::counter!(r#"engine_pop_total{outcome="obsolete"}"#).add(purged as u64);
-        }
         let _run_span = rsched_obs::span!("engine_run");
         rsched_obs::hist!("engine_run_batch_size").record(got as u64);
+        let t0 = rsched_obs::now_ns();
+        let (mut processed, mut blocked) = (0usize, 0usize);
         for &(priority, v) in &run {
-            c.pops += 1;
-            let t0 = rsched_obs::now_ns();
-            let outcome = driver.dispatch(priority, v);
-            rsched_obs::hist!("engine_task_service_ns")
-                .record(rsched_obs::now_ns().saturating_sub(t0));
-            match outcome {
-                TaskOutcome::Processed => {
-                    c.processed += 1;
-                    rsched_obs::counter!(r#"engine_pop_total{outcome="success"}"#).inc();
-                }
+            match driver.dispatch(priority, v, &mut out) {
+                TaskOutcome::Processed => processed += 1,
                 TaskOutcome::Blocked => {
-                    c.wasted += 1;
-                    rsched_obs::counter!(r#"engine_pop_total{outcome="blocked"}"#).inc();
-                    blocked.push((priority, v));
+                    blocked += 1;
+                    out.push((priority, v));
                 }
-                TaskOutcome::Obsolete => {
-                    c.obsolete += 1;
-                    rsched_obs::counter!(r#"engine_pop_total{outcome="obsolete"}"#).inc();
-                }
+                TaskOutcome::Obsolete => {}
             }
         }
-        if !blocked.is_empty() {
-            // All failed deletes of the run go back in one synchronization
-            // round-trip.
-            sched.insert_batch(&blocked);
+        rsched_obs::hist!("engine_run_service_ns").record(rsched_obs::now_ns().saturating_sub(t0));
+        let obsolete = got - processed - blocked;
+        c.pops += (got + purged) as u64;
+        c.processed += processed as u64;
+        c.wasted += blocked as u64;
+        c.obsolete += (obsolete + purged) as u64;
+        c.purged += purged as u64;
+        // A zero `add` is still an RMW when the probes are compiled in.
+        if processed > 0 {
+            rsched_obs::counter!(r#"engine_pop_total{outcome="success"}"#).add(processed as u64);
         }
-        driver.after_run(got + purged - blocked.len());
-        if got > 0 && blocked.len() == got {
+        if blocked > 0 {
+            rsched_obs::counter!(r#"engine_pop_total{outcome="blocked"}"#).add(blocked as u64);
+        }
+        if obsolete + purged > 0 {
+            rsched_obs::counter!(r#"engine_pop_total{outcome="obsolete"}"#)
+                .add((obsolete + purged) as u64);
+        }
+        // Purged tasks were decided and counted by whoever made them
+        // obsolete (`ConcurrentAlgorithm::is_obsolete`); the run decided
+        // only what it dispatched.
+        driver.book_run(out.len() - blocked, processed + obsolete);
+        if !out.is_empty() {
+            // Everything the run sends back goes in one synchronization
+            // round-trip.
+            sched.insert_batch(&out);
+        }
+        driver.after_run((got + purged).saturating_sub(out.len()));
+        if got > 0 && blocked == got {
             hint = hint.wrapping_add(1);
             rsched_obs::counter!("engine_affinity_drift_total").inc();
         }
-        blocked.clear();
+        out.clear();
     }
     c
 }

@@ -10,22 +10,25 @@
 //! streaming workload whose follow-ups are the label-correcting relaxation
 //! wavefront.
 
-use super::ingest::Ledger;
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
-use rsched_queues::ConcurrentScheduler;
 use std::fmt;
 
-/// Capability to submit follow-up tasks from inside a handler.
+/// Capability to submit follow-up tasks from inside a handler: a thin
+/// wrapper over the popping worker's one outgoing buffer.
 ///
-/// Submits bypass the ingestion queues and the shard watermark: they go
-/// straight into the scheduler. This is deliberate — a follow-up gated on
+/// A submit is a `Vec::push`. The worker engine books every follow-up of a
+/// run with the ledger in one step and then inserts them — together with
+/// the run's failed deletes — in the one `insert_batch` that ends the run,
+/// so a follow-up becomes poppable when its parent's run ends (at most
+/// `batch_size` dispatches later). Submits bypass the ingestion queues and
+/// the shard watermark. This is deliberate — a follow-up gated on
 /// backpressure could deadlock the very workers that must drain the
-/// backlog, and the ledger's termination argument relies on follow-ups
-/// being accepted *before* their parent task is decided.
+/// backlog. The ledger's termination argument relies on follow-ups being
+/// accepted *before* they can be popped; the engine keeps that order
+/// (DESIGN.md "Service semantics").
 pub struct SubmitCtx<'a> {
-    pub(crate) ledger: &'a Ledger,
-    pub(crate) sched: &'a dyn ConcurrentScheduler<TaskId>,
+    pub(crate) out: &'a mut Vec<(u64, TaskId)>,
 }
 
 impl fmt::Debug for SubmitCtx<'_> {
@@ -35,12 +38,12 @@ impl fmt::Debug for SubmitCtx<'_> {
 }
 
 impl SubmitCtx<'_> {
-    /// Submits a follow-up task at the given priority. The task is accepted
-    /// by the ledger immediately and will be processed exactly once before
-    /// the service drains.
-    pub fn submit(&self, priority: u64, task: TaskId) {
-        self.ledger.accept();
-        self.sched.insert(priority, task);
+    /// Submits a follow-up task at the given priority. It is accepted by
+    /// the ledger and inserted when the current run ends — whatever outcome
+    /// the submitting `handle` returns, `Blocked` included — and will be
+    /// processed exactly once before the service drains.
+    pub fn submit(&mut self, priority: u64, task: TaskId) {
+        self.out.push((priority, task));
     }
 }
 
@@ -53,14 +56,16 @@ impl SubmitCtx<'_> {
 ///   the task at its original priority and the attempt does not count as a
 ///   decision. Every accepted task must eventually reach a terminal
 ///   `Processed`/`Obsolete` outcome or the drain cannot terminate.
-/// * Follow-up submits must happen *during* `handle` (they are accounted
-///   against the still-undecided parent; submitting from anywhere else
-///   races the drain protocol).
+/// * Follow-up submits happen *during* `handle`, through the `ctx` it is
+///   handed: they are accounted against the still-undecided parent, and
+///   accepted and inserted when the parent's run ends — also when `handle`
+///   then returns `Blocked`, so a handler that retries must not submit the
+///   same follow-up again on the retry.
 /// * `handle` must be safe to call from many workers concurrently.
 pub trait RequestHandler: Sync {
     /// Processes one popped task (`priority` is the priority it was popped
     /// at — streaming workloads like SSSP encode request payload in it).
-    fn handle(&self, priority: u64, task: TaskId, ctx: &SubmitCtx<'_>) -> TaskOutcome;
+    fn handle(&self, priority: u64, task: TaskId, ctx: &mut SubmitCtx<'_>) -> TaskOutcome;
 }
 
 /// Lifts a [`ConcurrentAlgorithm`] into a [`RequestHandler`] with a closed
@@ -73,7 +78,7 @@ pub trait RequestHandler: Sync {
 pub struct AlgorithmHandler<'a, A>(pub &'a A);
 
 impl<A: ConcurrentAlgorithm> RequestHandler for AlgorithmHandler<'_, A> {
-    fn handle(&self, _priority: u64, task: TaskId, _ctx: &SubmitCtx<'_>) -> TaskOutcome {
+    fn handle(&self, _priority: u64, task: TaskId, _ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
         self.0.try_process(task)
     }
 }

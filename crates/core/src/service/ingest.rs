@@ -23,47 +23,54 @@ use std::task::Waker;
 /// `accepted` counts every task admitted into the system — producer pushes
 /// (incremented inside the queue's critical section, so acceptance and
 /// enqueue are atomic with respect to the pump) and handler follow-up
-/// submits (incremented before the scheduler insert). `decided` counts
-/// terminal outcomes (`Processed` or `Obsolete`; a `Blocked` re-insert is
-/// not a decision). Since a follow-up submit can only happen while its
-/// parent popped task is still undecided, `decided == accepted` implies no
-/// task is in flight *and* no future accept can occur once sealed — the
-/// condition is stable, so workers may exit the moment they observe it.
+/// submits (one `accept(n)` per worker run, **before** the `insert_batch`
+/// that makes the run's follow-ups poppable). `decided` counts terminal
+/// outcomes (`Processed` or `Obsolete`; a `Blocked` re-insert is not a
+/// decision), one `decide(n)` per run, after that run's accept. A follow-up
+/// only exists while the parent that submitted it is still unbooked, and
+/// nobody can pop — let alone decide — a follow-up before it is accepted, so
+/// `decided == accepted` implies no task is in flight *and* no future
+/// accept can occur once sealed — the condition is stable, so workers may
+/// exit the moment they observe it. Publishing a follow-up before accepting
+/// it breaks exactly this: another worker pops and decides the child, the
+/// books read 1 == 1 with the parent still in hand
+/// (`tests/model_service.rs` finds the interleaving).
 #[derive(Debug, Default)]
-pub(crate) struct Ledger {
+#[doc(hidden)] // public only so the model-checker suite can drive it
+pub struct Ledger {
     accepted: AtomicU64,
     decided: AtomicU64,
     sealed: AtomicBool,
 }
 
 impl Ledger {
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records one task admitted into the system.
-    pub(crate) fn accept(&self) {
-        self.accepted.fetch_add(1, Ordering::SeqCst);
+    /// Records `n` tasks admitted into the system.
+    pub fn accept(&self, n: usize) {
+        self.accepted.fetch_add(n as u64, Ordering::SeqCst);
     }
 
-    /// Records one terminal outcome.
-    pub(crate) fn decide(&self) {
-        self.decided.fetch_add(1, Ordering::SeqCst);
+    /// Records `n` terminal outcomes.
+    pub fn decide(&self, n: usize) {
+        self.decided.fetch_add(n as u64, Ordering::SeqCst);
     }
 
     /// Marks the producer side closed for good (idempotent, sticky).
-    pub(crate) fn seal(&self) {
+    pub fn seal(&self) {
         if !self.sealed.swap(true, Ordering::SeqCst) {
             // Seal-wave timeline: the ledger seals once, after every queue.
             rsched_obs::instant!("ledger_seal");
         }
     }
 
-    pub(crate) fn accepted(&self) -> u64 {
+    pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn decided(&self) -> u64 {
+    pub fn decided(&self) -> u64 {
         self.decided.load(Ordering::SeqCst)
     }
 
@@ -73,7 +80,7 @@ impl Ledger {
     /// later `accepted` read, both counters held that common value at the
     /// instant of the `accepted` read: the books balanced at a real moment
     /// in time, and (sealed being sticky) stay balanced forever.
-    pub(crate) fn drained(&self) -> bool {
+    pub fn drained(&self) -> bool {
         self.sealed.load(Ordering::SeqCst) && self.decided() == self.accepted()
     }
 }
@@ -191,7 +198,7 @@ impl IngestQueue {
             inner = self.space.wait(inner).unwrap();
         }
         inner.entries.push_back((priority, task));
-        ledger.accept();
+        ledger.accept(1);
         self.depth.add(1);
         let waker = inner.pump.take();
         drop(inner);
@@ -370,10 +377,10 @@ mod tests {
     fn ledger_drained_requires_seal_and_balance() {
         let ledger = Ledger::new();
         assert!(!ledger.drained(), "unsealed ledger is never drained");
-        ledger.accept();
+        ledger.accept(1);
         ledger.seal();
         assert!(!ledger.drained(), "one task in flight");
-        ledger.decide();
+        ledger.decide(1);
         assert!(ledger.drained());
     }
 }

@@ -33,10 +33,12 @@
 //! * **Workers** run the exact engine of
 //!   [`run_concurrent_batched`](crate::framework::run_concurrent_batched) —
 //!   same pop and flush path, same counters, same affinity drift — with a
-//!   streaming driver: tasks are dispatched to a [`RequestHandler`], and
-//!   termination is the ledger condition below. The prefill executors are
-//!   the degenerate configuration of this engine (every task present at
-//!   t = 0, producers sealed before the first pop), and
+//!   streaming driver: tasks are dispatched to a [`RequestHandler`], whose
+//!   follow-up submits join the run's failed deletes in the engine's one
+//!   `insert_batch` per run, and termination is the ledger condition
+//!   below. The prefill executors are the degenerate configuration of this
+//!   engine (every task present at t = 0, producers sealed before the
+//!   first pop), and
 //!   [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp) is this
 //!   driver on a request set sealed before the first pop: no queue, no
 //!   pump, no producer thread.
@@ -48,7 +50,10 @@
 //! what remains and complete → workers drain the scheduler → everyone
 //! joins. Termination is decided by the [ledger](self): `accepted` counts
 //! every task admitted (producer pushes and handler follow-up submits),
-//! `decided` counts terminal outcomes. Once all queues are sealed and
+//! `decided` counts terminal outcomes. A worker books both once per run:
+//! the follow-ups a run submitted are accepted before the one
+//! `insert_batch` that makes them poppable, its decisions after that
+//! accept. Once all queues are sealed and
 //! `decided == accepted`, no task is buffered, scheduled, or in a worker's
 //! hands, and no future submit can occur — the condition is stable and the
 //! workers exit. [`ServiceStats::exactly_once`] checks the books.
@@ -68,12 +73,12 @@ mod ingest;
 
 pub use crate::algorithms::sssp::SsspHandler;
 pub use handler::{AlgorithmHandler, ConnectivityHandler, RequestHandler, SubmitCtx};
-pub use ingest::PushError;
+pub use ingest::{Ledger, PushError};
 
 use crate::framework::concurrent::{run_engine, EngineDriver};
 use crate::framework::TaskOutcome;
 use crate::TaskId;
-use ingest::{IngestQueue, Ledger, TakeStatus};
+use ingest::{IngestQueue, TakeStatus};
 use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
 use rsched_sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use rsched_sync::sync::Mutex;
@@ -312,36 +317,37 @@ impl ServiceCore {
 }
 
 /// The streaming [`EngineDriver`]: dispatch goes to the request handler
-/// (with a submit capability), termination is the ledger condition, and
-/// runs that retire occupancy wake watermark-parked pumps — `capacity` is
-/// `None` on a sealed run, which has no pump to wake and so skips
-/// `wake_all`'s fence.
-struct ServiceDriver<'a, H, S> {
+/// (its submit capability wraps the worker's outgoing buffer), the ledger
+/// moves once per run, termination is the ledger condition, and runs that
+/// retire occupancy wake watermark-parked pumps — `capacity` is `None` on a
+/// sealed run, which has no pump to wake and so skips `wake_all`'s fence.
+struct ServiceDriver<'a, H> {
     handler: &'a H,
-    sched: &'a S,
     ledger: &'a Ledger,
     capacity: Option<&'a CapacityWaiters>,
 }
 
-impl<H, S> EngineDriver for ServiceDriver<'_, H, S>
-where
-    H: RequestHandler,
-    S: ConcurrentScheduler<TaskId>,
-{
+impl<H: RequestHandler> EngineDriver for ServiceDriver<'_, H> {
     fn keep_running(&self) -> bool {
         !self.ledger.drained()
     }
 
-    fn dispatch(&self, priority: u64, task: TaskId) -> TaskOutcome {
-        let ctx = SubmitCtx { ledger: self.ledger, sched: self.sched };
-        let outcome = self.handler.handle(priority, task, &ctx);
-        if outcome != TaskOutcome::Blocked {
-            // Decide strictly after any follow-up submits inside `handle`
-            // were accepted: `decided == accepted` can then never be
-            // observed with work still in flight.
-            self.ledger.decide();
+    fn dispatch(&self, priority: u64, task: TaskId, out: &mut Vec<(u64, TaskId)>) -> TaskOutcome {
+        self.handler.handle(priority, task, &mut SubmitCtx { out })
+    }
+
+    fn book_run(&self, spawned: usize, decided: usize) {
+        // Accept strictly before the engine's flush makes the follow-ups
+        // poppable, decide strictly after the accept: `decided == accepted`
+        // can then never be observed with work still in flight (see
+        // [`Ledger`]). A zero is not worth the RMW on the line every
+        // worker's `keep_running` reads.
+        if spawned > 0 {
+            self.ledger.accept(spawned);
         }
-        outcome
+        if decided > 0 {
+            self.ledger.decide(decided);
+        }
     }
 
     fn after_run(&self, net_drained: usize) {
@@ -352,31 +358,53 @@ where
     }
 }
 
+/// Run length of [`run_sealed`]'s workers: a constant, because its one
+/// caller has one value. The sweep on `sssp_gnm`'s graph (G(n, m),
+/// n = 300 000, m = 1 500 000, `t` = 2 on 2 vCPUs, `MultiQueue::new(8)`;
+/// seconds per solve, and vertices processed per reachable vertex — what
+/// the `O(k·s)` relaxation costs in re-expansions):
+///
+/// | `s` | solve, s | processed / reachable |
+/// |---|---|---|
+/// | 1 | 0.266–0.276 | 1.000 |
+/// | 8 | 0.166–0.184 | 1.000–1.003 |
+/// | 16 | 0.151–0.161 | 1.000–1.001 |
+/// | 32 | 0.138–0.159 | 1.001–1.004 |
+/// | 64 | 0.127–0.139 | 1.001–1.005 |
+/// | 128 | 0.130–0.137 | 1.013–1.028 |
+///
+/// The time falls steeply to 32 and flattens after it; 64 doubles `k·s`
+/// for a single-digit gain and at 128 the re-expansions start to climb
+/// (DESIGN.md "Batching semantics").
+const SEALED_RUN: usize = 32;
+
 /// Drains a closed request set on the worker engine: `requests` are
 /// accepted and inserted, the ledger is sealed, and `workers` engine
-/// workers run the [`run_service`] driver until every request and every
-/// follow-up it submitted is decided. The streaming pipeline with nothing
-/// upstream of the scheduler — what a task-spawning algorithm with a known
-/// seed set (e.g. [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp))
-/// runs on.
+/// workers run the [`run_service`] driver in runs of [`SEALED_RUN`] pops
+/// until every request and every follow-up it submitted is decided. The
+/// streaming pipeline with nothing upstream of the scheduler — what a
+/// task-spawning algorithm with a known seed set (e.g.
+/// [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp)) runs on.
+/// The exactly-once audit after the join is an `assert!`: the builds anyone
+/// times are release builds, and a worker that left early would hand back
+/// wrong results silently.
 ///
 /// # Panics
 ///
-/// Panics if `workers == 0`, or if `handler` panics.
+/// Panics if `workers == 0`, if `handler` panics, or if the ledger does not
+/// balance after the drain.
 pub(crate) fn run_sealed<H, S>(handler: &H, sched: &S, requests: &[(u64, TaskId)], workers: usize)
 where
     H: RequestHandler,
     S: ConcurrentScheduler<TaskId>,
 {
     let ledger = Ledger::new();
-    for _ in requests {
-        ledger.accept();
-    }
+    ledger.accept(requests.len());
     sched.insert_batch(requests);
     ledger.seal();
-    let driver = ServiceDriver { handler, sched, ledger: &ledger, capacity: None };
-    let totals = run_engine(&driver, sched, workers, 1);
-    debug_assert!(
+    let driver = ServiceDriver { handler, ledger: &ledger, capacity: None };
+    let totals = run_engine(&driver, sched, workers, SEALED_RUN);
+    assert!(
         ledger.decided() == ledger.accepted()
             && totals.processed + totals.obsolete == ledger.decided(),
         "sealed run ledger out of balance: {totals:?}"
@@ -476,35 +504,34 @@ where
         core.ledger.seal();
     }
     let start = Instant::now();
-    let totals = std::thread::scope(|scope| {
-        for (i, body) in producers.into_iter().enumerate() {
-            let producer = Producer { core: &core, queue: i % nqueues };
-            scope.spawn(move || body(producer));
-        }
-        let core = &core;
-        let pump_threads = config.pump_threads.min(nqueues);
-        for t in 0..pump_threads {
-            scope.spawn(move || {
-                let pumps = core
-                    .queues
-                    .iter()
-                    .skip(t)
-                    .step_by(pump_threads)
-                    .map(|q| pump(q, sched, core, config.shard_watermark, config.flush_batch));
-                futures::executor::block_on(futures::future::join_all(pumps));
-            });
-        }
-        let driver =
-            ServiceDriver { handler, sched, ledger: &core.ledger, capacity: Some(&core.capacity) };
-        let engine =
-            AssertUnwindSafe(|| run_engine(&driver, sched, config.workers, config.batch_size));
-        // Inside the scope: it joins producers and pumps before returning,
-        // and they wait on workers that no longer exist.
-        catch_unwind(engine).unwrap_or_else(|panic| {
-            core.abort();
-            resume_unwind(panic)
-        })
-    });
+    let totals =
+        std::thread::scope(|scope| {
+            for (i, body) in producers.into_iter().enumerate() {
+                let producer = Producer { core: &core, queue: i % nqueues };
+                scope.spawn(move || body(producer));
+            }
+            let core = &core;
+            let pump_threads = config.pump_threads.min(nqueues);
+            for t in 0..pump_threads {
+                scope.spawn(move || {
+                    let pumps =
+                        core.queues.iter().skip(t).step_by(pump_threads).map(|q| {
+                            pump(q, sched, core, config.shard_watermark, config.flush_batch)
+                        });
+                    futures::executor::block_on(futures::future::join_all(pumps));
+                });
+            }
+            let driver =
+                ServiceDriver { handler, ledger: &core.ledger, capacity: Some(&core.capacity) };
+            let engine =
+                AssertUnwindSafe(|| run_engine(&driver, sched, config.workers, config.batch_size));
+            // Inside the scope: it joins producers and pumps before returning,
+            // and they wait on workers that no longer exist.
+            catch_unwind(engine).unwrap_or_else(|panic| {
+                core.abort();
+                resume_unwind(panic)
+            })
+        });
     rsched_obs::instant!("service_drained");
     let stats = ServiceStats {
         accepted: core.ledger.accepted(),
@@ -517,7 +544,7 @@ where
         workers: config.workers,
         elapsed: start.elapsed(),
     };
-    debug_assert!(stats.exactly_once(), "service ledger out of balance: {stats:?}");
+    assert!(stats.exactly_once(), "service ledger out of balance: {stats:?}");
     stats
 }
 
@@ -527,6 +554,9 @@ mod tests {
     use rsched_queues::concurrent::MultiQueue;
     use rsched_queues::sharded::ShardedScheduler;
     use rsched_sync::atomic::AtomicU32;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashMap, HashSet};
+    use std::thread::ThreadId;
 
     /// Marks each task's completion count; `Processed` always.
     struct CountingHandler {
@@ -540,7 +570,7 @@ mod tests {
     }
 
     impl RequestHandler for CountingHandler {
-        fn handle(&self, _priority: u64, task: TaskId, _ctx: &SubmitCtx<'_>) -> TaskOutcome {
+        fn handle(&self, _priority: u64, task: TaskId, _ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
             self.hits[task as usize].fetch_add(1, Ordering::SeqCst);
             TaskOutcome::Processed
         }
@@ -641,7 +671,7 @@ mod tests {
             hits: Vec<AtomicU32>,
         }
         impl RequestHandler for Chaining {
-            fn handle(&self, _p: u64, task: TaskId, ctx: &SubmitCtx<'_>) -> TaskOutcome {
+            fn handle(&self, _p: u64, task: TaskId, ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
                 self.hits[task as usize].fetch_add(1, Ordering::SeqCst);
                 if task < self.n / 2 {
                     ctx.submit(u64::from(task), task + self.n / 2);
@@ -661,5 +691,165 @@ mod tests {
         assert!(stats.exactly_once(), "{stats:?}");
         assert_eq!(stats.accepted, n as u64, "250 pushes + 250 follow-ups");
         assert!(handler.hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+    }
+
+    /// One logged call, in the calling thread's own sequence.
+    #[derive(Debug, PartialEq)]
+    enum Ev {
+        /// One `pop_batch` and the tasks it returned (none: an empty
+        /// observation).
+        Pop(Vec<TaskId>),
+        /// One `handle`: what it submitted and whether it blocked.
+        Handled { task: TaskId, blocked: bool, spawned: Vec<TaskId> },
+        /// One `insert_batch` and the tasks it carried.
+        Insert(Vec<TaskId>),
+    }
+
+    #[derive(Default)]
+    struct OpLog(std::sync::Mutex<HashMap<ThreadId, Vec<Ev>>>);
+
+    impl OpLog {
+        fn push(&self, ev: Ev) {
+            self.0.lock().unwrap().entry(std::thread::current().id()).or_default().push(ev);
+        }
+    }
+
+    /// An exact heap that logs every call, refuses the scalar `insert`, and
+    /// checks at every `insert_batch` that the ledger has already accepted
+    /// every distinct task ever inserted, this batch included — a failed
+    /// delete coming back is not a new accept.
+    struct AuditedHeap<'a> {
+        ledger: &'a Ledger,
+        log: &'a OpLog,
+        heap: std::sync::Mutex<BinaryHeap<Reverse<(u64, TaskId)>>>,
+        inserted: std::sync::Mutex<HashSet<TaskId>>,
+    }
+
+    impl ConcurrentScheduler<TaskId> for AuditedHeap<'_> {
+        fn insert(&self, _priority: u64, task: TaskId) {
+            panic!("scalar insert of task {task} on the engine path");
+        }
+        fn insert_batch(&self, entries: &[(u64, TaskId)]) {
+            self.log.push(Ev::Insert(entries.iter().map(|e| e.1).collect()));
+            let mut inserted = self.inserted.lock().unwrap();
+            inserted.extend(entries.iter().map(|e| e.1));
+            assert!(
+                self.ledger.accepted() >= inserted.len() as u64,
+                "{} tasks poppable, {} accepted",
+                inserted.len(),
+                self.ledger.accepted()
+            );
+            self.heap.lock().unwrap().extend(entries.iter().copied().map(Reverse));
+        }
+        fn pop(&self) -> Option<(u64, TaskId)> {
+            let mut out = Vec::new();
+            self.pop_batch(&mut out, 1);
+            out.pop()
+        }
+        fn pop_batch(&self, out: &mut Vec<(u64, TaskId)>, max: usize) -> usize {
+            let mut heap = self.heap.lock().unwrap();
+            let before = out.len();
+            out.extend(std::iter::from_fn(|| heap.pop().map(|Reverse(e)| e)).take(max));
+            self.log.push(Ev::Pop(out[before..].iter().map(|e| e.1).collect()));
+            out.len() - before
+        }
+    }
+
+    /// A complete binary tree of `size` tasks: task `t` spawns `2t + 1` and
+    /// `2t + 2`. A task divisible by 7 submits its first child and blocks,
+    /// and submits the rest when it is popped again.
+    struct TreeHandler<'a> {
+        size: u32,
+        visits: Vec<AtomicU32>,
+        terminal: Vec<AtomicU32>,
+        log: &'a OpLog,
+    }
+
+    impl RequestHandler for TreeHandler<'_> {
+        fn handle(&self, _p: u64, task: TaskId, ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
+            let visit = self.visits[task as usize].fetch_add(1, Ordering::SeqCst);
+            let kids: Vec<TaskId> =
+                [2 * task + 1, 2 * task + 2].into_iter().filter(|&k| k < self.size).collect();
+            let (first, rest) = kids.split_at(kids.len().min(1));
+            let (spawned, blocked) = match (task.is_multiple_of(7), visit) {
+                (true, 0) => (first, true),
+                (true, _) => (rest, false),
+                (false, _) => (&kids[..], false),
+            };
+            for &kid in spawned {
+                ctx.submit(u64::from(kid), kid);
+            }
+            self.log.push(Ev::Handled { task, blocked, spawned: spawned.to_vec() });
+            if blocked {
+                return TaskOutcome::Blocked;
+            }
+            self.terminal[task as usize].fetch_add(1, Ordering::SeqCst);
+            TaskOutcome::Processed
+        }
+    }
+
+    /// The real engine under the real driver, op by op: every worker's
+    /// sequence is (pop a run, handle each task, at most one `insert_batch`
+    /// carrying exactly what the run submitted and blocked on), the ledger
+    /// is ahead of the scheduler at every insert, and the books close on
+    /// the tree size.
+    #[test]
+    fn a_run_goes_back_in_one_insert_batch_after_its_accept() {
+        let size = 511u32;
+        for (threads, batch) in [(1, 1), (1, 8), (1, 32), (4, 1), (4, 8), (4, 32)] {
+            let (ledger, log) = (Ledger::new(), OpLog::default());
+            let q = AuditedHeap {
+                ledger: &ledger,
+                log: &log,
+                heap: Default::default(),
+                inserted: Default::default(),
+            };
+            let handler = TreeHandler {
+                size,
+                visits: (0..size).map(|_| AtomicU32::new(0)).collect(),
+                terminal: (0..size).map(|_| AtomicU32::new(0)).collect(),
+                log: &log,
+            };
+            ledger.accept(1);
+            q.insert_batch(&[(0, 0)]);
+            ledger.seal();
+            let driver = ServiceDriver { handler: &handler, ledger: &ledger, capacity: None };
+            let totals = run_engine(&driver, &q, threads, batch);
+
+            let at = format!("threads={threads} batch={batch}");
+            let blockers = (0..size).filter(|t| t.is_multiple_of(7)).count() as u64;
+            assert_eq!((ledger.accepted(), ledger.decided()), (size as u64, size as u64), "{at}");
+            assert_eq!((totals.processed, totals.wasted), (size as u64, blockers), "{at}");
+            assert!(handler.terminal.iter().all(|t| t.load(Ordering::SeqCst) == 1), "{at}");
+            assert!(q.heap.lock().unwrap().is_empty(), "{at}");
+
+            let mut log = log.0.lock().unwrap();
+            let seed = log.remove(&std::thread::current().id());
+            assert_eq!(seed, Some(vec![Ev::Insert(vec![0])]), "{at}");
+            assert!(log.len() <= threads, "{at}");
+            let mut longest = 0;
+            for evs in log.values() {
+                let mut evs = evs.iter();
+                while let Some(ev) = evs.next() {
+                    let Ev::Pop(run) = ev else { panic!("{at}: {ev:?} outside a run") };
+                    assert!(run.len() <= batch, "{at}");
+                    longest = longest.max(run.len());
+                    let mut outgoing = Vec::new();
+                    for popped in run {
+                        match evs.next() {
+                            Some(Ev::Handled { task, blocked, spawned }) if task == popped => {
+                                outgoing.extend(spawned);
+                                outgoing.extend(blocked.then_some(*task));
+                            }
+                            other => panic!("{at}: popped {popped}, then {other:?}"),
+                        }
+                    }
+                    if !outgoing.is_empty() {
+                        assert_eq!(evs.next(), Some(&Ev::Insert(outgoing)), "{at}");
+                    }
+                }
+            }
+            assert!(batch == 1 || longest > 1, "{at}: no run ever held two tasks");
+        }
     }
 }

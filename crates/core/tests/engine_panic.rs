@@ -59,7 +59,7 @@ impl ConcurrentAlgorithm for OneBadTask {
 }
 
 impl RequestHandler for OneBadTask {
-    fn handle(&self, _priority: u64, task: TaskId, _ctx: &SubmitCtx<'_>) -> TaskOutcome {
+    fn handle(&self, _priority: u64, task: TaskId, _ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
         self.try_process(task)
     }
 }

@@ -1,17 +1,26 @@
-//! Model-checked verification of the capacity-waiter backpressure protocol
-//! (run with `RUSTFLAGS="--cfg rsched_model" cargo test -p rsched-core
-//! --test model_service`).
+//! Model-checked verification of two service protocols (run with
+//! `RUSTFLAGS="--cfg rsched_model" cargo test -p rsched-core --test
+//! model_service`): the capacity-waiter backpressure handshake, and the
+//! order in which a worker run books its follow-ups with the ledger and
+//! makes them poppable.
 //!
-//! The property: a pump that registers its waker and then still observes
+//! Capacity waiters: a pump that registers its waker and then still observes
 //! the stall condition may park, because the worker's drain→check is
 //! guaranteed to see the registration (or the pump's re-check to see the
 //! drain) — the store-buffering fence pair in `CapacityWaiters`. The
 //! seeded `capacity-weaken` mutation removes the fences and drops the
 //! `armed` flag to `Relaxed`; the checker must then find the
 //! parked-with-no-wakeup interleaving.
+//!
+//! Ledger: a run accepts the tasks it spawned *before* the `insert_batch`
+//! that publishes them. In the other order a second worker can pop and
+//! decide a child while its parent's run is still unbooked, and the books
+//! balance — `drained()` reads true — with work in hand. The scenario
+//! takes the order as a parameter; the swapped order must yield the
+//! violation.
 #![cfg(rsched_model)]
 
-use rsched_core::service::CapacityWaiters;
+use rsched_core::service::{CapacityWaiters, Ledger};
 use rsched_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use rsched_sync::model::{Model, Sim};
 use std::sync::Arc;
@@ -75,4 +84,71 @@ fn capacity_weaken_mutation_found() {
         Model::new("capacity-weaken").quiet().mutation("capacity-weaken").check(wakeup_scenario);
     let v = report.expect_violation();
     assert!(v.message.contains("lost wakeup"), "expected a lost wakeup, got: {}", v.message);
+}
+
+/// The two orders a run can book and publish what it spawned in.
+#[derive(Clone, Copy)]
+enum Flush {
+    AcceptThenPublish,
+    PublishThenAccept,
+}
+
+/// Two workers over one modeled scheduler slot. Worker A holds the root
+/// (accepted 1, decided 0); its run spawned one child and decided the
+/// root. Worker B pops the child if it is there, decides it, and checks the
+/// termination predicate. `slot` is release/acquire — the bucket lock of a
+/// real scheduler — so the ledger's own orderings carry the guarantee.
+fn spawn_scenario(order: Flush) -> impl Fn(&mut Sim) {
+    move |sim| {
+        let ledger = Arc::new(Ledger::new());
+        ledger.accept(1);
+        ledger.seal();
+        let slot = Arc::new(AtomicBool::new(false));
+        {
+            let (ledger, slot) = (ledger.clone(), slot.clone());
+            sim.thread(move || {
+                let book = || {
+                    ledger.accept(1);
+                    ledger.decide(1);
+                };
+                match order {
+                    Flush::AcceptThenPublish => {
+                        book();
+                        slot.store(true, Ordering::Release);
+                    }
+                    Flush::PublishThenAccept => {
+                        slot.store(true, Ordering::Release);
+                        book();
+                    }
+                }
+            });
+        }
+        sim.thread(move || {
+            if slot.load(Ordering::Acquire) {
+                ledger.decide(1);
+            }
+            if ledger.drained() {
+                // B leaves its loop here. A has finished exactly when both
+                // tasks are on the books and the child was published.
+                let finished = ledger.accepted() == 2 && slot.load(Ordering::Acquire);
+                assert!(finished, "drained with a run in hand: the books balanced on one task");
+            }
+        });
+    }
+}
+
+#[test]
+fn accept_then_publish_never_drains_early() {
+    let report =
+        Model::new("ledger-accept-then-publish").check(spawn_scenario(Flush::AcceptThenPublish));
+    report.assert_clean(2);
+}
+
+#[test]
+fn publish_then_accept_violation_found() {
+    let report = Model::new("ledger-publish-then-accept")
+        .quiet()
+        .check(spawn_scenario(Flush::PublishThenAccept));
+    let v = report.expect_violation();
+    assert!(v.message.contains("drained with a run in hand"), "got: {}", v.message);
 }

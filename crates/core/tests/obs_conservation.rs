@@ -162,7 +162,7 @@ struct ChainingHandler {
 }
 
 impl RequestHandler for ChainingHandler {
-    fn handle(&self, _priority: u64, task: TaskId, ctx: &SubmitCtx<'_>) -> TaskOutcome {
+    fn handle(&self, _priority: u64, task: TaskId, ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
         if task < self.span {
             ctx.submit(u64::from(task), task + self.span);
         }

@@ -39,7 +39,7 @@ impl CountingHandler {
 }
 
 impl RequestHandler for CountingHandler {
-    fn handle(&self, _priority: u64, task: TaskId, ctx: &SubmitCtx<'_>) -> TaskOutcome {
+    fn handle(&self, _priority: u64, task: TaskId, ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
         self.hits[task as usize].fetch_add(1, Ordering::SeqCst);
         if task < self.chain_span {
             ctx.submit(u64::from(task), task + self.chain_span);

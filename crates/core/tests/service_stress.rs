@@ -34,7 +34,7 @@ fn storm_of_producers_under_tight_backpressure_completes_exactly_once() {
     let n = 100_000u32;
     struct Hits(Vec<AtomicU32>);
     impl RequestHandler for Hits {
-        fn handle(&self, _p: u64, task: TaskId, _ctx: &SubmitCtx<'_>) -> TaskOutcome {
+        fn handle(&self, _p: u64, task: TaskId, _ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
             self.0[task as usize].fetch_add(1, Ordering::Relaxed);
             TaskOutcome::Processed
         }
@@ -157,7 +157,7 @@ fn mid_storm_seal_still_balances() {
     let n = 200_000u32;
     struct Count(AtomicU32);
     impl RequestHandler for Count {
-        fn handle(&self, _p: u64, _t: TaskId, _ctx: &SubmitCtx<'_>) -> TaskOutcome {
+        fn handle(&self, _p: u64, _t: TaskId, _ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
             self.0.fetch_add(1, Ordering::Relaxed);
             TaskOutcome::Processed
         }
