@@ -23,10 +23,10 @@ use std::fmt;
 /// A sorted lock-free linked list with `insert` and `pop_min`.
 ///
 /// Optimized for the scheduling workload: pops are `O(1)` amortized (the
-/// head is the minimum), inserts are `O(length)` sorted walks but rare after
-/// the initial [`HarrisList::from_sorted`] bulk load (re-insertions of
-/// failed deletes are the only runtime inserts, and Theorem 2 bounds them by
-/// `poly(k)`).
+/// head is the minimum) and inserts are sorted walks. Runtime inserts are
+/// not rare — the streaming service sends every task through them — so
+/// [`HarrisList::insert_run_with`] walks once per ascending run: each search
+/// resumes from the node the run linked last.
 ///
 /// The second type parameter selects the reclamation backend and defaults
 /// to [`Ebr`], so pre-existing call sites compile unchanged; use
@@ -142,18 +142,35 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
         self.insert_with(priority, seq, item, &self.guard());
     }
 
-    /// [`HarrisList::insert`] under a caller-provided guard, so a batch of
-    /// inserts can share one pin.
+    /// [`HarrisList::insert`] under a caller-provided guard: the one-entry
+    /// [`HarrisList::insert_run_with`].
     pub fn insert_with(&self, priority: u64, seq: u64, item: T, guard: &R::Guard<T>) {
-        let key = (priority, seq);
-        let node = R::alloc(&self.dom, key, Some(item), guard);
-        loop {
-            let (prev, cur) = self.find(key, guard);
-            // `node` is still exclusively ours until the CAS publishes it.
-            R::set_next_exclusive(&self.dom, node, cur);
-            if R::cas_next(&self.dom, prev, cur, node, guard) {
-                return;
+        self.insert_run_with([(priority, seq, item)], guard);
+    }
+
+    /// Inserts `(priority, seq, item)` entries with unique keys under one
+    /// guard, each search resuming from the node the entry before linked: an
+    /// ascending run walks the list once, not once per entry. An entry below
+    /// its predecessor, or whose resume node a pop claimed, searches from the
+    /// sentinel, so the run need not be sorted.
+    pub fn insert_run_with<I>(&self, run: I, guard: &R::Guard<T>)
+    where
+        I: IntoIterator<Item = (u64, u64, T)>,
+    {
+        let mut last = self.head;
+        for (priority, seq, item) in run {
+            let key = (priority, seq);
+            let node = R::alloc(&self.dom, key, Some(item), guard);
+            loop {
+                let (prev, cur) = self.find(last, key, guard);
+                // `node` is still exclusively ours until the CAS publishes it.
+                R::set_next_exclusive(&self.dom, node, cur);
+                if R::cas_next(&self.dom, prev, cur, node, guard) {
+                    break;
+                }
+                last = self.head;
             }
+            last = node;
         }
     }
 
@@ -166,56 +183,35 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
     /// [`HarrisList::pop_min`] under a caller-provided guard, so a batch of
     /// pops can share one pin.
     pub fn pop_min_with(&self, guard: &R::Guard<T>) -> Option<(u64, T)> {
-        'retry: loop {
-            // In a pop the predecessor is always the sentinel: the first
-            // live node *is* the minimum.
-            let prev = self.head;
-            let mut cur = match R::load_next(&self.dom, prev, guard) {
-                Some(c) => c,
-                None => continue 'retry,
+        loop {
+            // Every key is ≥ (0, 0): `cur` is the first live node, the
+            // minimum, and `prev` the sentinel.
+            let (prev, cur) = self.find(self.head, (0, 0), guard);
+            if R::is_null(cur) {
+                return None;
+            }
+            // Claimed or recycled since `find` passed it: `find` again.
+            let Some(next) = R::load_next(&self.dom, cur, guard).filter(|&n| R::tag(n) == 0) else {
+                continue;
             };
-            loop {
-                if R::is_null(cur) {
-                    return None;
+            let Some(key) = R::key(&self.dom, cur, guard) else { continue };
+            // SAFETY: speculative copy (`cur` is non-null, loaded under
+            // `guard`); it is claimed only if the marking CAS below
+            // succeeds, and silently discarded otherwise.
+            let payload = unsafe { R::peek_payload(&self.dom, cur, guard) };
+            // Logical delete: tag cur's link word. Winning this CAS grants
+            // ownership of the payload copy.
+            if R::cas_next(&self.dom, cur, next, R::with_tag(next, 1), guard) {
+                // SAFETY: exactly one thread wins the marking CAS, and the
+                // backend guarantees the pre-CAS copy read the claimed
+                // lifetime; `Drop` skips items of marked nodes.
+                let item = unsafe { payload.assume_init() };
+                // Best-effort physical unlink.
+                if R::cas_next(&self.dom, prev, cur, next, guard) {
+                    // SAFETY: our CAS unlinked `cur`; unique retire.
+                    unsafe { R::retire(&self.dom, cur, guard) };
                 }
-                let next = match R::load_next(&self.dom, cur, guard) {
-                    Some(n) => n,
-                    None => continue 'retry,
-                };
-                if R::tag(next) == 1 {
-                    // cur already logically deleted: help unlink it.
-                    if R::cas_next(&self.dom, prev, cur, R::with_tag(next, 0), guard) {
-                        // SAFETY: our CAS unlinked `cur`; only the
-                        // unlinking thread retires it.
-                        unsafe { R::retire(&self.dom, cur, guard) };
-                        cur = R::with_tag(next, 0);
-                        continue;
-                    }
-                    continue 'retry;
-                }
-                let key = match R::key(&self.dom, cur, guard) {
-                    Some(k) => k,
-                    None => continue 'retry,
-                };
-                // SAFETY: speculative copy (`cur` is non-null, loaded under
-                // `guard`); it is claimed only if the marking CAS below
-                // succeeds, and silently discarded otherwise.
-                let payload = unsafe { R::peek_payload(&self.dom, cur, guard) };
-                // Logical delete: tag cur's link word. Winning this CAS
-                // grants ownership of the payload copy.
-                if R::cas_next(&self.dom, cur, next, R::with_tag(next, 1), guard) {
-                    // SAFETY: exactly one thread wins the marking CAS, and
-                    // the backend guarantees the pre-CAS copy read the
-                    // claimed lifetime; `Drop` skips items of marked nodes.
-                    let item = unsafe { payload.assume_init() };
-                    // Best-effort physical unlink.
-                    if R::cas_next(&self.dom, prev, cur, R::with_tag(next, 0), guard) {
-                        // SAFETY: our CAS unlinked `cur`; unique retire.
-                        unsafe { R::retire(&self.dom, cur, guard) };
-                    }
-                    return Some((key.0, item));
-                }
-                continue 'retry;
+                return Some((key.0, item));
             }
         }
     }
@@ -261,15 +257,31 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
     /// Finds the insertion point for `key`: returns `(prev, cur)` where
     /// `cur` is the first live node with key ≥ `key` (or null) and `prev`
     /// its predecessor (possibly the sentinel), unlinking marked nodes
-    /// along the way.
-    fn find(&self, key: (u64, u64), guard: &R::Guard<T>) -> (R::Ptr<T>, R::Ptr<T>) {
+    /// along the way. The walk starts `at` the sentinel or a node the caller
+    /// linked under `guard` — if its key is below `key` and its link word
+    /// reads unmarked; at the sentinel otherwise and after any failed
+    /// validation or CAS.
+    fn find(&self, at: R::Ptr<T>, key: (u64, u64), guard: &R::Guard<T>) -> (R::Ptr<T>, R::Ptr<T>) {
+        let mut at = Some(at);
         'retry: loop {
-            let mut prev = self.head;
+            // A retry is a spin iteration: the model checker parks it.
+            let mut prev = at.take().unwrap_or_else(|| {
+                rsched_sync::spin_wait();
+                self.head
+            });
+            if prev != self.head && R::key(&self.dom, prev, guard).is_none_or(|k| k >= key) {
+                prev = self.head;
+            }
             let mut cur = match R::load_next(&self.dom, prev, guard) {
-                Some(c) => c,
-                None => continue 'retry,
+                Some(c) if R::tag(c) == 0 => c,
+                // Seeded mutant (tests/model_list.rs): resume from a marked node.
+                #[cfg(rsched_model)]
+                Some(c) if rsched_sync::model::mutation_enabled("list-resume-marked-node") => c,
+                _ => continue 'retry,
             };
             loop {
+                #[cfg(test)]
+                tests::VISITS.with(|v| v.set(v.get() + 1));
                 if R::is_null(cur) {
                     return (prev, cur);
                 }
@@ -335,8 +347,67 @@ mod tests {
     use super::*;
     use crate::reclaim::Vbr;
     use rsched_sync::atomic::{AtomicUsize, Ordering};
+    use std::cell::Cell;
     use std::collections::HashSet;
     use std::sync::{Arc, Mutex};
+
+    thread_local! {
+        /// Nodes `find` has visited on this thread: the walk-count probe.
+        pub(super) static VISITS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn walk_is_paid_once_per_run_impl<R: Reclaim>() {
+        const L: usize = 256;
+        // Above a backlog of L, and interleaved with one (odd keys between
+        // even ones): 64 ascending entries visit ≤ L + 2·64 nodes, where a
+        // search from the sentinel per entry visits about 64·L.
+        let backlogs = [(0..L as u64).collect::<Vec<_>>(), (0..L as u64).map(|p| 2 * p).collect()];
+        let runs =
+            [(10_000..10_064u64).collect::<Vec<_>>(), (50..114u64).map(|p| 2 * p + 1).collect()];
+        for (backlog, run) in backlogs.into_iter().zip(runs) {
+            let list: HarrisList<u64, R> =
+                HarrisList::from_sorted_in(backlog.iter().map(|&p| (p, p, p)));
+            let before = VISITS.get();
+            list.insert_run_with(run.iter().map(|&p| (p, p, p)), &list.guard());
+            let visits = VISITS.get() - before;
+            assert!(visits <= L + 2 * 64, "{visits} node visits for one run over {L} entries");
+            let mut all: Vec<u64> = backlog.into_iter().chain(run).collect();
+            all.sort_unstable();
+            let order: Vec<u64> = std::iter::from_fn(|| list.pop_min().map(|(p, _)| p)).collect();
+            assert_eq!(order, all);
+        }
+    }
+
+    #[test]
+    fn walk_is_paid_once_per_run() {
+        walk_is_paid_once_per_run_impl::<Ebr>();
+        walk_is_paid_once_per_run_impl::<Vbr>();
+    }
+
+    /// Between two entries of one run, pops claim everything the run linked
+    /// so far — its resume node last. Under EBR the resume node reads
+    /// marked; under VBR its slot is recycled for the next entry, so the
+    /// resume fails validation. Either way the run lands complete and sorted.
+    fn run_survives_a_pop_of_its_resume_node_impl<R: Reclaim>() {
+        let list: HarrisList<u64, R> = HarrisList::from_sorted_in((1000..1010).map(|p| (p, p, p)));
+        let mut popped = Vec::new();
+        let run = (0..64u64).map(|p| {
+            if p == 32 {
+                popped.extend((0..32).map(|_| list.pop_min().unwrap().0));
+            }
+            (p, p, p)
+        });
+        list.insert_run_with(run, &list.guard());
+        assert_eq!(popped, (0..32).collect::<Vec<_>>());
+        let order: Vec<u64> = std::iter::from_fn(|| list.pop_min().map(|(p, _)| p)).collect();
+        assert_eq!(order, (32..64).chain(1000..1010).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_survives_a_pop_of_its_resume_node() {
+        run_survives_a_pop_of_its_resume_node_impl::<Ebr>();
+        run_survives_a_pop_of_its_resume_node_impl::<Vbr>();
+    }
 
     fn sequential_sorted_pops_impl<R: Reclaim>() {
         let list: HarrisList<u64, R> = HarrisList::new_in();

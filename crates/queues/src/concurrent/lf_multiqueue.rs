@@ -58,8 +58,16 @@ impl<T: Send, R: Reclaim> Bucket<T> for ListBucket<T, R> {
         self.list.pop_min_with(open)
     }
 
-    fn push(&self, open: &mut &R::Guard<T>, entry: Entry<T>) {
-        self.list.insert_with(entry.priority, entry.seq, entry.item, open);
+    /// One walk per ascending run: each search resumes from the node the
+    /// entry before linked ([`HarrisList::insert_run_with`]).
+    fn push_run(&self, open: &mut &R::Guard<T>, run: impl Iterator<Item = Entry<T>>) -> isize {
+        let mut pushed = 0;
+        let run = run.map(|e| {
+            pushed += 1;
+            (e.priority, e.seq, e.item)
+        });
+        self.list.insert_run_with(run, open);
+        pushed
     }
 
     fn close(&self, _open: &R::Guard<T>, delta: isize) {
@@ -75,10 +83,12 @@ impl<T: Send, R: Reclaim> Bucket<T> for ListBucket<T, R> {
 
 /// A MultiQueue over Harris lists.
 ///
-/// `pop_min` on a sorted list is `O(1)`, so pops stay cheap; runtime inserts
-/// are sorted walks, which is fine for the framework's workload where all
-/// tasks are bulk-loaded up front ([`LockFreeMultiQueue::prefilled`]) and
-/// only the `poly(k)` failed deletes re-insert.
+/// `pop_min` on a sorted list is `O(1)`, so pops stay cheap. Runtime inserts
+/// are sorted walks, and not rare: the prefill executors bulk-load
+/// ([`LockFreeMultiQueue::prefilled`]) and re-insert only failed deletes,
+/// but the streaming service sends every task through `insert_batch`. Each
+/// run of an `insert_batch` costs one walk of its list, not one per entry:
+/// every search resumes from the node the entry before linked.
 ///
 /// The second type parameter selects the reclamation backend (default
 /// [`Ebr`]); `*_in` constructors build a queue over another backend, e.g.

@@ -48,8 +48,8 @@ pub trait Bucket<T>: Send + Sync + Sized {
     /// Removes and returns the bucket's minimum.
     fn pop(&self, open: &mut Self::Open<'_>) -> Option<(u64, T)>;
 
-    /// Adds `entry`.
-    fn push(&self, open: &mut Self::Open<'_>, entry: Entry<T>);
+    /// Adds every entry of `run` and returns how many it added.
+    fn push_run(&self, open: &mut Self::Open<'_>, run: impl Iterator<Item = Entry<T>>) -> isize;
 
     /// Publishes the count after `delta` net insertions through `open`,
     /// then gives the bucket up.
@@ -216,11 +216,7 @@ impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
                 break (b, open);
             }
         };
-        let mut pushed = 0isize;
-        for entry in run {
-            bucket.push(&mut open, entry);
-            pushed += 1;
-        }
+        let pushed = bucket.push_run(&mut open, run);
         bucket.close(open, pushed);
     }
 }
@@ -342,8 +338,13 @@ impl<T, Q: BucketQueue<T>> Bucket<T> for Locked<Q> {
         open.pop_min().map(|e| (e.priority, e.item))
     }
 
-    fn push(&self, open: &mut MutexGuard<'_, Q>, entry: Entry<T>) {
-        open.push_entry(entry);
+    fn push_run(&self, open: &mut MutexGuard<'_, Q>, run: impl Iterator<Item = Entry<T>>) -> isize {
+        let mut pushed = 0;
+        for entry in run {
+            open.push_entry(entry);
+            pushed += 1;
+        }
+        pushed
     }
 
     fn close(&self, _open: MutexGuard<'_, Q>, delta: isize) {

@@ -1,7 +1,9 @@
 //! Reclamation-backend bake-off correctness suite: the exactly-once
 //! drop-cell stress of `epoch_stress.rs`, generic over [`Reclaim`] and run
-//! against **both** backends, plus a proptest over random mixed op
-//! sequences diffed against a `BTreeMap` oracle.
+//! against **both** backends — once through `HarrisList::insert`, once
+//! through the runs of `LockFreeMultiQueue::insert_batch` — plus a proptest
+//! over random mixed op sequences (single inserts, pops, runs) diffed
+//! against a `BTreeSet` oracle.
 //!
 //! A per-payload drop cell proves every payload is dropped **exactly
 //! once** — a double-free (e.g. a stale VBR read validating) increments a
@@ -13,21 +15,46 @@ use proptest::prelude::*;
 use rsched_queues::concurrent::{HarrisList, LockFreeMultiQueue};
 use rsched_queues::reclaim::{Ebr, Reclaim, Vbr};
 use rsched_queues::ConcurrentScheduler;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 3_000;
 const PREFILL: usize = 1_000;
 
-/// A payload that records its drop in a caller-owned cell.
+/// A payload that records its drop in a caller-owned cell — unless it is a
+/// batch template: `insert_batch` clones its entries, and only the clone
+/// the queue holds is armed.
 struct Probe<'a> {
     cell: &'a AtomicUsize,
+    armed: bool,
+}
+
+impl<'a> Probe<'a> {
+    fn new(cell: &'a AtomicUsize) -> Self {
+        Probe { cell, armed: true }
+    }
+}
+
+impl Clone for Probe<'_> {
+    fn clone(&self) -> Self {
+        Probe::new(self.cell)
+    }
 }
 
 impl Drop for Probe<'_> {
     fn drop(&mut self) {
-        self.cell.fetch_add(1, Ordering::SeqCst);
+        if self.armed {
+            self.cell.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Every drop cell reads exactly 1: a double free would double-increment
+/// one, a leak (or lost payload) would leave one at zero.
+fn assert_dropped_once(cells: &[AtomicUsize]) {
+    for (i, cell) in cells.iter().enumerate() {
+        assert_eq!(cell.load(Ordering::SeqCst), 1, "payload {i} dropped wrong number of times");
     }
 }
 
@@ -37,7 +64,7 @@ fn stress_exactly_once<R: Reclaim>() {
     let total = PREFILL + THREADS * OPS_PER_THREAD;
     let cells: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
     let mut prefill: Vec<(u64, u64, Probe<'_>)> =
-        (0..PREFILL).map(|i| (i as u64 % 97, i as u64, Probe { cell: &cells[i] })).collect();
+        (0..PREFILL).map(|i| (i as u64 % 97, i as u64, Probe::new(&cells[i]))).collect();
     prefill.sort_by_key(|&(p, s, _)| (p, s));
     let list: HarrisList<Probe<'_>, R> = HarrisList::from_sorted_in(prefill);
     let popped = AtomicUsize::new(0);
@@ -55,7 +82,7 @@ fn stress_exactly_once<R: Reclaim>() {
                     // the sequence number keeps keys unique.
                     let priority = (idx as u64) % 97;
                     let seq = idx as u64;
-                    list.insert(priority, seq, Probe { cell: &cells[idx] });
+                    list.insert(priority, seq, Probe::new(&cells[idx]));
                     // Pop as often as we insert so the list stays short and
                     // the backend keeps recycling storage under contention.
                     if let Some((_, probe)) = list.pop_min() {
@@ -88,12 +115,7 @@ fn stress_exactly_once<R: Reclaim>() {
         "every inserted payload popped exactly once"
     );
     drop(list);
-
-    // Exactly-once destruction: a double-free would double-increment a
-    // cell, a leak (or lost payload) would leave one at zero.
-    for (i, cell) in cells.iter().enumerate() {
-        assert_eq!(cell.load(Ordering::SeqCst), 1, "payload {i} dropped wrong number of times");
-    }
+    assert_dropped_once(&cells);
 }
 
 #[test]
@@ -104,6 +126,64 @@ fn ebr_eight_thread_stress_drops_exactly_once() {
 #[test]
 fn vbr_eight_thread_stress_drops_exactly_once() {
     stress_exactly_once::<Vbr>();
+}
+
+/// The run path under the same audit: 8 threads push ascending runs of
+/// 1–64 through `LockFreeMultiQueue::insert_batch` — every search after a
+/// run's first resumes from the node the run linked last — and pop about
+/// half a run after each, racing pops against those resume nodes.
+fn batch_stress_exactly_once<R: Reclaim>() {
+    let total = THREADS * OPS_PER_THREAD;
+    let cells: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
+    let q = LockFreeMultiQueue::<Probe<'_>, R>::new_in(4);
+    let popped = AtomicUsize::new(0);
+
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (q, cells, popped) = (&q, &cells, &popped);
+            s.spawn(move || {
+                let (mut next, mut out) = (0, Vec::new());
+                while next < OPS_PER_THREAD {
+                    let len = (1 + (next * 7 + t * 13) % 64).min(OPS_PER_THREAD - next);
+                    // Ascending within the run (ties broken by the batch's
+                    // ascending seq); every thread's runs cover one range.
+                    let run: Vec<(u64, Probe<'_>)> = (next..next + len)
+                        .map(|i| {
+                            let cell = &cells[t * OPS_PER_THREAD + i];
+                            ((i / 2) as u64, Probe { cell, armed: false })
+                        })
+                        .collect();
+                    q.insert_batch(&run);
+                    next += len;
+                    popped.fetch_add(q.pop_batch(&mut out, len / 2 + 1), Ordering::SeqCst);
+                    out.clear();
+                }
+            });
+        }
+    });
+
+    let (mut drained, mut out) = (0, Vec::new());
+    loop {
+        let got = q.pop_batch(&mut out, 64);
+        drained += got;
+        out.clear();
+        if got == 0 && q.is_empty() {
+            break;
+        }
+    }
+    assert_eq!(popped.load(Ordering::SeqCst) + drained, total, "every run entry popped once");
+    drop(q);
+    assert_dropped_once(&cells);
+}
+
+#[test]
+fn ebr_eight_thread_batch_runs_drop_exactly_once() {
+    batch_stress_exactly_once::<Ebr>();
+}
+
+#[test]
+fn vbr_eight_thread_batch_runs_drop_exactly_once() {
+    batch_stress_exactly_once::<Vbr>();
 }
 
 /// Multiqueue-level variant: the two-choice pop path (peek + pop under one
@@ -141,47 +221,60 @@ fn vbr_multiqueue_batch_drain_conserves() {
     multiqueue_conserves::<Vbr>();
 }
 
-/// One random op against the oracle: true = insert next key, false = pop.
-fn apply_ops<R: Reclaim>(ops: &[bool]) {
-    let cells: Vec<AtomicUsize> = (0..ops.len()).map(|_| AtomicUsize::new(0)).collect();
+/// Random ops against the oracle. `(0, _, _)` inserts one key, `(1, _, _)`
+/// pops, `(2, len, d)` inserts `len` keys in one `insert_run_with`: sorted,
+/// then rotated left by `d` — one descent when `0 < d < len`.
+fn apply_ops<R: Reclaim>(ops: &[(u8, usize, usize)]) {
+    let total: usize = ops.iter().map(|&(kind, len, _)| [1, 0, len][kind as usize]).sum();
+    let cells: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
     let list: HarrisList<Probe<'_>, R> = HarrisList::new_in();
-    let mut oracle: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+    let mut oracle: BTreeSet<(u64, u64)> = BTreeSet::new();
     let mut seq = 0u64;
-    let mut live = 0usize;
-    for (i, &is_insert) in ops.iter().enumerate() {
-        if is_insert {
-            let priority = (i as u64 * 7) % 13;
-            list.insert(priority, seq, Probe { cell: &cells[i] });
-            oracle.insert((priority, seq), i);
-            seq += 1;
-            live += 1;
-        } else {
+    for (i, &(kind, len, d)) in ops.iter().enumerate() {
+        if kind == 1 {
             let got = list.pop_min().map(|(p, probe)| {
                 drop(probe);
                 p
             });
-            let expect = oracle.pop_first().map(|((p, _), _)| p);
+            let expect = oracle.pop_first().map(|(p, _)| p);
             assert_eq!(got, expect, "single-threaded pop must be exact-min");
-            live -= usize::from(expect.is_some());
+            continue;
+        }
+        let len = if kind == 0 { 1 } else { len };
+        let mut run: Vec<(u64, u64)> =
+            (0..len).map(|j| ((i as u64 * 7 + j as u64 * 5) % 13, seq + j as u64)).collect();
+        seq += len as u64;
+        run.sort_unstable();
+        run.rotate_left(d % len);
+        oracle.extend(run.iter().copied());
+        let mut entries = run.iter().map(|&(p, s)| (p, s, Probe::new(&cells[s as usize])));
+        if kind == 0 {
+            let (p, s, probe) = entries.next().unwrap();
+            list.insert(p, s, probe);
+        } else {
+            list.insert_run_with(entries, &list.guard());
         }
     }
-    assert_eq!(oracle.len(), live);
+    let left: Vec<u64> = std::iter::from_fn(|| list.pop_min().map(|(p, _)| p)).collect();
+    assert_eq!(
+        left,
+        oracle.into_iter().map(|(p, _)| p).collect::<Vec<_>>(),
+        "what is left drains sorted"
+    );
     drop(list);
-    // Every inserted payload dropped exactly once, popped or swept.
-    for (i, &is_insert) in ops.iter().enumerate() {
-        let want = usize::from(is_insert);
-        assert_eq!(cells[i].load(Ordering::SeqCst), want, "payload {i} drop count");
-    }
+    // Every inserted payload dropped exactly once, popped or drained.
+    assert_dropped_once(&cells);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Single-threaded, the list is an exact priority queue whatever the
-    /// backend; payload drops match the op sequence exactly.
+    /// backend and however a run is ordered; payload drops match the op
+    /// sequence exactly.
     #[test]
     fn random_op_sequences_match_oracle_on_both_backends(
-        ops in proptest::collection::vec(any::<bool>(), 1..200)
+        ops in proptest::collection::vec((0u8..3, 1usize..=8, 0usize..8), 1..200)
     ) {
         apply_ops::<Ebr>(&ops);
         apply_ops::<Vbr>(&ops);
