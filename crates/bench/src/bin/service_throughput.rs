@@ -5,12 +5,12 @@
 //! point is steady-state behaviour with ingestion and draining running
 //! concurrently:
 //!
-//! * **connectivity** — producers stream edge ids through the bounded
-//!   ingestion queues; a latency-recording handler wraps the CAS
-//!   union-find. Per-task latency runs from the moment the producer
-//!   *offers* the task (before any backpressure blocking) to the worker's
-//!   terminal decision, so queueing delay is included — this is the
-//!   service's latency, not the handler's. Reported: sustained ops/sec and
+//! * **connectivity** — producers stream edge ids into the live
+//!   scheduler; a latency-recording handler wraps the CAS union-find.
+//!   Per-task latency runs from the moment the producer *offers* the task
+//!   (before it waits in the producer's run or on the watermark) to the
+//!   worker's terminal decision, so queueing delay is included — this is
+//!   the service's latency, not the handler's. Reported: sustained ops/sec and
 //!   p50/p95/p99 task latency.
 //! * **sssp** — repeated single-source floods where the producers seed one
 //!   request and the entire wavefront arrives as handler follow-up
@@ -29,8 +29,8 @@
 //! layer's `engine_pop_total` counters against the exactly-once ledger.
 //!
 //! Usage: `service_throughput [--workload all|connectivity|sssp] [--n N]
-//! [--m M] [--producers P] [--workers W] [--queues Q] [--queue-capacity C]
-//! [--flush-batch F] [--watermark H] [--batch-size B] [--shards S]
+//! [--m M] [--producers P] [--workers W] [--flush-batch F] [--watermark H]
+//! [--batch-size B] [--shards S]
 //! [--reps R] [--seed S] [--reclaim ebr|vbr] [--trace PATH]
 //! [--metrics [PATH]] [--quick]`
 //!
@@ -199,11 +199,8 @@ fn main() {
         ("--m M", "edge count"),
         ("--producers P", "producer threads (default 4)"),
         ("--workers W", "worker threads (default 4)"),
-        ("--queues Q", "ingestion queues (default 2)"),
-        ("--queue-capacity C", "entries buffered per queue (default 1024)"),
-        ("--flush-batch F", "largest pump flush batch (default 256)"),
+        ("--flush-batch F", "longest producer run before it is flushed (default 256)"),
         ("--watermark H", "per-shard high watermark; 0 disables (default 0)"),
-        ("--pump-threads T", "pump driver threads (default 1)"),
         ("--batch-size B", "worker pop batch size (default 8)"),
         ("--shards S", "scheduler shards (default 3)"),
         ("--reps R", "repetitions per workload"),
@@ -236,11 +233,9 @@ fn main() {
         config: ServiceConfig {
             workers: args.get_usize("workers", 4),
             batch_size: args.get_usize("batch-size", 8),
-            ingest_queues: args.get_usize("queues", 2),
-            queue_capacity: args.get_usize("queue-capacity", 1024),
             flush_batch: args.get_usize("flush-batch", 256),
             shard_watermark: if watermark == 0 { usize::MAX } else { watermark },
-            pump_threads: args.get_usize("pump-threads", 1),
+            ..Default::default()
         },
         shards: args.get_usize("shards", 3),
         reclaim: args
@@ -253,13 +248,8 @@ fn main() {
     assert!(knobs.shards >= 1, "--shards must be positive");
 
     println!(
-        "streaming service: {} producers -> {} queues -> {} shards -> {} workers (batch {}, reclaim {})\n",
-        knobs.producers,
-        knobs.config.ingest_queues,
-        knobs.shards,
-        knobs.config.workers,
-        knobs.config.batch_size,
-        knobs.reclaim
+        "streaming service: {} producers -> {} shards -> {} workers (batch {}, reclaim {})\n",
+        knobs.producers, knobs.shards, knobs.config.workers, knobs.config.batch_size, knobs.reclaim
     );
 
     if workload != "sssp" {

@@ -127,9 +127,10 @@ fn service_throughput_emits_trace_and_metrics() {
     let metrics = std::fs::read_to_string(&metrics_path).expect("metrics file not written");
     // One probe family per instrumented layer: worker engine (pops,
     // batches, service times), sharded scheduler (steals, shard loads),
-    // service front-end (queue depth, seals, request latency), and the
-    // reclamation backend. Counters that need backpressure to fire
-    // (pump park/unpark) are deliberately absent: a quick run never parks.
+    // service front-end (request latency), and the reclamation backend.
+    // Counters that need backpressure to fire (service_producer_park_total
+    // / service_producer_unpark_total) are deliberately absent: a quick run
+    // never parks.
     for family in [
         r#"engine_pop_total{outcome="success"}"#,
         r#"engine_pop_total{outcome="empty"}"#,
@@ -138,8 +139,6 @@ fn service_throughput_emits_trace_and_metrics() {
         "sharded_steal_total",
         "sharded_fairness_probe_total",
         r#"sharded_shard_load{shard="0"}"#,
-        r#"service_ingest_depth{queue="0"}"#,
-        "service_queue_seal_total",
         "service_request_latency_ns_count",
         r#"reclaim_retire_total{backend="ebr"}"#,
         r#"reclaim_dealloc_total{backend="ebr"}"#,

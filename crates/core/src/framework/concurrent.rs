@@ -138,8 +138,8 @@ pub(crate) trait EngineDriver: Sync {
     /// Called once per nonempty run, after the run's outgoing buffer is
     /// flushed. `net_drained` is pops and purges minus inserts — how much
     /// scheduler occupancy the run retired, 0 for a run that spawned more
-    /// than it retired. The service driver uses it to wake ingestion pumps
-    /// blocked on the shard high watermark.
+    /// than it retired. The service driver uses it to wake producers parked
+    /// on the shard high watermark.
     fn after_run(&self, net_drained: usize) {
         let _ = net_drained;
     }

@@ -24,9 +24,9 @@
 //!   (arXiv 2003.09363): incremental connectivity over a union-find and
 //!   randomized incremental Delaunay triangulation, with conflict-retry
 //!   semantics for out-of-order insertions.
-//! * [`service`] — the streaming front-end: producers push tasks through
-//!   bounded ingestion queues into a live scheduler while the same worker
-//!   engine drains it, with shard-saturation backpressure and a
+//! * [`service`] — the streaming front-end: producers flush runs of tasks
+//!   into a live scheduler while the same worker engine drains it, with
+//!   shard-saturation backpressure and a
 //!   graceful-drain, exactly-once shutdown protocol. The prefill executors
 //!   above are its degenerate all-tasks-at-t=0 configuration.
 //! * [`stats`] — the paper's cost measure: total pops split into processed /

@@ -21,7 +21,7 @@ use std::fmt;
 /// run with the ledger in one step and then inserts them — together with
 /// the run's failed deletes — in the one `insert_batch` that ends the run,
 /// so a follow-up becomes poppable when its parent's run ends (at most
-/// `batch_size` dispatches later). Submits bypass the ingestion queues and
+/// `batch_size` dispatches later). Submits bypass the producers' runs and
 /// the shard watermark. This is deliberate — a follow-up gated on
 /// backpressure could deadlock the very workers that must drain the
 /// backlog. The ledger's termination argument relies on follow-ups being

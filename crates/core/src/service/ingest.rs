@@ -1,40 +1,36 @@
-//! Ingestion side of the streaming service: bounded MPMC queues, producer
-//! handles, and the exactly-once completion ledger.
-//!
-//! A [`Producer`] pushes `(priority, task)` requests into its assigned
-//! [`IngestQueue`]; an async *pump* (one per queue, see the module docs of
-//! [`crate::service`]) drains the queue in batches into the shared
-//! scheduler. The queue is the backpressure boundary: `push` blocks while
-//! the queue is at capacity, so a stalled pump (shard high watermark) backs
-//! up into the producers. Sealing is sticky and layered — a queue seals when
-//! its last producer drops or on an explicit [`Producer::seal_all`]; the
-//! [`Ledger`] seals when every queue has sealed.
+//! Ingestion side of the streaming service: producer handles, which flush
+//! their own runs into the scheduler (see the [service docs](super)), and
+//! the exactly-once completion ledger.
 
+use super::{CapacityWaiters, ServiceConfig};
 use crate::TaskId;
-use rsched_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::collections::VecDeque;
+use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
+use rsched_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Condvar, Mutex};
-use std::task::Waker;
+use std::sync::Arc;
+use std::task::{Wake, Waker};
+use std::thread::{self, Thread};
 
 /// The exactly-once completion ledger: two monotone counters whose equality
 /// (once producers are sealed) is the service's termination condition.
 ///
 /// `accepted` counts every task admitted into the system — producer pushes
-/// (incremented inside the queue's critical section, so acceptance and
-/// enqueue are atomic with respect to the pump) and handler follow-up
-/// submits (one `accept(n)` per worker run, **before** the `insert_batch`
-/// that makes the run's follow-ups poppable). `decided` counts terminal
-/// outcomes (`Processed` or `Obsolete`; a `Blocked` re-insert is not a
-/// decision), one `decide(n)` per run, after that run's accept. A follow-up
-/// only exists while the parent that submitted it is still unbooked, and
-/// nobody can pop — let alone decide — a follow-up before it is accepted, so
-/// `decided == accepted` implies no task is in flight *and* no future
-/// accept can occur once sealed — the condition is stable, so workers may
-/// exit the moment they observe it. Publishing a follow-up before accepting
-/// it breaks exactly this: another worker pops and decides the child, the
-/// books read 1 == 1 with the parent still in hand
-/// (`tests/model_service.rs` finds the interleaving).
+/// (one `accept(n)` per flushed run, **before** the `insert_batch` that
+/// makes it poppable) and handler follow-up submits (one `accept(n)` per
+/// worker run, likewise before its `insert_batch`). `decided` counts
+/// terminal outcomes (`Processed` or `Obsolete`; a `Blocked` re-insert is
+/// not a decision), one `decide(n)` per run, after that run's accept. A
+/// follow-up only exists while the parent that submitted it is still
+/// unbooked, a pushed task only while its producer's handle is alive (and
+/// the ledger unsealed), and nobody can pop — let alone decide — a task
+/// before it is accepted, so `decided == accepted` once sealed implies no
+/// task is in flight *and* no future accept can occur — the condition is
+/// stable, so workers may exit the moment they observe it. Publishing a
+/// follow-up before accepting it breaks exactly this: another worker pops
+/// and decides the child, the books read 1 == 1 with the parent still in
+/// hand (`tests/model_service.rs` finds the interleaving, and the one where
+/// the ledger seals with a pushed run still buffered).
 #[derive(Debug, Default)]
 #[doc(hidden)] // public only so the model-checker suite can drive it
 pub struct Ledger {
@@ -61,9 +57,12 @@ impl Ledger {
     /// Marks the producer side closed for good (idempotent, sticky).
     pub fn seal(&self) {
         if !self.sealed.swap(true, Ordering::SeqCst) {
-            // Seal-wave timeline: the ledger seals once, after every queue.
             rsched_obs::instant!("ledger_seal");
         }
+    }
+
+    pub fn is_sealed(&self) -> bool {
+        self.sealed.load(Ordering::SeqCst)
     }
 
     pub fn accepted(&self) -> u64 {
@@ -81,13 +80,13 @@ impl Ledger {
     /// instant of the `accepted` read: the books balanced at a real moment
     /// in time, and (sealed being sticky) stay balanced forever.
     pub fn drained(&self) -> bool {
-        self.sealed.load(Ordering::SeqCst) && self.decided() == self.accepted()
+        self.is_sealed() && self.decided() == self.accepted()
     }
 }
 
 /// Error returned by [`Producer::push`] once the service stopped accepting
-/// new work (explicit [`Producer::seal_all`], or the producer's queue was
-/// sealed). The rejected task is **not** accepted: it never counts against
+/// new work (a [`Producer::seal_all`] from any producer, or the workers
+/// died). The rejected task is **not** accepted: it never counts against
 /// the ledger and will not be processed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PushError {
@@ -105,273 +104,180 @@ impl fmt::Display for PushError {
 
 impl std::error::Error for PushError {}
 
-struct QueueInner {
-    entries: VecDeque<(u64, TaskId)>,
-    /// Producers currently assigned to this queue and not yet dropped.
-    open_producers: usize,
-    /// Sticky: set when the last producer drops or on explicit seal.
-    sealed: bool,
-    /// The pump's waker, registered when it observed the queue empty.
-    pump: Option<Waker>,
+/// Shared state of one service run: the scheduler producers flush into,
+/// the ledger, the watermark waiters, and the seal state.
+pub(super) struct ServiceCore<'a> {
+    sched: &'a dyn ConcurrentScheduler<TaskId>,
+    load: &'a (dyn SchedulerLoad + Sync),
+    flush_batch: usize,
+    watermark: usize,
+    pub(super) ledger: Ledger,
+    pub(super) capacity: CapacityWaiters,
+    /// Handles not yet dropped; the last one out seals the ledger.
+    open_producers: AtomicUsize,
+    /// Set by `seal_all` (or an abort): later pushes are refused.
+    closed: AtomicBool,
 }
 
-/// What [`IngestQueue::take_batch`] observed.
-pub(crate) enum TakeStatus {
-    /// At least one entry was moved into the caller's buffer.
-    Took,
-    /// Empty but not sealed; the pump's waker was registered.
-    Pending,
-    /// Empty and sealed: no entry will ever arrive again.
-    Drained,
-}
-
-/// One bounded MPMC ingestion queue (mutex + condvar for the blocking
-/// producer side, a registered [`Waker`] for the async pump side).
-#[derive(Debug)]
-pub(crate) struct IngestQueue {
-    inner: Mutex<QueueInner>,
-    /// Signaled when entries leave the queue or the queue seals — what
-    /// producers blocked on a full queue wait on.
-    space: Condvar,
-    capacity: usize,
-    /// Live buffered-entry gauge (`service_ingest_depth{queue="i"}`); a ZST
-    /// unless the `obs` feature is on.
-    depth: rsched_obs::Gauge,
-}
-
-impl fmt::Debug for QueueInner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("QueueInner")
-            .field("len", &self.entries.len())
-            .field("open_producers", &self.open_producers)
-            .field("sealed", &self.sealed)
-            .finish()
-    }
-}
-
-impl IngestQueue {
-    /// A queue with room for `capacity` buffered entries, expecting
-    /// `producers` handles (zero producers seals it immediately). `index`
-    /// names the queue's depth gauge in the metrics registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub(crate) fn new(capacity: usize, producers: usize, index: usize) -> Self {
-        assert!(capacity >= 1, "need a positive ingestion capacity");
-        // `ENABLED` is const, so the name `format!` folds away by default.
-        let depth = if rsched_obs::ENABLED {
-            rsched_obs::gauge(&format!(r#"service_ingest_depth{{queue="{index}"}}"#))
-        } else {
-            rsched_obs::gauge("")
+impl<'a> ServiceCore<'a> {
+    /// The state of a run with `producers` handles; with none, the ledger
+    /// is sealed from the start.
+    pub(super) fn new<S>(sched: &'a S, config: &ServiceConfig, producers: usize) -> Self
+    where
+        S: ConcurrentScheduler<TaskId> + SchedulerLoad,
+    {
+        let core = ServiceCore {
+            sched,
+            load: sched,
+            flush_batch: config.flush_batch,
+            watermark: config.shard_watermark,
+            ledger: Ledger::new(),
+            capacity: CapacityWaiters::default(),
+            open_producers: AtomicUsize::new(producers),
+            closed: AtomicBool::new(false),
         };
-        IngestQueue {
-            inner: Mutex::new(QueueInner {
-                entries: VecDeque::new(),
-                open_producers: producers,
-                sealed: producers == 0,
-                pump: None,
-            }),
-            space: Condvar::new(),
-            capacity,
-            depth,
+        if producers == 0 {
+            core.ledger.seal();
+        }
+        core
+    }
+
+    /// Whether a flush must wait: the fullest shard is at the watermark and
+    /// the ledger is open. While any handle is alive only an abort seals
+    /// it, so a sealed ledger here means nobody is left to drain the shard.
+    fn stalled(&self) -> bool {
+        self.load.max_partition_load() >= self.watermark && !self.ledger.is_sealed()
+    }
+
+    /// Parks the calling producer until [`Self::stalled`] reads false.
+    /// Register first, re-check second: a worker draining (or an abort)
+    /// between the two unparks the thread instead of being missed.
+    fn await_capacity(&self) {
+        let mut waker = None;
+        while self.stalled() {
+            let waker =
+                waker.get_or_insert_with(|| Waker::from(Arc::new(Unpark(thread::current()))));
+            self.capacity.register(waker);
+            if self.stalled() {
+                thread::park();
+            }
         }
     }
 
-    /// Blocking bounded push; the ledger accept happens inside the critical
-    /// section, so the pump can never flush a task the ledger has not yet
-    /// counted.
-    pub(crate) fn push(
-        &self,
-        priority: u64,
-        task: TaskId,
-        ledger: &Ledger,
-    ) -> Result<(), PushError> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if inner.sealed {
-                return Err(PushError::Sealed);
-            }
-            if inner.entries.len() < self.capacity {
-                break;
-            }
-            inner = self.space.wait(inner).unwrap();
+    /// The workers are gone and nothing will be popped again: refuses
+    /// later pushes and releases parked producers. The seal store precedes
+    /// `wake_all`'s fence and a producer re-checks the seal after
+    /// `register`'s, so a parked producer either sees the seal or is woken.
+    pub(super) fn abort(&self) {
+        self.closed.store(true, Ordering::Relaxed);
+        self.ledger.seal();
+        self.capacity.wake_all();
+    }
+}
+
+/// A watermark-parked producer's waker: unparks its thread.
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+/// A producer-side handle: push requests, optionally seal the service.
+///
+/// The handle buffers its pushes in a run of its own and flushes it itself
+/// (see the [module docs](crate::service)); a handle that goes idle without
+/// dropping must call [`Producer::flush`]. Dropping the handle flushes and
+/// retires it; when the last handle drops, the ledger seals and the drain
+/// begins. The handle is `Send` (producers run on their own threads) but
+/// deliberately not `Clone` — the seal protocol counts handles.
+pub struct Producer<'s> {
+    core: &'s ServiceCore<'s>,
+    /// Pushes that returned `Ok` and are not yet accepted.
+    run: RefCell<Vec<(u64, TaskId)>>,
+}
+
+impl fmt::Debug for Producer<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Producer")
+            .field("buffered", &self.run.borrow().len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'s> Producer<'s> {
+    pub(super) fn new(core: &'s ServiceCore<'s>) -> Self {
+        Producer { core, run: RefCell::default() }
+    }
+
+    /// Pushes one request into the handle's run, flushing the run when it
+    /// is full or the scheduler reads empty (otherwise the request waits in
+    /// the run: see [`Producer::flush`]). Waits while a flush is held
+    /// at the shard watermark (backpressure); returns
+    /// [`PushError::Sealed`] — without accepting the task — once the
+    /// service stopped taking new work.
+    pub fn push(&self, priority: u64, task: TaskId) -> Result<(), PushError> {
+        // Relaxed: a push that misses a concurrent close is ordered before
+        // it, and its run is still booked before the ledger seals.
+        if self.core.closed.load(Ordering::Relaxed) {
+            self.flush();
+            return Err(PushError::Sealed);
         }
-        inner.entries.push_back((priority, task));
-        ledger.accept(1);
-        self.depth.add(1);
-        let waker = inner.pump.take();
-        drop(inner);
-        if let Some(w) = waker {
-            w.wake();
+        let full = {
+            let mut run = self.run.borrow_mut();
+            run.push((priority, task));
+            run.len() >= self.core.flush_batch
+        };
+        if full || self.core.load.total_load() == 0 {
+            self.flush();
         }
         Ok(())
     }
 
-    /// Moves up to `max` entries into `out` (FIFO — arrival order is
-    /// preserved through to the scheduler insert). On an empty-but-open
-    /// queue, registers `waker` so the next push or seal re-polls the pump;
-    /// the register-then-report-pending order plus wake-on-push makes lost
-    /// wakeups impossible.
-    pub(crate) fn take_batch(
-        &self,
-        out: &mut Vec<(u64, TaskId)>,
-        max: usize,
-        waker: &Waker,
-    ) -> TakeStatus {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.entries.is_empty() {
-            if inner.sealed {
-                return TakeStatus::Drained;
-            }
-            inner.pump = Some(waker.clone());
-            return TakeStatus::Pending;
-        }
-        let n = inner.entries.len().min(max);
-        out.extend(inner.entries.drain(..n));
-        drop(inner);
-        self.depth.sub(n as i64);
-        // Room just opened up: release producers blocked on capacity.
-        self.space.notify_all();
-        TakeStatus::Took
+    /// Initiates graceful shutdown: flushes this handle's run and closes
+    /// ingestion (every producer's subsequent pushes are rejected). Pushes
+    /// already answered `Ok` — other producers' buffered runs included —
+    /// still complete exactly once.
+    pub fn seal_all(&self) {
+        self.flush();
+        self.core.closed.store(true, Ordering::Relaxed);
     }
 
-    /// Sticky seal: rejects future pushes, releases blocked pushers, and
-    /// wakes the pump so it can run its drain to completion.
-    pub(crate) fn seal(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        if !inner.sealed {
-            rsched_obs::instant!("queue_seal");
-            rsched_obs::counter!("service_queue_seal_total").inc();
+    /// Inserts the buffered run now instead of at the next automatic flush
+    /// (run full, scheduler empty, `seal_all`, drop). A push that returned
+    /// `Ok` is only buffered: while other traffic keeps the scheduler
+    /// non-empty it stays in the run until one of those happens. A handle
+    /// that stays alive while its producer waits — on a result, an event,
+    /// or another producer's task that depends on what it pushed — must
+    /// call this first (or drop). Waits at the shard watermark like any
+    /// flush.
+    pub fn flush(&self) {
+        let mut run = self.run.borrow_mut();
+        if run.is_empty() {
+            return;
         }
-        inner.sealed = true;
-        let waker = inner.pump.take();
-        drop(inner);
-        self.space.notify_all();
-        if let Some(w) = waker {
-            w.wake();
-        }
+        self.core.await_capacity();
+        // Book, then publish: no worker can decide a task the ledger has
+        // not counted.
+        self.core.ledger.accept(run.len());
+        self.core.sched.insert_batch(&run);
+        run.clear();
     }
+}
 
-    /// One producer handle dropped; the last one out seals the queue.
-    /// Returns whether this call sealed it.
-    pub(crate) fn release_producer(&self) -> bool {
-        let sealed_now = {
-            let mut inner = self.inner.lock().unwrap();
-            inner.open_producers -= 1;
-            if inner.open_producers == 0 && !inner.sealed {
-                inner.sealed = true;
-                rsched_obs::instant!("queue_seal");
-                rsched_obs::counter!("service_queue_seal_total").inc();
-                true
-            } else {
-                false
-            }
-        };
-        if sealed_now {
-            // Re-lock briefly to grab the waker; cheaper than holding the
-            // lock across the wake.
-            let waker = self.inner.lock().unwrap().pump.take();
-            self.space.notify_all();
-            if let Some(w) = waker {
-                w.wake();
-            }
+impl Drop for Producer<'_> {
+    fn drop(&mut self) {
+        self.flush();
+        if self.core.open_producers.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.core.ledger.seal();
         }
-        sealed_now
-    }
-
-    /// Current buffered entry count.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::task::Wake;
-
-    struct Flag(AtomicBool);
-    impl Wake for Flag {
-        fn wake(self: Arc<Self>) {
-            self.0.store(true, Ordering::SeqCst);
-        }
-    }
-
-    fn flag_waker() -> (Waker, Arc<Flag>) {
-        let flag = Arc::new(Flag(AtomicBool::new(false)));
-        (Waker::from(flag.clone()), flag)
-    }
-
-    #[test]
-    fn push_take_roundtrip_preserves_fifo() {
-        let ledger = Ledger::new();
-        let q = IngestQueue::new(8, 1, 0);
-        for i in 0..5u32 {
-            q.push(i as u64, i, &ledger).unwrap();
-        }
-        assert_eq!(ledger.accepted(), 5);
-        let (waker, _) = flag_waker();
-        let mut out = Vec::new();
-        assert!(matches!(q.take_batch(&mut out, 3, &waker), TakeStatus::Took));
-        assert_eq!(out, vec![(0, 0), (1, 1), (2, 2)]);
-    }
-
-    #[test]
-    fn sealed_queue_rejects_push_without_accepting() {
-        let ledger = Ledger::new();
-        let q = IngestQueue::new(4, 1, 0);
-        q.seal();
-        assert_eq!(q.push(1, 1, &ledger), Err(PushError::Sealed));
-        assert_eq!(ledger.accepted(), 0, "rejected push must not count");
-    }
-
-    #[test]
-    fn empty_open_queue_registers_waker_and_push_wakes() {
-        let ledger = Ledger::new();
-        let q = IngestQueue::new(4, 1, 0);
-        let (waker, flag) = flag_waker();
-        let mut out = Vec::new();
-        assert!(matches!(q.take_batch(&mut out, 4, &waker), TakeStatus::Pending));
-        assert!(!flag.0.load(Ordering::SeqCst));
-        q.push(7, 7, &ledger).unwrap();
-        assert!(flag.0.load(Ordering::SeqCst), "push must wake the registered pump");
-    }
-
-    #[test]
-    fn last_producer_release_seals_and_wakes() {
-        let q = IngestQueue::new(4, 2, 0);
-        let (waker, flag) = flag_waker();
-        let mut out = Vec::new();
-        assert!(matches!(q.take_batch(&mut out, 4, &waker), TakeStatus::Pending));
-        assert!(!q.release_producer());
-        assert!(!flag.0.load(Ordering::SeqCst));
-        assert!(q.release_producer());
-        assert!(flag.0.load(Ordering::SeqCst), "seal must wake the pump");
-        assert!(matches!(q.take_batch(&mut out, 4, &waker), TakeStatus::Drained));
-    }
-
-    #[test]
-    fn full_queue_blocks_until_drained() {
-        let ledger = Ledger::new();
-        let q = IngestQueue::new(2, 1, 0);
-        q.push(0, 0, &ledger).unwrap();
-        q.push(1, 1, &ledger).unwrap();
-        std::thread::scope(|s| {
-            let pusher = s.spawn(|| q.push(2, 2, &ledger));
-            // Give the pusher time to block on the full queue, then drain.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let (waker, _) = flag_waker();
-            let mut out = Vec::new();
-            assert!(matches!(q.take_batch(&mut out, 1, &waker), TakeStatus::Took));
-            assert_eq!(out.len(), 1);
-            assert_eq!(pusher.join().unwrap(), Ok(()));
-        });
-        assert_eq!(q.len(), 2);
-        assert_eq!(ledger.accepted(), 3);
-    }
 
     #[test]
     fn ledger_drained_requires_seal_and_balance() {

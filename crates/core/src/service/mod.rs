@@ -8,28 +8,30 @@
 //! tasks arrive over time. [`run_service`] is that shape:
 //!
 //! ```text
-//!  N producers ──► bounded MPMC ingestion queues ──► async pumps ──►
+//!  N producers (each buffers a run, books it, insert_batch) ──►
 //!      ShardedScheduler (live) ◄──► M workers (the same worker engine
 //!      that runs the prefill executors)
 //! ```
 //!
-//! * **Producers** ([`Producer`]) are plain closures on their own threads;
-//!   [`Producer::push`] blocks when the assigned queue is full — the
-//!   backpressure boundary.
-//! * **Pumps** are hand-rolled futures (one per queue), driven by
-//!   `min(pump_threads, ingest_queues)` threads
-//!   ([`ServiceConfig::pump_threads`]): thread `t` runs the vendored
-//!   `futures` shim's `block_on(join_all(..))` over the pumps of queues
-//!   `t`, `t + P`, … — a static assignment, so with one thread per queue a
-//!   busy queue cannot delay another's flush. A pump
-//!   drains its queue FIFO in batches into
-//!   [`ConcurrentScheduler::insert_batch`], but first awaits shard
-//!   capacity: while the scheduler's
+//! The scheduler is the only concurrency boundary, and a run is the unit of
+//! traffic through it in both directions.
+//!
+//! * **Producers** ([`Producer`]) are plain closures on their own threads
+//!   and are their own pumps: [`Producer::push`] appends to a run the
+//!   handle owns, and the producer accepts the run with the ledger and
+//!   calls [`ConcurrentScheduler::insert_batch`] itself once the run holds
+//!   [`ServiceConfig::flush_batch`] entries, or as soon as the scheduler's
+//!   [`total_load`](SchedulerLoad::total_load) reads 0 (the workers are
+//!   hungry — this is what keeps latency low at low rates), on
+//!   [`Producer::seal_all`] or [`Producer::flush`], and when the handle
+//!   drops. Nothing else moves a buffered run, so a handle that stays
+//!   alive while its producer waits must call [`Producer::flush`]. Before
+//!   it inserts, a flush waits while
 //!   [`max_partition_load`](SchedulerLoad::max_partition_load) is at or
-//!   above [`ServiceConfig::shard_watermark`], the pump parks on a waker
-//!   that workers signal as they retire occupancy. A stalled pump fills its
-//!   queue, which blocks its producers: saturation propagates upstream
-//!   instead of ballooning the scheduler.
+//!   above [`ServiceConfig::shard_watermark`], its thread parked on a
+//!   waker that workers signal as they retire occupancy — the backpressure
+//!   boundary: a saturated scheduler stalls its producers instead of
+//!   ballooning.
 //! * **Workers** run the exact engine of
 //!   [`run_concurrent_batched`](crate::framework::run_concurrent_batched) —
 //!   same pop and flush path, same counters, same affinity drift — with a
@@ -40,51 +42,56 @@
 //!   engine (every task present at t = 0, producers sealed before the
 //!   first pop), and
 //!   [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp) is this
-//!   driver on a request set sealed before the first pop: no queue, no
-//!   pump, no producer thread.
+//!   driver on a request set sealed before the first pop: no producer
+//!   thread.
 //!
 //! # Graceful drain and exactly-once completion
 //!
-//! Shutdown is a wave through the pipeline: producers finish (or
-//! [`Producer::seal_all`] is called) → each queue **seals** → pumps flush
-//! what remains and complete → workers drain the scheduler → everyone
-//! joins. Termination is decided by the [ledger](self): `accepted` counts
-//! every task admitted (producer pushes and handler follow-up submits),
-//! `decided` counts terminal outcomes. A worker books both once per run:
-//! the follow-ups a run submitted are accepted before the one
-//! `insert_batch` that makes them poppable, its decisions after that
-//! accept. Once all queues are sealed and
-//! `decided == accepted`, no task is buffered, scheduled, or in a worker's
-//! hands, and no future submit can occur — the condition is stable and the
-//! workers exit. [`ServiceStats::exactly_once`] checks the books.
+//! Shutdown is a wave: producers finish (or [`Producer::seal_all`] closes
+//! ingestion and they see [`PushError::Sealed`]) → each handle flushes its
+//! run as it drops → the last drop **seals** the ledger → workers drain
+//! the scheduler → everyone joins. Termination is decided by the
+//! [ledger](Ledger): `accepted` counts every task admitted (flushed
+//! producer runs and handler follow-up submits), `decided` counts terminal
+//! outcomes. Both sides accept a run strictly before the `insert_batch`
+//! that makes it poppable; a worker decides after that accept. Because the
+//! ledger seals only after the last flush, every push that returned `Ok`
+//! is accepted before the books can balance. Once sealed and `decided ==
+//! accepted`, no task is buffered, scheduled, or in a worker's hands, and
+//! no future submit can occur — the condition is stable and the workers
+//! exit. [`ServiceStats::exactly_once`] checks the books.
 //!
 //! # Liveness contract for blocking handlers
 //!
 //! A handler returning [`TaskOutcome::Blocked`] re-inserts; the blocked
 //! task's dependency must itself reach the scheduler. Follow-up submits
 //! bypass the watermark precisely so handler-created dependencies cannot
-//! deadlock behind it. Producer-created dependencies must either arrive on
-//! the same queue no later than their dependents (FIFO pumping then orders
-//! them in) or the watermark must be left disabled (the default); see
-//! DESIGN.md "Service semantics".
+//! deadlock behind it. A producer-created dependency is safe when it comes
+//! from the same producer no later than its dependents (its runs reach the
+//! scheduler in push order). One that another producer pushes reaches the
+//! scheduler only when that producer's run is flushed — and a re-inserted
+//! dependent keeps the scheduler non-empty, so the hungry rule will not do
+//! it. That producer must call [`Producer::flush`] (or drop its handle)
+//! after the push, and the watermark must be left disabled (the default),
+//! or the flush can park behind the blocked dependents; see DESIGN.md
+//! "Service semantics".
 
 mod handler;
 mod ingest;
 
 pub use crate::algorithms::sssp::SsspHandler;
 pub use handler::{AlgorithmHandler, ConnectivityHandler, RequestHandler, SubmitCtx};
-pub use ingest::{Ledger, PushError};
+pub use ingest::{Ledger, Producer, PushError};
 
 use crate::framework::concurrent::{run_engine, EngineDriver};
 use crate::framework::TaskOutcome;
 use crate::TaskId;
-use ingest::{IngestQueue, TakeStatus};
+use ingest::ServiceCore;
 use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
-use rsched_sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use rsched_sync::atomic::{fence, AtomicBool, Ordering};
 use rsched_sync::sync::Mutex;
-use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::task::{Poll, Waker};
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of one [`run_service`] run.
@@ -96,22 +103,17 @@ pub struct ServiceConfig {
     /// [`run_concurrent_batched`](crate::framework::run_concurrent_batched)
     /// for the batching-relaxation trade).
     pub batch_size: usize,
-    /// Number of ingestion queues; producer `i` is assigned queue
-    /// `i % ingest_queues`.
+    /// Ignored; removed by ROADMAP queue entry (vii).
     pub ingest_queues: usize,
-    /// Buffered entries per queue before [`Producer::push`] blocks.
+    /// Ignored; removed by ROADMAP queue entry (vii).
     pub queue_capacity: usize,
-    /// Largest batch a pump moves per `insert_batch` (FIFO within a queue).
+    /// Longest run a producer buffers before it inserts the run itself; it
+    /// flushes sooner whenever the scheduler reads empty.
     pub flush_batch: usize,
-    /// Pumps stall while any shard holds at least this many tasks;
-    /// `usize::MAX` (the default) disables the watermark.
+    /// A flushing producer parks while any shard holds at least this many
+    /// tasks; `usize::MAX` (the default) disables the watermark.
     pub shard_watermark: usize,
-    /// Threads driving the ingestion pumps, capped at `ingest_queues`:
-    /// thread `t` of `P` drives the pumps of queues `t`, `t + P`, … on one
-    /// `block_on(join_all(..))` loop, where any pump wake re-polls that
-    /// thread's pumps. The default (1) runs every pump on one thread; one
-    /// thread per queue keeps a stalled or busy queue from delaying its
-    /// siblings' flushes.
+    /// Ignored; removed by ROADMAP queue entry (vii).
     pub pump_threads: usize,
 }
 
@@ -163,58 +165,16 @@ impl ServiceStats {
     }
 }
 
-/// A producer-side handle: push requests, optionally seal the service.
-///
-/// Dropping the handle retires it; when the last handle on a queue drops,
-/// that queue seals, and when every queue is sealed the drain begins. The
-/// handle is `Send` (producers run on their own threads) but deliberately
-/// not `Clone` — the seal protocol counts handles.
-pub struct Producer<'s> {
-    core: &'s ServiceCore,
-    queue: usize,
-}
-
-impl fmt::Debug for Producer<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Producer").field("queue", &self.queue).finish_non_exhaustive()
-    }
-}
-
-impl Producer<'_> {
-    /// Pushes one request. Blocks while the assigned ingestion queue is
-    /// full (backpressure); returns [`PushError::Sealed`] — without
-    /// accepting the task — once the service stopped taking new work.
-    pub fn push(&self, priority: u64, task: TaskId) -> Result<(), PushError> {
-        self.core.queues[self.queue].push(priority, task, &self.core.ledger)
-    }
-
-    /// Initiates graceful shutdown: seals every ingestion queue (all
-    /// producers' subsequent pushes are rejected) and starts the drain.
-    /// Already-accepted tasks still complete exactly once.
-    pub fn seal_all(&self) {
-        self.core.seal_all();
-    }
-}
-
-impl Drop for Producer<'_> {
-    fn drop(&mut self) {
-        self.core.queues[self.queue].release_producer();
-        if self.core.open_producers.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.core.ledger.seal();
-        }
-    }
-}
-
 /// A producer body: receives its handle, pushes requests, returns when done
-/// (dropping the handle seals its share of the ingestion side).
+/// (dropping the handle flushes its run and retires it).
 pub type ProducerFn<'env> = Box<dyn for<'p> FnOnce(Producer<'p>) + Send + 'env>;
 
-/// Wakers of pumps parked on the shard watermark. `armed` is the workers'
-/// fast path: they skip the mutex entirely until some pump has registered.
-/// The SeqCst fences pair the pump's register→re-check with the worker's
-/// drain→check (store-buffering shape): at least one side must see the
-/// other, so a pump can never park against an already-drained scheduler
-/// with nobody left to wake it.
+/// Wakers of producers parked on the shard watermark. `armed` is the
+/// workers' fast path: they skip the mutex entirely until some producer has
+/// registered. The SeqCst fences pair the producer's register→re-check with
+/// the worker's drain→check (store-buffering shape): at least one side must
+/// see the other, so a producer can never park against an already-drained
+/// scheduler with nobody left to wake it.
 #[derive(Debug, Default)]
 #[doc(hidden)] // public only so the model-checker suite can drive it
 pub struct CapacityWaiters {
@@ -252,10 +212,10 @@ fn capacity_armed_ordering() -> Ordering {
 impl CapacityWaiters {
     /// Registers `waker` for the next capacity wake. The caller must
     /// re-check its stall condition *after* this returns and only then
-    /// return `Pending`.
+    /// park.
     pub fn register(&self, waker: &Waker) {
-        rsched_obs::counter!("service_pump_park_total").inc();
-        rsched_obs::instant!("pump_park");
+        rsched_obs::counter!("service_producer_park_total").inc();
+        rsched_obs::instant!("producer_park");
         let mut ws = self.wakers.lock().unwrap();
         if !ws.iter().any(|w| w.will_wake(waker)) {
             ws.push(waker.clone());
@@ -265,7 +225,7 @@ impl CapacityWaiters {
         capacity_fence();
     }
 
-    /// Wakes every registered pump (workers call this after runs that
+    /// Wakes every registered producer (workers call this after runs that
     /// retired scheduler occupancy).
     pub fn wake_all(&self) {
         capacity_fence();
@@ -277,50 +237,19 @@ impl CapacityWaiters {
             self.armed.store(false, capacity_armed_ordering());
             std::mem::take(&mut *ws)
         };
-        rsched_obs::counter!("service_pump_unpark_total").add(drained.len() as u64);
+        rsched_obs::counter!("service_producer_unpark_total").add(drained.len() as u64);
         for w in drained {
             w.wake();
         }
     }
 }
 
-/// Shared state of one service run: queues, ledger, capacity wakers.
-#[derive(Debug)]
-struct ServiceCore {
-    queues: Vec<IngestQueue>,
-    ledger: Ledger,
-    capacity: CapacityWaiters,
-    open_producers: AtomicUsize,
-    /// Set when the engine unwound: the pumps complete without flushing.
-    aborted: AtomicBool,
-}
-
-impl ServiceCore {
-    fn seal_all(&self) {
-        for q in &self.queues {
-            q.seal();
-        }
-        self.ledger.seal();
-    }
-
-    /// The workers are gone and nothing will be popped again: releases
-    /// everyone who waits on them. Sealing returns blocked pushers
-    /// [`PushError::Sealed`] and wakes pumps parked on an empty queue;
-    /// `wake_all` wakes pumps parked on the watermark. The flag store
-    /// precedes `wake_all`'s fence and the pump re-checks the flag after
-    /// `register`'s, so a pump either sees the flag or is woken to.
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::SeqCst);
-        self.seal_all();
-        self.capacity.wake_all();
-    }
-}
-
 /// The streaming [`EngineDriver`]: dispatch goes to the request handler
 /// (its submit capability wraps the worker's outgoing buffer), the ledger
 /// moves once per run, termination is the ledger condition, and runs that
-/// retire occupancy wake watermark-parked pumps — `capacity` is `None` on a
-/// sealed run, which has no pump to wake and so skips `wake_all`'s fence.
+/// retire occupancy wake watermark-parked producers — `capacity` is `None`
+/// on a sealed run, which has no producer to wake and so skips `wake_all`'s
+/// fence.
 struct ServiceDriver<'a, H> {
     handler: &'a H,
     ledger: &'a Ledger,
@@ -411,51 +340,12 @@ where
     );
 }
 
-/// One queue's pump: awaits shard capacity, drains a FIFO batch, bulk-loads
-/// it, repeats; completes when the queue is sealed and empty.
-fn pump<'a, S>(
-    queue: &'a IngestQueue,
-    sched: &'a S,
-    core: &'a ServiceCore,
-    watermark: usize,
-    flush_batch: usize,
-) -> impl std::future::Future<Output = ()> + 'a
-where
-    S: ConcurrentScheduler<TaskId> + SchedulerLoad,
-{
-    let mut buf: Vec<(u64, TaskId)> = Vec::with_capacity(flush_batch);
-    futures::future::poll_fn(move |cx| loop {
-        if core.aborted.load(Ordering::SeqCst) {
-            return Poll::Ready(());
-        }
-        if sched.max_partition_load() >= watermark {
-            // Register first, re-check second: a worker draining (or the
-            // abort) between the two wakes us immediately instead of being
-            // missed.
-            core.capacity.register(cx.waker());
-            if core.aborted.load(Ordering::SeqCst) {
-                return Poll::Ready(());
-            }
-            if sched.max_partition_load() >= watermark {
-                return Poll::Pending;
-            }
-        }
-        buf.clear();
-        match queue.take_batch(&mut buf, flush_batch, cx.waker()) {
-            TakeStatus::Took => sched.insert_batch(&buf),
-            TakeStatus::Pending => return Poll::Pending,
-            TakeStatus::Drained => return Poll::Ready(()),
-        }
-    })
-}
-
 /// Runs a streaming service to drain: spawns one thread per producer
-/// closure, `min(pump_threads, ingest_queues)` pump threads (queue `q`'s
-/// pump runs on thread `q % P`, see [`ServiceConfig::pump_threads`]), and
-/// `config.workers` engine workers; returns when the
-/// last producer is done, ingestion is flushed, the scheduler is drained,
-/// and every thread has joined. See the [module docs](self) for the
-/// architecture and the drain protocol.
+/// closure and `config.workers` engine workers — producers flush their own
+/// runs, so nothing else runs between them and the scheduler — and returns
+/// when the last producer is done, its run flushed, the scheduler is
+/// drained, and every thread has joined. See the [module docs](self) for
+/// the architecture and the drain protocol.
 ///
 /// The scheduler may be non-empty at start (pre-seeded state is fine); it
 /// must however not contain tasks the ledger has not accepted — seed
@@ -463,12 +353,11 @@ where
 ///
 /// # Panics
 ///
-/// Panics if any `config` knob is zero (except `shard_watermark`), or if a
+/// Panics if `workers`, `batch_size` or `flush_batch` is zero, or if a
 /// producer closure or the handler panics. A handler panic stops every
-/// worker, seals ingestion (blocked and later pushes return
-/// [`PushError::Sealed`]), completes the pumps without flushing, and is
-/// re-raised once producers and pumps have finished (DESIGN.md "Service
-/// semantics").
+/// worker, closes ingestion (later pushes return [`PushError::Sealed`]),
+/// releases producers parked on the watermark, and is re-raised once the
+/// producers have finished (DESIGN.md "Service semantics").
 pub fn run_service<H, S>(
     handler: &H,
     sched: &S,
@@ -481,57 +370,26 @@ where
 {
     assert!(config.workers >= 1, "need at least one worker");
     assert!(config.batch_size >= 1, "need a positive batch size");
-    assert!(config.ingest_queues >= 1, "need at least one ingestion queue");
     assert!(config.flush_batch >= 1, "need a positive flush batch");
-    assert!(config.pump_threads >= 1, "need at least one pump thread");
-    let nqueues = config.ingest_queues;
-    let mut per_queue = vec![0usize; nqueues];
-    for i in 0..producers.len() {
-        per_queue[i % nqueues] += 1;
-    }
-    let core = ServiceCore {
-        queues: per_queue
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| IngestQueue::new(config.queue_capacity, c, i))
-            .collect(),
-        ledger: Ledger::new(),
-        capacity: CapacityWaiters::default(),
-        open_producers: AtomicUsize::new(producers.len()),
-        aborted: AtomicBool::new(false),
-    };
-    if producers.is_empty() {
-        core.ledger.seal();
-    }
+    let core = ServiceCore::new(sched, config, producers.len());
     let start = Instant::now();
-    let totals =
-        std::thread::scope(|scope| {
-            for (i, body) in producers.into_iter().enumerate() {
-                let producer = Producer { core: &core, queue: i % nqueues };
-                scope.spawn(move || body(producer));
-            }
-            let core = &core;
-            let pump_threads = config.pump_threads.min(nqueues);
-            for t in 0..pump_threads {
-                scope.spawn(move || {
-                    let pumps =
-                        core.queues.iter().skip(t).step_by(pump_threads).map(|q| {
-                            pump(q, sched, core, config.shard_watermark, config.flush_batch)
-                        });
-                    futures::executor::block_on(futures::future::join_all(pumps));
-                });
-            }
-            let driver =
-                ServiceDriver { handler, ledger: &core.ledger, capacity: Some(&core.capacity) };
-            let engine =
-                AssertUnwindSafe(|| run_engine(&driver, sched, config.workers, config.batch_size));
-            // Inside the scope: it joins producers and pumps before returning,
-            // and they wait on workers that no longer exist.
-            catch_unwind(engine).unwrap_or_else(|panic| {
-                core.abort();
-                resume_unwind(panic)
-            })
-        });
+    let totals = std::thread::scope(|scope| {
+        for body in producers {
+            let producer = Producer::new(&core);
+            scope.spawn(move || body(producer));
+        }
+        let driver =
+            ServiceDriver { handler, ledger: &core.ledger, capacity: Some(&core.capacity) };
+        let engine =
+            AssertUnwindSafe(|| run_engine(&driver, sched, config.workers, config.batch_size));
+        // Inside the scope: it joins the producers before returning, and a
+        // producer parked on the watermark waits on workers that no longer
+        // exist.
+        catch_unwind(engine).unwrap_or_else(|panic| {
+            core.abort();
+            resume_unwind(panic)
+        })
+    });
     rsched_obs::instant!("service_drained");
     let stats = ServiceStats {
         accepted: core.ledger.accepted(),
@@ -553,9 +411,10 @@ mod tests {
     use super::*;
     use rsched_queues::concurrent::MultiQueue;
     use rsched_queues::sharded::ShardedScheduler;
-    use rsched_sync::atomic::AtomicU32;
+    use rsched_sync::atomic::{AtomicU32, AtomicU64};
     use std::cmp::Reverse;
     use std::collections::{BinaryHeap, HashMap, HashSet};
+    use std::sync::mpsc;
     use std::thread::ThreadId;
 
     /// Marks each task's completion count; `Processed` always.
@@ -585,12 +444,7 @@ mod tests {
         let n = 2_000u32;
         let handler = CountingHandler::new(n as usize);
         let q = sched(3);
-        let config = ServiceConfig {
-            workers: 3,
-            ingest_queues: 2,
-            queue_capacity: 64,
-            ..Default::default()
-        };
+        let config = ServiceConfig { workers: 3, flush_batch: 64, ..Default::default() };
         let producers: Vec<ProducerFn<'_>> = (0..4u32)
             .map(|p| {
                 Box::new(move |prod: Producer<'_>| {
@@ -636,18 +490,13 @@ mod tests {
 
     #[test]
     fn watermark_backpressure_still_drains() {
-        // Tiny queues + a 4-task shard watermark force constant pump
-        // stalls and producer blocking; everything must still complete.
+        // Short runs + a 4-task shard watermark force constant producer
+        // parks; everything must still complete.
         let n = 1_000u32;
         let handler = CountingHandler::new(n as usize);
         let q = sched(2);
-        let config = ServiceConfig {
-            workers: 2,
-            queue_capacity: 8,
-            flush_batch: 4,
-            shard_watermark: 4,
-            ..Default::default()
-        };
+        let config =
+            ServiceConfig { workers: 2, flush_batch: 4, shard_watermark: 4, ..Default::default() };
         let producers: Vec<ProducerFn<'_>> = (0..2u32)
             .map(|p| {
                 Box::new(move |prod: Producer<'_>| {
@@ -691,6 +540,170 @@ mod tests {
         assert!(stats.exactly_once(), "{stats:?}");
         assert_eq!(stats.accepted, n as u64, "250 pushes + 250 follow-ups");
         assert!(handler.hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+    }
+
+    /// Runs `test` on a thread of its own and fails unless it returns
+    /// within 30 s: the bugs these cases catch are hangs.
+    fn within_watchdog(test: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            test();
+            let _ = done.send(());
+        });
+        finished.recv_timeout(Duration::from_secs(30)).expect("panicked, or hung past 30 s");
+    }
+
+    /// One request in a run of 256 that never fills, from a producer that
+    /// does not return — so its drop cannot flush — until the handler has
+    /// seen the request: only the hungry scheduler's empty read flushes it.
+    #[test]
+    fn a_hungry_scheduler_flushes_a_short_run() {
+        within_watchdog(|| {
+            let handler = CountingHandler::new(1);
+            let q = sched(2);
+            let config = ServiceConfig { flush_batch: 256, ..Default::default() };
+            let producers: Vec<ProducerFn<'_>> = vec![Box::new(|prod: Producer<'_>| {
+                prod.push(0, 0).unwrap();
+                while handler.hits[0].load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+            })];
+            let stats = run_service(&handler, &q, &config, producers);
+            assert_eq!(stats.accepted, 1);
+        });
+    }
+
+    /// One mutexed heap whose load never reads 0: producers never see
+    /// hungry workers, so a run stays buffered until it fills, is sealed,
+    /// or its handle drops. Counts the pops that found it empty.
+    #[derive(Default)]
+    struct NeverHungry {
+        heap: std::sync::Mutex<BinaryHeap<Reverse<(u64, TaskId)>>>,
+        empty_pops: AtomicU64,
+    }
+
+    impl ConcurrentScheduler<TaskId> for NeverHungry {
+        fn insert(&self, priority: u64, task: TaskId) {
+            self.heap.lock().unwrap().push(Reverse((priority, task)));
+        }
+        fn pop(&self) -> Option<(u64, TaskId)> {
+            let popped = self.heap.lock().unwrap().pop().map(|Reverse(e)| e);
+            self.empty_pops.fetch_add(u64::from(popped.is_none()), Ordering::SeqCst);
+            popped
+        }
+    }
+
+    impl SchedulerLoad for NeverHungry {
+        fn total_load(&self) -> usize {
+            self.heap.lock().unwrap().len() + 1
+        }
+        fn max_partition_load(&self) -> usize {
+            self.heap.lock().unwrap().len()
+        }
+    }
+
+    /// Producer A holds ten unflushed pushes while producer B pushes ten
+    /// and seals: every `Ok` push is decided exactly once, every later push
+    /// is refused, and `accepted` counts exactly the `Ok`s. A keeps its run
+    /// until the workers, done with B's run, have come back empty-handed
+    /// 64 times: had `seal_all` sealed the ledger, it would read drained
+    /// with A's run unaccepted, the workers would leave, and the wait would
+    /// hang.
+    #[test]
+    fn seal_all_keeps_another_producers_buffered_run() {
+        within_watchdog(|| {
+            let handler = CountingHandler::new(40);
+            let q = NeverHungry::default();
+            let (buffered, a_buffered) = mpsc::channel();
+            let (sealed, b_sealed) = mpsc::channel();
+            let oks = AtomicU64::new(0);
+            let push = |prod: &Producer<'_>, t: TaskId| {
+                let ok = prod.push(u64::from(t), t).is_ok();
+                oks.fetch_add(u64::from(ok), Ordering::SeqCst);
+                ok
+            };
+            let (push, hits, q_ref) = (&push, &handler.hits, &q);
+            let producers: Vec<ProducerFn<'_>> = vec![
+                Box::new(move |prod: Producer<'_>| {
+                    assert!((0..10).all(|t| push(&prod, t)));
+                    buffered.send(()).unwrap();
+                    b_sealed.recv().unwrap();
+                    while hits[20..30].iter().any(|h| h.load(Ordering::SeqCst) == 0) {
+                        std::thread::yield_now();
+                    }
+                    let seen = q_ref.empty_pops.load(Ordering::SeqCst);
+                    while q_ref.empty_pops.load(Ordering::SeqCst) < seen + 64 {
+                        std::thread::yield_now();
+                    }
+                    assert!((10..20).all(|t| !push(&prod, t)));
+                }),
+                Box::new(move |prod: Producer<'_>| {
+                    a_buffered.recv().unwrap();
+                    assert!((20..30).all(|t| push(&prod, t)));
+                    prod.seal_all();
+                    sealed.send(()).unwrap();
+                    assert!((30..40).all(|t| !push(&prod, t)));
+                }),
+            ];
+            let stats = run_service(&handler, &q, &ServiceConfig::default(), producers);
+            assert!(stats.exactly_once(), "{stats:?}");
+            assert_eq!((stats.accepted, oks.load(Ordering::SeqCst)), (20, 20));
+            for (t, hits) in handler.hits.iter().enumerate() {
+                let ok = (0..10).contains(&t) || (20..30).contains(&t);
+                assert_eq!(hits.load(Ordering::SeqCst), u32::from(ok), "task {t}");
+            }
+        });
+    }
+
+    /// Task 1 is `Blocked` until task 0 has been handled.
+    struct OneWaitsForZero {
+        hits: [AtomicU32; 2],
+        blocked: AtomicU32,
+    }
+
+    impl RequestHandler for OneWaitsForZero {
+        fn handle(&self, _p: u64, task: TaskId, _ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
+            if task == 1 && self.hits[0].load(Ordering::SeqCst) == 0 {
+                self.blocked.fetch_add(1, Ordering::SeqCst);
+                return TaskOutcome::Blocked;
+            }
+            self.hits[task as usize].fetch_add(1, Ordering::SeqCst);
+            TaskOutcome::Processed
+        }
+    }
+
+    /// Producer B's task 1 depends on producer A's task 0 and is already
+    /// bouncing off the scheduler as `Blocked` when A pushes 0 and waits
+    /// for it to be handled. A re-inserted dependent keeps the load off 0
+    /// (here the load never reads 0), so no automatic flush moves A's run:
+    /// without A's explicit `flush` the wait hangs.
+    #[test]
+    fn a_waiting_producer_flushes_a_dependency_itself() {
+        within_watchdog(|| {
+            let handler = OneWaitsForZero {
+                hits: [AtomicU32::new(0), AtomicU32::new(0)],
+                blocked: AtomicU32::new(0),
+            };
+            let q = NeverHungry::default();
+            let h = &handler;
+            let producers: Vec<ProducerFn<'_>> = vec![
+                Box::new(move |prod: Producer<'_>| {
+                    while h.blocked.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                    prod.push(0, 0).unwrap();
+                    prod.flush();
+                    while h.hits[0].load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                }),
+                Box::new(|prod: Producer<'_>| prod.push(1, 1).unwrap()),
+            ];
+            let stats = run_service(&handler, &q, &ServiceConfig::default(), producers);
+            assert!(stats.exactly_once(), "{stats:?}");
+            assert_eq!((stats.accepted, stats.processed), (2, 2));
+            assert!(stats.wasted >= 1, "{stats:?}");
+        });
     }
 
     /// One logged call, in the calling thread's own sequence.

@@ -144,21 +144,21 @@ fn panicking_handler_ends_a_watermark_off_service_run() {
     });
 }
 
-/// The watermark on: when the workers die a pump is parked in
-/// `CapacityWaiters` (or about to be) and the producers are blocked on a
-/// full queue — nobody they wait on exists any more, so `run_service` has
-/// to release them itself before it can re-raise.
+/// The watermark on: when the workers die the producers are parked in
+/// `CapacityWaiters` (or about to be), their flushes held at a watermark
+/// only the dead workers could lower — so `run_service` has to release
+/// them itself before it can re-raise.
 #[test]
 fn panicking_handler_ends_a_watermarked_service_run() {
     assert_panics_promptly("run_service, watermark on", || {
         let sched: ShardedScheduler<MultiQueue<TaskId>> =
             ShardedScheduler::from_fn(2, |_| MultiQueue::new(2));
-        let config = ServiceConfig { shard_watermark: 4, queue_capacity: 8, ..Default::default() };
+        let config = ServiceConfig { shard_watermark: 4, flush_batch: 8, ..Default::default() };
         let producers: Vec<ProducerFn<'_>> = (0..2u32)
             .map(|p| {
                 Box::new(move |prod: Producer<'_>| {
                     // Stops at the first `Sealed`: the abort's answer to a
-                    // blocked push.
+                    // parked push.
                     let _ = (p..TASKS).step_by(2).try_for_each(|t| prod.push(u64::from(t), t));
                 }) as ProducerFn<'_>
             })

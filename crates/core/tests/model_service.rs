@@ -1,13 +1,13 @@
-//! Model-checked verification of two service protocols (run with
+//! Model-checked verification of three service protocols (run with
 //! `RUSTFLAGS="--cfg rsched_model" cargo test -p rsched-core --test
-//! model_service`): the capacity-waiter backpressure handshake, and the
-//! order in which a worker run books its follow-ups with the ledger and
-//! makes them poppable.
+//! model_service`): the capacity-waiter backpressure handshake, the order
+//! in which a worker run books its follow-ups with the ledger and makes
+//! them poppable, and the order in which producers seal the ledger.
 //!
-//! Capacity waiters: a pump that registers its waker and then still observes
-//! the stall condition may park, because the worker's drain→check is
-//! guaranteed to see the registration (or the pump's re-check to see the
-//! drain) — the store-buffering fence pair in `CapacityWaiters`. The
+//! Capacity waiters: a producer that registers its waker and then still
+//! observes the stall condition may park, because the worker's drain→check
+//! is guaranteed to see the registration (or the producer's re-check to see
+//! the drain) — the store-buffering fence pair in `CapacityWaiters`. The
 //! seeded `capacity-weaken` mutation removes the fences and drops the
 //! `armed` flag to `Relaxed`; the checker must then find the
 //! parked-with-no-wakeup interleaving.
@@ -18,6 +18,12 @@
 //! balance — `drained()` reads true — with work in hand. The scenario
 //! takes the order as a parameter; the swapped order must yield the
 //! violation.
+//!
+//! Seal: a push returns `Ok` with the task still in its producer's run, and
+//! the ledger seals only when the last handle drops, after that handle's
+//! flush. Sealing it inside `seal_all` instead lets the books balance — on
+//! zero — while another producer still holds an `Ok` push; that order is
+//! the scenario's second parameter value and must yield the violation.
 #![cfg(rsched_model)]
 
 use rsched_core::service::{CapacityWaiters, Ledger};
@@ -35,7 +41,7 @@ impl Wake for FlagWaker {
     }
 }
 
-/// The minimal pump/worker shape over one occupancy word. `occupancy`
+/// The minimal producer/worker shape over one occupancy word. `occupancy`
 /// deliberately uses release/acquire, not `SeqCst`: the model gives
 /// `SeqCst` *accesses* global-fence strength, which would let the
 /// occupancy handshake smuggle the `armed` store across and mask the
@@ -47,7 +53,7 @@ fn wakeup_scenario(sim: &mut Sim) {
     let woken = Arc::new(AtomicBool::new(false));
     let parked = Arc::new(AtomicBool::new(false));
     {
-        // Pump: register, re-check the stall condition, park if stalled.
+        // Producer: register, re-check the stall condition, park if stalled.
         let (cap, occupancy, woken, parked) =
             (cap.clone(), occupancy.clone(), woken.clone(), parked.clone());
         sim.thread(move || {
@@ -68,7 +74,7 @@ fn wakeup_scenario(sim: &mut Sim) {
     }
     sim.finally(move || {
         let lost = parked.load(Ordering::Relaxed) && !woken.load(Ordering::Relaxed);
-        assert!(!lost, "lost wakeup: pump parked and the worker never signaled it");
+        assert!(!lost, "lost wakeup: producer parked and the worker never signaled it");
     });
 }
 
@@ -151,4 +157,79 @@ fn publish_then_accept_violation_found() {
         .check(spawn_scenario(Flush::PublishThenAccept));
     let v = report.expect_violation();
     assert!(v.message.contains("drained with a run in hand"), "got: {}", v.message);
+}
+
+/// Where the ledger seals.
+#[derive(Clone, Copy)]
+enum Seal {
+    /// When the last producer handle drops, after that handle's flush.
+    LastDrop,
+    /// Inside `seal_all`, whatever other producers still hold.
+    InSealAll,
+}
+
+/// Two producer handles and a worker over one modeled scheduler slot.
+/// Producer A pushes one task — refused if ingestion is already closed,
+/// else `Ok` with the task in A's run — then flushes (accepts, publishes)
+/// and drops its handle. Producer B calls `seal_all` (closes ingestion)
+/// and drops its handle. The worker decides the task if it is published
+/// and reads `drained()`: it must not read true while an `Ok` push is
+/// unaccepted. `closed` is `Relaxed`, as in `Producer::push`.
+fn seal_scenario(seal: Seal) -> impl Fn(&mut Sim) {
+    move |sim| {
+        let ledger = Arc::new(Ledger::new());
+        let open = Arc::new(AtomicUsize::new(2));
+        let closed = Arc::new(AtomicBool::new(false));
+        let pushed_ok = Arc::new(AtomicBool::new(false));
+        let slot = Arc::new(AtomicBool::new(false));
+        let drop_handle = |ledger: &Ledger, open: &AtomicUsize| {
+            if open.fetch_sub(1, Ordering::SeqCst) == 1 {
+                ledger.seal();
+            }
+        };
+        {
+            let (ledger, open, closed, pushed_ok, slot) =
+                (ledger.clone(), open.clone(), closed.clone(), pushed_ok.clone(), slot.clone());
+            sim.thread(move || {
+                if !closed.load(Ordering::Relaxed) {
+                    pushed_ok.store(true, Ordering::Relaxed);
+                    ledger.accept(1);
+                    slot.store(true, Ordering::Release);
+                }
+                drop_handle(&ledger, &open);
+            });
+        }
+        {
+            let (ledger, open) = (ledger.clone(), open.clone());
+            sim.thread(move || {
+                closed.store(true, Ordering::Relaxed);
+                if let Seal::InSealAll = seal {
+                    ledger.seal();
+                }
+                drop_handle(&ledger, &open);
+            });
+        }
+        sim.thread(move || {
+            if slot.load(Ordering::Acquire) {
+                ledger.decide(1);
+            }
+            if ledger.drained() {
+                let lost = pushed_ok.load(Ordering::Relaxed) && ledger.accepted() == 0;
+                assert!(!lost, "drained with an Ok push unaccepted");
+            }
+        });
+    }
+}
+
+#[test]
+fn seal_on_last_drop_never_drains_early() {
+    let report = Model::new("seal-on-last-drop").check(seal_scenario(Seal::LastDrop));
+    report.assert_clean(200);
+}
+
+#[test]
+fn seal_in_seal_all_violation_found() {
+    let report = Model::new("seal-in-seal-all").quiet().check(seal_scenario(Seal::InSealAll));
+    let v = report.expect_violation();
+    assert!(v.message.contains("drained with an Ok push unaccepted"), "got: {}", v.message);
 }

@@ -183,11 +183,9 @@ fn service_counters_conserve() {
     let config = ServiceConfig {
         workers: 3,
         batch_size: 4,
-        ingest_queues: 2,
-        queue_capacity: 64,
         flush_batch: 16,
         shard_watermark: usize::MAX,
-        pump_threads: 1,
+        ..Default::default()
     };
     let producers: Vec<ProducerFn<'_>> = (0..2u32)
         .map(|p| {

@@ -5,9 +5,9 @@
 //! prefill executor.
 //!
 //! The deterministic half of the suite pins everything down: one worker,
-//! one ingestion queue, and a shared *exact* heap wrapped in a one-way
-//! [`ShardedScheduler`]. The producer pushes labels `0, 1, 2, …` FIFO, the
-//! pump preserves that order into the scheduler, and the worker always pops
+//! one producer, and a shared *exact* heap wrapped in a one-way
+//! [`ShardedScheduler`]. The producer pushes labels `0, 1, 2, …` and its
+//! runs reach the scheduler in that order, and the worker always pops
 //! the minimum of a label-prefix — so the streamed pop order *is* the
 //! prefill pop order is the sequential processing order, and outputs must
 //! match bit for bit (including order-dependent counters like Delaunay's
@@ -83,13 +83,12 @@ fn label_order_producer(pi: &Permutation) -> Vec<ProducerFn<'_>> {
 }
 
 /// Runs `alg` behind the streaming service on the deterministic substrate.
-/// The small queue capacity forces real producer/pump/worker interleaving
-/// (the producer cannot just dump everything up front).
+/// Runs of at most 8 force real producer/worker interleaving (the producer
+/// cannot just dump everything up front).
 fn run_streamed_deterministic<A: ConcurrentAlgorithm>(alg: &A, pi: &Permutation) -> ServiceStats {
     let sched = exact_sched();
     let handler = AlgorithmHandler(alg);
-    let config =
-        ServiceConfig { workers: 1, queue_capacity: 32, flush_batch: 8, ..Default::default() };
+    let config = ServiceConfig { workers: 1, flush_batch: 8, ..Default::default() };
     let stats = run_service(&handler, &sched, &config, label_order_producer(pi));
     assert!(stats.exactly_once(), "{stats:?}");
     assert_eq!(stats.accepted, pi.len() as u64);
@@ -244,8 +243,7 @@ fn connectivity_labels_survive_many_producers_and_workers() {
     let alg = ConcurrentConnectivity::new(n, &edges);
     let handler = AlgorithmHandler(&alg);
     let sched = relaxed_sched(3);
-    let config =
-        ServiceConfig { workers: 4, ingest_queues: 2, queue_capacity: 64, ..Default::default() };
+    let config = ServiceConfig { workers: 4, flush_batch: 64, ..Default::default() };
     // Four producers interleave striped slices of the edge list: arrival
     // order at the scheduler is racy by construction.
     let producers: Vec<ProducerFn<'_>> = (0..4u32)
@@ -297,7 +295,7 @@ fn sssp_streamed_repeated_queries_converge() {
 
     let handler = SsspHandler::new(&g);
     let sched = relaxed_sched(2);
-    let config = ServiceConfig { workers: 3, ingest_queues: 2, ..Default::default() };
+    let config = ServiceConfig { workers: 3, ..Default::default() };
     let (seed_priority, seed_task) = handler.request(0, 7);
     let producers: Vec<ProducerFn<'_>> = (0..2)
         .map(|_| {

@@ -1,14 +1,14 @@
 //! Property tests for the streaming service's shutdown and backpressure
-//! protocol: for *arbitrary* topologies (producer count, queue count, queue
-//! capacity, worker count, pop batch size, shard count, watermark) the
-//! drain must terminate, the ledger must balance exactly once, and sealed
+//! protocol: for *arbitrary* topologies (producer count, producer run
+//! length, worker count, pop batch size, shard count, watermark) the drain
+//! must terminate, the ledger must balance exactly once, and sealed
 //! producers must have every post-seal push rejected without acceptance.
 //!
 //! The task spaces are kept small (the interesting races are all in the
-//! protocol edges: zero tasks, capacity-1 queues, watermark below the
-//! flush batch, more queues than producers) and every case runs to
-//! completion — a protocol bug here is a hang, which the test runner
-//! surfaces as a timeout rather than an assertion failure.
+//! protocol edges: zero tasks, runs of one, watermark below the flush
+//! batch, more producers than tasks) and every case runs to completion — a
+//! protocol bug here is a hang, which the test runner surfaces as a
+//! timeout rather than an assertion failure.
 
 use proptest::prelude::*;
 use rsched_core::framework::TaskOutcome;
@@ -62,28 +62,23 @@ proptest! {
     fn drain_terminates_exactly_once_for_arbitrary_topologies(
         n in 0u32..400,
         nproducers in 0usize..6,
-        ingest_queues in 1usize..4,
-        queue_capacity in 1usize..32,
         flush_batch in 1usize..16,
         workers in 1usize..5,
         batch_size in 1usize..9,
         shards in 1usize..4,
         watermark_raw in 0usize..24,
-        pump_threads in 1usize..4,
     ) {
         // 0 disables the watermark; small nonzero values force constant
-        // pump stalls (the protocol must still terminate).
+        // producer parks (the protocol must still terminate).
         let shard_watermark = if watermark_raw == 0 { usize::MAX } else { watermark_raw };
         let handler = CountingHandler::new(n as usize, 0);
         let q = sched(shards);
         let config = ServiceConfig {
             workers,
             batch_size,
-            ingest_queues,
-            queue_capacity,
             flush_batch,
             shard_watermark,
-            pump_threads,
+            ..Default::default()
         };
         let np = nproducers.max(usize::from(n > 0));
         let producers: Vec<ProducerFn<'_>> = (0..np as u32)
@@ -110,7 +105,7 @@ proptest! {
         half in 1u32..150,
         workers in 1usize..4,
         batch_size in 1usize..5,
-        queue_capacity in 1usize..16,
+        flush_batch in 1usize..16,
         shards in 1usize..4,
         watermark_raw in 0usize..12,
     ) {
@@ -120,7 +115,7 @@ proptest! {
         let config = ServiceConfig {
             workers,
             batch_size,
-            queue_capacity,
+            flush_batch,
             shard_watermark,
             ..Default::default()
         };

@@ -1,7 +1,7 @@
 //! Multi-threaded release stress for the streaming service, wired into CI
 //! alongside `incremental_stress`: many producers race many workers over a
 //! sharded scheduler whose shard count (3) deliberately does not divide
-//! the worker count, with tiny ingestion queues and a low shard watermark
+//! the worker count, with short producer runs and a low shard watermark
 //! so the backpressure and drain paths run constantly under contention.
 //!
 //! Pass criteria are exact: the ledger balances (every accepted task
@@ -29,8 +29,8 @@ const SHARDS: usize = 3;
 
 #[test]
 fn storm_of_producers_under_tight_backpressure_completes_exactly_once() {
-    // Tiny queues + a watermark below the flush batch: pumps stall and
-    // producers block constantly; every task must still complete once.
+    // A watermark below the flush batch: producers park constantly; every
+    // task must still complete once.
     let n = 100_000u32;
     struct Hits(Vec<AtomicU32>);
     impl RequestHandler for Hits {
@@ -39,35 +39,31 @@ fn storm_of_producers_under_tight_backpressure_completes_exactly_once() {
             TaskOutcome::Processed
         }
     }
-    // The shapes the static queue → pump-thread assignment takes: one
-    // thread per queue (every stall/wake path runs with the pumps genuinely
-    // concurrent, not cooperatively scheduled), threads that each drive an
-    // uneven share (queues {0, 2, 4} and {1, 3}), and more threads asked
-    // for than there are queues.
-    for (ingest_queues, pump_threads) in [(3, 3), (5, 2), (1, 4)] {
+    // Producers × shards: many parked producers over a few shards (every
+    // stall/wake path with several producers genuinely concurrent), few
+    // producers over more shards than they are, and one producer alone.
+    for (nproducers, shards) in [(PRODUCERS, SHARDS), (2, 5), (1, 4)] {
         let handler = Hits((0..n).map(|_| AtomicU32::new(0)).collect());
         let sched: ShardedScheduler<LockFreeMultiQueue<TaskId>> =
-            ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new(4));
+            ShardedScheduler::from_fn(shards, |_| LockFreeMultiQueue::new(4));
         let config = ServiceConfig {
             workers: WORKERS,
             batch_size: 16,
-            ingest_queues,
-            queue_capacity: 32,
             flush_batch: 64,
             shard_watermark: 48,
-            pump_threads,
+            ..Default::default()
         };
-        let producers: Vec<ProducerFn<'_>> = (0..PRODUCERS as u32)
+        let producers: Vec<ProducerFn<'_>> = (0..nproducers as u32)
             .map(|p| {
                 Box::new(move |prod: Producer<'_>| {
-                    for t in (p..n).step_by(PRODUCERS) {
+                    for t in (p..n).step_by(nproducers) {
                         prod.push(u64::from(t), t).unwrap();
                     }
                 }) as ProducerFn<'_>
             })
             .collect();
         let stats = run_service(&handler, &sched, &config, producers);
-        let shape = format!("{ingest_queues} queues x {pump_threads} pump threads");
+        let shape = format!("{nproducers} producers x {shards} shards");
         assert!(stats.exactly_once(), "{shape}: {stats:?}");
         assert_eq!(stats.accepted, u64::from(n), "{shape}");
         assert!(
@@ -92,11 +88,9 @@ fn streamed_connectivity_storm_matches_ground_truth() {
         let config = ServiceConfig {
             workers: WORKERS,
             batch_size: batch,
-            ingest_queues: 4,
-            queue_capacity: 256,
             flush_batch: 128,
             shard_watermark: usize::MAX,
-            pump_threads: 2,
+            ..Default::default()
         };
         let producers: Vec<ProducerFn<'_>> = (0..PRODUCERS as u32)
             .map(|p| {
@@ -128,13 +122,7 @@ fn streamed_sssp_flood_storm_matches_dijkstra() {
     let handler = SsspHandler::new(&g);
     let sched: ShardedScheduler<MultiQueue<TaskId>> =
         ShardedScheduler::from_fn(SHARDS, |_| MultiQueue::new(4));
-    let config = ServiceConfig {
-        workers: WORKERS,
-        batch_size: 8,
-        ingest_queues: 2,
-        queue_capacity: 128,
-        ..Default::default()
-    };
+    let config = ServiceConfig { workers: WORKERS, batch_size: 8, ..Default::default() };
     let (seed_priority, seed_task) = handler.request(0, 0);
     let producers: Vec<ProducerFn<'_>> = (0..PRODUCERS)
         .map(|_| {
@@ -165,13 +153,8 @@ fn mid_storm_seal_still_balances() {
     let handler = Count(AtomicU32::new(0));
     let sched: ShardedScheduler<MultiQueue<TaskId>> =
         ShardedScheduler::from_fn(SHARDS, |_| MultiQueue::new(4));
-    let config = ServiceConfig {
-        workers: WORKERS,
-        batch_size: 4,
-        ingest_queues: 2,
-        queue_capacity: 64,
-        ..Default::default()
-    };
+    let config =
+        ServiceConfig { workers: WORKERS, batch_size: 4, flush_batch: 64, ..Default::default() };
     let producers: Vec<ProducerFn<'_>> = (0..PRODUCERS as u32)
         .map(|p| {
             Box::new(move |prod: Producer<'_>| {

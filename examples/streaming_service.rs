@@ -5,8 +5,8 @@
 //! Two workloads:
 //!
 //! 1. streamed incremental connectivity — four producer threads race
-//!    striped slices of an edge list through two bounded ingestion queues
-//!    under a tight shard watermark; the union-find absorbs them in
+//!    striped slices of an edge list into the live scheduler under a tight
+//!    shard watermark; the union-find absorbs them in
 //!    whatever order they arrive and still produces the canonical labels;
 //! 2. natively streaming SSSP — a producer seeds one relaxation request
 //!    and the handler floods the rest of the graph as follow-up submits.
@@ -45,15 +45,14 @@ fn main() {
     let config = ServiceConfig {
         workers: 4,
         batch_size: 8,
-        ingest_queues: 2,
-        queue_capacity: 256,
         flush_batch: 64,
         shard_watermark: 4_096,
-        pump_threads: 2,
+        ..Default::default()
     };
-    // Four producers stream striped slices: arrival order at the scheduler
-    // is racy by construction, and full queues block their producer — the
-    // backpressure boundary.
+    // Four producers stream striped slices in runs of up to 64: arrival
+    // order at the scheduler is racy by construction, and a producer whose
+    // flush finds a shard at the watermark parks — the backpressure
+    // boundary.
     let producers: Vec<ProducerFn<'_>> = (0..4u32)
         .map(|p| {
             Box::new(move |prod: Producer<'_>| {
