@@ -8,9 +8,7 @@ use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
 use rsched_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
-use std::task::{Wake, Waker};
-use std::thread::{self, Thread};
+use std::thread;
 
 /// The exactly-once completion ledger: two monotone counters whose equality
 /// (once producers are sealed) is the service's termination condition.
@@ -153,11 +151,8 @@ impl<'a> ServiceCore<'a> {
     /// Register first, re-check second: a worker draining (or an abort)
     /// between the two unparks the thread instead of being missed.
     fn await_capacity(&self) {
-        let mut waker = None;
         while self.stalled() {
-            let waker =
-                waker.get_or_insert_with(|| Waker::from(Arc::new(Unpark(thread::current()))));
-            self.capacity.register(waker);
+            self.capacity.register(thread::current());
             if self.stalled() {
                 thread::park();
             }
@@ -172,15 +167,6 @@ impl<'a> ServiceCore<'a> {
         self.closed.store(true, Ordering::Relaxed);
         self.ledger.seal();
         self.capacity.wake_all();
-    }
-}
-
-/// A watermark-parked producer's waker: unparks its thread.
-struct Unpark(Thread);
-
-impl Wake for Unpark {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
     }
 }
 

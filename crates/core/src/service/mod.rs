@@ -91,7 +91,7 @@ use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
 use rsched_sync::atomic::{fence, AtomicBool, Ordering};
 use rsched_sync::sync::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::task::Waker;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of one [`run_service`] run.
@@ -169,7 +169,7 @@ impl ServiceStats {
 /// (dropping the handle flushes its run and retires it).
 pub type ProducerFn<'env> = Box<dyn for<'p> FnOnce(Producer<'p>) + Send + 'env>;
 
-/// Wakers of producers parked on the shard watermark. `armed` is the
+/// Threads of producers parked on the shard watermark. `armed` is the
 /// workers' fast path: they skip the mutex entirely until some producer has
 /// registered. The SeqCst fences pair the producer's register→re-check with
 /// the worker's drain→check (store-buffering shape): at least one side must
@@ -179,7 +179,7 @@ pub type ProducerFn<'env> = Box<dyn for<'p> FnOnce(Producer<'p>) + Send + 'env>;
 #[doc(hidden)] // public only so the model-checker suite can drive it
 pub struct CapacityWaiters {
     armed: AtomicBool,
-    wakers: Mutex<Vec<Waker>>,
+    waiters: Mutex<Vec<Thread>>,
 }
 
 /// One side of the register→re-check / drain→check fence pair. The model
@@ -210,37 +210,35 @@ fn capacity_armed_ordering() -> Ordering {
 }
 
 impl CapacityWaiters {
-    /// Registers `waker` for the next capacity wake. The caller must
+    /// Registers `thread` for the next capacity wake. The caller must
     /// re-check its stall condition *after* this returns and only then
-    /// park.
-    pub fn register(&self, waker: &Waker) {
+    /// park. A thread registered twice (a spurious wakeup before the next
+    /// wake) is unparked twice, which is harmless.
+    pub fn register(&self, thread: Thread) {
         rsched_obs::counter!("service_producer_park_total").inc();
         rsched_obs::instant!("producer_park");
-        let mut ws = self.wakers.lock().unwrap();
-        if !ws.iter().any(|w| w.will_wake(waker)) {
-            ws.push(waker.clone());
-        }
+        let mut ws = self.waiters.lock().unwrap();
+        ws.push(thread);
         self.armed.store(true, capacity_armed_ordering());
         drop(ws);
         capacity_fence();
     }
 
-    /// Wakes every registered producer (workers call this after runs that
-    /// retired scheduler occupancy).
-    pub fn wake_all(&self) {
+    /// Unparks every registered producer (workers call this after runs that
+    /// retired scheduler occupancy); returns how many it unparked.
+    pub fn wake_all(&self) -> usize {
         capacity_fence();
         if !self.armed.load(capacity_armed_ordering()) {
-            return;
+            return 0;
         }
-        let drained: Vec<Waker> = {
-            let mut ws = self.wakers.lock().unwrap();
+        let drained: Vec<Thread> = {
+            let mut ws = self.waiters.lock().unwrap();
             self.armed.store(false, capacity_armed_ordering());
             std::mem::take(&mut *ws)
         };
         rsched_obs::counter!("service_producer_unpark_total").add(drained.len() as u64);
-        for w in drained {
-            w.wake();
-        }
+        drained.iter().for_each(Thread::unpark);
+        drained.len()
     }
 }
 
@@ -281,7 +279,9 @@ impl<H: RequestHandler> EngineDriver for ServiceDriver<'_, H> {
 
     fn after_run(&self, net_drained: usize) {
         match self.capacity {
-            Some(capacity) if net_drained > 0 => capacity.wake_all(),
+            Some(capacity) if net_drained > 0 => {
+                capacity.wake_all();
+            }
             _ => {}
         }
     }

@@ -4,7 +4,7 @@
 //! in which a worker run books its follow-ups with the ledger and makes
 //! them poppable, and the order in which producers seal the ledger.
 //!
-//! Capacity waiters: a producer that registers its waker and then still
+//! Capacity waiters: a producer that registers its thread and then still
 //! observes the stall condition may park, because the worker's drain→check
 //! is guaranteed to see the registration (or the producer's re-check to see
 //! the drain) — the store-buffering fence pair in `CapacityWaiters`. The
@@ -30,18 +30,11 @@ use rsched_core::service::{CapacityWaiters, Ledger};
 use rsched_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use rsched_sync::model::{Model, Sim};
 use std::sync::Arc;
-use std::task::{Wake, Waker};
 
-/// A waker that raises a (modeled) flag instead of scheduling anything.
-struct FlagWaker(Arc<AtomicBool>);
-
-impl Wake for FlagWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-}
-
-/// The minimal producer/worker shape over one occupancy word. `occupancy`
+/// The minimal producer/worker shape over one occupancy word: the producer
+/// registers its own thread, and it counts as woken when the worker's
+/// `wake_all` unparked a thread (it is the only one ever registered; the
+/// unpark itself is invisible to the checker). `occupancy`
 /// deliberately uses release/acquire, not `SeqCst`: the model gives
 /// `SeqCst` *accesses* global-fence strength, which would let the
 /// occupancy handshake smuggle the `armed` store across and mask the
@@ -54,11 +47,9 @@ fn wakeup_scenario(sim: &mut Sim) {
     let parked = Arc::new(AtomicBool::new(false));
     {
         // Producer: register, re-check the stall condition, park if stalled.
-        let (cap, occupancy, woken, parked) =
-            (cap.clone(), occupancy.clone(), woken.clone(), parked.clone());
+        let (cap, occupancy, parked) = (cap.clone(), occupancy.clone(), parked.clone());
         sim.thread(move || {
-            let waker = Waker::from(Arc::new(FlagWaker(woken)));
-            cap.register(&waker);
+            cap.register(std::thread::current());
             if occupancy.load(Ordering::Acquire) != 0 {
                 parked.store(true, Ordering::Relaxed);
             }
@@ -66,10 +57,12 @@ fn wakeup_scenario(sim: &mut Sim) {
     }
     {
         // Worker: retire the occupancy, then signal capacity.
-        let (cap, occupancy) = (cap.clone(), occupancy.clone());
+        let (cap, occupancy, woken) = (cap.clone(), occupancy.clone(), woken.clone());
         sim.thread(move || {
             occupancy.store(0, Ordering::Release);
-            cap.wake_all();
+            if cap.wake_all() > 0 {
+                woken.store(true, Ordering::SeqCst);
+            }
         });
     }
     sim.finally(move || {

@@ -54,12 +54,15 @@ impl<T: Send, R: Reclaim> Bucket<T> for ListBucket<T, R> {
         self.list.peek_min_with(open)
     }
 
-    fn pop(&self, open: &mut &R::Guard<T>) -> Option<(u64, T)> {
-        self.list.pop_min_with(open)
+    /// One walk from the sentinel, one mark per entry, one unlink CAS per
+    /// run ([`HarrisList::pop_run_with`]).
+    fn pop_run(&self, open: &mut &R::Guard<T>, max: usize, out: impl FnMut((u64, T))) -> usize {
+        self.list.pop_run_with(max, out, open)
     }
 
-    /// One walk per ascending run: each search resumes from the node the
-    /// entry before linked ([`HarrisList::insert_run_with`]).
+    /// One walk per ascending run, starting at the list's finger: each
+    /// search resumes from the node the entry before linked
+    /// ([`HarrisList::insert_run_with`]).
     fn push_run(&self, open: &mut &R::Guard<T>, run: impl Iterator<Item = Entry<T>>) -> isize {
         let mut pushed = 0;
         let run = run.map(|e| {
@@ -83,12 +86,14 @@ impl<T: Send, R: Reclaim> Bucket<T> for ListBucket<T, R> {
 
 /// A MultiQueue over Harris lists.
 ///
-/// `pop_min` on a sorted list is `O(1)`, so pops stay cheap. Runtime inserts
-/// are sorted walks, and not rare: the prefill executors bulk-load
+/// A `pop_batch` takes a prefix of one sorted list: one mark CAS per entry
+/// and one unlink CAS for the run. Runtime inserts are sorted walks, and
+/// not rare: the prefill executors bulk-load
 /// ([`LockFreeMultiQueue::prefilled`]) and re-insert only failed deletes,
 /// but the streaming service sends every task through `insert_batch`. Each
-/// run of an `insert_batch` costs one walk of its list, not one per entry:
-/// every search resumes from the node the entry before linked.
+/// run of an `insert_batch` costs at most one walk of its list, not one per
+/// entry: the first search starts at the list's finger (the last node a run
+/// linked), every later one at the node the entry before linked.
 ///
 /// The second type parameter selects the reclamation backend (default
 /// [`Ebr`]); `*_in` constructors build a queue over another backend, e.g.

@@ -45,8 +45,10 @@ pub trait Bucket<T>: Send + Sync + Sized {
     /// The smallest priority held, `None` if the bucket is empty.
     fn peek(&self, open: &Self::Open<'_>) -> Option<u64>;
 
-    /// Removes and returns the bucket's minimum.
-    fn pop(&self, open: &mut Self::Open<'_>) -> Option<(u64, T)>;
+    /// Removes up to `max` entries, smallest first, into `out`; returns how
+    /// many. Fewer than `max` means the bucket was observed empty (or, for
+    /// a lock-free bucket, a racing pop cut the run short).
+    fn pop_run(&self, open: &mut Self::Open<'_>, max: usize, out: impl FnMut((u64, T))) -> usize;
 
     /// Adds every entry of `run` and returns how many it added.
     fn push_run(&self, open: &mut Self::Open<'_>, run: impl Iterator<Item = Entry<T>>) -> isize;
@@ -150,17 +152,23 @@ impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
         obsolete: impl Fn(u64, &T) -> bool,
         mut sink: impl FnMut((u64, T)),
     ) -> (usize, usize) {
-        // Pops of one opened bucket; publishes its count once, live and
-        // purged together, and gives it up.
+        // Pops of one opened bucket, in runs of what is still wanted live
+        // (purged entries do not count toward `max`); publishes its count
+        // once, live and purged together, and gives it up.
         let mut drain = |bucket: &B, mut open: B::Open<'_>| {
             let (mut live, mut purged) = (0usize, 0usize);
-            while live < max {
-                let Some(e) = bucket.pop(&mut open) else { break };
-                if obsolete(e.0, &e.1) {
-                    purged += 1;
-                } else {
-                    sink(e);
-                    live += 1;
+            loop {
+                let want = max - live;
+                let got = bucket.pop_run(&mut open, want, |e| {
+                    if obsolete(e.0, &e.1) {
+                        purged += 1;
+                    } else {
+                        sink(e);
+                        live += 1;
+                    }
+                });
+                if got < want || live == max {
+                    break;
                 }
             }
             bucket.close(open, -((live + purged) as isize));
@@ -334,8 +342,19 @@ impl<T, Q: BucketQueue<T>> Bucket<T> for Locked<Q> {
         open.peek_min()
     }
 
-    fn pop(&self, open: &mut MutexGuard<'_, Q>) -> Option<(u64, T)> {
-        open.pop_min().map(|e| (e.priority, e.item))
+    fn pop_run(
+        &self,
+        open: &mut MutexGuard<'_, Q>,
+        max: usize,
+        mut out: impl FnMut((u64, T)),
+    ) -> usize {
+        let mut popped = 0;
+        while popped < max {
+            let Some(e) = open.pop_min() else { break };
+            out((e.priority, e.item));
+            popped += 1;
+        }
+        popped
     }
 
     fn push_run(&self, open: &mut MutexGuard<'_, Q>, run: impl Iterator<Item = Entry<T>>) -> isize {

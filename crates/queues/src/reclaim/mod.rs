@@ -8,10 +8,11 @@
 //! over a [`Reclaim`] backend, with two implementations:
 //!
 //! * [`Ebr`] — epoch-based reclamation, wrapping the `crossbeam::epoch`
-//!   shim. Readers pin (store + SeqCst fence), retired nodes are deferred
-//!   to per-thread garbage bags and freed two epoch advances later. This is
-//!   the default; every pre-existing call site compiles unchanged against
-//!   it and behaves bit-for-bit as before.
+//!   shim. Readers pin (store + SeqCst fence); an unlinked chain of nodes
+//!   is deferred as one item to the retiring thread's garbage bag and, once
+//!   the grace period has passed, goes back to its list's node pool, which
+//!   carves fresh nodes from blocks and frees them when the list (and the
+//!   last deferred chain) is gone. This is the default backend.
 //! * [`Vbr`] — version-based reclamation. Nodes live in a type-stable slot
 //!   arena (the chunked-spine pattern of the Delaunay `CellArena`); every
 //!   slot carries a version counter bumped on retire and on reallocation,
@@ -23,11 +24,12 @@
 //!
 //! The trait surface is shaped around exactly what a Harris-style sorted
 //! list needs: an allocation domain, a guard (`Ebr`'s pin; a zero-sized
-//! token for `Vbr`), node allocation, validated key/next reads, CAS on a
-//! node's link word, a speculative payload copy claimed by the marking CAS,
-//! and retire/dealloc. Backends with fundamentally different node
-//! representations (heap boxes vs arena slots) fit behind it because the
-//! list only ever names nodes through the backend's opaque [`Reclaim::Ptr`].
+//! token for `Vbr`), node allocation from a per-run stash, validated
+//! key/next reads, CAS on a node's link word, a speculative payload copy
+//! claimed by the marking CAS, retiring a whole unlinked chain at once, and
+//! teardown. Backends with different node representations (pooled blocks
+//! vs arena slots) fit behind it because the list only ever names nodes
+//! through the backend's opaque [`Reclaim::Ptr`].
 
 mod ebr;
 mod vbr;
@@ -68,12 +70,12 @@ use std::str::FromStr;
 ///   [`Reclaim::peek_payload`] copy taken *before* that CAS (same thread,
 ///   program order) observed the payload of the claimed lifetime, so
 ///   `assume_init` on it is sound.
-/// * `retire` makes the storage reusable only for allocations that
+/// * `retire_chain` makes the storage reusable only for allocations that
 ///   [`Reclaim::cas_next`]/validated reads can distinguish from the retired
 ///   lifetime.
 pub unsafe trait Reclaim: Copy + Default + fmt::Debug + Send + Sync + 'static {
-    /// Per-structure allocation domain (the arena for `Vbr`; a zero-sized
-    /// handle for `Ebr`, whose collector is global).
+    /// Per-structure allocation domain: the slot arena for `Vbr`, the
+    /// node pool for `Ebr` (whose collector is global).
     type Domain<T: Send>: Send + Sync + fmt::Debug;
 
     /// Read-side token. `Ebr`: an epoch pin. `Vbr`: zero-sized.
@@ -81,6 +83,10 @@ pub unsafe trait Reclaim: Copy + Default + fmt::Debug + Send + Sync + 'static {
 
     /// Opaque tagged node reference.
     type Ptr<T: Send>: Copy + PartialEq + Eq + fmt::Debug;
+
+    /// Nodes one run took from its domain and has not allocated yet, so
+    /// that a run synchronizes with the domain once, not once per node.
+    type Stash<T: Send>;
 
     /// Short lowercase backend name (`"ebr"`, `"vbr"`), used by benches and
     /// `Debug` output.
@@ -107,15 +113,28 @@ pub unsafe trait Reclaim: Copy + Default + fmt::Debug + Send + Sync + 'static {
     /// The same pointer with its tag replaced.
     fn with_tag<T: Send>(ptr: Self::Ptr<T>, tag: usize) -> Self::Ptr<T>;
 
-    /// Allocates a node with `key` and (for non-sentinel nodes) a payload,
-    /// its link word initialized to null/untagged. The node is exclusively
-    /// owned until published by a successful [`Reclaim::cas_next`].
+    /// The pointer as one word, for a field that must hold it atomically.
+    fn to_word<T: Send>(ptr: Self::Ptr<T>) -> u64;
+
+    /// The pointer [`Reclaim::to_word`] made `word` from.
+    fn from_word<T: Send>(word: u64) -> Self::Ptr<T>;
+
+    /// Takes nodes for a run that expects to allocate `n` of them.
+    fn stash<T: Send>(dom: &Self::Domain<T>, n: usize) -> Self::Stash<T>;
+
+    /// Allocates a node from `stash` (refilling it from `dom` if it ran
+    /// dry) with `key` and (for non-sentinel nodes) a payload, its link
+    /// word initialized to null/untagged. The node is exclusively owned
+    /// until published by a successful [`Reclaim::cas_next`].
     fn alloc<T: Send>(
         dom: &Self::Domain<T>,
+        stash: &mut Self::Stash<T>,
         key: (u64, u64),
         item: Option<T>,
-        guard: &Self::Guard<T>,
     ) -> Self::Ptr<T>;
+
+    /// Gives the nodes a run did not allocate back to `dom`.
+    fn unstash<T: Send>(dom: &Self::Domain<T>, stash: Self::Stash<T>);
 
     /// Re-points an **unpublished** node's link word (insert retry loop and
     /// bulk load). Caller must be the exclusive owner from
@@ -163,19 +182,27 @@ pub unsafe trait Reclaim: Copy + Default + fmt::Debug + Send + Sync + 'static {
         guard: &Self::Guard<T>,
     ) -> MaybeUninit<T>;
 
-    /// Hands the node's storage back to the backend. Does **not** drop the
-    /// payload (retired nodes are always marked, and the marking thread
-    /// claimed the payload).
+    /// Hands the storage of a chain of `len` nodes back to the backend, as
+    /// one unit: `first`, its successor, and so on up to `last`. Does
+    /// **not** drop payloads (retired nodes are always marked, and each
+    /// marking thread claimed its payload).
     ///
     /// # Safety
     ///
-    /// `node` must have been physically unlinked by the calling thread's
-    /// successful CAS (unique retire), and must not be accessed by the
-    /// caller afterwards.
-    unsafe fn retire<T: Send>(dom: &Self::Domain<T>, node: Self::Ptr<T>, guard: &Self::Guard<T>);
+    /// The chain must have been physically unlinked by the calling thread's
+    /// successful CAS (unique retire), every node in it marked, so its link
+    /// words are frozen; none of it may be accessed by the caller
+    /// afterwards.
+    unsafe fn retire_chain<T: Send>(
+        dom: &Self::Domain<T>,
+        first: Self::Ptr<T>,
+        last: Self::Ptr<T>,
+        len: usize,
+        guard: &Self::Guard<T>,
+    );
 
-    /// Immediately reclaims a node under exclusive access (`Drop` sweep),
-    /// dropping the payload iff `drop_payload`.
+    /// Reclaims a node under exclusive access (`Drop` sweep), dropping the
+    /// payload iff `drop_payload`; its storage goes when the domain does.
     ///
     /// # Safety
     ///

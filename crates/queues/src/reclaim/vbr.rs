@@ -275,6 +275,8 @@ unsafe impl Reclaim for Vbr {
     type Domain<T: Send> = VbrDomain<T>;
     type Guard<T: Send> = VbrGuard;
     type Ptr<T: Send> = VbrPtr<T>;
+    /// Slots come off the arena's free list one at a time.
+    type Stash<T: Send> = ();
 
     fn name() -> &'static str {
         "vbr"
@@ -306,11 +308,23 @@ unsafe impl Reclaim for Vbr {
         VbrPtr((ptr.0 & !1) | (tag as u64 & 1), PhantomData)
     }
 
+    fn to_word<T: Send>(ptr: VbrPtr<T>) -> u64 {
+        ptr.0
+    }
+
+    fn from_word<T: Send>(word: u64) -> VbrPtr<T> {
+        VbrPtr(word, PhantomData)
+    }
+
+    fn stash<T: Send>(_dom: &VbrDomain<T>, _n: usize) {}
+
+    fn unstash<T: Send>(_dom: &VbrDomain<T>, (): ()) {}
+
     fn alloc<T: Send>(
         dom: &VbrDomain<T>,
+        _stash: &mut (),
         key: (u64, u64),
         item: Option<T>,
-        _guard: &VbrGuard,
     ) -> VbrPtr<T> {
         let (idx, free_ver) = dom.acquire_slot();
         let slot = dom.slot(idx);
@@ -397,22 +411,40 @@ unsafe impl Reclaim for Vbr {
     }
 
     // SAFETY: contract inherited from the trait's `# Safety` section —
-    // caller unlinked `node` and retires each lifetime at most once.
-    unsafe fn retire<T: Send>(dom: &VbrDomain<T>, node: VbrPtr<T>, _guard: &VbrGuard) {
-        rsched_obs::counter!(r#"reclaim_retire_total{backend="vbr"}"#).inc();
-        let idx = node.idx();
-        let slot = dom.slot(idx);
-        let ver = slot.ver.load(Relaxed);
-        debug_assert_eq!(ver & SVER_MASK, node.ver(), "double retire or foreign lifetime");
-        // End the lifetime *before* the slot becomes reachable through the
-        // free list: the bump is what every validated read checks against.
-        slot.ver.store(ver.wrapping_add(1), Release);
-        slot.era.store(dom.clock.load(Relaxed), Release);
-        // Version-stamped Treiber push.
+    // caller unlinked the chain and retires each lifetime at most once.
+    unsafe fn retire_chain<T: Send>(
+        dom: &VbrDomain<T>,
+        first: VbrPtr<T>,
+        last: VbrPtr<T>,
+        len: usize,
+        _guard: &VbrGuard,
+    ) {
+        rsched_obs::counter!(r#"reclaim_retire_total{backend="vbr"}"#).add(len as u64);
+        let era = dom.clock.load(Relaxed);
+        let mut node = first;
+        for i in 0..len {
+            let slot = dom.slot(node.idx());
+            // Frozen: the node is marked, and unlinked by the caller.
+            let word = slot.next.load(Relaxed);
+            let ver = slot.ver.load(Relaxed);
+            debug_assert_eq!(ver & SVER_MASK, node.ver(), "double retire or foreign lifetime");
+            // End the lifetime *before* the slot becomes reachable through
+            // the free list: the bump is what every validated read checks.
+            slot.ver.store(ver.wrapping_add(1), Release);
+            slot.era.store(era, Release);
+            if i + 1 < len {
+                node = VbrPtr::new(word >> 37, (word >> 17) & SVER_MASK, 0);
+                // The chain keeps its order on the free list.
+                slot.free.store(node.idx(), Relaxed);
+            }
+        }
+        debug_assert_eq!(node.idx(), last.idx(), "chain of {len} does not end at `last`");
+        // Version-stamped Treiber push of the whole chain.
+        let tail = dom.slot(last.idx());
         loop {
             let head = dom.free_head.load(Relaxed);
-            slot.free.store(head & u32::MAX as u64, Relaxed);
-            let new_head = ((head >> 32).wrapping_add(1)) << 32 | idx;
+            tail.free.store(head & u32::MAX as u64, Relaxed);
+            let new_head = ((head >> 32).wrapping_add(1)) << 32 | first.idx();
             if dom.free_head.compare_exchange(head, new_head, Release, Relaxed).is_ok() {
                 return;
             }
@@ -463,7 +495,7 @@ mod tests {
     fn alloc_retire_realloc_bumps_version() {
         let dom: VbrDomain<u32> = Vbr::new_domain();
         let g = Vbr::pin(&dom);
-        let p0 = Vbr::alloc(&dom, (1, 2), Some(5u32), &g);
+        let p0 = Vbr::alloc(&dom, &mut (), (1, 2), Some(5u32));
         assert_eq!(Vbr::key(&dom, p0, &g), Some((1, 2)));
         // Claim the payload by marking, then retire.
         let next = Vbr::load_next(&dom, p0, &g).unwrap();
@@ -472,12 +504,12 @@ mod tests {
         let item = unsafe { Vbr::peek_payload(&dom, p0, &g).assume_init() };
         assert_eq!(item, 5);
         // SAFETY: single-threaded test; this is the unique retire.
-        unsafe { Vbr::retire(&dom, p0, &g) };
+        unsafe { Vbr::retire_chain(&dom, p0, p0, 1, &g) };
         // Stale reads through the old pointer now fail validation.
         assert_eq!(Vbr::key(&dom, p0, &g), None);
         assert!(Vbr::load_next(&dom, p0, &g).is_none());
         // Reallocation reuses the slot under a fresh version.
-        let p1 = Vbr::alloc(&dom, (9, 9), Some(6u32), &g);
+        let p1 = Vbr::alloc(&dom, &mut (), (9, 9), Some(6u32));
         assert_eq!(p1.idx(), p0.idx(), "free list should hand the slot back");
         assert_ne!(p1.ver(), p0.ver());
         assert_eq!(Vbr::key(&dom, p1, &g), Some((9, 9)));
@@ -491,12 +523,12 @@ mod tests {
         let dom: VbrDomain<()> = Vbr::new_domain();
         let g = Vbr::pin(&dom);
         let before = dom.clock.load(Relaxed);
-        let p = Vbr::alloc(&dom, (0, 0), Some(()), &g);
+        let p = Vbr::alloc(&dom, &mut (), (0, 0), Some(()));
         let n = Vbr::load_next(&dom, p, &g).unwrap();
         assert!(Vbr::cas_next(&dom, p, n, Vbr::with_tag(n, 1), &g));
         // SAFETY: single-threaded test; unique retire of a marked node.
-        unsafe { Vbr::retire(&dom, p, &g) };
-        let _p2 = Vbr::alloc(&dom, (0, 1), Some(()), &g);
+        unsafe { Vbr::retire_chain(&dom, p, p, 1, &g) };
+        let _p2 = Vbr::alloc(&dom, &mut (), (0, 1), Some(()));
         assert!(dom.clock.load(Relaxed) > before, "reuse must advance the epoch clock");
     }
 }

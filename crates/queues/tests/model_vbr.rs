@@ -29,8 +29,7 @@ use std::sync::Arc;
 /// lifetime-0 key `(7, 7)` and payload `41`.
 fn fresh_node() -> (Arc<<Vbr as Reclaim>::Domain<u32>>, <Vbr as Reclaim>::Ptr<u32>) {
     let dom = Arc::new(Vbr::new_domain::<u32>());
-    let guard = Vbr::pin(&dom);
-    let node = Vbr::alloc(&dom, (7, 7), Some(41u32), &guard);
+    let node = Vbr::alloc(&dom, &mut (), (7, 7), Some(41u32));
     (dom, node)
 }
 
@@ -63,11 +62,11 @@ fn stale_read_scenario(sim: &mut Sim) {
             );
             // SAFETY: this thread won the marking CAS above, so it is the
             // unique retirer of this lifetime.
-            unsafe { Vbr::retire(&dom, node, &guard) };
+            unsafe { Vbr::retire_chain(&dom, node, node, 1, &guard) };
             // Recycle the slot under a new key; the free list hands the
             // same slot back with a bumped version (unit-tested in
             // `vbr::tests::alloc_retire_realloc_bumps_version`).
-            let _ = Vbr::alloc(&dom, (9, 9), Some(43u32), &guard);
+            let _ = Vbr::alloc(&dom, &mut (), (9, 9), Some(43u32));
         });
     }
 }
@@ -100,12 +99,12 @@ fn stale_cas_scenario(sim: &mut Sim) {
                     "payload lifetime claimed twice"
                 );
                 // SAFETY: unique marking-CAS winner retires.
-                unsafe { Vbr::retire(&dom, node, &guard) };
+                unsafe { Vbr::retire_chain(&dom, node, node, 1, &guard) };
                 if who == 0 {
                     // Recycle the slot so interleavings exist where the
                     // other thread's stale CAS runs against a *live* new
                     // lifetime, not just a retired one.
-                    let _ = Vbr::alloc(&dom, (9, 9), Some(43u32), &guard);
+                    let _ = Vbr::alloc(&dom, &mut (), (9, 9), Some(43u32));
                 }
             }
         });

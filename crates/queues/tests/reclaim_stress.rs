@@ -1,9 +1,13 @@
 //! Reclamation-backend bake-off correctness suite: the exactly-once
 //! drop-cell stress of `epoch_stress.rs`, generic over [`Reclaim`] and run
-//! against **both** backends — once through `HarrisList::insert`, once
-//! through the runs of `LockFreeMultiQueue::insert_batch` — plus a proptest
-//! over random mixed op sequences (single inserts, pops, runs) diffed
-//! against a `BTreeSet` oracle.
+//! against **both** backends — once through `HarrisList::insert` with
+//! single and run pops, once through the runs of
+//! `LockFreeMultiQueue::insert_batch` and `pop_batch` — plus a proptest over
+//! random mixed op sequences (single inserts, run inserts, run pops) diffed
+//! against a `BTreeSet` oracle. A run pop unlinks its chain with one CAS and
+//! retires it as one unit (under EBR: one deferred item whose nodes go back
+//! to the list's pool), so a chain retired twice, or a node recycled while
+//! still claimed, shows up here as a double drop.
 //!
 //! A per-payload drop cell proves every payload is dropped **exactly
 //! once** — a double-free (e.g. a stale VBR read validating) increments a
@@ -58,8 +62,9 @@ fn assert_dropped_once(cells: &[AtomicUsize]) {
     }
 }
 
-/// 8 threads hammer one list with an insert/pop loop, then the survivors
-/// are drained; every drop cell must read exactly 1 afterwards.
+/// 8 threads hammer one list with an insert/pop loop — even threads pop one
+/// entry at a time, odd ones pop runs of 1–8 — then the survivors are
+/// drained; every drop cell must read exactly 1 afterwards.
 fn stress_exactly_once<R: Reclaim>() {
     let total = PREFILL + THREADS * OPS_PER_THREAD;
     let cells: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
@@ -85,9 +90,10 @@ fn stress_exactly_once<R: Reclaim>() {
                     list.insert(priority, seq, Probe::new(&cells[idx]));
                     // Pop as often as we insert so the list stays short and
                     // the backend keeps recycling storage under contention.
-                    if let Some((_, probe)) = list.pop_min() {
-                        local_pops += 1;
-                        drop(probe);
+                    if t % 2 == 0 {
+                        local_pops += usize::from(list.pop_min().is_some());
+                    } else if i % 4 == 3 {
+                        local_pops += list.pop_run_with(1 + (i + t) % 8, drop, &list.guard());
                     }
                     // Periodically force a collection so reclamation runs
                     // *during* the contention (a no-op under VBR, whose
@@ -130,8 +136,10 @@ fn vbr_eight_thread_stress_drops_exactly_once() {
 
 /// The run path under the same audit: 8 threads push ascending runs of
 /// 1–64 through `LockFreeMultiQueue::insert_batch` — every search after a
-/// run's first resumes from the node the run linked last — and pop about
-/// half a run after each, racing pops against those resume nodes.
+/// run's first resumes from the node the run linked last, the first from
+/// the finger the run before left — and pop about half a run after each
+/// through `pop_batch`, a run pop per call, racing those pops against the
+/// resume nodes and the finger.
 fn batch_stress_exactly_once<R: Reclaim>() {
     let total = THREADS * OPS_PER_THREAD;
     let cells: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
@@ -221,9 +229,10 @@ fn vbr_multiqueue_batch_drain_conserves() {
     multiqueue_conserves::<Vbr>();
 }
 
-/// Random ops against the oracle. `(0, _, _)` inserts one key, `(1, _, _)`
-/// pops, `(2, len, d)` inserts `len` keys in one `insert_run_with`: sorted,
-/// then rotated left by `d` — one descent when `0 < d < len`.
+/// Random ops against the oracle. `(0, _, _)` inserts one key, `(1, len, _)`
+/// pops a run of `len`, `(2, len, d)` inserts `len` keys in one
+/// `insert_run_with`: sorted, then rotated left by `d` — one descent when
+/// `0 < d < len`.
 fn apply_ops<R: Reclaim>(ops: &[(u8, usize, usize)]) {
     let total: usize = ops.iter().map(|&(kind, len, _)| [1, 0, len][kind as usize]).sum();
     let cells: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
@@ -232,12 +241,11 @@ fn apply_ops<R: Reclaim>(ops: &[(u8, usize, usize)]) {
     let mut seq = 0u64;
     for (i, &(kind, len, d)) in ops.iter().enumerate() {
         if kind == 1 {
-            let got = list.pop_min().map(|(p, probe)| {
-                drop(probe);
-                p
-            });
-            let expect = oracle.pop_first().map(|(p, _)| p);
-            assert_eq!(got, expect, "single-threaded pop must be exact-min");
+            let mut got = Vec::new();
+            list.pop_run_with(len, |(p, _)| got.push(p), &list.guard());
+            let expect: Vec<u64> =
+                std::iter::from_fn(|| oracle.pop_first().map(|(p, _)| p)).take(len).collect();
+            assert_eq!(got, expect, "single-threaded run pop must be the exact prefix");
             continue;
         }
         let len = if kind == 0 { 1 } else { len };

@@ -16,12 +16,16 @@
 //!   of concurrently live threads. Registration happens once per thread and
 //!   the record is cached in a thread-local, so [`pin`] is a counter bump
 //!   plus one atomic store and one fence — no `Arc` clone, no lock.
-//! * **Garbage** deferred by [`Guard::defer_destroy`] goes into the pinning
-//!   thread's own bag, stamped with the global epoch observed at defer
-//!   time. It is freed by that same thread's later collections; only on
-//!   thread exit does a non-empty bag migrate to a shared orphan list
-//!   (drained opportunistically by any later collection). Defer and the
-//!   common-case collect therefore take **zero** shared-lock acquisitions.
+//! * **Garbage** deferred by [`Guard::defer_destroy`] or
+//!   [`Guard::defer_unchecked`] goes into the pinning thread's own bag,
+//!   stamped with the global epoch observed at defer time. It is freed by
+//!   that same thread's later collections; only on thread exit does a
+//!   non-empty bag migrate to a shared orphan list (drained
+//!   opportunistically by any later collection). Defer and the common-case
+//!   collect therefore take **zero** shared-lock acquisitions. An unpin
+//!   collects once the bag has grown [`COLLECT_THRESHOLD`] items past what
+//!   the last collection left in it, so a straggler pinned at an old epoch
+//!   costs one rescan per threshold's worth of defers, not one per unpin.
 //! * **Epoch advancement is garbage-driven**: a collection only attempts to
 //!   advance the global epoch when it actually holds garbage that is too
 //!   young to free (or orphans exist); an empty collect never touches the
@@ -69,9 +73,10 @@
 use rsched_sync::atomic::{fence, AtomicUsize, Ordering};
 use std::cell::{Cell, UnsafeCell};
 use std::marker::PhantomData;
-use std::mem::ManuallyDrop;
+use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
-/// How many bagged garbage items trigger a collection attempt on unpin.
+/// How many garbage items bagged since the last collection trigger a
+/// collection attempt on unpin.
 const COLLECT_THRESHOLD: usize = 64;
 
 /// Low bit of a participant's epoch word: set while pinned.
@@ -88,15 +93,48 @@ const EXPIRY: usize = 3 * STEP;
 const IN_USE: usize = 1;
 const FREE: usize = 0;
 
-/// A type-erased deferred deallocation.
+/// What a deferred closure may occupy: it is stored inline, never boxed.
+type Data = [usize; 4];
+
+/// A type-erased deferred function, the closure stored inline.
 struct Deferred {
-    ptr: usize,
-    drop_fn: unsafe fn(usize),
+    call: unsafe fn(*mut u8),
+    data: MaybeUninit<Data>,
 }
 
-// SAFETY: the pointee is only touched by whichever thread runs the
-// collection, after the epoch scheme has proven exclusive access.
+// SAFETY: a deferred closure runs on whichever thread collects it, after
+// the epoch scheme has proven that nothing it frees is still reachable;
+// `Guard::defer_unchecked`'s contract makes the caller vouch that running
+// it there is sound.
 unsafe impl Send for Deferred {}
+
+/// # Safety
+///
+/// `raw` must hold an `F` written by [`Deferred::new`], not yet read.
+unsafe fn call<F: FnOnce()>(raw: *mut u8) {
+    // SAFETY: caller contract; the read moves the closure out once.
+    let f = unsafe { raw.cast::<F>().read() };
+    f();
+}
+
+impl Deferred {
+    fn new<F: FnOnce()>(f: F) -> Self {
+        const {
+            assert!(size_of::<F>() <= size_of::<Data>() && align_of::<F>() <= align_of::<Data>());
+        }
+        let mut data = MaybeUninit::<Data>::uninit();
+        // SAFETY: `F` fits `Data` in size and alignment (asserted above).
+        unsafe { data.as_mut_ptr().cast::<F>().write(f) };
+        Deferred { call: call::<F>, data }
+    }
+
+    /// Runs the deferred function (consuming it, so it runs once).
+    fn run(mut self) {
+        // SAFETY: `data` holds what `new` wrote for `call`, and `self` is
+        // consumed here, so it is read exactly once.
+        unsafe { (self.call)(self.data.as_mut_ptr().cast()) }
+    }
+}
 
 /// A participant record: registry node + per-thread garbage bag.
 struct Local {
@@ -119,6 +157,10 @@ struct Local {
     /// time. Owner-thread only while the slot is `IN_USE`; handed off via
     /// the `state` Release/Acquire edge on reuse.
     bag: UnsafeCell<Vec<(usize, Deferred)>>,
+    /// The bag's length when the last collection finished: an unpin
+    /// collects again only [`COLLECT_THRESHOLD`] items past it. Owner-thread
+    /// only.
+    collected: Cell<usize>,
 }
 
 /// A sealed bag from an exited thread, awaiting any thread's collection.
@@ -169,6 +211,7 @@ impl Local {
                 // `retire`, handing the (emptied) bag to this thread.
                 local.guard_count.set(0);
                 local.retire_on_unpin.set(false);
+                local.collected.set(0);
                 return local;
             }
             p = local.next.load(Ordering::Acquire);
@@ -180,6 +223,7 @@ impl Local {
             guard_count: Cell::new(0),
             retire_on_unpin: Cell::new(false),
             bag: UnsafeCell::new(Vec::new()),
+            collected: Cell::new(0),
         }));
         let mut head = GLOBAL.locals.load(Ordering::Relaxed);
         loop {
@@ -216,6 +260,7 @@ impl Local {
         if !bag.is_empty() {
             push_orphan(std::mem::take(bag));
         }
+        self.collected.set(0);
         self.epoch.store(0, Ordering::Release);
         self.state.store(FREE, Ordering::Release);
     }
@@ -327,6 +372,8 @@ fn try_advance() -> usize {
 /// Frees this participant's expired garbage (plus any expired orphans),
 /// advancing the epoch only if something is actually waiting on it.
 fn collect(local: &Local) {
+    #[cfg(test)]
+    tests::COLLECTS.with(|c| c.set(c.get() + 1));
     let mut freeable: Vec<Deferred> = Vec::new();
     {
         // SAFETY: `local` is the calling thread's own record; nobody else
@@ -348,16 +395,14 @@ fn collect(local: &Local) {
                 i += 1;
             }
         }
+        local.collected.set(bag.len());
         collect_orphans(&mut freeable);
     }
-    // Free with no outstanding borrows: a pointee's Drop may legally pin,
-    // defer, or collect again.
-    for deferred in freeable {
-        // SAFETY: the stamp check proved the deferral's epoch expired, so
-        // no pin taken before the unlink can still be live; each entry is
-        // drained from exactly one bag, so this free happens exactly once.
-        unsafe { (deferred.drop_fn)(deferred.ptr) };
-    }
+    // Run with no outstanding borrows: a deferred function may legally pin,
+    // defer, or collect again. The stamp check proved each deferral's epoch
+    // expired, so no pin taken before the unlink can still be live; each
+    // entry is drained from exactly one bag, so it runs exactly once.
+    freeable.into_iter().for_each(Deferred::run);
 }
 
 /// Per-thread registration handle; releases the slot on thread exit.
@@ -405,11 +450,9 @@ pub fn model_reset() {
         // every node was created by `Box::into_raw` in `push_orphan`.
         let node = unsafe { Box::from_raw(p as *mut Orphan) };
         p = node.next;
-        for (_, deferred) in node.items {
-            // SAFETY: no thread is pinned (caller contract), so every
-            // deferred pointee is unreachable and owned by us.
-            unsafe { (deferred.drop_fn)(deferred.ptr) };
-        }
+        // No thread is pinned (caller contract), so every deferred pointee
+        // is unreachable and owned by us.
+        node.items.into_iter().for_each(|(_, deferred)| deferred.run());
     }
     let mut p = GLOBAL.locals.load(Ordering::SeqCst);
     while p != 0 {
@@ -419,11 +462,10 @@ pub fn model_reset() {
         local.epoch.store(0, Ordering::SeqCst);
         local.state.store(FREE, Ordering::SeqCst);
         // SAFETY: no registered threads (caller contract) means no owner
-        // can touch this bag concurrently.
-        for (_, deferred) in unsafe { &mut *local.bag.get() }.drain(..) {
-            // SAFETY: as above — unreachable, exclusively owned garbage.
-            unsafe { (deferred.drop_fn)(deferred.ptr) };
-        }
+        // can touch this bag concurrently; its garbage is unreachable.
+        let bag = std::mem::take(unsafe { &mut *local.bag.get() });
+        bag.into_iter().for_each(|(_, deferred)| deferred.run());
+        local.collected.set(0);
         p = local.next.load(Ordering::SeqCst);
     }
     GLOBAL.epoch.store(0, Ordering::SeqCst);
@@ -503,11 +545,30 @@ impl Guard {
     pub unsafe fn defer_destroy<T>(&self, ptr: Shared<'_, T>) {
         let raw = ptr.untagged();
         debug_assert!(raw != 0, "defer_destroy on null pointer");
-        let deferred = Deferred { ptr: raw, drop_fn: drop_box::<T> };
+        // SAFETY: caller contract — `raw` came from `Box::into_raw::<T>`,
+        // is destroyed once, and is unreachable to later pins.
+        unsafe { self.defer_unchecked(move || drop(Box::from_raw(raw as *mut T))) };
+    }
+
+    /// Schedules `f` to run once no thread pinned now can still be inside
+    /// its critical section: the general form of [`Guard::defer_destroy`]
+    /// (upstream's `defer_unchecked`). `f` is stored inline in the bag
+    /// entry, so deferring allocates nothing beyond the bag's own growth;
+    /// a closure larger than four words does not compile. Under
+    /// [`unprotected`], `f` runs immediately.
+    ///
+    /// # Safety
+    ///
+    /// `f` may run on any thread, at any later unpin, flush or thread exit:
+    /// whatever it captures must be safe to move and use there, and
+    /// whatever it frees must already be unreachable to any thread that
+    /// pins after this call.
+    pub unsafe fn defer_unchecked<F: FnOnce()>(&self, f: F) {
+        let deferred = Deferred::new(f);
         match self.local() {
-            // SAFETY: unprotected guard — the caller vouched that no other
-            // thread can reach the pointee, so freeing now is sound.
-            None => unsafe { (deferred.drop_fn)(deferred.ptr) },
+            // Unprotected guard — the caller vouched that no other thread
+            // can reach what `f` frees, so running it now is sound.
+            None => deferred.run(),
             Some(local) => {
                 // At most one step stale (we are pinned, so the epoch can
                 // have advanced at most once since our pin) — absorbed by
@@ -544,14 +605,6 @@ impl Guard {
     }
 }
 
-/// # Safety
-///
-/// `ptr` must come from `Box::into_raw::<T>` and must not have been freed.
-unsafe fn drop_box<T>(ptr: usize) {
-    // SAFETY: contract above — this is the unique free of that allocation.
-    drop(unsafe { Box::from_raw(ptr as *mut T) });
-}
-
 impl Drop for Guard {
     fn drop(&mut self) {
         let Some(local) = self.local() else { return };
@@ -559,8 +612,11 @@ impl Drop for Guard {
         local.guard_count.set(count - 1);
         if count == 1 {
             local.epoch.store(0, Ordering::Release);
+            // Only once the bag has grown a threshold past what the last
+            // collection left: while a straggler pins an old epoch nothing
+            // can expire, and rescanning on every unpin would be pure cost.
             // SAFETY: the bag belongs to this thread alone.
-            if unsafe { &*local.bag.get() }.len() >= COLLECT_THRESHOLD {
+            if unsafe { &*local.bag.get() }.len() >= local.collected.get() + COLLECT_THRESHOLD {
                 collect(local);
             }
             // Ephemeral pins always retire here; a regular pin retires only
@@ -823,6 +879,12 @@ impl<T> std::fmt::Debug for Shared<'_, T> {
 mod tests {
     use super::*;
     use rsched_sync::atomic::Ordering::{Acquire, Release, SeqCst};
+    use std::sync::Barrier;
+
+    thread_local! {
+        /// Collections this thread has run: the collect-storm probe.
+        pub(super) static COLLECTS: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn owned_roundtrip_and_tags() {
@@ -900,6 +962,35 @@ mod tests {
         }
         drain_until(&DROPS, N);
         assert_eq!(DROPS.load(SeqCst), N, "every deferred probe dropped exactly once");
+    }
+
+    /// A straggler pinned at an old epoch keeps every defer of this thread
+    /// from expiring. Each unpin past the threshold used to rescan the
+    /// whole bag anyway; now one collection runs per threshold's worth of
+    /// new garbage.
+    #[test]
+    fn a_pinned_straggler_costs_one_collect_per_threshold() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        const N: usize = COLLECT_THRESHOLD * 16;
+        let (pinned, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _straggler = pin();
+                pinned.wait();
+                release.wait();
+            });
+            pinned.wait();
+            let before = COLLECTS.get();
+            for _ in 0..N {
+                defer_probe(&pin(), &DROPS);
+            }
+            let collects = COLLECTS.get() - before;
+            release.wait();
+            assert_eq!(DROPS.load(SeqCst), 0, "a defer expired under the straggler's pin");
+            assert!(collects <= N / COLLECT_THRESHOLD, "{collects} collects for {N} unpins");
+        });
+        drain_until(&DROPS, N);
+        assert_eq!(DROPS.load(SeqCst), N, "every probe dropped once the straggler left");
     }
 
     #[test]
