@@ -1,20 +1,19 @@
 //! A MultiQueue specialized for the framework's *prefilled* workload.
 //!
 //! The scheduling framework bulk-loads all `n` tasks up front and re-inserts
-//! only the `poly(k)` failed deletes (Theorem 2). A binary heap wastes that
+//! only the `poly(k)` failed deletes (Theorem 2). A heap wastes that
 //! structure: every pop is an `O(log n)` sift-down over a cache-hostile
 //! array. The paper's implementation instead keeps each internal queue as a
 //! *sorted list* whose pops are `O(1)` head reads — this module is the
 //! array-backed equivalent: each internal queue is a **sorted run consumed
 //! from the front** (one cache line per pop, hardware-prefetcher friendly)
-//! plus a small **overflow heap** receiving runtime re-insertions. Pop takes
-//! the smaller of the run head and the overflow top. Only the bucket lives
-//! here; the scheduler around it is [`MultiQueueCore`].
+//! plus a small **overflow** [`Heap`] — the one heap behind every locked
+//! bucket — receiving runtime re-insertions. Pop takes the smaller of the
+//! run head and the overflow top. Only the bucket lives here; the scheduler
+//! around it is [`MultiQueueCore`].
 
-use super::multiqueue::{BucketQueue, Locked, MultiQueueCore};
+use super::multiqueue::{BucketQueue, Heap, Locked, MultiQueueCore};
 use crate::Entry;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// One [`BulkMultiQueue`] bucket: a sorted prefilled run consumed from the
@@ -25,14 +24,14 @@ pub struct Run<T> {
     sorted: Vec<Entry<T>>,
     head: usize,
     /// Runtime insertions (failed-delete re-inserts); stays tiny.
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
+    overflow: Heap<T>,
 }
 
 impl<T: fmt::Debug> fmt::Debug for Run<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Run")
             .field("live", &(self.sorted.len() - self.head))
-            .field("overflow", &self.overflow.len())
+            .field("overflow", &self.overflow)
             .finish()
     }
 }
@@ -40,13 +39,12 @@ impl<T: fmt::Debug> fmt::Debug for Run<T> {
 /// `T: Copy` since the run is consumed in place.
 impl<T: Copy + Send> BucketQueue<T> for Run<T> {
     fn from_sorted(sorted: Vec<Entry<T>>) -> Self {
-        Run { sorted, head: 0, overflow: BinaryHeap::new() }
+        Run { sorted, head: 0, overflow: Heap::default() }
     }
 
     fn peek_min(&self) -> Option<u64> {
         let run = self.sorted.get(self.head).map(|e| e.priority);
-        let over = self.overflow.peek().map(|Reverse(e)| e.priority);
-        match (run, over) {
+        match (run, self.overflow.peek_min()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -54,21 +52,21 @@ impl<T: Copy + Send> BucketQueue<T> for Run<T> {
 
     fn pop_min(&mut self) -> Option<Entry<T>> {
         let run = self.sorted.get(self.head).map(Entry::key);
-        let over = self.overflow.peek().map(|Reverse(e)| e.key());
+        let over = self.overflow.peek().map(Entry::key);
         match (run, over) {
-            (Some(a), Some(b)) if b < a => self.overflow.pop().map(|Reverse(e)| e),
+            (Some(a), Some(b)) if b < a => self.overflow.pop_min(),
             (Some(_), _) => {
                 let e = self.sorted[self.head];
                 self.head += 1;
                 Some(e)
             }
-            (None, Some(_)) => self.overflow.pop().map(|Reverse(e)| e),
+            (None, Some(_)) => self.overflow.pop_min(),
             (None, None) => None,
         }
     }
 
     fn push_entry(&mut self, entry: Entry<T>) {
-        self.overflow.push(Reverse(entry));
+        self.overflow.push_entry(entry);
     }
 }
 

@@ -4,14 +4,14 @@
 //! [`Bucket`]; three aliases pick the bucket:
 //!
 //! * [`MultiQueue`] — the lock-based MultiQueue of Rihani–Sanders–Dementiev
-//!   \[21\]: `c·threads` binary heaps behind try-locks ([`Locked`] over
-//!   [`Heap`]), power-of-two-choices deletion.
+//!   \[21\]: `c·threads` sequential min-heaps behind try-locks ([`Locked`]
+//!   over [`Heap`]), power-of-two-choices deletion.
 //! * [`LockFreeMultiQueue`] — the paper's own variant ("we use lock-free
 //!   lists to maintain the individual priority queues"): [`ListBucket`]s
 //!   over [`HarrisList`] with pluggable reclamation (epoch-based by default,
 //!   version-based via [`crate::reclaim::Vbr`]).
 //! * [`BulkMultiQueue`] — [`Locked`] over [`Run`]: sorted runs consumed from
-//!   the front plus small overflow heaps, the cache-friendly `O(1)`-pop
+//!   the front plus small overflow [`Heap`]s, the cache-friendly `O(1)`-pop
 //!   variant for the framework's prefilled workload (the performance
 //!   analogue of the paper's list-based queues).
 //!

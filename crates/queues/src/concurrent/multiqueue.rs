@@ -1,16 +1,15 @@
 //! The MultiQueue relaxed scheduler \[21\], implemented once:
 //! [`MultiQueueCore`] over a choice of [`Bucket`]. This file holds the core,
-//! the lock-based bucket [`Locked`] and its classic instantiation over
-//! binary heaps, [`MultiQueue`]; the sorted-run and Harris-list buckets are
-//! in `bulk_multiqueue.rs` and `lf_multiqueue.rs`.
+//! the lock-based bucket [`Locked`], the one sequential [`Heap`] behind
+//! every locked bucket, and the classic instantiation over heaps,
+//! [`MultiQueue`]; the sorted-run and Harris-list buckets are in
+//! `bulk_multiqueue.rs` and `lf_multiqueue.rs`.
 
 use crate::rng;
 use crate::{ConcurrentScheduler, Entry, BATCH_SCATTER_RUN};
 use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 use rsched_sync::atomic::{AtomicIsize, AtomicU64, Ordering};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -377,32 +376,101 @@ impl<T, Q: BucketQueue<T>> Bucket<T> for Locked<Q> {
     }
 }
 
-/// The per-bucket structure a [`MultiQueue`] guards behind each bucket
-/// lock: a min-heap of entries. Public because the [`MultiQueue`] alias
-/// names it.
-pub type Heap<T> = BinaryHeap<Reverse<Entry<T>>>;
+/// Children per node of a [`Heap`]. Chosen from {2, 4, 8} by `sssp_gnm`
+/// pairs (DESIGN.md "The bucket heap"); a constant, not a parameter.
+const HEAP_ARITY: usize = 8;
 
-impl<T: Send> BucketQueue<T> for Heap<T> {
-    fn from_sorted(run: Vec<Entry<T>>) -> Self {
-        run.into_iter().map(Reverse).collect()
+/// The sequential min-heap behind every [`Locked`] bucket: the whole queue
+/// of a [`MultiQueue`] bucket and the overflow of a
+/// [`super::BulkMultiQueue`] run. An implicit `HEAP_ARITY`-ary heap over a
+/// `Vec`, ordered by the entry key `(priority, seq)`; seqs are unique per
+/// scheduler, so a pop returns the one exact minimum. Its sift-down picks
+/// the smaller child with a predicted branch, so an out-of-cache descent
+/// can load the next level before the comparison resolves (DESIGN.md "The
+/// bucket heap"). Public because the [`MultiQueue`] alias names it.
+pub struct Heap<T> {
+    entries: Vec<Entry<T>>,
+}
+
+impl<T> Heap<T> {
+    /// The minimum entry.
+    pub(super) fn peek(&self) -> Option<&Entry<T>> {
+        self.entries.first()
     }
 
-    fn peek_min(&self) -> Option<u64> {
-        self.peek().map(|Reverse(e)| e.priority)
-    }
-
-    fn pop_min(&mut self) -> Option<Entry<T>> {
-        self.pop().map(|Reverse(e)| e)
-    }
-
-    fn push_entry(&mut self, entry: Entry<T>) {
-        self.push(Reverse(entry));
+    /// Moves the root down to where no child is smaller.
+    fn sift_down(&mut self) {
+        let (len, key, mut at) = (self.entries.len(), self.entries[0].key(), 0);
+        loop {
+            let first = HEAP_ARITY * at + 1;
+            if first >= len {
+                return;
+            }
+            let children = &self.entries[first..len.min(first + HEAP_ARITY)];
+            let (mut min, mut min_key) = (0, children[0].key());
+            for (i, child) in children.iter().enumerate().skip(1) {
+                if child.key() < min_key {
+                    (min, min_key) = (i, child.key());
+                }
+            }
+            if key <= min_key {
+                return;
+            }
+            self.entries.swap(at, first + min);
+            at = first + min;
+        }
     }
 }
 
-/// The lock-based MultiQueue of Rihani–Sanders–Dementiev \[21\]: `q` binary
-/// heaps behind try-locks, scheduled by [`MultiQueueCore`]. The paper's
-/// experiments use four heaps per thread.
+impl<T> Default for Heap<T> {
+    fn default() -> Self {
+        Heap { entries: Vec::new() }
+    }
+}
+
+impl<T> fmt::Debug for Heap<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Heap").field("len", &self.entries.len()).finish()
+    }
+}
+
+impl<T: Send> BucketQueue<T> for Heap<T> {
+    /// An ascending run already is a heap: every parent precedes its
+    /// children.
+    fn from_sorted(run: Vec<Entry<T>>) -> Self {
+        Heap { entries: run }
+    }
+
+    fn peek_min(&self) -> Option<u64> {
+        self.peek().map(|e| e.priority)
+    }
+
+    fn pop_min(&mut self) -> Option<Entry<T>> {
+        if self.entries.len() <= 1 {
+            return self.entries.pop();
+        }
+        let min = self.entries.swap_remove(0);
+        self.sift_down();
+        Some(min)
+    }
+
+    fn push_entry(&mut self, entry: Entry<T>) {
+        let (mut at, key) = (self.entries.len(), entry.key());
+        self.entries.push(entry);
+        while at > 0 {
+            let parent = (at - 1) / HEAP_ARITY;
+            if self.entries[parent].key() <= key {
+                return;
+            }
+            self.entries.swap(at, parent);
+            at = parent;
+        }
+    }
+}
+
+/// The lock-based MultiQueue of Rihani–Sanders–Dementiev \[21\]: `q`
+/// sequential min-heaps ([`Heap`]) behind try-locks, scheduled by
+/// [`MultiQueueCore`]. The paper's experiments use four heaps per thread.
 ///
 /// # Examples
 ///
@@ -441,6 +509,7 @@ mod tests {
     use super::*;
     use crate::concurrent::{BulkMultiQueue, LockFreeMultiQueue};
     use crate::reclaim::{Ebr, Reclaim, Vbr};
+    use proptest::prelude::*;
     use rsched_sync::atomic::{AtomicBool, AtomicUsize};
     use std::collections::HashSet;
     use std::ops::Range;
@@ -628,6 +697,82 @@ mod tests {
     #[test]
     fn list_buckets_over_vbr() {
         contract(list::<Vbr>);
+    }
+
+    /// One bucket on one thread is an exact scheduler: a shuffled insert set
+    /// with many ties drains in `(priority, insertion)` order, by `pop` and
+    /// by `pop_batch(.., 32)`. The benchmark's `exact_s` rows of `sssp_gnm`
+    /// and `service_conn` run on `MultiQueue::new(1)`.
+    #[test]
+    fn one_heap_drains_in_exact_order() {
+        let entries: Vec<(u64, u64)> = (0..3_000u64).map(|i| (i * 7919 % 3_001 / 16, i)).collect();
+        let mut want = entries.clone();
+        want.sort_unstable();
+        for batched in [false, true] {
+            let q = MultiQueue::new(1);
+            // Both seq claims: one per insert, one range per insert_batch.
+            let (singles, batch) = entries.split_at(1_000);
+            singles.iter().for_each(|&(p, i)| q.insert(p, i));
+            q.insert_batch(batch);
+            let mut got = Vec::new();
+            if batched {
+                while q.pop_batch(&mut got, 32) > 0 {}
+            } else {
+                got.extend(std::iter::from_fn(|| q.pop()));
+            }
+            assert_eq!(got, want, "batched: {batched}");
+        }
+    }
+
+    /// A key generator for the heap model: small priorities so that most
+    /// entries tie and `seq`, unique but not monotone, decides.
+    fn tie_key(priority: u64, n: u64) -> (u64, u64) {
+        (priority, n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// Replays `ops` on `Q` built from `initial`, against a sorted `Vec`:
+    /// `0` pushes, `1` pops, `2` peeks; every entry carries its seq.
+    fn heap_model<Q: BucketQueue<u64>>(initial: &[u64], ops: &[(u8, u64)]) -> TestCaseResult {
+        let mut model: Vec<(u64, u64)> =
+            initial.iter().enumerate().map(|(n, &p)| tie_key(p, n as u64)).collect();
+        model.sort_unstable();
+        let mut q = Q::from_sorted(model.iter().map(|&(p, s)| Entry::new(p, s, s)).collect());
+        for (n, &(op, priority)) in ops.iter().enumerate() {
+            match op {
+                0 => {
+                    let (p, s) = tie_key(priority, (initial.len() + n) as u64);
+                    q.push_entry(Entry::new(p, s, s));
+                    let at = model.partition_point(|&k| k < (p, s));
+                    model.insert(at, (p, s));
+                }
+                1 => {
+                    let got = q.pop_min().map(|e| (e.priority, e.seq, e.item));
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    prop_assert_eq!(got, want.map(|(p, s)| (p, s, s)));
+                }
+                _ => prop_assert_eq!(q.peek_min(), model.first().map(|&(p, _)| p)),
+            }
+        }
+        while let Some(e) = q.pop_min() {
+            prop_assert_eq!((e.priority, e.seq), model.remove(0));
+        }
+        prop_assert!(model.is_empty(), "{} entries lost", model.len());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `Heap` — and `Run`, whose overflow is a `Heap` — pop exactly
+        /// what a sorted `Vec` pops, ties broken by `seq`.
+        #[test]
+        fn heap_matches_sorted_model(
+            initial in collection::vec(0u64..6, 0..40),
+            ops in collection::vec((0u8..3, 0u64..6), 0..300),
+        ) {
+            heap_model::<Heap<u64>>(&initial, &ops)?;
+            heap_model::<crate::concurrent::Run<u64>>(&initial, &ops)?;
+        }
     }
 
     #[test]
