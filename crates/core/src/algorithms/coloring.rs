@@ -8,6 +8,7 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use rsched_graph::{CsrGraph, Permutation};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
@@ -87,7 +88,7 @@ pub struct ConcurrentColoring<'a> {
     labels: &'a [u32],
     colors: Vec<AtomicU32>,
     done: Vec<AtomicBool>,
-    remaining: AtomicUsize,
+    remaining: CachePadded<AtomicUsize>,
 }
 
 impl<'a> ConcurrentColoring<'a> {
@@ -104,7 +105,7 @@ impl<'a> ConcurrentColoring<'a> {
             labels: pi.labels(),
             colors: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),
             done: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            remaining: AtomicUsize::new(n),
+            remaining: CachePadded::new(AtomicUsize::new(n)),
         }
     }
 

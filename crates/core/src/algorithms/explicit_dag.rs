@@ -13,6 +13,7 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use rsched_graph::{CsrGraph, Permutation};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -56,7 +57,7 @@ pub struct ExplicitDag<'a, F> {
     dag: &'a CsrGraph,
     labels: &'a [u32],
     processed: Vec<AtomicBool>,
-    remaining: AtomicUsize,
+    remaining: CachePadded<AtomicUsize>,
     process: F,
 }
 
@@ -77,7 +78,7 @@ where
             dag,
             labels: pi.labels(),
             processed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            remaining: AtomicUsize::new(n),
+            remaining: CachePadded::new(AtomicUsize::new(n)),
             process,
         }
     }

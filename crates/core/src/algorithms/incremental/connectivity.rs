@@ -25,6 +25,7 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Sequential union-find with path halving and union-by-minimum-root.
@@ -117,6 +118,14 @@ pub fn components(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
 pub struct ConcurrentConnectivity<'a> {
     edges: &'a [(u32, u32)],
     parent: Vec<AtomicU32>,
+    counters: CachePadded<Counters>,
+}
+
+/// What every decision writes, on a line of its own, away from the
+/// read-mostly `edges` and `parent` headers.
+// lint:allow(hot-counter-padded) held only as `CachePadded<Counters>`
+#[derive(Debug)]
+struct Counters {
     remaining: AtomicUsize,
     tree_edges: AtomicU64,
     /// Root CAS failures retried inside [`ConcurrentAlgorithm::try_process`]
@@ -138,9 +147,11 @@ impl<'a> ConcurrentConnectivity<'a> {
         ConcurrentConnectivity {
             edges,
             parent: (0..n as u32).map(AtomicU32::new).collect(),
-            remaining: AtomicUsize::new(edges.len()),
-            tree_edges: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
+            counters: CachePadded::new(Counters {
+                remaining: AtomicUsize::new(edges.len()),
+                tree_edges: AtomicU64::new(0),
+                retries: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -170,12 +181,12 @@ impl<'a> ConcurrentConnectivity<'a> {
     /// Tree edges inserted (deterministic: `n − c` over the final
     /// components).
     pub fn tree_edges(&self) -> u64 {
-        self.tree_edges.load(Ordering::Acquire)
+        self.counters.tree_edges.load(Ordering::Acquire)
     }
 
     /// Root-CAS retries suffered across all workers.
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Acquire)
+        self.counters.retries.load(Ordering::Acquire)
     }
 
     /// Extracts the canonical component labels after the run.
@@ -195,7 +206,7 @@ impl ConcurrentAlgorithm for ConcurrentConnectivity<'_> {
     }
 
     fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
+        self.counters.remaining.load(Ordering::Acquire)
     }
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
@@ -205,7 +216,7 @@ impl ConcurrentAlgorithm for ConcurrentConnectivity<'_> {
             let rv = self.find(v);
             if ru == rv {
                 // Connected now, connected forever: decided.
-                self.remaining.fetch_sub(1, Ordering::AcqRel);
+                self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
                 return TaskOutcome::Obsolete;
             }
             let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
@@ -216,11 +227,11 @@ impl ConcurrentAlgorithm for ConcurrentConnectivity<'_> {
                 .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                self.tree_edges.fetch_add(1, Ordering::AcqRel);
-                self.remaining.fetch_sub(1, Ordering::AcqRel);
+                self.counters.tree_edges.fetch_add(1, Ordering::AcqRel);
+                self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
                 return TaskOutcome::Processed;
             }
-            self.retries.fetch_add(1, Ordering::Relaxed);
+            self.counters.retries.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

@@ -40,6 +40,7 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use rsched_graph::geom::{in_circle, on_open_segment, orient2d, Point};
 use rsched_graph::Permutation;
 use rsched_queues::lock::{McsLock, RawLock};
@@ -447,12 +448,17 @@ const MAX_CHUNKS: usize = 21;
 /// to dereference (they resolve to dead cells, never to freed memory).
 struct CellArena {
     chunks: [OnceLock<Box<[ConcCell]>>; MAX_CHUNKS],
-    len: AtomicUsize,
+    /// Bumped by every insertion; padded off the `chunks` line every cell
+    /// lookup reads.
+    len: CachePadded<AtomicUsize>,
 }
 
 impl CellArena {
     fn new() -> Self {
-        CellArena { chunks: std::array::from_fn(|_| OnceLock::new()), len: AtomicUsize::new(0) }
+        CellArena {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+            len: CachePadded::new(AtomicUsize::new(0)),
+        }
     }
 
     /// Chunk index and offset for a cell id: chunk `k` starts at
@@ -530,10 +536,17 @@ pub struct ConcurrentDelaunay {
     labels: Vec<u32>,
     arena: CellArena,
     loc: Box<[AtomicU32]>,
+    counters: CachePadded<Counters>,
+    degenerate: bool,
+}
+
+/// What every decision writes, on a line of its own, away from the
+/// read-mostly headers every `try_process` goes through.
+// lint:allow(hot-counter-padded) held only as `CachePadded<Counters>`
+struct Counters {
     remaining: AtomicUsize,
     created: AtomicU64,
     destroyed: AtomicU64,
-    degenerate: bool,
 }
 
 impl fmt::Debug for ConcurrentDelaunay {
@@ -541,7 +554,7 @@ impl fmt::Debug for ConcurrentDelaunay {
         f.debug_struct("ConcurrentDelaunay")
             .field("points", &self.pts.len())
             .field("cells", &self.arena)
-            .field("remaining", &self.remaining.load(Ordering::Relaxed))
+            .field("remaining", &self.counters.remaining.load(Ordering::Relaxed))
             .field("degenerate", &self.degenerate)
             .finish_non_exhaustive()
     }
@@ -590,9 +603,11 @@ impl ConcurrentDelaunay {
             labels: seed.labels,
             arena,
             loc,
-            remaining: AtomicUsize::new(n),
-            created: AtomicU64::new(seed.created),
-            destroyed: AtomicU64::new(seed.destroyed),
+            counters: CachePadded::new(Counters {
+                remaining: AtomicUsize::new(n),
+                created: AtomicU64::new(seed.created),
+                destroyed: AtomicU64::new(seed.destroyed),
+            }),
             degenerate: seed.degenerate,
         }
     }
@@ -677,8 +692,8 @@ impl ConcurrentDelaunay {
         triangles.sort_unstable();
         DelaunayOutput {
             triangles,
-            created: self.created.load(Ordering::Relaxed),
-            destroyed: self.destroyed.load(Ordering::Relaxed),
+            created: self.counters.created.load(Ordering::Relaxed),
+            destroyed: self.counters.destroyed.load(Ordering::Relaxed),
         }
     }
 }
@@ -689,7 +704,7 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
     }
 
     fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
+        self.counters.remaining.load(Ordering::Acquire)
     }
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
@@ -697,14 +712,14 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
         let start = self.loc[ti].load(Ordering::Acquire);
         if start >= LOC_DUPLICATE {
             // Seeds and duplicates are decided once, at their single pop.
-            self.remaining.fetch_sub(1, Ordering::AcqRel);
+            self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
             return TaskOutcome::Obsolete;
         }
         if self.degenerate {
             // No structure exists; insertion is pure bookkeeping, and only
             // the worker that popped `task` ever writes its slot.
             self.loc[ti].store(LOC_INSERTED, Ordering::Release);
-            self.remaining.fetch_sub(1, Ordering::AcqRel);
+            self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
             return TaskOutcome::Processed;
         }
         let p = self.pts[ti];
@@ -869,10 +884,10 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
         for (q, cell) in relocated {
             self.loc[q as usize].store(cell, Ordering::Release);
         }
-        self.created.fetch_add(m as u64, Ordering::Relaxed);
-        self.destroyed.fetch_add(cav.len() as u64, Ordering::Relaxed);
+        self.counters.created.fetch_add(m as u64, Ordering::Relaxed);
+        self.counters.destroyed.fetch_add(cav.len() as u64, Ordering::Relaxed);
         self.loc[ti].store(LOC_INSERTED, Ordering::Release);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
+        self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
         drop(guards);
         TaskOutcome::Processed
     }

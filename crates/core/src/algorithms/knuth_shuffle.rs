@@ -14,6 +14,7 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::{TaskId, NIL};
+use crossbeam::utils::CachePadded;
 use rand::Rng;
 use rsched_graph::Permutation;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -106,7 +107,7 @@ pub struct ConcurrentShuffle {
     preds: Vec<[u32; 2]>,
     done: Vec<AtomicBool>,
     arr: Vec<AtomicU32>,
-    remaining: AtomicUsize,
+    remaining: CachePadded<AtomicUsize>,
 }
 
 impl ConcurrentShuffle {
@@ -119,7 +120,7 @@ impl ConcurrentShuffle {
             preds,
             done: (0..n).map(|_| AtomicBool::new(false)).collect(),
             arr: (0..n as u32).map(AtomicU32::new).collect(),
-            remaining: AtomicUsize::new(n),
+            remaining: CachePadded::new(AtomicUsize::new(n)),
         }
     }
 

@@ -12,6 +12,7 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use rsched_graph::list::NIL;
 use rsched_graph::{ListInstance, Permutation};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -73,7 +74,7 @@ pub struct ConcurrentContraction<'a> {
     done: Vec<AtomicBool>,
     out_prev: Vec<AtomicU32>,
     out_next: Vec<AtomicU32>,
-    remaining: AtomicUsize,
+    remaining: CachePadded<AtomicUsize>,
 }
 
 impl<'a> ConcurrentContraction<'a> {
@@ -92,7 +93,7 @@ impl<'a> ConcurrentContraction<'a> {
             done: (0..n).map(|_| AtomicBool::new(false)).collect(),
             out_prev: (0..n).map(|_| AtomicU32::new(NIL)).collect(),
             out_next: (0..n).map(|_| AtomicU32::new(NIL)).collect(),
-            remaining: AtomicUsize::new(n),
+            remaining: CachePadded::new(AtomicUsize::new(n)),
         }
     }
 

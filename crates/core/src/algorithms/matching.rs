@@ -10,6 +10,7 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use rsched_graph::{line_graph, CsrGraph, Incidence, Permutation};
 use std::fmt;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -126,7 +127,7 @@ pub struct ConcurrentMatching<'a> {
     inst: &'a MatchingInstance,
     labels: &'a [u32],
     state: Vec<AtomicU8>,
-    remaining: AtomicUsize,
+    remaining: CachePadded<AtomicUsize>,
 }
 
 impl<'a> ConcurrentMatching<'a> {
@@ -142,7 +143,7 @@ impl<'a> ConcurrentMatching<'a> {
             inst,
             labels: pi.labels(),
             state: (0..m).map(|_| AtomicU8::new(LIVE)).collect(),
-            remaining: AtomicUsize::new(m),
+            remaining: CachePadded::new(AtomicUsize::new(m)),
         }
     }
 

@@ -9,6 +9,7 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use rsched_graph::{CsrGraph, Permutation};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
@@ -90,13 +91,16 @@ pub fn verify_mis(g: &CsrGraph, in_mis: &[bool]) -> bool {
 /// already-decided neighbor costs a shared read, not an exclusive line
 /// fetch; the CAS winners are the same), and a call publishes everything it
 /// decided with one `remaining` decrement *after* its last state CAS, so
-/// `remaining` reaches 0 only once every decision is visible.
+/// `remaining` reaches 0 only once every decision is visible. `remaining`
+/// is `CachePadded`: on the line of the `g` / `labels` / `state` headers,
+/// each decrement would invalidate the line every `try_process` reads them
+/// from, on every worker (DESIGN.md "Hot-path contention").
 #[derive(Debug)]
 pub struct ConcurrentMis<'a> {
     g: &'a CsrGraph,
     labels: &'a [u32],
     state: Vec<AtomicU8>,
-    remaining: AtomicUsize,
+    remaining: CachePadded<AtomicUsize>,
 }
 
 impl<'a> ConcurrentMis<'a> {
@@ -112,7 +116,7 @@ impl<'a> ConcurrentMis<'a> {
             g,
             labels: pi.labels(),
             state: (0..n).map(|_| AtomicU8::new(LIVE)).collect(),
-            remaining: AtomicUsize::new(n),
+            remaining: CachePadded::new(AtomicUsize::new(n)),
         }
     }
 

@@ -2,6 +2,7 @@
 
 use super::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use rsched_graph::Permutation;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -12,7 +13,7 @@ use std::sync::Mutex;
 pub(crate) struct Chain<'p> {
     pi: &'p Permutation,
     done: Vec<AtomicBool>,
-    remaining: AtomicUsize,
+    remaining: CachePadded<AtomicUsize>,
     log: Mutex<Vec<TaskId>>,
 }
 
@@ -21,7 +22,7 @@ impl<'p> Chain<'p> {
         Chain {
             pi,
             done: (0..pi.len()).map(|_| AtomicBool::new(false)).collect(),
-            remaining: AtomicUsize::new(pi.len()),
+            remaining: CachePadded::new(AtomicUsize::new(pi.len())),
             log: Mutex::new(Vec::new()),
         }
     }

@@ -4,6 +4,7 @@
 
 use super::{CapacityWaiters, ServiceConfig};
 use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
 use rsched_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::cell::RefCell;
@@ -29,10 +30,21 @@ use std::thread;
 /// and decides the child, the books read 1 == 1 with the parent still in
 /// hand (`tests/model_service.rs` finds the interleaving, and the one where
 /// the ledger seals with a pushed run still buffered).
+///
+/// The two sides write different lines: `accepted` (producers' flushes) has
+/// one to itself, and `decided` shares the other only with `sealed`, which
+/// the workers read beside it in every [`Ledger::drained`].
 #[derive(Debug, Default)]
 #[doc(hidden)] // public only so the model-checker suite can drive it
 pub struct Ledger {
-    accepted: AtomicU64,
+    accepted: CachePadded<AtomicU64>,
+    books: CachePadded<Books>,
+}
+
+/// The workers' half of the [`Ledger`].
+// lint:allow(hot-counter-padded) held only as `CachePadded<Books>`
+#[derive(Debug, Default)]
+struct Books {
     decided: AtomicU64,
     sealed: AtomicBool,
 }
@@ -49,18 +61,18 @@ impl Ledger {
 
     /// Records `n` terminal outcomes.
     pub fn decide(&self, n: usize) {
-        self.decided.fetch_add(n as u64, Ordering::SeqCst);
+        self.books.decided.fetch_add(n as u64, Ordering::SeqCst);
     }
 
     /// Marks the producer side closed for good (idempotent, sticky).
     pub fn seal(&self) {
-        if !self.sealed.swap(true, Ordering::SeqCst) {
+        if !self.books.sealed.swap(true, Ordering::SeqCst) {
             rsched_obs::instant!("ledger_seal");
         }
     }
 
     pub fn is_sealed(&self) -> bool {
-        self.sealed.load(Ordering::SeqCst)
+        self.books.sealed.load(Ordering::SeqCst)
     }
 
     pub fn accepted(&self) -> u64 {
@@ -68,7 +80,7 @@ impl Ledger {
     }
 
     pub fn decided(&self) -> u64 {
-        self.decided.load(Ordering::SeqCst)
+        self.books.decided.load(Ordering::SeqCst)
     }
 
     /// The termination predicate: sealed and balanced. Read order matters —
@@ -110,9 +122,9 @@ pub(super) struct ServiceCore<'a> {
     flush_batch: usize,
     watermark: usize,
     pub(super) ledger: Ledger,
-    pub(super) capacity: CapacityWaiters,
+    capacity: CapacityWaiters,
     /// Handles not yet dropped; the last one out seals the ledger.
-    open_producers: AtomicUsize,
+    open_producers: AtomicUsize, // lint:allow(hot-counter-padded) written once per handle, at drop
     /// Set by `seal_all` (or an abort): later pushes are refused.
     closed: AtomicBool,
 }
@@ -140,11 +152,20 @@ impl<'a> ServiceCore<'a> {
         core
     }
 
-    /// Whether a flush must wait: the fullest shard is at the watermark and
-    /// the ledger is open. While any handle is alive only an abort seals
-    /// it, so a sealed ledger here means nobody is left to drain the shard.
+    /// Whether a flush must wait: the watermark is enabled, the fullest
+    /// shard is at it, and the ledger is open. While any handle is alive
+    /// only an abort seals it, so a sealed ledger here means nobody is left
+    /// to drain the shard.
     fn stalled(&self) -> bool {
-        self.load.max_partition_load() >= self.watermark && !self.ledger.is_sealed()
+        self.watermark != usize::MAX
+            && self.load.max_partition_load() >= self.watermark
+            && !self.ledger.is_sealed()
+    }
+
+    /// What workers wake as they drain: `None` with the watermark disabled
+    /// (`usize::MAX`), where no producer ever parks.
+    pub(super) fn waiters(&self) -> Option<&CapacityWaiters> {
+        (self.watermark != usize::MAX).then_some(&self.capacity)
     }
 
     /// Parks the calling producer until [`Self::stalled`] reads false.

@@ -246,8 +246,8 @@ impl CapacityWaiters {
 /// (its submit capability wraps the worker's outgoing buffer), the ledger
 /// moves once per run, termination is the ledger condition, and runs that
 /// retire occupancy wake watermark-parked producers — `capacity` is `None`
-/// on a sealed run, which has no producer to wake and so skips `wake_all`'s
-/// fence.
+/// on a sealed run or with the watermark disabled, where no producer can
+/// park, so the runs skip `wake_all`'s fence.
 struct ServiceDriver<'a, H> {
     handler: &'a H,
     ledger: &'a Ledger,
@@ -378,8 +378,7 @@ where
             let producer = Producer::new(&core);
             scope.spawn(move || body(producer));
         }
-        let driver =
-            ServiceDriver { handler, ledger: &core.ledger, capacity: Some(&core.capacity) };
+        let driver = ServiceDriver { handler, ledger: &core.ledger, capacity: core.waiters() };
         let engine =
             AssertUnwindSafe(|| run_engine(&driver, sched, config.workers, config.batch_size));
         // Inside the scope: it joins the producers before returning, and a

@@ -27,9 +27,19 @@
 //!   per-worker counter cells, and an unpadded cell array puts every
 //!   worker's hot increments on the same cache line — the false sharing
 //!   the striped design exists to avoid.
+//! * `hot-counter-padded` — in `crates/core/src/algorithms` and
+//!   `crates/core/src/service`, a struct field whose type is a scalar
+//!   atomic integer (`AtomicUsize`, `AtomicU64`, …) must be
+//!   `CachePadded<…>`: such a field is a counter written per task, and
+//!   beside the struct's read-mostly fields every write invalidates the
+//!   line each task reads them from. Counters written together go in one
+//!   padded group struct, which carries the escape hatch (below) in the
+//!   comment block above its `struct` line, with the reason. Test modules
+//!   (`#[cfg(test)] mod`, last in a file) are out of scope.
 //!
 //! Escape hatch: a `lint:allow(<rule>)` comment anywhere on the flagged
-//! line suppresses that rule for the line.
+//! line suppresses that rule for the line; for `hot-counter-padded`, one in
+//! the comment block above a `struct` line suppresses it for the struct.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -52,10 +62,28 @@ const FACADE_PORTED: &[&str] =
 /// registry's per-worker counter cells).
 const OBS_PADDED_SCOPE: &str = "crates/obs/src";
 
+/// File sets whose struct fields may not be bare scalar atomic integers.
+const HOT_COUNTER_SCOPE: &[&str] = &["crates/core/src/algorithms", "crates/core/src/service"];
+
+/// The scalar atomic integer types `hot-counter-padded` looks for.
+const ATOMIC_INTS: &[&str] = &[
+    "AtomicU8",
+    "AtomicU16",
+    "AtomicU32",
+    "AtomicU64",
+    "AtomicUsize",
+    "AtomicI8",
+    "AtomicI16",
+    "AtomicI32",
+    "AtomicI64",
+    "AtomicIsize",
+];
+
 const RULE_UNSAFE: &str = "unsafe-comment";
 const RULE_FENCE: &str = "seqcst-fence";
 const RULE_FACADE: &str = "facade-atomics";
 const RULE_OBS_PADDED: &str = "obs-cache-padded";
+const RULE_HOT_COUNTER: &str = "hot-counter-padded";
 
 #[derive(Debug)]
 struct Violation {
@@ -226,10 +254,28 @@ fn allowed(line: &str, rule: &str) -> bool {
     line.contains(&format!("lint:allow({rule})"))
 }
 
+/// Whether `code` declares a struct field of a bare scalar atomic integer
+/// type: `[pub[(…)]] name: [path::]AtomicXxx[,]`.
+fn is_atomic_int_field(code: &str) -> bool {
+    let Some((head, ty)) = code.trim().trim_end_matches(',').split_once(':') else {
+        return false;
+    };
+    // The field name is the last word before the colon (after any `pub(…)`).
+    let name = head.split_whitespace().last().unwrap_or("");
+    !ty.starts_with(':')
+        && !name.is_empty()
+        && name.chars().all(is_word_char)
+        && ty.trim().rsplit("::").next().is_some_and(|t| ATOMIC_INTS.contains(&t))
+}
+
 fn lint_file(rel: &str, text: &str, out: &mut Vec<Violation>) {
     let lines: Vec<&str> = text.lines().collect();
     let facade_scoped = FACADE_PORTED.iter().any(|p| rel.starts_with(p));
     let obs_padded_scoped = rel.starts_with(OBS_PADDED_SCOPE);
+    let hot_counter_scoped = HOT_COUNTER_SCOPE.iter().any(|p| rel.starts_with(p));
+    // `hot-counter-padded` state: inside a braced struct body, whether that
+    // struct opted out, and whether the test module has begun.
+    let (mut in_struct, mut struct_allowed, mut in_tests) = (false, false, false);
 
     let mut in_block = false;
     let mut split: Vec<(String, String)> = Vec::with_capacity(lines.len());
@@ -303,6 +349,34 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Violation>) {
                 line: lineno,
                 rule: RULE_OBS_PADDED,
                 message: "boxed atomic slice in the obs crate must be `CachePadded` (counter cells share cache lines otherwise)".into(),
+            });
+        }
+
+        // Rule: hot-counter-padded
+        let trimmed = code.trim();
+        if trimmed == "#[cfg(test)]"
+            && split.get(i + 1).is_some_and(|(next, _)| next.trim_start().starts_with("mod "))
+        {
+            in_tests = true;
+        }
+        if has_word(code, "struct") && trimmed.ends_with('{') {
+            in_struct = true;
+            struct_allowed = allowed(raw, RULE_HOT_COUNTER)
+                || comment_block_above(&lines, i, |s| allowed(s, RULE_HOT_COUNTER));
+        } else if in_struct && trimmed.starts_with('}') {
+            in_struct = false;
+        } else if hot_counter_scoped
+            && in_struct
+            && !struct_allowed
+            && !in_tests
+            && is_atomic_int_field(code)
+            && !allowed(raw, RULE_HOT_COUNTER)
+        {
+            out.push(Violation {
+                file: rel.to_string(),
+                line: lineno,
+                rule: RULE_HOT_COUNTER,
+                message: "scalar atomic counter field must be `CachePadded` (or in a padded group struct) so its writes stay off the struct's read-mostly line".into(),
             });
         }
     }
@@ -473,6 +547,48 @@ mod tests {
         // buckets at one cache line each would cost ~90 KiB per histogram.
         let src = "struct H {\n    buckets: Box<[AtomicU64]>, // lint:allow(obs-cache-padded) bucket array\n}\n";
         assert!(run("crates/obs/src/hist.rs", src).is_empty());
+    }
+
+    #[test]
+    fn unpadded_hot_counter_flagged() {
+        let src = "pub struct Mis<'a> {\n    labels: &'a [u32],\n    state: Vec<AtomicU8>,\n    remaining: AtomicUsize,\n    pub(crate) done: std::sync::atomic::AtomicU64,\n}\n";
+        let v = run("crates/core/src/algorithms/mis.rs", src);
+        assert_eq!(
+            v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(),
+            [(RULE_HOT_COUNTER, 4), (RULE_HOT_COUNTER, 5)]
+        );
+        let v =
+            run("crates/core/src/service/ingest.rs", "struct L {\n    accepted: AtomicU64,\n}\n");
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, RULE_HOT_COUNTER);
+    }
+
+    #[test]
+    fn padded_hot_counter_ok() {
+        // Padded scalars, atomic slices and arrays, flags, and atomics that
+        // are not struct fields all pass.
+        let src = "struct Mis {\n    remaining: CachePadded<AtomicUsize>,\n    state: Vec<AtomicU8>,\n    v: [AtomicU32; 3],\n    alive: AtomicBool,\n}\nfn f(c: &AtomicUsize) {\n    let x: AtomicU64 = AtomicU64::new(0);\n}\n";
+        assert!(run("crates/core/src/algorithms/mis.rs", src).is_empty());
+    }
+
+    #[test]
+    fn hot_counter_escape_hatch() {
+        // On the field's line, or above a group struct kept in one
+        // `CachePadded`.
+        let src = "struct Core {\n    open: AtomicUsize, // lint:allow(hot-counter-padded) written at drop\n}\n/// The group.\n// lint:allow(hot-counter-padded) held only as `CachePadded<Counters>`\n#[derive(Debug)]\nstruct Counters {\n    remaining: AtomicUsize,\n    created: AtomicU64,\n}\nstruct After {\n    hot: AtomicU64,\n}\n";
+        let v = run("crates/core/src/algorithms/incremental/delaunay.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (RULE_HOT_COUNTER, 12));
+    }
+
+    #[test]
+    fn hot_counter_rule_out_of_scope() {
+        let src = "struct Chain {\n    remaining: AtomicUsize,\n}\n";
+        assert!(run("crates/core/src/framework/testing.rs", src).is_empty());
+        assert!(run("crates/queues/src/concurrent/multiqueue.rs", src).is_empty());
+        // A test module, last in the file, holds probes, not hot counters.
+        let src = "fn f() {}\n\n#[cfg(test)]\nmod tests {\n    struct Probe {\n        hits: AtomicU32,\n    }\n}\n";
+        assert!(run("crates/core/src/service/mod.rs", src).is_empty());
     }
 
     #[test]

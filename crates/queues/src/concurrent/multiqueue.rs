@@ -63,8 +63,8 @@ pub trait Bucket<T>: Send + Sync + Sized {
 
 /// The MultiQueue over buckets of kind `B`: the padded bucket array, the
 /// two-choice pop, random-bucket inserts scattered in runs, `len` as the
-/// sum of the bucket counts, the bulk-load build. Use it through the aliases
-/// [`MultiQueue`], [`super::BulkMultiQueue`] and
+/// sum of the bucket counts, the radix-sorted bulk load. Use it through the
+/// aliases [`MultiQueue`], [`super::BulkMultiQueue`] and
 /// [`super::LockFreeMultiQueue`], which carry the constructors.
 ///
 /// `insert` pushes to a random bucket; `pop` compares the heads of two
@@ -81,12 +81,90 @@ pub struct MultiQueueCore<T, B> {
     _elem: PhantomData<fn() -> T>,
 }
 
-/// Prefills smaller than this are sorted on the calling thread: spawning
-/// sort threads would cost more than the sort.
+/// Prefills smaller than this are radix-sorted on the calling thread:
+/// spawning sort threads would cost more than the sort.
 const PARALLEL_SORT_MIN: u64 = 1 << 14;
 
+/// Widest digit of [`radix_sort`]: 2¹¹ counters (16 KiB) per pass stay in
+/// L1, and a 20-bit span (`mis_sparse`'s million labels) takes two passes.
+const RADIX_BITS: u32 = 11;
+
+/// Sorts `run`, which is in `seq` order, into `(priority, seq)` order: a
+/// stable LSD radix sort on `priority − min` over the bits in which the
+/// run's priorities differ, so equal priorities keep their `seq` order and
+/// the result is the one a comparison sort of the keys gives. One read
+/// finds the span, one counts every digit, and each digit that varies is
+/// one scatter through `scratch`, which the caller may reuse across runs.
+fn radix_sort<T>(run: &mut Vec<Entry<T>>, scratch: &mut Vec<Entry<T>>) {
+    let n = run.len();
+    if n < 2 {
+        return;
+    }
+    let (min, max) =
+        run.iter().fold((u64::MAX, 0), |(lo, hi), e| (lo.min(e.priority), hi.max(e.priority)));
+    let bits = u64::BITS - (max - min).leading_zeros();
+    if bits == 0 {
+        return;
+    }
+    // No wider than the run is long, so a short run clears few counters;
+    // then evened out over the passes the span needs.
+    let passes = bits.div_ceil(RADIX_BITS.min(usize::BITS - n.leading_zeros()));
+    let width = bits.div_ceil(passes);
+    let (radix, mask) = (1usize << width, (1u64 << width) - 1);
+    let digit = |e: &Entry<T>, pass: u32| (((e.priority - min) >> (pass * width)) & mask) as usize;
+    let mut offsets = vec![0usize; passes as usize * radix];
+    for e in run.iter() {
+        for pass in 0..passes {
+            offsets[pass as usize * radix + digit(e, pass)] += 1;
+        }
+    }
+    for (pass, next) in (0..passes).zip(offsets.chunks_exact_mut(radix)) {
+        if next.contains(&n) {
+            continue; // one digit value throughout: the order stands
+        }
+        let mut at = 0;
+        for slot in next.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        scatter(run, scratch, |e| {
+            let d = digit(e, pass);
+            next[d] += 1;
+            next[d] - 1
+        });
+        std::mem::swap(run, scratch);
+    }
+}
+
+/// Moves every entry of `src` to `dst[place(entry)]`, leaving `src` empty
+/// and `dst` holding exactly those entries. `place` must map the entries
+/// one-to-one onto `0..src.len()`, in the order they are handed to it.
+fn scatter<T>(
+    src: &mut Vec<Entry<T>>,
+    dst: &mut Vec<Entry<T>>,
+    mut place: impl FnMut(&Entry<T>) -> usize,
+) {
+    let n = src.len();
+    dst.clear();
+    dst.reserve(n);
+    let slots = &mut dst.spare_capacity_mut()[..n];
+    // SAFETY: with its length 0, `src` no longer owns (or drops) its first
+    // `n` elements, which stay initialized in its buffer; the loop below
+    // moves each out exactly once. A panic on the way leaks, never frees
+    // twice: the moved-out entry is dropped by the unwind, the rest by nobody.
+    unsafe { src.set_len(0) };
+    for i in 0..n {
+        // SAFETY: `i < n`, so this slot was initialized and is read once.
+        let e = unsafe { src.as_ptr().add(i).read() };
+        slots[place(&e)].write(e);
+    }
+    // SAFETY: `place` hit each of the first `n` slots once, so all are
+    // initialized, and `dst` was empty before them.
+    unsafe { dst.set_len(n) };
+}
+
 impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
-    /// Scatters `entries` over `num_queues` buckets, sorting the runs on up
+    /// Scatters `entries` over `num_queues` buckets, then puts each run in
+    /// `(priority, seq)` order with [`radix_sort`] — in linear time, on up
     /// to `sort_threads` scoped threads when there is enough to sort.
     pub(super) fn build<I>(num_queues: usize, entries: I, sort_threads: usize) -> Self
     where
@@ -104,14 +182,18 @@ impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
             runs[rng::next_index(num_queues)].push(Entry::new(priority, seq, item));
             seq += 1;
         }
+        let sort = |runs: &mut [Vec<Entry<T>>]| {
+            let mut scratch = Vec::new();
+            runs.iter_mut().for_each(|r| radix_sort(r, &mut scratch));
+        };
         if sort_threads > 1 && seq >= PARALLEL_SORT_MIN {
             std::thread::scope(|s| {
                 for chunk in runs.chunks_mut(num_queues.div_ceil(sort_threads)) {
-                    s.spawn(move || chunk.iter_mut().for_each(|r| r.sort_unstable()));
+                    s.spawn(move || sort(chunk));
                 }
             });
         } else {
-            runs.iter_mut().for_each(|r| r.sort_unstable());
+            sort(&mut runs);
         }
         MultiQueueCore {
             buckets: runs.into_iter().map(|run| CachePadded::new(B::from_sorted(run))).collect(),
@@ -773,6 +855,101 @@ mod tests {
             heap_model::<Heap<u64>>(&initial, &ops)?;
             heap_model::<crate::concurrent::Run<u64>>(&initial, &ops)?;
         }
+    }
+
+    /// Every bucket's entries as `(priority, item)`, in the order the bucket
+    /// pops them, emptying it.
+    fn bucket_contents<B: Bucket<u64>>(q: &MultiQueueCore<u64, B>) -> Vec<Vec<(u64, u64)>> {
+        let contents = q.buckets.iter().map(|b| {
+            let guard = b.guard();
+            let mut open = b.open(&guard);
+            let mut out = Vec::new();
+            b.pop_run(&mut open, usize::MAX, |e| out.push(e));
+            b.close(open, -(out.len() as isize));
+            out
+        });
+        contents.collect()
+    }
+
+    /// Checks a bulk load of `entries` (items are insertion indices): one
+    /// bucket drains in exactly `(priority, insertion)` order; with
+    /// `queues` buckets each drains in that order and the drain, sorted, is
+    /// the input.
+    fn bulk_load_is_exact(entries: &[(u64, u64)], queues: usize) -> TestCaseResult {
+        let mut want = entries.to_vec();
+        want.sort_unstable();
+        let input = || entries.iter().copied();
+        for contents in [
+            bucket_contents(&BulkMultiQueue::prefilled(1, input())),
+            bucket_contents(&LockFreeMultiQueue::<u64, Ebr>::prefilled_in(1, input())),
+            bucket_contents(&LockFreeMultiQueue::<u64, Vbr>::prefilled_in(1, input())),
+        ] {
+            prop_assert_eq!(&contents, &vec![want.clone()]);
+        }
+        for contents in [
+            bucket_contents(&BulkMultiQueue::prefilled(queues, input())),
+            bucket_contents(&LockFreeMultiQueue::<u64, Ebr>::prefilled_in(queues, input())),
+        ] {
+            prop_assert!(contents.iter().all(|run| run.is_sorted()), "a bucket out of order");
+            let mut all = contents.concat();
+            all.sort_unstable();
+            prop_assert_eq!(&all, &want);
+        }
+        Ok(())
+    }
+
+    /// Priorities that stress the radix sort's span, shaped from `raw` by
+    /// `shape`: arbitrary; all equal (span 0); many ties; within 64 of a
+    /// multiple of 2³², either side; `0` beside `u64::MAX`; none; one.
+    fn bulk_priorities() -> impl Strategy<Value = Vec<u64>> {
+        (0u8..7, collection::vec(any::<u64>(), 0..300)).prop_map(|(shape, raw)| match shape {
+            0 => raw,
+            1 => vec![raw.first().copied().unwrap_or(u64::MAX); raw.len()],
+            2 => raw.iter().map(|r| r % 6).collect(),
+            3 => raw.iter().map(|r| ((1 + r % 3) << 32) + (r >> 57) - 64).collect(),
+            4 => raw.iter().map(|r| if r & 1 == 0 { 0 } else { u64::MAX }).collect(),
+            _ => raw.into_iter().take(usize::from(shape - 5)).collect(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The bulk load's radix sort equals a comparison sort of the
+        /// `(priority, seq)` keys, alone and behind every prefill
+        /// constructor.
+        #[test]
+        fn bulk_load_matches_comparison_sort(
+            priorities in bulk_priorities(),
+            queues in 2usize..9,
+        ) {
+            let entries: Vec<(u64, u64)> = priorities.into_iter().zip(0..).collect();
+            let mut run: Vec<Entry<u64>> =
+                entries.iter().map(|&(p, i)| Entry::new(p, i, i)).collect();
+            let mut want = run.clone();
+            want.sort_unstable();
+            radix_sort(&mut run, &mut Vec::new());
+            let fields = |r: &[Entry<u64>]| -> Vec<_> {
+                r.iter().map(|e| (e.priority, e.seq, e.item)).collect()
+            };
+            prop_assert_eq!(fields(&run), fields(&want));
+            bulk_load_is_exact(&entries, queues)?;
+        }
+    }
+
+    /// A prefill large enough to sort its runs on two threads, reusing each
+    /// thread's scratch buffer across runs, with many ties.
+    #[test]
+    fn parallel_bulk_load_is_exact() {
+        let entries: Vec<(u64, u64)> = (0..40_000u64).map(|i| (i * 7919 % 3_001, i)).collect();
+        let q = BulkMultiQueue::prefilled_for_threads(2, entries.iter().copied());
+        let contents = bucket_contents(&q);
+        assert!(contents.iter().all(|run| run.is_sorted()), "a bucket out of order");
+        let mut all = contents.concat();
+        all.sort_unstable();
+        let mut want = entries;
+        want.sort_unstable();
+        assert_eq!(all, want);
     }
 
     #[test]
