@@ -43,9 +43,7 @@ use crate::TaskId;
 use crossbeam::utils::CachePadded;
 use rsched_graph::geom::{in_circle, on_open_segment, orient2d, Point};
 use rsched_graph::Permutation;
-use rsched_queues::lock::{McsLock, RawLock};
-use std::cell::UnsafeCell;
-use std::collections::{HashMap, HashSet};
+use std::cell::{RefCell, UnsafeCell};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -407,20 +405,23 @@ const LOC_DUPLICATE: u32 = u32::MAX - 1;
 ///   before any `nbr`/`loc` store makes the id reachable; readers get the
 ///   happens-before edge from that publishing Release/Acquire pair, so
 ///   `Relaxed` loads suffice).
+/// * `locked` — the cell's lock, a flag that is only ever *tried*: taken by
+///   `compare_exchange(false, true, Acquire, Relaxed)`, cleared by a
+///   `Release` store when the [`Held`] guard drops.
 /// * `nbr`, `alive` — readable by lock-free speculation at any time;
-///   *written* only by a thread holding `lock`.
-/// * `bucket` — accessed (read or write) only under `lock`, except that the
-///   creator fills a fan cell's bucket between allocation and publication,
-///   while the id is still unreachable.
+///   *written* only by a thread holding `locked`.
+/// * `bucket` — accessed (read or write) only under `locked`, except that
+///   the creator fills a fan cell's bucket between allocation and
+///   publication, while the id is still unreachable.
 struct ConcCell {
     v: [AtomicU32; 3],
     nbr: [AtomicU32; 3],
     alive: AtomicBool,
-    lock: McsLock,
+    locked: AtomicBool,
     bucket: UnsafeCell<Vec<u32>>,
 }
 
-// SAFETY: `bucket` (the one non-Sync field) is only touched under `lock`
+// SAFETY: `bucket` (the one non-Sync field) is only touched under `locked`
 // or before the cell is published, per the field protocol above.
 unsafe impl Sync for ConcCell {}
 
@@ -430,10 +431,111 @@ impl Default for ConcCell {
             v: [AtomicU32::new(GHOST), AtomicU32::new(GHOST), AtomicU32::new(GHOST)],
             nbr: [AtomicU32::new(u32::MAX), AtomicU32::new(u32::MAX), AtomicU32::new(u32::MAX)],
             alive: AtomicBool::new(false),
-            lock: McsLock::new(),
+            locked: AtomicBool::new(false),
             bucket: UnsafeCell::new(Vec::new()),
         }
     }
+}
+
+/// The taken prefix of a sorted lockset. Dropping it clears those flags
+/// with `Release` stores — on every return path and on unwind — so the next
+/// taker's `Acquire` sees every write made under them.
+struct Held<'a> {
+    arena: &'a CellArena,
+    ids: &'a [u32],
+    taken: usize,
+}
+
+impl<'a> Held<'a> {
+    /// Try-takes every flag of `ids` in order; `None` at the first one
+    /// already set, with the prefix taken so far released.
+    fn try_take(arena: &'a CellArena, ids: &'a [u32]) -> Option<Self> {
+        let mut held = Held { arena, ids, taken: 0 };
+        for &id in ids {
+            let flag = &arena.get(id).locked;
+            if flag.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed).is_err() {
+                return None;
+            }
+            held.taken += 1;
+        }
+        Some(held)
+    }
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        for &id in &self.ids[..self.taken] {
+            self.arena.get(id).locked.store(false, Ordering::Release);
+        }
+    }
+}
+
+/// A cell's closed bucketing region ([`Triangulation::bucket_match`]) with
+/// its vertices resolved to points: a real triangle, or a ghost cell's
+/// directed hull edge `(u, w)`.
+#[derive(Clone, Copy)]
+enum Region {
+    Tri([Point; 3]),
+    Ghost(Point, Point),
+}
+
+impl Region {
+    fn contains(&self, p: Point) -> bool {
+        match *self {
+            Region::Tri([a, b, c]) => {
+                orient2d(a, b, p) >= 0 && orient2d(b, c, p) >= 0 && orient2d(c, a, p) >= 0
+            }
+            Region::Ghost(u, w) => orient2d(u, w, p) > 0 || on_open_segment(u, w, p),
+        }
+    }
+}
+
+/// Validation class of a lockset slot.
+const UNSEEN: u8 = 0;
+const CAVITY: u8 = 1;
+const RING: u8 = 2;
+
+/// Every per-insert buffer of [`ConcurrentDelaunay::try_process`], one set
+/// per worker thread, cleared before each use: once these have grown to
+/// the largest cavity seen, an insert allocates none of its own buffers.
+struct Scratch {
+    /// Speculated cavity and its ring of surviving neighbors.
+    cavity: Vec<u32>,
+    ring: Vec<u32>,
+    /// Sorted, deduplicated cavity ∪ ring: the flags to take.
+    lockset: Vec<u32>,
+    /// Validation class per lockset slot ([`UNSEEN`], [`CAVITY`], [`RING`]).
+    class: Vec<u8>,
+    /// Validated cavity and ring.
+    cav: Vec<u32>,
+    outs: Vec<u32>,
+    /// Boundary edges `(a, b, outer, slot in outer)`, in cavity order.
+    boundary: Vec<(u32, u32, u32, usize)>,
+    displaced: Vec<u32>,
+    relocated: Vec<(u32, u32)>,
+    /// Bucketing regions of the fan cells, then of the ring cells.
+    regions: Vec<Region>,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Scratch {
+            cavity: Vec::new(),
+            ring: Vec::new(),
+            lockset: Vec::new(),
+            class: Vec::new(),
+            cav: Vec::new(),
+            outs: Vec::new(),
+            boundary: Vec::new(),
+            displaced: Vec::new(),
+            relocated: Vec::new(),
+            regions: Vec::new(),
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
 }
 
 /// Cells per first chunk (log2); chunk `k` holds `1024 << k` cells.
@@ -506,8 +608,8 @@ impl fmt::Debug for CellArena {
 
 /// Delaunay as a framework instance — task `v` inserts `points[v]` —
 /// thread-safe with **fine-grained cavity locking**: every cell carries its
-/// own [`McsLock`] and [`ConcurrentAlgorithm::try_process`] locks exactly
-/// the cells an insertion touches — no structure-wide mutex.
+/// own lock flag and [`ConcurrentAlgorithm::try_process`] takes exactly the
+/// flags of the cells an insertion touches — no structure-wide mutex.
 ///
 /// The protocol per popped task:
 ///
@@ -526,6 +628,12 @@ impl fmt::Debug for CellArena {
 ///    release and return `Blocked`.
 /// 4. **Commit**: the sequential carve/fan/rebucket, publishing fan-cell
 ///    ids with `Release` stores only after the cells are fully built.
+///
+/// An insertion hashes nothing and allocates no buffer of its own: its
+/// buffers live in per-thread scratch, membership tests are linear scans
+/// over the O(1)-expected cavity or binary searches in the sorted lockset,
+/// and a carved cell's bucket buffer moves into a fan cell instead of being
+/// freed, so only a bucket that outgrows what it inherited allocates.
 ///
 /// Retries are bounded in practice by the same argument as the sequential
 /// conflict semantics: whoever holds the contended cells finishes a finite
@@ -622,55 +730,56 @@ impl ConcurrentDelaunay {
         ]
     }
 
-    /// [`Triangulation::conflicts`] over a vertex triple.
+    /// [`Triangulation::conflicts`] over a vertex triple: strict in-circle
+    /// for a real cell; a ghost cell's conflict rule is its region.
     fn conflicts_v(&self, v: [u32; 3], p: Point) -> bool {
-        if let Some(k) = v.iter().position(|&x| x == GHOST) {
-            let u = self.pts[v[(k + 1) % 3] as usize];
-            let w = self.pts[v[(k + 2) % 3] as usize];
-            orient2d(u, w, p) > 0 || on_open_segment(u, w, p)
-        } else {
-            let [a, b, c] = v;
-            in_circle(self.pts[a as usize], self.pts[b as usize], self.pts[c as usize], p) > 0
+        match self.region(v) {
+            Region::Tri([a, b, c]) => in_circle(a, b, c, p) > 0,
+            ghost => ghost.contains(p),
         }
     }
 
-    /// [`Triangulation::bucket_match`] over a vertex triple.
-    fn bucket_match_v(&self, v: [u32; 3], p: Point) -> bool {
-        if v.contains(&GHOST) {
-            return self.conflicts_v(v, p);
+    /// The bucketing region of a vertex triple (the rule of
+    /// [`Triangulation::bucket_match`]).
+    fn region(&self, v: [u32; 3]) -> Region {
+        match v.iter().position(|&x| x == GHOST) {
+            Some(k) => {
+                Region::Ghost(self.pts[v[(k + 1) % 3] as usize], self.pts[v[(k + 2) % 3] as usize])
+            }
+            None => Region::Tri(v.map(|x| self.pts[x as usize])),
         }
-        let [a, b, c] = v.map(|x| self.pts[x as usize]);
-        orient2d(a, b, p) >= 0 && orient2d(b, c, p) >= 0 && orient2d(c, a, p) >= 0
     }
 
     /// Lock-free cavity speculation: BFS the conflict region from `start`,
-    /// returning the cavity and its boundary neighbors as *observed* — a
-    /// snapshot that step 3 re-validates under locks. `None` means the
+    /// filling `cavity` and its boundary neighbors `ring` as *observed* — a
+    /// snapshot that step 3 re-validates under locks. `false` means the
     /// snapshot is already visibly stale (a dead cell), so the caller can
     /// skip the locking round-trip and report `Blocked` immediately.
-    fn speculate(&self, start: u32, p: Point) -> Option<(Vec<u32>, Vec<u32>)> {
-        let mut cavity = vec![start];
-        let mut outers = Vec::new();
-        let mut seen: HashSet<u32> = HashSet::from([start]);
+    fn speculate(&self, start: u32, p: Point, cavity: &mut Vec<u32>, ring: &mut Vec<u32>) -> bool {
+        cavity.clear();
+        ring.clear();
+        cavity.push(start);
         let mut i = 0;
         while i < cavity.len() {
             let c = self.arena.get(cavity[i]);
             i += 1;
             if !c.alive.load(Ordering::Acquire) {
-                return None;
+                return false;
             }
             for j in 0..3 {
                 let nb = c.nbr[j].load(Ordering::Acquire);
-                if seen.insert(nb) {
-                    if self.conflicts_v(self.cell_v(nb), p) {
-                        cavity.push(nb);
-                    } else {
-                        outers.push(nb);
-                    }
+                // Seen = cavity ∪ ring, a handful of cells on uniform points.
+                if cavity.contains(&nb) || ring.contains(&nb) {
+                    continue;
+                }
+                if self.conflicts_v(self.cell_v(nb), p) {
+                    cavity.push(nb);
+                } else {
+                    ring.push(nb);
                 }
             }
         }
-        Some((cavity, outers))
+        true
     }
 
     /// Extracts the run output.
@@ -722,29 +831,46 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
             self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
             return TaskOutcome::Processed;
         }
+        SCRATCH.with(|s| self.insert(task, start, &mut s.borrow_mut()))
+    }
+}
+
+impl ConcurrentDelaunay {
+    /// Steps 1–4 of the protocol for pending, non-degenerate `task`,
+    /// anchored at its bucket cell `start`, in `s`'s buffers.
+    fn insert(&self, task: TaskId, start: u32, s: &mut Scratch) -> TaskOutcome {
+        let Scratch {
+            cavity,
+            ring,
+            lockset,
+            class,
+            cav,
+            outs,
+            boundary,
+            displaced,
+            relocated,
+            regions,
+        } = s;
+        let ti = task as usize;
         let p = self.pts[ti];
 
         // 1. Speculate without locks.
-        let Some((cavity, outers)) = self.speculate(start, p) else {
+        if !self.speculate(start, p, cavity, ring) {
             return TaskOutcome::Blocked;
-        };
+        }
 
-        // 2. Try-acquire cavity ∪ boundary in ascending id order. The total
-        // order makes acquisition deadlock-free; try-only makes any
-        // collision a failed delete instead of a wait.
-        let mut lockset: Vec<u32> = Vec::with_capacity(cavity.len() + outers.len());
-        lockset.extend_from_slice(&cavity);
-        lockset.extend_from_slice(&outers);
+        // 2. Try-take cavity ∪ ring in ascending id order. The total order
+        // makes acquisition deadlock-free; try-only makes any collision a
+        // failed delete instead of a wait.
+        lockset.clear();
+        lockset.extend_from_slice(cavity);
+        lockset.extend_from_slice(ring);
         lockset.sort_unstable();
         lockset.dedup();
-        let mut guards = Vec::with_capacity(lockset.len());
-        for &id in &lockset {
-            match self.arena.get(id).lock.try_lock() {
-                Some(g) => guards.push(g),
-                // Dropping `guards` releases everything acquired so far.
-                None => return TaskOutcome::Blocked,
-            }
-        }
+        let lockset: &[u32] = lockset;
+        let Some(held) = Held::try_take(&self.arena, lockset) else {
+            return TaskOutcome::Blocked;
+        };
 
         // 3. Validate under locks. `loc[task]` still pointing at `start`
         // while we hold `start`'s lock pins the anchor: any carve of
@@ -758,28 +884,45 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
         // Recompute the authoritative cavity: classification is a pure
         // function of the immutable vertex triple, so only *membership* can
         // differ from the speculation — and every member must be locked.
-        let locked = |id: u32| lockset.binary_search(&id).is_ok();
-        let mut cav: Vec<u32> = vec![start];
-        let mut outs: Vec<u32> = Vec::new();
-        let mut class: HashMap<u32, bool> = HashMap::from([(start, true)]);
+        // A cell's class lives at its lockset slot; the search that finds
+        // the slot is also the "is it locked" test. The boundary edges
+        // (slots read under the outer cells' locks) fall out of the same
+        // walk, in cavity order.
+        class.clear();
+        class.resize(lockset.len(), UNSEEN);
+        class[lockset.binary_search(&start).expect("the anchor is locked")] = CAVITY;
+        cav.clear();
+        outs.clear();
+        boundary.clear();
+        cav.push(start);
         let mut i = 0;
         while i < cav.len() {
-            let c = self.arena.get(cav[i]);
+            let cell = cav[i];
+            let (c, cv) = (self.arena.get(cell), self.cell_v(cell));
             i += 1;
             for j in 0..3 {
                 let nb = c.nbr[j].load(Ordering::Acquire);
-                if class.contains_key(&nb) {
-                    continue;
-                }
-                if !locked(nb) || !self.arena.get(nb).alive.load(Ordering::Acquire) {
+                let Ok(slot) = lockset.binary_search(&nb) else {
                     return TaskOutcome::Blocked; // speculation raced an insertion
+                };
+                if class[slot] == UNSEEN {
+                    if !self.arena.get(nb).alive.load(Ordering::Acquire) {
+                        return TaskOutcome::Blocked;
+                    }
+                    if self.conflicts_v(self.cell_v(nb), p) {
+                        class[slot] = CAVITY;
+                        cav.push(nb);
+                    } else {
+                        class[slot] = RING;
+                        outs.push(nb);
+                    }
                 }
-                let conflict = self.conflicts_v(self.cell_v(nb), p);
-                class.insert(nb, conflict);
-                if conflict {
-                    cav.push(nb);
-                } else {
-                    outs.push(nb);
+                if class[slot] == RING {
+                    let oc = self.arena.get(nb);
+                    let in_outer = (0..3)
+                        .find(|&s| oc.nbr[s].load(Ordering::Relaxed) == cell)
+                        .expect("adjacency must be symmetric under locks");
+                    boundary.push((cv[(j + 1) % 3], cv[(j + 2) % 3], nb, in_outer));
                 }
             }
         }
@@ -797,37 +940,9 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
             return TaskOutcome::Blocked;
         }
 
-        // 4. Commit. Boundary edges first (slots read under the outer
-        // cells' locks), then the sequential carve/fan/rebucket.
-        let mut boundary: Vec<(u32, u32, u32, usize)> = Vec::with_capacity(cav.len() + 2);
-        for &cell in &cav {
-            let c = self.arena.get(cell);
-            let cv = self.cell_v(cell);
-            for j in 0..3 {
-                let outer = c.nbr[j].load(Ordering::Relaxed);
-                if class[&outer] {
-                    continue;
-                }
-                let oc = self.arena.get(outer);
-                let slot = (0..3)
-                    .find(|&s| oc.nbr[s].load(Ordering::Relaxed) == cell)
-                    .expect("adjacency must be symmetric under locks");
-                boundary.push((cv[(j + 1) % 3], cv[(j + 2) % 3], outer, slot));
-            }
-        }
-
-        // Carve: kill cavity cells, pooling their buckets for relocation.
-        let mut displaced: Vec<u32> = Vec::new();
-        for &cell in &cav {
-            let c = self.arena.get(cell);
-            c.alive.store(false, Ordering::Release);
-            // SAFETY: `cell` is locked by us.
-            let bucket = unsafe { &mut *c.bucket.get() };
-            displaced.extend(bucket.drain(..).filter(|&q| q != task));
-        }
-
-        // Fan: allocate unpublished cells and build them completely —
-        // vertices, all three links, liveness — before any id escapes.
+        // 4. Commit. Fan: allocate unpublished cells and build them
+        // completely — vertices, all three links, liveness — before any id
+        // escapes.
         let m = boundary.len();
         let base = self.arena.alloc(m);
         for (idx, &(a, b, outer, _)) in boundary.iter().enumerate() {
@@ -849,30 +964,46 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
             nc.nbr[2].store(base + before as u32, Ordering::Relaxed);
         }
 
+        // Carve: kill cavity cells, pooling their buckets for relocation.
+        // Cavity cell i's drained buffer moves into fan cell i (the fan has
+        // two more cells than the cavity), so dead cells hold no buffer and
+        // the fan mostly needs no fresh one.
+        displaced.clear();
+        for (i, &cell) in cav.iter().enumerate() {
+            let c = self.arena.get(cell);
+            c.alive.store(false, Ordering::Release);
+            // SAFETY: `cell` is locked by us.
+            let bucket = unsafe { &mut *c.bucket.get() };
+            displaced.extend(bucket.drain(..).filter(|&q| q != task));
+            let spare = std::mem::take(bucket);
+            if i < m {
+                // SAFETY: `base + i` is ours until published below.
+                unsafe { *self.arena.get(base + i as u32).bucket.get() = spare };
+            }
+        }
+
         // Rebucket while the fan is still unreachable. The fan tiles the
         // carved region, so a displaced point lands in a fan cell — except
         // exactly on the cavity boundary, where the (locked) surviving
-        // neighbor may be the only closed-region match.
-        let mut relocated: Vec<(u32, u32)> = Vec::with_capacity(displaced.len());
-        'points: for q in displaced {
-            let qp = self.pts[q as usize];
-            for idx in 0..m as u32 {
-                if self.bucket_match_v(self.cell_v(base + idx), qp) {
-                    // SAFETY: `base + idx` is ours until published below.
-                    unsafe { (*self.arena.get(base + idx).bucket.get()).push(q) };
-                    relocated.push((q, base + idx));
-                    continue 'points;
-                }
+        // neighbor may be the only closed-region match. First match wins,
+        // fan cells in boundary order, then the ring in validation order.
+        relocated.clear();
+        if !displaced.is_empty() {
+            regions.clear();
+            regions.extend(boundary.iter().map(|&(a, b, ..)| self.region([task, a, b])));
+            regions.extend(outs.iter().map(|&o| self.region(self.cell_v(o))));
+            for &q in displaced.iter() {
+                let qp = self.pts[q as usize];
+                let k = regions
+                    .iter()
+                    .position(|r| r.contains(qp))
+                    .expect("displaced point matched neither fan nor boundary cell");
+                let cell = if k < m { base + k as u32 } else { outs[k - m] };
+                // SAFETY: a fan cell is ours until published below; a ring
+                // cell is locked by us.
+                unsafe { (*self.arena.get(cell).bucket.get()).push(q) };
+                relocated.push((q, cell));
             }
-            for &outer in &outs {
-                if self.bucket_match_v(self.cell_v(outer), qp) {
-                    // SAFETY: `outer` is locked by us.
-                    unsafe { (*self.arena.get(outer).bucket.get()).push(q) };
-                    relocated.push((q, outer));
-                    continue 'points;
-                }
-            }
-            unreachable!("displaced point matched neither fan nor boundary cell");
         }
 
         // Publish: neighbor links first (Release pairs with speculation's
@@ -881,14 +1012,14 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
         for (idx, &(_, _, outer, slot)) in boundary.iter().enumerate() {
             self.arena.get(outer).nbr[slot].store(base + idx as u32, Ordering::Release);
         }
-        for (q, cell) in relocated {
+        for &(q, cell) in relocated.iter() {
             self.loc[q as usize].store(cell, Ordering::Release);
         }
         self.counters.created.fetch_add(m as u64, Ordering::Relaxed);
         self.counters.destroyed.fetch_add(cav.len() as u64, Ordering::Relaxed);
         self.loc[ti].store(LOC_INSERTED, Ordering::Release);
         self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
-        drop(guards);
+        drop(held);
         TaskOutcome::Processed
     }
 }
@@ -1145,6 +1276,65 @@ mod tests {
                 assert!(verify_delaunay(&pts, &out.triangles), "sharded t={threads} b={batch}");
             }
         }
+    }
+
+    /// Every cell the arena has handed out, with its id.
+    fn cells(alg: &ConcurrentDelaunay) -> impl Iterator<Item = (u32, &ConcCell)> {
+        (0..alg.arena.len.load(Ordering::Relaxed) as u32).map(|id| (id, alg.arena.get(id)))
+    }
+
+    #[test]
+    fn contended_run_leaves_no_flag_set_and_no_buffer_on_a_dead_cell() {
+        // Clustered points under four workers: lock conflicts and
+        // dependency blocks both return early with flags taken.
+        let pts = gaussian_clusters(1_000, 3, 200.0, &mut StdRng::seed_from_u64(27));
+        let pi = insertion_order(pts.len(), 10);
+        let alg = ConcurrentDelaunay::new(&pts, &pi);
+        let sched: MultiQueue<TaskId> = MultiQueue::for_threads(4);
+        fill_scheduler(&sched, &pi);
+        let stats = run_concurrent_batched(&alg, &pi, &sched, 4, 1);
+        assert!(stats.wasted > 0, "a relaxed run over clusters must block some inserts");
+        for (id, c) in cells(&alg) {
+            assert!(!c.locked.load(Ordering::Relaxed), "cell {id} left locked");
+            if !c.alive.load(Ordering::Relaxed) {
+                // SAFETY: the run is over; nothing else touches the cell.
+                let capacity = unsafe { (*c.bucket.get()).capacity() };
+                assert_eq!(capacity, 0, "dead cell {id} holds a bucket buffer");
+            }
+        }
+        assert!(verify_delaunay(&pts, &alg.into_output().triangles));
+    }
+
+    #[test]
+    fn a_taken_cavity_flag_blocks_and_every_other_flag_is_released() {
+        let pts = uniform_square(200, 1 << 14, &mut StdRng::seed_from_u64(28));
+        let pi = insertion_order(200, 11);
+        let alg = ConcurrentDelaunay::new(&pts, &pi);
+        for pos in 0..100 {
+            alg.try_process(pi.task_at(pos));
+        }
+        // The smallest pending label: never dependency-blocked.
+        let task = (100..200)
+            .map(|pos| pi.task_at(pos))
+            .find(|&t| alg.loc[t as usize].load(Ordering::Relaxed) < LOC_DUPLICATE)
+            .expect("a pending point");
+        let start = alg.loc[task as usize].load(Ordering::Relaxed);
+        let (mut cavity, mut ring) = (Vec::new(), Vec::new());
+        assert!(alg.speculate(start, alg.pts[task as usize], &mut cavity, &mut ring));
+        // Force the cavity's largest id, so the smaller ids of the lockset
+        // are taken before the collision and must be given back.
+        let forced = *cavity.iter().max().expect("a non-empty cavity");
+        assert!(cavity.iter().chain(&ring).any(|&c| c < forced));
+        alg.arena.get(forced).locked.store(true, Ordering::Relaxed);
+        assert_eq!(alg.try_process(task), TaskOutcome::Blocked);
+        for (id, c) in cells(&alg) {
+            assert_eq!(c.locked.load(Ordering::Relaxed), id == forced, "cell {id}");
+        }
+        alg.arena.get(forced).locked.store(false, Ordering::Relaxed);
+        for pos in 100..200 {
+            assert_ne!(alg.try_process(pi.task_at(pos)), TaskOutcome::Blocked);
+        }
+        assert_eq!(alg.into_output(), delaunay_reference(&pts, &pi));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Release stress for the fine-grained concurrent Delaunay: per-cell MCS
-//! locks instead of a structure-wide mutex, so this suite's whole point is
-//! to race cavity acquisitions hard and check that nothing is ever lost or
-//! double-inserted.
+//! Release stress for the fine-grained concurrent Delaunay: a try-only lock
+//! flag per cell instead of a structure-wide mutex, so this suite's whole
+//! point is to race cavity acquisitions hard and check that nothing is ever
+//! lost or double-inserted.
 //!
 //! Pass criteria are exact, not statistical:
 //!

@@ -10,8 +10,14 @@
 //! flag in its **own** node (cache-padded, so the handoff write invalidates
 //! one waiter's line only) and the releaser follows its `next` pointer to
 //! hand off. It supports a genuinely non-blocking [`RawLock::try_acquire`]
-//! (CAS the tail from null), which is why the fine-grained Delaunay uses
-//! one per cell for its cavity locks — and takes them by `try_lock` only.
+//! (CAS the tail from null).
+//!
+//! No production path takes it. The fine-grained Delaunay once carried one
+//! per cell, taken by `try_lock` only, and now carries a plain flag per
+//! cell (DESIGN.md "Locking semantics"). What is left is this module's own
+//! tests, the `lock_ops` bench group and the benchmark's
+//! `queues.lock.mcs_uncontended_ns` probe, which names `Lock<McsLock, u64>`;
+//! the module goes when that probe does (ROADMAP queue entry (viii)).
 //!
 //! It is strict FIFO for blocking acquirers (the fairness half of the
 //! toolkit; `lock_props.rs` pins it), spins through
@@ -22,8 +28,8 @@
 //! Two API layers:
 //!
 //! * [`RawLock`] — state-token protocol plus the RAII [`RawGuard`]; use
-//!   this when the lock guards something that is not a single `T` (the
-//!   Delaunay cavity protocol holds many cell locks at once).
+//!   this when the lock guards something that is not a single `T` (a
+//!   caller holding many locks at once).
 //! * [`Lock<R, T>`] — a `Mutex<T>`-shaped data wrapper over a `RawLock`.
 //!
 //! The MultiQueue's lock-based bucket (`concurrent::Locked`) uses neither:
@@ -200,10 +206,10 @@ fn mcs_unlock_publish_ordering() -> Ordering {
 /// and the releaser hands off through its node's `next` pointer.
 ///
 /// The lock itself is a single word (`tail`), so it embeds cheaply at fine
-/// granularity — the concurrent Delaunay carries one per triangulation
-/// cell. `try_acquire` is a tail CAS from null: it succeeds only on an
-/// unlocked, waiter-free lock, which is exactly the "back off rather than
-/// wait" primitive the cavity-locking protocol needs.
+/// granularity. `try_acquire` is a tail CAS from null: it succeeds only on
+/// an unlocked, waiter-free lock — a "back off rather than wait" primitive.
+/// A caller that only ever tries needs no queue at all: the concurrent
+/// Delaunay's per-cell lock is an `AtomicBool`.
 ///
 /// Nodes come from a per-thread pool; acquiring and releasing on different
 /// threads is prevented by the guards being `!Send`.
@@ -530,8 +536,8 @@ mod tests {
         assert_eq!(*order.lock().unwrap(), (0..WAITERS).collect::<Vec<_>>());
     }
 
-    /// Many simultaneous holds from one thread (the Delaunay cavity
-    /// pattern): every per-cell lock gets its own node.
+    /// Many simultaneous holds from one thread: every lock gets its own
+    /// node.
     #[test]
     fn mcs_multi_hold_one_thread() {
         let locks: Vec<McsLock> = (0..64).map(|_| McsLock::new()).collect();
