@@ -33,7 +33,7 @@
 //! the scalar executor.
 //!
 //! `--shards S` (default 1) partitions the relaxed scheduler into `S`
-//! hash-routed `BulkMultiQueue` shards (`ShardedScheduler`); each worker
+//! hash-routed prefilled `MultiQueue` shards (`ShardedScheduler`); each worker
 //! pins the shard `worker % S` for its pops and steals from the others only
 //! when it runs dry. Sharding multiplies the effective relaxation by `S`
 //! (DESIGN.md "Sharding semantics"), so the extra-iterations column grows
@@ -46,7 +46,7 @@ use rsched_core::framework::{run_concurrent_batched, run_exact_concurrent};
 use rsched_core::stats::ConcurrentStats;
 use rsched_core::TaskId;
 use rsched_graph::{gen, CsrGraph, Permutation};
-use rsched_queues::concurrent::BulkMultiQueue;
+use rsched_queues::concurrent::MultiQueue;
 use rsched_queues::sharded::ShardedScheduler;
 use rsched_queues::ConcurrentScheduler;
 use std::time::{Duration, Instant};
@@ -234,7 +234,7 @@ fn main() {
             let entries = || (0..spec.n as u32).map(|v| (pi.label(v) as u64, v));
             let (rt, relaxed_extra) = if shards == 1 {
                 time_relaxed(
-                    || BulkMultiQueue::prefilled_for_threads(threads, entries()),
+                    || MultiQueue::prefilled_for_threads(threads, entries()),
                     &g,
                     &pi,
                     &expected,
@@ -247,7 +247,7 @@ fn main() {
                 time_relaxed(
                     || {
                         ShardedScheduler::prefilled_with(shards, entries(), |_, group| {
-                            BulkMultiQueue::prefilled_for_threads(threads.div_ceil(shards), group)
+                            MultiQueue::prefilled_for_threads(threads.div_ceil(shards), group)
                         })
                     },
                     &g,

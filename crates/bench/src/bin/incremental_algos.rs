@@ -44,7 +44,7 @@ use rsched_core::TaskId;
 use rsched_graph::gen;
 use rsched_graph::geom::{uniform_square, Point};
 use rsched_graph::Permutation;
-use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue};
+use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
 use rsched_queues::instrument::Instrumented;
 use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
 use rsched_queues::sharded::ShardedScheduler;
@@ -206,8 +206,11 @@ fn concurrent_tables(
             (
                 "MultiQueue",
                 Box::new(move |inst, w, t, b| {
-                    let sched: MultiQueue<TaskId> = MultiQueue::for_threads(t);
-                    fill_scheduler(&sched, pi_of(inst, w));
+                    let pi = pi_of(inst, w);
+                    let sched: MultiQueue<TaskId> = MultiQueue::prefilled_for_threads(
+                        t,
+                        (0..pi.len() as u32).map(|v| (pi.label(v) as u64, v)),
+                    );
                     run_prefilled(inst, w, &sched, t, b)
                 }),
             ),
@@ -216,17 +219,6 @@ fn concurrent_tables(
                 Box::new(move |inst, w, t, b| {
                     let sched: LockFreeMultiQueue<TaskId> = LockFreeMultiQueue::for_threads(t);
                     fill_scheduler(&sched, pi_of(inst, w));
-                    run_prefilled(inst, w, &sched, t, b)
-                }),
-            ),
-            (
-                "BulkMultiQueue",
-                Box::new(move |inst, w, t, b| {
-                    let pi = pi_of(inst, w);
-                    let sched: BulkMultiQueue<TaskId> = BulkMultiQueue::prefilled_for_threads(
-                        t,
-                        (0..pi.len() as u32).map(|v| (pi.label(v) as u64, v)),
-                    );
                     run_prefilled(inst, w, &sched, t, b)
                 }),
             ),

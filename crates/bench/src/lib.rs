@@ -146,26 +146,31 @@ impl Args {
         self.lookup(key).is_some()
     }
 
-    /// The value of `--key` as `usize`, or `default`.
+    /// The value of `--key` as `usize`, or `default` if `--key` is absent.
     ///
     /// # Panics
     ///
-    /// Panics with a clear message if the value is present but unparsable.
+    /// Panics with a clear message if `--key` is present but its value is
+    /// missing or unparsable.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get_str(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}")))
-            .unwrap_or(default)
+        self.get_int(key).unwrap_or(default)
     }
 
-    /// The value of `--key` as `u64`, or `default`.
+    /// The value of `--key` as `u64`, or `default` if `--key` is absent.
     ///
     /// # Panics
     ///
-    /// Panics with a clear message if the value is present but unparsable.
+    /// As [`Args::get_usize`].
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get_str(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}")))
-            .unwrap_or(default)
+        self.get_int(key).unwrap_or(default)
+    }
+
+    /// The value of `--key` as an integer, `None` if `--key` is absent. A
+    /// bare `--key` reads as the empty value and panics: it must not run
+    /// with the default.
+    fn get_int<N: std::str::FromStr>(&self, key: &str) -> Option<N> {
+        let v = self.lookup(key)?.as_deref().unwrap_or_default();
+        Some(v.parse().unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}")))
     }
 
     /// The raw string value of `--key`, if present.
@@ -204,10 +209,18 @@ impl Args {
         self.has_flag("quick") || std::env::var("RSCHED_BENCH_FAST").is_ok_and(|v| v == "1")
     }
 
-    /// Comma-separated list of `usize` for `--key`, or `default`.
+    /// Comma-separated list of `usize` for `--key`, or `default` if `--key`
+    /// is absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `--key` is present but its value is missing or holds a
+    /// non-integer.
     pub fn get_usize_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        match self.get_str(key) {
+        match self.lookup(key) {
             Some(s) => s
+                .as_deref()
+                .unwrap_or_default()
                 .split(',')
                 .map(|x| {
                     x.trim()
@@ -513,6 +526,25 @@ mod tests {
     fn args_last_value_wins() {
         let a = Args::parse_from(["--k", "4", "--k", "9"].iter().map(|s| s.to_string()));
         assert_eq!(a.get_usize("k", 0), 9);
+    }
+
+    /// The message `f` panics with.
+    fn panic_message<R>(f: impl FnOnce() -> R) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err().expect("ran");
+        err.downcast::<String>().map(|m| *m).unwrap_or_default()
+    }
+
+    /// A value option given without its value panics instead of running
+    /// with the default; `--trace` / `--metrics` style options, read by
+    /// `get_str`, keep their optional value.
+    #[test]
+    fn bare_value_options_panic() {
+        let a = Args::parse_from(["--threads", "--quick", "--seed", "--ks"].map(String::from));
+        let threads = panic_message(|| a.get_usize("threads", 1));
+        assert!(threads.contains("--threads expects an integer"), "{threads}");
+        assert!(panic_message(|| a.get_u64("seed", 1)).contains("--seed expects an integer"));
+        assert!(panic_message(|| a.get_usize_list("ks", &[1])).contains("--ks expects comma"));
+        assert!(a.has_flag("quick") && a.get_str("seed").is_none());
     }
 
     #[test]

@@ -248,7 +248,7 @@ mod tests {
     use rand::SeedableRng;
     use rsched_graph::gen;
     use rsched_graph::Permutation;
-    use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue};
+    use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
     use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
     use rsched_queues::sharded::ShardedScheduler;
 
@@ -351,8 +351,10 @@ mod tests {
         for threads in [1usize, 4] {
             for batch in [1usize, 16] {
                 let alg = ConcurrentConnectivity::new(n, &edges);
-                let sched: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
-                fill_scheduler(&sched, &pi);
+                let sched: MultiQueue<TaskId> = MultiQueue::prefilled_for_threads(
+                    threads,
+                    (0..edges.len() as u32).map(|e| (pi.label(e) as u64, e)),
+                );
                 let stats = run_concurrent_batched(&alg, &pi, &sched, threads, batch);
                 assert_eq!(alg.remaining(), 0);
                 assert_eq!(stats.processed + stats.obsolete, edges.len() as u64);
@@ -364,14 +366,6 @@ mod tests {
                 fill_scheduler(&sched, &pi);
                 run_concurrent_batched(&alg, &pi, &sched, threads, batch);
                 assert_eq!(alg.into_labels(), expected, "lfmq t={threads} b={batch}");
-
-                let alg = ConcurrentConnectivity::new(n, &edges);
-                let sched: BulkMultiQueue<TaskId> = BulkMultiQueue::prefilled_for_threads(
-                    threads,
-                    (0..edges.len() as u32).map(|e| (pi.label(e) as u64, e)),
-                );
-                run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(alg.into_labels(), expected, "bulk t={threads} b={batch}");
 
                 let alg = ConcurrentConnectivity::new(n, &edges);
                 let sched: ShardedScheduler<MultiQueue<TaskId>> =

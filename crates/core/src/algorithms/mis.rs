@@ -288,7 +288,7 @@ mod tests {
 
     #[test]
     fn batched_concurrent_matches_greedy_on_every_scheduler() {
-        use rsched_queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue};
+        use rsched_queues::concurrent::LockFreeMultiQueue;
         let mut rng = StdRng::seed_from_u64(13);
         let g = gen::gnm(400, 2400, &mut rng);
         let pi = Permutation::random(400, &mut rng);
@@ -296,20 +296,14 @@ mod tests {
         for threads in [1usize, 4] {
             for batch in [1usize, 8, 32] {
                 let alg = ConcurrentMis::new(&g, &pi);
-                let sched: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
-                crate::framework::fill_scheduler(&sched, &pi);
+                let sched: MultiQueue<TaskId> = MultiQueue::prefilled_for_threads(
+                    threads,
+                    (0..400u32).map(|v| (pi.label(v) as u64, v)),
+                );
                 let stats =
                     crate::framework::run_concurrent_batched(&alg, &pi, &sched, threads, batch);
                 assert_eq!(alg.into_output(), expected, "multiqueue t={threads} b={batch}");
                 assert_eq!(stats.processed + stats.obsolete, stats.total_pops - stats.wasted);
-
-                let alg = ConcurrentMis::new(&g, &pi);
-                let sched: BulkMultiQueue<TaskId> = BulkMultiQueue::prefilled_for_threads(
-                    threads,
-                    (0..400u32).map(|v| (pi.label(v) as u64, v)),
-                );
-                let _ = crate::framework::run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(alg.into_output(), expected, "bulk t={threads} b={batch}");
 
                 let alg = ConcurrentMis::new(&g, &pi);
                 let sched: LockFreeMultiQueue<TaskId> = LockFreeMultiQueue::prefilled(

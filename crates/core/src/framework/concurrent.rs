@@ -547,14 +547,14 @@ mod tests {
     fn dead_queue_tail_is_purged_without_an_empty_pop() {
         use crate::algorithms::mis::ConcurrentMis;
         use rsched_graph::CsrGraph;
-        use rsched_queues::concurrent::BulkMultiQueue;
+        use rsched_queues::concurrent::MultiQueue;
         let leaves = 2_000u32;
         let n = leaves as usize + 3;
         let g = CsrGraph::from_edges(n, (1..=leaves).map(|v| (0, v)));
         let pi = Permutation::identity(n);
         for batch in [1usize, 8] {
             let alg = ConcurrentMis::new(&g, &pi);
-            let sched = BulkMultiQueue::prefilled(8, (0..n as TaskId).map(|v| (v as u64, v)));
+            let sched = MultiQueue::prefilled(8, (0..n as TaskId).map(|v| (v as u64, v)));
             let stats = run_concurrent_batched(&alg, &pi, &sched, 1, batch);
             assert_eq!((alg.remaining(), stats.processed), (0, 3), "batch={batch}");
             assert_eq!(stats.empty_pops, 0, "batch={batch}: a purge was taken for emptiness");

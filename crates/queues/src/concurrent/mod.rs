@@ -1,33 +1,33 @@
 //! Concurrent schedulers: the structures the paper's §4 experiments run on.
 //!
 //! The MultiQueue is implemented once, as [`MultiQueueCore`] over a
-//! [`Bucket`]; three aliases pick the bucket:
+//! [`Bucket`]; two aliases pick the bucket:
 //!
 //! * [`MultiQueue`] — the lock-based MultiQueue of Rihani–Sanders–Dementiev
-//!   \[21\]: `c·threads` sequential min-heaps behind try-locks ([`Locked`]
-//!   over [`Heap`]), power-of-two-choices deletion.
+//!   \[21\]: `c·threads` sequential queues behind try-locks ([`Locked`]),
+//!   power-of-two-choices deletion. Each bucket pops its share of a bulk
+//!   load as a sorted run consumed from the front — `O(1)` per pop, the
+//!   performance analogue of the paper's list-based queues — and keeps
+//!   everything inserted later in a small 8-ary heap.
 //! * [`LockFreeMultiQueue`] — the paper's own variant ("we use lock-free
 //!   lists to maintain the individual priority queues"): [`ListBucket`]s
 //!   over [`HarrisList`] with pluggable reclamation (epoch-based by default,
 //!   version-based via [`crate::reclaim::Vbr`]).
-//! * [`BulkMultiQueue`] — [`Locked`] over [`Run`]: sorted runs consumed from
-//!   the front plus small overflow [`Heap`]s, the cache-friendly `O(1)`-pop
-//!   variant for the framework's prefilled workload (the performance
-//!   analogue of the paper's list-based queues).
 //!
 //! Beside it, [`FaaArrayQueue`] is the exact scheduler baseline: a
 //! prefilled priority-sorted array popped with one `fetch_add` per
 //! operation, standing in for the wait-free queue of \[27\] (see DESIGN.md
 //! substitution #2).
 
-mod bulk_multiqueue;
 mod faa_queue;
 mod lf_list;
 mod lf_multiqueue;
 mod multiqueue;
 
-pub use bulk_multiqueue::{BulkMultiQueue, Run};
 pub use faa_queue::FaaArrayQueue;
 pub use lf_list::HarrisList;
 pub use lf_multiqueue::{ListBucket, LockFreeMultiQueue};
-pub use multiqueue::{Bucket, BucketQueue, Heap, Locked, MultiQueue, MultiQueueCore};
+pub use multiqueue::{Bucket, Locked, MultiQueue, MultiQueueCore};
+
+/// A second name for [`MultiQueue`], kept for callers that still use it.
+pub type BulkMultiQueue<T> = MultiQueue<T>;

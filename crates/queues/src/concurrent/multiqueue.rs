@@ -1,9 +1,9 @@
 //! The MultiQueue relaxed scheduler \[21\], implemented once:
 //! [`MultiQueueCore`] over a choice of [`Bucket`]. This file holds the core,
-//! the lock-based bucket [`Locked`], the one sequential [`Heap`] behind
-//! every locked bucket, and the classic instantiation over heaps,
-//! [`MultiQueue`]; the sorted-run and Harris-list buckets are in
-//! `bulk_multiqueue.rs` and `lf_multiqueue.rs`.
+//! the lock-based bucket [`Locked`] (a sorted run consumed from the front
+//! plus the sequential [`Heap`] that takes later inserts) and its
+//! instantiation, [`MultiQueue`]; the Harris-list bucket is in
+//! `lf_multiqueue.rs`.
 
 use crate::rng;
 use crate::{ConcurrentScheduler, Entry, BATCH_SCATTER_RUN};
@@ -64,8 +64,8 @@ pub trait Bucket<T>: Send + Sync + Sized {
 /// The MultiQueue over buckets of kind `B`: the padded bucket array, the
 /// two-choice pop, random-bucket inserts scattered in runs, `len` as the
 /// sum of the bucket counts, the radix-sorted bulk load. Use it through the
-/// aliases [`MultiQueue`], [`super::BulkMultiQueue`] and
-/// [`super::LockFreeMultiQueue`], which carry the constructors.
+/// aliases [`MultiQueue`] and [`super::LockFreeMultiQueue`], which carry
+/// the constructors.
 ///
 /// `insert` pushes to a random bucket; `pop` compares the heads of two
 /// buckets and pops the smaller (power-of-two-choices). With `q = c·threads`
@@ -373,81 +373,70 @@ impl<T: Send, B: Bucket<T>> fmt::Debug for MultiQueueCore<T, B> {
     }
 }
 
-/// What a [`Locked`] bucket guards: a sequential min-queue of entries.
-pub trait BucketQueue<T>: Send {
-    /// Builds the queue from `run`, which is sorted ascending.
-    fn from_sorted(run: Vec<Entry<T>>) -> Self;
-    /// The smallest priority held.
-    fn peek_min(&self) -> Option<u64>;
-    /// Removes and returns the minimum.
-    fn pop_min(&mut self) -> Option<Entry<T>>;
-    /// Adds `entry`.
-    fn push_entry(&mut self, entry: Entry<T>);
-}
-
-/// The lock-based bucket: a sequential queue `Q` behind a
-/// `parking_lot::Mutex` and, on the same padded line, the queue's length.
-/// Only the lock's holder updates the count, before it releases: counting
-/// costs the hot path no line it does not already own, and an entry is
-/// never poppable before it is counted. Which mutex guards the queue is a
+/// The lock-based bucket: a sorted run plus a heap behind a
+/// `parking_lot::Mutex` and, on the same padded line, their length. Only
+/// the lock's holder updates the count, before it releases: counting costs
+/// the hot path no line it does not already own, and an entry is never
+/// poppable before it is counted. Which mutex guards the queue is a
 /// constant, not a parameter (DESIGN.md "Locking semantics").
 #[derive(Debug)]
-pub struct Locked<Q> {
-    lock: Mutex<Q>,
+pub struct Locked<T> {
+    lock: Mutex<LockedQueue<T>>,
     live: AtomicIsize,
 }
 
-impl<T, Q: BucketQueue<T>> Bucket<T> for Locked<Q> {
+impl<T: Send> Bucket<T> for Locked<T> {
     type Guard = ();
     type Open<'a>
-        = MutexGuard<'a, Q>
+        = MutexGuard<'a, LockedQueue<T>>
     where
         Self: 'a;
 
     fn from_sorted(run: Vec<Entry<T>>) -> Self {
         let live = AtomicIsize::new(run.len() as isize);
-        Locked { lock: Mutex::new(Q::from_sorted(run)), live }
+        let queue = LockedQueue { run: run.into_iter(), overflow: Heap::default() };
+        Locked { lock: Mutex::new(queue), live }
     }
 
     fn guard(&self) {}
 
-    fn try_open<'a>(&'a self, (): &'a ()) -> Option<MutexGuard<'a, Q>> {
+    fn try_open<'a>(&'a self, (): &'a ()) -> Option<Self::Open<'a>> {
         self.lock.try_lock()
     }
 
-    fn open<'a>(&'a self, (): &'a ()) -> MutexGuard<'a, Q> {
+    fn open<'a>(&'a self, (): &'a ()) -> Self::Open<'a> {
         self.lock.lock()
     }
 
-    fn peek(&self, open: &MutexGuard<'_, Q>) -> Option<u64> {
-        open.peek_min()
+    fn peek(&self, open: &Self::Open<'_>) -> Option<u64> {
+        open.peek()
     }
 
     fn pop_run(
         &self,
-        open: &mut MutexGuard<'_, Q>,
+        open: &mut Self::Open<'_>,
         max: usize,
         mut out: impl FnMut((u64, T)),
     ) -> usize {
         let mut popped = 0;
         while popped < max {
-            let Some(e) = open.pop_min() else { break };
+            let Some(e) = open.pop() else { break };
             out((e.priority, e.item));
             popped += 1;
         }
         popped
     }
 
-    fn push_run(&self, open: &mut MutexGuard<'_, Q>, run: impl Iterator<Item = Entry<T>>) -> isize {
+    fn push_run(&self, open: &mut Self::Open<'_>, run: impl Iterator<Item = Entry<T>>) -> isize {
         let mut pushed = 0;
         for entry in run {
-            open.push_entry(entry);
+            open.overflow.push(entry);
             pushed += 1;
         }
         pushed
     }
 
-    fn close(&self, _open: MutexGuard<'_, Q>, delta: isize) {
+    fn close(&self, _open: Self::Open<'_>, delta: isize) {
         // `_open` holds the lock until return, so no other writer: a plain
         // load and store, no read-modify-write.
         self.live.store(self.live.load(Ordering::Relaxed) + delta, Ordering::Release);
@@ -458,26 +447,90 @@ impl<T, Q: BucketQueue<T>> Bucket<T> for Locked<Q> {
     }
 }
 
+/// What a [`Locked`] bucket guards: the sorted run it was built from,
+/// consumed from the front (one cache line per pop, prefetcher friendly),
+/// and the [`Heap`] that takes every later insert. A pop takes the smaller
+/// of the run head and the heap top by `(priority, seq)`; with nothing
+/// prefilled the run is empty and the bucket is the heap alone. Public
+/// (fields private) only because [`Locked`]'s opening names it.
+pub struct LockedQueue<T> {
+    /// The prefilled entries still queued, ascending.
+    run: std::vec::IntoIter<Entry<T>>,
+    /// Every entry inserted after the bulk load.
+    overflow: Heap<T>,
+}
+
+impl<T> LockedQueue<T> {
+    /// The smallest priority held.
+    fn peek(&self) -> Option<u64> {
+        match (self.run.as_slice().first(), self.overflow.peek()) {
+            (Some(a), Some(b)) => Some(a.priority.min(b.priority)),
+            (a, b) => a.or(b).map(|e| e.priority),
+        }
+    }
+
+    /// Removes and returns the minimum.
+    fn pop(&mut self) -> Option<Entry<T>> {
+        match (self.run.as_slice().first(), self.overflow.peek()) {
+            (Some(a), Some(b)) if b.key() < a.key() => self.overflow.pop(),
+            (Some(_), _) => self.run.next(),
+            (None, _) => self.overflow.pop(),
+        }
+    }
+}
+
+impl<T> fmt::Debug for LockedQueue<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LockedQueue")
+            .field("run", &self.run.len())
+            .field("overflow", &self.overflow.entries.len())
+            .finish()
+    }
+}
+
 /// Children per node of a [`Heap`]. Chosen from {2, 4, 8} by `sssp_gnm`
 /// pairs (DESIGN.md "The bucket heap"); a constant, not a parameter.
 const HEAP_ARITY: usize = 8;
 
-/// The sequential min-heap behind every [`Locked`] bucket: the whole queue
-/// of a [`MultiQueue`] bucket and the overflow of a
-/// [`super::BulkMultiQueue`] run. An implicit `HEAP_ARITY`-ary heap over a
-/// `Vec`, ordered by the entry key `(priority, seq)`; seqs are unique per
-/// scheduler, so a pop returns the one exact minimum. Its sift-down picks
-/// the smaller child with a predicted branch, so an out-of-cache descent
-/// can load the next level before the comparison resolves (DESIGN.md "The
-/// bucket heap"). Public because the [`MultiQueue`] alias names it.
-pub struct Heap<T> {
+/// The sequential min-heap behind every [`Locked`] bucket, which takes
+/// everything inserted after the bulk load. An implicit `HEAP_ARITY`-ary
+/// heap over a `Vec`, ordered by the entry key `(priority, seq)`; seqs are
+/// unique per scheduler, so a pop returns the one exact minimum. Its
+/// sift-down picks the smaller child with a predicted branch, so an
+/// out-of-cache descent can load the next level before the comparison
+/// resolves (DESIGN.md "The bucket heap").
+struct Heap<T> {
     entries: Vec<Entry<T>>,
 }
 
 impl<T> Heap<T> {
     /// The minimum entry.
-    pub(super) fn peek(&self) -> Option<&Entry<T>> {
+    fn peek(&self) -> Option<&Entry<T>> {
         self.entries.first()
+    }
+
+    /// Removes and returns the minimum.
+    fn pop(&mut self) -> Option<Entry<T>> {
+        if self.entries.len() <= 1 {
+            return self.entries.pop();
+        }
+        let min = self.entries.swap_remove(0);
+        self.sift_down();
+        Some(min)
+    }
+
+    /// Adds `entry`.
+    fn push(&mut self, entry: Entry<T>) {
+        let (mut at, key) = (self.entries.len(), entry.key());
+        self.entries.push(entry);
+        while at > 0 {
+            let parent = (at - 1) / HEAP_ARITY;
+            if self.entries[parent].key() <= key {
+                return;
+            }
+            self.entries.swap(at, parent);
+            at = parent;
+        }
     }
 
     /// Moves the root down to where no child is smaller.
@@ -510,49 +563,11 @@ impl<T> Default for Heap<T> {
     }
 }
 
-impl<T> fmt::Debug for Heap<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Heap").field("len", &self.entries.len()).finish()
-    }
-}
-
-impl<T: Send> BucketQueue<T> for Heap<T> {
-    /// An ascending run already is a heap: every parent precedes its
-    /// children.
-    fn from_sorted(run: Vec<Entry<T>>) -> Self {
-        Heap { entries: run }
-    }
-
-    fn peek_min(&self) -> Option<u64> {
-        self.peek().map(|e| e.priority)
-    }
-
-    fn pop_min(&mut self) -> Option<Entry<T>> {
-        if self.entries.len() <= 1 {
-            return self.entries.pop();
-        }
-        let min = self.entries.swap_remove(0);
-        self.sift_down();
-        Some(min)
-    }
-
-    fn push_entry(&mut self, entry: Entry<T>) {
-        let (mut at, key) = (self.entries.len(), entry.key());
-        self.entries.push(entry);
-        while at > 0 {
-            let parent = (at - 1) / HEAP_ARITY;
-            if self.entries[parent].key() <= key {
-                return;
-            }
-            self.entries.swap(at, parent);
-            at = parent;
-        }
-    }
-}
-
 /// The lock-based MultiQueue of Rihani–Sanders–Dementiev \[21\]: `q`
-/// sequential min-heaps ([`Heap`]) behind try-locks, scheduled by
-/// [`MultiQueueCore`]. The paper's experiments use four heaps per thread.
+/// sequential queues behind try-locks ([`Locked`]), scheduled by
+/// [`MultiQueueCore`]. The paper's experiments use four per thread. A
+/// prefilled queue pops its bulk load as sorted runs, `O(1)` per pop, and
+/// every later insert goes to a small per-bucket heap.
 ///
 /// # Examples
 ///
@@ -563,11 +578,16 @@ impl<T: Send> BucketQueue<T> for Heap<T> {
 /// q.insert(3, "c");
 /// q.insert(1, "a");
 /// assert!(q.pop().is_some());
+///
+/// let q = MultiQueue::prefilled(4, (0..100u64).map(|p| (p, p as u32)));
+/// let (p, _) = q.pop().unwrap();
+/// assert!(p < 100);
+/// q.insert(0, 999); // later inserts go to the bucket heaps
 /// ```
-pub type MultiQueue<T> = MultiQueueCore<T, Locked<Heap<T>>>;
+pub type MultiQueue<T> = MultiQueueCore<T, Locked<T>>;
 
 impl<T: Send> MultiQueue<T> {
-    /// Creates a MultiQueue with `num_queues` internal heaps.
+    /// Creates a MultiQueue with `num_queues` internal queues.
     ///
     /// # Panics
     ///
@@ -576,22 +596,44 @@ impl<T: Send> MultiQueue<T> {
         Self::build(num_queues, std::iter::empty(), 1)
     }
 
-    /// Creates a MultiQueue sized as in the paper's experiments: four heaps
-    /// per thread.
+    /// Creates a MultiQueue sized as in the paper's experiments: four
+    /// queues per thread.
     pub fn for_threads(threads: usize) -> Self {
         Self::new(4 * threads.max(1))
+    }
+
+    /// Bulk-loads `entries`, scattering them over `num_queues` sorted runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_queues == 0`.
+    pub fn prefilled<I>(num_queues: usize, entries: I) -> Self
+    where
+        I: IntoIterator<Item = (u64, T)>,
+    {
+        Self::build(num_queues, entries, 1)
+    }
+
+    /// [`MultiQueue::prefilled`] sized as [`MultiQueue::for_threads`];
+    /// large inputs sort their runs on up to `threads` scoped threads.
+    pub fn prefilled_for_threads<I>(threads: usize, entries: I) -> Self
+    where
+        I: IntoIterator<Item = (u64, T)>,
+    {
+        let threads = threads.max(1);
+        Self::build(4 * threads, entries, threads)
     }
 }
 
 #[cfg(test)]
 mod tests {
     //! What the MultiQueue core promises beyond the scheduler contract
-    //! (`tests/scheduler_conformance.rs`): the bucket heap against a sorted
-    //! model, the radix bulk load against a comparison sort, and exact order
-    //! behind one bucket.
+    //! (`tests/scheduler_conformance.rs`): the locked bucket's run and heap
+    //! against a sorted model, the radix bulk load against a comparison
+    //! sort, and exact order behind one bucket.
 
     use super::*;
-    use crate::concurrent::{BulkMultiQueue, LockFreeMultiQueue};
+    use crate::concurrent::LockFreeMultiQueue;
     use crate::reclaim::{Ebr, Vbr};
     use proptest::prelude::*;
 
@@ -626,30 +668,39 @@ mod tests {
         (priority, n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// Replays `ops` on `Q` built from `initial`, against a sorted `Vec`:
-    /// `0` pushes, `1` pops, `2` peeks; every entry carries its seq.
-    fn heap_model<Q: BucketQueue<u64>>(initial: &[u64], ops: &[(u8, u64)]) -> TestCaseResult {
+    /// Replays `ops` against a sorted `Vec` on a locked bucket's queue
+    /// holding `initial`, as its sorted run if `prefilled`, else pushed
+    /// into its heap: `0` pushes, `1` pops, `2` peeks; every entry carries
+    /// its seq.
+    fn heap_model(initial: &[u64], prefilled: bool, ops: &[(u8, u64)]) -> TestCaseResult {
         let mut model: Vec<(u64, u64)> =
             initial.iter().enumerate().map(|(n, &p)| tie_key(p, n as u64)).collect();
         model.sort_unstable();
-        let mut q = Q::from_sorted(model.iter().map(|&(p, s)| Entry::new(p, s, s)).collect());
+        let entries = model.iter().map(|&(p, s)| Entry::new(p, s, s));
+        let mut q = if prefilled {
+            LockedQueue { run: entries.collect::<Vec<_>>().into_iter(), overflow: Heap::default() }
+        } else {
+            let mut overflow = Heap::default();
+            entries.for_each(|e| overflow.push(e));
+            LockedQueue { run: Vec::new().into_iter(), overflow }
+        };
         for (n, &(op, priority)) in ops.iter().enumerate() {
             match op {
                 0 => {
                     let (p, s) = tie_key(priority, (initial.len() + n) as u64);
-                    q.push_entry(Entry::new(p, s, s));
+                    q.overflow.push(Entry::new(p, s, s));
                     let at = model.partition_point(|&k| k < (p, s));
                     model.insert(at, (p, s));
                 }
                 1 => {
-                    let got = q.pop_min().map(|e| (e.priority, e.seq, e.item));
+                    let got = q.pop().map(|e| (e.priority, e.seq, e.item));
                     let want = (!model.is_empty()).then(|| model.remove(0));
                     prop_assert_eq!(got, want.map(|(p, s)| (p, s, s)));
                 }
-                _ => prop_assert_eq!(q.peek_min(), model.first().map(|&(p, _)| p)),
+                _ => prop_assert_eq!(q.peek(), model.first().map(|&(p, _)| p)),
             }
         }
-        while let Some(e) = q.pop_min() {
+        while let Some(e) = q.pop() {
             prop_assert_eq!((e.priority, e.seq), model.remove(0));
         }
         prop_assert!(model.is_empty(), "{} entries lost", model.len());
@@ -659,16 +710,34 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `Heap` — and `Run`, whose overflow is a `Heap` — pop exactly
-        /// what a sorted `Vec` pops, ties broken by `seq`.
+        /// A locked bucket pops exactly what a sorted `Vec` pops, ties
+        /// broken by `seq`: its heap alone, and its run with the heap
+        /// taking every later push.
         #[test]
         fn heap_matches_sorted_model(
             initial in collection::vec(0u64..6, 0..40),
             ops in collection::vec((0u8..3, 0u64..6), 0..300),
         ) {
-            heap_model::<Heap<u64>>(&initial, &ops)?;
-            heap_model::<crate::concurrent::Run<u64>>(&initial, &ops)?;
+            heap_model(&initial, false, &ops)?;
+            heap_model(&initial, true, &ops)?;
         }
+    }
+
+    #[test]
+    fn overflow_interleaves_with_run() {
+        let q = MultiQueue::prefilled(1, [(10u64, 10u32), (20, 20), (30, 30)]);
+        q.insert(15, 15);
+        q.insert(5, 5);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(p, _)| p)).collect();
+        assert_eq!(order, vec![5, 10, 15, 20, 30]);
+    }
+
+    #[test]
+    fn ties_keep_insertion_order_within_run() {
+        let q = MultiQueue::prefilled(1, [(7u64, 1u32), (7, 2), (7, 3)]);
+        assert_eq!(q.pop(), Some((7, 1)));
+        assert_eq!(q.pop(), Some((7, 2)));
+        assert_eq!(q.pop(), Some((7, 3)));
     }
 
     /// Every bucket's entries as `(priority, item)`, in the order the bucket
@@ -694,14 +763,14 @@ mod tests {
         want.sort_unstable();
         let input = || entries.iter().copied();
         for contents in [
-            bucket_contents(&BulkMultiQueue::prefilled(1, input())),
+            bucket_contents(&MultiQueue::prefilled(1, input())),
             bucket_contents(&LockFreeMultiQueue::<u64, Ebr>::prefilled_in(1, input())),
             bucket_contents(&LockFreeMultiQueue::<u64, Vbr>::prefilled_in(1, input())),
         ] {
             prop_assert_eq!(&contents, &vec![want.clone()]);
         }
         for contents in [
-            bucket_contents(&BulkMultiQueue::prefilled(queues, input())),
+            bucket_contents(&MultiQueue::prefilled(queues, input())),
             bucket_contents(&LockFreeMultiQueue::<u64, Ebr>::prefilled_in(queues, input())),
         ] {
             prop_assert!(contents.iter().all(|run| run.is_sorted()), "a bucket out of order");
@@ -760,10 +829,10 @@ mod tests {
         let entries: Vec<(u64, u64)> = (0..40_000u64).map(|i| (i * 7919 % 3_001, i)).collect();
         let mut want = entries.clone();
         want.sort_unstable();
-        let one = BulkMultiQueue::prefilled(1, entries.iter().copied());
+        let one = MultiQueue::prefilled(1, entries.iter().copied());
         assert_eq!(bucket_contents(&one), vec![want.clone()], "one run out of order");
         for threads in [1, 2, 7] {
-            let q = BulkMultiQueue::prefilled_for_threads(threads, entries.iter().copied());
+            let q = MultiQueue::prefilled_for_threads(threads, entries.iter().copied());
             let contents = bucket_contents(&q);
             assert!(contents.iter().all(|run| run.is_sorted()), "threads={threads}: out of order");
             let mut all = contents.concat();
@@ -775,7 +844,7 @@ mod tests {
     #[test]
     fn for_threads_is_four_buckets_per_thread() {
         assert_eq!(MultiQueue::<()>::for_threads(3).num_queues(), 12);
-        assert_eq!(BulkMultiQueue::<()>::prefilled_for_threads(3, []).num_queues(), 12);
+        assert_eq!(MultiQueue::<()>::prefilled_for_threads(3, []).num_queues(), 12);
         assert_eq!(LockFreeMultiQueue::<()>::for_threads(2).num_queues(), 8);
         assert_eq!(LockFreeMultiQueue::<(), Vbr>::for_threads_in(2).num_queues(), 8);
     }

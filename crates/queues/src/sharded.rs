@@ -134,8 +134,8 @@ impl<S> ShardedScheduler<S> {
     /// from its group with `make(shard, group)` — the prefill counterpart of
     /// the hash routing, so a prefilled element sits exactly where `insert`
     /// would have put it. Shard construction (typically the sort of a
-    /// `BulkMultiQueue` run) proceeds on one thread per shard, so bulk loads
-    /// no longer serialize behind a single core at paper scale.
+    /// prefilled `MultiQueue`'s runs) proceeds on one thread per shard, so
+    /// bulk loads no longer serialize behind a single core at paper scale.
     ///
     /// # Panics
     ///

@@ -1,5 +1,8 @@
-//! Concurrent executor integration: every workload × every concurrent
-//! scheduler × several thread counts must reproduce the sequential output.
+//! Concurrent executor integration: every workload × the MultiQueue, the
+//! lock-free MultiQueue and the exact FAA path × several thread counts must
+//! reproduce the sequential output. `tests/determinism.rs` runs the wider
+//! concurrent table (every variant, adversarial graphs, repeated runs); these
+//! five cases stay as tier-1 smoke tests with the pop-accounting identities.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,16 +71,6 @@ fn concurrent_mis_all_schedulers() {
 }
 
 #[test]
-fn concurrent_mis_on_adversarial_structures() {
-    let mut rng = StdRng::seed_from_u64(2);
-    for g in [gen::complete(60), gen::star(800), gen::path(1_000)] {
-        let pi = Permutation::random(g.num_vertices(), &mut rng);
-        let expected = greedy_mis(&g, &pi);
-        run_all_schedulers(&|| ConcurrentMis::new(&g, &pi), &pi, |a| a.into_output(), &expected);
-    }
-}
-
-#[test]
 fn concurrent_coloring_all_schedulers() {
     let mut rng = StdRng::seed_from_u64(3);
     let g = gen::gnm(1_500, 9_000, &mut rng);
@@ -127,20 +120,4 @@ fn concurrent_shuffle_all_schedulers() {
         |a| a.into_output(),
         &expected,
     );
-}
-
-#[test]
-fn repeated_runs_are_stable() {
-    // Hammer one configuration repeatedly to catch rare interleavings.
-    let mut rng = StdRng::seed_from_u64(7);
-    let g = gen::gnm(500, 5_000, &mut rng);
-    let pi = Permutation::random(500, &mut rng);
-    let expected = greedy_mis(&g, &pi);
-    for _ in 0..20 {
-        let alg = ConcurrentMis::new(&g, &pi);
-        let sched: MultiQueue<TaskId> = MultiQueue::new(4);
-        fill_scheduler(&sched, &pi);
-        let _ = run_concurrent(&alg, &pi, &sched, 4);
-        assert_eq!(alg.into_output(), expected);
-    }
 }

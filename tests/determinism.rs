@@ -39,7 +39,7 @@ use rsched::core::stats::ExecutionStats;
 use rsched::core::TaskId;
 use rsched::graph::geom::uniform_square;
 use rsched::graph::{gen, CsrGraph, ListInstance, Permutation};
-use rsched::queues::concurrent::{BulkMultiQueue, LockFreeMultiQueue, MultiQueue};
+use rsched::queues::concurrent::{LockFreeMultiQueue, MultiQueue};
 use rsched::queues::exact::BinaryHeapScheduler;
 use rsched::queues::instrument::Instrumented;
 use rsched::queues::reclaim::{Ebr, Vbr};
@@ -141,9 +141,11 @@ fn assert_deterministic<A, O>(
 /// Runs a fresh `make_alg()` through every thread executor at each of
 /// `threads` and hands each finished algorithm to `verify` with its row's
 /// name: the relaxed executor at batch sizes 1 and 8 over every MultiQueue
-/// variant, built the way its callers build it, and over a 3-shard
-/// `ShardedScheduler`; then `run_exact_concurrent`. Every row must finish
-/// the algorithm and balance its pop ledger.
+/// variant — the locked one both bulk-loaded (its sorted runs serve) and
+/// filled by inserts (its heaps do) — and over a 3-shard
+/// `ShardedScheduler`; then `run_exact_concurrent`. Every relaxed row must
+/// finish the algorithm and balance its pop ledger, the exact row pop each
+/// task once.
 fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
     pi: &Permutation,
     threads: &[usize],
@@ -164,11 +166,11 @@ fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
                     verify(alg, &row);
                 }};
             }
-            row!("run", BulkMultiQueue::prefilled_for_threads(t, tasks()));
+            row!("prefilled", MultiQueue::prefilled_for_threads(t, tasks()));
             row!("list/ebr", LockFreeMultiQueue::<_, Ebr>::prefilled_in(4 * t, tasks()));
             row!("list/vbr", LockFreeMultiQueue::<_, Vbr>::prefilled_in(4 * t, tasks()));
-            row!("heap", filled(MultiQueue::for_threads(t), pi));
-            row!("heap over 3 shards", {
+            row!("inserted", filled(MultiQueue::for_threads(t), pi));
+            row!("inserted over 3 shards", {
                 filled(ShardedScheduler::from_fn(3, |_| MultiQueue::for_threads(t)), pi)
             });
         }
@@ -214,6 +216,37 @@ fn mis_is_deterministic_on_graph_zoo() {
             || ConcurrentMis::new(&g, &pi),
             ConcurrentMis::into_output,
         );
+    }
+}
+
+/// The shapes that stress a relaxed MIS at sizes where the order matters:
+/// a clique, where every task depends on every lower label; a star, where
+/// one hub decides 799 leaves; and a long path of chained dependencies.
+#[test]
+fn mis_is_deterministic_on_adversarial_structures() {
+    let mut rng = StdRng::seed_from_u64(2);
+    for g in [gen::complete(60), gen::star(800), gen::path(1_000)] {
+        let pi = Permutation::random(g.num_vertices(), &mut rng);
+        let expected = greedy_mis(&g, &pi);
+        let make = || ConcurrentMis::new(&g, &pi);
+        assert_concurrent_deterministic(&pi, &[1, 2, 4], make, |alg, row| {
+            assert_eq!(alg.into_output(), expected, "{} vertices, {row}", g.num_vertices());
+        });
+    }
+}
+
+/// The same 4-thread MIS twenty times over, to catch rare interleavings.
+#[test]
+fn repeated_runs_are_stable() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let g = gen::gnm(500, 5_000, &mut rng);
+    let pi = Permutation::random(500, &mut rng);
+    let expected = greedy_mis(&g, &pi);
+    for rep in 0..20 {
+        let make = || ConcurrentMis::new(&g, &pi);
+        assert_concurrent_deterministic(&pi, &[4], make, |alg, row| {
+            assert_eq!(alg.into_output(), expected, "repeat {rep}, {row}");
+        });
     }
 }
 

@@ -1,9 +1,9 @@
 //! One conformance contract for every concurrent scheduler the library
 //! exports, with the configuration as the only variable: the MultiQueue
-//! over heap buckets, over run buckets, and over Harris-list buckets under
-//! EBR and under VBR, and `ShardedScheduler` over each of those four at 1,
-//! 3 and 16 shards — sixteen configurations, each exercised at run lengths
-//! 1, 8 and 64 (the `max` of every batched pop, the length of every
+//! over locked buckets (sorted run plus heap), and over Harris-list buckets
+//! under EBR and under VBR, and `ShardedScheduler` over each of those three
+//! at 1, 3 and 16 shards — twelve configurations, each exercised at run
+//! lengths 1, 8 and 64 (the `max` of every batched pop, the length of every
 //! `insert_batch`). The contract:
 //!
 //! 1. exactly-once delivery, every priority still paired with its item, and
@@ -11,10 +11,12 @@
 //!    every insert and pop method at 1 to 6 buckets;
 //! 2. `len` conserved after every step of those interleavings — for a
 //!    sharded configuration, the summed shard lengths and `total_load` too;
-//! 3. 4- and 8-thread churn over drop-cell payloads: once the scheduler is
-//!    dropped, every payload has been dropped exactly once — each cell
-//!    counts the live copies of one payload and must read 0, neither
-//!    leaked nor dropped twice;
+//! 3. churn over drop-cell payloads — 4 and 8 threads each cycling through
+//!    every method, then 3 producers beside 3 plain-`pop` consumers: each
+//!    cell counts the live copies of one payload, so at quiescence an
+//!    entry never returned reads 1 (held once, not lost, not copied) and
+//!    one returned reads 0, and once the scheduler is dropped every cell
+//!    reads 0, neither leaked nor dropped twice;
 //! 4. under that churn, no count reads above the entries inserted so far;
 //! 5. the purge partition: every entry is returned or purged, exactly once,
 //!    and every count settles at 0;
@@ -24,15 +26,9 @@
 //!    dead. (A run of `b` pops is only `O(k·b)`-relaxed, with no constant
 //!    claimed: at run lengths 8 and 64 the same two means differ by up to
 //!    1.5× between builds.)
-//!
-//! Run buckets consume their sorted runs in place and so hold `Copy`
-//! payloads only: their configurations carry bare ids, and the harness
-//! drains what is left and counts every id itself.
 
 use proptest::prelude::*;
-use rsched::queues::concurrent::{
-    Bucket, BulkMultiQueue, LockFreeMultiQueue, MultiQueue, MultiQueueCore,
-};
+use rsched::queues::concurrent::{Bucket, LockFreeMultiQueue, MultiQueue, MultiQueueCore};
 use rsched::queues::hash::splitmix64;
 use rsched::queues::reclaim::{Ebr, Vbr};
 use rsched::queues::sharded::ShardedScheduler;
@@ -80,9 +76,13 @@ struct Config<F> {
     build: F,
 }
 
-fn heap<T: Send>(queues: usize, entries: Vec<(u64, T)>) -> MultiQueue<T> {
-    let q = MultiQueue::new(queues);
-    entries.into_iter().for_each(|(p, v)| q.insert(p, v));
+/// The locked MultiQueue filled both ways its callers fill it: the first
+/// half of `entries` bulk-loaded into the sorted runs, the rest inserted
+/// into the heaps.
+fn locked<T: Send>(queues: usize, mut entries: Vec<(u64, T)>) -> MultiQueue<T> {
+    let inserted = entries.split_off(entries.len() / 2);
+    let q = MultiQueue::prefilled(queues, entries);
+    inserted.into_iter().for_each(|(p, v)| q.insert(p, v));
     q
 }
 
@@ -112,12 +112,11 @@ macro_rules! kind {
     }};
 }
 
-/// Runs `$body` once per configuration, `$cfg` bound to it; run buckets
-/// hold `$ids` payloads, every other bucket `$payload`.
+/// Runs `$body` once per configuration, `$cfg` bound to it, over
+/// `$payload` payloads.
 macro_rules! every_config {
-    ($payload:ty, $ids:ty, |$cfg:ident| $body:block) => {{
-        kind!($cfg, $body, "heap", $payload, heap);
-        kind!($cfg, $body, "run", $ids, BulkMultiQueue::prefilled);
+    ($payload:ty, |$cfg:ident| $body:block) => {{
+        kind!($cfg, $body, "locked", $payload, locked);
         kind!($cfg, $body, "list/ebr", $payload, LockFreeMultiQueue::<_, Ebr>::prefilled_in);
         kind!($cfg, $body, "list/vbr", $payload, LockFreeMultiQueue::<_, Vbr>::prefilled_in);
     }};
@@ -127,26 +126,6 @@ macro_rules! every_config {
 /// and with ties, so the sequence number decides.
 fn prio(id: usize) -> u64 {
     id as u64 * 7919 % 4099
-}
-
-/// A payload the concurrent checks can account for: a bare id, or a
-/// [`Probe`], which also counts its own copies.
-trait Payload: Clone + Send + Hash + 'static {
-    const PROBE: bool;
-    /// The payload of `id`, its drop cell in `cells`; unarmed, it is an
-    /// `insert_batch` template, of which only the clones count.
-    fn new(id: usize, cells: &Arc<[AtomicIsize]>, armed: bool) -> Self;
-    fn id(&self) -> usize;
-}
-
-impl Payload for u64 {
-    const PROBE: bool = false;
-    fn new(id: usize, _: &Arc<[AtomicIsize]>, _: bool) -> Self {
-        id as u64
-    }
-    fn id(&self) -> usize {
-        *self as usize
-    }
 }
 
 /// A payload whose shared cell counts its live copies: one when armed, one
@@ -160,16 +139,14 @@ struct Probe {
     armed: bool,
 }
 
-impl Payload for Probe {
-    const PROBE: bool = true;
+impl Probe {
+    /// The payload of `id`, its drop cell in `cells`; unarmed, it is an
+    /// `insert_batch` template, of which only the clones count.
     fn new(id: usize, cells: &Arc<[AtomicIsize]>, armed: bool) -> Self {
         if armed {
             cells[id].fetch_add(1, Ordering::SeqCst);
         }
         Probe { id, cells: Arc::clone(cells), armed }
-    }
-    fn id(&self) -> usize {
-        self.id
     }
 }
 
@@ -207,8 +184,8 @@ impl Ledger {
         Ledger { seen, cells: (0..n).map(|_| AtomicIsize::new(0)).collect() }
     }
 
-    fn payload<P: Payload>(&self, id: usize, armed: bool) -> P {
-        P::new(id, &self.cells, armed)
+    fn payload(&self, id: usize, armed: bool) -> Probe {
+        Probe::new(id, &self.cells, armed)
     }
 
     /// Counts `id`, returned or purged at priority `p`.
@@ -217,26 +194,22 @@ impl Ledger {
         assert_eq!(self.seen[id].fetch_add(1, Ordering::SeqCst), 0, "{id} seen twice");
     }
 
-    /// Ends a run at quiescence: every count agrees on what `q` still
-    /// holds; bare ids are then drained and must all have been seen once,
-    /// probes are dropped with `q` and must have no copy left.
-    fn settle<P: Payload, S: ConcurrentScheduler<P> + Census>(&self, q: S, name: &str) {
-        let seen: usize = self.seen.iter().map(|c| c.load(Ordering::SeqCst)).sum();
-        let left = self.seen.len() - seen;
+    /// Ends a run at quiescence, the harness holding no payload: every
+    /// count agrees on what `q` still holds, `q` holds one copy of each
+    /// entry never seen and none of the rest, and once `q` is dropped no
+    /// copy is left.
+    fn settle<S: Census>(&self, q: S, name: &str) {
+        let seen = |id: usize| self.seen[id].load(Ordering::SeqCst) as isize;
+        let copies = |id: usize| self.cells[id].load(Ordering::SeqCst);
+        let left = (0..self.seen.len()).filter(|&id| seen(id) == 0).count();
         assert!(holds(&q, left), "{name}: counts {:?}, {left} left", q.counts());
-        if !P::PROBE {
-            let mut out = Vec::new();
-            while q.pop_batch(&mut out, 64) > 0 {}
-            out.iter().for_each(|(p, v)| self.saw(*p, v.id()));
+        for id in 0..self.seen.len() {
+            let (seen, copies) = (seen(id), copies(id));
+            assert_eq!(copies, 1 - seen, "{name}: {id} seen {seen}, {copies} copies held");
         }
         drop(q);
         for id in 0..self.seen.len() {
-            let (seen, copies) =
-                (self.seen[id].load(Ordering::SeqCst), self.cells[id].load(Ordering::SeqCst));
-            assert!(
-                if P::PROBE { copies == 0 } else { seen == 1 },
-                "{name}: {id} seen {seen}, {copies} copies"
-            );
+            assert_eq!(copies(id), 0, "{name}: {id} has copies left after the drop");
         }
     }
 }
@@ -349,7 +322,7 @@ proptest! {
         prefill in 0usize..40,
         ops in proptest::collection::vec(op(), 0..40),
     ) {
-        every_config!(u64, u64, |cfg| {
+        every_config!(u64, |cfg| {
             for run in RUNS {
                 interleave(&cfg, queues, run, prefill, &ops)?;
             }
@@ -361,11 +334,10 @@ proptest! {
 /// pop method at run length `run` over a prefilled configuration — the
 /// purging pop with a fixed dead third — reading every count after every
 /// pop; then the ledger settles.
-fn churn<P, S, F>(cfg: &Config<F>, run: usize, threads: usize)
+fn churn<S, F>(cfg: &Config<F>, run: usize, threads: usize)
 where
-    P: Payload,
-    S: ConcurrentScheduler<P> + Census,
-    F: Fn(usize, Vec<(u64, P)>) -> S,
+    S: ConcurrentScheduler<Probe> + Census,
+    F: Fn(usize, Vec<(u64, Probe)>) -> S,
 {
     const PREFILL: usize = 1_000;
     // Release builds, where races show, insert at least 2 000 entries per
@@ -377,10 +349,10 @@ where
     let q =
         (cfg.build)(QUEUES, (0..PREFILL).map(|id| (prio(id), ledger.payload(id, true))).collect());
     let inserted = AtomicUsize::new(PREFILL);
-    let dead = |p: u64, v: &P| {
-        let dead = v.id().is_multiple_of(3);
+    let dead = |p: u64, v: &Probe| {
+        let dead = v.id.is_multiple_of(3);
         if dead {
-            ledger.saw(p, v.id());
+            ledger.saw(p, v.id);
         }
         dead
     };
@@ -398,7 +370,7 @@ where
                             continue;
                         }
                         1 => {
-                            let batch: Vec<(u64, P)> = (next..next + run)
+                            let batch: Vec<(u64, Probe)> = (next..next + run)
                                 .map(|id| (prio(id), ledger.payload(id, false)))
                                 .collect();
                             inserted.fetch_add(run, Ordering::SeqCst);
@@ -417,7 +389,54 @@ where
                     assert!(got <= run && got == out.len(), "{name}: {got} of max {run}");
                     let (counts, ever) = (q.counts(), inserted.load(Ordering::SeqCst));
                     assert!(counts.iter().all(|&c| c <= ever), "{name}: {counts:?} > {ever}");
-                    out.drain(..).for_each(|(p, v)| ledger.saw(p, v.id()));
+                    out.drain(..).for_each(|(p, v)| ledger.saw(p, v.id));
+                }
+            });
+        }
+    });
+    ledger.settle(q, &name);
+}
+
+/// Check 3 with the roles split: three producers insert disjoint ranges,
+/// in runs of `run`, while three consumers plain-`pop` until they observe
+/// the scheduler empty after the last insert; then the ledger settles.
+fn producers_and_consumers<S, F>(cfg: &Config<F>, run: usize)
+where
+    S: ConcurrentScheduler<Probe> + Census,
+    F: Fn(usize, Vec<(u64, Probe)>) -> S,
+{
+    const PRODUCERS: usize = 3;
+    // Release builds match the volume of the old per-structure stress.
+    let per = if cfg!(debug_assertions) { 2_000 } else { 20_000 };
+    let name = format!("{} at run length {run}, {PRODUCERS} producers", cfg.name);
+    let ledger = Ledger::new(PRODUCERS * per);
+    let q = (cfg.build)(QUEUES, Vec::new());
+    let producing = AtomicUsize::new(PRODUCERS);
+    std::thread::scope(|s| {
+        for t in 0..PRODUCERS {
+            let (q, ledger, producing) = (&q, &ledger, &producing);
+            s.spawn(move || {
+                for start in (t * per..(t + 1) * per).step_by(run) {
+                    let ids = start..(start + run).min((t + 1) * per);
+                    if ids.len() == 1 {
+                        q.insert(prio(start), ledger.payload(start, true));
+                    } else {
+                        let batch: Vec<(u64, Probe)> =
+                            ids.map(|id| (prio(id), ledger.payload(id, false))).collect();
+                        q.insert_batch(&batch);
+                    }
+                }
+                producing.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        for _ in 0..3 {
+            let (q, ledger, producing) = (&q, &ledger, &producing);
+            s.spawn(move || loop {
+                let done = producing.load(Ordering::SeqCst) == 0;
+                match q.pop() {
+                    Some((p, v)) => ledger.saw(p, v.id),
+                    None if done => break,
+                    None => std::hint::spin_loop(),
                 }
             });
         }
@@ -427,11 +446,12 @@ where
 
 #[test]
 fn churn_drops_every_payload_once() {
-    every_config!(Probe, u64, |cfg| {
+    every_config!(Probe, |cfg| {
         for run in RUNS {
             for threads in [4, 8] {
                 churn(&cfg, run, threads);
             }
+            producers_and_consumers(&cfg, run);
         }
     });
 }
@@ -441,22 +461,21 @@ fn churn_drops_every_payload_once() {
 /// (none of 8 levels at the start, 7 from `7 N / 16` on): every entry is
 /// returned xor purged, once, no call returns more than `run` live entries,
 /// and every count settles at 0.
-fn purge<P, S, F>(cfg: &Config<F>, run: usize)
+fn purge<S, F>(cfg: &Config<F>, run: usize)
 where
-    P: Payload,
-    S: ConcurrentScheduler<P> + Census,
-    F: Fn(usize, Vec<(u64, P)>) -> S,
+    S: ConcurrentScheduler<Probe> + Census,
+    F: Fn(usize, Vec<(u64, Probe)>) -> S,
 {
     const N: usize = 4_000;
     let name = format!("{} at run length {run}", cfg.name);
     let ledger = Ledger::new(N);
     let q = (cfg.build)(QUEUES, (0..N).map(|id| (prio(id), ledger.payload(id, true))).collect());
     let (live, purged) = (AtomicUsize::new(0), AtomicUsize::new(0));
-    let dead = |p: u64, v: &P| {
+    let dead = |p: u64, v: &Probe| {
         let level = (16 * live.load(Ordering::SeqCst) / N).min(7) as u64;
-        let dead = splitmix64(v.id() as u64) >> 61 < level;
+        let dead = splitmix64(v.id as u64) >> 61 < level;
         if dead {
-            ledger.saw(p, v.id());
+            ledger.saw(p, v.id);
         }
         dead
     };
@@ -476,7 +495,7 @@ where
                     assert!(got <= run && got == out.len(), "{name}: {got} of max {run}");
                     live.fetch_add(got, Ordering::SeqCst);
                     purged.fetch_add(gone, Ordering::SeqCst);
-                    out.drain(..).for_each(|(p, v)| ledger.saw(p, v.id()));
+                    out.drain(..).for_each(|(p, v)| ledger.saw(p, v.id));
                 }
             });
         }
@@ -489,7 +508,7 @@ where
 
 #[test]
 fn purging_returns_or_purges_every_entry_once() {
-    every_config!(Probe, u64, |cfg| {
+    every_config!(Probe, |cfg| {
         for run in RUNS {
             purge(&cfg, run);
         }
@@ -550,7 +569,7 @@ where
 
 #[test]
 fn rank_error_is_pinned_where_claimed() {
-    every_config!(u64, u64, |cfg| {
+    every_config!(u64, |cfg| {
         if cfg.ranked {
             rank(&cfg);
         }
