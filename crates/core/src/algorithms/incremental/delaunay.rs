@@ -28,8 +28,8 @@
 //! of the topological sphere and cavity re-triangulation never
 //! special-cases the hull. This avoids the super-triangle's unfixable
 //! failure mode (skinny hull triangles whose circumcircles swallow any
-//! finite far-away vertex) and keeps all arithmetic within the exact-`i128`
-//! coordinate bound.
+//! finite far-away vertex) and keeps all arithmetic within the
+//! exact-predicate coordinate bound.
 //!
 //! Ties: for cocircular point sets (the degenerate grid generator) the
 //! Delaunay triangulation is not unique and the insertion order picks among
@@ -447,16 +447,26 @@ struct Held<'a> {
 }
 
 impl<'a> Held<'a> {
-    /// Try-takes every flag of `ids` in order; `None` at the first one
-    /// already set, with the prefix taken so far released.
-    fn try_take(arena: &'a CellArena, ids: &'a [u32]) -> Option<Self> {
+    /// Try-takes every flag of `ids` in order and checks, under each flag,
+    /// that its cell is still alive; `None` at the first flag already set
+    /// or the first dead cell, with the prefix taken so far released.
+    fn try_take_alive(arena: &'a CellArena, ids: &'a [u32]) -> Option<Self> {
         let mut held = Held { arena, ids, taken: 0 };
         for &id in ids {
-            let flag = &arena.get(id).locked;
-            if flag.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed).is_err() {
+            let cell = arena.get(id);
+            if cell
+                .locked
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+            {
                 return None;
             }
             held.taken += 1;
+            // `alive` is written only under the flag just taken, so the
+            // Acquire above orders this load after the last such write.
+            if !cell.alive.load(Ordering::Relaxed) {
+                return None;
+            }
         }
         Some(held)
     }
@@ -490,25 +500,16 @@ impl Region {
     }
 }
 
-/// Validation class of a lockset slot.
-const UNSEEN: u8 = 0;
-const CAVITY: u8 = 1;
-const RING: u8 = 2;
-
 /// Every per-insert buffer of [`ConcurrentDelaunay::try_process`], one set
 /// per worker thread, cleared before each use: once these have grown to
 /// the largest cavity seen, an insert allocates none of its own buffers.
 struct Scratch {
-    /// Speculated cavity and its ring of surviving neighbors.
+    /// Speculated cavity and its ring of surviving neighbors — once
+    /// validated, the authoritative ones.
     cavity: Vec<u32>,
     ring: Vec<u32>,
-    /// Sorted, deduplicated cavity ∪ ring: the flags to take.
+    /// Sorted cavity ∪ ring: the flags to take.
     lockset: Vec<u32>,
-    /// Validation class per lockset slot ([`UNSEEN`], [`CAVITY`], [`RING`]).
-    class: Vec<u8>,
-    /// Validated cavity and ring.
-    cav: Vec<u32>,
-    outs: Vec<u32>,
     /// Boundary edges `(a, b, outer, slot in outer)`, in cavity order.
     boundary: Vec<(u32, u32, u32, usize)>,
     displaced: Vec<u32>,
@@ -523,9 +524,6 @@ impl Scratch {
             cavity: Vec::new(),
             ring: Vec::new(),
             lockset: Vec::new(),
-            class: Vec::new(),
-            cav: Vec::new(),
-            outs: Vec::new(),
             boundary: Vec::new(),
             displaced: Vec::new(),
             relocated: Vec::new(),
@@ -621,19 +619,22 @@ impl fmt::Debug for CellArena {
 ///    and because every acquisition is a *try*, any conflict releases
 ///    everything and returns [`TaskOutcome::Blocked`] — a failed delete the
 ///    executor retries, exactly like the dependency conflicts.
-/// 3. **Validate** (under locks): `loc[task]` unchanged, then recompute the
-///    cavity; conflict classification depends only on the immutable vertex
-///    triple, so any cell the authoritative cavity needs that is not
-///    already locked means the speculation raced a concurrent insertion —
-///    release and return `Blocked`.
+/// 3. **Validate by liveness** (under locks): `loc[task]` unchanged and
+///    every locked cell still alive, else release and return `Blocked`.
+///    No cell is walked or classified twice: cell ids are never reused, a
+///    live cell's link changes only when its target is carved, and
+///    classification depends only on the immutable vertex triple, so a
+///    speculation whose cells are all alive followed only current links
+///    and *is* the authoritative cavity and ring. The boundary edges come
+///    from one pass over the cavity cells' links.
 /// 4. **Commit**: the sequential carve/fan/rebucket, publishing fan-cell
 ///    ids with `Release` stores only after the cells are fully built.
 ///
 /// An insertion hashes nothing and allocates no buffer of its own: its
 /// buffers live in per-thread scratch, membership tests are linear scans
-/// over the O(1)-expected cavity or binary searches in the sorted lockset,
-/// and a carved cell's bucket buffer moves into a fan cell instead of being
-/// freed, so only a bucket that outgrows what it inherited allocates.
+/// over the O(1)-expected cavity and ring, and a carved cell's bucket
+/// buffer moves into a fan cell instead of being freed, so only a bucket
+/// that outgrows what it inherited allocates.
 ///
 /// Retries are bounded in practice by the same argument as the sequential
 /// conflict semantics: whoever holds the contended cells finishes a finite
@@ -752,9 +753,10 @@ impl ConcurrentDelaunay {
 
     /// Lock-free cavity speculation: BFS the conflict region from `start`,
     /// filling `cavity` and its boundary neighbors `ring` as *observed* — a
-    /// snapshot that step 3 re-validates under locks. `false` means the
-    /// snapshot is already visibly stale (a dead cell), so the caller can
-    /// skip the locking round-trip and report `Blocked` immediately.
+    /// snapshot that step 3 validates by the liveness of its cells under
+    /// their flags. `false` means the snapshot is already visibly stale (a
+    /// dead cell), so the caller can skip the locking round-trip and report
+    /// `Blocked` immediately.
     fn speculate(&self, start: u32, p: Point, cavity: &mut Vec<u32>, ring: &mut Vec<u32>) -> bool {
         cavity.clear();
         ring.clear();
@@ -839,96 +841,56 @@ impl ConcurrentDelaunay {
     /// Steps 1–4 of the protocol for pending, non-degenerate `task`,
     /// anchored at its bucket cell `start`, in `s`'s buffers.
     fn insert(&self, task: TaskId, start: u32, s: &mut Scratch) -> TaskOutcome {
-        let Scratch {
-            cavity,
-            ring,
-            lockset,
-            class,
-            cav,
-            outs,
-            boundary,
-            displaced,
-            relocated,
-            regions,
-        } = s;
-        let ti = task as usize;
-        let p = self.pts[ti];
-
         // 1. Speculate without locks.
-        if !self.speculate(start, p, cavity, ring) {
+        if !self.speculate(start, self.pts[task as usize], &mut s.cavity, &mut s.ring) {
             return TaskOutcome::Blocked;
         }
+        self.lock_and_commit(task, start, s)
+    }
+
+    /// Steps 2–4 over the cavity and ring speculation left in `s`.
+    fn lock_and_commit(&self, task: TaskId, start: u32, s: &mut Scratch) -> TaskOutcome {
+        let Scratch { cavity, ring, lockset, boundary, displaced, relocated, regions } = s;
+        let ti = task as usize;
 
         // 2. Try-take cavity ∪ ring in ascending id order. The total order
         // makes acquisition deadlock-free; try-only makes any collision a
-        // failed delete instead of a wait.
+        // failed delete instead of a wait. Speculation never lists a cell
+        // twice, so the sorted union needs no dedup.
         lockset.clear();
         lockset.extend_from_slice(cavity);
         lockset.extend_from_slice(ring);
         lockset.sort_unstable();
-        lockset.dedup();
         let lockset: &[u32] = lockset;
-        let Some(held) = Held::try_take(&self.arena, lockset) else {
+        let Some(held) = Held::try_take_alive(&self.arena, lockset) else {
             return TaskOutcome::Blocked;
         };
 
-        // 3. Validate under locks. `loc[task]` still pointing at `start`
-        // while we hold `start`'s lock pins the anchor: any carve of
-        // `start` would have rebucketed `task` (updating its `loc`) before
-        // releasing this lock.
+        // 3. Validate by liveness: every lockset cell was alive under its
+        // flag, and `loc[task]` still names `start` (a carve of `start`
+        // would have rebucketed `task` before releasing its flag). That
+        // makes the speculated cavity and ring the authoritative ones, by
+        // three facts:
+        //  (i) the arena never reuses a cell id, and a dead cell stays dead;
+        //  (ii) the only write to a live cell's link is the ring rewrite,
+        //       which replaces a target the same commit has just carved;
+        //  (iii) classification is a pure function of a cell's immutable
+        //       vertices.
+        // Every link speculation followed runs from a cavity cell to a
+        // lockset cell that is alive now, so by (i) and (ii) no rewrite has
+        // touched it since it was read: speculation walked the current
+        // links, and by (iii) classified every cell as a walk under the
+        // flags would — the same cells, in the same BFS order. A ring cell
+        // carved behind speculation's back shows up here as a dead cell,
+        // even though no cavity cell died.
         if self.loc[ti].load(Ordering::Acquire) != start {
             return TaskOutcome::Blocked;
         }
-        debug_assert!(self.arena.get(start).alive.load(Ordering::Relaxed));
-        debug_assert!(self.conflicts_v(self.cell_v(start), p));
-        // Recompute the authoritative cavity: classification is a pure
-        // function of the immutable vertex triple, so only *membership* can
-        // differ from the speculation — and every member must be locked.
-        // A cell's class lives at its lockset slot; the search that finds
-        // the slot is also the "is it locked" test. The boundary edges
-        // (slots read under the outer cells' locks) fall out of the same
-        // walk, in cavity order.
-        class.clear();
-        class.resize(lockset.len(), UNSEEN);
-        class[lockset.binary_search(&start).expect("the anchor is locked")] = CAVITY;
-        cav.clear();
-        outs.clear();
-        boundary.clear();
-        cav.push(start);
-        let mut i = 0;
-        while i < cav.len() {
-            let cell = cav[i];
-            let (c, cv) = (self.arena.get(cell), self.cell_v(cell));
-            i += 1;
-            for j in 0..3 {
-                let nb = c.nbr[j].load(Ordering::Acquire);
-                let Ok(slot) = lockset.binary_search(&nb) else {
-                    return TaskOutcome::Blocked; // speculation raced an insertion
-                };
-                if class[slot] == UNSEEN {
-                    if !self.arena.get(nb).alive.load(Ordering::Acquire) {
-                        return TaskOutcome::Blocked;
-                    }
-                    if self.conflicts_v(self.cell_v(nb), p) {
-                        class[slot] = CAVITY;
-                        cav.push(nb);
-                    } else {
-                        class[slot] = RING;
-                        outs.push(nb);
-                    }
-                }
-                if class[slot] == RING {
-                    let oc = self.arena.get(nb);
-                    let in_outer = (0..3)
-                        .find(|&s| oc.nbr[s].load(Ordering::Relaxed) == cell)
-                        .expect("adjacency must be symmetric under locks");
-                    boundary.push((cv[(j + 1) % 3], cv[(j + 2) % 3], nb, in_outer));
-                }
-            }
-        }
+        debug_assert!(self.conflicts_v(self.cell_v(start), self.pts[ti]));
         // Dependency oracle: an uninserted smaller-label point in `task`'s
         // own bucket blocks it. Never true for the smallest pending label,
-        // so progress is assured.
+        // so progress is assured. Checked first: only a committing insert
+        // needs the boundary pass below.
         let lt = self.labels[ti];
         // SAFETY: `start` is locked by us.
         let dep_blocked = unsafe {
@@ -938,6 +900,28 @@ impl ConcurrentDelaunay {
         };
         if dep_blocked {
             return TaskOutcome::Blocked;
+        }
+
+        // The boundary edges `(a, b, outer, slot in outer)`, in cavity
+        // order: every link from a cavity cell to a ring cell, with the
+        // ring cell's back-link slot. Every link read here belongs to a cell
+        // whose flag we hold, and links are written only under the flag, so
+        // the Acquire that took it (pairing with the last holder's Release
+        // clear) orders those writes: `Relaxed` loads suffice.
+        boundary.clear();
+        for &cell in cavity.iter() {
+            let (c, cv) = (self.arena.get(cell), self.cell_v(cell));
+            for j in 0..3 {
+                let nb = c.nbr[j].load(Ordering::Relaxed);
+                if cavity.contains(&nb) {
+                    continue;
+                }
+                let oc = self.arena.get(nb);
+                let in_outer = (0..3)
+                    .find(|&s| oc.nbr[s].load(Ordering::Relaxed) == cell)
+                    .expect("adjacency must be symmetric under locks");
+                boundary.push((cv[(j + 1) % 3], cv[(j + 2) % 3], nb, in_outer));
+            }
         }
 
         // 4. Commit. Fan: allocate unpublished cells and build them
@@ -969,7 +953,7 @@ impl ConcurrentDelaunay {
         // two more cells than the cavity), so dead cells hold no buffer and
         // the fan mostly needs no fresh one.
         displaced.clear();
-        for (i, &cell) in cav.iter().enumerate() {
+        for (i, &cell) in cavity.iter().enumerate() {
             let c = self.arena.get(cell);
             c.alive.store(false, Ordering::Release);
             // SAFETY: `cell` is locked by us.
@@ -986,19 +970,19 @@ impl ConcurrentDelaunay {
         // carved region, so a displaced point lands in a fan cell — except
         // exactly on the cavity boundary, where the (locked) surviving
         // neighbor may be the only closed-region match. First match wins,
-        // fan cells in boundary order, then the ring in validation order.
+        // fan cells in boundary order, then the ring in speculation order.
         relocated.clear();
         if !displaced.is_empty() {
             regions.clear();
             regions.extend(boundary.iter().map(|&(a, b, ..)| self.region([task, a, b])));
-            regions.extend(outs.iter().map(|&o| self.region(self.cell_v(o))));
+            regions.extend(ring.iter().map(|&o| self.region(self.cell_v(o))));
             for &q in displaced.iter() {
                 let qp = self.pts[q as usize];
                 let k = regions
                     .iter()
                     .position(|r| r.contains(qp))
                     .expect("displaced point matched neither fan nor boundary cell");
-                let cell = if k < m { base + k as u32 } else { outs[k - m] };
+                let cell = if k < m { base + k as u32 } else { ring[k - m] };
                 // SAFETY: a fan cell is ours until published below; a ring
                 // cell is locked by us.
                 unsafe { (*self.arena.get(cell).bucket.get()).push(q) };
@@ -1016,7 +1000,7 @@ impl ConcurrentDelaunay {
             self.loc[q as usize].store(cell, Ordering::Release);
         }
         self.counters.created.fetch_add(m as u64, Ordering::Relaxed);
-        self.counters.destroyed.fetch_add(cav.len() as u64, Ordering::Relaxed);
+        self.counters.destroyed.fetch_add(cavity.len() as u64, Ordering::Relaxed);
         self.loc[ti].store(LOC_INSERTED, Ordering::Release);
         self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
         drop(held);
@@ -1335,6 +1319,62 @@ mod tests {
             assert_ne!(alg.try_process(pi.task_at(pos)), TaskOutcome::Blocked);
         }
         assert_eq!(alg.into_output(), delaunay_reference(&pts, &pi));
+    }
+
+    #[test]
+    fn a_ring_cell_carved_behind_speculation_blocks_the_stale_commit() {
+        let pts = uniform_square(2_000, 1 << 20, &mut StdRng::seed_from_u64(29));
+        let pi = insertion_order(pts.len(), 12);
+        let alg = ConcurrentDelaunay::new(&pts, &pi);
+        let n = pts.len() as u32;
+        let half = n / 2;
+        for pos in 0..half {
+            alg.try_process(pi.task_at(pos));
+        }
+        let pending = |t: TaskId| alg.loc[t as usize].load(Ordering::Relaxed) < LOC_DUPLICATE;
+        // The smallest pending label, never dependency-blocked, so only
+        // validation can block its commit.
+        let task = (half..n).map(|pos| pi.task_at(pos)).find(|&t| pending(t));
+        let task = task.expect("a pending point");
+        let start = alg.loc[task as usize].load(Ordering::Relaxed);
+        let mut stale = Scratch::new();
+        assert!(alg.speculate(start, alg.pts[task as usize], &mut stale.cavity, &mut stale.ring));
+        // A point whose insertion carves one of our ring cells and none of
+        // our cavity cells: from a ring cell's bucket, its smallest label
+        // (so it is not dependency-blocked either), with a speculated
+        // cavity disjoint from ours.
+        let (mut cavity, mut ring) = (Vec::new(), Vec::new());
+        let other = stale.ring.iter().find_map(|&r| {
+            // SAFETY: single-threaded; no insertion is in flight.
+            let bucket = unsafe { &*alg.arena.get(r).bucket.get() };
+            let q = *bucket.iter().min_by_key(|&&q| alg.labels[q as usize])?;
+            assert!(alg.speculate(r, alg.pts[q as usize], &mut cavity, &mut ring));
+            cavity.iter().all(|c| !stale.cavity.contains(c)).then_some(q)
+        });
+        let other = other.expect("a ring point with a disjoint cavity");
+        assert_eq!(alg.try_process(other), TaskOutcome::Processed);
+
+        // Every cavity cell and `loc[task]` are as speculated; only a ring
+        // cell died, and the stale commit must see it.
+        assert!(stale.cavity.iter().all(|&c| alg.arena.get(c).alive.load(Ordering::Relaxed)));
+        assert!(stale.ring.iter().any(|&r| !alg.arena.get(r).alive.load(Ordering::Relaxed)));
+        assert_eq!(alg.loc[task as usize].load(Ordering::Relaxed), start);
+        assert_eq!(alg.lock_and_commit(task, start, &mut stale), TaskOutcome::Blocked);
+        for (id, c) in cells(&alg) {
+            assert!(!c.locked.load(Ordering::Relaxed), "cell {id} left locked");
+        }
+
+        // Finishing in label order inserts every remaining point unblocked.
+        // `other` went in early, so the structural counters differ from the
+        // reference's; the triangulation of points in general position
+        // does not.
+        for pos in half..n {
+            let t = pi.task_at(pos);
+            if t != other {
+                assert_ne!(alg.try_process(t), TaskOutcome::Blocked, "task {t}");
+            }
+        }
+        assert_eq!(alg.into_output().triangles, delaunay_reference(&pts, &pi).triangles);
     }
 
     #[test]

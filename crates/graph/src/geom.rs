@@ -2,13 +2,22 @@
 //! integer points, exact predicates, and point-cloud generators.
 //!
 //! The randomized-incremental Delaunay workload (arXiv 2003.09363) is only
-//! as robust as its orientation and in-circle tests, so both predicates are
-//! evaluated **exactly** in `i128` over integer coordinates — no floating
-//! point, no adaptive-precision fallback, no epsilons. The price is a
-//! coordinate bound: inputs must satisfy `|x|, |y| ≤` [`MAX_COORD`]
-//! (= 2²⁶), which keeps every intermediate of the 4×4 in-circle determinant
-//! below 2¹¹³ (see [`in_circle`]) while leaving ~67 million distinct values
-//! per axis — far finer than any of the experiments resolve.
+//! as robust as its orientation and in-circle tests, so both predicates
+//! return the **exact** sign over integer coordinates — no epsilons, no
+//! adaptive-precision expansions. The price is a coordinate bound: inputs
+//! must satisfy `|x|, |y| ≤` [`MAX_COORD`] (= 2²⁶), which leaves ~67
+//! million distinct values per axis — far finer than any of the
+//! experiments resolve — and makes two cheap evaluations exact:
+//!
+//! * [`orient2d`] is a 2×2 determinant in `i64`: each product is ≤ 2⁵⁴.
+//! * [`in_circle`] first evaluates the determinant in `f64` and accepts its
+//!   sign when it clears Shewchuk's stage-A error bound, which it does for
+//!   all but near-cocircular quadruples; the rest fall back to an exact
+//!   `i128` expansion whose every intermediate stays below 2¹¹³.
+//!
+//! Both return the sign the exact determinant has, so every caller — the
+//! sequential reference, the concurrent triangulation and the verifier —
+//! sees identical answers.
 //!
 //! Generators cover the three regimes the Delaunay literature distinguishes:
 //! uniformly random ([`uniform_square`]), clustered ([`gaussian_clusters`]),
@@ -21,8 +30,9 @@ use std::collections::HashSet;
 
 /// Inclusive coordinate bound for all geometry inputs: `|x|, |y| ≤ 2²⁶`.
 ///
-/// With coordinate differences bounded by 2²⁷, every term of the in-circle
-/// determinant is below 2¹¹³ and the `i128` evaluation is exact.
+/// Coordinate differences are then bounded by 2²⁷: exact in `f64`, every
+/// orientation product fits `i64`, and every term of the in-circle
+/// determinant is below 2¹¹³, so its `i128` evaluation is exact.
 pub const MAX_COORD: i64 = 1 << 26;
 
 /// A point in the plane with integer coordinates.
@@ -54,6 +64,10 @@ impl Point {
 /// (`c` strictly left of the directed line `a → b`), `-1` if clockwise,
 /// `0` if collinear.
 ///
+/// Exactness: with [`MAX_COORD`]-bounded inputs each difference is ≤ 2²⁷ in
+/// magnitude, each product ≤ 2⁵⁴, and their difference < 2⁶³ — `i64`
+/// cannot overflow.
+///
 /// # Examples
 ///
 /// ```
@@ -67,8 +81,8 @@ impl Point {
 /// ```
 #[inline]
 pub fn orient2d(a: Point, b: Point, c: Point) -> i8 {
-    let det = (b.x - a.x) as i128 * (c.y - a.y) as i128 - (b.y - a.y) as i128 * (c.x - a.x) as i128;
-    sign(det)
+    let det = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+    det.signum() as i8
 }
 
 /// Exact in-circle test: `1` if `d` lies strictly inside the circumcircle
@@ -79,9 +93,11 @@ pub fn orient2d(a: Point, b: Point, c: Point) -> i8 {
 /// for clockwise input); the Delaunay code maintains that invariant
 /// structurally and the verifier checks it per triangle.
 ///
-/// Exactness: with [`MAX_COORD`]-bounded inputs, each lifted coordinate
-/// `adx² + ady²` is ≤ 2⁵⁵, each 2×2 cofactor ≤ 2⁸³, and each of the three
-/// expansion terms ≤ 2¹¹⁰ — the `i128` sum cannot overflow.
+/// Evaluation: Shewchuk's stage-A filter first — the determinant in `f64`
+/// (the coordinate differences, ≤ 2²⁷, convert exactly), whose sign is
+/// certain once its magnitude exceeds `(10 + 96ε)ε` times the permanent
+/// (`ε` = 2⁻⁵³, the unit roundoff). Only near-cocircular quadruples fail
+/// the filter and take the exact `i128` expansion.
 ///
 /// # Examples
 ///
@@ -97,6 +113,45 @@ pub fn orient2d(a: Point, b: Point, c: Point) -> i8 {
 /// ```
 #[inline]
 pub fn in_circle(a: Point, b: Point, c: Point, d: Point) -> i8 {
+    /// Stage-A relative error bound of Shewchuk's `incircle`:
+    /// `(10 + 96ε)ε` with `ε` = 2⁻⁵³.
+    const ERR_BOUND_A: f64 = {
+        let eps = f64::EPSILON / 2.0;
+        (10.0 + 96.0 * eps) * eps
+    };
+    let adx = (a.x - d.x) as f64;
+    let ady = (a.y - d.y) as f64;
+    let bdx = (b.x - d.x) as f64;
+    let bdy = (b.y - d.y) as f64;
+    let cdx = (c.x - d.x) as f64;
+    let cdy = (c.y - d.y) as f64;
+    let (bdxcdy, cdxbdy) = (bdx * cdy, cdx * bdy);
+    let (cdxady, adxcdy) = (cdx * ady, adx * cdy);
+    let (adxbdy, bdxady) = (adx * bdy, bdx * ady);
+    let alift = adx * adx + ady * ady;
+    let blift = bdx * bdx + bdy * bdy;
+    let clift = cdx * cdx + cdy * cdy;
+    let det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady);
+    let permanent = (bdxcdy.abs() + cdxbdy.abs()) * alift
+        + (cdxady.abs() + adxcdy.abs()) * blift
+        + (adxbdy.abs() + bdxady.abs()) * clift;
+    let bound = ERR_BOUND_A * permanent;
+    if det > bound {
+        1
+    } else if -det > bound {
+        -1
+    } else {
+        in_circle_exact(a, b, c, d)
+    }
+}
+
+/// [`in_circle`] evaluated exactly in `i128`: the fallback for quadruples
+/// the floating-point filter cannot decide.
+///
+/// Exactness: with [`MAX_COORD`]-bounded inputs, each lifted coordinate
+/// `adx² + ady²` is ≤ 2⁵⁵, each 2×2 cofactor ≤ 2⁸³, and each of the three
+/// expansion terms ≤ 2¹¹⁰ — the `i128` sum cannot overflow.
+fn in_circle_exact(a: Point, b: Point, c: Point, d: Point) -> i8 {
     let adx = (a.x - d.x) as i128;
     let ady = (a.y - d.y) as i128;
     let bdx = (b.x - d.x) as i128;
@@ -108,7 +163,7 @@ pub fn in_circle(a: Point, b: Point, c: Point, d: Point) -> i8 {
     let cl = cdx * cdx + cdy * cdy;
     let det =
         adx * (bdy * cl - cdy * bl) - ady * (bdx * cl - cdx * bl) + al * (bdx * cdy - cdx * bdy);
-    sign(det)
+    det.signum() as i8
 }
 
 /// Whether `p` lies on the **open** segment `(a, b)`: collinear with the
@@ -123,15 +178,6 @@ pub fn on_open_segment(a: Point, b: Point, p: Point) -> bool {
     let len2 =
         (b.x - a.x) as i128 * (b.x - a.x) as i128 + (b.y - a.y) as i128 * (b.y - a.y) as i128;
     dot > 0 && dot < len2
-}
-
-#[inline]
-fn sign(det: i128) -> i8 {
-    match det.cmp(&0) {
-        std::cmp::Ordering::Greater => 1,
-        std::cmp::Ordering::Less => -1,
-        std::cmp::Ordering::Equal => 0,
-    }
 }
 
 /// `n` pairwise-distinct points uniform over the square `[0, side)²`
@@ -266,6 +312,93 @@ mod tests {
         assert_eq!(in_circle(a, b, c, Point::new(MAX_COORD, MAX_COORD)), 0);
         assert_eq!(in_circle(a, b, c, Point::new(0, 0)), 1);
         assert_eq!(in_circle(a, b, c, Point::new(MAX_COORD, MAX_COORD - 1)), 1);
+    }
+
+    /// The orientation determinant in `i128`: the reference for the `i64`
+    /// evaluation.
+    fn orient2d_wide(a: Point, b: Point, c: Point) -> i8 {
+        let det =
+            (b.x - a.x) as i128 * (c.y - a.y) as i128 - (b.y - a.y) as i128 * (c.x - a.x) as i128;
+        det.signum() as i8
+    }
+
+    /// Both fast predicates agree with their exact references on the
+    /// quadruple `(a, b, c, d)` — `in_circle` also on the clockwise order,
+    /// which flips the determinant's sign.
+    fn assert_predicates_agree(a: Point, b: Point, c: Point, d: Point) {
+        assert_eq!(orient2d(a, b, c), orient2d_wide(a, b, c), "orient2d{:?}", (a, b, c));
+        assert_eq!(orient2d(a, b, d), orient2d_wide(a, b, d), "orient2d{:?}", (a, b, d));
+        for (p, q, r) in [(a, b, c), (a, c, b)] {
+            assert_eq!(
+                in_circle(p, q, r, d),
+                in_circle_exact(p, q, r, d),
+                "in_circle{:?}",
+                (p, q, r, d)
+            );
+        }
+    }
+
+    #[test]
+    fn filtered_predicates_equal_exact_on_random_quadruples() {
+        let mut rng = StdRng::seed_from_u64(5);
+        // Full range, mid range, and two tie-heavy tiny ranges.
+        for range in [MAX_COORD, 1 << 20, 64, 4] {
+            let mut ties = 0;
+            for _ in 0..200_000 {
+                let mut draw =
+                    || Point::new(rng.gen_range(-range..=range), rng.gen_range(-range..=range));
+                let [a, b, c, d] = [draw(), draw(), draw(), draw()];
+                assert_predicates_agree(a, b, c, d);
+                ties += usize::from(in_circle_exact(a, b, c, d) == 0);
+            }
+            if range == 4 {
+                assert!(ties > 10_000, "range {range}: only {ties} cocircular quadruples");
+            }
+        }
+    }
+
+    #[test]
+    fn filtered_predicates_equal_exact_near_a_full_range_lattice_circle() {
+        // Six lattice points on the circle of radius 5k about the origin,
+        // with 5k as close to MAX_COORD as fits: every triple is cocircular
+        // with every fourth point, and a ±1 nudge of the fourth point moves
+        // the determinant by far less than the float filter can resolve.
+        let k = MAX_COORD / 5;
+        let ring = [(3, 4), (-4, 3), (-5, 0), (-3, -4), (0, -5), (4, -3)]
+            .map(|(x, y)| Point::new(x * k, y * k));
+        for (i, &a) in ring.iter().enumerate() {
+            for (j, &b) in ring.iter().enumerate().skip(i + 1) {
+                for &c in &ring[j + 1..] {
+                    for &d in &ring {
+                        for dx in -1..=1 {
+                            for dy in -1..=1 {
+                                let d = Point::new(d.x + dx, d.y + dy);
+                                assert_predicates_agree(a, b, c, d);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The unperturbed quadruples are exactly cocircular.
+        assert_eq!(in_circle(ring[0], ring[1], ring[2], ring[3]), 0);
+    }
+
+    #[test]
+    fn filtered_predicates_equal_exact_at_the_range_corners() {
+        let m = MAX_COORD;
+        let coords = [-m, 1 - m, 0, m - 1, m];
+        let pts: Vec<Point> =
+            coords.iter().flat_map(|&x| coords.iter().map(move |&y| Point::new(x, y))).collect();
+        for &a in &pts {
+            for &b in &pts {
+                for &c in &pts {
+                    for &d in &pts {
+                        assert_predicates_agree(a, b, c, d);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
