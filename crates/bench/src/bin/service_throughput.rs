@@ -52,7 +52,7 @@ use rsched_core::TaskId;
 use rsched_graph::{gen, WeightedCsr};
 use rsched_obs::hist::LogHistogram;
 use rsched_queues::concurrent::LockFreeMultiQueue;
-use rsched_queues::reclaim::{Backend, Ebr, Reclaim, Vbr};
+use rsched_queues::reclaim::{Ebr, Reclaim, Vbr};
 use rsched_queues::sharded::ShardedScheduler;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -83,7 +83,24 @@ struct Knobs {
     seed: u64,
     config: ServiceConfig,
     shards: usize,
-    reclaim: Backend,
+    /// The backend's [`Reclaim::name`].
+    reclaim: &'static str,
+}
+
+/// `--reclaim`'s value matched case-insensitively against each backend's
+/// [`Reclaim::name`]; absent means EBR.
+fn reclaim_name(arg: Option<&str>) -> &'static str {
+    let Some(arg) = arg else { return Ebr::name() };
+    [Ebr::name(), Vbr::name()]
+        .into_iter()
+        .find(|name| arg.eq_ignore_ascii_case(name))
+        .unwrap_or_else(|| {
+            panic!(
+                "--reclaim: unknown reclamation backend {arg:?} (expected {}|{})",
+                Ebr::name(),
+                Vbr::name()
+            )
+        })
 }
 
 fn sched<R: Reclaim>(shards: usize) -> ShardedScheduler<LockFreeMultiQueue<TaskId, R>> {
@@ -238,10 +255,7 @@ fn main() {
             ..Default::default()
         },
         shards: args.get_usize("shards", 3),
-        reclaim: args
-            .get_str("reclaim")
-            .map(|s| s.parse().unwrap_or_else(|e| panic!("--reclaim: {e}")))
-            .unwrap_or(Backend::Ebr),
+        reclaim: reclaim_name(args.get_str("reclaim")),
     };
     assert!(knobs.producers >= 1, "--producers must be positive");
     assert!(knobs.reps >= 1, "--reps must be positive");
@@ -258,9 +272,10 @@ fn main() {
         let mut ops = Vec::new();
         let (mut p50s, mut p95s, mut p99s) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..knobs.reps {
-            let (o, (p50, p95, p99)) = match knobs.reclaim {
-                Backend::Ebr => connectivity_rep::<Ebr>(n, &edges, &expected, &knobs, &mut totals),
-                Backend::Vbr => connectivity_rep::<Vbr>(n, &edges, &expected, &knobs, &mut totals),
+            let (o, (p50, p95, p99)) = if knobs.reclaim == Vbr::name() {
+                connectivity_rep::<Vbr>(n, &edges, &expected, &knobs, &mut totals)
+            } else {
+                connectivity_rep::<Ebr>(n, &edges, &expected, &knobs, &mut totals)
             };
             ops.push(o);
             p50s.push(p50);
@@ -290,9 +305,10 @@ fn main() {
         let mut floods = Vec::new();
         let mut relax = Vec::new();
         for _ in 0..knobs.reps {
-            let (secs, rps) = match knobs.reclaim {
-                Backend::Ebr => sssp_rep::<Ebr>(&g, &expected, &knobs, &mut totals),
-                Backend::Vbr => sssp_rep::<Vbr>(&g, &expected, &knobs, &mut totals),
+            let (secs, rps) = if knobs.reclaim == Vbr::name() {
+                sssp_rep::<Vbr>(&g, &expected, &knobs, &mut totals)
+            } else {
+                sssp_rep::<Ebr>(&g, &expected, &knobs, &mut totals)
             };
             floods.push(secs);
             relax.push(rps);

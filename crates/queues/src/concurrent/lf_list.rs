@@ -9,9 +9,9 @@
 //! [`HarrisList::insert_run_with`] walks once per ascending run, starting
 //! at the finger, and [`HarrisList::pop_run_with`] marks a prefix and
 //! unlinks it with one CAS; each unlinked chain is retired as one unit.
-//! Memory management is pluggable through [`Reclaim`]: under the default
-//! [`Ebr`] a chain is one deferred epoch item whose nodes go back to the
-//! list's node pool after the grace period; under
+//! Memory management is pluggable through [`Reclaim`]: under
+//! [`Ebr`](crate::reclaim::Ebr) a chain is one deferred epoch item whose
+//! nodes go back to the list's node pool after the grace period; under
 //! [`Vbr`](crate::reclaim::Vbr) nodes live in a version-stamped slot arena
 //! and readers validate instead of pinning. The `*_with(guard)` variants
 //! let callers amortize one pin over a run; runs long enough to stall
@@ -36,7 +36,7 @@
 //! `SeqCst` fence between its write and its read: at least one side sees
 //! the other. DESIGN.md "Reclamation semantics" has the argument.
 
-use crate::reclaim::{Ebr, Reclaim};
+use crate::reclaim::Reclaim;
 use rsched_sync::atomic::{fence, AtomicU64, Ordering::SeqCst};
 use std::fmt;
 
@@ -49,24 +49,24 @@ use std::fmt;
 /// list's finger, the last node a run linked, and
 /// [`HarrisList::pop_run_with`] unlinks a popped prefix with one CAS.
 ///
-/// The second type parameter selects the reclamation backend and defaults
-/// to [`Ebr`], so pre-existing call sites compile unchanged; use
-/// [`HarrisList::new_in`] / [`HarrisList::from_sorted_in`] to construct a
-/// list over another backend.
+/// The second type parameter selects the reclamation backend; there is no
+/// default, so every list names its backend at [`HarrisList::new_in`] or
+/// [`HarrisList::from_sorted_in`].
 ///
 /// # Examples
 ///
 /// ```
 /// use rsched_queues::concurrent::HarrisList;
+/// use rsched_queues::reclaim::Ebr;
 ///
-/// let list = HarrisList::new();
+/// let list = HarrisList::<_, Ebr>::new_in();
 /// list.insert(2, 0, "b");
 /// list.insert(1, 1, "a");
 /// assert_eq!(list.pop_min(), Some((1, "a")));
 /// assert_eq!(list.pop_min(), Some((2, "b")));
 /// assert_eq!(list.pop_min(), None);
 /// ```
-pub struct HarrisList<T: Send, R: Reclaim = Ebr> {
+pub struct HarrisList<T: Send, R: Reclaim> {
     dom: R::Domain<T>,
     /// Sentinel node: allocated at construction, never marked or retired.
     head: R::Ptr<T>,
@@ -85,39 +85,15 @@ unsafe impl<T: Send, R: Reclaim> Send for HarrisList<T, R> {}
 // version-validates (VBR) reclamation against readers.
 unsafe impl<T: Send, R: Reclaim> Sync for HarrisList<T, R> {}
 
-impl<T: Send, R: Reclaim> Default for HarrisList<T, R> {
-    fn default() -> Self {
-        Self::new_in()
-    }
-}
-
-impl<T: Send> HarrisList<T, Ebr> {
-    /// Creates an empty list over the default epoch backend.
-    pub fn new() -> Self {
-        Self::new_in()
-    }
-
-    /// Builds a list from entries sorted by `(priority, seq)` without any
-    /// CAS traffic — the bulk-load path used to prefill schedulers.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the entries are not strictly sorted.
-    pub fn from_sorted<I>(entries: I) -> Self
-    where
-        I: IntoIterator<Item = (u64, u64, T)>,
-    {
-        Self::from_sorted_in(entries)
-    }
-}
-
 impl<T: Send, R: Reclaim> HarrisList<T, R> {
     /// Creates an empty list in a fresh domain of backend `R`.
     pub fn new_in() -> Self {
         Self::from_sorted_in(std::iter::empty())
     }
 
-    /// [`HarrisList::from_sorted`] for an explicit backend `R`.
+    /// Builds a list in a fresh domain of backend `R` from entries sorted
+    /// by `(priority, seq)` without any CAS traffic — the bulk-load path
+    /// used to prefill schedulers.
     ///
     /// # Panics
     ///
@@ -520,7 +496,7 @@ impl<T: Send, R: Reclaim> fmt::Debug for HarrisList<T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reclaim::Vbr;
+    use crate::reclaim::{Ebr, Vbr};
     use rsched_sync::atomic::{AtomicUsize, Ordering};
     use std::cell::Cell;
     use std::collections::HashSet;
@@ -672,7 +648,7 @@ mod tests {
 
     #[test]
     fn ties_resolved_by_seq() {
-        let list = HarrisList::new();
+        let list = HarrisList::<_, Ebr>::new_in();
         list.insert(1, 1, "second");
         list.insert(1, 0, "first");
         assert_eq!(list.pop_min().unwrap().1, "first");
@@ -780,7 +756,7 @@ mod tests {
 
     #[test]
     fn empty_list_behaviour() {
-        let list: HarrisList<u8> = HarrisList::new();
+        let list: HarrisList<u8, Ebr> = HarrisList::new_in();
         assert!(list.is_empty());
         assert_eq!(list.pop_min(), None);
         assert_eq!(list.peek_min(), None);

@@ -12,7 +12,8 @@
 //!   is deferred as one item to the retiring thread's garbage bag and, once
 //!   the grace period has passed, goes back to its list's node pool, which
 //!   carves fresh nodes from blocks and frees them when the list (and the
-//!   last deferred chain) is gone. This is the default backend.
+//!   last deferred chain) is gone. It is the default backend of
+//!   [`LockFreeMultiQueue`](crate::concurrent::LockFreeMultiQueue).
 //! * [`Vbr`] — version-based reclamation. Nodes live in a type-stable slot
 //!   arena (the chunked-spine pattern of the Delaunay `CellArena`); every
 //!   slot carries a version counter bumped on retire and on reallocation,
@@ -39,7 +40,6 @@ pub use vbr::Vbr;
 
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::str::FromStr;
 
 /// A safe-memory-reclamation policy for the lock-free list schedulers.
 ///
@@ -214,71 +214,4 @@ pub unsafe trait Reclaim: Copy + Default + fmt::Debug + Send + Sync + 'static {
         node: Self::Ptr<T>,
         drop_payload: bool,
     );
-}
-
-/// Runtime selector for a reclamation backend (`--reclaim {ebr,vbr}` on the
-/// bench binaries).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Epoch-based reclamation ([`Ebr`]), the default.
-    Ebr,
-    /// Version-based reclamation ([`Vbr`]).
-    Vbr,
-}
-
-impl Backend {
-    /// Every backend, in bake-off order.
-    pub const ALL: [Backend; 2] = [Backend::Ebr, Backend::Vbr];
-
-    /// The backend's lowercase name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Backend::Ebr => "ebr",
-            Backend::Vbr => "vbr",
-        }
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "ebr" => Ok(Backend::Ebr),
-            "vbr" => Ok(Backend::Vbr),
-            other => Err(format!("unknown reclamation backend {other:?} (expected ebr|vbr)")),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_parses_both_names() {
-        assert_eq!("ebr".parse::<Backend>().unwrap(), Backend::Ebr);
-        assert_eq!("VBR".parse::<Backend>().unwrap(), Backend::Vbr);
-        assert!("hazard".parse::<Backend>().is_err());
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        for b in Backend::ALL {
-            assert_eq!(b.as_str().parse::<Backend>().unwrap(), b);
-            assert_eq!(b.to_string(), b.as_str());
-        }
-    }
-
-    #[test]
-    fn trait_names_match_backend_enum() {
-        assert_eq!(Ebr::name(), Backend::Ebr.as_str());
-        assert_eq!(Vbr::name(), Backend::Vbr.as_str());
-    }
 }

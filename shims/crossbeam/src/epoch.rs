@@ -1,8 +1,7 @@
-//! Epoch-based memory reclamation, mirroring the `crossbeam-epoch` API
-//! surface used by the workspace's Harris list: [`Atomic`] tagged pointers,
-//! [`Owned`]/[`Shared`] ownership states, [`pin`]/[`Guard`] critical
-//! sections, deferred destruction, [`Guard::flush`]/[`Guard::repin`], and
-//! [`unprotected`] for unshared access.
+//! Epoch-based memory reclamation, mirroring the slice of the
+//! `crossbeam-epoch` API that the workspace's `Ebr` backend calls:
+//! [`pin`]/[`Guard`] critical sections, [`Guard::defer_unchecked`] and
+//! [`Guard::flush`].
 //!
 //! # Scheme
 //!
@@ -16,16 +15,16 @@
 //!   of concurrently live threads. Registration happens once per thread and
 //!   the record is cached in a thread-local, so [`pin`] is a counter bump
 //!   plus one atomic store and one fence — no `Arc` clone, no lock.
-//! * **Garbage** deferred by [`Guard::defer_destroy`] or
-//!   [`Guard::defer_unchecked`] goes into the pinning thread's own bag,
-//!   stamped with the global epoch observed at defer time. It is freed by
-//!   that same thread's later collections; only on thread exit does a
-//!   non-empty bag migrate to a shared orphan list (drained
-//!   opportunistically by any later collection). Defer and the common-case
-//!   collect therefore take **zero** shared-lock acquisitions. An unpin
-//!   collects once the bag has grown [`COLLECT_THRESHOLD`] items past what
-//!   the last collection left in it, so a straggler pinned at an old epoch
-//!   costs one rescan per threshold's worth of defers, not one per unpin.
+//! * **Garbage** deferred by [`Guard::defer_unchecked`] goes into the
+//!   pinning thread's own bag, stamped with the global epoch observed at
+//!   defer time. It is freed by that same thread's later collections; only
+//!   on thread exit does a non-empty bag migrate to a shared orphan list
+//!   (drained opportunistically by any later collection). Defer and the
+//!   common-case collect therefore take **zero** shared-lock acquisitions.
+//!   An unpin collects once the bag has grown [`COLLECT_THRESHOLD`] items
+//!   past what the last collection left in it, so a straggler pinned at an
+//!   old epoch costs one rescan per threshold's worth of defers, not one
+//!   per unpin.
 //! * **Epoch advancement is garbage-driven**: a collection only attempts to
 //!   advance the global epoch when it actually holds garbage that is too
 //!   young to free (or orphans exist); an empty collect never touches the
@@ -67,13 +66,12 @@
 //!   race a live reference. This trades one epoch of reclamation latency
 //!   for an argument that needs no fence on the (hot) defer path.
 //!
-//! The caller contract is upstream's: only [`Guard::defer_destroy`] objects
+//! The caller contract is upstream's: only defer the freeing of objects
 //! that are already unreachable to threads that pin *after* the call.
 
 use rsched_sync::atomic::{fence, AtomicUsize, Ordering};
 use std::cell::{Cell, UnsafeCell};
-use std::marker::PhantomData;
-use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
+use std::mem::{align_of, size_of, MaybeUninit};
 
 /// How many garbage items bagged since the last collection trigger a
 /// collection attempt on unpin.
@@ -481,6 +479,8 @@ pub fn pin() -> Guard {
         // destructor): register an ephemeral participant that the guard
         // retires on drop.
         Err(_) => {
+            #[cfg(test)]
+            tests::EPHEMERAL_PINS.fetch_add(1, Ordering::Relaxed);
             let local = Local::acquire();
             local.guard_count.set(1);
             pin_slot(local);
@@ -500,62 +500,24 @@ fn make_guard(local: &'static Local) -> Guard {
     Guard { local, ephemeral: false }
 }
 
-/// Returns a dummy guard for data not shared with any other thread.
-///
-/// # Safety
-///
-/// Callers must guarantee no concurrent access to the data structures
-/// traversed under this guard; deferred destruction runs immediately.
-pub unsafe fn unprotected() -> &'static Guard {
-    struct SyncGuard(Guard);
-    // SAFETY: the null-participant guard carries no thread-bound state.
-    unsafe impl Sync for SyncGuard {}
-    static UNPROTECTED: SyncGuard = SyncGuard(Guard { local: std::ptr::null(), ephemeral: false });
-    &UNPROTECTED.0
-}
-
 /// A pinned critical section. Dropping the guard unpins the thread and
 /// opportunistically collects this thread's expired garbage.
 ///
-/// Holds a raw participant pointer (null for [`unprotected`]), which also
-/// makes `Guard: !Send` — a guard must unpin on the thread that pinned.
+/// `Local` holds `Cell`s, so the participant reference makes
+/// `Guard: !Send` — a guard must unpin on the thread that pinned.
 pub struct Guard {
-    local: *const Local,
+    local: &'static Local,
     /// Whether dropping this guard must also retire its participant slot
     /// (only for pins that raced thread-local teardown).
     ephemeral: bool,
 }
 
 impl Guard {
-    fn local(&self) -> Option<&'static Local> {
-        // SAFETY: non-null `local` always points at a leaked, never-freed
-        // registry record.
-        unsafe { self.local.as_ref() }
-    }
-
-    /// Schedules the pointee for deallocation once no pinned thread can
-    /// still hold a reference to it. Lock-free: a push onto this thread's
-    /// own garbage bag.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must have been created by [`Owned::new`] (or
-    /// [`Owned::into_shared`]), must not be destroyed twice, and must be
-    /// unreachable to any thread that pins after this call.
-    pub unsafe fn defer_destroy<T>(&self, ptr: Shared<'_, T>) {
-        let raw = ptr.untagged();
-        debug_assert!(raw != 0, "defer_destroy on null pointer");
-        // SAFETY: caller contract — `raw` came from `Box::into_raw::<T>`,
-        // is destroyed once, and is unreachable to later pins.
-        unsafe { self.defer_unchecked(move || drop(Box::from_raw(raw as *mut T))) };
-    }
-
     /// Schedules `f` to run once no thread pinned now can still be inside
-    /// its critical section: the general form of [`Guard::defer_destroy`]
-    /// (upstream's `defer_unchecked`). `f` is stored inline in the bag
-    /// entry, so deferring allocates nothing beyond the bag's own growth;
-    /// a closure larger than four words does not compile. Under
-    /// [`unprotected`], `f` runs immediately.
+    /// its critical section (upstream's `defer_unchecked`). Lock-free: a
+    /// push onto this thread's own garbage bag. `f` is stored inline in the
+    /// bag entry, so deferring allocates nothing beyond the bag's own
+    /// growth; a closure larger than four words does not compile.
     ///
     /// # Safety
     ///
@@ -565,19 +527,12 @@ impl Guard {
     /// pins after this call.
     pub unsafe fn defer_unchecked<F: FnOnce()>(&self, f: F) {
         let deferred = Deferred::new(f);
-        match self.local() {
-            // Unprotected guard — the caller vouched that no other thread
-            // can reach what `f` frees, so running it now is sound.
-            None => deferred.run(),
-            Some(local) => {
-                // At most one step stale (we are pinned, so the epoch can
-                // have advanced at most once since our pin) — absorbed by
-                // the EXPIRY margin.
-                let stamp = GLOBAL.epoch.load(Ordering::SeqCst);
-                // SAFETY: the bag belongs to this (pinned) thread alone.
-                unsafe { &mut *local.bag.get() }.push((stamp, deferred));
-            }
-        }
+        // At most one step stale (we are pinned, so the epoch can have
+        // advanced at most once since our pin) — absorbed by the EXPIRY
+        // margin.
+        let stamp = GLOBAL.epoch.load(Ordering::SeqCst);
+        // SAFETY: the bag belongs to this (pinned) thread alone.
+        unsafe { &mut *self.local.bag.get() }.push((stamp, deferred));
     }
 
     /// Collects this thread's expired garbage now (and any expired orphan
@@ -585,29 +540,13 @@ impl Guard {
     /// `Guard::flush` in role: call after large unlink phases to bound
     /// memory, instead of waiting for the unpin threshold.
     pub fn flush(&self) {
-        if let Some(local) = self.local() {
-            collect(local);
-        }
-    }
-
-    /// Unpins and immediately re-pins at the current epoch, letting the
-    /// global epoch advance past this thread mid-way through a long
-    /// operation. Matches upstream `Guard::repin`. No-op for nested guards
-    /// (an outer guard still holds the older epoch hostage) and for the
-    /// [`unprotected`] guard.
-    pub fn repin(&mut self) {
-        if let Some(local) = self.local() {
-            if local.guard_count.get() == 1 {
-                local.epoch.store(0, Ordering::Release);
-                pin_slot(local);
-            }
-        }
+        collect(self.local);
     }
 }
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        let Some(local) = self.local() else { return };
+        let local = self.local;
         let count = local.guard_count.get();
         local.guard_count.set(count - 1);
         if count == 1 {
@@ -635,250 +574,10 @@ impl std::fmt::Debug for Guard {
     }
 }
 
-/// Returns the tag mask for `T`'s alignment (low bits available for tags).
-fn low_bits<T>() -> usize {
-    std::mem::align_of::<T>() - 1
-}
-
-/// An atomic, taggable pointer to `T`, loadable only under a [`Guard`].
-pub struct Atomic<T> {
-    data: AtomicUsize,
-    _marker: PhantomData<*mut T>,
-}
-
-// SAFETY: same contract as `AtomicPtr<T>` plus epoch-managed lifetime.
-unsafe impl<T: Send + Sync> Send for Atomic<T> {}
-// SAFETY: as for Send — shared access only hands out epoch-guarded loads.
-unsafe impl<T: Send + Sync> Sync for Atomic<T> {}
-
-impl<T> Atomic<T> {
-    /// Creates a null atomic pointer.
-    pub fn null() -> Self {
-        Atomic { data: AtomicUsize::new(0), _marker: PhantomData }
-    }
-
-    /// Loads the pointer; the result lives as long as the guard.
-    pub fn load<'g>(&self, ord: Ordering, _: &'g Guard) -> Shared<'g, T> {
-        Shared { data: self.data.load(ord), _marker: PhantomData }
-    }
-
-    /// Stores a new pointer, consuming ownership if `new` is [`Owned`].
-    pub fn store<P: Pointer<T>>(&self, new: P, ord: Ordering) {
-        self.data.store(new.into_usize(), ord);
-    }
-
-    /// Compare-and-swap from `current` to `new`. On failure, returns the
-    /// observed value and hands `new` back to the caller.
-    pub fn compare_exchange<'g, P: Pointer<T>>(
-        &self,
-        current: Shared<'_, T>,
-        new: P,
-        success: Ordering,
-        failure: Ordering,
-        _: &'g Guard,
-    ) -> Result<Shared<'g, T>, CompareExchangeError<'g, T, P>> {
-        let new_data = new.into_usize();
-        match self.data.compare_exchange(current.data, new_data, success, failure) {
-            Ok(_) => Ok(Shared { data: new_data, _marker: PhantomData }),
-            Err(observed) => Err(CompareExchangeError {
-                current: Shared { data: observed, _marker: PhantomData },
-                // SAFETY: round-trip of the representation we just created.
-                new: unsafe { P::from_usize(new_data) },
-            }),
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for Atomic<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Atomic({:#x})", self.data.load(Ordering::Relaxed))
-    }
-}
-
-/// The error of a failed [`Atomic::compare_exchange`].
-pub struct CompareExchangeError<'g, T, P: Pointer<T>> {
-    /// The value the atomic held at the failed exchange.
-    pub current: Shared<'g, T>,
-    /// The proposed value, returned to the caller.
-    pub new: P,
-}
-
-/// Conversion between pointer types and their tagged `usize` form.
-pub trait Pointer<T> {
-    /// Consumes the pointer into its tagged representation.
-    fn into_usize(self) -> usize;
-
-    /// Rebuilds the pointer from a tagged representation.
-    ///
-    /// # Safety
-    ///
-    /// `data` must come from a matching [`Pointer::into_usize`] call whose
-    /// result was not otherwise consumed.
-    unsafe fn from_usize(data: usize) -> Self;
-}
-
-/// Uniquely owned heap allocation, not yet visible to other threads.
-pub struct Owned<T> {
-    data: usize,
-    _marker: PhantomData<Box<T>>,
-}
-
-impl<T> Owned<T> {
-    /// Allocates `value` on the heap.
-    pub fn new(value: T) -> Self {
-        Owned { data: Box::into_raw(Box::new(value)) as usize, _marker: PhantomData }
-    }
-
-    /// Converts into a [`Shared`] tied to the guard's lifetime, giving up
-    /// unique ownership to the data structure.
-    pub fn into_shared<'g>(self, _: &'g Guard) -> Shared<'g, T> {
-        let data = ManuallyDrop::new(self).data;
-        Shared { data, _marker: PhantomData }
-    }
-}
-
-impl<T> Pointer<T> for Owned<T> {
-    fn into_usize(self) -> usize {
-        ManuallyDrop::new(self).data
-    }
-
-    // SAFETY contract on `Pointer::from_usize`: `data` came from
-    // `into_usize` on an `Owned` and ownership transfers here.
-    unsafe fn from_usize(data: usize) -> Self {
-        Owned { data, _marker: PhantomData }
-    }
-}
-
-impl<T> std::ops::Deref for Owned<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: `data` is an untagged pointer from `Box::into_raw`.
-        unsafe { &*((self.data & !low_bits::<T>()) as *const T) }
-    }
-}
-
-impl<T> std::ops::DerefMut for Owned<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: unique ownership; pointer valid as in `deref`.
-        unsafe { &mut *((self.data & !low_bits::<T>()) as *mut T) }
-    }
-}
-
-impl<T> Drop for Owned<T> {
-    fn drop(&mut self) {
-        // SAFETY: `Owned` uniquely owns the allocation.
-        unsafe { drop(Box::from_raw((self.data & !low_bits::<T>()) as *mut T)) };
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for Owned<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Owned").field(&**self).finish()
-    }
-}
-
-/// A tagged pointer valid for the lifetime of a [`Guard`].
-pub struct Shared<'g, T> {
-    data: usize,
-    _marker: PhantomData<(&'g Guard, *const T)>,
-}
-
-impl<T> Clone for Shared<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for Shared<'_, T> {}
-
-impl<'g, T> Shared<'g, T> {
-    /// The null pointer (tag 0).
-    pub fn null() -> Self {
-        Shared { data: 0, _marker: PhantomData }
-    }
-
-    /// Whether the untagged pointer is null.
-    pub fn is_null(&self) -> bool {
-        self.untagged() == 0
-    }
-
-    fn untagged(&self) -> usize {
-        self.data & !low_bits::<T>()
-    }
-
-    /// The tag stored in the pointer's low bits.
-    pub fn tag(&self) -> usize {
-        self.data & low_bits::<T>()
-    }
-
-    /// The same pointer with its tag replaced by `tag`.
-    pub fn with_tag(&self, tag: usize) -> Shared<'g, T> {
-        Shared { data: self.untagged() | (tag & low_bits::<T>()), _marker: PhantomData }
-    }
-
-    /// Dereferences if non-null.
-    ///
-    /// # Safety
-    ///
-    /// The pointer must be valid (epoch-protected) for `'g`.
-    pub unsafe fn as_ref(&self) -> Option<&'g T> {
-        // SAFETY: forwarded — the caller guarantees validity for 'g.
-        unsafe { (self.untagged() as *const T).as_ref() }
-    }
-
-    /// Dereferences unconditionally.
-    ///
-    /// # Safety
-    ///
-    /// The pointer must be non-null and valid (epoch-protected) for `'g`.
-    pub unsafe fn deref(&self) -> &'g T {
-        // SAFETY: forwarded — the caller guarantees non-null validity for 'g.
-        unsafe { &*(self.untagged() as *const T) }
-    }
-
-    /// Reclaims unique ownership of the allocation.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have exclusive access to the pointee and the
-    /// pointer must be non-null.
-    pub unsafe fn into_owned(self) -> Owned<T> {
-        debug_assert!(!self.is_null(), "into_owned on null Shared");
-        Owned { data: self.untagged(), _marker: PhantomData }
-    }
-}
-
-impl<T> Pointer<T> for Shared<'_, T> {
-    fn into_usize(self) -> usize {
-        self.data
-    }
-
-    // SAFETY contract on `Pointer::from_usize`: `data` is a live tagged
-    // pointer whose pointee outlives the borrow this `Shared` represents.
-    unsafe fn from_usize(data: usize) -> Self {
-        Shared { data, _marker: PhantomData }
-    }
-}
-
-impl<T> PartialEq for Shared<'_, T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.data == other.data
-    }
-}
-
-impl<T> Eq for Shared<'_, T> {}
-
-impl<T> std::fmt::Debug for Shared<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Shared({:#x}, tag {})", self.untagged(), self.tag())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsched_sync::atomic::Ordering::{Acquire, Release, SeqCst};
+    use rsched_sync::atomic::Ordering::SeqCst;
     use std::sync::Barrier;
 
     thread_local! {
@@ -886,42 +585,11 @@ mod tests {
         pub(super) static COLLECTS: Cell<usize> = const { Cell::new(0) };
     }
 
-    #[test]
-    fn owned_roundtrip_and_tags() {
-        let guard = pin();
-        let a: Atomic<u64> = Atomic::null();
-        assert!(a.load(SeqCst, &guard).is_null());
-        a.store(Owned::new(42u64), Release);
-        let s = a.load(Acquire, &guard);
-        assert!(!s.is_null());
-        // SAFETY: just stored, never unlinked, and we are pinned.
-        assert_eq!(unsafe { *s.deref() }, 42);
-        assert_eq!(s.tag(), 0);
-        let tagged = s.with_tag(1);
-        assert_eq!(tagged.tag(), 1);
-        // SAFETY: same pointee, tag bits do not affect validity.
-        assert_eq!(unsafe { *tagged.with_tag(0).deref() }, 42);
-        // SAFETY: this test is the value's only owner; unique reclaim.
-        unsafe { drop(a.load(Acquire, &guard).into_owned()) };
-    }
+    /// Pins that found `HANDLE` torn down and registered an ephemeral
+    /// participant (process-wide: they run in TLS destructors).
+    pub(super) static EPHEMERAL_PINS: AtomicUsize = AtomicUsize::new(0);
 
-    #[test]
-    fn cas_failure_returns_ownership() {
-        let guard = pin();
-        let a: Atomic<u32> = Atomic::null();
-        a.store(Owned::new(1u32), Release);
-        let cur = a.load(Acquire, &guard);
-        let stale = Shared::null();
-        let err = a
-            .compare_exchange(stale, Owned::new(2u32), SeqCst, SeqCst, &guard)
-            .expect_err("CAS from stale value must fail");
-        assert_eq!(err.current, cur);
-        assert_eq!(*err.new, 2);
-        // SAFETY: this test is the value's only owner; unique reclaim.
-        unsafe { drop(a.load(Acquire, &guard).into_owned()) };
-    }
-
-    /// Defers a fresh heap allocation whose Drop bumps `counter`.
+    /// Defers dropping a fresh heap probe whose Drop bumps `counter`.
     fn defer_probe(guard: &Guard, counter: &'static AtomicUsize) {
         struct Probe(&'static AtomicUsize);
         impl Drop for Probe {
@@ -929,12 +597,10 @@ mod tests {
                 self.0.fetch_add(1, SeqCst);
             }
         }
-        let a: Atomic<Probe> = Atomic::null();
-        a.store(Owned::new(Probe(counter)), Release);
-        let s = a.load(Acquire, guard);
-        a.store(Shared::null(), Release);
-        // SAFETY: just unlinked; no other thread ever saw `a`.
-        unsafe { guard.defer_destroy(s) };
+        let probe = Box::into_raw(Box::new(Probe(counter)));
+        // SAFETY: no other thread ever saw `probe`, and only this closure
+        // frees it, once; a `&'static` counter is usable on any thread.
+        unsafe { guard.defer_unchecked(move || drop(Box::from_raw(probe))) };
     }
 
     /// Pin-flush-yield until `counter` reaches `target` or attempts run out.
@@ -994,16 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn unprotected_frees_immediately() {
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        // SAFETY: the probe atomic is local to `defer_probe`; no other
-        // thread can reach anything freed through this guard.
-        let guard = unsafe { unprotected() };
-        defer_probe(guard, &DROPS);
-        assert_eq!(DROPS.load(SeqCst), 1);
-    }
-
-    #[test]
     fn flush_collects_below_threshold() {
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         // Far fewer than COLLECT_THRESHOLD: without flush() these would sit
@@ -1014,34 +670,6 @@ mod tests {
         }
         drain_until(&DROPS, N);
         assert_eq!(DROPS.load(SeqCst), N);
-    }
-
-    #[test]
-    fn repin_unblocks_reclamation_under_live_guard() {
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        const N: usize = 10;
-        let mut guard = pin();
-        for _ in 0..N {
-            defer_probe(&guard, &DROPS);
-        }
-        // While this guard stays pinned at its original epoch `e`, the
-        // global epoch is capped at `e + STEP`, and the probes (stamped
-        // ≥ e) expire only at `e + EXPIRY` — so no flush can free them.
-        for _ in 0..64 {
-            guard.flush();
-        }
-        assert_eq!(DROPS.load(SeqCst), 0, "a live pin must block its own garbage");
-        // ...but repinning releases the old epoch each round, so the
-        // advance can walk forward and reclamation completes.
-        for _ in 0..100_000 {
-            if DROPS.load(SeqCst) >= N {
-                break;
-            }
-            guard.repin();
-            guard.flush();
-            std::thread::yield_now();
-        }
-        assert_eq!(DROPS.load(SeqCst), N, "repin lets the epoch advance past a live guard");
     }
 
     #[test]
@@ -1062,21 +690,50 @@ mod tests {
         assert_eq!(DROPS.load(SeqCst), N, "orphaned bags freed by another thread");
     }
 
+    /// A pin from a TLS destructor that runs after `HANDLE`'s registers an
+    /// ephemeral participant; its guard retires the slot on drop, and the
+    /// garbage deferred under it reaches the orphan stack.
+    #[test]
+    fn a_pin_after_thread_local_teardown_is_ephemeral() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct PinOnExit;
+        impl Drop for PinOnExit {
+            fn drop(&mut self) {
+                defer_probe(&pin(), &DROPS);
+            }
+        }
+        thread_local! {
+            static PIN_ON_EXIT: PinOnExit = const { PinOnExit };
+        }
+        let before = EPHEMERAL_PINS.load(SeqCst);
+        std::thread::spawn(|| {
+            // Touched before the first pin: Linux runs TLS destructors in
+            // reverse registration order, so this one runs after HANDLE's.
+            PIN_ON_EXIT.with(|_| {});
+            drop(pin());
+        })
+        .join()
+        .unwrap();
+        assert!(EPHEMERAL_PINS.load(SeqCst) > before, "the exit-time pin was not ephemeral");
+        drain_until(&DROPS, 1);
+        assert_eq!(DROPS.load(SeqCst), 1, "the exit-time probe dropped exactly once");
+    }
+
     #[test]
     fn nested_guards_share_one_pin() {
-        let _outer = pin();
-        {
-            let inner = pin();
-            let a: Atomic<u8> = Atomic::null();
-            a.store(Owned::new(9u8), Release);
-            let s = a.load(Acquire, &inner);
-            // SAFETY: just stored, never shared outside this scope.
-            assert_eq!(unsafe { *s.deref() }, 9);
-            // SAFETY: sole owner; unique reclaim.
-            unsafe { drop(s.into_owned()) };
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        let outer = pin();
+        defer_probe(&pin(), &DROPS);
+        // Dropping the inner guard must not unpin the outer one. While the
+        // outer pin holds its epoch `e`, the global epoch is capped at
+        // `e + STEP` and the probe (stamped >= e) expires only at
+        // `e + EXPIRY`, so no flush can free it.
+        for _ in 0..64 {
+            outer.flush();
         }
-        // Dropping the inner guard must not unpin the outer one; pinning
-        // again still works and the process did not panic.
-        drop(pin());
+        assert_eq!(DROPS.load(SeqCst), 0, "the inner unpin released the outer pin");
+        drop(outer);
+        drain_until(&DROPS, 1);
+        assert_eq!(DROPS.load(SeqCst), 1);
     }
 }

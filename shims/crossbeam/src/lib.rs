@@ -1,7 +1,8 @@
 //! Offline stand-in for the subset of the `crossbeam` 0.8 API used by this
 //! workspace: [`utils::CachePadded`], [`utils::Backoff`], and the
-//! [`epoch`] memory-reclamation module (tagged atomic pointers plus
-//! epoch-based garbage collection, enough for a Harris linked list).
+//! [`epoch`] memory-reclamation module (`pin`, `Guard::defer_unchecked`
+//! and `Guard::flush`: the epoch-based garbage collection the `Ebr`
+//! reclamation backend runs on).
 //!
 //! The build container has no route to crates.io; see `shims/README.md`
 //! for the swap-back-to-upstream story.

@@ -11,8 +11,8 @@
 //! reclaim-under-pin.
 #![cfg(rsched_model)]
 
-use crossbeam::epoch::{self, Atomic, Owned, Shared};
-use rsched_sync::atomic::{AtomicBool, Ordering};
+use crossbeam::epoch;
+use rsched_sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use rsched_sync::model::{Model, Sim};
 use std::sync::Arc;
 
@@ -28,20 +28,20 @@ impl Drop for Probe {
 }
 
 /// Builds the two-thread unlink/read scenario shared by both tests: a
-/// writer unlinks and defers the probe then flushes hard; a reader pins,
-/// snapshots the pointer, and asserts the pointee was not freed while its
-/// pin covers the snapshot.
+/// writer unlinks the probe, defers freeing it, then flushes hard; a
+/// reader pins, snapshots the pointer, and asserts the pointee was not
+/// freed while its pin covers the snapshot.
 fn pin_scenario(sim: &mut Sim) {
     // Each execution starts from a rewound epoch world (direct mode: this
     // runs on the controller before any model thread exists).
     epoch::model_reset();
-    let slot: Arc<Atomic<Probe>> = Arc::new(Atomic::null());
+    let slot: Arc<AtomicPtr<Probe>> = Arc::new(AtomicPtr::default());
     let freed = Arc::new(AtomicBool::new(false));
     {
         let (slot, freed) = (slot.clone(), freed.clone());
         sim.thread(move || {
             let guard = epoch::pin();
-            let snap = slot.load(Ordering::Acquire, &guard);
+            let snap = slot.load(Ordering::Acquire);
             if !snap.is_null() {
                 // We are pinned and hold a live snapshot: the collector
                 // must not have reclaimed it (no deref — the flag is the
@@ -59,11 +59,12 @@ fn pin_scenario(sim: &mut Sim) {
         sim.thread(move || {
             {
                 let guard = epoch::pin();
-                let snap = slot.load(Ordering::Acquire, &guard);
-                slot.store(Shared::null(), Ordering::Release);
+                let snap = slot.load(Ordering::Acquire);
+                slot.store(std::ptr::null_mut(), Ordering::Release);
                 // SAFETY: `snap` was just unlinked; threads pinning after
-                // this point load null and cannot reach it.
-                unsafe { guard.defer_destroy(snap) };
+                // this point load null and cannot reach it. It came from
+                // `Box::into_raw` below and only this closure frees it.
+                unsafe { guard.defer_unchecked(move || drop(Box::from_raw(snap))) };
                 drop(guard);
             }
             // Drive the epoch as hard as possible toward reclamation.
@@ -75,7 +76,7 @@ fn pin_scenario(sim: &mut Sim) {
     // Publish the probe before the threads run (direct-mode store; any
     // probe a given interleaving does not free is reclaimed by the next
     // execution's `model_reset`).
-    slot.store(Owned::new(Probe { freed }), Ordering::Release);
+    slot.store(Box::into_raw(Box::new(Probe { freed })), Ordering::Release);
 }
 
 #[test]
