@@ -1,6 +1,6 @@
 //! Incremental algorithms under relaxed schedulers (arXiv 2003.09363):
 //! incremental connectivity and randomized incremental Delaunay driven by
-//! every sequential model and every concurrent scheduler.
+//! every sequential scheduler model.
 //!
 //! The two workloads bracket the dependency spectrum, and the tables are
 //! built to show it:
@@ -20,8 +20,7 @@
 //! empty-circumcircle + hull-coverage verifier.
 //!
 //! Usage: `incremental_algos [--n N] [--m M] [--pts P] [--ks 4,16,64]
-//! [--threads 1,2,4] [--reps R] [--seed S] [--batch-size B] [--shards S]
-//! [--quick]`
+//! [--reps R] [--seed S] [--batch-size B] [--shards S] [--quick]`
 //!
 //! (The target is named `incremental_algos` because cargo forbids a binary
 //! called plain `incremental` — it collides with the build directory.)
@@ -37,19 +36,15 @@ use rsched_core::algorithms::incremental::delaunay::{
     delaunay_reference, verify_delaunay, ConcurrentDelaunay,
 };
 use rsched_core::algorithms::incremental::insertion_order;
-use rsched_core::framework::{
-    fill_scheduler, run_concurrent_batched, run_exact_concurrent, run_relaxed_batched,
-};
+use rsched_core::framework::run_relaxed_batched;
 use rsched_core::TaskId;
 use rsched_graph::gen;
 use rsched_graph::geom::{uniform_square, Point};
 use rsched_graph::Permutation;
-use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
 use rsched_queues::instrument::Instrumented;
 use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
 use rsched_queues::sharded::ShardedScheduler;
-use rsched_queues::{ConcurrentScheduler, PriorityScheduler};
-use std::time::{Duration, Instant};
+use rsched_queues::PriorityScheduler;
 
 /// One pinned instance pair shared by every table.
 struct Instances {
@@ -63,11 +58,6 @@ struct Instances {
     /// Cells destroyed by the label-order reference run — the churn
     /// baseline.
     reference_destroyed: u64,
-}
-
-fn median(mut xs: Vec<Duration>) -> Duration {
-    xs.sort();
-    xs[xs.len() / 2]
 }
 
 /// Sequential table: one row per scheduler model, one `extra`-style cell
@@ -160,156 +150,6 @@ fn sequential_tables(
     println!("extra and churn grow with k only — the dependency-depth bound.\n");
 }
 
-/// Concurrent table: one row per scheduler, time/extra per thread count.
-fn concurrent_tables(
-    inst: &Instances,
-    threads_list: &[usize],
-    reps: usize,
-    batch: usize,
-    shards: usize,
-) {
-    // Sequential baselines for the speedup columns.
-    let conn_seq = median(
-        (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(components(inst.n, &inst.edges));
-                t.elapsed()
-            })
-            .collect(),
-    );
-    let del_seq = median(
-        (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(delaunay_reference(&inst.pts, &inst.pt_pi));
-                t.elapsed()
-            })
-            .collect(),
-    );
-    println!(
-        "concurrent schedulers — sequential baselines: connectivity {:.1}ms, delaunay {:.1}ms",
-        conn_seq.as_secs_f64() * 1e3,
-        del_seq.as_secs_f64() * 1e3
-    );
-    println!("cells are speedup-vs-sequential/extra-iterations per thread count\n");
-
-    for workload in ["connectivity", "delaunay"] {
-        let mut header: Vec<String> = vec![workload.into()];
-        header.extend(threads_list.iter().map(|t| format!("t={t}")));
-        let refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut table = Table::new(&refs);
-        let baseline = if workload == "connectivity" { conn_seq } else { del_seq };
-
-        type Driver<'a> = Box<dyn Fn(&Instances, &str, usize, usize) -> (Duration, u64) + 'a>;
-        let drivers: Vec<(&str, Driver)> = vec![
-            (
-                "MultiQueue",
-                Box::new(move |inst, w, t, b| {
-                    let pi = pi_of(inst, w);
-                    let sched: MultiQueue<TaskId> = MultiQueue::prefilled_for_threads(
-                        t,
-                        (0..pi.len() as u32).map(|v| (pi.label(v) as u64, v)),
-                    );
-                    run_prefilled(inst, w, &sched, t, b)
-                }),
-            ),
-            (
-                "LockFreeMultiQueue",
-                Box::new(move |inst, w, t, b| {
-                    let sched: LockFreeMultiQueue<TaskId> = LockFreeMultiQueue::for_threads(t);
-                    fill_scheduler(&sched, pi_of(inst, w));
-                    run_prefilled(inst, w, &sched, t, b)
-                }),
-            ),
-            (
-                "Sharded(MultiQueue)",
-                Box::new(move |inst, w, t, b| {
-                    let sched: ShardedScheduler<MultiQueue<TaskId>> =
-                        ShardedScheduler::from_fn(shards, |_| MultiQueue::new(2));
-                    fill_scheduler(&sched, pi_of(inst, w));
-                    run_prefilled(inst, w, &sched, t, b)
-                }),
-            ),
-            ("FaaArrayQueue (exact)", Box::new(move |inst, w, t, _| run_faa(inst, w, t))),
-        ];
-
-        for (name, drive) in &drivers {
-            let mut cells = vec![name.to_string()];
-            for &t in threads_list {
-                let mut times = Vec::new();
-                let mut extra = 0u64;
-                for _ in 0..reps {
-                    let (elapsed, e) = drive(inst, workload, t, batch);
-                    times.push(elapsed);
-                    extra += e;
-                }
-                let m = median(times).as_secs_f64();
-                // Average across reps, matching the sequential tables.
-                cells.push(format!(
-                    "{:.2}x/{:.0}",
-                    baseline.as_secs_f64() / m,
-                    extra as f64 / reps as f64
-                ));
-            }
-            let rrefs: Vec<&dyn std::fmt::Display> =
-                cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
-            table.row(&rrefs);
-        }
-        println!("{table}");
-    }
-    println!("Every cell above ran to verifier-clean completion (outputs asserted).\n");
-}
-
-/// The task permutation of a workload.
-fn pi_of<'a>(inst: &'a Instances, workload: &str) -> &'a Permutation {
-    if workload == "connectivity" {
-        &inst.edge_pi
-    } else {
-        &inst.pt_pi
-    }
-}
-
-/// Runs one workload on an already-filled scheduler, asserting the output;
-/// returns (elapsed, extra iterations).
-fn run_prefilled<S: ConcurrentScheduler<TaskId>>(
-    inst: &Instances,
-    workload: &str,
-    sched: &S,
-    threads: usize,
-    batch: usize,
-) -> (Duration, u64) {
-    if workload == "connectivity" {
-        let alg = ConcurrentConnectivity::new(inst.n, &inst.edges);
-        let stats = run_concurrent_batched(&alg, &inst.edge_pi, sched, threads, batch);
-        assert_eq!(alg.into_labels(), inst.edge_truth, "concurrent connectivity diverged");
-        (stats.elapsed, stats.extra_iterations())
-    } else {
-        let alg = ConcurrentDelaunay::new(&inst.pts, &inst.pt_pi);
-        let stats = run_concurrent_batched(&alg, &inst.pt_pi, sched, threads, batch);
-        let out = alg.into_output();
-        assert!(verify_delaunay(&inst.pts, &out.triangles), "concurrent delaunay invalid");
-        assert_eq!(out.triangles.len(), inst.delaunay_count);
-        (stats.elapsed, stats.extra_iterations())
-    }
-}
-
-/// The same through the exact FAA-array executor.
-fn run_faa(inst: &Instances, workload: &str, threads: usize) -> (Duration, u64) {
-    if workload == "connectivity" {
-        let alg = ConcurrentConnectivity::new(inst.n, &inst.edges);
-        let stats = run_exact_concurrent(&alg, &inst.edge_pi, threads);
-        assert_eq!(alg.into_labels(), inst.edge_truth, "faa connectivity diverged");
-        (stats.elapsed, stats.extra_iterations())
-    } else {
-        let alg = ConcurrentDelaunay::new(&inst.pts, &inst.pt_pi);
-        let stats = run_exact_concurrent(&alg, &inst.pt_pi, threads);
-        let out = alg.into_output();
-        assert!(verify_delaunay(&inst.pts, &out.triangles), "faa delaunay invalid");
-        (stats.elapsed, stats.extra_iterations())
-    }
-}
-
 /// Rank-tail + dependency-depth section: fitted k̂ per relaxation factor
 /// (the scheduler really was ~k-relaxed) against the measured waste, and a
 /// size sweep showing the waste is a function of k, not n.
@@ -373,7 +213,6 @@ fn main() {
             ("--m M", "connectivity edge count"),
             ("--pts P", "delaunay point count"),
             ("--ks LIST", "comma-separated relaxation factors"),
-            ("--threads LIST", "comma-separated thread counts (concurrent grid)"),
             ("--reps N", "repetitions per configuration"),
             ("--seed S", "base RNG seed"),
             ("--batch-size B", "tasks popped per scheduler round-trip (default 1)"),
@@ -387,7 +226,6 @@ fn main() {
     let m = args.get_usize("m", if fast { 6_000 } else { 60_000 });
     let pts_n = args.get_usize("pts", if fast { 400 } else { 2_000 });
     let ks = args.get_usize_list("ks", if fast { &[4, 16] } else { &[4, 16, 64] });
-    let threads_list = args.get_usize_list("threads", if fast { &[1, 2] } else { &[1, 2, 4] });
     let reps = args.get_usize("reps", if fast { 1 } else { 3 });
     let seed = args.get_u64("seed", 11);
     let batch = args.get_usize("batch-size", 1);
@@ -426,6 +264,5 @@ fn main() {
     println!();
 
     sequential_tables(&inst, &ks, reps, seed, batch, shards);
-    concurrent_tables(&inst, &threads_list, reps, batch, shards);
     dependency_depth_table(&inst, &ks, seed);
 }

@@ -13,10 +13,14 @@
 //! | `theorem1_sweep`    | §3.1 (generic framework, incl. clique bound)   |
 //! | `theorem2_sweep`    | §3.2 headline claim (MIS cost flat in `n`)     |
 //! | `workloads`         | §4 synthetic tests on all four workloads       |
-//! | `incremental_algos` | incremental connectivity + Delaunay (arXiv 2003.09363) |
+//! | `incremental_algos` | incremental connectivity + Delaunay waste and dependency depth (arXiv 2003.09363) |
 //!
-//! This library holds the shared bits: aligned table printing and a
-//! dependency-free CLI argument parser.
+//! Of the binaries only `figure2` reports wall-clock time; the streaming
+//! service and the incremental workloads are timed by `benchmark/` at the
+//! workspace root.
+//! This library holds the shared bits: aligned table printing, a
+//! dependency-free CLI argument parser and the `--trace` / `--metrics`
+//! plumbing.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -371,21 +375,6 @@ pub mod obs {
     }
 }
 
-/// Sorts a copy of `samples` and returns the `(p50, p95, p99)` percentiles
-/// (nearest-rank on the sorted order; zero for an empty slice).
-pub fn percentiles(samples: &[f64]) -> (f64, f64, f64) {
-    if samples.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-    let at = |p: f64| {
-        let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx]
-    };
-    (at(0.50), at(0.95), at(0.99))
-}
-
 /// Table 1 regeneration machinery, shared by the `table1` binary and the
 /// golden-file regression test (`tests/golden_table1.rs`).
 pub mod table1 {
@@ -493,14 +482,6 @@ pub fn fit_tail_exponent(tail: &[f64]) -> Option<f64> {
     Some(-(n * sxy - sx * sy) / denom)
 }
 
-/// Geometric-mean helper for speedup summaries.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,12 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
     fn fit_recovers_known_exponent() {
         // A perfect exponential tail: Pr[X ≥ ℓ] = e^(−0.25(ℓ−1)).
         let lambda = 0.25f64;
@@ -609,14 +584,6 @@ mod tests {
         assert!(rejected(&["--rep", "3"]).contains("Usage: demo [OPTIONS]"));
         // `--help` wins over an unknown flag: usage is what the caller needs.
         assert!(parse(&["--nope", "--help"]).unwrap().is_none());
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentiles(&samples), (50.0, 95.0, 99.0));
-        assert_eq!(percentiles(&[7.0]), (7.0, 7.0, 7.0));
-        assert_eq!(percentiles(&[]), (0.0, 0.0, 0.0));
     }
 
     #[test]

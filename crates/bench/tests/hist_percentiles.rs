@@ -1,5 +1,5 @@
-//! Pins [`LogHistogram`] quantiles against the exact sorted-vector
-//! percentiles that `service_throughput` used to compute.
+//! Pins [`LogHistogram`] quantiles against exact percentiles of the
+//! sorted samples.
 //!
 //! Both sides use the same nearest-rank definition, so the histogram may
 //! only err by rounding the rank-th sample up to its bucket's upper
@@ -8,22 +8,28 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rsched_bench::percentiles;
 use rsched_obs::hist::LogHistogram;
+
+/// The `(p50, p95, p99)` of `samples`: nearest rank on the sorted order,
+/// the rank computed as [`LogHistogram::quantile`] computes it.
+fn percentiles(samples: &[u64]) -> (u64, u64, u64) {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let at =
+        |q: f64| sorted[((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1];
+    (at(0.50), at(0.95), at(0.99))
+}
 
 fn check(samples: &[u64], what: &str) {
     let h = LogHistogram::new();
     for &s in samples {
         h.record(s);
     }
-    let floats: Vec<f64> = samples.iter().map(|&s| s as f64).collect();
-    let exact = percentiles(&floats);
+    let exact = percentiles(samples);
     let hist = h.percentiles();
     for (q, ex, hv) in
         [("p50", exact.0, hist.0), ("p95", exact.1, hist.1), ("p99", exact.2, hist.2)]
     {
-        // Samples are integers, so the f64 percentile is a lossless cast.
-        let ex = ex as u64;
         assert!(hv >= ex, "{what} {q}: hist {hv} below exact {ex}");
         let slack = (ex / 16).max(1);
         assert!(hv - ex <= slack, "{what} {q}: hist {hv} vs exact {ex} (slack {slack})");

@@ -13,7 +13,6 @@ const BINARIES: &[(&str, &str)] = &[
     ("figure2", env!("CARGO_BIN_EXE_figure2")),
     ("incremental_algos", env!("CARGO_BIN_EXE_incremental_algos")),
     ("rank_tails", env!("CARGO_BIN_EXE_rank_tails")),
-    ("service_throughput", env!("CARGO_BIN_EXE_service_throughput")),
     ("theorem1_sweep", env!("CARGO_BIN_EXE_theorem1_sweep")),
     ("theorem2_sweep", env!("CARGO_BIN_EXE_theorem2_sweep")),
     ("workloads", env!("CARGO_BIN_EXE_workloads")),

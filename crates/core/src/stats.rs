@@ -36,15 +36,6 @@ impl ExecutionStats {
     pub fn extra_iterations(&self) -> u64 {
         self.total_pops.saturating_sub(self.tasks as u64)
     }
-
-    /// Fraction of pops that were wasted (0 for an exact scheduler).
-    pub fn waste_ratio(&self) -> f64 {
-        if self.total_pops == 0 {
-            0.0
-        } else {
-            self.wasted as f64 / self.total_pops as f64
-        }
-    }
 }
 
 impl fmt::Display for ExecutionStats {
@@ -130,14 +121,12 @@ mod tests {
     fn extra_iterations_math() {
         let s = ExecutionStats { tasks: 10, total_pops: 14, processed: 10, wasted: 3, obsolete: 1 };
         assert_eq!(s.extra_iterations(), 4);
-        assert!((s.waste_ratio() - 3.0 / 14.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_stats_are_safe() {
         let s = ExecutionStats::new(5);
         assert_eq!(s.extra_iterations(), 0);
-        assert_eq!(s.waste_ratio(), 0.0);
         assert!(!s.to_string().is_empty());
         let c = ConcurrentStats::default();
         assert_eq!(c.throughput(), 0.0);

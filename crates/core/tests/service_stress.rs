@@ -3,6 +3,8 @@
 //! sharded scheduler whose shard count (3) deliberately does not divide
 //! the worker count, with short producer runs and a low shard watermark
 //! so the backpressure and drain paths run constantly under contention.
+//! The connectivity storm runs once per reclamation backend of the
+//! lock-free shard queues (EBR, then VBR).
 //!
 //! Pass criteria are exact: the ledger balances (every accepted task
 //! decided exactly once), no task completes twice, and workload outputs
@@ -20,6 +22,7 @@ use rsched_core::service::{
 use rsched_core::TaskId;
 use rsched_graph::{gen, WeightedCsr};
 use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
+use rsched_queues::reclaim::{Ebr, Reclaim, Vbr};
 use rsched_queues::sharded::ShardedScheduler;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -78,13 +81,20 @@ fn streamed_connectivity_storm_matches_ground_truth() {
     let n = 20_000;
     let edges = gen::gnm(n, 60_000, &mut StdRng::seed_from_u64(50)).edge_list();
     let expected = components(n, &edges);
-    let m = edges.len() as u32;
+    // One row per reclamation backend of the shard queues.
+    connectivity_storm::<Ebr>(n, &edges, &expected);
+    connectivity_storm::<Vbr>(n, &edges, &expected);
+}
 
+/// Streams `edges` through the service over `LockFreeMultiQueue<_, R>`
+/// shard queues, scalar and batched, and checks the ledger and the labels.
+fn connectivity_storm<R: Reclaim>(n: usize, edges: &[(u32, u32)], expected: &[u32]) {
+    let m = edges.len() as u32;
     for batch in [1usize, 16] {
-        let alg = ConcurrentConnectivity::new(n, &edges);
+        let alg = ConcurrentConnectivity::new(n, edges);
         let handler = AlgorithmHandler(&alg);
-        let sched: ShardedScheduler<LockFreeMultiQueue<TaskId>> =
-            ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new(4));
+        let sched: ShardedScheduler<LockFreeMultiQueue<TaskId, R>> =
+            ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new_in(4));
         let config = ServiceConfig {
             workers: WORKERS,
             batch_size: batch,
@@ -102,10 +112,11 @@ fn streamed_connectivity_storm_matches_ground_truth() {
             })
             .collect();
         let stats = run_service(&handler, &sched, &config, producers);
-        assert!(stats.exactly_once(), "batch {batch}: {stats:?}");
-        assert_eq!(stats.accepted, u64::from(m), "batch {batch}");
-        assert_eq!(alg.remaining(), 0, "batch {batch}");
-        assert_eq!(alg.into_labels(), expected, "batch {batch}: components diverged");
+        let row = format!("{} batch {batch}", R::name());
+        assert!(stats.exactly_once(), "{row}: {stats:?}");
+        assert_eq!(stats.accepted, u64::from(m), "{row}");
+        assert_eq!(alg.remaining(), 0, "{row}");
+        assert_eq!(alg.into_labels(), expected, "{row}: components diverged");
     }
 }
 

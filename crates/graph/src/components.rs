@@ -30,21 +30,6 @@ pub fn connected_components(g: &CsrGraph) -> (Vec<u32>, usize) {
     (labels, count as usize)
 }
 
-/// Whether `g` is connected (the empty graph counts as connected).
-pub fn is_connected(g: &CsrGraph) -> bool {
-    g.num_vertices() == 0 || connected_components(g).1 == 1
-}
-
-/// Size of the largest connected component (0 for the empty graph).
-pub fn largest_component_size(g: &CsrGraph) -> usize {
-    let (labels, count) = connected_components(g);
-    let mut sizes = vec![0usize; count];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    sizes.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,7 +37,6 @@ mod tests {
 
     #[test]
     fn path_is_connected() {
-        assert!(is_connected(&gen::path(10)));
         let (_, count) = connected_components(&gen::path(10));
         assert_eq!(count, 1);
     }
@@ -62,8 +46,7 @@ mod tests {
         let (labels, count) = connected_components(&gen::empty(5));
         assert_eq!(count, 5);
         assert_eq!(labels, vec![0, 1, 2, 3, 4]);
-        assert!(is_connected(&gen::empty(0)));
-        assert!(!is_connected(&gen::empty(2)));
+        assert_eq!(connected_components(&gen::empty(0)).1, 0);
     }
 
     #[test]
@@ -74,7 +57,6 @@ mod tests {
         assert_eq!(labels[0], labels[2]);
         assert_eq!(labels[3], labels[5]);
         assert_ne!(labels[0], labels[3]);
-        assert_eq!(largest_component_size(&g), 3);
     }
 
     #[test]
@@ -82,7 +64,7 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
         let g = gen::gnp(200, 0.1, &mut StdRng::seed_from_u64(1));
         // p well above the ln(n)/n ≈ 0.027 connectivity threshold.
-        assert!(is_connected(&g));
+        assert_eq!(connected_components(&g).1, 1);
     }
 
     #[test]
@@ -90,7 +72,7 @@ mod tests {
         let g = gen::grid2d(4, 5);
         let (labels, count) = connected_components(&g);
         assert_eq!(count, 1);
+        assert_eq!(labels.len(), 20);
         assert!(labels.iter().all(|&l| l == 0));
-        assert_eq!(largest_component_size(&g), 20);
     }
 }

@@ -20,7 +20,7 @@ use rsched_sync::atomic::{AtomicUsize, Ordering};
 /// ```
 /// use rsched_queues::concurrent::FaaArrayQueue;
 ///
-/// let q = FaaArrayQueue::from_unsorted(vec![(2u64, 'b'), (1, 'a')]);
+/// let q = FaaArrayQueue::from_sorted(vec![(1u64, 'a'), (2, 'b')]);
 /// assert_eq!(q.pop(), Some((1, 'a')));
 /// assert_eq!(q.pop(), Some((2, 'b')));
 /// assert_eq!(q.pop(), None);
@@ -43,13 +43,6 @@ impl<T: Copy + Send> FaaArrayQueue<T> {
             entries: entries.into_boxed_slice(),
             head: CachePadded::new(AtomicUsize::new(0)),
         }
-    }
-
-    /// Sorts the entries by priority (stable, so ties keep insertion order)
-    /// and builds the queue.
-    pub fn from_unsorted(mut entries: Vec<(u64, T)>) -> Self {
-        entries.sort_by_key(|&(p, _)| p);
-        Self::from_sorted(entries)
     }
 
     /// Pops the next entry in exact priority order (wait-free).
@@ -77,7 +70,7 @@ mod tests {
 
     #[test]
     fn pops_in_exact_order() {
-        let q = FaaArrayQueue::from_unsorted(vec![(5u64, 5u32), (1, 1), (3, 3), (2, 2), (4, 4)]);
+        let q = FaaArrayQueue::from_sorted(vec![(1u64, 1u32), (2, 2), (3, 3), (4, 4), (5, 5)]);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(p, _)| p)).collect();
         assert_eq!(order, vec![1, 2, 3, 4, 5]);
     }
@@ -127,7 +120,7 @@ mod tests {
 
     #[test]
     fn ties_keep_insertion_order() {
-        let q = FaaArrayQueue::from_unsorted(vec![(1u64, 10u32), (1, 20), (0, 0)]);
+        let q = FaaArrayQueue::from_sorted(vec![(0u64, 0u32), (1, 10), (1, 20)]);
         assert_eq!(q.pop(), Some((0, 0)));
         assert_eq!(q.pop(), Some((1, 10)));
         assert_eq!(q.pop(), Some((1, 20)));

@@ -53,11 +53,6 @@ impl<T, R: Rng> SimSprayList<T, R> {
         SimSprayList { set: IndexedSet::new(), items: Vec::new(), rng, height, max_jump }
     }
 
-    /// The maximum rank a spray can land on (inclusive).
-    pub fn spray_reach(&self) -> u64 {
-        self.max_jump * ((1u64 << (self.height + 1)) - 1)
-    }
-
     fn spray(&mut self) -> u64 {
         let mut rank = 0u64;
         for level in (0..=self.height).rev() {
@@ -116,14 +111,15 @@ mod tests {
     #[test]
     fn spray_rank_within_reach() {
         let mut q = SimSprayList::with_parameters(3, 2, StdRng::seed_from_u64(1));
-        assert_eq!(q.spray_reach(), 2 * 15);
+        // max_jump · (2^(height+1) − 1)
+        let reach = 2 * 15;
         for p in 0..1000u64 {
             q.insert(p, ());
         }
         let mut present: std::collections::BTreeSet<u64> = (0..1000).collect();
         while let Some((p, _)) = q.pop() {
             let rank = present.iter().take_while(|&&x| x < p).count() as u64;
-            assert!(rank <= q.spray_reach(), "rank {rank} beyond spray reach");
+            assert!(rank <= reach, "rank {rank} beyond spray reach");
             present.remove(&p);
         }
     }
@@ -159,8 +155,7 @@ mod tests {
         let q1 = SimSprayList::<(), _>::with_threads(1, StdRng::seed_from_u64(0));
         let q8 = SimSprayList::<(), _>::with_threads(8, StdRng::seed_from_u64(0));
         let q64 = SimSprayList::<(), _>::with_threads(64, StdRng::seed_from_u64(0));
-        assert!(q1.spray_reach() < q8.spray_reach());
-        assert!(q8.spray_reach() < q64.spray_reach());
+        assert_eq!((q1.height, q8.height, q64.height), (1, 4, 7));
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl<S> ShardedScheduler<S> {
         q
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The inner schedulers, indexed by shard.
     pub fn shards(&self) -> &[S] {
         &self.shards

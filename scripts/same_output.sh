@@ -11,8 +11,10 @@
 #
 #   table1 --quick            workloads --quick
 #   theorem1_sweep --quick    theorem2_sweep --quick
-#   RSCHED_BENCH_FAST=1 incremental_algos, sequential tables only (the
-#     concurrent grid between them prints wall-clock ratios and is cut)
+#   RSCHED_BENCH_FAST=1 incremental_algos (its sequential and
+#     dependency-depth tables; a parent old enough to still print the
+#     concurrent wall-clock grid between them has that grid and the blank
+#     line after it cut, so the two compare byte for byte)
 #
 # Prints one line per output and exits 1 if any differs.
 #
@@ -40,7 +42,8 @@ outputs() { # <bin dir> <out dir>
         "$1/${bin}" --quick >"$2/${bin}.txt"
     done
     RSCHED_BENCH_FAST=1 "$1/incremental_algos" |
-        sed '/^concurrent schedulers/,/^Every cell above ran/d' >"$2/incremental_algos.txt"
+        sed '/^concurrent schedulers/,/^Every cell above ran/{/^Every cell above ran/N;d}' \
+            >"$2/incremental_algos.txt"
 }
 outputs "${work}/target-ws-${sha}/release" "${work}/same-output/parent"
 outputs "${root}/target/release" "${work}/same-output/change"

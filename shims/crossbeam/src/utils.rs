@@ -112,11 +112,6 @@ impl Backoff {
             self.step.set(self.step.get() + 1);
         }
     }
-
-    /// Whether backoff has saturated and callers should consider parking.
-    pub fn is_completed(&self) -> bool {
-        self.step.get() > YIELD_LIMIT
-    }
 }
 
 #[cfg(test)]
@@ -132,14 +127,13 @@ mod tests {
     }
 
     #[test]
-    fn backoff_completes() {
+    fn backoff_saturates_and_resets() {
         let b = Backoff::new();
-        assert!(!b.is_completed());
         for _ in 0..32 {
             b.snooze();
         }
-        assert!(b.is_completed());
+        assert_eq!(b.step.get(), YIELD_LIMIT + 1);
         b.reset();
-        assert!(!b.is_completed());
+        assert_eq!(b.step.get(), 0);
     }
 }
