@@ -211,7 +211,7 @@ impl RequestHandler for SsspHandler<'_> {
 /// `k`-relaxed scheduler is thereby driven as an `O(32·k)`-relaxed one,
 /// which label-correcting SSSP pays for in re-expansions only (≤ 0.4 % of
 /// the vertices on the benchmark's G(n, m); DESIGN.md "Batching
-/// semantics") — and that holds for *any* scheduler passed in, a one-heap
+/// semantics") — and that holds for *any* scheduler passed in, a one-bucket
 /// `MultiQueue` included, which is then no longer an exact order.
 ///
 /// Termination is the service's exactly-once ledger, not scheduler

@@ -7,8 +7,9 @@
 //!   \[21\]: `c·threads` sequential queues behind try-locks ([`Locked`]),
 //!   power-of-two-choices deletion. Each bucket pops its share of a bulk
 //!   load as a sorted run consumed from the front — `O(1)` per pop, the
-//!   performance analogue of the paper's list-based queues — and keeps
-//!   everything inserted later in a small 8-ary heap.
+//!   performance analogue of the paper's list-based queues — and buffers
+//!   everything inserted later in a small in-cache heap, sorted when full
+//!   into runs of slab blocks that pop sequentially.
 //! * [`LockFreeMultiQueue`] — the paper's own variant ("we use lock-free
 //!   lists to maintain the individual priority queues"): [`ListBucket`]s
 //!   over [`HarrisList`] with pluggable reclamation (epoch-based by default,

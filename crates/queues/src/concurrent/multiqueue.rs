@@ -1,9 +1,10 @@
 //! The MultiQueue relaxed scheduler \[21\], implemented once:
 //! [`MultiQueueCore`] over a choice of [`Bucket`]. This file holds the core,
-//! the lock-based bucket [`Locked`] (a sorted run consumed from the front
-//! plus the sequential [`Heap`] that takes later inserts) and its
-//! instantiation, [`MultiQueue`]; the Harris-list bucket is in
-//! `lf_multiqueue.rs`.
+//! the lock-based bucket [`Locked`] (a run bucket, [`LockedQueue`]: the
+//! sorted prefill consumed from the front, and later inserts buffered in a
+//! small [`Heap`] that is sorted, when full, into a run of slab blocks and
+//! merged with the runs no larger) and its instantiation, [`MultiQueue`];
+//! the Harris-list bucket is in `lf_multiqueue.rs`.
 
 use crate::rng;
 use crate::{ConcurrentScheduler, Entry, BATCH_SCATTER_RUN};
@@ -12,6 +13,7 @@ use parking_lot::{Mutex, MutexGuard};
 use rsched_sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::fmt;
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 
 /// One internal queue of a [`MultiQueueCore`]. Which bucket to pop, when
 /// to retry, where an insert goes and what `len` is are the core's; the
@@ -373,12 +375,12 @@ impl<T: Send, B: Bucket<T>> fmt::Debug for MultiQueueCore<T, B> {
     }
 }
 
-/// The lock-based bucket: a sorted run plus a heap behind a
-/// `parking_lot::Mutex` and, on the same padded line, their length. Only
-/// the lock's holder updates the count, before it releases: counting costs
-/// the hot path no line it does not already own, and an entry is never
-/// poppable before it is counted. Which mutex guards the queue is a
-/// constant, not a parameter (DESIGN.md "Locking semantics").
+/// The lock-based bucket: a [`LockedQueue`] behind a `parking_lot::Mutex`
+/// and, on the same padded line, its length. Only the lock's holder
+/// updates the count, before it releases: counting costs the hot path no
+/// line it does not already own, and an entry is never poppable before it
+/// is counted. Which mutex guards the queue is a constant, not a parameter
+/// (DESIGN.md "Locking semantics").
 #[derive(Debug)]
 pub struct Locked<T> {
     lock: Mutex<LockedQueue<T>>,
@@ -394,8 +396,7 @@ impl<T: Send> Bucket<T> for Locked<T> {
 
     fn from_sorted(run: Vec<Entry<T>>) -> Self {
         let live = AtomicIsize::new(run.len() as isize);
-        let queue = LockedQueue { run: run.into_iter(), overflow: Heap::default() };
-        Locked { lock: Mutex::new(queue), live }
+        Locked { lock: Mutex::new(LockedQueue::new(run)), live }
     }
 
     fn guard(&self) {}
@@ -430,7 +431,7 @@ impl<T: Send> Bucket<T> for Locked<T> {
     fn push_run(&self, open: &mut Self::Open<'_>, run: impl Iterator<Item = Entry<T>>) -> isize {
         let mut pushed = 0;
         for entry in run {
-            open.overflow.push(entry);
+            open.push(entry);
             pushed += 1;
         }
         pushed
@@ -447,34 +448,310 @@ impl<T: Send> Bucket<T> for Locked<T> {
     }
 }
 
-/// What a [`Locked`] bucket guards: the sorted run it was built from,
-/// consumed from the front (one cache line per pop, prefetcher friendly),
-/// and the [`Heap`] that takes every later insert. A pop takes the smaller
-/// of the run head and the heap top by `(priority, seq)`; with nothing
-/// prefilled the run is empty and the bucket is the heap alone. Public
-/// (fields private) only because [`Locked`]'s opening names it.
+/// Entries the insert buffer of a [`LockedQueue`] holds before a flush
+/// sorts them into a run: 1024 `Entry<u32>` are 24 KiB, so the buffers of
+/// a paper-sized queue stay in cache (DESIGN.md "The run bucket"). A
+/// constant, not a parameter.
+const BUF: usize = 1024;
+
+/// Entries per block of a run: a flush fills `BUF / BLOCK` blocks, and a
+/// block drained by pops or by a merge goes back to the slab's free list.
+/// A constant.
+const BLOCK: usize = 128;
+
+const _: () = assert!(BUF.is_multiple_of(BLOCK) && BLOCK <= u32::MAX as usize);
+
+/// Blocks a bucket's slab is built with: two flushes' worth, so the slab's
+/// first allocation is made by the thread that builds the queue.
+const SLAB_INIT: usize = 2 * BUF / BLOCK;
+
+/// No block: the end of a run's chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// What a [`Locked`] bucket guards, a run bucket after Sanders' sequence
+/// heap: the sorted run it was built from, consumed from the front; an
+/// in-cache [`Heap`] buffer of up to [`BUF`] later inserts; and the runs
+/// that full buffers were sorted into, each a chain of [`BLOCK`]-entry
+/// blocks in one slab, ordered by their smallest entries in a small
+/// [`Heap`] of [`Tail`]s. A new run is merged with every run no larger, so
+/// a bucket of `n` entries holds `O(log(n / BUF))` runs. A pop takes the
+/// smallest of the three heads by `(priority, seq)`, so from a run it reads
+/// the next entry of a sequential block instead of sifting a large heap
+/// out of cache (DESIGN.md "The run bucket"). Keys are unique, so a pop is
+/// the one exact minimum and one bucket pops the order one heap would.
+/// Public (fields private) only because [`Locked`]'s opening names it.
 pub struct LockedQueue<T> {
     /// The prefilled entries still queued, ascending.
-    run: std::vec::IntoIter<Entry<T>>,
-    /// Every entry inserted after the bulk load.
-    overflow: Heap<T>,
+    prefill: std::vec::IntoIter<Entry<T>>,
+    /// The latest inserts, at most [`BUF`] of them.
+    buf: Heap<Entry<T>>,
+    /// One per run, keyed by the run's smallest entry.
+    tails: Heap<Tail>,
+    /// Every run's blocks and the free ones. It grows by `Vec` doubling and
+    /// never shrinks: flushes and merges take free blocks first, so they
+    /// allocate only when the bucket holds more than ever before.
+    slab: Vec<Block<T>>,
+    /// Head of the free list, linked through [`Block::next`].
+    free: u32,
+}
+
+/// A run's next entries: a block of the slab, holding its entries in
+/// descending order so that the run's smallest entry is its last live one.
+struct Block<T> {
+    /// The first `len` are live for the block a [`Tail`] points at, all of
+    /// them for the later blocks of its chain, none for a free block.
+    entries: [MaybeUninit<Entry<T>>; BLOCK],
+    /// The block with the run's next-larger entries, or the next free block.
+    next: u32,
+}
+
+/// A run in the tail heap: the key of its smallest entry, cached so that
+/// sifting never reads the slab, the block holding it, and how many of
+/// that block's entries are live.
+#[derive(Clone, Copy)]
+struct Tail {
+    key: (u64, u64),
+    block: u32,
+    len: u32,
+    /// Blocks of the chain after `block`, all full.
+    rest: u32,
+}
+
+impl Tail {
+    /// Entries in the run.
+    fn size(&self) -> usize {
+        self.len as usize + self.rest as usize * BLOCK
+    }
+}
+
+/// Where a [`LockedQueue`]'s minimum is.
+#[derive(Clone, Copy)]
+enum Head {
+    Prefill,
+    Buf,
+    Run,
 }
 
 impl<T> LockedQueue<T> {
+    /// A queue holding `prefill`, which is sorted ascending, with its buffer
+    /// and slab allocated by the calling thread.
+    fn new(prefill: Vec<Entry<T>>) -> Self {
+        LockedQueue {
+            prefill: prefill.into_iter(),
+            buf: Heap { entries: Vec::with_capacity(BUF) },
+            tails: Heap { entries: Vec::with_capacity(HEAP_ARITY) },
+            slab: Vec::with_capacity(SLAB_INIT),
+            free: NIL,
+        }
+    }
+
+    /// Where the minimum is, and its key.
+    #[inline]
+    fn head(&self) -> Option<(Head, (u64, u64))> {
+        let mut head = self.prefill.as_slice().first().map(|e| (Head::Prefill, e.key()));
+        if let Some(e) = self.buf.peek() {
+            if head.is_none_or(|(_, min)| e.key() < min) {
+                head = Some((Head::Buf, e.key()));
+            }
+        }
+        if let Some(t) = self.tails.peek() {
+            if head.is_none_or(|(_, min)| t.key < min) {
+                head = Some((Head::Run, t.key));
+            }
+        }
+        head
+    }
+
     /// The smallest priority held.
     fn peek(&self) -> Option<u64> {
-        match (self.run.as_slice().first(), self.overflow.peek()) {
-            (Some(a), Some(b)) => Some(a.priority.min(b.priority)),
-            (a, b) => a.or(b).map(|e| e.priority),
-        }
+        self.head().map(|(_, (priority, _))| priority)
     }
 
     /// Removes and returns the minimum.
     fn pop(&mut self) -> Option<Entry<T>> {
-        match (self.run.as_slice().first(), self.overflow.peek()) {
-            (Some(a), Some(b)) if b.key() < a.key() => self.overflow.pop(),
-            (Some(_), _) => self.run.next(),
-            (None, _) => self.overflow.pop(),
+        match self.head()?.0 {
+            Head::Prefill => self.prefill.next(),
+            Head::Buf => self.buf.pop(),
+            Head::Run => Some(self.pop_tail()),
+        }
+    }
+
+    /// Adds `entry`, first sorting a full buffer into a run.
+    fn push(&mut self, entry: Entry<T>) {
+        if self.buf.entries.len() == BUF {
+            self.flush();
+        }
+        self.buf.push(entry);
+    }
+
+    /// Removes the smallest run's smallest entry; a drained block goes to
+    /// the free list, a drained run leaves the tail heap.
+    fn pop_tail(&mut self) -> Entry<T> {
+        let tail = &mut self.tails.entries[0];
+        let block = &mut self.slab[tail.block as usize];
+        tail.len -= 1;
+        // SAFETY: the first `tail.len + 1` entries of the block a tail
+        // points at are live; the last of them is read here once, and the
+        // decrement above makes it dead before anything can read it again.
+        let min = unsafe { block.entries[tail.len as usize].assume_init_read() };
+        if tail.len == 0 {
+            let (drained, next) = (tail.block, block.next);
+            block.next = self.free;
+            self.free = drained;
+            if next == NIL {
+                self.tails.pop();
+                return min;
+            }
+            (tail.block, tail.len, tail.rest) = (next, BLOCK as u32, tail.rest - 1);
+        }
+        // SAFETY: `tail.len ≥ 1` entries of `tail.block` are live: what was
+        // left of this block, or all of the chain's next one.
+        let next = unsafe {
+            self.slab[tail.block as usize].entries[tail.len as usize - 1].assume_init_ref()
+        };
+        tail.key = next.key();
+        self.tails.sift_down(0);
+        min
+    }
+
+    /// A block off the free list, or a new one at the end of the slab.
+    fn take_block(&mut self) -> u32 {
+        if self.free == NIL {
+            // An index must not alias another block or `NIL`.
+            assert!(self.slab.len() < NIL as usize, "a bucket's slab is out of block indices");
+            let entries = [const { MaybeUninit::uninit() }; BLOCK];
+            self.slab.push(Block { entries, next: NIL });
+            (self.slab.len() - 1) as u32
+        } else {
+            let at = self.free;
+            self.free = self.slab[at as usize].next;
+            at
+        }
+    }
+
+    /// Merges runs `a` and `b`, which have left the tail heap, into one:
+    /// entry by entry, smallest first, each block of theirs going to the
+    /// free list as soon as it is drained, for the merged run's next ones.
+    fn merge(&mut self, mut a: Tail, mut b: Tail) -> Tail {
+        let size = a.size() + b.size();
+        // The merged run's head block holds what is left over from full
+        // blocks; it is filled from its last live slot down.
+        let head_len = (size - 1) % BLOCK + 1;
+        let head = self.take_block();
+        let (mut out, mut at) = (head, head_len);
+        for _ in 0..size {
+            if at == 0 {
+                let next = self.take_block();
+                self.slab[out as usize].next = next;
+                (out, at) = (next, BLOCK);
+            }
+            let from = match (a.len, b.len) {
+                (0, _) => &mut b,
+                (_, 0) => &mut a,
+                _ if b.key < a.key => &mut b,
+                _ => &mut a,
+            };
+            from.len -= 1;
+            at -= 1;
+            let block = &mut self.slab[from.block as usize];
+            // SAFETY: the last live entry of `from`'s head block (see
+            // `pop_tail`) moves to slot `at` of the merged run's newest
+            // block, which is free: slots above `at` were filled before it.
+            // The decrement above makes the source slot dead, and nothing
+            // can panic before the write below. (A panic in `take_block`
+            // leaks both runs' entries, never drops one twice: no tail
+            // points at them any more.)
+            let e = unsafe { block.entries[from.len as usize].assume_init_read() };
+            if from.len == 0 {
+                let (drained, next) = (from.block, block.next);
+                block.next = self.free;
+                self.free = drained;
+                if next != NIL {
+                    (from.block, from.len, from.rest) = (next, BLOCK as u32, from.rest - 1);
+                }
+            }
+            if from.len > 0 {
+                // SAFETY: as in `pop_tail`, `from.len ≥ 1` entries are live.
+                let next = unsafe {
+                    self.slab[from.block as usize].entries[from.len as usize - 1].assume_init_ref()
+                };
+                from.key = next.key();
+            }
+            self.slab[out as usize].entries[at].write(e);
+        }
+        self.slab[out as usize].next = NIL;
+        // SAFETY: the merged run's head block holds `head_len` live entries,
+        // the smallest last.
+        let min = unsafe { self.slab[head as usize].entries[head_len - 1].assume_init_ref() };
+        let rest = ((size - head_len) / BLOCK) as u32;
+        Tail { key: min.key(), block: head, len: head_len as u32, rest }
+    }
+
+    /// Sorts the full buffer into a new run — descending, cut into blocks
+    /// of [`BLOCK`] entries from the largest down, chained smallest first —
+    /// and merges it with the runs no larger than it.
+    fn flush(&mut self) {
+        self.buf.entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        let key = self.buf.entries[BUF - 1].key();
+        let mut chain = NIL;
+        for chunk in 0..BUF / BLOCK {
+            let at = self.take_block();
+            let block = &mut self.slab[at as usize];
+            // SAFETY: the chunk and the free block are disjoint and `BLOCK`
+            // entries long. The copies own the entries once the buffer
+            // gives its own up (`set_len(0)` below); until then no tail
+            // points at them, so a panic in `take_block` drops each entry
+            // once, with the buffer.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    self.buf.entries.as_ptr().add(chunk * BLOCK),
+                    block.entries.as_mut_ptr().cast::<Entry<T>>(),
+                    BLOCK,
+                );
+            }
+            block.next = chain;
+            chain = at;
+        }
+        // SAFETY: every entry of the buffer was moved into the slab above.
+        unsafe { self.buf.entries.set_len(0) };
+        let rest = (BUF / BLOCK - 1) as u32;
+        let mut run = Tail { key, block: chain, len: BLOCK as u32, rest };
+        // Merged with every run no larger, smallest first: the sizes of the
+        // runs held then at least double from one to the next, and an entry
+        // is merged about once per doubling of the bucket.
+        loop {
+            let sizes = self.tails.entries.iter().map(Tail::size).enumerate();
+            match sizes.min_by_key(|&(_, size)| size) {
+                Some((at, size)) if size <= run.size() => {
+                    let smaller = self.tails.remove(at);
+                    run = self.merge(smaller, run);
+                }
+                _ => break,
+            }
+        }
+        self.tails.push(run);
+    }
+}
+
+impl<T> Drop for LockedQueue<T> {
+    /// Drops the entries still in runs; the prefill and the buffer drop
+    /// their own.
+    fn drop(&mut self) {
+        if !std::mem::needs_drop::<T>() {
+            return;
+        }
+        for tail in &self.tails.entries {
+            let (mut at, mut len) = (tail.block, tail.len as usize);
+            while at != NIL {
+                let block = &mut self.slab[at as usize];
+                for e in &mut block.entries[..len] {
+                    // SAFETY: a run's live entries: the first `tail.len` of
+                    // its tail block, every entry of the blocks after it.
+                    // Each is dropped once, and the queue is going away.
+                    unsafe { e.assume_init_drop() };
+                }
+                (at, len) = (block.next, BLOCK);
+            }
         }
     }
 }
@@ -482,47 +759,82 @@ impl<T> LockedQueue<T> {
 impl<T> fmt::Debug for LockedQueue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LockedQueue")
-            .field("run", &self.run.len())
-            .field("overflow", &self.overflow.entries.len())
+            .field("prefill", &self.prefill.len())
+            .field("buf", &self.buf.entries.len())
+            .field("runs", &self.tails.entries.len())
+            .field("slab_blocks", &self.slab.len())
             .finish()
     }
 }
 
 /// Children per node of a [`Heap`]. Chosen from {2, 4, 8} by `sssp_gnm`
-/// pairs (DESIGN.md "The bucket heap"); a constant, not a parameter.
+/// pairs when the heap was the whole bucket (DESIGN.md "The run bucket");
+/// a constant, not a parameter.
 const HEAP_ARITY: usize = 8;
 
-/// The sequential min-heap behind every [`Locked`] bucket, which takes
-/// everything inserted after the bulk load. An implicit `HEAP_ARITY`-ary
-/// heap over a `Vec`, ordered by the entry key `(priority, seq)`; seqs are
-/// unique per scheduler, so a pop returns the one exact minimum. Its
-/// sift-down picks the smaller child with a predicted branch, so an
-/// out-of-cache descent can load the next level before the comparison
-/// resolves (DESIGN.md "The bucket heap").
-struct Heap<T> {
-    entries: Vec<Entry<T>>,
+/// What a [`Heap`] orders by: an entry's `(priority, seq)`.
+trait Keyed {
+    fn key(&self) -> (u64, u64);
 }
 
-impl<T> Heap<T> {
+impl<T> Keyed for Entry<T> {
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        Entry::key(self)
+    }
+}
+
+impl Keyed for Tail {
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        self.key
+    }
+}
+
+/// The sequential min-heap of a [`LockedQueue`], as its insert buffer and
+/// as its heap of run tails: an implicit `HEAP_ARITY`-ary heap over a
+/// `Vec`, ordered by [`Keyed::key`]. Its sift-down picks the smaller child
+/// with a predicted branch, so a descent can load the next level before
+/// the comparison resolves.
+struct Heap<E> {
+    entries: Vec<E>,
+}
+
+impl<E: Keyed> Heap<E> {
     /// The minimum entry.
-    fn peek(&self) -> Option<&Entry<T>> {
+    fn peek(&self) -> Option<&E> {
         self.entries.first()
     }
 
     /// Removes and returns the minimum.
-    fn pop(&mut self) -> Option<Entry<T>> {
+    fn pop(&mut self) -> Option<E> {
         if self.entries.len() <= 1 {
             return self.entries.pop();
         }
         let min = self.entries.swap_remove(0);
-        self.sift_down();
+        self.sift_down(0);
         Some(min)
     }
 
     /// Adds `entry`.
-    fn push(&mut self, entry: Entry<T>) {
-        let (mut at, key) = (self.entries.len(), entry.key());
+    fn push(&mut self, entry: E) {
         self.entries.push(entry);
+        self.sift_up(self.entries.len() - 1);
+    }
+
+    /// Removes and returns the entry at index `at`.
+    fn remove(&mut self, at: usize) -> E {
+        let entry = self.entries.swap_remove(at);
+        if at < self.entries.len() {
+            self.sift_down(at);
+            self.sift_up(at);
+        }
+        entry
+    }
+
+    /// Moves the entry at `at` up to where no parent is larger.
+    fn sift_up(&mut self, mut at: usize) {
+        let key = self.entries[at].key();
         while at > 0 {
             let parent = (at - 1) / HEAP_ARITY;
             if self.entries[parent].key() <= key {
@@ -533,9 +845,9 @@ impl<T> Heap<T> {
         }
     }
 
-    /// Moves the root down to where no child is smaller.
-    fn sift_down(&mut self) {
-        let (len, key, mut at) = (self.entries.len(), self.entries[0].key(), 0);
+    /// Moves the entry at `at` down to where no child is smaller.
+    fn sift_down(&mut self, mut at: usize) {
+        let (len, key) = (self.entries.len(), self.entries[at].key());
         loop {
             let first = HEAP_ARITY * at + 1;
             if first >= len {
@@ -557,17 +869,12 @@ impl<T> Heap<T> {
     }
 }
 
-impl<T> Default for Heap<T> {
-    fn default() -> Self {
-        Heap { entries: Vec::new() }
-    }
-}
-
 /// The lock-based MultiQueue of Rihani–Sanders–Dementiev \[21\]: `q`
 /// sequential queues behind try-locks ([`Locked`]), scheduled by
 /// [`MultiQueueCore`]. The paper's experiments use four per thread. A
 /// prefilled queue pops its bulk load as sorted runs, `O(1)` per pop, and
-/// every later insert goes to a small per-bucket heap.
+/// every later insert goes to a bucket's in-cache buffer, which is sorted
+/// into a run of its own when it fills.
 ///
 /// # Examples
 ///
@@ -582,7 +889,7 @@ impl<T> Default for Heap<T> {
 /// let q = MultiQueue::prefilled(4, (0..100u64).map(|p| (p, p as u32)));
 /// let (p, _) = q.pop().unwrap();
 /// assert!(p < 100);
-/// q.insert(0, 999); // later inserts go to the bucket heaps
+/// q.insert(0, 999); // later inserts go to the bucket buffers
 /// ```
 pub type MultiQueue<T> = MultiQueueCore<T, Locked<T>>;
 
@@ -628,19 +935,22 @@ impl<T: Send> MultiQueue<T> {
 #[cfg(test)]
 mod tests {
     //! What the MultiQueue core promises beyond the scheduler contract
-    //! (`tests/scheduler_conformance.rs`): the locked bucket's run and heap
-    //! against a sorted model, the radix bulk load against a comparison
-    //! sort, and exact order behind one bucket.
+    //! (`tests/scheduler_conformance.rs`): the locked bucket's prefill,
+    //! buffer and runs against a sorted model with drop-counting payloads,
+    //! the radix bulk load against a comparison sort, and exact order
+    //! behind one bucket.
 
     use super::*;
     use crate::concurrent::LockFreeMultiQueue;
     use crate::reclaim::{Ebr, Vbr};
     use proptest::prelude::*;
+    use std::cell::Cell;
 
     /// One bucket on one thread is an exact scheduler: a shuffled insert set
     /// with many ties drains in `(priority, insertion)` order, by `pop` and
-    /// by `pop_batch(.., 32)`. The benchmark's `exact_s` rows of `sssp_gnm`
-    /// and `service_conn` run on `MultiQueue::new(1)`.
+    /// by `pop_batch(.., 32)`, across the two flushes of its 3 000 inserts.
+    /// The benchmark's `exact_s` rows of `sssp_gnm` and `service_conn` run
+    /// on `MultiQueue::new(1)`.
     #[test]
     fn one_heap_drains_in_exact_order() {
         let entries: Vec<(u64, u64)> = (0..3_000u64).map(|i| (i * 7919 % 3_001 / 16, i)).collect();
@@ -662,65 +972,203 @@ mod tests {
         }
     }
 
-    /// A key generator for the heap model: small priorities so that most
+    /// A key generator for the queue model: small priorities so that most
     /// entries tie and `seq`, unique but not monotone, decides.
     fn tie_key(priority: u64, n: u64) -> (u64, u64) {
         (priority, n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// Replays `ops` against a sorted `Vec` on a locked bucket's queue
-    /// holding `initial`, as its sorted run if `prefilled`, else pushed
-    /// into its heap: `0` pushes, `1` pops, `2` peeks; every entry carries
-    /// its seq.
-    fn heap_model(initial: &[u64], prefilled: bool, ops: &[(u8, u64)]) -> TestCaseResult {
-        let mut model: Vec<(u64, u64)> =
-            initial.iter().enumerate().map(|(n, &p)| tie_key(p, n as u64)).collect();
-        model.sort_unstable();
-        let entries = model.iter().map(|&(p, s)| Entry::new(p, s, s));
-        let mut q = if prefilled {
-            LockedQueue { run: entries.collect::<Vec<_>>().into_iter(), overflow: Heap::default() }
-        } else {
-            let mut overflow = Heap::default();
-            entries.for_each(|e| overflow.push(e));
-            LockedQueue { run: Vec::new().into_iter(), overflow }
-        };
-        for (n, &(op, priority)) in ops.iter().enumerate() {
+    thread_local! {
+        /// [`Tracked`] payloads made minus those dropped, on this thread.
+        static LIVE: Cell<isize> = const { Cell::new(0) };
+    }
+
+    /// A drop-counting payload carrying its entry's seq: it holds one count
+    /// in [`LIVE`] from creation to drop, so a slab slot read twice or
+    /// leaked shows in the count.
+    #[derive(Debug, PartialEq)]
+    struct Tracked(u64);
+
+    impl Tracked {
+        fn new(seq: u64) -> Self {
+            LIVE.with(|live| live.set(live.get() + 1));
+            Tracked(seq)
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            LIVE.with(|live| live.set(live.get() - 1));
+        }
+    }
+
+    /// A locked bucket's queue beside a sorted `Vec` of the keys it holds.
+    struct Model {
+        q: LockedQueue<Tracked>,
+        keys: Vec<(u64, u64)>,
+        pushed: u64,
+    }
+
+    impl Model {
+        /// A queue holding `initial`, as its sorted prefill if `prefilled`,
+        /// else pushed.
+        fn new(initial: &[u64], prefilled: bool) -> Self {
+            let mut keys: Vec<(u64, u64)> =
+                initial.iter().enumerate().map(|(n, &p)| tie_key(p, n as u64)).collect();
+            keys.sort_unstable();
+            let entries = keys.iter().map(|&(p, s)| Entry::new(p, s, Tracked::new(s)));
+            let q = if prefilled {
+                LockedQueue::new(entries.collect())
+            } else {
+                let mut q = LockedQueue::new(Vec::new());
+                entries.for_each(|e| q.push(e));
+                q
+            };
+            Model { q, keys, pushed: initial.len() as u64 }
+        }
+
+        /// Applies `op` to both: `0` pushes `priority`, `1` pops, `2` peeks.
+        fn apply(&mut self, op: u8, priority: u64) -> TestCaseResult {
             match op {
                 0 => {
-                    let (p, s) = tie_key(priority, (initial.len() + n) as u64);
-                    q.overflow.push(Entry::new(p, s, s));
-                    let at = model.partition_point(|&k| k < (p, s));
-                    model.insert(at, (p, s));
+                    let (p, s) = tie_key(priority, self.pushed);
+                    self.pushed += 1;
+                    self.q.push(Entry::new(p, s, Tracked::new(s)));
+                    let at = self.keys.partition_point(|&k| k < (p, s));
+                    self.keys.insert(at, (p, s));
                 }
                 1 => {
-                    let got = q.pop().map(|e| (e.priority, e.seq, e.item));
-                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    let got = self.q.pop().map(|e| (e.priority, e.seq, e.item.0));
+                    let want = (!self.keys.is_empty()).then(|| self.keys.remove(0));
                     prop_assert_eq!(got, want.map(|(p, s)| (p, s, s)));
                 }
-                _ => prop_assert_eq!(q.peek(), model.first().map(|&(p, _)| p)),
+                _ => prop_assert_eq!(self.q.peek(), self.keys.first().map(|&(p, _)| p)),
             }
+            Ok(())
         }
-        while let Some(e) = q.pop() {
-            prop_assert_eq!((e.priority, e.seq), model.remove(0));
+
+        /// Pops down to `keep` entries, then drops the queue with them and
+        /// checks that every payload ever made was dropped exactly once.
+        fn drain_to(mut self, keep: usize) -> TestCaseResult {
+            while self.keys.len() > keep {
+                self.apply(1, 0)?;
+            }
+            let made = LIVE.with(Cell::get);
+            drop(self.q);
+            let left = made - LIVE.with(Cell::get);
+            let queued = self.keys.len() as isize;
+            prop_assert!(left == queued, "the drop freed {left} payloads of {queued} queued");
+            Ok(())
         }
-        prop_assert!(model.is_empty(), "{} entries lost", model.len());
+    }
+
+    /// Replays `ops` on a queue holding `initial` both ways, then pops down
+    /// to `keep` entries and drops it; every payload is dropped once.
+    fn queue_model(initial: &[u64], ops: &[(u8, u64)], keep: usize) -> TestCaseResult {
+        for prefilled in [false, true] {
+            let before = LIVE.with(Cell::get);
+            let mut model = Model::new(initial, prefilled);
+            for &(op, priority) in ops {
+                model.apply(op, priority)?;
+            }
+            model.drain_to(keep)?;
+            let live = LIVE.with(Cell::get) - before;
+            prop_assert!(live == 0, "{live} payloads leaked (< 0: dropped twice)");
+        }
         Ok(())
+    }
+
+    /// Ops for long replays: five pushes to two pops and a peek, so the
+    /// queue grows past several buffers while runs are popped from.
+    fn long_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
+        let op = (0u8..8).prop_map(|o| match o {
+            0..=4 => 0,
+            5 | 6 => 1,
+            _ => 2,
+        });
+        collection::vec((op, 0u64..6), 6_000..10_000)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// A locked bucket pops exactly what a sorted `Vec` pops, ties
-        /// broken by `seq`: its heap alone, and its run with the heap
-        /// taking every later push.
+        /// broken by `seq`: its buffer alone, and its prefill with the
+        /// buffer taking every later push.
         #[test]
         fn heap_matches_sorted_model(
             initial in collection::vec(0u64..6, 0..40),
             ops in collection::vec((0u8..3, 0u64..6), 0..300),
         ) {
-            heap_model(&initial, false, &ops)?;
-            heap_model(&initial, true, &ops)?;
+            queue_model(&initial, &ops, 0)?;
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The same across flushes: some 3 700–6 300 pushes fill the buffer
+        /// three to six times, so runs merge, and runs are popped across
+        /// block boundaries while later ones are flushed and merged into
+        /// recycled blocks; then the queue is dropped holding `keep`
+        /// entries in its runs, buffer and prefill.
+        #[test]
+        fn runs_match_sorted_model(
+            initial in collection::vec(0u64..6, 0..40),
+            ops in long_ops(),
+            keep in 0usize..1_500,
+        ) {
+            queue_model(&initial, &ops, keep)?;
+        }
+    }
+
+    /// The sizes of the runs `q` holds, ascending, after checking that
+    /// every block of its slab is in a run or on the free list.
+    fn run_sizes<T>(q: &LockedQueue<T>) -> Vec<usize> {
+        let (mut free, mut at) = (0, q.free);
+        while at != NIL {
+            (free, at) = (free + 1, q.slab[at as usize].next);
+        }
+        let held: usize = q.tails.entries.iter().map(|t| 1 + t.rest as usize).sum();
+        assert_eq!(held + free, q.slab.len(), "blocks lost");
+        let mut sizes: Vec<usize> = q.tails.entries.iter().map(Tail::size).collect();
+        sizes.sort_unstable();
+        sizes
+    }
+
+    /// A deterministic walk through the run bucket's life cycle against the
+    /// model, peeking at every fifth step, with priorities that rise over
+    /// time as in SSSP: three flushes, the first two merged; pops that cut
+    /// across block boundaries into the oldest run; flushes that merge into
+    /// one run the cut one, a new one and one of equal size, taking drained
+    /// blocks back from the free list; pops that drain that run to its last
+    /// entry; and a drop with entries in a run and the buffer.
+    #[test]
+    fn runs_cross_flushes_and_recycle_blocks() {
+        let base = LIVE.with(Cell::get);
+        let mut m = Model::new(&[], false);
+        let mut steps = 0;
+        let mut step = |m: &mut Model, op: u8| {
+            m.apply(op, m.pushed / 64).unwrap();
+            steps += 1;
+            if steps % 5 == 0 {
+                m.apply(2, 0).unwrap();
+            }
+        };
+        (0..3_500).for_each(|_| step(&mut m, 0));
+        assert_eq!(run_sizes(&m.q), [BUF, 2 * BUF]);
+        assert_eq!(m.q.buf.entries.len(), 3_500 - 3 * BUF);
+        (0..1_500).for_each(|_| step(&mut m, 1));
+        assert_eq!(run_sizes(&m.q), [2 * BUF - 1_500, BUF]);
+        let blocks = m.q.slab.len();
+        (0..3_000).for_each(|_| step(&mut m, 0));
+        assert_eq!(run_sizes(&m.q), [2 * BUF, 4 * BUF - 1_500]);
+        let grown = m.q.slab.len() - blocks;
+        assert!(grown < 3 * BUF / BLOCK, "{grown} new blocks for three flushes");
+        (0..4 * BUF - 1_500).for_each(|_| step(&mut m, 1));
+        assert_eq!(run_sizes(&m.q), [2 * BUF]);
+        m.drain_to(700).unwrap();
+        assert_eq!(LIVE.with(Cell::get), base);
     }
 
     #[test]

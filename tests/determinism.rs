@@ -142,7 +142,7 @@ fn assert_deterministic<A, O>(
 /// `threads` and hands each finished algorithm to `verify` with its row's
 /// name: the relaxed executor at batch sizes 1 and 8 over every MultiQueue
 /// variant — the locked one both bulk-loaded (its sorted runs serve) and
-/// filled by inserts (its heaps do) — and over a 3-shard
+/// filled by inserts (its insert buffers do) — and over a 3-shard
 /// `ShardedScheduler`; then `run_exact_concurrent`. Every relaxed row must
 /// finish the algorithm and balance its pop ledger, the exact row pop each
 /// task once.

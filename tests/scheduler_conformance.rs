@@ -1,10 +1,10 @@
 //! One conformance contract for every concurrent scheduler the library
 //! exports, with the configuration as the only variable: the MultiQueue
-//! over locked buckets (sorted run plus heap), and over Harris-list buckets
-//! under EBR and under VBR, and `ShardedScheduler` over each of those three
-//! at 1, 3 and 16 shards — twelve configurations, each exercised at run
-//! lengths 1, 8 and 64 (the `max` of every batched pop, the length of every
-//! `insert_batch`). The contract:
+//! over locked buckets (sorted prefill plus insert runs), and over
+//! Harris-list buckets under EBR and under VBR, and `ShardedScheduler` over
+//! each of those three at 1, 3 and 16 shards — twelve configurations, each
+//! exercised at run lengths 1, 8 and 64 (the `max` of every batched pop,
+//! the length of every `insert_batch`). The contract:
 //!
 //! 1. exactly-once delivery, every priority still paired with its item, and
 //!    no batched pop above its `max`, over single-threaded interleavings of
@@ -78,7 +78,7 @@ struct Config<F> {
 
 /// The locked MultiQueue filled both ways its callers fill it: the first
 /// half of `entries` bulk-loaded into the sorted runs, the rest inserted
-/// into the heaps.
+/// into the insert buffers.
 fn locked<T: Send>(queues: usize, mut entries: Vec<(u64, T)>) -> MultiQueue<T> {
     let inserted = entries.split_off(entries.len() / 2);
     let q = MultiQueue::prefilled(queues, entries);

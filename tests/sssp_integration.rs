@@ -115,3 +115,20 @@ fn heavier_concurrent_instance() {
     let mq: MultiQueue<u32> = MultiQueue::for_threads(2);
     assert_eq!(concurrent_sssp(&g, 0, &mq, 2), expected);
 }
+
+/// At a size where every bucket of `MultiQueue::for_threads(t)` sorts its
+/// insert buffer into several runs, and the one bucket of
+/// `MultiQueue::new(1)` into dozens, both reproduce `dijkstra`.
+#[test]
+fn locked_buckets_agree_at_flush_scale() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let g = gen::gnm(50_000, 250_000, &mut rng);
+    let g = WeightedCsr::with_uniform_weights(&g, 1, 100, &mut rng);
+    let expected = dijkstra(&g, 0);
+    for threads in [1usize, 2, 4] {
+        let one: MultiQueue<u32> = MultiQueue::new(1);
+        assert_eq!(concurrent_sssp(&g, 0, &one, threads), expected, "one bucket, t={threads}");
+        let mq: MultiQueue<u32> = MultiQueue::for_threads(threads);
+        assert_eq!(concurrent_sssp(&g, 0, &mq, threads), expected, "MultiQueue, t={threads}");
+    }
+}
