@@ -53,46 +53,62 @@ impl CsrGraph {
             .collect();
         norm.sort_unstable();
         norm.dedup();
-        Self::from_normalized(n, &norm)
+        Self::from_normalized(n, norm.iter().copied())
     }
 
     /// Builds a graph from edges that are already normalized: each pair
-    /// `(u, v)` satisfies `u < v`, and the slice is sorted and duplicate-free.
+    /// `(u, v)` satisfies `u < v`, and the sequence is sorted and
+    /// duplicate-free.
     ///
-    /// This is the allocation-light path used by the generators.
+    /// This is the allocation-light path used by the generators. The
+    /// iterator is scanned twice (degrees, then the fill), so it should
+    /// borrow or compute its pairs rather than own them.
     ///
     /// # Panics
     ///
     /// Panics if any endpoint is `>= n`, or (in debug builds) if the input is
     /// not normalized.
-    pub fn from_normalized(n: usize, norm: &[(u32, u32)]) -> Self {
-        debug_assert!(norm.windows(2).all(|w| w[0] < w[1]), "edges not sorted/unique");
-        debug_assert!(norm.iter().all(|&(a, b)| a < b), "edges not normalized");
-        let mut deg = vec![0usize; n];
-        for &(a, b) in norm {
+    pub fn from_normalized<I>(n: usize, norm: I) -> Self
+    where
+        I: IntoIterator<Item = (u32, u32)>,
+        I::IntoIter: Clone,
+    {
+        let norm = norm.into_iter();
+        debug_assert!(
+            norm.clone().zip(norm.clone().skip(1)).all(|(p, q)| p < q),
+            "edges not sorted/unique"
+        );
+        debug_assert!(norm.clone().all(|(a, b)| a < b), "edges not normalized");
+        // `offsets[v + 1]` counts `v`'s degree, then the prefix sum turns
+        // the counts into list starts.
+        let mut offsets = vec![0usize; n + 1];
+        for (a, b) in norm.clone() {
             assert!((b as usize) < n, "edge endpoint {} out of range (n = {})", b, n);
-            deg[a as usize] += 1;
-            deg[b as usize] += 1;
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
         let mut cursor = offsets[..n].to_vec();
-        let mut adj = vec![0u32; acc];
+        let mut adj = vec![0u32; offsets[n]];
         // Scanning pairs in lexicographic order fills every adjacency list in
         // ascending order: all `(u, v)` entries with `u < v` land in `v`'s
         // list before any `(v, w)` entry does, and each group is sorted.
-        for &(a, b) in norm {
+        for (a, b) in norm {
             adj[cursor[a as usize]] = b;
             cursor[a as usize] += 1;
             adj[cursor[b as usize]] = a;
             cursor[b as usize] += 1;
         }
         CsrGraph { offsets, adj }
+    }
+
+    /// `offsets()[v]..offsets()[v + 1]` is the range of `v`'s half-edges in
+    /// the adjacency array, for data stored parallel to it.
+    #[inline]
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 
     /// Number of vertices.

@@ -2,7 +2,6 @@
 
 use crate::CsrGraph;
 use rand::Rng;
-use std::collections::HashSet;
 
 /// Samples `G(n, p)`: every unordered pair is an edge independently with
 /// probability `p`.
@@ -52,7 +51,7 @@ pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> CsrGraph {
     // Skip sampling emits pairs sorted by (v, w); normalize to (min, max) and
     // re-sort for the fast CSR path.
     edges.sort_unstable();
-    CsrGraph::from_normalized(n, &edges)
+    CsrGraph::from_normalized(n, edges.iter().copied())
 }
 
 /// Samples `G(n, m)`: a graph drawn uniformly among all graphs with exactly
@@ -67,79 +66,177 @@ pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> CsrGraph {
 pub fn gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> CsrGraph {
     let total: u64 = n as u64 * (n as u64 - if n == 0 { 0 } else { 1 }) / 2;
     assert!((m as u64) <= total, "m = {m} exceeds the {total} possible edges on {n} vertices");
-    if m == 0 {
-        return CsrGraph::empty(n);
+    // Rejection-sample distinct pairs: for m within half the total, fewer
+    // than 2m draws are expected. Denser requests sample the total − m holes
+    // instead and emit every other pair in one walk against them.
+    if (m as u64) * 2 <= total {
+        return csr_from_keys(n, &distinct_pairs(n, m, rng));
     }
-    // Rejection-sample distinct pairs. For m within half the total the
-    // expected number of retries is < 2x; denser requests go through the
-    // complement.
-    if (m as u64) * 2 > total {
-        return dense_gnm(n, m, total, rng);
-    }
-    let mut seen: HashSet<u64> = HashSet::with_capacity(m * 2);
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
-    while edges.len() < m {
-        let a = rng.gen_range(0..n as u32);
-        let b = rng.gen_range(0..n as u32);
-        if a == b {
-            continue;
-        }
-        let (u, v) = if a < b { (a, b) } else { (b, a) };
-        let key = (u as u64) * n as u64 + v as u64;
-        if seen.insert(key) {
-            edges.push((u, v));
-        }
-    }
-    edges.sort_unstable();
-    CsrGraph::from_normalized(n, &edges)
-}
-
-/// `G(n, m)` for `m > total/2`: sample the complement instead.
-fn dense_gnm<R: Rng>(n: usize, m: usize, total: u64, rng: &mut R) -> CsrGraph {
-    let holes = (total - m as u64) as usize;
-    let mut excluded: HashSet<u64> = HashSet::with_capacity(holes * 2);
-    while excluded.len() < holes {
-        let a = rng.gen_range(0..n as u32);
-        let b = rng.gen_range(0..n as u32);
-        if a == b {
-            continue;
-        }
-        let (u, v) = if a < b { (a, b) } else { (b, a) };
-        excluded.insert((u as u64) * n as u64 + v as u64);
-    }
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
+    let mut holes = distinct_pairs(n, (total - m as u64) as usize, rng).into_iter().peekable();
+    let mut edges = Vec::with_capacity(m);
     for u in 0..n as u32 {
         for v in (u + 1)..n as u32 {
-            if !excluded.contains(&((u as u64) * n as u64 + v as u64)) {
-                edges.push((u, v));
+            if holes.next_if_eq(&key(u, v)).is_none() {
+                edges.push(key(u, v));
             }
         }
     }
-    CsrGraph::from_normalized(n, &edges)
+    csr_from_keys(n, &edges)
+}
+
+/// The sort key of the pair `u < v`: keys order as the pairs do.
+fn key(u: u32, v: u32) -> u64 {
+    (u64::from(u) << 32) | u64::from(v)
+}
+
+fn csr_from_keys(n: usize, keys: &[u64]) -> CsrGraph {
+    CsrGraph::from_normalized(n, keys.iter().map(|&k| ((k >> 32) as u32, k as u32)))
+}
+
+/// The sorted keys of `count` distinct pairs, drawn as a loop that rejects
+/// self-loops and stops at its `count`-th new pair would draw them.
+///
+/// The draws come in rounds of exactly the deficit, each sorted and merged
+/// into the distinct keys. A round adds at most one new key per draw, so
+/// the count reaches `count` only on a round's last draw — where that loop
+/// stops — and the keys and the generator's state afterwards are the
+/// loop's.
+fn distinct_pairs<R: Rng>(n: usize, count: usize, rng: &mut R) -> Vec<u64> {
+    let mut draw = |out: &mut Vec<u64>, draws: usize| {
+        let target = out.len() + draws;
+        while out.len() < target {
+            let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if a != b {
+                out.push(key(a.min(b), a.max(b)));
+            }
+        }
+    };
+    let (mut keys, mut fresh) = (Vec::with_capacity(count), Vec::new());
+    draw(&mut keys, count);
+    keys.sort_unstable();
+    keys.dedup();
+    while keys.len() < count {
+        fresh.clear();
+        draw(&mut fresh, count - keys.len());
+        fresh.sort_unstable();
+        fresh.dedup();
+        merge_new(&mut keys, &mut fresh);
+    }
+    keys
+}
+
+/// Merges the sorted, duplicate-free `fresh` into the sorted, duplicate-free
+/// `keys`, skipping the keys already there. `keys` must have the spare
+/// capacity for all of `fresh`.
+fn merge_new(keys: &mut Vec<u64>, fresh: &mut Vec<u64>) {
+    let mut at = 0;
+    fresh.retain(|&k| {
+        at += keys[at..].partition_point(|&x| x < k);
+        keys.get(at) != Some(&k)
+    });
+    // Merge from the back into the spare capacity; once `fresh` is spent,
+    // the rest of `keys` is already in place.
+    let (mut i, mut j) = (keys.len(), fresh.len());
+    debug_assert!(i + j <= keys.capacity());
+    keys.resize(i + j, 0);
+    while j > 0 {
+        if i > 0 && keys[i - 1] > fresh[j - 1] {
+            i -= 1;
+            keys[i + j] = keys[i];
+        } else {
+            j -= 1;
+            keys[i + j] = fresh[j];
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
+    /// The hash-set generator `gnm` replaced, kept as its oracle: the same
+    /// draws, deduplicated one at a time.
+    fn gnm_oracle<R: Rng>(n: usize, m: usize, rng: &mut R) -> CsrGraph {
+        let total = n * n.saturating_sub(1) / 2;
+        let mut draw = || loop {
+            let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if a != b {
+                return (a.min(b), a.max(b));
+            }
+        };
+        let (mut seen, mut edges) = (HashSet::new(), Vec::new());
+        if m * 2 > total {
+            while seen.len() < total - m {
+                seen.insert(draw());
+            }
+            let pairs = (0..n as u32).flat_map(|u| ((u + 1)..n as u32).map(move |v| (u, v)));
+            edges.extend(pairs.filter(|e| !seen.contains(e)));
+        } else {
+            while edges.len() < m {
+                let e = draw();
+                if seen.insert(e) {
+                    edges.push(e);
+                }
+            }
+            edges.sort_unstable();
+        }
+        CsrGraph::from_normalized(n, edges.iter().copied())
+    }
+
+    /// FNV-1a over the canonical edge keys.
+    fn fingerprint(g: &CsrGraph) -> u64 {
+        g.edges()
+            .fold(0xcbf2_9ce4_8422_2325, |h, (u, v)| (h ^ key(u, v)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `gnm` draws the oracle's graph and leaves the generator where the
+        /// oracle does: sparse requests, duplicate-heavy ones just under half
+        /// of all pairs, and dense ones through the complement.
+        #[test]
+        fn gnm_matches_the_hash_set_oracle(n in 2usize..160, shape in 0u8..3, frac in 0u64..1_000, seed in any::<u64>()) {
+            let total = n * (n - 1) / 2;
+            let m = match shape {
+                0 => total / 2 * frac as usize / 8_000,
+                1 => total / 2 - total / 2 * frac as usize / 20_000,
+                _ => total / 2 + 1 + (total - total / 2 - 1) * frac as usize / 1_000,
+            };
+            let (mut ours, mut theirs) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let g = gnm(n, m, &mut ours);
+            prop_assert_eq!(g.num_edges(), m);
+            prop_assert_eq!(g, gnm_oracle(n, m, &mut theirs));
+            prop_assert_eq!(ours.gen::<u64>(), theirs.gen::<u64>());
+        }
+    }
+
+    /// Two graphs and the draw after them, recorded from the hash-set
+    /// generator; the second request is dense.
     #[test]
-    fn gnm_exact_edge_count() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for &(n, m) in &[(10usize, 0usize), (10, 45), (100, 500), (1000, 1)] {
+    fn gnm_fingerprints_are_pinned() {
+        for (n, m, seed, edges, next) in [
+            (1_000, 30_000, 3, 0x8e03_31a5_ef5d_2f3d, 0xeab7_42ab_3bbd_913d),
+            (100, 4_000, 5, 0xb549_bb47_c77b_2f19, 0x9acb_ef83_57e9_73bf),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
             let g = gnm(n, m, &mut rng);
-            assert_eq!(g.num_vertices(), n);
-            assert_eq!(g.num_edges(), m, "n={n} m={m}");
+            assert_eq!((g.num_edges(), fingerprint(&g)), (m, edges), "gnm({n}, {m}) seed {seed}");
+            assert_eq!(rng.gen::<u64>(), next, "gnm({n}, {m}) seed {seed}");
         }
     }
 
     #[test]
-    fn gnm_dense_path() {
-        let mut rng = StdRng::seed_from_u64(7);
-        // 40 of 45 possible edges on 10 vertices: exercises the complement path.
-        let g = gnm(10, 40, &mut rng);
-        assert_eq!(g.num_edges(), 40);
+    fn gnm_extremes_match_the_oracle() {
+        for (n, m) in [(0, 0), (1, 0), (10, 0), (10, 45), (1_000, 1)] {
+            let g = gnm(n, m, &mut StdRng::seed_from_u64(7));
+            assert_eq!(g.num_edges(), m);
+            assert_eq!(g, gnm_oracle(n, m, &mut StdRng::seed_from_u64(7)), "gnm({n}, {m})");
+        }
     }
 
     #[test]
@@ -171,10 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn generators_are_seed_deterministic() {
-        let a = gnm(100, 300, &mut StdRng::seed_from_u64(3));
-        let b = gnm(100, 300, &mut StdRng::seed_from_u64(3));
-        assert_eq!(a, b);
+    fn gnp_is_seed_deterministic() {
         let c = gnp(100, 0.1, &mut StdRng::seed_from_u64(3));
         let d = gnp(100, 0.1, &mut StdRng::seed_from_u64(3));
         assert_eq!(c, d);

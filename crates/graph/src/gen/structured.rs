@@ -11,19 +11,15 @@ pub fn empty(n: usize) -> CsrGraph {
 /// (Theorem 1 is tight on the clique: greedy coloring needs `Θ(nk)`
 /// iterations).
 pub fn complete(n: usize) -> CsrGraph {
-    let mut edges = Vec::with_capacity(n.saturating_sub(1) * n / 2);
-    for u in 0..n as u32 {
-        for v in (u + 1)..n as u32 {
-            edges.push((u, v));
-        }
-    }
-    CsrGraph::from_normalized(n, &edges)
+    CsrGraph::from_normalized(
+        n,
+        (0..n as u32).flat_map(move |u| ((u + 1)..n as u32).map(move |v| (u, v))),
+    )
 }
 
 /// The path `0 — 1 — … — (n−1)`.
 pub fn path(n: usize) -> CsrGraph {
-    let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
-    CsrGraph::from_normalized(n, &edges)
+    CsrGraph::from_normalized(n, (1..n as u32).map(|v| (v - 1, v)))
 }
 
 /// The cycle on `n` vertices (requires `n == 0` or `n >= 3`).
@@ -43,8 +39,7 @@ pub fn cycle(n: usize) -> CsrGraph {
 
 /// The star with center `0` and `n − 1` leaves.
 pub fn star(n: usize) -> CsrGraph {
-    let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (0, v)).collect();
-    CsrGraph::from_normalized(n, &edges)
+    CsrGraph::from_normalized(n, (1..n as u32).map(|v| (0, v)))
 }
 
 /// The `rows × cols` grid graph (4-neighbor).

@@ -21,8 +21,6 @@ use std::fmt;
 #[derive(Clone, PartialEq, Eq)]
 pub struct WeightedCsr {
     graph: CsrGraph,
-    /// Start of each vertex's half-edge range; mirrors the CSR offsets.
-    offsets: Vec<usize>,
     /// `weights[i]` is the weight of the `i`-th half-edge.
     weights: Vec<u32>,
 }
@@ -48,35 +46,12 @@ impl WeightedCsr {
             .collect();
         norm.sort_unstable();
         norm.dedup_by(|next, prev| (next.0, next.1) == (prev.0, prev.1));
-        let edges: Vec<(u32, u32)> = norm.iter().map(|&(a, b, _)| (a, b)).collect();
-        let graph = CsrGraph::from_normalized(n, &edges);
-        let offsets = Self::compute_offsets(&graph);
-        // Fill weights by replaying the CSR fill order (lexicographic scan of
-        // normalized edges appends to both endpoint ranges in order).
-        let mut weights = vec![0u32; 2 * edges.len()];
-        let mut cursor = offsets[..n].to_vec();
-        for &(a, b, w) in &norm {
-            weights[cursor[a as usize]] = w;
-            cursor[a as usize] += 1;
-            weights[cursor[b as usize]] = w;
-            cursor[b as usize] += 1;
-        }
-        WeightedCsr { graph, offsets, weights }
+        let graph = CsrGraph::from_normalized(n, norm.iter().map(|&(a, b, _)| (a, b)));
+        Self::weigh(graph, norm.iter().map(|&(_, _, w)| w))
     }
 
-    fn compute_offsets(g: &CsrGraph) -> Vec<usize> {
-        let n = g.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for v in 0..n as u32 {
-            acc += g.degree(v);
-            offsets.push(acc);
-        }
-        offsets
-    }
-
-    /// Attaches uniform random weights in `lo..=hi` to every edge of `g`.
+    /// Attaches uniform random weights in `lo..=hi` to every edge of `g`,
+    /// drawn in canonical edge order.
     ///
     /// # Panics
     ///
@@ -84,9 +59,23 @@ impl WeightedCsr {
     pub fn with_uniform_weights<R: Rng>(g: &CsrGraph, lo: u32, hi: u32, rng: &mut R) -> Self {
         assert!(lo > 0, "SSSP weights must be positive");
         assert!(lo <= hi, "empty weight range");
-        let triples: Vec<(u32, u32, u32)> =
-            g.edges().map(|(u, v)| (u, v, rng.gen_range(lo..=hi))).collect();
-        Self::from_weighted_edges(g.num_vertices(), triples)
+        Self::weigh(g.clone(), std::iter::repeat_with(|| rng.gen_range(lo..=hi)))
+    }
+
+    /// Gives the edges of `graph` the weights of `weights`, in canonical edge
+    /// order, placing each at both of its half-edges. Replaying that order
+    /// appends to every adjacency range in order, as the CSR fill did.
+    fn weigh(graph: CsrGraph, weights: impl IntoIterator<Item = u32>) -> Self {
+        let offsets = graph.offsets();
+        let mut cursor = offsets[..offsets.len() - 1].to_vec();
+        let mut placed = vec![0u32; offsets[offsets.len() - 1]];
+        for ((a, b), w) in graph.edges().zip(weights) {
+            placed[cursor[a as usize]] = w;
+            cursor[a as usize] += 1;
+            placed[cursor[b as usize]] = w;
+            cursor[b as usize] += 1;
+        }
+        WeightedCsr { graph, weights: placed }
     }
 
     /// The underlying unweighted graph.
@@ -114,7 +103,7 @@ impl WeightedCsr {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn neighbors_weighted(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let start = self.offsets[v as usize];
+        let start = self.graph.offsets()[v as usize];
         let ns = self.graph.neighbors(v);
         ns.iter().copied().zip(self.weights[start..start + ns.len()].iter().copied())
     }
@@ -152,17 +141,20 @@ mod tests {
         assert_eq!(w, vec![(1, 2)]);
     }
 
+    /// Weighing a graph in place equals rebuilding it from its weighted
+    /// edges, drawn in range and in canonical order, and leaves the
+    /// generator there too.
     #[test]
-    fn uniform_weights_in_range() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let base = CsrGraph::from_edges(10, (0..9u32).map(|i| (i, i + 1)));
-        let g = WeightedCsr::with_uniform_weights(&base, 2, 6, &mut rng);
-        for v in 0..10 {
-            for (_, w) in g.neighbors_weighted(v) {
-                assert!((2..=6).contains(&w));
-            }
+    fn uniform_weights_equal_the_weighted_edge_build() {
+        for (n, m, seed) in [(0, 0, 1), (40, 0, 2), (300, 2_000, 3), (60, 1_500, 4)] {
+            let g = crate::gen::gnm(n, m, &mut StdRng::seed_from_u64(seed));
+            let (mut ours, mut theirs) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let weighed = WeightedCsr::with_uniform_weights(&g, 2, 6, &mut ours);
+            assert!(weighed.weights.iter().all(|w| (2..=6).contains(w)));
+            let triples: Vec<_> = g.edges().map(|(u, v)| (u, v, theirs.gen_range(2..=6))).collect();
+            assert_eq!(weighed, WeightedCsr::from_weighted_edges(n, triples), "n = {n}, m = {m}");
+            assert_eq!(ours.gen::<u64>(), theirs.gen::<u64>(), "n = {n}, m = {m}");
         }
-        assert_eq!(g.num_edges(), base.num_edges());
     }
 
     #[test]
