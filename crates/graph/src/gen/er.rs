@@ -1,5 +1,11 @@
 //! Erdős–Rényi generators: `G(n, p)` and `G(n, m)`.
+//!
+//! Only drawing the pairs follows the generator's stream. Sorting their
+//! keys (by cache-sized buckets first) and filling the CSR (by vertex
+//! ranges) run on every core once the graph is large enough, and give the
+//! same graph, and leave the same generator state, on any number of them.
 
+use crate::csr::{key, sort_keys, threads_for};
 use crate::CsrGraph;
 use rand::Rng;
 
@@ -30,7 +36,7 @@ pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> CsrGraph {
     if p >= 1.0 {
         return super::complete(n);
     }
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut edges = Vec::new();
     let log_q = (1.0 - p).ln();
     // Walk the pairs (w, v) with w < v in row-major order, jumping a
     // geometrically distributed number of non-edges each step.
@@ -48,10 +54,7 @@ pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> CsrGraph {
             edges.push((w as u32, v as u32));
         }
     }
-    // Skip sampling emits pairs sorted by (v, w); normalize to (min, max) and
-    // re-sort for the fast CSR path.
-    edges.sort_unstable();
-    CsrGraph::from_normalized(n, edges.iter().copied())
+    CsrGraph::from_edges(n, edges)
 }
 
 /// Samples `G(n, m)`: a graph drawn uniformly among all graphs with exactly
@@ -70,9 +73,16 @@ pub fn gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> CsrGraph {
     // than 2m draws are expected. Denser requests sample the total − m holes
     // instead and emit every other pair in one walk against them.
     if (m as u64) * 2 <= total {
-        return csr_from_keys(n, &distinct_pairs(n, m, rng));
+        // The keys first, then the graph: see `CsrGraph::unfilled`.
+        let mut keys = Vec::with_capacity(m);
+        let mut g = CsrGraph::unfilled(n, m);
+        distinct_pairs(n, &mut keys, m, rng, g.scratch());
+        return g.fill(&keys, threads_for(m));
     }
-    let mut holes = distinct_pairs(n, (total - m as u64) as usize, rng).into_iter().peekable();
+    let count = (total - m as u64) as usize;
+    let mut holes = Vec::with_capacity(count);
+    distinct_pairs(n, &mut holes, count, rng, &mut vec![0; 2 * count]);
+    let mut holes = holes.into_iter().peekable();
     let mut edges = Vec::with_capacity(m);
     for u in 0..n as u32 {
         for v in (u + 1)..n as u32 {
@@ -81,71 +91,70 @@ pub fn gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> CsrGraph {
             }
         }
     }
-    csr_from_keys(n, &edges)
+    CsrGraph::unfilled(n, m).fill(&edges, threads_for(m))
 }
 
-/// The sort key of the pair `u < v`: keys order as the pairs do.
-fn key(u: u32, v: u32) -> u64 {
-    (u64::from(u) << 32) | u64::from(v)
-}
-
-fn csr_from_keys(n: usize, keys: &[u64]) -> CsrGraph {
-    CsrGraph::from_normalized(n, keys.iter().map(|&k| ((k >> 32) as u32, k as u32)))
-}
-
-/// The sorted keys of `count` distinct pairs, drawn as a loop that rejects
-/// self-loops and stops at its `count`-th new pair would draw them.
+/// Fills the empty `keys`, with room for `count`, with the sorted keys of
+/// `count` distinct pairs, drawn as a loop that rejects self-loops and
+/// stops at its `count`-th new pair would draw them; `scratch`, two
+/// entries a key, is the sort's.
 ///
-/// The draws come in rounds of exactly the deficit, each sorted and merged
-/// into the distinct keys. A round adds at most one new key per draw, so
-/// the count reaches `count` only on a round's last draw — where that loop
-/// stops — and the keys and the generator's state afterwards are the
-/// loop's.
-fn distinct_pairs<R: Rng>(n: usize, count: usize, rng: &mut R) -> Vec<u64> {
-    let mut draw = |out: &mut Vec<u64>, draws: usize| {
-        let target = out.len() + draws;
-        while out.len() < target {
+/// The draws come in rounds of exactly the deficit, appended, sorted and
+/// merged into the distinct keys before them. A round adds at most one new
+/// key per draw, so the count reaches `count` only on a round's last draw
+/// — where that loop stops — and the keys and the generator's state
+/// afterwards are the loop's. Nothing is allocated.
+fn distinct_pairs<R: Rng>(
+    n: usize,
+    keys: &mut Vec<u64>,
+    count: usize,
+    rng: &mut R,
+    scratch: &mut [u32],
+) {
+    while keys.len() < count {
+        let held = keys.len();
+        while keys.len() < count {
             let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
             if a != b {
-                out.push(key(a.min(b), a.max(b)));
+                keys.push(key(a.min(b), a.max(b)));
             }
         }
-    };
-    let (mut keys, mut fresh) = (Vec::with_capacity(count), Vec::new());
-    draw(&mut keys, count);
-    keys.sort_unstable();
-    keys.dedup();
-    while keys.len() < count {
-        fresh.clear();
-        draw(&mut fresh, count - keys.len());
-        fresh.sort_unstable();
-        fresh.dedup();
-        merge_new(&mut keys, &mut fresh);
+        sort_keys(n, &mut keys[held..], scratch, threads_for(count - held));
+        if held == 0 {
+            keys.dedup();
+        } else {
+            merge_new(keys, held, scratch);
+        }
     }
-    keys
 }
 
-/// Merges the sorted, duplicate-free `fresh` into the sorted, duplicate-free
-/// `keys`, skipping the keys already there. `keys` must have the spare
-/// capacity for all of `fresh`.
-fn merge_new(keys: &mut Vec<u64>, fresh: &mut Vec<u64>) {
-    let mut at = 0;
-    fresh.retain(|&k| {
-        at += keys[at..].partition_point(|&x| x < k);
-        keys.get(at) != Some(&k)
-    });
-    // Merge from the back into the spare capacity; once `fresh` is spent,
-    // the rest of `keys` is already in place.
-    let (mut i, mut j) = (keys.len(), fresh.len());
-    debug_assert!(i + j <= keys.capacity());
-    keys.resize(i + j, 0);
+/// Merges the sorted keys after the first `held` of `keys` into those
+/// `held`, which are sorted and distinct, dropping repeats and keys already
+/// held. The new keys wait in `scratch`, two entries a key, meanwhile.
+fn merge_new(keys: &mut Vec<u64>, held: usize, scratch: &mut [u32]) {
+    let fresh = scratch.as_chunks_mut::<2>().0;
+    let (mut at, mut f) = (0, 0);
+    for i in held..keys.len() {
+        let k = keys[i];
+        at += keys[at..held].partition_point(|&x| x < k);
+        if keys[at..held].first() != Some(&k)
+            && (f == 0 || key(fresh[f - 1][0], fresh[f - 1][1]) != k)
+        {
+            (fresh[f], f) = ([(k >> 32) as u32, k as u32], f + 1);
+        }
+    }
+    // Merge from the back; once the new keys are spent, the rest of the
+    // held ones are already in place.
+    keys.truncate(held + f);
+    let (mut i, mut j) = (held, f);
     while j > 0 {
-        if i > 0 && keys[i - 1] > fresh[j - 1] {
+        let k = key(fresh[j - 1][0], fresh[j - 1][1]);
+        if i > 0 && keys[i - 1] > k {
             i -= 1;
             keys[i + j] = keys[i];
         } else {
             j -= 1;
-            keys[i + j] = fresh[j];
+            keys[i + j] = k;
         }
     }
 }
@@ -184,7 +193,7 @@ mod tests {
             }
             edges.sort_unstable();
         }
-        CsrGraph::from_normalized(n, edges.iter().copied())
+        CsrGraph::from_edges(n, edges)
     }
 
     /// FNV-1a over the canonical edge keys.
@@ -215,18 +224,44 @@ mod tests {
         }
     }
 
-    /// Two graphs and the draw after them, recorded from the hash-set
-    /// generator; the second request is dense.
+    /// Graphs and the draw after them, recorded from the hash-set generator
+    /// (the second request is dense) and, above the threads' cut-off, from
+    /// the single-threaded sort and fill.
     #[test]
     fn gnm_fingerprints_are_pinned() {
         for (n, m, seed, edges, next) in [
             (1_000, 30_000, 3, 0x8e03_31a5_ef5d_2f3d, 0xeab7_42ab_3bbd_913d),
             (100, 4_000, 5, 0xb549_bb47_c77b_2f19, 0x9acb_ef83_57e9_73bf),
+            (200_000, 2_000_000, 1, 0x1f46_7c66_cce8_c2d2, 0x38a8_51c4_2562_028e),
         ] {
             let mut rng = StdRng::seed_from_u64(seed);
             let g = gnm(n, m, &mut rng);
             assert_eq!((g.num_edges(), fingerprint(&g)), (m, edges), "gnm({n}, {m}) seed {seed}");
             assert_eq!(rng.gen::<u64>(), next, "gnm({n}, {m}) seed {seed}");
+        }
+    }
+
+    /// Above the cut-off, any thread count sorts the keys as a plain sort
+    /// does and fills the lists a one-key-at-a-time build fills.
+    #[test]
+    fn gnm_keys_sort_and_fill_alike_on_any_thread_count() {
+        let (n, mut rng) = (50_000, StdRng::seed_from_u64(9));
+        let mut draw = |v: u32| key(rng.gen_range(0..v), v);
+        let keys: Vec<u64> = (0..300_000).map(|i| draw(1 + i % (n as u32 - 1))).collect();
+        let (mut want, mut lists) = (keys.clone(), vec![Vec::new(); n]);
+        want.sort_unstable();
+        want.dedup();
+        for &k in &want {
+            lists[(k >> 32) as usize].push(k as u32);
+            lists[k as u32 as usize].push((k >> 32) as u32);
+        }
+        for threads in [1, 2, 3, 7] {
+            let mut sorted = keys.clone();
+            sort_keys(n, &mut sorted, &mut vec![0; 2 * keys.len()], threads);
+            sorted.dedup();
+            assert_eq!(sorted, want, "{threads} threads");
+            let g = CsrGraph::unfilled(n, sorted.len()).fill(&sorted, threads);
+            assert!(g.vertices().all(|v| g.neighbors(v) == lists[v as usize]), "{threads} threads");
         }
     }
 

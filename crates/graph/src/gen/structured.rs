@@ -11,7 +11,7 @@ pub fn empty(n: usize) -> CsrGraph {
 /// (Theorem 1 is tight on the clique: greedy coloring needs `Θ(nk)`
 /// iterations).
 pub fn complete(n: usize) -> CsrGraph {
-    CsrGraph::from_normalized(
+    CsrGraph::from_edges(
         n,
         (0..n as u32).flat_map(move |u| ((u + 1)..n as u32).map(move |v| (u, v))),
     )
@@ -19,7 +19,7 @@ pub fn complete(n: usize) -> CsrGraph {
 
 /// The path `0 — 1 — … — (n−1)`.
 pub fn path(n: usize) -> CsrGraph {
-    CsrGraph::from_normalized(n, (1..n as u32).map(|v| (v - 1, v)))
+    CsrGraph::from_edges(n, (1..n as u32).map(|v| (v - 1, v)))
 }
 
 /// The cycle on `n` vertices (requires `n == 0` or `n >= 3`).
@@ -39,7 +39,7 @@ pub fn cycle(n: usize) -> CsrGraph {
 
 /// The star with center `0` and `n − 1` leaves.
 pub fn star(n: usize) -> CsrGraph {
-    CsrGraph::from_normalized(n, (1..n as u32).map(|v| (0, v)))
+    CsrGraph::from_edges(n, (1..n as u32).map(|v| (0, v)))
 }
 
 /// The `rows × cols` grid graph (4-neighbor).

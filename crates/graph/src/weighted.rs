@@ -1,5 +1,6 @@
 //! Edge-weighted graphs layered on [`CsrGraph`], used by the SSSP workloads.
 
+use crate::csr::{key, threads_for};
 use crate::CsrGraph;
 use rand::Rng;
 use std::fmt;
@@ -46,7 +47,8 @@ impl WeightedCsr {
             .collect();
         norm.sort_unstable();
         norm.dedup_by(|next, prev| (next.0, next.1) == (prev.0, prev.1));
-        let graph = CsrGraph::from_normalized(n, norm.iter().map(|&(a, b, _)| (a, b)));
+        let keys: Vec<u64> = norm.iter().map(|&(a, b, _)| key(a, b)).collect();
+        let graph = CsrGraph::unfilled(n, keys.len()).fill(&keys, threads_for(keys.len()));
         Self::weigh(graph, norm.iter().map(|&(_, _, w)| w))
     }
 

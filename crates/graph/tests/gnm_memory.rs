@@ -1,7 +1,8 @@
 //! `gen::gnm` deduplicates its draws by sorting a vector of pair keys, not
 //! through a hash set. A counting global allocator pins what that buys: the
-//! peak live bytes while sampling a sparse `G(n, m)`. This file is its own
-//! test binary, so nothing else allocates meanwhile.
+//! peak live bytes while sampling a sparse `G(n, m)`, summed over the
+//! threads that sort the keys and fill the CSR. This file is its own test
+//! binary, so nothing else allocates meanwhile.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,12 +46,14 @@ static GLOBAL: Counting = Counting;
 fn sparse_gnm_peaks_near_its_keys_and_csr() {
     const N: usize = 200_000;
     const M: usize = 2_000_000;
-    // The sorted keys (8 bytes a pair; the round that re-draws duplicates
-    // adds a buffer of a few hundred) beside the CSR being filled (8m of
-    // adjacency, two n-long `usize` arrays) peak at about 16m + 16n bytes:
-    // 33.6 MiB here. The hash-set generator held a table sized for 2m
-    // pairs (2^23 buckets of 9 bytes), its edge list and the CSR: 107.1
-    // MiB. The bound sits between them, half again above the former.
+    // Two phases peak: the drawn keys (8 bytes a pair) beside the buffer
+    // they are partitioned into for sorting, then the sorted keys beside
+    // the CSR (8m of adjacency, one n + 1 long `usize` array). They hold
+    // the same 16m + 8n bytes, 32.1 MiB here, because the partition buffer
+    // is the adjacency array before it is filled. The hash-set generator
+    // held a table sized for 2m pairs (2^23 buckets of 9 bytes), its edge
+    // list and the CSR: 107.1 MiB. The bound sits between them, half again
+    // above the former.
     const BOUND: usize = 24 * M + 32 * N;
     let mut rng = StdRng::seed_from_u64(1);
     let base = LIVE.load(Relaxed);
