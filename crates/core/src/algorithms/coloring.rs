@@ -8,9 +8,8 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
-use crossbeam::utils::CachePadded;
 use rsched_graph::{CsrGraph, Permutation};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// Smallest color absent from `used` (which may be unsorted; it is sorted in
 /// place).
@@ -88,7 +87,6 @@ pub struct ConcurrentColoring<'a> {
     labels: &'a [u32],
     colors: Vec<AtomicU32>,
     done: Vec<AtomicBool>,
-    remaining: CachePadded<AtomicUsize>,
 }
 
 impl<'a> ConcurrentColoring<'a> {
@@ -105,7 +103,6 @@ impl<'a> ConcurrentColoring<'a> {
             labels: pi.labels(),
             colors: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),
             done: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            remaining: CachePadded::new(AtomicUsize::new(n)),
         }
     }
 
@@ -118,10 +115,6 @@ impl<'a> ConcurrentColoring<'a> {
 impl ConcurrentAlgorithm for ConcurrentColoring<'_> {
     fn num_tasks(&self) -> usize {
         self.g.num_vertices()
-    }
-
-    fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
     }
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
@@ -145,7 +138,6 @@ impl ConcurrentAlgorithm for ConcurrentColoring<'_> {
         let c = mex(&mut used);
         self.colors[v].store(c, Ordering::Release);
         self.done[v].store(true, Ordering::Release);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
         TaskOutcome::Processed
     }
 }

@@ -13,10 +13,9 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
-use crossbeam::utils::CachePadded;
 use rsched_graph::{CsrGraph, Permutation};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Generic explicit-DAG framework instance.
 ///
@@ -57,7 +56,6 @@ pub struct ExplicitDag<'a, F> {
     dag: &'a CsrGraph,
     labels: &'a [u32],
     processed: Vec<AtomicBool>,
-    remaining: CachePadded<AtomicUsize>,
     process: F,
 }
 
@@ -78,7 +76,6 @@ where
             dag,
             labels: pi.labels(),
             processed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            remaining: CachePadded::new(AtomicUsize::new(n)),
             process,
         }
     }
@@ -90,10 +87,6 @@ where
 {
     fn num_tasks(&self) -> usize {
         self.dag.num_vertices()
-    }
-
-    fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
     }
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
@@ -112,17 +105,13 @@ where
         }
         (self.process)(task, &preds);
         self.processed[task as usize].store(true, Ordering::Release);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
         TaskOutcome::Processed
     }
 }
 
 impl<F> fmt::Debug for ExplicitDag<'_, F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExplicitDag")
-            .field("num_tasks", &self.dag.num_vertices())
-            .field("remaining", &self.remaining.load(Ordering::Relaxed))
-            .finish()
+        f.debug_struct("ExplicitDag").field("num_tasks", &self.dag.num_vertices()).finish()
     }
 }
 

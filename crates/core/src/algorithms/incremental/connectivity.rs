@@ -26,7 +26,7 @@
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
 use crossbeam::utils::CachePadded;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Sequential union-find with path halving and union-by-minimum-root.
 ///
@@ -121,12 +121,11 @@ pub struct ConcurrentConnectivity<'a> {
     counters: CachePadded<Counters>,
 }
 
-/// What every decision writes, on a line of its own, away from the
+/// What every union writes, on a line of its own, away from the
 /// read-mostly `edges` and `parent` headers.
 // lint:allow(hot-counter-padded) held only as `CachePadded<Counters>`
 #[derive(Debug)]
 struct Counters {
-    remaining: AtomicUsize,
     tree_edges: AtomicU64,
     /// Root CAS failures retried inside [`ConcurrentAlgorithm::try_process`]
     /// — the contention cost relaxation is supposed to spread out.
@@ -148,7 +147,6 @@ impl<'a> ConcurrentConnectivity<'a> {
             edges,
             parent: (0..n as u32).map(AtomicU32::new).collect(),
             counters: CachePadded::new(Counters {
-                remaining: AtomicUsize::new(edges.len()),
                 tree_edges: AtomicU64::new(0),
                 retries: AtomicU64::new(0),
             }),
@@ -205,10 +203,6 @@ impl ConcurrentAlgorithm for ConcurrentConnectivity<'_> {
         self.edges.len()
     }
 
-    fn remaining(&self) -> usize {
-        self.counters.remaining.load(Ordering::Acquire)
-    }
-
     fn try_process(&self, task: TaskId) -> TaskOutcome {
         let (u, v) = self.edges[task as usize];
         loop {
@@ -216,7 +210,6 @@ impl ConcurrentAlgorithm for ConcurrentConnectivity<'_> {
             let rv = self.find(v);
             if ru == rv {
                 // Connected now, connected forever: decided.
-                self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
                 return TaskOutcome::Obsolete;
             }
             let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
@@ -228,7 +221,6 @@ impl ConcurrentAlgorithm for ConcurrentConnectivity<'_> {
                 .is_ok()
             {
                 self.counters.tree_edges.fetch_add(1, Ordering::AcqRel);
-                self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
                 return TaskOutcome::Processed;
             }
             self.counters.retries.fetch_add(1, Ordering::Relaxed);
@@ -356,7 +348,6 @@ mod tests {
                     (0..edges.len() as u32).map(|e| (pi.label(e) as u64, e)),
                 );
                 let stats = run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(alg.remaining(), 0);
                 assert_eq!(stats.processed + stats.obsolete, edges.len() as u64);
                 assert_eq!(stats.wasted, 0);
                 assert_eq!(alg.into_labels(), expected, "multiqueue t={threads} b={batch}");

@@ -649,11 +649,10 @@ pub struct ConcurrentDelaunay {
     degenerate: bool,
 }
 
-/// What every decision writes, on a line of its own, away from the
+/// What every insertion writes, on a line of its own, away from the
 /// read-mostly headers every `try_process` goes through.
 // lint:allow(hot-counter-padded) held only as `CachePadded<Counters>`
 struct Counters {
-    remaining: AtomicUsize,
     created: AtomicU64,
     destroyed: AtomicU64,
 }
@@ -663,7 +662,6 @@ impl fmt::Debug for ConcurrentDelaunay {
         f.debug_struct("ConcurrentDelaunay")
             .field("points", &self.pts.len())
             .field("cells", &self.arena)
-            .field("remaining", &self.counters.remaining.load(Ordering::Relaxed))
             .field("degenerate", &self.degenerate)
             .finish_non_exhaustive()
     }
@@ -679,7 +677,6 @@ impl ConcurrentDelaunay {
     /// Panics if `pi.len() != points.len()`.
     pub fn new(points: &[Point], pi: &Permutation) -> Self {
         let seed = Triangulation::new(points, pi);
-        let n = seed.pts.len();
         let arena = CellArena::new();
         if !seed.degenerate {
             let base = arena.alloc(seed.cells.len());
@@ -713,7 +710,6 @@ impl ConcurrentDelaunay {
             arena,
             loc,
             counters: CachePadded::new(Counters {
-                remaining: AtomicUsize::new(n),
                 created: AtomicU64::new(seed.created),
                 destroyed: AtomicU64::new(seed.destroyed),
             }),
@@ -814,23 +810,17 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
         self.pts.len()
     }
 
-    fn remaining(&self) -> usize {
-        self.counters.remaining.load(Ordering::Acquire)
-    }
-
     fn try_process(&self, task: TaskId) -> TaskOutcome {
         let ti = task as usize;
         let start = self.loc[ti].load(Ordering::Acquire);
         if start >= LOC_DUPLICATE {
             // Seeds and duplicates are decided once, at their single pop.
-            self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
             return TaskOutcome::Obsolete;
         }
         if self.degenerate {
             // No structure exists; insertion is pure bookkeeping, and only
             // the worker that popped `task` ever writes its slot.
             self.loc[ti].store(LOC_INSERTED, Ordering::Release);
-            self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
             return TaskOutcome::Processed;
         }
         SCRATCH.with(|s| self.insert(task, start, &mut s.borrow_mut()))
@@ -1002,7 +992,6 @@ impl ConcurrentDelaunay {
         self.counters.created.fetch_add(m as u64, Ordering::Relaxed);
         self.counters.destroyed.fetch_add(cavity.len() as u64, Ordering::Relaxed);
         self.loc[ti].store(LOC_INSERTED, Ordering::Release);
-        self.counters.remaining.fetch_sub(1, Ordering::AcqRel);
         drop(held);
         TaskOutcome::Processed
     }

@@ -14,10 +14,9 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::{TaskId, NIL};
-use crossbeam::utils::CachePadded;
 use rand::Rng;
 use rsched_graph::Permutation;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// Samples Fisher–Yates swap targets: `H[i]` uniform in `[0, i]`
 /// (`H[0] = 0`).
@@ -62,7 +61,7 @@ pub fn fisher_yates(targets: &[u32]) -> Vec<u32> {
 /// `preds[i] = [p1, p2]` with [`NIL`] padding; a predecessor is the next
 /// toucher (in processing order, i.e. the smallest larger index) of one of
 /// task `i`'s two cells.
-pub fn dependency_predecessors(targets: &[u32]) -> Vec<[u32; 2]> {
+fn dependency_predecessors(targets: &[u32]) -> Vec<[u32; 2]> {
     let n = targets.len();
     let mut preds = vec![[NIL; 2]; n];
     // touchers[c] = tasks j ≥ 1 with H[j] = c (excluding j = c itself, which
@@ -107,7 +106,6 @@ pub struct ConcurrentShuffle {
     preds: Vec<[u32; 2]>,
     done: Vec<AtomicBool>,
     arr: Vec<AtomicU32>,
-    remaining: CachePadded<AtomicUsize>,
 }
 
 impl ConcurrentShuffle {
@@ -120,7 +118,6 @@ impl ConcurrentShuffle {
             preds,
             done: (0..n).map(|_| AtomicBool::new(false)).collect(),
             arr: (0..n as u32).map(AtomicU32::new).collect(),
-            remaining: CachePadded::new(AtomicUsize::new(n)),
         }
     }
 
@@ -133,10 +130,6 @@ impl ConcurrentShuffle {
 impl ConcurrentAlgorithm for ConcurrentShuffle {
     fn num_tasks(&self) -> usize {
         self.targets.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
     }
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
@@ -159,7 +152,6 @@ impl ConcurrentAlgorithm for ConcurrentShuffle {
             }
         }
         self.done[i].store(true, Ordering::Release);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
         TaskOutcome::Processed
     }
 }

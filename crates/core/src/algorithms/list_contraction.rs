@@ -12,10 +12,9 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
-use crossbeam::utils::CachePadded;
 use rsched_graph::list::NIL;
 use rsched_graph::{ListInstance, Permutation};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// The sequential contraction for priority order `pi`: returns, per element,
 /// its `(prev, next)` at contraction time ([`NIL`] for list ends).
@@ -74,7 +73,6 @@ pub struct ConcurrentContraction<'a> {
     done: Vec<AtomicBool>,
     out_prev: Vec<AtomicU32>,
     out_next: Vec<AtomicU32>,
-    remaining: CachePadded<AtomicUsize>,
 }
 
 impl<'a> ConcurrentContraction<'a> {
@@ -93,7 +91,6 @@ impl<'a> ConcurrentContraction<'a> {
             done: (0..n).map(|_| AtomicBool::new(false)).collect(),
             out_prev: (0..n).map(|_| AtomicU32::new(NIL)).collect(),
             out_next: (0..n).map(|_| AtomicU32::new(NIL)).collect(),
-            remaining: CachePadded::new(AtomicUsize::new(n)),
         }
     }
 
@@ -124,10 +121,6 @@ impl<'a> ConcurrentContraction<'a> {
 impl ConcurrentAlgorithm for ConcurrentContraction<'_> {
     fn num_tasks(&self) -> usize {
         self.done.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
     }
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
@@ -162,7 +155,6 @@ impl ConcurrentAlgorithm for ConcurrentContraction<'_> {
             self.prev[nx as usize].store(p, Ordering::Release);
         }
         self.done[v].store(true, Ordering::Release);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
         TaskOutcome::Processed
     }
 }

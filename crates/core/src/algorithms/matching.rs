@@ -10,10 +10,9 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
-use crossbeam::utils::CachePadded;
 use rsched_graph::{line_graph, CsrGraph, Incidence, Permutation};
 use std::fmt;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 const LIVE: u8 = 0;
 const IN_MATCH: u8 = 1;
@@ -120,14 +119,12 @@ pub fn matching_via_line_graph(g: &CsrGraph, pi: &Permutation) -> Vec<bool> {
 /// graph, with dead-edge dropping), thread-safe: the
 /// [`crate::algorithms::mis::ConcurrentMis`] protocol on the implicit line
 /// graph (identical determinism argument, and the same test-before-CAS
-/// kills and one `remaining` decrement per call: `e` itself is `IN_MATCH`
-/// by then, so the kill loop's CAS skips it).
+/// kills: `e` itself is `IN_MATCH` by then, so the kill loop skips it).
 #[derive(Debug)]
 pub struct ConcurrentMatching<'a> {
     inst: &'a MatchingInstance,
     labels: &'a [u32],
     state: Vec<AtomicU8>,
-    remaining: CachePadded<AtomicUsize>,
 }
 
 impl<'a> ConcurrentMatching<'a> {
@@ -143,7 +140,6 @@ impl<'a> ConcurrentMatching<'a> {
             inst,
             labels: pi.labels(),
             state: (0..m).map(|_| AtomicU8::new(LIVE)).collect(),
-            remaining: CachePadded::new(AtomicUsize::new(m)),
         }
     }
 
@@ -156,10 +152,6 @@ impl<'a> ConcurrentMatching<'a> {
 impl ConcurrentAlgorithm for ConcurrentMatching<'_> {
     fn num_tasks(&self) -> usize {
         self.inst.num_edges()
-    }
-
-    fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
     }
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
@@ -177,12 +169,14 @@ impl ConcurrentAlgorithm for ConcurrentMatching<'_> {
                 match self.state[e2 as usize].load(Ordering::Acquire) {
                     LIVE => return TaskOutcome::Blocked,
                     IN_MATCH => {
-                        if self.state[e]
-                            .compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                        {
-                            self.remaining.fetch_sub(1, Ordering::AcqRel);
-                        }
+                        // As for MIS: publish the death before e2's kill
+                        // loop does, so larger-labeled edges unblock sooner.
+                        let _ = self.state[e].compare_exchange(
+                            LIVE,
+                            DEAD,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        );
                         return TaskOutcome::Obsolete;
                     }
                     _ => {}
@@ -195,22 +189,18 @@ impl ConcurrentAlgorithm for ConcurrentMatching<'_> {
         {
             return TaskOutcome::Obsolete;
         }
-        let mut decided = 1;
         for &v in &[a, b] {
             for &e2 in self.inst.incidence.incident(v) {
                 let s = &self.state[e2 as usize];
-                if s.load(Ordering::Acquire) == LIVE
-                    && s.compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire).is_ok()
-                {
-                    decided += 1;
+                if s.load(Ordering::Acquire) == LIVE {
+                    let _ = s.compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire);
                 }
             }
         }
-        self.remaining.fetch_sub(decided, Ordering::AcqRel);
         TaskOutcome::Processed
     }
 
-    /// As for MIS: terminal states, counted by the call whose CAS set them.
+    /// As for MIS: an edge leaves `LIVE` only for a terminal state.
     fn is_obsolete(&self, task: TaskId) -> bool {
         self.state[task as usize].load(Ordering::Acquire) != LIVE
     }

@@ -9,9 +9,8 @@
 
 use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
-use crossbeam::utils::CachePadded;
 use rsched_graph::{CsrGraph, Permutation};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 const LIVE: u8 = 0;
 const IN_MIS: u8 = 1;
@@ -89,18 +88,14 @@ pub fn verify_mis(g: &CsrGraph, in_mis: &[bool]) -> bool {
 ///
 /// Hot-path contention: a kill tests the neighbor before the CAS (an
 /// already-decided neighbor costs a shared read, not an exclusive line
-/// fetch; the CAS winners are the same), and a call publishes everything it
-/// decided with one `remaining` decrement *after* its last state CAS, so
-/// `remaining` reaches 0 only once every decision is visible. `remaining`
-/// is `CachePadded`: on the line of the `g` / `labels` / `state` headers,
-/// each decrement would invalidate the line every `try_process` reads them
-/// from, on every worker (DESIGN.md "Hot-path contention").
+/// fetch; the CAS winners are the same). Termination is the engine's count
+/// of each vertex's entry, popped or purged, so a call writes nothing but
+/// vertex states (DESIGN.md "Hot-path contention").
 #[derive(Debug)]
 pub struct ConcurrentMis<'a> {
     g: &'a CsrGraph,
     labels: &'a [u32],
     state: Vec<AtomicU8>,
-    remaining: CachePadded<AtomicUsize>,
 }
 
 impl<'a> ConcurrentMis<'a> {
@@ -116,7 +111,6 @@ impl<'a> ConcurrentMis<'a> {
             g,
             labels: pi.labels(),
             state: (0..n).map(|_| AtomicU8::new(LIVE)).collect(),
-            remaining: CachePadded::new(AtomicUsize::new(n)),
         }
     }
 
@@ -129,10 +123,6 @@ impl<'a> ConcurrentMis<'a> {
 impl ConcurrentAlgorithm for ConcurrentMis<'_> {
     fn num_tasks(&self) -> usize {
         self.g.num_vertices()
-    }
-
-    fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
     }
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
@@ -148,14 +138,15 @@ impl ConcurrentAlgorithm for ConcurrentMis<'_> {
             match self.state[u as usize].load(Ordering::Acquire) {
                 LIVE => return TaskOutcome::Blocked,
                 IN_MIS => {
-                    // u joined but has not marked us dead yet: do it
-                    // ourselves so the accounting stays exact.
-                    if self.state[v]
-                        .compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        self.remaining.fetch_sub(1, Ordering::AcqRel);
-                    }
+                    // u joined but has not marked us dead yet: publish the
+                    // death now, so our larger-labeled neighbors stop
+                    // blocking on us before u's kill loop reaches us.
+                    let _ = self.state[v].compare_exchange(
+                        LIVE,
+                        DEAD,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    );
                     return TaskOutcome::Obsolete;
                 }
                 _ => {} // DEAD predecessor: decided, keep scanning
@@ -170,21 +161,16 @@ impl ConcurrentAlgorithm for ConcurrentMis<'_> {
         {
             return TaskOutcome::Obsolete;
         }
-        let mut decided = 1;
         for &u in self.g.neighbors(task) {
             let s = &self.state[u as usize];
-            if s.load(Ordering::Acquire) == LIVE
-                && s.compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire).is_ok()
-            {
-                decided += 1;
+            if s.load(Ordering::Acquire) == LIVE {
+                let _ = s.compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire);
             }
         }
-        self.remaining.fetch_sub(decided, Ordering::AcqRel);
         TaskOutcome::Processed
     }
 
-    /// A vertex leaves `LIVE` for a terminal state, and the call whose CAS
-    /// moved it is the one that counts it.
+    /// A vertex leaves `LIVE` only for a terminal state.
     fn is_obsolete(&self, task: TaskId) -> bool {
         self.state[task as usize].load(Ordering::Acquire) != LIVE
     }
@@ -280,7 +266,7 @@ mod tests {
             let sched: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
             crate::framework::fill_scheduler(&sched, &pi);
             let stats = run_concurrent(&alg, &pi, &sched, threads);
-            assert_eq!(alg.remaining(), 0);
+            assert_eq!(stats.processed + stats.obsolete, 500, "threads={threads}");
             assert_eq!(alg.into_output(), expected, "threads={threads}");
             assert_eq!(stats.processed + stats.obsolete, stats.total_pops - stats.wasted);
         }

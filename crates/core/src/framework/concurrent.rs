@@ -15,6 +15,7 @@
 //! each through a pop of its own (DESIGN.md "Purging semantics").
 
 use super::{ConcurrentAlgorithm, TaskOutcome};
+use crate::service::Ledger;
 use crate::stats::ConcurrentStats;
 use crate::TaskId;
 use crossbeam::utils::Backoff;
@@ -30,12 +31,13 @@ const FILL_CHUNK: usize = 1024;
 
 /// Loads every task into `sched` with its permutation label as priority,
 /// bulk-loading through [`ConcurrentScheduler::insert_batch`] in chunks of
-/// [`FILL_CHUNK`].
+/// [`FILL_CHUNK`]: one entry per task, which is what [`run_concurrent`]
+/// requires.
 ///
 /// Schedulers with a bulk-load constructor (e.g.
 /// `LockFreeMultiQueue::prefilled`) can be filled at construction instead;
-/// [`run_concurrent`] only requires that all `n` tasks are in the scheduler
-/// when it starts.
+/// [`run_concurrent`] only requires that each task has exactly one entry in
+/// the scheduler when it starts.
 pub fn fill_scheduler<S>(sched: &S, pi: &Permutation)
 where
     S: ConcurrentScheduler<TaskId>,
@@ -79,8 +81,8 @@ impl std::ops::AddAssign for EngineTotals {
 }
 
 /// Set when a worker of [`run_workers`] unwinds. A task whose processing
-/// step panicked is never decided, so nothing its dependants or a driver's
-/// [`EngineDriver::keep_running`] wait for would ever happen: the surviving
+/// step panicked is never decided, so nothing its dependants or the
+/// engine's [`Ledger`] wait for would ever happen: the surviving
 /// workers read this flag where they would otherwise wait and leave, and
 /// [`run_workers`] re-raises the panic once all of them have joined.
 /// `Relaxed` both ways — the flag publishes nothing but itself.
@@ -97,19 +99,13 @@ impl Drop for PoisonOnUnwind<'_> {
 /// What a worker does between pops: the *workload half* of the engine.
 ///
 /// [`worker_loop`] owns popping, the one outgoing buffer a run fills
-/// (spawned tasks and failed deletes) and its flush, backoff, counters, and
-/// affinity drift; the driver supplies termination, the per-task processing
-/// step and the per-run bookkeeping. Two drivers exist: [`PrefillDriver`]
-/// (the classic run-to-empty executors — terminate when the algorithm's
-/// remaining-task counter hits zero) and the service's driver in
-/// `crate::service` (terminate when the request set is sealed and the
-/// completion ledger balances — streaming runs and sealed ones alike).
+/// (spawned tasks and failed deletes) and its flush, backoff, counters,
+/// affinity drift and termination — the books of a [`Ledger`]; the driver
+/// supplies the per-task processing step and the per-run wake-up. Two
+/// drivers exist: [`PrefillDriver`] (the run-to-empty executors) and the
+/// service's driver in `crate::service` (streaming runs and sealed ones
+/// alike).
 pub(crate) trait EngineDriver: Sync {
-    /// Whether workers should keep popping. Checked before every run; must
-    /// eventually become `false` and, once `false`, stay `false` (workers
-    /// race through it independently).
-    fn keep_running(&self) -> bool;
-
     /// Processes one popped task. Tasks it spawns are pushed onto `out`,
     /// the worker's outgoing buffer: the engine inserts them with the run's
     /// failed deletes when the run ends, whatever the outcome returned. A
@@ -119,20 +115,11 @@ pub(crate) trait EngineDriver: Sync {
     fn dispatch(&self, priority: u64, task: TaskId, out: &mut Vec<(u64, TaskId)>) -> TaskOutcome;
 
     /// Whether the scheduler may discard `task`'s entry unseen; the
-    /// contract is [`ConcurrentAlgorithm::is_obsolete`]'s. A driver that
-    /// accounts for a task in [`EngineDriver::dispatch`] keeps the default.
+    /// contract is [`ConcurrentAlgorithm::is_obsolete`]'s. A driver whose
+    /// tasks are decided only at their pop keeps the default.
     fn is_obsolete(&self, task: TaskId) -> bool {
         let _ = task;
         false
-    }
-
-    /// Called once per nonempty run, **before** the run's outgoing buffer
-    /// is flushed: `spawned` tasks were pushed by the run's dispatches and
-    /// `decided` dispatches returned a terminal outcome. The order is the
-    /// driver's to rely on — no spawned task is poppable until this
-    /// returns (DESIGN.md "Service semantics", graceful drain).
-    fn book_run(&self, spawned: usize, decided: usize) {
-        let _ = (spawned, decided);
     }
 
     /// Called once per nonempty run, after the run's outgoing buffer is
@@ -145,15 +132,11 @@ pub(crate) trait EngineDriver: Sync {
     }
 }
 
-/// The run-to-empty driver: dispatch is the algorithm's `try_process`,
-/// termination its remaining-task counter.
+/// The run-to-empty driver: dispatch is the algorithm's `try_process`, and
+/// the scheduler may purge what its `is_obsolete` reports.
 pub(crate) struct PrefillDriver<'a, A>(pub &'a A);
 
 impl<A: ConcurrentAlgorithm> EngineDriver for PrefillDriver<'_, A> {
-    fn keep_running(&self) -> bool {
-        self.0.remaining() > 0
-    }
-
     fn dispatch(&self, _priority: u64, task: TaskId, _out: &mut Vec<(u64, TaskId)>) -> TaskOutcome {
         self.0.try_process(task)
     }
@@ -168,21 +151,23 @@ impl<A: ConcurrentAlgorithm> EngineDriver for PrefillDriver<'_, A> {
 /// the run's outgoing buffer — the tasks the run spawned and its failed
 /// deletes — in one `insert_batch` (at `batch_size == 1` that is the scalar
 /// executor's op order: pop, process, conditional insert; the engine never
-/// calls the scalar `insert`). Everything the driver hears about a run it
-/// hears once: [`EngineDriver::book_run`] before the flush,
-/// [`EngineDriver::after_run`] after it; outcome counters and the obs
-/// probes are tallied in the run's locals and land once per run too. The
-/// worker spins briefly on empty observations (a blocked task may be in
-/// another worker's hands, about to be re-inserted). Tasks the scheduler
-/// purged on the way count as obsolete pops, and a call that only purged is
-/// a run like any other: progress, not an empty observation. Termination is by
-/// [`EngineDriver::keep_running`], never scheduler emptiness — dead MIS
-/// vertices may still sit in the queue when a prefill run completes, and a
-/// streaming scheduler is *expected* to sit empty between arrivals. A
-/// panicking `dispatch` drops the run's buffer with the run: nothing in it
-/// was booked or inserted.
+/// calls the scalar `insert`). A run is booked once, before its flush: the
+/// tasks it spawned are accepted into `ledger`, and its terminal outcomes —
+/// processed and obsolete pops, and purged entries — decided. The driver
+/// hears of it once, after the flush ([`EngineDriver::after_run`]); outcome
+/// counters and the obs probes are tallied in the run's locals and land
+/// once per run too. The worker spins briefly on empty observations (a
+/// blocked task may be in another worker's hands, about to be re-inserted).
+/// Tasks the scheduler purged on the way count as obsolete pops, and a call
+/// that only purged is a run like any other: progress, not an empty
+/// observation. Termination is by the ledger ([`Ledger::drained`]), never
+/// scheduler emptiness — a blocked task may be in another worker's hands,
+/// and a streaming scheduler is *expected* to sit empty between arrivals.
+/// A panicking `dispatch` drops the run's buffer with the run: nothing in
+/// it was booked or inserted.
 fn worker_loop<D, S>(
     driver: &D,
+    ledger: &Ledger,
     sched: &S,
     worker: usize,
     batch_size: usize,
@@ -208,7 +193,7 @@ where
     // instead of churning failed deletes in place; for monolithic
     // schedulers the hint is ignored and the drift is free.
     let mut hint = worker;
-    while !poisoned.load(Ordering::Relaxed) && driver.keep_running() {
+    while !poisoned.load(Ordering::Relaxed) && !ledger.drained() {
         run.clear();
         let (got, purged) =
             sched.pop_purging_for(hint, &mut run, batch_size, |_, &task| driver.is_obsolete(task));
@@ -251,10 +236,18 @@ where
             rsched_obs::counter!(r#"engine_pop_total{outcome="obsolete"}"#)
                 .add((obsolete + purged) as u64);
         }
-        // Purged tasks were decided and counted by whoever made them
-        // obsolete (`ConcurrentAlgorithm::is_obsolete`); the run decided
-        // only what it dispatched.
-        driver.book_run(out.len() - blocked, processed + obsolete);
+        // Accept strictly before the flush makes the follow-ups poppable,
+        // decide strictly after the accept: `decided == accepted` can then
+        // never be observed with work still in flight (see [`Ledger`]). A
+        // zero is not worth the RMW on the line every worker's loop test
+        // reads.
+        let (spawned, decided) = (out.len() - blocked, processed + obsolete + purged);
+        if spawned > 0 {
+            ledger.accept(spawned);
+        }
+        if decided > 0 {
+            ledger.decide(decided);
+        }
         if !out.is_empty() {
             // Everything the run sends back goes in one synchronization
             // round-trip.
@@ -308,8 +301,10 @@ where
 }
 
 /// Runs [`worker_loop`] at `batch_size` on `threads` workers over `sched`,
-/// and blocks until every worker's [`EngineDriver::keep_running`] goes
-/// false. This is the one engine behind every relaxed entry point:
+/// and blocks until `ledger` is sealed and balances: every task it accepted
+/// has reached a terminal outcome. The caller accepts what it inserted
+/// before the first pop. This is the one engine behind every relaxed entry
+/// point:
 /// [`run_concurrent_batched`] (prefill), `crate::service::run_service`
 /// (streaming) and `crate::service::run_sealed` (a closed request set that
 /// spawns its own follow-ups —
@@ -322,6 +317,7 @@ where
 /// loop.
 pub(crate) fn run_engine<D, S>(
     driver: &D,
+    ledger: &Ledger,
     sched: &S,
     threads: usize,
     batch_size: usize,
@@ -331,14 +327,17 @@ where
     S: ConcurrentScheduler<TaskId>,
 {
     assert!(batch_size >= 1, "need a positive batch size");
-    run_workers(threads, |w, poisoned| worker_loop(driver, sched, w, batch_size, poisoned))
+    run_workers(threads, |w, poisoned| worker_loop(driver, ledger, sched, w, batch_size, poisoned))
 }
 
-/// Runs `alg` to completion on `threads` workers sharing `sched`.
+/// Runs `alg` to completion on `threads` workers sharing `sched`, which
+/// must hold exactly one entry per task (see [`fill_scheduler`]).
 ///
 /// Workers pop, call [`ConcurrentAlgorithm::try_process`], re-insert blocked
 /// tasks with their original priority, and spin briefly when the scheduler
-/// looks empty (see [`worker_loop`]).
+/// looks empty (see [`worker_loop`]). The run ends once every entry has
+/// reached a terminal outcome — processed, dropped obsolete at its pop, or
+/// purged — so `sched` is empty when it returns.
 ///
 /// # Panics
 ///
@@ -395,10 +394,12 @@ where
     assert_eq!(alg.num_tasks(), pi.len(), "permutation size must match task count");
     let start = Instant::now();
     // The prefill path is the degenerate streaming configuration: every task
-    // is already in the scheduler "at t = 0" and the producers are sealed
-    // before the first pop, so the driver reduces to the algorithm's own
-    // remaining-task counter.
-    let t = run_engine(&PrefillDriver(alg), sched, threads, batch_size);
+    // is accepted and in the scheduler at t = 0, and the ledger is sealed
+    // before the first pop.
+    let ledger = Ledger::new();
+    ledger.accept(alg.num_tasks());
+    ledger.seal();
+    let t = run_engine(&PrefillDriver(alg), &ledger, sched, threads, batch_size);
     ConcurrentStats {
         tasks: alg.num_tasks(),
         threads,
@@ -540,9 +541,9 @@ mod tests {
 
     /// A star whose centre has the smallest label, then two isolated
     /// vertices at the largest: once the centre is in, the queue is dead
-    /// leaves with `remaining()` held above zero by the two at the tails.
-    /// The buckets that end in leaves yield calls that purge and return
-    /// nothing; those are runs, not empty observations.
+    /// leaves and the two at the tails. The buckets that end in leaves
+    /// yield calls that purge and return nothing; those are runs, not empty
+    /// observations, and every leaf's entry ends as an obsolete outcome.
     #[test]
     fn dead_queue_tail_is_purged_without_an_empty_pop() {
         use crate::algorithms::mis::ConcurrentMis;
@@ -556,11 +557,10 @@ mod tests {
             let alg = ConcurrentMis::new(&g, &pi);
             let sched = MultiQueue::prefilled(8, (0..n as TaskId).map(|v| (v as u64, v)));
             let stats = run_concurrent_batched(&alg, &pi, &sched, 1, batch);
-            assert_eq!((alg.remaining(), stats.processed), (0, 3), "batch={batch}");
+            assert_eq!((stats.processed, stats.obsolete), (3, leaves as u64), "batch={batch}");
             assert_eq!(stats.empty_pops, 0, "batch={batch}: a purge was taken for emptiness");
             assert_eq!(stats.total_pops, stats.processed + stats.wasted + stats.obsolete);
             assert!(0 < stats.purged && stats.purged <= stats.obsolete, "batch={batch}: {stats}");
-            assert!(stats.obsolete <= leaves as u64, "batch={batch}: {stats}");
         }
     }
 
@@ -569,6 +569,7 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
         use rsched_queues::concurrent::MultiQueue;
         let pi = Permutation::random(500, &mut StdRng::seed_from_u64(12));
+        let order: Vec<TaskId> = (0..500).map(|pos| pi.task_at(pos)).collect();
         for shards in [1usize, 3] {
             for batch in [1usize, 8] {
                 for threads in [1usize, 4] {
@@ -577,9 +578,9 @@ mod tests {
                     fill_scheduler(&sched, &pi);
                     let alg = Chain::new(&pi);
                     let stats = run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                    assert_eq!(alg.remaining(), 0, "s={shards} b={batch} t={threads}");
-                    assert_eq!(stats.processed, 500);
+                    assert_eq!((stats.processed, stats.obsolete), (500, 0));
                     assert_eq!(stats.total_pops, stats.processed + stats.wasted + stats.obsolete);
+                    assert_eq!(alg.into_log(), order, "s={shards} b={batch} t={threads}");
                 }
             }
         }

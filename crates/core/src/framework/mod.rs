@@ -59,32 +59,40 @@ pub enum TaskOutcome {
 /// also be consistent with the priority order: in exact order a task is
 /// never `Blocked`. The output is taken from the algorithm's own
 /// `into_output` once the run returns.
+///
+/// The algorithm only decides; the executors count. Each task has exactly
+/// one entry in the scheduler when the run starts, and every entry reaches
+/// exactly one terminal outcome — `Processed` or `Obsolete` at its pop, or
+/// a purge (see [`ConcurrentAlgorithm::is_obsolete`]) — so a run ends once
+/// the executor has counted `num_tasks()` of them.
 pub trait ConcurrentAlgorithm: Sync {
     /// Number of tasks, `n`.
     fn num_tasks(&self) -> usize;
 
-    /// Tasks whose outcome is not yet decided. The executors terminate when
-    /// this reaches zero.
-    fn remaining(&self) -> usize;
+    /// Read by no executor: runs end on the executor's own count of
+    /// terminal outcomes. Kept, defaulted, only because the benchmark
+    /// package's `NoopAlg`, `TracedAlg` and `DoneStamp` implement it; it
+    /// goes when they stop.
+    fn remaining(&self) -> usize {
+        0
+    }
 
     /// Attempts to process `task`.
     fn try_process(&self, task: TaskId) -> TaskOutcome;
 
     /// Whether the queued `task` is already decided, so that the scheduler
-    /// may discard its entry without handing it over (DESIGN.md "Purging
+    /// may discard its entry without handing it over; the engine counts the
+    /// discarded entry as the task's terminal outcome (DESIGN.md "Purging
     /// semantics"). The test must be cheap and read-only — it runs under a
     /// scheduler bucket's lock — and may answer `true` only if
     ///
     /// 1. the task's outcome is final: [`ConcurrentAlgorithm::try_process`]
     ///    would return [`TaskOutcome::Obsolete`] and change nothing;
-    /// 2. whoever decided the task subtracts it from
-    ///    [`ConcurrentAlgorithm::remaining`] — a discarded entry is never
-    ///    passed to `try_process`, so nothing else will;
-    /// 3. the answer is monotone: once `true`, `true` for good.
+    /// 2. the answer is monotone: once `true`, `true` for good.
     ///
-    /// The default, `false`, is always correct, and it is the only correct
-    /// answer for an algorithm that decides *and counts* an obsolete task at
-    /// the task's own pop (connectivity, Delaunay, the service's handlers).
+    /// The default, `false`, is always correct; connectivity, Delaunay and
+    /// the service's handlers keep it, deciding each obsolete task at its
+    /// own pop.
     fn is_obsolete(&self, task: TaskId) -> bool {
         let _ = task;
         false

@@ -13,9 +13,9 @@ use rsched_queues::PriorityScheduler;
 ///
 /// # Panics
 ///
-/// Panics if `pi.len() != alg.num_tasks()`, if a task is `Blocked` when
+/// Panics if `pi.len() != alg.num_tasks()`, or if a task is `Blocked` when
 /// reached (which would mean the algorithm's dependencies contradict the
-/// priority orientation), or if `alg.remaining()` is not zero at the end.
+/// priority orientation).
 pub fn run_exact<A>(alg: &A, pi: &Permutation) -> ExecutionStats
 where
     A: ConcurrentAlgorithm,
@@ -34,7 +34,6 @@ where
             ),
         }
     }
-    assert_eq!(alg.remaining(), 0, "every task popped, yet some are undecided");
     stats
 }
 
@@ -78,13 +77,15 @@ where
 /// `tests/determinism.rs` pins against a scalar reference loop for every
 /// scheduler that overrides either.
 ///
-/// The run ends when the scheduler is empty, and then audits the counter
-/// the thread executors terminate on: `alg.remaining()` must be zero.
+/// The run ends when the scheduler is empty, and then audits the ledger
+/// the thread executors terminate on: each of the `n` entries must have
+/// reached exactly one terminal outcome, `processed + obsolete == n` — a
+/// scheduler that loses or duplicates an entry fails it.
 ///
 /// # Panics
 ///
 /// Panics if `batch_size == 0`, if `pi.len() != alg.num_tasks()`, or if
-/// `alg.remaining()` is not zero once the scheduler has drained.
+/// the ledger is out of balance once the scheduler has drained.
 pub fn run_relaxed_batched<A, S>(
     alg: &A,
     pi: &Permutation,
@@ -132,13 +133,18 @@ where
             blocked.clear();
         }
     }
-    assert_eq!(alg.remaining(), 0, "scheduler drained, yet some tasks are undecided");
+    assert_eq!(
+        stats.processed + stats.obsolete,
+        n as u64,
+        "scheduler drained with the ledger out of balance: an entry was lost or duplicated"
+    );
     stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::mis::{greedy_mis, ConcurrentMis};
     use crate::framework::testing::Chain;
     use rsched_queues::exact::BinaryHeapScheduler;
     use rsched_queues::relaxed::TopKUniform;
@@ -201,6 +207,42 @@ mod tests {
             assert_eq!(stats.processed, 60);
             assert_eq!(stats.total_pops, 60 + stats.wasted + stats.obsolete);
         }
+    }
+
+    /// Hands every entry through, except that it drops the victim's (`.2`)
+    /// unseen the first time it pops it after the vertex died.
+    struct LosesDeadEntry<'a, S>(S, &'a ConcurrentMis<'a>, TaskId);
+
+    impl<S: PriorityScheduler<TaskId>> PriorityScheduler<TaskId> for LosesDeadEntry<'_, S> {
+        fn insert(&mut self, priority: u64, item: TaskId) {
+            self.0.insert(priority, item);
+        }
+        fn pop(&mut self) -> Option<(u64, TaskId)> {
+            let e = self.0.pop()?;
+            if e.1 != self.2 || !self.1.is_obsolete(e.1) {
+                return Some(e);
+            }
+            self.2 = TaskId::MAX;
+            self.0.pop()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    /// A lost entry of an already-decided task leaves the output intact;
+    /// only the ledger notices.
+    #[test]
+    #[should_panic(expected = "ledger out of balance")]
+    fn a_lost_dead_entry_fails_the_ledger() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = rsched_graph::gen::gnm(60, 180, &mut rng);
+        let pi = Permutation::random(60, &mut rng);
+        let victim = greedy_mis(&g, &pi).iter().position(|&inside| !inside).unwrap() as TaskId;
+        let alg = ConcurrentMis::new(&g, &pi);
+        let inner = TopKUniform::new(4, StdRng::seed_from_u64(1));
+        let _ = run_relaxed_batched(&alg, &pi, LosesDeadEntry(inner, &alg, victim), 4);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 
 use super::{ConcurrentAlgorithm, TaskOutcome};
 use crate::TaskId;
-use crossbeam::utils::CachePadded;
 use rsched_graph::Permutation;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// A permutation-chain algorithm: the task at label `i` depends on the task
@@ -13,7 +12,6 @@ use std::sync::Mutex;
 pub(crate) struct Chain<'p> {
     pi: &'p Permutation,
     done: Vec<AtomicBool>,
-    remaining: CachePadded<AtomicUsize>,
     log: Mutex<Vec<TaskId>>,
 }
 
@@ -22,7 +20,6 @@ impl<'p> Chain<'p> {
         Chain {
             pi,
             done: (0..pi.len()).map(|_| AtomicBool::new(false)).collect(),
-            remaining: CachePadded::new(AtomicUsize::new(pi.len())),
             log: Mutex::new(Vec::new()),
         }
     }
@@ -37,9 +34,6 @@ impl ConcurrentAlgorithm for Chain<'_> {
     fn num_tasks(&self) -> usize {
         self.done.len()
     }
-    fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
-    }
     fn try_process(&self, task: TaskId) -> TaskOutcome {
         let pos = self.pi.label(task);
         if pos > 0 && !self.done[self.pi.task_at(pos - 1) as usize].load(Ordering::Acquire) {
@@ -47,7 +41,6 @@ impl ConcurrentAlgorithm for Chain<'_> {
         }
         self.log.lock().unwrap().push(task);
         self.done[task as usize].store(true, Ordering::Release);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
         TaskOutcome::Processed
     }
 }

@@ -12,18 +12,20 @@ use std::fmt;
 use std::thread;
 
 /// The exactly-once completion ledger: two monotone counters whose equality
-/// (once producers are sealed) is the service's termination condition.
+/// (once producers are sealed) is the termination condition of every
+/// relaxed engine run — the service's, and the prefill executors', which
+/// accept all `n` tasks and seal before the first pop.
 ///
 /// `accepted` counts every task admitted into the system — producer pushes
 /// (one `accept(n)` per flushed run, **before** the `insert_batch` that
 /// makes it poppable) and handler follow-up submits (one `accept(n)` per
 /// worker run, likewise before its `insert_batch`). `decided` counts
-/// terminal outcomes (`Processed` or `Obsolete`; a `Blocked` re-insert is
-/// not a decision), one `decide(n)` per run, after that run's accept. A
-/// follow-up only exists while the parent that submitted it is still
-/// unbooked, a pushed task only while its producer's handle is alive (and
-/// the ledger unsealed), and nobody can pop — let alone decide — a task
-/// before it is accepted, so `decided == accepted` once sealed implies no
+/// terminal outcomes (`Processed`, `Obsolete` or a purge; a `Blocked`
+/// re-insert is not a decision), one `decide(n)` per run, after that run's
+/// accept. A follow-up only exists while the parent that submitted it is
+/// still unbooked, a pushed task only while its producer's handle is alive
+/// (and the ledger unsealed), and nobody can pop — let alone decide — a
+/// task before it is accepted, so `decided == accepted` once sealed implies no
 /// task is in flight *and* no future accept can occur — the condition is
 /// stable, so workers may exit the moment they observe it. Publishing a
 /// follow-up before accepting it breaks exactly this: another worker pops
@@ -71,7 +73,7 @@ impl Ledger {
         }
     }
 
-    pub fn is_sealed(&self) -> bool {
+    fn is_sealed(&self) -> bool {
         self.books.sealed.load(Ordering::SeqCst)
     }
 

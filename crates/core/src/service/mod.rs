@@ -39,8 +39,8 @@
 //!   follow-up submits join the run's failed deletes in the engine's one
 //!   `insert_batch` per run, and termination is the ledger condition
 //!   below. The prefill executors are the degenerate configuration of this
-//!   engine (every task present at t = 0, producers sealed before the
-//!   first pop), and
+//!   engine (every task present and accepted at t = 0, the ledger sealed
+//!   before the first pop), and
 //!   [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp) is this
 //!   driver on a request set sealed before the first pop: no producer
 //!   thread.
@@ -243,38 +243,18 @@ impl CapacityWaiters {
 }
 
 /// The streaming [`EngineDriver`]: dispatch goes to the request handler
-/// (its submit capability wraps the worker's outgoing buffer), the ledger
-/// moves once per run, termination is the ledger condition, and runs that
-/// retire occupancy wake watermark-parked producers — `capacity` is `None`
-/// on a sealed run or with the watermark disabled, where no producer can
-/// park, so the runs skip `wake_all`'s fence.
+/// (its submit capability wraps the worker's outgoing buffer), and runs
+/// that retire occupancy wake watermark-parked producers — `capacity` is
+/// `None` on a sealed run or with the watermark disabled, where no producer
+/// can park, so the runs skip `wake_all`'s fence.
 struct ServiceDriver<'a, H> {
     handler: &'a H,
-    ledger: &'a Ledger,
     capacity: Option<&'a CapacityWaiters>,
 }
 
 impl<H: RequestHandler> EngineDriver for ServiceDriver<'_, H> {
-    fn keep_running(&self) -> bool {
-        !self.ledger.drained()
-    }
-
     fn dispatch(&self, priority: u64, task: TaskId, out: &mut Vec<(u64, TaskId)>) -> TaskOutcome {
         self.handler.handle(priority, task, &mut SubmitCtx { out })
-    }
-
-    fn book_run(&self, spawned: usize, decided: usize) {
-        // Accept strictly before the engine's flush makes the follow-ups
-        // poppable, decide strictly after the accept: `decided == accepted`
-        // can then never be observed with work still in flight (see
-        // [`Ledger`]). A zero is not worth the RMW on the line every
-        // worker's `keep_running` reads.
-        if spawned > 0 {
-            self.ledger.accept(spawned);
-        }
-        if decided > 0 {
-            self.ledger.decide(decided);
-        }
     }
 
     fn after_run(&self, net_drained: usize) {
@@ -331,8 +311,8 @@ where
     ledger.accept(requests.len());
     sched.insert_batch(requests);
     ledger.seal();
-    let driver = ServiceDriver { handler, ledger: &ledger, capacity: None };
-    let totals = run_engine(&driver, sched, workers, SEALED_RUN);
+    let driver = ServiceDriver { handler, capacity: None };
+    let totals = run_engine(&driver, &ledger, sched, workers, SEALED_RUN);
     assert!(
         ledger.decided() == ledger.accepted()
             && totals.processed + totals.obsolete == ledger.decided(),
@@ -378,9 +358,9 @@ where
             let producer = Producer::new(&core);
             scope.spawn(move || body(producer));
         }
-        let driver = ServiceDriver { handler, ledger: &core.ledger, capacity: core.waiters() };
-        let engine =
-            AssertUnwindSafe(|| run_engine(&driver, sched, config.workers, config.batch_size));
+        let driver = ServiceDriver { handler, capacity: core.waiters() };
+        let (workers, batch) = (config.workers, config.batch_size);
+        let engine = AssertUnwindSafe(|| run_engine(&driver, &core.ledger, sched, workers, batch));
         // Inside the scope: it joins the producers before returning, and a
         // producer parked on the watermark waits on workers that no longer
         // exist.
@@ -825,8 +805,8 @@ mod tests {
             ledger.accept(1);
             q.insert_batch(&[(0, 0)]);
             ledger.seal();
-            let driver = ServiceDriver { handler: &handler, ledger: &ledger, capacity: None };
-            let totals = run_engine(&driver, &q, threads, batch);
+            let driver = ServiceDriver { handler: &handler, capacity: None };
+            let totals = run_engine(&driver, &ledger, &q, threads, batch);
 
             let at = format!("threads={threads} batch={batch}");
             let blockers = (0..size).filter(|t| t.is_multiple_of(7)).count() as u64;

@@ -1,8 +1,8 @@
 //! A task that panics must end the run, not hang it. The panicking task is
-//! never decided, so neither `remaining()`, nor the ledger, nor a dependant
-//! waiting on it can reach the state that stops the other workers; the
-//! executors' poison flag has to. Every case runs under a watchdog: without
-//! the flag the surviving worker spins forever and the run never returns.
+//! never decided, so neither the ledger nor a dependant waiting on it can
+//! reach the state that stops the other workers; the executors' poison
+//! flag has to. Every case runs under a watchdog: without the flag the
+//! surviving worker spins forever and the run never returns.
 
 use rsched_core::algorithms::sssp::concurrent_sssp;
 use rsched_core::framework::{
@@ -42,18 +42,14 @@ fn assert_panics_promptly(what: &str, run: impl FnOnce() + Send + 'static) {
 }
 
 /// Independent tasks; one of them panics.
-struct OneBadTask(AtomicUsize);
+struct OneBadTask;
 
 impl ConcurrentAlgorithm for OneBadTask {
     fn num_tasks(&self) -> usize {
         TASKS as usize
     }
-    fn remaining(&self) -> usize {
-        self.0.load(Ordering::Acquire)
-    }
     fn try_process(&self, task: TaskId) -> TaskOutcome {
         assert!(task != BAD_TASK, "task failed");
-        self.0.fetch_sub(1, Ordering::AcqRel);
         TaskOutcome::Processed
     }
 }
@@ -71,9 +67,6 @@ struct BrokenChain(Vec<AtomicBool>);
 impl ConcurrentAlgorithm for BrokenChain {
     fn num_tasks(&self) -> usize {
         self.0.len()
-    }
-    fn remaining(&self) -> usize {
-        self.0.iter().filter(|done| !done.load(Ordering::Acquire)).count()
     }
     fn try_process(&self, task: TaskId) -> TaskOutcome {
         assert!(task != 5, "task failed");
@@ -108,7 +101,7 @@ fn panicking_task_ends_a_prefill_run() {
         let pi = Permutation::identity(TASKS as usize);
         let sched: MultiQueue<TaskId> = MultiQueue::new(4);
         fill_scheduler(&sched, &pi);
-        run_concurrent(&OneBadTask(AtomicUsize::new(TASKS as usize)), &pi, &sched, 2);
+        run_concurrent(&OneBadTask, &pi, &sched, 2);
     });
 }
 
@@ -139,7 +132,7 @@ fn panicking_handler_ends_a_watermark_off_service_run() {
                 prod.push(u64::from(t), t).unwrap();
             }
         })];
-        let handler = OneBadTask(AtomicUsize::new(TASKS as usize));
+        let handler = OneBadTask;
         run_service(&handler, &sched, &ServiceConfig::default(), producers);
     });
 }
@@ -163,7 +156,7 @@ fn panicking_handler_ends_a_watermarked_service_run() {
                 }) as ProducerFn<'_>
             })
             .collect();
-        let handler = OneBadTask(AtomicUsize::new(TASKS as usize));
+        let handler = OneBadTask;
         run_service(&handler, &sched, &config, producers);
     });
 }

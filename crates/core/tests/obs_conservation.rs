@@ -108,6 +108,7 @@ proptest! {
         prop_assert_eq!(delta(&end, &base, "obsolete", "engine_pop_total"), stats.obsolete);
         prop_assert_eq!(delta(&end, &base, "empty", "engine_pop_total"), stats.empty_pops);
         prop_assert_eq!(stats.total_pops, stats.processed + stats.wasted + stats.obsolete);
+        prop_assert_eq!(stats.processed + stats.obsolete, n as u64);
         prop_assert!(0 < stats.purged && stats.purged <= stats.obsolete, "{}", stats);
     }
 

@@ -160,7 +160,8 @@ fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
                 ($name:literal, $sched:expr) => {{
                     let (alg, row) = (make_alg(), format!("{} t={t} b={batch}", $name));
                     let stats = run_concurrent_batched(&alg, pi, &$sched, t, batch);
-                    assert_eq!(alg.remaining(), 0, "{row}");
+                    let n = pi.len() as u64;
+                    assert_eq!(stats.processed + stats.obsolete, n, "{row}: ledger out of balance");
                     let decided = stats.processed + stats.wasted + stats.obsolete;
                     assert_eq!(stats.total_pops, decided, "{row}: pops ≠ outcomes");
                     verify(alg, &row);
@@ -176,7 +177,8 @@ fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
         }
         let alg = make_alg();
         let stats = run_exact_concurrent(&alg, pi, t);
-        assert_eq!((alg.remaining(), stats.total_pops), (0, pi.len() as u64), "exact t={t}");
+        let n = pi.len() as u64;
+        assert_eq!((stats.processed + stats.obsolete, stats.total_pops), (n, n), "exact t={t}");
         verify(alg, &format!("exact t={t}"));
     }
 }
@@ -416,14 +418,14 @@ fn explicit_dag_on_threads_sees_the_exact_predecessor_sets() {
             let sched: MultiQueue<TaskId> = MultiQueue::for_threads(4);
             fill_scheduler(&sched, &pi);
             let stats = run_concurrent_batched(alg, &pi, &sched, 4, batch);
-            assert_eq!((alg.remaining(), stats.processed), (0, 2_000), "batch={batch}");
+            assert_eq!((stats.processed, stats.obsolete), (2_000, 0), "batch={batch}");
         });
         assert_eq!(threaded, exact, "batch={batch}");
     }
 }
 
-/// At scale, where the sticky two-choice pair and `remaining` published
-/// once per call move the order tasks arrive in and the moment a run ends:
+/// At scale, where the sticky two-choice pair and the ledger booked once
+/// per run move the order tasks arrive in and the moment a run ends:
 /// neither may move the output at any thread count up to 8.
 #[test]
 fn mis_and_matching_are_deterministic_at_scale() {
