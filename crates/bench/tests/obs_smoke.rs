@@ -194,7 +194,7 @@ fn service_runs_emit_trace_and_metrics() {
 
     let metrics = snap.text();
     // One probe family per instrumented layer: worker engine (pops,
-    // batches, service times), sharded scheduler (steals, shard loads)
+    // batches, service times), sharded scheduler (steals, fairness probes)
     // and the reclamation backend. Counters that need backpressure to
     // fire (service_producer_park_total / service_producer_unpark_total)
     // are deliberately absent: these runs never park.
@@ -205,7 +205,6 @@ fn service_runs_emit_trace_and_metrics() {
         "engine_run_service_ns_count",
         "sharded_steal_total",
         "sharded_fairness_probe_total",
-        r#"sharded_shard_load{shard="0"}"#,
         r#"reclaim_retire_total{backend="ebr"}"#,
         r#"reclaim_dealloc_total{backend="ebr"}"#,
     ] {

@@ -118,18 +118,11 @@ pub fn components(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
 pub struct ConcurrentConnectivity<'a> {
     edges: &'a [(u32, u32)],
     parent: Vec<AtomicU32>,
-    counters: CachePadded<Counters>,
-}
-
-/// What every union writes, on a line of its own, away from the
-/// read-mostly `edges` and `parent` headers.
-// lint:allow(hot-counter-padded) held only as `CachePadded<Counters>`
-#[derive(Debug)]
-struct Counters {
-    tree_edges: AtomicU64,
     /// Root CAS failures retried inside [`ConcurrentAlgorithm::try_process`]
-    /// — the contention cost relaxation is supposed to spread out.
-    retries: AtomicU64,
+    /// — the contention cost relaxation is supposed to spread out. On a
+    /// line of its own, away from the read-mostly `edges` and `parent`
+    /// headers.
+    retries: CachePadded<AtomicU64>,
 }
 
 impl<'a> ConcurrentConnectivity<'a> {
@@ -146,10 +139,7 @@ impl<'a> ConcurrentConnectivity<'a> {
         ConcurrentConnectivity {
             edges,
             parent: (0..n as u32).map(AtomicU32::new).collect(),
-            counters: CachePadded::new(Counters {
-                tree_edges: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
-            }),
+            retries: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -176,15 +166,9 @@ impl<'a> ConcurrentConnectivity<'a> {
         }
     }
 
-    /// Tree edges inserted (deterministic: `n − c` over the final
-    /// components).
-    pub fn tree_edges(&self) -> u64 {
-        self.counters.tree_edges.load(Ordering::Acquire)
-    }
-
     /// Root-CAS retries suffered across all workers.
     pub fn retries(&self) -> u64 {
-        self.counters.retries.load(Ordering::Acquire)
+        self.retries.load(Ordering::Acquire)
     }
 
     /// Extracts the canonical component labels after the run.
@@ -220,10 +204,9 @@ impl ConcurrentAlgorithm for ConcurrentConnectivity<'_> {
                 .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                self.counters.tree_edges.fetch_add(1, Ordering::AcqRel);
                 return TaskOutcome::Processed;
             }
-            self.counters.retries.fetch_add(1, Ordering::Relaxed);
+            self.retries.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -263,20 +246,20 @@ mod tests {
         }
     }
 
-    /// One sequential-model run: labels, tree edges and the pop counters.
+    /// One sequential-model run: labels and the pop counters (a tree edge
+    /// is a `processed` pop).
     fn relaxed<S>(
         n: usize,
         edges: &[(u32, u32)],
         pi: &Permutation,
         sched: S,
-    ) -> (Vec<u32>, u64, ExecutionStats)
+    ) -> (Vec<u32>, ExecutionStats)
     where
         S: rsched_queues::PriorityScheduler<TaskId>,
     {
         let alg = ConcurrentConnectivity::new(n, edges);
         let stats = run_relaxed(&alg, pi, sched);
-        let tree = alg.tree_edges();
-        (alg.into_labels(), tree, stats)
+        (alg.into_labels(), stats)
     }
 
     #[test]
@@ -297,9 +280,9 @@ mod tests {
 
         for seed in 0..3 {
             let sched = SimMultiQueue::new(16, StdRng::seed_from_u64(seed));
-            let (labels, tree, stats) = relaxed(n, &edges, &pi, sched);
+            let (labels, stats) = relaxed(n, &edges, &pi, sched);
             assert_eq!(labels, expected, "seed {seed}");
-            assert_eq!(tree, (n - c) as u64, "tree edges are n − c");
+            assert_eq!(stats.processed, (n - c) as u64, "tree edges are n − c");
             assert_eq!(stats.obsolete, expected_obsolete, "seed {seed}");
             assert_eq!(stats.wasted, 0, "unions commute: nothing ever blocks");
             assert_eq!(stats.total_pops, edges.len() as u64);
@@ -327,10 +310,10 @@ mod tests {
             ),
             ("sharded", relaxed(n, &edges, &pi, sharded)),
         ];
-        for (name, (labels, tree, _)) in runs {
+        for (name, (labels, stats)) in runs {
             assert_eq!(labels, expected, "{name}");
             let c = expected.iter().zip(0u32..).filter(|&(&l, v)| l == v).count();
-            assert_eq!(tree, (n - c) as u64, "{name}");
+            assert_eq!(stats.processed, (n - c) as u64, "{name}");
         }
     }
 
@@ -382,7 +365,7 @@ mod tests {
         let pi = insertion_order(2, 0);
         let alg = ConcurrentConnectivity::new(2, &edges);
         let stats = run_exact(&alg, &pi);
-        assert_eq!(alg.tree_edges(), 1);
+        assert_eq!(stats.processed, 1);
         assert_eq!(alg.into_labels(), vec![0, 0]);
         assert_eq!(stats.obsolete, 1);
     }

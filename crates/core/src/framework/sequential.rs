@@ -113,19 +113,12 @@ where
         for &(priority, v) in &batch {
             stats.total_pops += 1;
             match alg.try_process(v) {
-                TaskOutcome::Processed => {
-                    stats.processed += 1;
-                    rsched_obs::counter!(r#"seq_pop_total{outcome="success"}"#).inc();
-                }
+                TaskOutcome::Processed => stats.processed += 1,
                 TaskOutcome::Blocked => {
                     stats.wasted += 1;
-                    rsched_obs::counter!(r#"seq_pop_total{outcome="blocked"}"#).inc();
                     blocked.push((priority, v));
                 }
-                TaskOutcome::Obsolete => {
-                    stats.obsolete += 1;
-                    rsched_obs::counter!(r#"seq_pop_total{outcome="obsolete"}"#).inc();
-                }
+                TaskOutcome::Obsolete => stats.obsolete += 1,
             }
         }
         if !blocked.is_empty() {
@@ -133,6 +126,11 @@ where
             blocked.clear();
         }
     }
+    // The probes read the run's own tallies, once: nothing reads them
+    // mid-run.
+    rsched_obs::counter!(r#"seq_pop_total{outcome="success"}"#).add(stats.processed);
+    rsched_obs::counter!(r#"seq_pop_total{outcome="blocked"}"#).add(stats.wasted);
+    rsched_obs::counter!(r#"seq_pop_total{outcome="obsolete"}"#).add(stats.obsolete);
     assert_eq!(
         stats.processed + stats.obsolete,
         n as u64,

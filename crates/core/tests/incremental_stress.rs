@@ -44,7 +44,6 @@ fn eight_thread_connectivity_over_sharded_lock_free_scheduler() {
         // Exactly-once ledger: every edge decided once, nothing blocks.
         assert_eq!(stats.processed + stats.obsolete, edges.len() as u64, "batch {batch}");
         assert_eq!(stats.wasted, 0, "batch {batch}");
-        assert_eq!(alg.tree_edges(), stats.processed, "batch {batch}");
         assert_eq!(alg.into_labels(), expected, "batch {batch}: components diverged");
     }
 }

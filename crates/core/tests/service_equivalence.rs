@@ -44,7 +44,7 @@ use rsched_graph::geom::uniform_square;
 use rsched_graph::{gen, ListInstance, Permutation, WeightedCsr};
 use rsched_queues::concurrent::MultiQueue;
 use rsched_queues::sharded::ShardedScheduler;
-use rsched_queues::ConcurrentScheduler;
+use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
@@ -65,9 +65,19 @@ impl ConcurrentScheduler<TaskId> for ExactShared {
     }
 }
 
-/// The deterministic substrate: one shard over the exact heap (the sharded
-/// wrapper supplies the `SchedulerLoad` occupancy the service requires; at
-/// one shard it is pure pass-through).
+/// The occupancy the service's backpressure reads: the heap's length.
+impl SchedulerLoad for ExactShared {
+    fn total_load(&self) -> usize {
+        self.0.lock().unwrap().len()
+    }
+
+    fn max_partition_load(&self) -> usize {
+        self.total_load()
+    }
+}
+
+/// The deterministic substrate: one shard over the exact heap (at one
+/// shard the wrapper is pure pass-through).
 fn exact_sched() -> ShardedScheduler<ExactShared> {
     ShardedScheduler::from_fn(1, |_| ExactShared::default())
 }

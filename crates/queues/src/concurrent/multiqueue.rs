@@ -7,7 +7,7 @@
 //! the Harris-list bucket is in `lf_multiqueue.rs`.
 
 use crate::rng;
-use crate::{ConcurrentScheduler, Entry, BATCH_SCATTER_RUN};
+use crate::{ConcurrentScheduler, Entry, SchedulerLoad, BATCH_SCATTER_RUN};
 use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 use rsched_sync::atomic::{AtomicIsize, AtomicU64, Ordering};
@@ -362,6 +362,18 @@ impl<T: Send, B: Bucket<T>> ConcurrentScheduler<T> for MultiQueueCore<T, B> {
             return (0, 0);
         }
         self.pop_into(max, obsolete, |e| out.push(e))
+    }
+}
+
+/// Unpartitioned: both loads are [`MultiQueueCore::len`], the census the
+/// pop's emptiness test reads.
+impl<T: Send, B: Bucket<T>> SchedulerLoad for MultiQueueCore<T, B> {
+    fn total_load(&self) -> usize {
+        self.len()
+    }
+
+    fn max_partition_load(&self) -> usize {
+        self.len()
     }
 }
 

@@ -174,12 +174,13 @@ impl<T> PriorityScheduler<T> for Box<dyn PriorityScheduler<T> + '_> {
 /// Occupancy introspection for saturation-aware callers (the streaming
 /// service's ingestion backpressure).
 ///
-/// Loads are *approximate*: maintained by relaxed counters racing the
-/// operations they count, so a reader may observe a value off by the number
-/// of in-flight operations. That is the right contract for a high-watermark
-/// check — backpressure needs "roughly how full", never an exact census.
-/// [`sharded::ShardedScheduler`] implements it over per-shard counters; a
-/// partition here is a shard.
+/// Loads are *approximate*: read from counters racing the operations they
+/// count, so a reader may observe a value off by the number of in-flight
+/// operations, and exact at quiescence. That is the right contract for a
+/// high-watermark check — backpressure needs "roughly how full", never an
+/// exact census. [`concurrent::MultiQueueCore`] implements it from its
+/// buckets' own live counts; [`sharded::ShardedScheduler`] sums its shards'
+/// loads, a partition there being a shard.
 pub trait SchedulerLoad {
     /// Approximate number of elements currently held, summed over
     /// partitions.

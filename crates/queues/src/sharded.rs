@@ -28,8 +28,6 @@
 //! in `rank_tail_fit.rs`; see DESIGN.md "Sharding semantics").
 
 use crate::{hash, rng, ConcurrentScheduler, PriorityScheduler, SchedulerLoad};
-use crossbeam::utils::CachePadded;
-use rsched_sync::atomic::{AtomicIsize, Ordering};
 use std::hash::Hash;
 
 /// One in this many affinity pops starts at a uniformly random shard
@@ -76,32 +74,6 @@ pub struct ShardedScheduler<S> {
     /// Round-robin pop cursor of the *sequential* model; the concurrent impl
     /// never touches it (workers carry their own affinity instead).
     cursor: usize,
-    /// Approximate per-shard occupancy, maintained by every insert/pop that
-    /// goes through this wrapper — the saturation signal behind
-    /// [`SchedulerLoad`] (the streaming service's per-shard high-watermark
-    /// backpressure). Signed so that a racing read can momentarily undershoot
-    /// without wrapping; reads clamp at zero. Not an exact census: elements
-    /// placed in an inner scheduler *before* it was wrapped (a hand-prefilled
-    /// `Vec<S>` passed to [`ShardedScheduler::new`]) are invisible to it —
-    /// [`ShardedScheduler::prefilled_with`] seeds the counters itself.
-    loads: Box<[CachePadded<AtomicIsize>]>,
-    /// Observability mirror of `loads`: one registered occupancy gauge per
-    /// shard (`sharded_shard_load{shard="i"}`). ZSTs when the `obs` feature
-    /// is off. Gauges are global per name, so concurrently live
-    /// `ShardedScheduler`s with equal shard indices share cells — the
-    /// exported level is then the *sum* across instances.
-    obs_loads: Box<[rsched_obs::Gauge]>,
-}
-
-/// The registered occupancy gauge for `shard`. The name is only built when
-/// probes are compiled in (`ENABLED` is `const`, so the `format!` folds
-/// away entirely in default builds).
-fn shard_load_gauge(shard: usize) -> rsched_obs::Gauge {
-    if rsched_obs::ENABLED {
-        rsched_obs::gauge(&format!(r#"sharded_shard_load{{shard="{shard}"}}"#))
-    } else {
-        rsched_obs::gauge("")
-    }
 }
 
 impl<S> ShardedScheduler<S> {
@@ -112,9 +84,7 @@ impl<S> ShardedScheduler<S> {
     /// Panics if `inners` is empty.
     pub fn new(inners: Vec<S>) -> Self {
         assert!(!inners.is_empty(), "need at least one shard");
-        let loads = (0..inners.len()).map(|_| CachePadded::new(AtomicIsize::new(0))).collect();
-        let obs_loads = (0..inners.len()).map(shard_load_gauge).collect();
-        ShardedScheduler { shards: inners.into_boxed_slice(), cursor: 0, loads, obs_loads }
+        ShardedScheduler { shards: inners.into_boxed_slice(), cursor: 0 }
     }
 
     /// Builds `shards` inner schedulers with `make(shard_index)`.
@@ -152,8 +122,7 @@ impl<S> ShardedScheduler<S> {
         for (priority, item) in entries {
             groups[shard_index(&item, shards)].push((priority, item));
         }
-        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-        let q = if shards == 1 {
+        if shards == 1 {
             let group = groups.pop().expect("one group");
             Self::new(vec![make(0, group)])
         } else {
@@ -167,14 +136,7 @@ impl<S> ShardedScheduler<S> {
                 handles.into_iter().map(|h| h.join().expect("shard builder panicked")).collect()
             });
             Self::new(inners)
-        };
-        // Seed the occupancy counters: prefilled elements never pass through
-        // `insert`, so they would otherwise be invisible to `SchedulerLoad`.
-        for (shard, &n) in sizes.iter().enumerate() {
-            q.loads[shard].store(n as isize, Ordering::Relaxed);
-            q.obs_loads[shard].add(n as i64);
         }
-        q
     }
 
     /// The inner schedulers, indexed by shard.
@@ -186,33 +148,17 @@ impl<S> ShardedScheduler<S> {
     pub fn shard_for<T: Hash + ?Sized>(&self, item: &T) -> usize {
         shard_index(item, self.shards.len())
     }
-
-    /// Approximate occupancy of one shard (see the `loads` field docs for
-    /// the accuracy contract; clamped at zero).
-    pub fn shard_load(&self, shard: usize) -> usize {
-        self.loads[shard].load(Ordering::Relaxed).max(0) as usize
-    }
-
-    #[inline]
-    fn note_inserted(&self, shard: usize, n: usize) {
-        self.loads[shard].fetch_add(n as isize, Ordering::Relaxed);
-        self.obs_loads[shard].add(n as i64);
-    }
-
-    #[inline]
-    fn note_popped(&self, shard: usize, n: usize) {
-        self.loads[shard].fetch_sub(n as isize, Ordering::Relaxed);
-        self.obs_loads[shard].sub(n as i64);
-    }
 }
 
-impl<S> SchedulerLoad for ShardedScheduler<S> {
+/// A partition is a shard, and each shard's occupancy is its inner
+/// scheduler's own census: elements placed before wrapping count too.
+impl<S: SchedulerLoad> SchedulerLoad for ShardedScheduler<S> {
     fn total_load(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.shard_load(i)).sum()
+        self.shards.iter().map(S::total_load).sum()
     }
 
     fn max_partition_load(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.shard_load(i)).max().unwrap_or(0)
+        self.shards.iter().map(S::total_load).max().unwrap_or(0)
     }
 }
 
@@ -244,7 +190,6 @@ where
     fn insert(&mut self, priority: u64, item: T) {
         let shard = self.shard_for(&item);
         self.shards[shard].insert(priority, item);
-        self.note_inserted(shard, 1);
     }
 
     /// Round-robin across shards: pops from the cursor shard (probing
@@ -257,7 +202,6 @@ where
             let idx = (self.cursor + probe) % s;
             if let Some(e) = self.shards[idx].pop() {
                 self.cursor = (idx + 1) % s;
-                self.note_popped(idx, 1);
                 return Some(e);
             }
         }
@@ -277,7 +221,6 @@ where
             // Pass-through keeps the one-shard configuration bit-for-bit
             // identical to the bare inner scheduler (no regrouping clone).
             self.shards[0].insert_batch(entries);
-            self.note_inserted(0, entries.len());
             return;
         }
         if entries.len() <= s {
@@ -289,10 +232,7 @@ where
             }
             return;
         }
-        scatter_batch(entries, s, |shard, group| {
-            self.shards[shard].insert_batch(group);
-            self.note_inserted(shard, group.len());
-        });
+        scatter_batch(entries, s, |shard, group| self.shards[shard].insert_batch(group));
     }
 
     /// Pops the batch from the first non-empty shard at or after the cursor
@@ -306,7 +246,6 @@ where
             let got = self.shards[idx].pop_batch(out, max);
             if got > 0 {
                 self.cursor = (idx + 1) % s;
-                self.note_popped(idx, got);
                 return got;
             }
         }
@@ -337,8 +276,7 @@ fn note_steal(worker: usize, served: usize, shards: usize) {
 }
 
 /// Scalar pop probing `shards` round-robin from `start`; the success case
-/// also reports which shard served (so the caller can debit its occupancy
-/// counter).
+/// also reports which shard served (so the caller can note a steal).
 fn pop_from<T, S>(shards: &[S], start: usize) -> Option<(usize, (u64, T))>
 where
     T: Send,
@@ -383,7 +321,6 @@ where
     fn insert(&self, priority: u64, item: T) {
         let shard = self.shard_for(&item);
         self.shards[shard].insert(priority, item);
-        self.note_inserted(shard, 1);
     }
 
     /// Unpinned pop: starts at a random shard (spreading unpinned callers
@@ -392,9 +329,7 @@ where
     fn pop(&self) -> Option<(u64, T)> {
         let s = self.shards.len();
         let start = if s == 1 { 0 } else { rng::next_index(s) };
-        let (shard, e) = pop_from(&self.shards, start)?;
-        self.note_popped(shard, 1);
-        Some(e)
+        pop_from(&self.shards, start).map(|(_, e)| e)
     }
 
     /// Affinity pop: shard `worker % s` first (with the 1-in-[`STEAL_PERIOD`]
@@ -403,7 +338,6 @@ where
         let s = self.shards.len();
         let start = if s == 1 { 0 } else { start_shard(worker, s) };
         let (shard, e) = pop_from(&self.shards, start)?;
-        self.note_popped(shard, 1);
         note_steal(worker, shard, s);
         Some(e)
     }
@@ -415,7 +349,6 @@ where
         let s = self.shards.len();
         if s == 1 {
             self.shards[0].insert_batch(entries);
-            self.note_inserted(0, entries.len());
             return;
         }
         if entries.len() <= s {
@@ -426,20 +359,13 @@ where
             }
             return;
         }
-        scatter_batch(entries, s, |shard, group| {
-            self.shards[shard].insert_batch(group);
-            self.note_inserted(shard, group.len());
-        });
+        scatter_batch(entries, s, |shard, group| self.shards[shard].insert_batch(group));
     }
 
     fn pop_batch(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
         let s = self.shards.len();
         let start = if s == 1 { 0 } else { rng::next_index(s) };
-        let (shard, got, _) = pop_batch_from(&self.shards, start, |q| (q.pop_batch(out, max), 0));
-        if got > 0 {
-            self.note_popped(shard, got);
-        }
-        got
+        pop_batch_from(&self.shards, start, |q| (q.pop_batch(out, max), 0)).1
     }
 
     /// Affinity batch pop: drains the worker's own shard (`worker % s`, with
@@ -451,8 +377,7 @@ where
 
     /// [`ConcurrentScheduler::pop_batch_for`]'s affinity-then-steal order
     /// over the shards' own purging pops. A shard that only purged serves
-    /// the call (progress, no steal past it), and its occupancy is debited
-    /// by live + purged: both left the shard.
+    /// the call (progress, no steal past it).
     fn pop_purging_for<F>(
         &self,
         worker: usize,
@@ -468,7 +393,6 @@ where
         let (shard, live, purged) =
             pop_batch_from(&self.shards, start, |q| q.pop_purging_for(worker, out, max, &obsolete));
         if live + purged > 0 {
-            self.note_popped(shard, live + purged);
             note_steal(worker, shard, s);
         }
         (live, purged)
@@ -659,23 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn load_counters_track_sequential_ops() {
-        let mut q = ShardedScheduler::from_fn(4, |_| BinaryHeapScheduler::new());
-        assert_eq!(q.total_load(), 0);
-        for p in 0..100u64 {
-            q.insert(p, p as u32);
-        }
-        assert_eq!(q.total_load(), 100);
-        assert!(q.max_partition_load() >= 25, "fullest shard below uniform mean");
-        let mut buf = Vec::new();
-        let got = q.pop_batch(&mut buf, 8);
-        assert_eq!(q.total_load(), 100 - got);
-        while q.pop().is_some() {}
-        assert_eq!(q.total_load(), 0);
-        assert_eq!(q.max_partition_load(), 0);
-    }
-
-    #[test]
     fn load_counters_track_concurrent_ops() {
         let q: ShardedScheduler<MultiQueue<u64>> =
             ShardedScheduler::from_fn(4, |_| MultiQueue::new(2));
@@ -705,12 +612,28 @@ mod tests {
                 LockFreeMultiQueue::prefilled(2, group)
             });
         assert_eq!(q.total_load(), 500);
-        let per_shard: usize = (0..7).map(|i| q.shard_load(i)).sum();
+        let per_shard: usize = (0..7).map(|i| q.shards()[i].len()).sum();
         assert_eq!(per_shard, 500);
         let (_, v) = ConcurrentScheduler::pop(&q).expect("non-empty");
         assert_eq!(q.total_load(), 499);
         // The pop debited the shard that actually served the element.
-        assert!(q.shard_load(q.shard_for(&v)) < per_shard);
+        assert!(q.shards()[q.shard_for(&v)].len() < per_shard);
+    }
+
+    #[test]
+    fn hand_prefilled_inners_are_counted() {
+        // Inners filled before wrapping never pass through the wrapper's
+        // insert; the census is theirs, so it sees them from the start.
+        let a: Vec<(u64, u32)> = (0..30u64).map(|i| (i, i as u32)).collect();
+        let b: Vec<(u64, u32)> = (30..100u64).map(|i| (i, i as u32)).collect();
+        let (na, nb) = (a.len(), b.len());
+        let q =
+            ShardedScheduler::new(vec![MultiQueue::prefilled(2, a), MultiQueue::prefilled(2, b)]);
+        assert_eq!(q.total_load(), na + nb);
+        assert_eq!(q.max_partition_load(), na.max(nb));
+        while ConcurrentScheduler::pop(&q).is_some() {}
+        assert_eq!(q.total_load(), 0);
+        assert_eq!(q.max_partition_load(), 0);
     }
 
     #[test]

@@ -30,15 +30,15 @@ fn main() {
     let sched = SimMultiQueue::new(16, StdRng::seed_from_u64(2));
     let alg = ConcurrentConnectivity::new(n, &edges);
     let stats = run_relaxed(&alg, &pi, sched);
-    let tree_edges = alg.tree_edges();
     assert_eq!(
         alg.into_labels(),
         components(n, &edges),
         "components must match the sequential run"
     );
     println!(
-        "connectivity: {} edges → {tree_edges} tree edges, {} already-connected pops, {stats}",
+        "connectivity: {} edges → {} tree edges, {} already-connected pops, {stats}",
         edges.len(),
+        stats.processed,
         stats.obsolete
     );
 

@@ -56,7 +56,7 @@ impl<T: Send, B: Bucket<T>> Census for MultiQueueCore<T, B> {
     }
 }
 
-impl<S: Census> Census for ShardedScheduler<S> {
+impl<S: Census + SchedulerLoad> Census for ShardedScheduler<S> {
     fn counts(&self) -> Vec<usize> {
         vec![self.shards().iter().map(|s| s.counts()[0]).sum(), self.total_load()]
     }
