@@ -2,21 +2,16 @@
 //!
 //! "One can view matching as an 'independent set' of edges, no two of which
 //! are incident to the same vertex." Tasks are *edges*; an edge joins the
-//! matching iff no smaller-labeled incident edge did. The direct
-//! implementation below walks the endpoint incidence lists instead of
-//! materializing the line graph (whose size is `Θ(Σ deg²)`); the explicit
-//! line-graph route is provided for cross-checking via
-//! [`matching_via_line_graph`].
+//! matching iff no smaller-labeled incident edge did. The concurrent
+//! instance is the MIS kernel over an adjacency that walks the endpoint
+//! incidence lists instead of materializing the line graph (whose size is
+//! `Θ(Σ deg²)`); the explicit line-graph route is provided for
+//! cross-checking via [`matching_via_line_graph`].
 
-use crate::framework::{ConcurrentAlgorithm, TaskOutcome};
+use crate::algorithms::mis::{greedy_mis, Adjacency, ConcurrentMis};
 use crate::TaskId;
 use rsched_graph::{line_graph, CsrGraph, Incidence, Permutation};
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-const LIVE: u8 = 0;
-const IN_MATCH: u8 = 1;
-const DEAD: u8 = 2;
 
 /// A matching instance: the canonical edge list plus endpoint incidence.
 pub struct MatchingInstance {
@@ -112,99 +107,27 @@ pub fn verify_matching(inst: &MatchingInstance, in_match: &[bool]) -> bool {
 /// graphs, not production use.
 pub fn matching_via_line_graph(g: &CsrGraph, pi: &Permutation) -> Vec<bool> {
     let (lg, _edges) = line_graph(g);
-    crate::algorithms::mis::greedy_mis(&lg, pi)
+    greedy_mis(&lg, pi)
 }
 
-/// Matching as a framework instance (Algorithm 4 over the implicit line
-/// graph, with dead-edge dropping), thread-safe: the
-/// [`crate::algorithms::mis::ConcurrentMis`] protocol on the implicit line
-/// graph (identical determinism argument, and the same test-before-CAS
-/// kills: `e` itself is `IN_MATCH` by then, so the kill loop skips it).
-#[derive(Debug)]
-pub struct ConcurrentMatching<'a> {
-    inst: &'a MatchingInstance,
-    labels: &'a [u32],
-    state: Vec<AtomicU8>,
-}
-
-impl<'a> ConcurrentMatching<'a> {
-    /// Creates the instance; all edges start live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi.len() != inst.num_edges()`.
-    pub fn new(inst: &'a MatchingInstance, pi: &'a Permutation) -> Self {
-        let m = inst.num_edges();
-        assert_eq!(m, pi.len(), "permutation size must match edge count");
-        ConcurrentMatching {
-            inst,
-            labels: pi.labels(),
-            state: (0..m).map(|_| AtomicU8::new(LIVE)).collect(),
-        }
+/// The implicit line graph: edge `e = (a, b)` is adjacent to every edge
+/// incident to `a`, then to every edge incident to `b` (itself among them).
+impl Adjacency for MatchingInstance {
+    fn num_nodes(&self) -> usize {
+        self.num_edges()
     }
 
-    /// Extracts the matching membership vector after the run.
-    pub fn into_output(self) -> Vec<bool> {
-        self.state.into_iter().map(|s| s.into_inner() == IN_MATCH).collect()
+    #[inline]
+    fn adjacent(&self, e: TaskId) -> impl Iterator<Item = TaskId> + '_ {
+        let (a, b) = self.edges[e as usize];
+        self.incidence.incident(a).iter().chain(self.incidence.incident(b)).copied()
     }
 }
 
-impl ConcurrentAlgorithm for ConcurrentMatching<'_> {
-    fn num_tasks(&self) -> usize {
-        self.inst.num_edges()
-    }
-
-    fn try_process(&self, task: TaskId) -> TaskOutcome {
-        let e = task as usize;
-        if self.is_obsolete(task) {
-            return TaskOutcome::Obsolete;
-        }
-        let le = self.labels[e];
-        let (a, b) = self.inst.edges[e];
-        for &v in &[a, b] {
-            for &e2 in self.inst.incidence.incident(v) {
-                if e2 == task || self.labels[e2 as usize] >= le {
-                    continue;
-                }
-                match self.state[e2 as usize].load(Ordering::Acquire) {
-                    LIVE => return TaskOutcome::Blocked,
-                    IN_MATCH => {
-                        // As for MIS: publish the death before e2's kill
-                        // loop does, so larger-labeled edges unblock sooner.
-                        let _ = self.state[e].compare_exchange(
-                            LIVE,
-                            DEAD,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        );
-                        return TaskOutcome::Obsolete;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if self.state[e]
-            .compare_exchange(LIVE, IN_MATCH, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return TaskOutcome::Obsolete;
-        }
-        for &v in &[a, b] {
-            for &e2 in self.inst.incidence.incident(v) {
-                let s = &self.state[e2 as usize];
-                if s.load(Ordering::Acquire) == LIVE {
-                    let _ = s.compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire);
-                }
-            }
-        }
-        TaskOutcome::Processed
-    }
-
-    /// As for MIS: an edge leaves `LIVE` only for a terminal state.
-    fn is_obsolete(&self, task: TaskId) -> bool {
-        self.state[task as usize].load(Ordering::Acquire) != LIVE
-    }
-}
+/// Matching as a framework instance: the [`ConcurrentMis`] kernel
+/// (Algorithm 4 with dead-edge dropping) over the implicit line graph of a
+/// [`MatchingInstance`] — same protocol, same determinism argument.
+pub type ConcurrentMatching<'a> = ConcurrentMis<'a, MatchingInstance>;
 
 #[cfg(test)]
 mod tests {
@@ -249,13 +172,22 @@ mod tests {
     #[test]
     fn line_graph_route_agrees_with_direct() {
         let mut rng = StdRng::seed_from_u64(30);
-        for _ in 0..5 {
+        for seed in 0..5 {
             let g = gen::gnm(40, 120, &mut rng);
             let inst = MatchingInstance::new(&g);
             let pi = Permutation::random(inst.num_edges(), &mut rng);
             let direct = greedy_matching(&inst, &pi);
             let via_lg = matching_via_line_graph(&g, &pi);
             assert_eq!(direct, via_lg);
+            // The shared kernel over both adjacencies: the instance's
+            // implicit line graph and the materialized one.
+            let (lg, _) = line_graph(&g);
+            let implicit = ConcurrentMatching::new(&inst, &pi);
+            let _ = run_relaxed(&implicit, &pi, TopKUniform::new(8, StdRng::seed_from_u64(seed)));
+            assert_eq!(implicit.into_output(), direct);
+            let explicit = ConcurrentMis::new(&lg, &pi);
+            let _ = run_relaxed(&explicit, &pi, TopKUniform::new(8, StdRng::seed_from_u64(seed)));
+            assert_eq!(explicit.into_output(), direct);
         }
     }
 

@@ -76,12 +76,40 @@ pub fn verify_mis(g: &CsrGraph, in_mis: &[bool]) -> bool {
     true
 }
 
+/// The conflict graph an independent-set run works over: the kernel
+/// ([`ConcurrentMis`]) puts a node in the set iff no smaller-labeled node
+/// adjacent to it got there first. A [`CsrGraph`] is its own adjacency (MIS);
+/// a [`MatchingInstance`](super::matching::MatchingInstance) is the implicit
+/// line graph (matching, §2.4).
+pub trait Adjacency: Sync {
+    /// Number of nodes, one task each.
+    fn num_nodes(&self) -> usize;
+
+    /// The nodes adjacent to `v`, in the order the kernel scans them. `v`
+    /// itself may appear: the scan skips it by label, and the kill loop
+    /// finds it already decided.
+    fn adjacent(&self, v: TaskId) -> impl Iterator<Item = TaskId> + '_;
+}
+
+impl Adjacency for CsrGraph {
+    fn num_nodes(&self) -> usize {
+        self.num_vertices()
+    }
+
+    #[inline]
+    fn adjacent(&self, v: TaskId) -> impl Iterator<Item = TaskId> + '_ {
+        self.neighbors(v).iter().copied()
+    }
+}
+
 /// MIS as a framework instance (Algorithm 4's task oracle), thread-safe
-/// with per-vertex atomic state. See the crate-level example for usage with
-/// [`crate::framework::run_relaxed`].
+/// with per-node atomic state, over any [`Adjacency`] — a graph's vertices
+/// by default, a matching instance's edges as
+/// [`ConcurrentMatching`](super::matching::ConcurrentMatching). See the
+/// crate-level example for usage with [`crate::framework::run_relaxed`].
 ///
-/// Determinism argument: `InMis` and `Dead` are terminal states; a vertex
-/// enters the MIS only after observing **all** smaller-labeled neighbors
+/// Determinism argument: `InMis` and `Dead` are terminal states; a node
+/// enters the set only after observing **all** smaller-labeled neighbors
 /// `Dead`, and becomes `Dead` only from a smaller-labeled `InMis` neighbor.
 /// By induction over labels the final state vector equals [`greedy_mis`] for
 /// the same permutation, regardless of thread interleaving.
@@ -89,24 +117,24 @@ pub fn verify_mis(g: &CsrGraph, in_mis: &[bool]) -> bool {
 /// Hot-path contention: a kill tests the neighbor before the CAS (an
 /// already-decided neighbor costs a shared read, not an exclusive line
 /// fetch; the CAS winners are the same). Termination is the engine's count
-/// of each vertex's entry, popped or purged, so a call writes nothing but
-/// vertex states (DESIGN.md "Hot-path contention").
+/// of each node's entry, popped or purged, so a call writes nothing but
+/// node states (DESIGN.md "Hot-path contention").
 #[derive(Debug)]
-pub struct ConcurrentMis<'a> {
-    g: &'a CsrGraph,
+pub struct ConcurrentMis<'a, G = CsrGraph> {
+    g: &'a G,
     labels: &'a [u32],
     state: Vec<AtomicU8>,
 }
 
-impl<'a> ConcurrentMis<'a> {
-    /// Creates the instance; all vertices start live.
+impl<'a, G: Adjacency> ConcurrentMis<'a, G> {
+    /// Creates the instance; all nodes start live.
     ///
     /// # Panics
     ///
-    /// Panics if `pi.len() != g.num_vertices()`.
-    pub fn new(g: &'a CsrGraph, pi: &'a Permutation) -> Self {
-        let n = g.num_vertices();
-        assert_eq!(n, pi.len(), "permutation size must match vertex count");
+    /// Panics if `pi.len() != g.num_nodes()`.
+    pub fn new(g: &'a G, pi: &'a Permutation) -> Self {
+        let n = g.num_nodes();
+        assert_eq!(n, pi.len(), "permutation size must match task count");
         ConcurrentMis {
             g,
             labels: pi.labels(),
@@ -114,15 +142,15 @@ impl<'a> ConcurrentMis<'a> {
         }
     }
 
-    /// Extracts the MIS membership vector after the run.
+    /// Extracts the set membership vector after the run.
     pub fn into_output(self) -> Vec<bool> {
         self.state.into_iter().map(|s| s.into_inner() == IN_MIS).collect()
     }
 }
 
-impl ConcurrentAlgorithm for ConcurrentMis<'_> {
+impl<G: Adjacency> ConcurrentAlgorithm for ConcurrentMis<'_, G> {
     fn num_tasks(&self) -> usize {
-        self.g.num_vertices()
+        self.state.len()
     }
 
     fn try_process(&self, task: TaskId) -> TaskOutcome {
@@ -131,7 +159,7 @@ impl ConcurrentAlgorithm for ConcurrentMis<'_> {
             return TaskOutcome::Obsolete;
         }
         let lv = self.labels[v];
-        for &u in self.g.neighbors(task) {
+        for u in self.g.adjacent(task) {
             if self.labels[u as usize] >= lv {
                 continue;
             }
@@ -161,7 +189,7 @@ impl ConcurrentAlgorithm for ConcurrentMis<'_> {
         {
             return TaskOutcome::Obsolete;
         }
-        for &u in self.g.neighbors(task) {
+        for u in self.g.adjacent(task) {
             let s = &self.state[u as usize];
             if s.load(Ordering::Acquire) == LIVE {
                 let _ = s.compare_exchange(LIVE, DEAD, Ordering::AcqRel, Ordering::Acquire);
@@ -170,7 +198,7 @@ impl ConcurrentAlgorithm for ConcurrentMis<'_> {
         TaskOutcome::Processed
     }
 
-    /// A vertex leaves `LIVE` only for a terminal state.
+    /// A node leaves `LIVE` only for a terminal state.
     fn is_obsolete(&self, task: TaskId) -> bool {
         self.state[task as usize].load(Ordering::Acquire) != LIVE
     }

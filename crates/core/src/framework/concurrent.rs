@@ -1,7 +1,7 @@
 //! The concurrent relaxed executor: worker threads share a relaxed
 //! scheduler, re-inserting blocked tasks and dropping obsolete ones.
 //!
-//! One worker **engine** ([`worker_loop`]) drives every configuration: it
+//! One worker **engine** ([`run_engine`]) drives every configuration: it
 //! pops a run of up to `batch_size` tasks, processes them, and returns the
 //! run's failed deletes — and whatever tasks the run spawned — in one
 //! `insert_batch`; the scalar executor is the `batch_size == 1` case. Each
@@ -15,7 +15,7 @@
 //! each through a pop of its own (DESIGN.md "Purging semantics").
 
 use super::{ConcurrentAlgorithm, TaskOutcome};
-use crate::service::Ledger;
+use crate::service::{AlgorithmHandler, CapacityWaiters, Ledger, RequestHandler, SubmitCtx};
 use crate::stats::ConcurrentStats;
 use crate::TaskId;
 use crossbeam::utils::Backoff;
@@ -96,173 +96,6 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
-/// What a worker does between pops: the *workload half* of the engine.
-///
-/// [`worker_loop`] owns popping, the one outgoing buffer a run fills
-/// (spawned tasks and failed deletes) and its flush, backoff, counters,
-/// affinity drift and termination — the books of a [`Ledger`]; the driver
-/// supplies the per-task processing step and the per-run wake-up. Two
-/// drivers exist: [`PrefillDriver`] (the run-to-empty executors) and the
-/// service's driver in `crate::service` (streaming runs and sealed ones
-/// alike).
-pub(crate) trait EngineDriver: Sync {
-    /// Processes one popped task. Tasks it spawns are pushed onto `out`,
-    /// the worker's outgoing buffer: the engine inserts them with the run's
-    /// failed deletes when the run ends, whatever the outcome returned. A
-    /// [`TaskOutcome::Blocked`] return makes the engine hand the task back
-    /// to the scheduler at its original priority; the driver must not
-    /// re-insert it itself.
-    fn dispatch(&self, priority: u64, task: TaskId, out: &mut Vec<(u64, TaskId)>) -> TaskOutcome;
-
-    /// Whether the scheduler may discard `task`'s entry unseen; the
-    /// contract is [`ConcurrentAlgorithm::is_obsolete`]'s. A driver whose
-    /// tasks are decided only at their pop keeps the default.
-    fn is_obsolete(&self, task: TaskId) -> bool {
-        let _ = task;
-        false
-    }
-
-    /// Called once per nonempty run, after the run's outgoing buffer is
-    /// flushed. `net_drained` is pops and purges minus inserts — how much
-    /// scheduler occupancy the run retired, 0 for a run that spawned more
-    /// than it retired. The service driver uses it to wake producers parked
-    /// on the shard high watermark.
-    fn after_run(&self, net_drained: usize) {
-        let _ = net_drained;
-    }
-}
-
-/// The run-to-empty driver: dispatch is the algorithm's `try_process`, and
-/// the scheduler may purge what its `is_obsolete` reports.
-pub(crate) struct PrefillDriver<'a, A>(pub &'a A);
-
-impl<A: ConcurrentAlgorithm> EngineDriver for PrefillDriver<'_, A> {
-    fn dispatch(&self, _priority: u64, task: TaskId, _out: &mut Vec<(u64, TaskId)>) -> TaskOutcome {
-        self.0.try_process(task)
-    }
-
-    fn is_obsolete(&self, task: TaskId) -> bool {
-        self.0.is_obsolete(task)
-    }
-}
-
-/// The worker engine: pops a run of up to `batch_size` tasks with one
-/// `pop_purging_for`, dispatches each task to the `driver`, and returns
-/// the run's outgoing buffer — the tasks the run spawned and its failed
-/// deletes — in one `insert_batch` (at `batch_size == 1` that is the scalar
-/// executor's op order: pop, process, conditional insert; the engine never
-/// calls the scalar `insert`). A run is booked once, before its flush: the
-/// tasks it spawned are accepted into `ledger`, and its terminal outcomes —
-/// processed and obsolete pops, and purged entries — decided. The driver
-/// hears of it once, after the flush ([`EngineDriver::after_run`]); outcome
-/// counters and the obs probes are tallied in the run's locals and land
-/// once per run too. The worker spins briefly on empty observations (a
-/// blocked task may be in another worker's hands, about to be re-inserted).
-/// Tasks the scheduler purged on the way count as obsolete pops, and a call
-/// that only purged is a run like any other: progress, not an empty
-/// observation. Termination is by the ledger ([`Ledger::drained`]), never
-/// scheduler emptiness — a blocked task may be in another worker's hands,
-/// and a streaming scheduler is *expected* to sit empty between arrivals.
-/// A panicking `dispatch` drops the run's buffer with the run: nothing in
-/// it was booked or inserted.
-fn worker_loop<D, S>(
-    driver: &D,
-    ledger: &Ledger,
-    sched: &S,
-    worker: usize,
-    batch_size: usize,
-    poisoned: &AtomicBool,
-) -> EngineTotals
-where
-    D: EngineDriver,
-    S: ConcurrentScheduler<TaskId>,
-{
-    let mut c = EngineTotals::default();
-    let backoff = Backoff::new();
-    let mut run: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
-    let mut out: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
-    // Adaptive affinity: a run with zero progress (every popped task
-    // blocked) means this worker is ahead of the dependency frontier — the
-    // tasks its scheduler partition serves are waiting on tasks housed
-    // elsewhere. The hint drifts one partition forward per stuck run and
-    // *stays* wherever runs make progress (sticky — deliberately never
-    // snapping back to `worker`, which re-blocks immediately when the home
-    // shard is ahead; on the 1-CPU figure2 quick/sparse MIS at s=4, t=1,
-    // extra iterations measured ~691k with no drift, ~131k with snap-back
-    // drift, ~1.4k with sticky drift). Workers chase the frontier
-    // instead of churning failed deletes in place; for monolithic
-    // schedulers the hint is ignored and the drift is free.
-    let mut hint = worker;
-    while !poisoned.load(Ordering::Relaxed) && !ledger.drained() {
-        run.clear();
-        let (got, purged) =
-            sched.pop_purging_for(hint, &mut run, batch_size, |_, &task| driver.is_obsolete(task));
-        if got + purged == 0 {
-            c.empty += 1;
-            rsched_obs::counter!(r#"engine_pop_total{outcome="empty"}"#).inc();
-            backoff.snooze();
-            continue;
-        }
-        backoff.reset();
-        let _run_span = rsched_obs::span!("engine_run");
-        rsched_obs::hist!("engine_run_batch_size").record(got as u64);
-        let t0 = rsched_obs::now_ns();
-        let (mut processed, mut blocked) = (0usize, 0usize);
-        for &(priority, v) in &run {
-            match driver.dispatch(priority, v, &mut out) {
-                TaskOutcome::Processed => processed += 1,
-                TaskOutcome::Blocked => {
-                    blocked += 1;
-                    out.push((priority, v));
-                }
-                TaskOutcome::Obsolete => {}
-            }
-        }
-        rsched_obs::hist!("engine_run_service_ns").record(rsched_obs::now_ns().saturating_sub(t0));
-        let obsolete = got - processed - blocked;
-        c.pops += (got + purged) as u64;
-        c.processed += processed as u64;
-        c.wasted += blocked as u64;
-        c.obsolete += (obsolete + purged) as u64;
-        c.purged += purged as u64;
-        // A zero `add` is still an RMW when the probes are compiled in.
-        if processed > 0 {
-            rsched_obs::counter!(r#"engine_pop_total{outcome="success"}"#).add(processed as u64);
-        }
-        if blocked > 0 {
-            rsched_obs::counter!(r#"engine_pop_total{outcome="blocked"}"#).add(blocked as u64);
-        }
-        if obsolete + purged > 0 {
-            rsched_obs::counter!(r#"engine_pop_total{outcome="obsolete"}"#)
-                .add((obsolete + purged) as u64);
-        }
-        // Accept strictly before the flush makes the follow-ups poppable,
-        // decide strictly after the accept: `decided == accepted` can then
-        // never be observed with work still in flight (see [`Ledger`]). A
-        // zero is not worth the RMW on the line every worker's loop test
-        // reads.
-        let (spawned, decided) = (out.len() - blocked, processed + obsolete + purged);
-        if spawned > 0 {
-            ledger.accept(spawned);
-        }
-        if decided > 0 {
-            ledger.decide(decided);
-        }
-        if !out.is_empty() {
-            // Everything the run sends back goes in one synchronization
-            // round-trip.
-            sched.insert_batch(&out);
-        }
-        driver.after_run((got + purged).saturating_sub(out.len()));
-        if got > 0 && blocked == got {
-            hint = hint.wrapping_add(1);
-            rsched_obs::counter!("engine_affinity_drift_total").inc();
-        }
-        out.clear();
-    }
-    c
-}
-
 /// Spawns `threads` scoped workers running `work(index, poisoned)`, joins
 /// them all and sums the counters they return. `poisoned` turns true when
 /// any worker unwinds ([`PoisonOnUnwind`]); `work` must read it wherever it
@@ -300,34 +133,149 @@ where
     })
 }
 
-/// Runs [`worker_loop`] at `batch_size` on `threads` workers over `sched`,
-/// and blocks until `ledger` is sealed and balances: every task it accepted
-/// has reached a terminal outcome. The caller accepts what it inserted
-/// before the first pop. This is the one engine behind every relaxed entry
-/// point:
+/// The worker engine, the one loop behind every relaxed entry point:
 /// [`run_concurrent_batched`] (prefill), `crate::service::run_service`
 /// (streaming) and `crate::service::run_sealed` (a closed request set that
 /// spawns its own follow-ups —
-/// [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp)).
+/// [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp)). It runs
+/// `threads` workers over `sched` and blocks until `ledger` is sealed and
+/// balances: every task it accepted has reached a terminal outcome. The
+/// caller accepts what it inserted before the first pop.
+///
+/// Each worker pops a run of up to `batch_size` tasks with one
+/// `pop_purging_for` — handing the scheduler `is_obsolete`, the purge
+/// predicate whose contract is [`ConcurrentAlgorithm::is_obsolete`]'s (the
+/// prefill path passes the algorithm's, the service and sealed runs pass
+/// `|_| false`) — calls `handler` on each task with a [`SubmitCtx`] over the
+/// run's outgoing buffer, and returns that buffer — the tasks the run
+/// spawned and its failed deletes — in one `insert_batch` (at
+/// `batch_size == 1` that is the scalar executor's op order: pop, process,
+/// conditional insert; the engine never calls the scalar `insert`). A run is
+/// booked once, before its flush: the tasks it spawned are accepted into
+/// `ledger`, and its terminal outcomes — processed and obsolete pops, and
+/// purged entries — decided. After the flush a run that retired scheduler
+/// occupancy (pops and purges minus inserts) wakes the producers parked on
+/// `capacity`; `None` (prefill, sealed runs, a service without a watermark)
+/// skips `wake_all`'s fence. Outcome counters and the obs probes are
+/// tallied in the run's locals and land once per run too. The worker spins
+/// briefly on empty observations (a blocked task may be in another worker's
+/// hands, about to be re-inserted). Tasks the scheduler purged on the way
+/// count as obsolete pops, and a call that only purged is a run like any
+/// other: progress, not an empty observation. Termination is by the ledger
+/// ([`Ledger::drained`]), never scheduler emptiness — a blocked task may be
+/// in another worker's hands, and a streaming scheduler is *expected* to sit
+/// empty between arrivals. A panicking `handle` drops the run's buffer with
+/// the run: nothing in it was booked or inserted.
 ///
 /// # Panics
 ///
 /// Panics if `threads == 0` or `batch_size == 0`, and re-raises a worker's
-/// panic (a panicking `dispatch`) after every other worker has left its
-/// loop.
-pub(crate) fn run_engine<D, S>(
-    driver: &D,
+/// panic (a panicking `handle`) after every other worker has left its loop.
+pub(crate) fn run_engine<H, P, S>(
+    handler: &H,
+    is_obsolete: P,
+    capacity: Option<&CapacityWaiters>,
     ledger: &Ledger,
     sched: &S,
     threads: usize,
     batch_size: usize,
 ) -> EngineTotals
 where
-    D: EngineDriver,
+    H: RequestHandler,
+    P: Fn(TaskId) -> bool + Sync,
     S: ConcurrentScheduler<TaskId>,
 {
     assert!(batch_size >= 1, "need a positive batch size");
-    run_workers(threads, |w, poisoned| worker_loop(driver, ledger, sched, w, batch_size, poisoned))
+    run_workers(threads, |worker, poisoned| {
+        let mut c = EngineTotals::default();
+        let backoff = Backoff::new();
+        let mut run: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
+        let mut out: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
+        // Adaptive affinity: a run with zero progress (every popped task
+        // blocked) means this worker is ahead of the dependency frontier —
+        // the tasks its scheduler partition serves are waiting on tasks
+        // housed elsewhere. The hint drifts one partition forward per stuck
+        // run and *stays* wherever runs make progress (sticky — deliberately
+        // never snapping back to `worker`, which re-blocks immediately when
+        // the home shard is ahead; on the 1-CPU figure2 quick/sparse MIS at
+        // s=4, t=1, extra iterations measured ~691k with no drift, ~131k
+        // with snap-back drift, ~1.4k with sticky drift). Workers chase the
+        // frontier instead of churning failed deletes in place; for
+        // monolithic schedulers the hint is ignored and the drift is free.
+        let mut hint = worker;
+        while !poisoned.load(Ordering::Relaxed) && !ledger.drained() {
+            run.clear();
+            let (got, purged) =
+                sched.pop_purging_for(hint, &mut run, batch_size, |_, &task| is_obsolete(task));
+            if got + purged == 0 {
+                c.empty += 1;
+                rsched_obs::counter!(r#"engine_pop_total{outcome="empty"}"#).inc();
+                backoff.snooze();
+                continue;
+            }
+            backoff.reset();
+            let _run_span = rsched_obs::span!("engine_run");
+            rsched_obs::hist!("engine_run_batch_size").record(got as u64);
+            let t0 = rsched_obs::now_ns();
+            let (mut processed, mut blocked) = (0usize, 0usize);
+            for &(priority, v) in &run {
+                match handler.handle(priority, v, &mut SubmitCtx { out: &mut out }) {
+                    TaskOutcome::Processed => processed += 1,
+                    TaskOutcome::Blocked => {
+                        blocked += 1;
+                        out.push((priority, v));
+                    }
+                    TaskOutcome::Obsolete => {}
+                }
+            }
+            rsched_obs::hist!("engine_run_service_ns")
+                .record(rsched_obs::now_ns().saturating_sub(t0));
+            let obsolete = got - processed - blocked;
+            c.pops += (got + purged) as u64;
+            c.processed += processed as u64;
+            c.wasted += blocked as u64;
+            c.obsolete += (obsolete + purged) as u64;
+            c.purged += purged as u64;
+            // A zero `add` is still an RMW when the probes are compiled in.
+            if processed > 0 {
+                rsched_obs::counter!(r#"engine_pop_total{outcome="success"}"#)
+                    .add(processed as u64);
+            }
+            if blocked > 0 {
+                rsched_obs::counter!(r#"engine_pop_total{outcome="blocked"}"#).add(blocked as u64);
+            }
+            if obsolete + purged > 0 {
+                rsched_obs::counter!(r#"engine_pop_total{outcome="obsolete"}"#)
+                    .add((obsolete + purged) as u64);
+            }
+            // Accept strictly before the flush makes the follow-ups
+            // poppable, decide strictly after the accept: `decided ==
+            // accepted` can then never be observed with work still in flight
+            // (see [`Ledger`]). A zero is not worth the RMW on the line every
+            // worker's loop test reads.
+            let (spawned, decided) = (out.len() - blocked, processed + obsolete + purged);
+            if spawned > 0 {
+                ledger.accept(spawned);
+            }
+            if decided > 0 {
+                ledger.decide(decided);
+            }
+            if !out.is_empty() {
+                // Everything the run sends back goes in one synchronization
+                // round-trip.
+                sched.insert_batch(&out);
+            }
+            if let Some(capacity) = capacity.filter(|_| got + purged > out.len()) {
+                capacity.wake_all();
+            }
+            if got > 0 && blocked == got {
+                hint = hint.wrapping_add(1);
+                rsched_obs::counter!("engine_affinity_drift_total").inc();
+            }
+            out.clear();
+        }
+        c
+    })
 }
 
 /// Runs `alg` to completion on `threads` workers sharing `sched`, which
@@ -335,9 +283,9 @@ where
 ///
 /// Workers pop, call [`ConcurrentAlgorithm::try_process`], re-insert blocked
 /// tasks with their original priority, and spin briefly when the scheduler
-/// looks empty (see [`worker_loop`]). The run ends once every entry has
-/// reached a terminal outcome — processed, dropped obsolete at its pop, or
-/// purged — so `sched` is empty when it returns.
+/// looks empty (the module's worker engine). The run ends once every entry
+/// has reached a terminal outcome — processed, dropped obsolete at its pop,
+/// or purged — so `sched` is empty when it returns.
 ///
 /// # Panics
 ///
@@ -399,7 +347,15 @@ where
     let ledger = Ledger::new();
     ledger.accept(alg.num_tasks());
     ledger.seal();
-    let t = run_engine(&PrefillDriver(alg), &ledger, sched, threads, batch_size);
+    let t = run_engine(
+        &AlgorithmHandler(alg),
+        |task| alg.is_obsolete(task),
+        None,
+        &ledger,
+        sched,
+        threads,
+        batch_size,
+    );
     ConcurrentStats {
         tasks: alg.num_tasks(),
         threads,

@@ -34,16 +34,18 @@
 //!   ballooning.
 //! * **Workers** run the exact engine of
 //!   [`run_concurrent_batched`](crate::framework::run_concurrent_batched) —
-//!   same pop and flush path, same counters, same affinity drift — with a
-//!   streaming driver: tasks are dispatched to a [`RequestHandler`], whose
-//!   follow-up submits join the run's failed deletes in the engine's one
-//!   `insert_batch` per run, and termination is the ledger condition
-//!   below. The prefill executors are the degenerate configuration of this
-//!   engine (every task present and accepted at t = 0, the ledger sealed
-//!   before the first pop), and
-//!   [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp) is this
-//!   driver on a request set sealed before the first pop: no producer
-//!   thread.
+//!   same pop and flush path, same counters, same affinity drift — handed
+//!   the [`RequestHandler`] itself, a purge predicate that purges nothing,
+//!   and the watermark's waiters to wake after each run that retires
+//!   occupancy. A handler's follow-up submits join the run's failed deletes
+//!   in the engine's one `insert_batch` per run, and termination is the
+//!   ledger condition below. The prefill executors are the degenerate
+//!   configuration of this engine (every task present and accepted at
+//!   t = 0, the ledger sealed before the first pop, the algorithm wrapped
+//!   in an [`AlgorithmHandler`]), and
+//!   [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp) is the
+//!   service's configuration on a request set sealed before the first pop:
+//!   no producer thread.
 //!
 //! # Graceful drain and exactly-once completion
 //!
@@ -63,10 +65,11 @@
 //!
 //! # Liveness contract for blocking handlers
 //!
-//! A handler returning [`TaskOutcome::Blocked`] re-inserts; the blocked
-//! task's dependency must itself reach the scheduler. Follow-up submits
-//! bypass the watermark precisely so handler-created dependencies cannot
-//! deadlock behind it. A producer-created dependency is safe when it comes
+//! A handler returning
+//! [`TaskOutcome::Blocked`](crate::framework::TaskOutcome::Blocked)
+//! re-inserts; the blocked task's dependency must itself reach the
+//! scheduler. Follow-up submits bypass the watermark precisely so
+//! handler-created dependencies cannot deadlock behind it. A producer-created dependency is safe when it comes
 //! from the same producer no later than its dependents (its runs reach the
 //! scheduler in push order). One that another producer pushes reaches the
 //! scheduler only when that producer's run is flushed — and a re-inserted
@@ -83,8 +86,7 @@ pub use crate::algorithms::sssp::SsspHandler;
 pub use handler::{AlgorithmHandler, ConnectivityHandler, RequestHandler, SubmitCtx};
 pub use ingest::{Ledger, Producer, PushError};
 
-use crate::framework::concurrent::{run_engine, EngineDriver};
-use crate::framework::TaskOutcome;
+use crate::framework::concurrent::run_engine;
 use crate::TaskId;
 use ingest::ServiceCore;
 use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
@@ -103,9 +105,9 @@ pub struct ServiceConfig {
     /// [`run_concurrent_batched`](crate::framework::run_concurrent_batched)
     /// for the batching-relaxation trade).
     pub batch_size: usize,
-    /// Ignored; removed by ROADMAP queue entry (vii).
+    /// Ignored; removed by ROADMAP item 1 (iii).
     pub ingest_queues: usize,
-    /// Ignored; removed by ROADMAP queue entry (vii).
+    /// Ignored; removed by ROADMAP item 1 (iii).
     pub queue_capacity: usize,
     /// Longest run a producer buffers before it inserts the run itself; it
     /// flushes sooner whenever the scheduler reads empty.
@@ -113,7 +115,7 @@ pub struct ServiceConfig {
     /// A flushing producer parks while any shard holds at least this many
     /// tasks; `usize::MAX` (the default) disables the watermark.
     pub shard_watermark: usize,
-    /// Ignored; removed by ROADMAP queue entry (vii).
+    /// Ignored; removed by ROADMAP item 1 (iii).
     pub pump_threads: usize,
 }
 
@@ -242,31 +244,6 @@ impl CapacityWaiters {
     }
 }
 
-/// The streaming [`EngineDriver`]: dispatch goes to the request handler
-/// (its submit capability wraps the worker's outgoing buffer), and runs
-/// that retire occupancy wake watermark-parked producers — `capacity` is
-/// `None` on a sealed run or with the watermark disabled, where no producer
-/// can park, so the runs skip `wake_all`'s fence.
-struct ServiceDriver<'a, H> {
-    handler: &'a H,
-    capacity: Option<&'a CapacityWaiters>,
-}
-
-impl<H: RequestHandler> EngineDriver for ServiceDriver<'_, H> {
-    fn dispatch(&self, priority: u64, task: TaskId, out: &mut Vec<(u64, TaskId)>) -> TaskOutcome {
-        self.handler.handle(priority, task, &mut SubmitCtx { out })
-    }
-
-    fn after_run(&self, net_drained: usize) {
-        match self.capacity {
-            Some(capacity) if net_drained > 0 => {
-                capacity.wake_all();
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Run length of [`run_sealed`]'s workers: a constant, because its one
 /// caller has one value. The sweep on `sssp_gnm`'s graph (G(n, m),
 /// n = 300 000, m = 1 500 000, `t` = 2 on 2 vCPUs, `MultiQueue::new(8)`;
@@ -289,8 +266,8 @@ const SEALED_RUN: usize = 32;
 
 /// Drains a closed request set on the worker engine: `requests` are
 /// accepted and inserted, the ledger is sealed, and `workers` engine
-/// workers run the [`run_service`] driver in runs of [`SEALED_RUN`] pops
-/// until every request and every follow-up it submitted is decided. The
+/// workers run `handler` as [`run_service`]'s do, in runs of [`SEALED_RUN`]
+/// pops, until every request and every follow-up it submitted is decided. The
 /// streaming pipeline with nothing upstream of the scheduler — what a
 /// task-spawning algorithm with a known seed set (e.g.
 /// [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp)) runs on.
@@ -311,8 +288,7 @@ where
     ledger.accept(requests.len());
     sched.insert_batch(requests);
     ledger.seal();
-    let driver = ServiceDriver { handler, capacity: None };
-    let totals = run_engine(&driver, &ledger, sched, workers, SEALED_RUN);
+    let totals = run_engine(handler, |_| false, None, &ledger, sched, workers, SEALED_RUN);
     assert!(
         ledger.decided() == ledger.accepted()
             && totals.processed + totals.obsolete == ledger.decided(),
@@ -358,9 +334,10 @@ where
             let producer = Producer::new(&core);
             scope.spawn(move || body(producer));
         }
-        let driver = ServiceDriver { handler, capacity: core.waiters() };
         let (workers, batch) = (config.workers, config.batch_size);
-        let engine = AssertUnwindSafe(|| run_engine(&driver, &core.ledger, sched, workers, batch));
+        let engine = AssertUnwindSafe(|| {
+            run_engine(handler, |_| false, core.waiters(), &core.ledger, sched, workers, batch)
+        });
         // Inside the scope: it joins the producers before returning, and a
         // producer parked on the watermark waits on workers that no longer
         // exist.
@@ -388,6 +365,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::TaskOutcome;
     use rsched_queues::concurrent::MultiQueue;
     use rsched_queues::sharded::ShardedScheduler;
     use rsched_sync::atomic::{AtomicU32, AtomicU64};
@@ -780,7 +758,7 @@ mod tests {
         }
     }
 
-    /// The real engine under the real driver, op by op: every worker's
+    /// The real engine under a request handler, op by op: every worker's
     /// sequence is (pop a run, handle each task, at most one `insert_batch`
     /// carrying exactly what the run submitted and blocked on), the ledger
     /// is ahead of the scheduler at every insert, and the books close on
@@ -805,8 +783,7 @@ mod tests {
             ledger.accept(1);
             q.insert_batch(&[(0, 0)]);
             ledger.seal();
-            let driver = ServiceDriver { handler: &handler, capacity: None };
-            let totals = run_engine(&driver, &ledger, &q, threads, batch);
+            let totals = run_engine(&handler, |_| false, None, &ledger, &q, threads, batch);
 
             let at = format!("threads={threads} batch={batch}");
             let blockers = (0..size).filter(|t| t.is_multiple_of(7)).count() as u64;

@@ -85,15 +85,6 @@ impl ConcurrentStats {
     pub fn extra_iterations(&self) -> u64 {
         self.total_pops.saturating_sub(self.tasks as u64)
     }
-
-    /// Tasks decided per second of wall-clock time.
-    pub fn throughput(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            0.0
-        } else {
-            self.tasks as f64 / self.elapsed.as_secs_f64()
-        }
-    }
 }
 
 impl fmt::Display for ConcurrentStats {
@@ -129,7 +120,6 @@ mod tests {
         assert_eq!(s.extra_iterations(), 0);
         assert!(!s.to_string().is_empty());
         let c = ConcurrentStats::default();
-        assert_eq!(c.throughput(), 0.0);
         assert!(!c.to_string().is_empty());
     }
 }

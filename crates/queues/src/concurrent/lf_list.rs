@@ -140,13 +140,7 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
     /// Callers must ensure key uniqueness (the MultiQueue wrapper assigns a
     /// global sequence number).
     pub fn insert(&self, priority: u64, seq: u64, item: T) {
-        self.insert_with(priority, seq, item, &self.guard());
-    }
-
-    /// [`HarrisList::insert`] under a caller-provided guard: the one-entry
-    /// [`HarrisList::insert_run_with`].
-    pub fn insert_with(&self, priority: u64, seq: u64, item: T, guard: &R::Guard<T>) {
-        self.insert_run_with([(priority, seq, item)], guard);
+        self.insert_run_with([(priority, seq, item)], &self.guard());
     }
 
     /// Inserts `(priority, seq, item)` entries with unique keys under one
@@ -214,14 +208,8 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
     /// Removes and returns the element with the smallest key, or `None` if
     /// the list was observed empty.
     pub fn pop_min(&self) -> Option<(u64, T)> {
-        self.pop_min_with(&self.guard())
-    }
-
-    /// [`HarrisList::pop_min`] under a caller-provided guard: the one-entry
-    /// [`HarrisList::pop_run_with`].
-    pub fn pop_min_with(&self, guard: &R::Guard<T>) -> Option<(u64, T)> {
         let mut got = None;
-        self.pop_run_with(1, |e| got = Some(e), guard);
+        self.pop_run_with(1, |e| got = Some(e), &self.guard());
         got
     }
 

@@ -196,8 +196,9 @@ pub trait SchedulerLoad {
 ///
 /// `pop` returning `None` means the scheduler was observed empty, which may
 /// be *transient* (another thread may be about to re-insert a task it is
-/// holding); executors use their own remaining-work counters for
-/// termination, as the paper's framework does.
+/// holding); executors therefore never end on emptiness, but on a ledger of
+/// the entries they inserted, each popped or purged to a terminal outcome
+/// (`rsched_core`'s engine).
 pub trait ConcurrentScheduler<T: Send>: Send + Sync {
     /// Inserts `item` with the given priority.
     fn insert(&self, priority: u64, item: T);

@@ -17,7 +17,7 @@
 //! cell (DESIGN.md "Locking semantics"). What is left is this module's own
 //! tests, the `lock_ops` bench group and the benchmark's
 //! `queues.lock.mcs_uncontended_ns` probe, which names `Lock<McsLock, u64>`;
-//! the module goes when that probe does (ROADMAP queue entry (viii)).
+//! the module goes when that probe does (ROADMAP item 1 (iv)).
 //!
 //! It is strict FIFO for blocking acquirers (the fairness half of the
 //! toolkit; `lock_props.rs` pins it), spins through
