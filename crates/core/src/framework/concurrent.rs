@@ -31,7 +31,7 @@ const FILL_CHUNK: usize = 1024;
 
 /// Loads every task into `sched` with its permutation label as priority,
 /// bulk-loading through [`ConcurrentScheduler::insert_batch`] in chunks of
-/// [`FILL_CHUNK`]: one entry per task, which is what [`run_concurrent`]
+/// `FILL_CHUNK` (1024): one entry per task, which is what [`run_concurrent`]
 /// requires.
 ///
 /// Schedulers with a bulk-load constructor (e.g.

@@ -67,5 +67,9 @@ pub mod theory;
 /// Dense task identifier: tasks are `0..n`.
 pub type TaskId = u32;
 
+// Every scheduler layer stores a task as one `Entry`: 16 bytes with the
+// `u32` tie-break (DESIGN.md "The run bucket").
+const _: () = assert!(std::mem::size_of::<rsched_queues::Entry<TaskId>>() == 16);
+
 /// Sentinel for "no task" in link arrays.
 pub const NIL: TaskId = u32::MAX;

@@ -2,7 +2,7 @@
 //!
 //! The paper's §4 implementation "uses lock-free lists to maintain the
 //! individual priority queues" of its MultiQueue; this is that building
-//! block. Keys are `(priority, seq)` pairs (unique by construction), nodes
+//! block. Keys are `(priority, seq)` pairs (not unique: see below), nodes
 //! are logically deleted by tagging their link word and physically unlinked
 //! later, a whole chain of marked nodes with one CAS (SNIPPETS.md's
 //! `find_harris`). A *run* is the unit of the list's traffic both ways:
@@ -21,6 +21,19 @@
 //! The list is rooted at a never-retired sentinel node, so every traversal
 //! step — including the head — is a uniform `(node, link word)` pair for
 //! the backend to validate.
+//!
+//! # Keys need not be unique
+//!
+//! `seq` is a `u32` that wraps (see [`crate::Entry`]), so two live nodes can
+//! share a key. Keys only place nodes; nothing finds a node by its key. An
+//! insert links its node before the first live node with a key at least
+//! its own, so a duplicate lands before its twin; a search resumes from a
+//! node only if that node's key is strictly below the one sought, so a
+//! twin of the finger's key searches from the sentinel. A pop marks nodes
+//! by position, and an unlink swings links and compares the finger by node
+//! identity. Each node is therefore linked once, marked once and unlinked
+//! once, whatever its key. Only the FIFO order of ties claimed on both
+//! sides of a wrap is lost.
 //!
 //! # The finger
 //!
@@ -93,19 +106,20 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
 
     /// Builds a list in a fresh domain of backend `R` from entries sorted
     /// by `(priority, seq)` without any CAS traffic — the bulk-load path
-    /// used to prefill schedulers.
+    /// used to prefill schedulers. A prefill claimed across the `seq` wrap
+    /// is sorted by priority only, which is all the list relies on.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the entries are not strictly sorted.
+    /// Panics in debug builds if the priorities are not ascending.
     pub fn from_sorted_in<I>(entries: I) -> Self
     where
-        I: IntoIterator<Item = (u64, u64, T)>,
+        I: IntoIterator<Item = (u64, u32, T)>,
     {
-        let items: Vec<(u64, u64, T)> = entries.into_iter().collect();
+        let items: Vec<(u64, u32, T)> = entries.into_iter().collect();
         debug_assert!(
-            items.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
-            "bulk-load entries must be strictly sorted"
+            items.windows(2).all(|w| w[0].0 <= w[1].0),
+            "bulk-load entries must be sorted by priority"
         );
         let dom = R::new_domain();
         let mut stash = R::stash(&dom, 1 + items.len());
@@ -135,23 +149,22 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
         R::flush(&self.dom, guard);
     }
 
-    /// Inserts `item` with the unique key `(priority, seq)`.
-    ///
-    /// Callers must ensure key uniqueness (the MultiQueue wrapper assigns a
-    /// global sequence number).
-    pub fn insert(&self, priority: u64, seq: u64, item: T) {
+    /// Inserts `item` with the key `(priority, seq)`, before any live entry
+    /// with an equal key (the MultiQueue wrapper's `seq` is a wrapping claim
+    /// counter, so a key repeats only 2³² claims later).
+    pub fn insert(&self, priority: u64, seq: u32, item: T) {
         self.insert_run_with([(priority, seq, item)], &self.guard());
     }
 
-    /// Inserts `(priority, seq, item)` entries with unique keys under one
-    /// guard. The first search starts at the finger, each later one at the
-    /// node the entry before linked: an ascending run above the last one
-    /// starts where that run ended, not at the head. An entry below its start,
-    /// or whose start a pop claimed, searches from the sentinel, so the run
+    /// Inserts `(priority, seq, item)` entries under one guard. The first
+    /// search starts at the finger, each later one at the node the entry
+    /// before linked: an ascending run above the last one starts where that
+    /// run ended, not at the head. An entry below or equal to its start, or
+    /// whose start a pop claimed, searches from the sentinel, so the run
     /// need not be sorted. Takes its nodes from the domain once per run.
     pub fn insert_run_with<I>(&self, run: I, guard: &R::Guard<T>)
     where
-        I: IntoIterator<Item = (u64, u64, T)>,
+        I: IntoIterator<Item = (u64, u32, T)>,
     {
         let run = run.into_iter();
         let mut stash = R::stash(&self.dom, run.size_hint().0);
@@ -233,7 +246,7 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
             return 0;
         }
         loop {
-            // Every key is ≥ (0, 0): `first` is the first live node, the
+            // Every key is ≥ (0, 0): `first` is the first live node, a
             // minimum, and `prev` the sentinel.
             let (prev, first) = self.find(self.head, (0, 0), guard);
             if R::is_null(first) {
@@ -325,7 +338,7 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
     /// this list linked — if its key is below `key` and its link word reads
     /// unmarked — and at the sentinel otherwise (`at` null included) and
     /// after any failed validation or CAS.
-    fn find(&self, at: R::Ptr<T>, key: (u64, u64), guard: &R::Guard<T>) -> (R::Ptr<T>, R::Ptr<T>) {
+    fn find(&self, at: R::Ptr<T>, key: (u64, u32), guard: &R::Guard<T>) -> (R::Ptr<T>, R::Ptr<T>) {
         let mut at = Some(at);
         'retry: loop {
             // A retry is a spin iteration: the model checker parks it.
@@ -508,9 +521,9 @@ mod tests {
             [(10_000..10_064u64).collect::<Vec<_>>(), (50..114u64).map(|p| 2 * p + 1).collect()];
         for (backlog, run) in backlogs.into_iter().zip(runs) {
             let list: HarrisList<u64, R> =
-                HarrisList::from_sorted_in(backlog.iter().map(|&p| (p, p, p)));
+                HarrisList::from_sorted_in(backlog.iter().map(|&p| (p, p as u32, p)));
             let before = VISITS.get();
-            list.insert_run_with(run.iter().map(|&p| (p, p, p)), &list.guard());
+            list.insert_run_with(run.iter().map(|&p| (p, p as u32, p)), &list.guard());
             let visits = VISITS.get() - before;
             assert!(visits <= L + 2 * 64, "{visits} node visits for one run over {L} entries");
             let mut all: Vec<u64> = backlog.into_iter().chain(run).collect();
@@ -531,13 +544,14 @@ mod tests {
     /// marked; under VBR its slot is recycled for the next entry, so the
     /// resume fails validation. Either way the run lands complete and sorted.
     fn run_survives_a_pop_of_its_resume_node_impl<R: Reclaim>() {
-        let list: HarrisList<u64, R> = HarrisList::from_sorted_in((1000..1010).map(|p| (p, p, p)));
+        let list: HarrisList<u64, R> =
+            HarrisList::from_sorted_in((1000..1010).map(|p| (p, p as u32, p)));
         let mut popped = Vec::new();
         let run = (0..64u64).map(|p| {
             if p == 32 {
                 popped.extend((0..32).map(|_| list.pop_min().unwrap().0));
             }
-            (p, p, p)
+            (p, p as u32, p)
         });
         list.insert_run_with(run, &list.guard());
         assert_eq!(popped, (0..32).collect::<Vec<_>>());
@@ -555,7 +569,8 @@ mod tests {
     /// find it and each popped node once to mark it, and issues 8 marks and
     /// one unlink: no walk and no CAS per popped entry beyond its mark.
     fn pop_run_is_one_walk_one_unlink_impl<R: Reclaim>() {
-        let list: HarrisList<u64, R> = HarrisList::from_sorted_in((0..256).map(|p| (p, p, p)));
+        let list: HarrisList<u64, R> =
+            HarrisList::from_sorted_in((0..256).map(|p| (p, p as u32, p)));
         let mut popped = Vec::new();
         for run in 0..32 {
             let (visits, cases) = (VISITS.get(), CASES.get());
@@ -583,8 +598,9 @@ mod tests {
     /// run's, recycled) starts from the sentinel and lands sorted.
     fn finger_survives_a_pop_of_its_node_impl<R: Reclaim>() {
         let null = R::to_word(R::null::<u64>());
-        let list: HarrisList<u64, R> = HarrisList::from_sorted_in((100..110).map(|p| (p, p, p)));
-        list.insert_run_with((0..32).map(|p| (p, p, p)), &list.guard());
+        let list: HarrisList<u64, R> =
+            HarrisList::from_sorted_in((100..110).map(|p| (p, p as u32, p)));
+        list.insert_run_with((0..32).map(|p| (p, p as u32, p)), &list.guard());
         assert_ne!(finger(&list), null, "a run leaves the finger on its last node");
         let mut popped = Vec::new();
         assert_eq!(list.pop_run_with(32, |(p, _)| popped.push(p), &list.guard()), 32);
@@ -594,7 +610,7 @@ mod tests {
             list.flush_guard(&list.guard());
             std::thread::yield_now();
         }
-        list.insert_run_with((32..64).map(|p| (p, p, p)), &list.guard());
+        list.insert_run_with((32..64).map(|p| (p, p as u32, p)), &list.guard());
         let order: Vec<u64> = std::iter::from_fn(|| list.pop_min().map(|(p, _)| p)).collect();
         assert_eq!(order, (32..64).chain(100..110).collect::<Vec<_>>());
     }
@@ -608,7 +624,7 @@ mod tests {
     fn sequential_sorted_pops_impl<R: Reclaim>() {
         let list: HarrisList<u64, R> = HarrisList::new_in();
         for (i, p) in [5u64, 2, 9, 1, 7].into_iter().enumerate() {
-            list.insert(p, i as u64, p);
+            list.insert(p, i as u32, p);
         }
         let order: Vec<u64> = std::iter::from_fn(|| list.pop_min().map(|(p, _)| p)).collect();
         assert_eq!(order, vec![1, 2, 5, 7, 9]);
@@ -680,7 +696,7 @@ mod tests {
                 let list = &list;
                 s.spawn(move || {
                     for i in 0..3_000u64 {
-                        list.insert(t * 1_000_000 + i, t * 1_000_000 + i, ());
+                        list.insert(t * 1_000_000 + i, (t * 1_000_000 + i) as u32, ());
                     }
                 });
             }
@@ -761,7 +777,7 @@ mod tests {
         let list: HarrisList<u64, Vbr> = HarrisList::new_in();
         for round in 0..200u64 {
             for i in 0..16u64 {
-                list.insert(i, round * 16 + i, i);
+                list.insert(i, (round * 16 + i) as u32, i);
             }
             for _ in 0..16 {
                 assert!(list.pop_min().is_some());
@@ -777,7 +793,10 @@ mod tests {
     fn ebr_recycles_nodes_across_pop_insert_cycles() {
         let list: HarrisList<u64, Ebr> = HarrisList::new_in();
         for round in 0..200u64 {
-            list.insert_run_with((0..16u64).map(|i| (i, round * 16 + i, i)), &list.guard());
+            list.insert_run_with(
+                (0..16u64).map(|i| (i, (round * 16 + i) as u32, i)),
+                &list.guard(),
+            );
             assert_eq!(list.pop_run_with(16, drop, &list.guard()), 16);
             for _ in 0..100_000 {
                 if list.dom.pool_stats().1 >= 16 {

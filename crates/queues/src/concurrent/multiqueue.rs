@@ -10,7 +10,7 @@ use crate::rng;
 use crate::{ConcurrentScheduler, Entry, SchedulerLoad, BATCH_SCATTER_RUN};
 use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
-use rsched_sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use rsched_sync::atomic::{AtomicIsize, AtomicU32, Ordering};
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
@@ -79,7 +79,9 @@ pub trait Bucket<T>: Send + Sync + Sized {
 /// "Hot-path contention").
 pub struct MultiQueueCore<T, B> {
     buckets: Box<[CachePadded<B>]>,
-    seq: CachePadded<AtomicU64>,
+    /// The claim counter every entry's `seq` is taken from; it wraps
+    /// (`Entry` has the rule).
+    seq: CachePadded<AtomicU32>,
     _elem: PhantomData<fn() -> T>,
 }
 
@@ -91,10 +93,11 @@ const PARALLEL_SORT_MIN: u64 = 1 << 14;
 /// L1, and a 20-bit span (`mis_sparse`'s million labels) takes two passes.
 const RADIX_BITS: u32 = 11;
 
-/// Sorts `run`, which is in `seq` order, into `(priority, seq)` order: a
-/// stable LSD radix sort on `priority − min` over the bits in which the
-/// run's priorities differ, so equal priorities keep their `seq` order and
-/// the result is the one a comparison sort of the keys gives. One read
+/// Sorts `run`, which is in claim order, by priority: a stable LSD radix
+/// sort on `priority − min` over the bits in which the run's priorities
+/// differ, so equal priorities keep their claim order, and the result is
+/// the one a comparison sort of the `(priority, seq)` keys gives for any
+/// run claimed within 2³² (a wrapped one stays sorted by priority). One read
 /// finds the span, one counts every digit, and each digit that varies is
 /// one scatter through `scratch`, which the caller may reuse across runs.
 fn radix_sort<T>(run: &mut Vec<Entry<T>>, scratch: &mut Vec<Entry<T>>) {
@@ -179,16 +182,17 @@ impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
         let per_run = entries.size_hint().0 / num_queues;
         let mut runs: Vec<Vec<Entry<T>>> =
             (0..num_queues).map(|_| Vec::with_capacity(per_run + per_run / 16)).collect();
-        let mut seq = 0u64;
+        let mut claimed = 0u64;
         for (priority, item) in entries {
-            runs[rng::next_index(num_queues)].push(Entry::new(priority, seq, item));
-            seq += 1;
+            // The tie-break is the claim modulo 2³² (`Entry`).
+            runs[rng::next_index(num_queues)].push(Entry::new(priority, claimed as u32, item));
+            claimed += 1;
         }
         let sort = |runs: &mut [Vec<Entry<T>>]| {
             let mut scratch = Vec::new();
             runs.iter_mut().for_each(|r| radix_sort(r, &mut scratch));
         };
-        if sort_threads > 1 && seq >= PARALLEL_SORT_MIN {
+        if sort_threads > 1 && claimed >= PARALLEL_SORT_MIN {
             std::thread::scope(|s| {
                 for chunk in runs.chunks_mut(num_queues.div_ceil(sort_threads)) {
                     s.spawn(move || sort(chunk));
@@ -199,7 +203,7 @@ impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
         }
         MultiQueueCore {
             buckets: runs.into_iter().map(|run| CachePadded::new(B::from_sorted(run))).collect(),
-            seq: CachePadded::new(AtomicU64::new(seq)),
+            seq: CachePadded::new(AtomicU32::new(claimed as u32)),
             _elem: PhantomData,
         }
     }
@@ -310,6 +314,13 @@ impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
         let pushed = bucket.push_run(&mut open, run);
         bucket.close(open, pushed);
     }
+
+    /// Moves the claim counter to `seq`: a test hook that runs the queue
+    /// across the counter's wrap without 2³² claims first.
+    #[cfg(test)]
+    pub(crate) fn claim_from(&self, seq: u32) {
+        self.seq.store(seq, Ordering::Relaxed);
+    }
 }
 
 impl<T: Send, B: Bucket<T>> ConcurrentScheduler<T> for MultiQueueCore<T, B> {
@@ -322,14 +333,15 @@ impl<T: Send, B: Bucket<T>> ConcurrentScheduler<T> for MultiQueueCore<T, B> {
     where
         T: Clone,
     {
-        // One sequence-number claim per batch; each run of up to
-        // BATCH_SCATTER_RUN entries goes to one bucket under one opening, so
-        // small batches synchronize once and no bucket swallows a bulk load.
-        let mut seq = self.seq.fetch_add(entries.len() as u64, Ordering::Relaxed);
+        // One sequence-number claim per batch, wrapping like every claim;
+        // each run of up to BATCH_SCATTER_RUN entries goes to one bucket
+        // under one opening, so small batches synchronize once and no bucket
+        // swallows a bulk load.
+        let mut seq = self.seq.fetch_add(entries.len() as u32, Ordering::Relaxed);
         for chunk in entries.chunks(BATCH_SCATTER_RUN) {
             self.push_run(chunk.iter().map(|(priority, item)| {
-                seq += 1;
-                Entry::new(*priority, seq - 1, item.clone())
+                seq = seq.wrapping_add(1);
+                Entry::new(*priority, seq.wrapping_sub(1), item.clone())
             }));
         }
     }
@@ -387,12 +399,12 @@ impl<T: Send, B: Bucket<T>> fmt::Debug for MultiQueueCore<T, B> {
     }
 }
 
-/// The lock-based bucket: a [`LockedQueue`] behind a `parking_lot::Mutex`
-/// and, on the same padded line, its length. Only the lock's holder
-/// updates the count, before it releases: counting costs the hot path no
-/// line it does not already own, and an entry is never poppable before it
-/// is counted. Which mutex guards the queue is a constant, not a parameter
-/// (DESIGN.md "Locking semantics").
+/// The lock-based bucket: a `LockedQueue` (the run bucket) behind a
+/// `parking_lot::Mutex` and, on the same padded line, its length. Only the
+/// lock's holder updates the count, before it releases: counting costs the
+/// hot path no line it does not already own, and an entry is never
+/// poppable before it is counted. Which mutex guards the queue is a
+/// constant, not a parameter (DESIGN.md "Locking semantics").
 #[derive(Debug)]
 pub struct Locked<T> {
     lock: Mutex<LockedQueue<T>>,
@@ -461,7 +473,7 @@ impl<T: Send> Bucket<T> for Locked<T> {
 }
 
 /// Entries the insert buffer of a [`LockedQueue`] holds before a flush
-/// sorts them into a run: 1024 `Entry<u32>` are 24 KiB, so the buffers of
+/// sorts them into a run: 1024 `Entry<u32>` are 16 KiB, so the buffers of
 /// a paper-sized queue stay in cache (DESIGN.md "The run bucket"). A
 /// constant, not a parameter.
 const BUF: usize = 1024;
@@ -489,9 +501,16 @@ const NIL: u32 = u32::MAX;
 /// a bucket of `n` entries holds `O(log(n / BUF))` runs. A pop takes the
 /// smallest of the three heads by `(priority, seq)`, so from a run it reads
 /// the next entry of a sequential block instead of sifting a large heap
-/// out of cache (DESIGN.md "The run bucket"). Keys are unique, so a pop is
-/// the one exact minimum and one bucket pops the order one heap would.
-/// Public (fields private) only because [`Locked`]'s opening names it.
+/// out of cache (DESIGN.md "The run bucket").
+///
+/// Keys need not be unique: `seq` wraps (see [`Entry`]), so two entries
+/// claimed 2³² apart can tie. Nothing here finds an entry by its key. A pop
+/// moves the entry out of the one place holding it (the prefill, a buffer
+/// slot, a run's block) and a flush or a merge moves each entry once, so
+/// every entry leaves exactly once whatever the order of ties; a pop of
+/// tied minima returns one of them. Within 2³² claims keys are unique, and
+/// one bucket pops the order one heap would. Public (fields private) only
+/// because [`Locked`]'s opening names it.
 pub struct LockedQueue<T> {
     /// The prefilled entries still queued, ascending.
     prefill: std::vec::IntoIter<Entry<T>>,
@@ -519,17 +538,26 @@ struct Block<T> {
 
 /// A run in the tail heap: the key of its smallest entry, cached so that
 /// sifting never reads the slab, the block holding it, and how many of
-/// that block's entries are live.
+/// that block's entries are live. The key is two fields, not a tuple, so
+/// that `seq` shares a word with `block`: 24 bytes, not 32.
 #[derive(Clone, Copy)]
 struct Tail {
-    key: (u64, u64),
+    priority: u64,
+    seq: u32,
     block: u32,
     len: u32,
     /// Blocks of the chain after `block`, all full.
     rest: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Tail>() == 24);
+
 impl Tail {
+    /// Caches `key` as the run's smallest.
+    fn set_key(&mut self, (priority, seq): (u64, u32)) {
+        (self.priority, self.seq) = (priority, seq);
+    }
+
     /// Entries in the run.
     fn size(&self) -> usize {
         self.len as usize + self.rest as usize * BLOCK
@@ -559,7 +587,7 @@ impl<T> LockedQueue<T> {
 
     /// Where the minimum is, and its key.
     #[inline]
-    fn head(&self) -> Option<(Head, (u64, u64))> {
+    fn head(&self) -> Option<(Head, (u64, u32))> {
         let mut head = self.prefill.as_slice().first().map(|e| (Head::Prefill, e.key()));
         if let Some(e) = self.buf.peek() {
             if head.is_none_or(|(_, min)| e.key() < min) {
@@ -567,8 +595,8 @@ impl<T> LockedQueue<T> {
             }
         }
         if let Some(t) = self.tails.peek() {
-            if head.is_none_or(|(_, min)| t.key < min) {
-                head = Some((Head::Run, t.key));
+            if head.is_none_or(|(_, min)| t.key() < min) {
+                head = Some((Head::Run, t.key()));
             }
         }
         head
@@ -621,7 +649,7 @@ impl<T> LockedQueue<T> {
         let next = unsafe {
             self.slab[tail.block as usize].entries[tail.len as usize - 1].assume_init_ref()
         };
-        tail.key = next.key();
+        tail.set_key(next.key());
         self.tails.sift_down(0);
         min
     }
@@ -660,7 +688,7 @@ impl<T> LockedQueue<T> {
             let from = match (a.len, b.len) {
                 (0, _) => &mut b,
                 (_, 0) => &mut a,
-                _ if b.key < a.key => &mut b,
+                _ if b.key() < a.key() => &mut b,
                 _ => &mut a,
             };
             from.len -= 1;
@@ -687,7 +715,7 @@ impl<T> LockedQueue<T> {
                 let next = unsafe {
                     self.slab[from.block as usize].entries[from.len as usize - 1].assume_init_ref()
                 };
-                from.key = next.key();
+                from.set_key(next.key());
             }
             self.slab[out as usize].entries[at].write(e);
         }
@@ -696,7 +724,8 @@ impl<T> LockedQueue<T> {
         // the smallest last.
         let min = unsafe { self.slab[head as usize].entries[head_len - 1].assume_init_ref() };
         let rest = ((size - head_len) / BLOCK) as u32;
-        Tail { key: min.key(), block: head, len: head_len as u32, rest }
+        let (priority, seq) = min.key();
+        Tail { priority, seq, block: head, len: head_len as u32, rest }
     }
 
     /// Sorts the full buffer into a new run — descending, cut into blocks
@@ -704,7 +733,7 @@ impl<T> LockedQueue<T> {
     /// and merges it with the runs no larger than it.
     fn flush(&mut self) {
         self.buf.entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-        let key = self.buf.entries[BUF - 1].key();
+        let (priority, seq) = self.buf.entries[BUF - 1].key();
         let mut chain = NIL;
         for chunk in 0..BUF / BLOCK {
             let at = self.take_block();
@@ -727,7 +756,7 @@ impl<T> LockedQueue<T> {
         // SAFETY: every entry of the buffer was moved into the slab above.
         unsafe { self.buf.entries.set_len(0) };
         let rest = (BUF / BLOCK - 1) as u32;
-        let mut run = Tail { key, block: chain, len: BLOCK as u32, rest };
+        let mut run = Tail { priority, seq, block: chain, len: BLOCK as u32, rest };
         // Merged with every run no larger, smallest first: the sizes of the
         // runs held then at least double from one to the next, and an entry
         // is merged about once per doubling of the bucket.
@@ -786,20 +815,20 @@ const HEAP_ARITY: usize = 8;
 
 /// What a [`Heap`] orders by: an entry's `(priority, seq)`.
 trait Keyed {
-    fn key(&self) -> (u64, u64);
+    fn key(&self) -> (u64, u32);
 }
 
 impl<T> Keyed for Entry<T> {
     #[inline]
-    fn key(&self) -> (u64, u64) {
+    fn key(&self) -> (u64, u32) {
         Entry::key(self)
     }
 }
 
 impl Keyed for Tail {
     #[inline]
-    fn key(&self) -> (u64, u64) {
-        self.key
+    fn key(&self) -> (u64, u32) {
+        (self.priority, self.seq)
     }
 }
 
@@ -953,7 +982,7 @@ mod tests {
     //! behind one bucket.
 
     use super::*;
-    use crate::concurrent::LockFreeMultiQueue;
+    use crate::concurrent::{HarrisList, LockFreeMultiQueue};
     use crate::reclaim::{Ebr, Vbr};
     use proptest::prelude::*;
     use std::cell::Cell;
@@ -962,32 +991,60 @@ mod tests {
     /// with many ties drains in `(priority, insertion)` order, by `pop` and
     /// by `pop_batch(.., 32)`, across the two flushes of its 3 000 inserts.
     /// The benchmark's `exact_s` rows of `sssp_gnm` and `service_conn` run
-    /// on `MultiQueue::new(1)`.
+    /// on `MultiQueue::new(1)`. With the claim counter started 100 short of
+    /// its wrap, the batch's one claim straddles it, and the drain is in
+    /// `(priority, wrapped seq)` order: ties claimed after the wrap first.
     #[test]
     fn one_heap_drains_in_exact_order() {
         let entries: Vec<(u64, u64)> = (0..3_000u64).map(|i| (i * 7919 % 3_001 / 16, i)).collect();
-        let mut want = entries.clone();
-        want.sort_unstable();
-        for batched in [false, true] {
-            let q = MultiQueue::new(1);
-            // Both seq claims: one per insert, one range per insert_batch.
-            let (singles, batch) = entries.split_at(1_000);
-            singles.iter().for_each(|&(p, i)| q.insert(p, i));
-            q.insert_batch(batch);
-            let mut got = Vec::new();
-            if batched {
-                while q.pop_batch(&mut got, 32) > 0 {}
-            } else {
-                got.extend(std::iter::from_fn(|| q.pop()));
+        for (start, key_of) in [(0, claim_key as KeyOf), (NEAR_WRAP, wrap_key)] {
+            let mut want = entries.clone();
+            want.sort_unstable_by_key(|&(p, i)| key_of(p, i));
+            for batched in [false, true] {
+                let q = MultiQueue::new(1);
+                q.claim_from(start);
+                // Both seq claims: one per insert, one range per insert_batch.
+                let (singles, batch) = entries.split_at(50);
+                singles.iter().for_each(|&(p, i)| q.insert(p, i));
+                q.insert_batch(batch);
+                let mut got = Vec::new();
+                if batched {
+                    while q.pop_batch(&mut got, 32) > 0 {}
+                } else {
+                    got.extend(std::iter::from_fn(|| q.pop()));
+                }
+                assert_eq!(got, want, "start: {start}, batched: {batched}");
             }
-            assert_eq!(got, want, "batched: {batched}");
         }
+    }
+
+    /// The `n`-th key of a queue model, from a priority.
+    type KeyOf = fn(u64, u64) -> (u64, u32);
+
+    /// Keys in claim order from 0, as a fresh queue hands them out.
+    fn claim_key(priority: u64, n: u64) -> (u64, u32) {
+        (priority, n as u32)
     }
 
     /// A key generator for the queue model: small priorities so that most
     /// entries tie and `seq`, unique but not monotone, decides.
-    fn tie_key(priority: u64, n: u64) -> (u64, u64) {
-        (priority, n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    fn tie_key(priority: u64, n: u64) -> (u64, u32) {
+        (priority, (n as u32).wrapping_mul(0x9E37_79B9))
+    }
+
+    /// The claim counter 100 claims short of its wrap.
+    const NEAR_WRAP: u32 = u32::MAX - 99;
+
+    /// Keys as a claim counter started at [`NEAR_WRAP`] hands them out: the
+    /// 101st claim is 0, so later entries sort before earlier ties.
+    fn wrap_key(priority: u64, n: u64) -> (u64, u32) {
+        (priority, NEAR_WRAP.wrapping_add(n as u32))
+    }
+
+    /// Keys as if that counter wrapped every 150 claims: many live entries
+    /// share one `(priority, seq)`.
+    fn twin_key(priority: u64, n: u64) -> (u64, u32) {
+        (priority, NEAR_WRAP.wrapping_add((n % 150) as u32))
     }
 
     thread_local! {
@@ -999,10 +1056,10 @@ mod tests {
     /// in [`LIVE`] from creation to drop, so a slab slot read twice or
     /// leaked shows in the count.
     #[derive(Debug, PartialEq)]
-    struct Tracked(u64);
+    struct Tracked(u32);
 
     impl Tracked {
-        fn new(seq: u64) -> Self {
+        fn new(seq: u32) -> Self {
             LIVE.with(|live| live.set(live.get() + 1));
             Tracked(seq)
         }
@@ -1015,18 +1072,21 @@ mod tests {
     }
 
     /// A locked bucket's queue beside a sorted `Vec` of the keys it holds.
+    /// Tied keys carry equal payloads, so the model need not say which of
+    /// two twins a pop returns.
     struct Model {
         q: LockedQueue<Tracked>,
-        keys: Vec<(u64, u64)>,
+        keys: Vec<(u64, u32)>,
+        key_of: KeyOf,
         pushed: u64,
     }
 
     impl Model {
-        /// A queue holding `initial`, as its sorted prefill if `prefilled`,
-        /// else pushed.
-        fn new(initial: &[u64], prefilled: bool) -> Self {
-            let mut keys: Vec<(u64, u64)> =
-                initial.iter().enumerate().map(|(n, &p)| tie_key(p, n as u64)).collect();
+        /// A queue holding `initial`, keyed by `key_of`, as its sorted
+        /// prefill if `prefilled`, else pushed.
+        fn new(key_of: KeyOf, initial: &[u64], prefilled: bool) -> Self {
+            let mut keys: Vec<(u64, u32)> =
+                initial.iter().enumerate().map(|(n, &p)| key_of(p, n as u64)).collect();
             keys.sort_unstable();
             let entries = keys.iter().map(|&(p, s)| Entry::new(p, s, Tracked::new(s)));
             let q = if prefilled {
@@ -1036,14 +1096,14 @@ mod tests {
                 entries.for_each(|e| q.push(e));
                 q
             };
-            Model { q, keys, pushed: initial.len() as u64 }
+            Model { q, keys, key_of, pushed: initial.len() as u64 }
         }
 
         /// Applies `op` to both: `0` pushes `priority`, `1` pops, `2` peeks.
         fn apply(&mut self, op: u8, priority: u64) -> TestCaseResult {
             match op {
                 0 => {
-                    let (p, s) = tie_key(priority, self.pushed);
+                    let (p, s) = (self.key_of)(priority, self.pushed);
                     self.pushed += 1;
                     self.q.push(Entry::new(p, s, Tracked::new(s)));
                     let at = self.keys.partition_point(|&k| k < (p, s));
@@ -1074,12 +1134,18 @@ mod tests {
         }
     }
 
-    /// Replays `ops` on a queue holding `initial` both ways, then pops down
-    /// to `keep` entries and drops it; every payload is dropped once.
-    fn queue_model(initial: &[u64], ops: &[(u8, u64)], keep: usize) -> TestCaseResult {
+    /// Replays `ops` on a queue holding `initial` both ways, keys made by
+    /// `key_of`, then pops down to `keep` entries and drops it; every
+    /// payload is dropped once.
+    fn queue_model(
+        key_of: KeyOf,
+        initial: &[u64],
+        ops: &[(u8, u64)],
+        keep: usize,
+    ) -> TestCaseResult {
         for prefilled in [false, true] {
             let before = LIVE.with(Cell::get);
-            let mut model = Model::new(initial, prefilled);
+            let mut model = Model::new(key_of, initial, prefilled);
             for &(op, priority) in ops {
                 model.apply(op, priority)?;
             }
@@ -1106,13 +1172,17 @@ mod tests {
 
         /// A locked bucket pops exactly what a sorted `Vec` pops, ties
         /// broken by `seq`: its buffer alone, and its prefill with the
-        /// buffer taking every later push.
+        /// buffer taking every later push. Each with unique keys, with keys
+        /// claimed across the counter's wrap, and with repeating keys, so
+        /// that twins are live at once.
         #[test]
         fn heap_matches_sorted_model(
             initial in collection::vec(0u64..6, 0..40),
             ops in collection::vec((0u8..3, 0u64..6), 0..300),
         ) {
-            queue_model(&initial, &ops, 0)?;
+            for key_of in [tie_key as KeyOf, wrap_key, twin_key] {
+                queue_model(key_of, &initial, &ops, 0)?;
+            }
         }
     }
 
@@ -1123,14 +1193,17 @@ mod tests {
         /// three to six times, so runs merge, and runs are popped across
         /// block boundaries while later ones are flushed and merged into
         /// recycled blocks; then the queue is dropped holding `keep`
-        /// entries in its runs, buffer and prefill.
+        /// entries in its runs, buffer and prefill. The same three key
+        /// kinds: twins are sorted, merged and popped together.
         #[test]
         fn runs_match_sorted_model(
             initial in collection::vec(0u64..6, 0..40),
             ops in long_ops(),
             keep in 0usize..1_500,
         ) {
-            queue_model(&initial, &ops, keep)?;
+            for key_of in [tie_key as KeyOf, wrap_key, twin_key] {
+                queue_model(key_of, &initial, &ops, keep)?;
+            }
         }
     }
 
@@ -1158,7 +1231,7 @@ mod tests {
     #[test]
     fn runs_cross_flushes_and_recycle_blocks() {
         let base = LIVE.with(Cell::get);
-        let mut m = Model::new(&[], false);
+        let mut m = Model::new(tie_key, &[], false);
         let mut steps = 0;
         let mut step = |m: &mut Model, op: u8| {
             m.apply(op, m.pushed / 64).unwrap();
@@ -1268,7 +1341,7 @@ mod tests {
         ) {
             let entries: Vec<(u64, u64)> = priorities.into_iter().zip(0..).collect();
             let mut run: Vec<Entry<u64>> =
-                entries.iter().map(|&(p, i)| Entry::new(p, i, i)).collect();
+                entries.iter().map(|&(p, i)| Entry::new(p, i as u32, i)).collect();
             let mut want = run.clone();
             want.sort_unstable();
             radix_sort(&mut run, &mut Vec::new());
@@ -1299,6 +1372,91 @@ mod tests {
             all.sort_unstable();
             assert_eq!(all, want, "threads={threads}");
         }
+    }
+
+    /// Live twins: two batches of 200 claimed from the same counter value
+    /// 100 short of the wrap, so every entry of the second shares its
+    /// `(priority, seq)` with one of the first, then ten inserts that
+    /// repeat some of those keys a third time. One bucket pops each entry
+    /// exactly once, in `(priority, seq)` order with twins side by side.
+    fn twins_pop_once<B: Bucket<u64>>(q: MultiQueueCore<u64, B>) {
+        let batch: Vec<(u64, u64)> = (0..200).map(|i| (i % 4, i)).collect();
+        q.claim_from(NEAR_WRAP);
+        q.insert_batch(&batch);
+        q.claim_from(NEAR_WRAP);
+        q.insert_batch(&batch.iter().map(|&(p, i)| (p, i + 200)).collect::<Vec<_>>());
+        q.claim_from(NEAR_WRAP.wrapping_add(150));
+        (150..160).for_each(|i| q.insert(i % 4, i + 400));
+        // Entry `i` was the `n`-th claim from `NEAR_WRAP`.
+        let key = |i: u64| wrap_key(i % 4, if i < 400 { i % 200 } else { i - 400 });
+        let mut got = Vec::new();
+        while q.pop_batch(&mut got, 7) > 0 {}
+        let keys: Vec<(u64, u32)> = got.iter().map(|&(_, i)| key(i)).collect();
+        assert!(keys.is_sorted(), "popped out of key order: {keys:?}");
+        let mut ids: Vec<u64> = got.into_iter().map(|(_, i)| i).collect();
+        ids.sort_unstable();
+        let want: Vec<u64> = (0..400).chain(550..560).collect();
+        assert_eq!(ids, want, "an entry lost or popped twice");
+    }
+
+    #[test]
+    fn live_twins_pop_exactly_once() {
+        twins_pop_once(MultiQueue::new(1));
+        twins_pop_once(LockFreeMultiQueue::<u64, Ebr>::new_in(1));
+        twins_pop_once(LockFreeMultiQueue::<u64, Vbr>::new_in(1));
+        // The list itself: twins bulk-loaded and inserted, run and single.
+        fn list_twins<R: crate::reclaim::Reclaim>() {
+            let list: HarrisList<u64, R> = HarrisList::from_sorted_in([(1, 5, 0), (1, 5, 1)]);
+            list.insert(1, 5, 2);
+            list.insert_run_with([(0, 5, 3), (1, 5, 4), (1, 5, 5)], &list.guard());
+            let mut got = Vec::new();
+            while list.pop_run_with(2, |(p, i)| got.push((p, i)), &list.guard()) > 0 {}
+            assert_eq!(got[0], (0, 3));
+            got.sort_unstable();
+            assert_eq!(got, [(0, 3), (1, 0), (1, 1), (1, 2), (1, 4), (1, 5)]);
+        }
+        list_twins::<Ebr>();
+        list_twins::<Vbr>();
+    }
+
+    /// Three threads churn one queue of four buckets with tie-heavy
+    /// batches while one of them keeps winding the claim counter back to
+    /// 100 short of the wrap, so twins are inserted and popped in races:
+    /// every entry comes out exactly once.
+    fn churn_across_the_wrap<B: Bucket<u64>>(q: MultiQueueCore<u64, B>) {
+        const ROUNDS: u64 = 2_000;
+        let popped = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for t in 0..3u64 {
+                let (q, popped) = (&q, &popped);
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    for r in 0..ROUNDS {
+                        if t == 0 && r % 64 == 0 {
+                            q.claim_from(NEAR_WRAP);
+                        }
+                        let batch: Vec<(u64, u64)> =
+                            (0..4).map(|j| (r % 8, (t * ROUNDS + r) * 4 + j)).collect();
+                        q.insert_batch(&batch);
+                        q.pop_batch(&mut out, 3);
+                    }
+                    popped.lock().extend(out);
+                });
+            }
+        });
+        let mut got = popped.into_inner();
+        while q.pop_batch(&mut got, 64) > 0 {}
+        let mut ids: Vec<u64> = got.into_iter().map(|(_, i)| i).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..3 * ROUNDS * 4).collect::<Vec<_>>(), "lost or duplicated");
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn churn_across_the_wrap_delivers_once() {
+        churn_across_the_wrap(MultiQueue::new(4));
+        churn_across_the_wrap(LockFreeMultiQueue::<u64, Ebr>::new_in(4));
+        churn_across_the_wrap(LockFreeMultiQueue::<u64, Vbr>::new_in(4));
     }
 
     #[test]

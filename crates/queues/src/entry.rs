@@ -8,25 +8,33 @@ use std::cmp::Ordering;
 /// insertion order, which keeps exact schedulers deterministic even when
 /// priorities collide (as they can in SSSP). The payload never participates
 /// in comparisons, so `T` needs no `Ord` bound.
+///
+/// `seq` is the scheduler's claim counter taken modulo 2³², so an
+/// `Entry<u32>` is 16 bytes. Ties are FIFO only among entries claimed
+/// between two wraps of the counter: one claimed after a wrap sorts before
+/// an earlier one of equal priority, and one claimed 2³² later has an equal
+/// key. No scheduler needs keys to be unique — each hands out the entry it
+/// removes, never one it finds by key (DESIGN.md "The run bucket" has the
+/// argument per layer).
 #[derive(Debug, Clone, Copy)]
 pub struct Entry<T> {
     /// Scheduler priority; smaller is served first.
     pub priority: u64,
-    /// Insertion sequence number used as a tie-break.
-    pub seq: u64,
+    /// Insertion sequence number, wrapping, used as a tie-break.
+    pub seq: u32,
     /// The scheduled payload.
     pub item: T,
 }
 
 impl<T> Entry<T> {
     /// Creates an entry.
-    pub fn new(priority: u64, seq: u64, item: T) -> Self {
+    pub fn new(priority: u64, seq: u32, item: T) -> Self {
         Entry { priority, seq, item }
     }
 
     /// The comparison key.
     #[inline]
-    pub fn key(&self) -> (u64, u64) {
+    pub fn key(&self) -> (u64, u32) {
         (self.priority, self.seq)
     }
 }

@@ -25,7 +25,8 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Default)]
 pub struct BinaryHeapScheduler<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
-    seq: u64,
+    /// The next tie-break, wrapping (`Entry` has the rule).
+    seq: u32,
 }
 
 impl<T> BinaryHeapScheduler<T> {
@@ -48,7 +49,7 @@ impl<T> BinaryHeapScheduler<T> {
 impl<T> PriorityScheduler<T> for BinaryHeapScheduler<T> {
     fn insert(&mut self, priority: u64, item: T) {
         let seq = self.seq;
-        self.seq += 1;
+        self.seq = seq.wrapping_add(1);
         self.heap.push(Reverse(Entry::new(priority, seq, item)));
     }
 

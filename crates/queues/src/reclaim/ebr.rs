@@ -29,9 +29,12 @@ use std::sync::{Arc, PoisonError};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Ebr;
 
-/// A list node, in one of its pool's blocks.
+/// A list node, in one of its pool's blocks. The key is two fields, not a
+/// tuple, so that `seq` and a 4-byte payload share a word: an
+/// `EbrNode<u32>` is 24 bytes.
 struct EbrNode<T> {
-    key: (u64, u64),
+    priority: u64,
+    seq: u32,
     /// Claimed (`ptr::read`) by the thread that wins the marking CAS;
     /// dropped by `dealloc_exclusive` only for nodes never popped.
     item: MaybeUninit<T>,
@@ -40,6 +43,10 @@ struct EbrNode<T> {
     /// the free chain's link.
     next: AtomicUsize,
 }
+
+// The model checker's atomics are larger than the hardware's.
+#[cfg(not(rsched_model))]
+const _: () = assert!(std::mem::size_of::<EbrNode<u32>>() == 24);
 
 /// Bytes of a block the pool carves fresh nodes from: above the largest
 /// size an allocator keeps on its heap (glibc's mmap threshold never rises
@@ -355,7 +362,7 @@ unsafe impl Reclaim for Ebr {
     fn alloc<T: Send>(
         dom: &EbrDomain<T>,
         stash: &mut EbrStash<T>,
-        key: (u64, u64),
+        (priority, seq): (u64, u32),
         item: Option<T>,
     ) -> EbrPtr<T> {
         let node = loop {
@@ -374,7 +381,8 @@ unsafe impl Reclaim for Ebr {
         // initialized when its block was carved. A recycled node's old
         // payload was moved out by its popper, so overwriting drops nothing.
         unsafe {
-            ptr::addr_of_mut!((*node).key).write(key);
+            ptr::addr_of_mut!((*node).priority).write(priority);
+            ptr::addr_of_mut!((*node).seq).write(seq);
             ptr::addr_of_mut!((*node).item).write(item);
             (*node).next.store(0, Relaxed);
         }
@@ -402,10 +410,11 @@ unsafe impl Reclaim for Ebr {
         unsafe { node.node() }.next.store(next.0, Relaxed);
     }
 
-    fn key<T: Send>(_dom: &EbrDomain<T>, node: EbrPtr<T>, _guard: &Guard) -> Option<(u64, u64)> {
+    fn key<T: Send>(_dom: &EbrDomain<T>, node: EbrPtr<T>, _guard: &Guard) -> Option<(u64, u32)> {
         // SAFETY: `node` was loaded under the guard, which pins the epoch
         // and keeps the node's lifetime; keys are immutable within it.
-        Some(unsafe { node.node() }.key)
+        let node = unsafe { node.node() };
+        Some((node.priority, node.seq))
     }
 
     fn load_next<T: Send>(

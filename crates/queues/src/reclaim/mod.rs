@@ -129,7 +129,7 @@ pub unsafe trait Reclaim: Copy + Default + fmt::Debug + Send + Sync + 'static {
     fn alloc<T: Send>(
         dom: &Self::Domain<T>,
         stash: &mut Self::Stash<T>,
-        key: (u64, u64),
+        key: (u64, u32),
         item: Option<T>,
     ) -> Self::Ptr<T>;
 
@@ -147,7 +147,7 @@ pub unsafe trait Reclaim: Copy + Default + fmt::Debug + Send + Sync + 'static {
         dom: &Self::Domain<T>,
         node: Self::Ptr<T>,
         guard: &Self::Guard<T>,
-    ) -> Option<(u64, u64)>;
+    ) -> Option<(u64, u32)>;
 
     /// The node's link word, or `None` if the read could not be validated
     /// against `node`'s lifetime (restart the traversal).

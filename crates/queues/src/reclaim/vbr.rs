@@ -35,7 +35,7 @@
 
 use super::Reclaim;
 use rsched_sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
-use rsched_sync::atomic::{AtomicU64, AtomicUsize};
+use rsched_sync::atomic::{AtomicU32, AtomicU64, AtomicUsize};
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::marker::PhantomData;
@@ -131,13 +131,15 @@ const MAX_CHUNKS: usize = 18;
 /// Free-list terminator (index part of `free_head` / `free`).
 const FREE_NONE: u64 = u32::MAX as u64;
 
+/// One node's storage. `key_seq` is a `u32` so that it and a 4-byte
+/// payload share a word: a `Slot<u32>` is 48 bytes.
 struct Slot<T> {
     /// Lifetime clock: even ⇒ live, odd ⇒ retired/free.
     ver: AtomicU64,
     /// Global-clock era recorded at the last retire (reuse throttle).
     era: AtomicU64,
     key_prio: AtomicU64,
-    key_seq: AtomicU64,
+    key_seq: AtomicU32,
     /// Packed link word (see layout above).
     next: AtomicU64,
     /// Treiber free-list successor, valid only while the slot is free.
@@ -147,13 +149,17 @@ struct Slot<T> {
     payload: UnsafeCell<MaybeUninit<T>>,
 }
 
+// The model checker's atomics are larger than the hardware's.
+#[cfg(not(rsched_model))]
+const _: () = assert!(std::mem::size_of::<Slot<u32>>() == 48);
+
 impl<T> Slot<T> {
     fn new() -> Self {
         Slot {
             ver: AtomicU64::new(1),
             era: AtomicU64::new(0),
             key_prio: AtomicU64::new(0),
-            key_seq: AtomicU64::new(0),
+            key_seq: AtomicU32::new(0),
             next: AtomicU64::new(0),
             free: AtomicU64::new(FREE_NONE),
             payload: UnsafeCell::new(MaybeUninit::uninit()),
@@ -323,7 +329,7 @@ unsafe impl Reclaim for Vbr {
     fn alloc<T: Send>(
         dom: &VbrDomain<T>,
         _stash: &mut (),
-        key: (u64, u64),
+        key: (u64, u32),
         item: Option<T>,
     ) -> VbrPtr<T> {
         let (idx, free_ver) = dom.acquire_slot();
@@ -352,7 +358,7 @@ unsafe impl Reclaim for Vbr {
         slot.next.store(pack_link(node.ver(), next.idx(), next.ver(), next.tag_bit()), Release);
     }
 
-    fn key<T: Send>(dom: &VbrDomain<T>, node: VbrPtr<T>, _guard: &VbrGuard) -> Option<(u64, u64)> {
+    fn key<T: Send>(dom: &VbrDomain<T>, node: VbrPtr<T>, _guard: &VbrGuard) -> Option<(u64, u32)> {
         let slot = dom.slot(node.idx());
         let prio = slot.key_prio.load(Acquire);
         let seq = slot.key_seq.load(Acquire);

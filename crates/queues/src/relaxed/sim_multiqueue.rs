@@ -33,7 +33,8 @@ use std::fmt;
 pub struct SimMultiQueue<T, R> {
     queues: Vec<BinaryHeap<Reverse<Entry<T>>>>,
     len: usize,
-    seq: u64,
+    /// The next tie-break, wrapping (`Entry` has the rule).
+    seq: u32,
     rng: R,
 }
 
@@ -60,7 +61,7 @@ impl<T, R: Rng> SimMultiQueue<T, R> {
         self.queues.len()
     }
 
-    fn top_key(&self, i: usize) -> Option<(u64, u64)> {
+    fn top_key(&self, i: usize) -> Option<(u64, u32)> {
         self.queues[i].peek().map(|Reverse(e)| e.key())
     }
 }
@@ -69,7 +70,7 @@ impl<T, R: Rng> PriorityScheduler<T> for SimMultiQueue<T, R> {
     fn insert(&mut self, priority: u64, item: T) {
         let i = self.rng.gen_range(0..self.queues.len());
         let seq = self.seq;
-        self.seq += 1;
+        self.seq = seq.wrapping_add(1);
         self.queues[i].push(Reverse(Entry::new(priority, seq, item)));
         self.len += 1;
     }
@@ -126,7 +127,7 @@ impl<T, R: Rng> PriorityScheduler<T> for SimMultiQueue<T, R> {
             let i = self.rng.gen_range(0..self.queues.len());
             for (priority, item) in run {
                 let seq = self.seq;
-                self.seq += 1;
+                self.seq = seq.wrapping_add(1);
                 self.queues[i].push(Reverse(Entry::new(*priority, seq, item.clone())));
             }
             self.len += run.len();

@@ -332,8 +332,8 @@ where
         pop_from(&self.shards, start).map(|(_, e)| e)
     }
 
-    /// Affinity pop: shard `worker % s` first (with the 1-in-[`STEAL_PERIOD`]
-    /// random start — see its docs), round-robin steal on empty.
+    /// Affinity pop: shard `worker % s` first (with a 1-in-`STEAL_PERIOD`
+    /// (8) random start, the fairness probe), round-robin steal on empty.
     fn pop_for(&self, worker: usize) -> Option<(u64, T)> {
         let s = self.shards.len();
         let start = if s == 1 { 0 } else { start_shard(worker, s) };
@@ -369,7 +369,7 @@ where
     }
 
     /// Affinity batch pop: drains the worker's own shard (`worker % s`, with
-    /// the 1-in-[`STEAL_PERIOD`] random start — see its docs) and steals
+    /// a 1-in-`STEAL_PERIOD` (8) random start, the fairness probe) and steals
     /// round-robin when it is observed empty.
     fn pop_batch_for(&self, worker: usize, out: &mut Vec<(u64, T)>, max: usize) -> usize {
         self.pop_purging_for(worker, out, max, |_, _| false).0

@@ -56,8 +56,8 @@ fn assert_dropped_once(cells: &[AtomicUsize]) {
 fn stress_exactly_once<R: Reclaim>() {
     let total = PREFILL + THREADS * OPS_PER_THREAD;
     let cells: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
-    let mut prefill: Vec<(u64, u64, Probe<'_>)> =
-        (0..PREFILL).map(|i| (i as u64 % 97, i as u64, Probe::new(&cells[i]))).collect();
+    let mut prefill: Vec<(u64, u32, Probe<'_>)> =
+        (0..PREFILL).map(|i| (i as u64 % 97, i as u32, Probe::new(&cells[i]))).collect();
     prefill.sort_by_key(|&(p, s, _)| (p, s));
     let list: HarrisList<Probe<'_>, R> = HarrisList::from_sorted_in(prefill);
     let popped = AtomicUsize::new(0);
@@ -74,7 +74,7 @@ fn stress_exactly_once<R: Reclaim>() {
                     // Colliding priorities force CAS contention at the head;
                     // the sequence number keeps keys unique.
                     let priority = (idx as u64) % 97;
-                    let seq = idx as u64;
+                    let seq = idx as u32;
                     list.insert(priority, seq, Probe::new(&cells[idx]));
                     // Pop as often as we insert so the list stays short and
                     // the backend keeps recycling storage under contention.
@@ -130,8 +130,8 @@ fn apply_ops<R: Reclaim>(ops: &[(u8, usize, usize)]) {
     let total: usize = ops.iter().map(|&(kind, len, _)| [1, 0, len][kind as usize]).sum();
     let cells: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
     let list: HarrisList<Probe<'_>, R> = HarrisList::new_in();
-    let mut oracle: BTreeSet<(u64, u64)> = BTreeSet::new();
-    let mut seq = 0u64;
+    let mut oracle: BTreeSet<(u64, u32)> = BTreeSet::new();
+    let mut seq = 0u32;
     for (i, &(kind, len, d)) in ops.iter().enumerate() {
         if kind == 1 {
             let mut got = Vec::new();
@@ -142,9 +142,9 @@ fn apply_ops<R: Reclaim>(ops: &[(u8, usize, usize)]) {
             continue;
         }
         let len = if kind == 0 { 1 } else { len };
-        let mut run: Vec<(u64, u64)> =
-            (0..len).map(|j| ((i as u64 * 7 + j as u64 * 5) % 13, seq + j as u64)).collect();
-        seq += len as u64;
+        let mut run: Vec<(u64, u32)> =
+            (0..len).map(|j| ((i as u64 * 7 + j as u64 * 5) % 13, seq + j as u32)).collect();
+        seq += len as u32;
         run.sort_unstable();
         run.rotate_left(d % len);
         oracle.extend(run.iter().copied());

@@ -8,7 +8,7 @@
 //! Classic epoch-based reclamation in the upstream `crossbeam-epoch` shape:
 //! all shared state on the defer/collect hot path is **thread-local**.
 //!
-//! * **Participants** are heap-allocated [`Local`] records linked into a
+//! * **Participants** are heap-allocated `Local` records linked into a
 //!   lock-free, append-only registry (a Treiber-style push list). Records
 //!   are never freed; a thread that exits marks its slot `FREE` and a later
 //!   thread reuses it, so the registry length is bounded by the peak number
@@ -21,7 +21,7 @@
 //!   on thread exit does a non-empty bag migrate to a shared orphan list
 //!   (drained opportunistically by any later collection). Defer and the
 //!   common-case collect therefore take **zero** shared-lock acquisitions.
-//!   An unpin collects once the bag has grown [`COLLECT_THRESHOLD`] items
+//!   An unpin collects once the bag has grown `COLLECT_THRESHOLD` items
 //!   past what the last collection left in it, so a straggler pinned at an
 //!   old epoch costs one rescan per threshold's worth of defers, not one
 //!   per unpin.
@@ -44,7 +44,7 @@
 //! follows:
 //!
 //! * [`pin`] stores the pinned word and then issues the module's `SeqCst`
-//!   fence; [`try_advance`] issues its own `SeqCst` fence *before* scanning
+//!   fence; `try_advance` issues its own `SeqCst` fence *before* scanning
 //!   the registry. In the total order of `SeqCst` fences, either the
 //!   pinning fence comes first — then the scan observes the pin and refuses
 //!   to advance past it — or the advancing fence comes first, in which case

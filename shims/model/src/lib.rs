@@ -18,7 +18,7 @@
 //!   single-threaded controller that explores thread interleavings by
 //!   bounded-DFS with a preemption bound, models C11-style weak memory
 //!   (store histories + view joins, release/acquire messages, fence views,
-//!   a global SC view), detects data races via [`model::RaceCell`] vector
+//!   a global SC view), detects data races via `model::RaceCell` vector
 //!   clocks, and replays any failure from its recorded choice trace. See
 //!   `runtime.rs` for the semantics and DESIGN.md §"Model-checking
 //!   semantics" for the substitution contract.

@@ -1,7 +1,7 @@
 //! Offline stand-in for the subset of the `proptest` 1.x API used by this
 //! workspace: the [`proptest!`] macro with `#![proptest_config(..)]`,
 //! `arg in strategy` bindings, [`prop_assert!`]/[`prop_assert_eq!`]/
-//! [`prop_assume!`], integer-range and tuple strategies, [`any`],
+//! [`prop_assume!`], integer-range and tuple strategies, [`prelude::any`],
 //! [`collection::vec`], and [`strategy::Strategy::prop_map`]/
 //! [`strategy::Strategy::prop_flat_map`] composition.
 //!
