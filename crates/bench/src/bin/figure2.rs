@@ -1,7 +1,8 @@
 //! Regenerates **Figure 2** of the paper: concurrent MIS wall-clock time vs
 //! thread count on three `G(n, p)` classes, comparing the relaxed MultiQueue
-//! scheduler, the exact FAA-queue scheduler with backoff, and the optimized
-//! sequential baseline.
+//! scheduler, the exact-order scheduler (the same worker engine, retrying a
+//! blocked task before any later one), and the optimized sequential
+//! baseline.
 //!
 //! Default instance sizes are scaled to this machine (DESIGN.md substitution
 //! #1 and #3), preserving each class's average degree regime:
@@ -21,11 +22,11 @@
 //! [--shards S] [--trace PATH] [--metrics [PATH]]
 //! [--quick | --paper-scale]`
 //!
-//! Built with `--features obs`, the relaxed runs feed the live
-//! `engine_pop_total` wasted-work counters (extra-iterations readable
-//! from a `--metrics` snapshot mid-run) and the final snapshot is
-//! asserted to agree exactly with the relaxed executor's end-of-run
-//! totals; the exact FAA executor never touches the engine counters.
+//! Built with `--features obs`, every run — relaxed and exact, both on the
+//! worker engine — feeds the live `engine_pop_total` wasted-work counters
+//! (extra-iterations readable from a `--metrics` snapshot mid-run), and the
+//! final snapshot is asserted to agree exactly with the sum of both
+//! executors' end-of-run totals.
 //!
 //! `--batch-size B` (default 1) runs the relaxed executor in batched mode:
 //! each worker pops `B` tasks per scheduler round-trip and re-inserts the
@@ -75,12 +76,19 @@ fn time_sequential(g: &CsrGraph, pi: &Permutation, reps: usize) -> Duration {
     )
 }
 
+/// Adds a run's pop outcomes to `ledger`, the totals the end-of-run
+/// reconciliation checks the observability counters against.
+fn absorb(ledger: &mut ConcurrentStats, stats: &ConcurrentStats) {
+    ledger.processed += stats.processed;
+    ledger.wasted += stats.wasted;
+    ledger.obsolete += stats.obsolete;
+    ledger.empty_pops += stats.empty_pops;
+}
+
 /// Times `reps` relaxed runs on a fresh scheduler from `make_sched`,
 /// asserting each run's output against the sequential MIS. Returns the
 /// median wall time and the last run's extra iterations; every rep's pop
-/// outcomes are absorbed into `ledger` for the end-of-run reconciliation
-/// against the observability counters (only the relaxed executor runs on
-/// the worker engine — the exact FAA executor has its own loop).
+/// outcomes are absorbed into `ledger`.
 #[allow(clippy::too_many_arguments)]
 fn time_relaxed<S, F>(
     make_sched: F,
@@ -103,10 +111,7 @@ where
         let sched = make_sched();
         let stats = run_concurrent_batched(&alg, pi, &sched, threads, batch_size);
         assert_eq!(alg.into_output(), expected, "relaxed output diverged");
-        ledger.processed += stats.processed;
-        ledger.wasted += stats.wasted;
-        ledger.obsolete += stats.obsolete;
-        ledger.empty_pops += stats.empty_pops;
+        absorb(ledger, &stats);
         times.push(stats.elapsed);
         extra = stats.extra_iterations();
     }
@@ -132,7 +137,7 @@ fn main() {
     };
     let args = cli.args;
     let obs_base = rsched_obs::snapshot();
-    let mut relaxed_ledger = ConcurrentStats::default();
+    let mut ledger = ConcurrentStats::default();
     let paper_scale = args.has_flag("paper-scale");
     // The explicit flags are mutually exclusive; an ambient
     // RSCHED_BENCH_FAST only wins when --paper-scale was not requested.
@@ -241,7 +246,7 @@ fn main() {
                     threads,
                     reps,
                     batch_size,
-                    &mut relaxed_ledger,
+                    &mut ledger,
                 )
             } else {
                 time_relaxed(
@@ -256,16 +261,18 @@ fn main() {
                     threads,
                     reps,
                     batch_size,
-                    &mut relaxed_ledger,
+                    &mut ledger,
                 )
             };
-            // Exact FAA queue with backoff.
+            // Exact order on the same engine: a blocked task is retried
+            // before any later one.
             let mut exact_times = Vec::new();
             let mut exact_waits = 0u64;
             for _ in 0..reps {
                 let alg = ConcurrentMis::new(&g, &pi);
                 let stats = run_exact_concurrent(&alg, &pi, threads);
                 assert_eq!(alg.into_output(), expected, "exact output diverged");
+                absorb(&mut ledger, &stats);
                 exact_times.push(stats.elapsed);
                 exact_waits = stats.wasted;
             }
@@ -287,19 +294,18 @@ fn main() {
     println!("exact catches up when per-task edge work dominates (small-dense class).");
 
     if rsched_obs::ENABLED {
-        // Only relaxed runs go through the worker engine, so the engine
-        // counter deltas must land exactly on the relaxed executor's
-        // accumulated totals — the exact FAA executor never touches them.
+        // Relaxed and exact runs both go through the worker engine, so the
+        // engine counter deltas must land exactly on their summed totals.
         let snap = rsched_obs::snapshot();
         let d = |name: &str| snap.counter_delta(&obs_base, name);
-        assert_eq!(d(r#"engine_pop_total{outcome="success"}"#), relaxed_ledger.processed);
-        assert_eq!(d(r#"engine_pop_total{outcome="blocked"}"#), relaxed_ledger.wasted);
-        assert_eq!(d(r#"engine_pop_total{outcome="obsolete"}"#), relaxed_ledger.obsolete);
-        assert_eq!(d(r#"engine_pop_total{outcome="empty"}"#), relaxed_ledger.empty_pops);
+        assert_eq!(d(r#"engine_pop_total{outcome="success"}"#), ledger.processed);
+        assert_eq!(d(r#"engine_pop_total{outcome="blocked"}"#), ledger.wasted);
+        assert_eq!(d(r#"engine_pop_total{outcome="obsolete"}"#), ledger.obsolete);
+        assert_eq!(d(r#"engine_pop_total{outcome="empty"}"#), ledger.empty_pops);
         println!(
-            "\nobs: engine_pop_total counters reconcile with relaxed-run totals \
+            "\nobs: engine_pop_total counters reconcile with relaxed + exact run totals \
              ({} processed, {} wasted, {} obsolete)",
-            relaxed_ledger.processed, relaxed_ledger.wasted, relaxed_ledger.obsolete
+            ledger.processed, ledger.wasted, ledger.obsolete
         );
     }
 

@@ -349,11 +349,12 @@ mod tests {
                 assert_eq!(alg.into_labels(), expected, "sharded t={threads} b={batch}");
             }
         }
-        // The exact concurrent executor (FAA array queue) too.
+        // The exact concurrent executor too; unions never block, so it pops
+        // each edge once.
         let alg = ConcurrentConnectivity::new(n, &edges);
         let stats = run_exact_concurrent(&alg, &pi, 4);
         assert_eq!(stats.total_pops, edges.len() as u64);
-        assert_eq!(alg.into_labels(), expected, "faa exact");
+        assert_eq!(alg.into_labels(), expected, "exact");
     }
 
     #[test]

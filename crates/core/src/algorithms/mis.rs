@@ -340,7 +340,8 @@ mod tests {
             let alg = ConcurrentMis::new(&g, &pi);
             let stats = run_exact_concurrent(&alg, &pi, threads);
             assert_eq!(alg.into_output(), expected, "threads={threads}");
-            assert_eq!(stats.total_pops, 400);
+            assert_eq!(stats.processed + stats.obsolete, 400, "threads={threads}");
+            assert_eq!(stats.total_pops, stats.processed + stats.wasted + stats.obsolete);
         }
     }
 

@@ -1,7 +1,8 @@
 //! The concurrent relaxed executor: worker threads share a relaxed
 //! scheduler, re-inserting blocked tasks and dropping obsolete ones.
 //!
-//! One worker **engine** ([`run_engine`]) drives every configuration: it
+//! One worker **engine** ([`run_engine`]) drives every configuration, the
+//! exact executor's included (`exact_concurrent.rs` is only a scheduler): it
 //! pops a run of up to `batch_size` tasks, processes them, and returns the
 //! run's failed deletes — and whatever tasks the run spawned — in one
 //! `insert_batch`; the scalar executor is the `batch_size == 1` case. Each
@@ -99,8 +100,8 @@ impl Drop for PoisonOnUnwind<'_> {
 /// Spawns `threads` scoped workers running `work(index, poisoned)`, joins
 /// them all and sums the counters they return. `poisoned` turns true when
 /// any worker unwinds ([`PoisonOnUnwind`]); `work` must read it wherever it
-/// waits on another worker's progress. The thread scaffolding shared by
-/// [`run_engine`] and [`run_exact_concurrent`](super::run_exact_concurrent).
+/// waits on another worker's progress. The thread scaffolding of
+/// [`run_engine`].
 ///
 /// # Panics
 ///
@@ -133,8 +134,10 @@ where
     })
 }
 
-/// The worker engine, the one loop behind every relaxed entry point:
-/// [`run_concurrent_batched`] (prefill), `crate::service::run_service`
+/// The worker engine, the one loop behind every thread executor:
+/// [`run_concurrent_batched`] (prefill, and through it
+/// [`run_exact_concurrent`](super::run_exact_concurrent)),
+/// `crate::service::run_service`
 /// (streaming) and `crate::service::run_sealed` (a closed request set that
 /// spawns its own follow-ups —
 /// [`concurrent_sssp`](crate::algorithms::sssp::concurrent_sssp)). It runs

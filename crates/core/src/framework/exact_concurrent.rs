@@ -1,80 +1,154 @@
-//! The exact concurrent executor: the paper's comparison framework.
+//! The exact concurrent executor: the paper's comparison framework, on the
+//! relaxed executor's worker engine with an exact-order scheduler.
 //!
-//! Tasks are loaded into a wait-free FIFO queue in priority order
-//! ([`rsched_queues::concurrent::FaaArrayQueue`], standing in for \[27\]).
-//! "Since there could still be some reordering of tasks due to concurrency,
-//! we elect to use a backoff scheme wherein if an unprocessed predecessor is
-//! encountered, we wait for the predecessor to process." (§4)
+//! Tasks are claimed in priority order by one fetch-and-add cursor over the
+//! permutation's order, standing in for the wait-free queue of \[27\]
+//! (DESIGN.md substitution #2). "Since there could still be some reordering
+//! of tasks due to concurrency, we elect to use a backoff scheme wherein if
+//! an unprocessed predecessor is encountered, we wait for the predecessor to
+//! process." (§4) Here the wait is a retry: the engine re-inserts a
+//! `Blocked` task like any failed delete, into a small locked heap that
+//! every pop drains first, lowest label first, so the order stays exact and
+//! the scheduler is the only difference from [`super::run_concurrent`].
 
-use super::concurrent::{run_workers, EngineTotals};
-use super::{ConcurrentAlgorithm, TaskOutcome};
+use super::concurrent::run_concurrent_batched;
+use super::ConcurrentAlgorithm;
 use crate::stats::ConcurrentStats;
-use crossbeam::utils::Backoff;
+use crate::TaskId;
+use crossbeam::utils::CachePadded;
 use rsched_graph::Permutation;
-use rsched_queues::concurrent::FaaArrayQueue;
-use std::sync::atomic::Ordering;
-use std::time::Instant;
+use rsched_queues::exact::BinaryHeapScheduler;
+use rsched_queues::{ConcurrentScheduler, PriorityScheduler};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Runs `alg` on `threads` workers popping tasks in exact priority order.
+/// The exact-order scheduler: a cursor over the tasks in label order, with
+/// the label as priority, plus the retry heap of re-inserted tasks.
+struct ExactOrder<'p> {
+    order: &'p [TaskId],
+    /// The next position of `order` to claim; runs past its end once every
+    /// task is claimed.
+    cursor: CachePadded<AtomicUsize>,
+    retry: Mutex<BinaryHeapScheduler<TaskId>>,
+    /// `retry`'s length, so that a pop finds the heap empty with one load.
+    retry_len: AtomicUsize,
+}
+
+impl<'p> ExactOrder<'p> {
+    fn new(pi: &'p Permutation) -> Self {
+        ExactOrder {
+            order: pi.order(),
+            cursor: CachePadded::new(AtomicUsize::new(0)),
+            retry: Mutex::new(BinaryHeapScheduler::new()),
+            retry_len: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl ConcurrentScheduler<TaskId> for ExactOrder<'_> {
+    fn insert(&self, priority: u64, task: TaskId) {
+        self.insert_batch(&[(priority, task)]);
+    }
+
+    fn insert_batch(&self, entries: &[(u64, TaskId)]) {
+        let mut retry = self.retry.lock().expect("no heap operation panics");
+        retry.insert_batch(entries);
+        self.retry_len.store(retry.len(), Ordering::Relaxed);
+    }
+
+    /// A retried task first: every one was claimed before the cursor's next.
+    fn pop(&self) -> Option<(u64, TaskId)> {
+        if self.retry_len.load(Ordering::Relaxed) > 0 {
+            let mut retry = self.retry.lock().expect("no heap operation panics");
+            if let Some(e) = retry.pop() {
+                self.retry_len.store(retry.len(), Ordering::Relaxed);
+                return Some(e);
+            }
+        }
+        let pos = self.cursor.fetch_add(1, Ordering::Relaxed);
+        self.order.get(pos).map(|&task| (pos as u64, task))
+    }
+
+    /// Skips every claimed task `obsolete` reports decided, so a run of
+    /// decided tasks costs the engine one booking instead of one per task.
+    fn pop_purging_for<F>(
+        &self,
+        _worker: usize,
+        out: &mut Vec<(u64, TaskId)>,
+        max: usize,
+        obsolete: F,
+    ) -> (usize, usize)
+    where
+        F: Fn(u64, &TaskId) -> bool,
+    {
+        let (mut live, mut purged) = (0, 0);
+        while live < max {
+            let Some((priority, task)) = self.pop() else { break };
+            if obsolete(priority, &task) {
+                purged += 1;
+            } else {
+                out.push((priority, task));
+                live += 1;
+            }
+        }
+        (live, purged)
+    }
+}
+
+/// Runs `alg` on `threads` workers taking tasks in exact priority order.
 ///
-/// A popped task is spun on (with exponential backoff) until its
-/// predecessors are processed; `wasted` counts those backoff retries, the
-/// exact analogue of the relaxed framework's failed deletes.
+/// A popped task whose predecessor is not yet processed is retried: it
+/// goes back to the scheduler, which hands it out again before any later
+/// task. `wasted` counts those retries, the exact analogue of the relaxed
+/// framework's failed deletes, and every retry is a pop, so `total_pops ==
+/// processed + wasted + obsolete` here too.
 ///
 /// # Panics
 ///
 /// Panics if `threads == 0` or `pi.len() != alg.num_tasks()`, and re-raises
-/// a panicking `try_process` after every other worker has stopped waiting
-/// on the task it left undecided.
+/// a panicking `try_process` after every other worker has stopped.
 pub fn run_exact_concurrent<A>(alg: &A, pi: &Permutation, threads: usize) -> ConcurrentStats
 where
     A: ConcurrentAlgorithm,
 {
-    let n = alg.num_tasks();
-    assert_eq!(n, pi.len(), "permutation size must match task count");
-    let queue = FaaArrayQueue::from_sorted(
-        (0..n as u32).map(|pos| (pos as u64, pi.task_at(pos))).collect(),
-    );
-    let start = Instant::now();
-    let t = run_workers(threads, |_, poisoned| {
-        let mut c = EngineTotals::default();
-        while let Some((_, v)) = queue.pop() {
-            c.pops += 1;
-            let backoff = Backoff::new();
-            loop {
-                match alg.try_process(v) {
-                    TaskOutcome::Processed => {
-                        c.processed += 1;
-                        break;
-                    }
-                    TaskOutcome::Obsolete => {
-                        c.obsolete += 1;
-                        break;
-                    }
-                    TaskOutcome::Blocked => {
-                        // The predecessor may be the task a panicked worker
-                        // left undecided; read only here, off the hot path.
-                        if poisoned.load(Ordering::Relaxed) {
-                            return c;
-                        }
-                        // Wait for the predecessor (paper's backoff).
-                        c.wasted += 1;
-                        backoff.snooze();
-                    }
-                }
-            }
+    run_concurrent_batched(alg, pi, &ExactOrder::new(pi), threads, 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithms::mis::ConcurrentMis;
+    use crate::framework::testing::Chain;
+    use rand::{rngs::StdRng, SeedableRng};
+    use rsched_graph::gen;
+
+    /// Once the centre (label 0) is in, every leaf is decided: the scheduler
+    /// purges all of them, and no task is ever retried.
+    #[test]
+    fn star_leaves_are_purged_in_exact_order() {
+        let n = 1_000;
+        let (g, pi) = (gen::star(n), Permutation::identity(n));
+        let alg = ConcurrentMis::new(&g, &pi);
+        let stats = run_exact_concurrent(&alg, &pi, 1);
+        let n = n as u64;
+        assert_eq!((stats.processed, stats.purged, stats.wasted), (1, n - 1, 0), "{stats}");
+        assert_eq!((stats.obsolete, stats.total_pops), (n - 1, n), "{stats}");
+        let out = alg.into_output();
+        assert!(out[0] && !out[1..].iter().any(|&inside| inside));
+    }
+
+    /// A chain is processed in label order at any thread count, and every
+    /// retry is a pop.
+    #[test]
+    fn chain_is_processed_in_label_order() {
+        let pi = Permutation::random(2_000, &mut StdRng::seed_from_u64(4));
+        for threads in [1, 4] {
+            let alg = Chain::new(&pi);
+            let stats = run_exact_concurrent(&alg, &pi, threads);
+            assert_eq!((stats.processed, stats.obsolete), (2_000, 0), "t={threads}");
+            assert_eq!(stats.total_pops, stats.processed + stats.wasted, "t={threads}");
+            assert!(threads > 1 || stats.wasted == 0, "t=1 retried in exact order");
+            assert_eq!(alg.into_log(), pi.order(), "t={threads}");
         }
-        c
-    });
-    ConcurrentStats {
-        tasks: n,
-        threads,
-        total_pops: t.pops,
-        processed: t.processed,
-        wasted: t.wasted,
-        obsolete: t.obsolete,
-        purged: 0,
-        empty_pops: 0,
-        elapsed: start.elapsed(),
     }
 }

@@ -14,8 +14,8 @@
 //!   quantities Theorems 1–2 bound.
 //! * **Thread executors** — [`run_concurrent`] / [`run_concurrent_batched`]
 //!   (relaxed, over any [`rsched_queues::ConcurrentScheduler`]) and
-//!   [`run_exact_concurrent`] (the §4 comparison framework) — call it from
-//!   many.
+//!   [`run_exact_concurrent`] (the §4 comparison framework: the same worker
+//!   engine over an exact-order scheduler) — call it from many.
 //!
 //! One loop serves both Algorithm 2 (generic) and Algorithm 4 (MIS): the
 //! difference is entirely in the oracle, which may report a task

@@ -13,7 +13,8 @@
 //!   re-insert on unprocessed predecessor, drop obsolete tasks) in the
 //!   paper's sequential model, and [`framework::run_concurrent`] /
 //!   [`framework::run_exact_concurrent`] run the same oracle on the shared
-//!   memory the paper's §4 evaluates.
+//!   memory the paper's §4 evaluates, on one worker engine whose scheduler
+//!   (relaxed, or exact order) is the only difference.
 //! * [`algorithms`] — the paper's workloads as framework instances: greedy
 //!   MIS (Algorithm 4), greedy maximal matching (direct and via line graph),
 //!   greedy vertex coloring (Algorithm 3), list contraction, Knuth shuffle,

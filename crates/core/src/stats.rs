@@ -61,7 +61,8 @@ pub struct ConcurrentStats {
     pub threads: usize,
     /// Total tasks taken out of the scheduler across threads, whether handed
     /// to a worker or purged by the scheduler itself: always
-    /// `processed + wasted + obsolete`.
+    /// `processed + wasted + obsolete`, for the exact executor too (its
+    /// retries are pops).
     pub total_pops: u64,
     /// Tasks processed.
     pub processed: u64,

@@ -15,17 +15,15 @@
 //!   over [`HarrisList`] with pluggable reclamation (epoch-based by default,
 //!   version-based via [`crate::reclaim::Vbr`]).
 //!
-//! Beside it, [`FaaArrayQueue`] is the exact scheduler baseline: a
-//! prefilled priority-sorted array popped with one `fetch_add` per
-//! operation, standing in for the wait-free queue of \[27\] (see DESIGN.md
+//! §4's exact baseline lives in `rsched_core`: `run_exact_concurrent` runs
+//! the worker engine over a fetch-and-add cursor through the permutation,
+//! standing in for the wait-free queue of \[27\] (see DESIGN.md
 //! substitution #2).
 
-mod faa_queue;
 mod lf_list;
 mod lf_multiqueue;
 mod multiqueue;
 
-pub use faa_queue::FaaArrayQueue;
 pub use lf_list::HarrisList;
 pub use lf_multiqueue::{ListBucket, LockFreeMultiQueue};
 pub use multiqueue::{Bucket, Locked, MultiQueue, MultiQueueCore};

@@ -10,8 +10,9 @@
 //!   SprayList. These drive Table 1 and the rank/fairness validation.
 //! * **Concurrent schedulers** ([`concurrent`]): one MultiQueue core \[21\]
 //!   over locked buckets (a sorted run plus runs of sorted inserts) or
-//!   Harris-list buckets (the paper's §4 implementation), and the FAA array
-//!   queue standing in for the exact wait-free scheduler \[27\].
+//!   Harris-list buckets (the paper's §4 implementation). §4's exact
+//!   baseline is built in `rsched_core`, from a cursor over the permutation
+//!   and [`exact`]'s heap.
 //! * **Instrumentation** ([`instrument`]): rank-error and priority-inversion
 //!   tracking to check Definition 1's exponential tails empirically.
 //!

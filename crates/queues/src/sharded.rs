@@ -162,22 +162,41 @@ impl<S: SchedulerLoad> SchedulerLoad for ShardedScheduler<S> {
     }
 }
 
-/// Groups `entries` by shard, preserving slice order within each group, and
-/// feeds every non-empty group to `sink(shard, group)` — the amortization
-/// core of both `insert_batch` impls: one inner bulk call per shard touched
-/// instead of one routing decision *and* one inner call per element.
-fn scatter_batch<T, F>(entries: &[(u64, T)], shards: usize, mut sink: F)
+/// Where [`route_batch`] sends entries: one entry to its shard's `insert`,
+/// or a group to its shard's `insert_batch`.
+enum Route<'a, T> {
+    One(u64, T),
+    Group(&'a [(u64, T)]),
+}
+
+/// The one `insert_batch` routing of both scheduler impls, feeding
+/// `sink(shard, route)`. One shard passes the batch through whole, keeping
+/// that configuration bit-for-bit the bare inner scheduler (no regrouping
+/// clone). At most `shards` entries — expected group size ≤ 1, the hot path
+/// of an executor flushing a handful of blocked tasks per run — route
+/// elementwise, since grouping buffers buy nothing there. A larger batch is
+/// grouped by shard, slice order kept within each group, one inner bulk
+/// call per shard touched.
+fn route_batch<T, F>(entries: &[(u64, T)], shards: usize, mut sink: F)
 where
     T: Clone + Hash,
-    F: FnMut(usize, &[(u64, T)]),
+    F: FnMut(usize, Route<'_, T>),
 {
-    let mut groups: Vec<Vec<(u64, T)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (priority, item) in entries {
-        groups[shard_index(item, shards)].push((*priority, item.clone()));
-    }
-    for (shard, group) in groups.iter().enumerate() {
-        if !group.is_empty() {
-            sink(shard, group);
+    if shards == 1 {
+        sink(0, Route::Group(entries));
+    } else if entries.len() <= shards {
+        for (priority, item) in entries {
+            sink(shard_index(item, shards), Route::One(*priority, item.clone()));
+        }
+    } else {
+        let mut groups: Vec<Vec<(u64, T)>> = (0..shards).map(|_| Vec::new()).collect();
+        for (priority, item) in entries {
+            groups[shard_index(item, shards)].push((*priority, item.clone()));
+        }
+        for (shard, group) in groups.iter().enumerate() {
+            if !group.is_empty() {
+                sink(shard, Route::Group(group));
+            }
         }
     }
 }
@@ -216,23 +235,11 @@ where
     where
         T: Clone,
     {
-        let s = self.shards.len();
-        if s == 1 {
-            // Pass-through keeps the one-shard configuration bit-for-bit
-            // identical to the bare inner scheduler (no regrouping clone).
-            self.shards[0].insert_batch(entries);
-            return;
-        }
-        if entries.len() <= s {
-            // Expected group size ≤ 1: grouping buffers buy nothing, so
-            // route elementwise (the hot path for an executor flushing a
-            // handful of blocked tasks per run).
-            for (priority, item) in entries {
-                self.insert(*priority, item.clone());
-            }
-            return;
-        }
-        scatter_batch(entries, s, |shard, group| self.shards[shard].insert_batch(group));
+        let shards = &mut self.shards;
+        route_batch(entries, shards.len(), |shard, route| match route {
+            Route::One(priority, item) => shards[shard].insert(priority, item),
+            Route::Group(group) => shards[shard].insert_batch(group),
+        });
     }
 
     /// Pops the batch from the first non-empty shard at or after the cursor
@@ -275,28 +282,11 @@ fn note_steal(worker: usize, served: usize, shards: usize) {
     }
 }
 
-/// Scalar pop probing `shards` round-robin from `start`; the success case
-/// also reports which shard served (so the caller can note a steal).
-fn pop_from<T, S>(shards: &[S], start: usize) -> Option<(usize, (u64, T))>
-where
-    T: Send,
-    S: ConcurrentScheduler<T>,
-{
-    let s = shards.len();
-    for probe in 0..s {
-        let idx = (start + probe) % s;
-        if let Some(e) = shards[idx].pop() {
-            return Some((idx, e));
-        }
-    }
-    None
-}
-
-/// Batched pop from the first non-empty shard probing round-robin from
-/// `start`, `pop(shard)` being the inner call and returning `(live,
-/// purged)`; a batch never spans shards. Returns `(serving_shard, live,
-/// purged)`; `live + purged == 0` means every shard was observed empty (the
-/// shard index then carries no information).
+/// Pop from the first non-empty shard probing round-robin from `start`,
+/// `pop(shard)` being the inner call and returning `(live, purged)`; a
+/// batch never spans shards, and the scalar pops are the one-entry case.
+/// Returns `(serving_shard, live, purged)`; `live + purged == 0` means every
+/// shard was observed empty (the shard index then carries no information).
 fn pop_batch_from<S>(
     shards: &[S],
     start: usize,
@@ -329,7 +319,12 @@ where
     fn pop(&self) -> Option<(u64, T)> {
         let s = self.shards.len();
         let start = if s == 1 { 0 } else { rng::next_index(s) };
-        pop_from(&self.shards, start).map(|(_, e)| e)
+        let mut e = None;
+        pop_batch_from(&self.shards, start, |q| {
+            e = q.pop();
+            (usize::from(e.is_some()), 0)
+        });
+        e
     }
 
     /// Affinity pop: shard `worker % s` first (with a 1-in-`STEAL_PERIOD`
@@ -337,29 +332,25 @@ where
     fn pop_for(&self, worker: usize) -> Option<(u64, T)> {
         let s = self.shards.len();
         let start = if s == 1 { 0 } else { start_shard(worker, s) };
-        let (shard, e) = pop_from(&self.shards, start)?;
-        note_steal(worker, shard, s);
-        Some(e)
+        let mut e = None;
+        let (shard, _, _) = pop_batch_from(&self.shards, start, |q| {
+            e = q.pop();
+            (usize::from(e.is_some()), 0)
+        });
+        if e.is_some() {
+            note_steal(worker, shard, s);
+        }
+        e
     }
 
     fn insert_batch(&self, entries: &[(u64, T)])
     where
         T: Clone,
     {
-        let s = self.shards.len();
-        if s == 1 {
-            self.shards[0].insert_batch(entries);
-            return;
-        }
-        if entries.len() <= s {
-            // Expected group size ≤ 1: route elementwise, no grouping
-            // buffers (the executor's per-run blocked flush is tiny).
-            for (priority, item) in entries {
-                self.insert(*priority, item.clone());
-            }
-            return;
-        }
-        scatter_batch(entries, s, |shard, group| self.shards[shard].insert_batch(group));
+        route_batch(entries, self.shards.len(), |shard, route| match route {
+            Route::One(priority, item) => self.shards[shard].insert(priority, item),
+            Route::Group(group) => self.shards[shard].insert_batch(group),
+        });
     }
 
     fn pop_batch(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {

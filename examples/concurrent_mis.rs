@@ -1,6 +1,7 @@
 //! The paper's §4 headline experiment in miniature: concurrent MIS with a
-//! relaxed MultiQueue scheduler vs the exact FAA-queue scheduler vs the
-//! sequential baseline, on one graph.
+//! relaxed MultiQueue scheduler vs the exact-order scheduler (same worker
+//! engine, a blocked task retried before any later one) vs the sequential
+//! baseline, on one graph.
 //!
 //! Run with: `cargo run --release --example concurrent_mis`
 //! (See `cargo run --release -p rsched-bench --bin figure2` for the full
@@ -45,11 +46,12 @@ fn main() {
     assert_eq!(alg.into_output(), expected);
     println!("relaxed LF-MultiQueue:     {stats}");
 
-    // Exact: FAA array queue with predecessor backoff.
+    // Exact: a fetch-and-add cursor over the permutation; a task blocked on
+    // its predecessor is retried before any later one.
     let alg = ConcurrentMis::new(&g, &pi);
     let stats = run_exact_concurrent(&alg, &pi, threads);
     assert_eq!(alg.into_output(), expected);
-    println!("exact FAA queue + backoff: {stats}");
+    println!("exact order + retries:     {stats}");
 
     println!("\nAll three produce the identical deterministic MIS.");
 }
