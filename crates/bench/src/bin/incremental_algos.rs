@@ -7,8 +7,8 @@
 //!
 //! * **connectivity** — unions commute, so its extra-iterations column must
 //!   stay exactly 0 and its wasted (already-connected) pops exactly
-//!   `m − (n − c)` at *every* relaxation factor, batch size, and shard
-//!   count: relaxation is free at the commutative end.
+//!   `m − (n − c)` at *every* relaxation factor and shard count:
+//!   relaxation is free at the commutative end.
 //! * **delaunay** — point insertions conflict through their cavities, so
 //!   out-of-order pops retry (failed deletes) and re-triangulation work
 //!   ("churn": cells destroyed beyond the label-order baseline) grows with
@@ -17,10 +17,12 @@
 //!
 //! Every run is verified: connectivity output is diffed against the
 //! sequential union-find ground truth, Delaunay output passes the
-//! empty-circumcircle + hull-coverage verifier.
+//! empty-circumcircle + hull-coverage verifier. The framework pops one
+//! task per iteration, as in the paper's sequential model; batched runs of
+//! pops are the thread executors' (`figure2 --batch-size`).
 //!
 //! Usage: `incremental_algos [--n N] [--m M] [--pts P] [--ks 4,16,64]
-//! [--reps R] [--seed S] [--batch-size B] [--shards S] [--quick]`
+//! [--reps R] [--seed S] [--shards S] [--quick]`
 //!
 //! (The target is named `incremental_algos` because cargo forbids a binary
 //! called plain `incremental` — it collides with the build directory.)
@@ -36,7 +38,7 @@ use rsched_core::algorithms::incremental::delaunay::{
     delaunay_reference, verify_delaunay, ConcurrentDelaunay,
 };
 use rsched_core::algorithms::incremental::insertion_order;
-use rsched_core::framework::run_relaxed_batched;
+use rsched_core::framework::run_relaxed;
 use rsched_core::TaskId;
 use rsched_graph::gen;
 use rsched_graph::geom::{uniform_square, Point};
@@ -62,14 +64,7 @@ struct Instances {
 
 /// Sequential table: one row per scheduler model, one `extra`-style cell
 /// per relaxation factor.
-fn sequential_tables(
-    inst: &Instances,
-    ks: &[usize],
-    reps: usize,
-    seed: u64,
-    batch: usize,
-    shards: usize,
-) {
+fn sequential_tables(inst: &Instances, ks: &[usize], reps: usize, seed: u64, shards: usize) {
     // Connectivity: cell = "extra/wasted" (extra must be 0; wasted is the
     // order-independent already-connected count).
     let mut header: Vec<String> = vec!["connectivity".into()];
@@ -113,7 +108,7 @@ fn sequential_tables(
             for rep in 0..reps as u64 {
                 let s = seed ^ (rep * 7919 + k as u64);
                 let alg = ConcurrentConnectivity::new(inst.n, &inst.edges);
-                let stats = run_relaxed_batched(&alg, &inst.edge_pi, make(k, s), batch);
+                let stats = run_relaxed(&alg, &inst.edge_pi, make(k, s));
                 assert_eq!(
                     alg.into_labels(),
                     inst.edge_truth,
@@ -123,7 +118,7 @@ fn sequential_tables(
                 cwaste += stats.obsolete;
 
                 let alg = ConcurrentDelaunay::new(&inst.pts, &inst.pt_pi);
-                let stats = run_relaxed_batched(&alg, &inst.pt_pi, make(k, s ^ 1), batch);
+                let stats = run_relaxed(&alg, &inst.pt_pi, make(k, s ^ 1));
                 let out = alg.into_output();
                 assert!(verify_delaunay(&inst.pts, &out.triangles), "delaunay: {name} k={k}");
                 assert_eq!(out.triangles.len(), inst.delaunay_count, "{name} k={k}");
@@ -161,18 +156,17 @@ fn dependency_depth_table(inst: &Instances, ks: &[usize], seed: u64) {
         // Drive through the instrumented scheduler by hand-rolling the
         // framework loop is unnecessary: Instrumented is itself a
         // PriorityScheduler, so the framework runs it unmodified.
-        let dstats = rsched_core::framework::run_relaxed(&alg, &inst.pt_pi, &mut sched);
+        let dstats = run_relaxed(&alg, &inst.pt_pi, &mut sched);
         assert!(verify_delaunay(&inst.pts, &alg.into_output().triangles));
         let khat = fit_tail_exponent(&sched.rank_tail())
             .map(|l| format!("{:.1}", 1.0 / l))
             .unwrap_or_else(|| "-".into());
 
         let alg = ConcurrentConnectivity::new(inst.n, &inst.edges);
-        let cstats = run_relaxed_batched(
+        let cstats = run_relaxed(
             &alg,
             &inst.edge_pi,
             SimMultiQueue::new(k, StdRng::seed_from_u64(seed ^ 5)),
-            1,
         );
         assert_eq!(alg.into_labels(), inst.edge_truth);
         table.row(&[&k, &khat, &dstats.extra_iterations(), &cstats.extra_iterations()]);
@@ -188,11 +182,7 @@ fn dependency_depth_table(inst: &Instances, ks: &[usize], seed: u64) {
         let pts = &inst.pts[..m];
         let pi = insertion_order(m, seed ^ 9);
         let alg = ConcurrentDelaunay::new(pts, &pi);
-        let stats = rsched_core::framework::run_relaxed(
-            &alg,
-            &pi,
-            SimMultiQueue::new(k, StdRng::seed_from_u64(seed ^ 3)),
-        );
+        let stats = run_relaxed(&alg, &pi, SimMultiQueue::new(k, StdRng::seed_from_u64(seed ^ 3)));
         assert!(verify_delaunay(pts, &alg.into_output().triangles));
         sweep.row(&[
             &m,
@@ -215,7 +205,6 @@ fn main() {
             ("--ks LIST", "comma-separated relaxation factors"),
             ("--reps N", "repetitions per configuration"),
             ("--seed S", "base RNG seed"),
-            ("--batch-size B", "tasks popped per scheduler round-trip (default 1)"),
             ("--shards S", "shards for the sharded rows (default 4)"),
         ],
     ) else {
@@ -228,8 +217,6 @@ fn main() {
     let ks = args.get_usize_list("ks", if fast { &[4, 16] } else { &[4, 16, 64] });
     let reps = args.get_usize("reps", if fast { 1 } else { 3 });
     let seed = args.get_u64("seed", 11);
-    let batch = args.get_usize("batch-size", 1);
-    assert!(batch >= 1, "--batch-size must be positive");
     let shards = args.get_usize("shards", 4);
     assert!(shards >= 1, "--shards must be positive");
 
@@ -258,11 +245,8 @@ fn main() {
         inst.pts.len(),
         inst.delaunay_count
     );
-    if batch > 1 {
-        println!("framework batch size: {batch}");
-    }
     println!();
 
-    sequential_tables(&inst, &ks, reps, seed, batch, shards);
+    sequential_tables(&inst, &ks, reps, seed, shards);
     dependency_depth_table(&inst, &ks, seed);
 }

@@ -9,7 +9,7 @@
 //! `poly(k)` waste regardless of density (Theorem 2).
 //!
 //! Usage: `workloads [--n N] [--m M] [--reps R] [--ks 4,16,64] [--seed S]
-//! [--batch-size B] [--shards S] [--trace PATH] [--metrics [PATH]]`
+//! [--shards S] [--trace PATH] [--metrics [PATH]]`
 //!
 //! Built with `--features obs`, the run feeds the live `seq_pop_total`
 //! wasted-work counters (so extra-iterations is readable from a metrics
@@ -18,19 +18,16 @@
 //! feature, every probe is a no-op and the output is byte-identical to
 //! the uninstrumented binary.
 //!
-//! `--batch-size B` (default 1) runs the framework in batched mode: `B`
-//! tasks are popped per scheduler round-trip and the batch's failed deletes
-//! are re-inserted in one bulk insert. Batching grows the effective
-//! relaxation (a `k`-relaxed scheduler behaves like an `O(k·B)`-relaxed
-//! one), so the waste columns grow with `B` exactly as they grow with `k`;
-//! batch size 1 is bit-for-bit the scalar framework.
+//! The framework pops one task per iteration, as in the paper's sequential
+//! model; batched runs of pops are the thread executors' (`figure2
+//! --batch-size`).
 //!
 //! `--shards S` (default 1) partitions every scheduler into `S` hash-routed
 //! `SimMultiQueue` shards drained round-robin (`ShardedScheduler`, the
 //! sequential model of sharded execution). Sharding multiplies the
 //! effective relaxation by `S` (a `k`-relaxed scheduler over `S` shards
 //! behaves `O(k·S)`-relaxed, DESIGN.md "Sharding semantics"), so the waste
-//! columns grow with `S` exactly as they grow with `k` or `B`; one shard is
+//! columns grow with `S` exactly as they grow with `k`; one shard is
 //! bit-for-bit the unsharded framework.
 
 use rand::rngs::StdRng;
@@ -43,7 +40,7 @@ use rsched_core::algorithms::knuth_shuffle::{
 use rsched_core::algorithms::list_contraction::ConcurrentContraction;
 use rsched_core::algorithms::matching::{ConcurrentMatching, MatchingInstance};
 use rsched_core::algorithms::mis::ConcurrentMis;
-use rsched_core::framework::run_relaxed_batched;
+use rsched_core::framework::run_relaxed;
 use rsched_core::stats::ExecutionStats;
 use rsched_core::TaskId;
 use rsched_graph::{gen, ListInstance, Permutation};
@@ -71,7 +68,6 @@ fn main() {
         ("--reps N", "repetitions per configuration"),
         ("--ks LIST", "comma-separated relaxation factors"),
         ("--seed S", "base RNG seed"),
-        ("--batch-size B", "tasks popped per scheduler round-trip (default 1)"),
         ("--shards S", "hash-routed scheduler shards, drained round-robin (default 1)"),
     ];
     options.extend_from_slice(&rsched_bench::obs::OPTIONS);
@@ -89,17 +85,11 @@ fn main() {
     let reps = args.get_usize("reps", if quick { 2 } else { 5 });
     let ks = args.get_usize_list("ks", if quick { &[4, 16, 64] } else { &[4, 8, 16, 32, 64] });
     let seed = args.get_u64("seed", 17);
-    let batch_size = args.get_usize("batch-size", 1);
-    assert!(batch_size >= 1, "--batch-size must be positive");
     let shards = args.get_usize("shards", 1);
     assert!(shards >= 1, "--shards must be positive");
 
-    // Batch size 1 / one shard must leave the output byte-identical to the
-    // pre-batching / pre-sharding binary, so the header lines are
-    // conditional.
-    if batch_size > 1 {
-        println!("framework batch size: {batch_size}");
-    }
+    // One shard must leave the output byte-identical to the pre-sharding
+    // binary, so the header line is conditional.
     if shards > 1 {
         println!("scheduler shards: {shards}");
     }
@@ -137,7 +127,7 @@ fn main() {
         let f = move |k: usize, s: u64| -> ExecutionStats {
             let pi = Permutation::random(g.num_vertices(), &mut StdRng::seed_from_u64(s));
             let sched = sharded_sim(shards, k, s ^ 1);
-            run_relaxed_batched(&ConcurrentMis::new(g, &pi), &pi, sched, batch_size)
+            run_relaxed(&ConcurrentMis::new(g, &pi), &pi, sched)
         };
         let mut cells = vec!["MIS".to_string(), n.to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
@@ -151,7 +141,7 @@ fn main() {
         let f = move |k: usize, s: u64| -> ExecutionStats {
             let pi = Permutation::random(inst.num_edges(), &mut StdRng::seed_from_u64(s));
             let sched = sharded_sim(shards, k, s ^ 2);
-            run_relaxed_batched(&ConcurrentMatching::new(inst, &pi), &pi, sched, batch_size)
+            run_relaxed(&ConcurrentMatching::new(inst, &pi), &pi, sched)
         };
         let mut cells = vec!["matching".to_string(), inst.num_edges().to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
@@ -165,7 +155,7 @@ fn main() {
         let f = move |k: usize, s: u64| -> ExecutionStats {
             let pi = Permutation::random(g.num_vertices(), &mut StdRng::seed_from_u64(s));
             let sched = sharded_sim(shards, k, s ^ 3);
-            run_relaxed_batched(&ConcurrentColoring::new(g, &pi), &pi, sched, batch_size)
+            run_relaxed(&ConcurrentColoring::new(g, &pi), &pi, sched)
         };
         let mut cells = vec!["coloring".to_string(), n.to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
@@ -179,7 +169,7 @@ fn main() {
             let targets = random_targets(n, &mut StdRng::seed_from_u64(s));
             let pi = shuffle_priorities(n);
             let sched = sharded_sim(shards, k, s ^ 4);
-            run_relaxed_batched(&ConcurrentShuffle::new(targets), &pi, sched, batch_size)
+            run_relaxed(&ConcurrentShuffle::new(targets), &pi, sched)
         };
         let mut cells = vec!["knuth-shuffle".to_string(), n.to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));
@@ -194,7 +184,7 @@ fn main() {
             let list = ListInstance::new_shuffled(n, &mut rng);
             let pi = Permutation::random(n, &mut rng);
             let sched = sharded_sim(shards, k, s ^ 5);
-            run_relaxed_batched(&ConcurrentContraction::new(&list, &pi), &pi, sched, batch_size)
+            run_relaxed(&ConcurrentContraction::new(&list, &pi), &pi, sched)
         };
         let mut cells = vec!["list-contraction".to_string(), n.to_string()];
         cells.extend(ks.iter().map(|&k| format!("{:.1}", run_avg(&f, k))));

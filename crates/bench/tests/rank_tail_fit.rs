@@ -95,36 +95,3 @@ fn sharded_tail_exponent_degrades_linearly_in_shard_count() {
         );
     }
 }
-
-#[test]
-fn batched_drain_still_feeds_the_tail_estimator() {
-    // Instrumented::pop_batch must record every element of a batched drain
-    // (the tails account for exactly N pops), the fitted exponent must stay
-    // non-degenerate, and — since SimMultiQueue's pop_batch genuinely
-    // drains one two-choice winner per batch — the fitted k̂ must *grow*
-    // relative to the scalar drain: the measurable "effective relaxation
-    // grows with batch size" claim. Observed at these parameters: scalar
-    // k̂ ≈ 11.9, batch-8 k̂ ≈ 53 (≈ 4.5×); the assertion demands ≥ 2×.
-    let mut inst = Instrumented::new(SimMultiQueue::new(K, StdRng::seed_from_u64(SEED)));
-    for p in 0..N {
-        inst.insert(p, p as u32);
-    }
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        if inst.pop_batch(&mut buf, 8) == 0 {
-            break;
-        }
-    }
-    assert_eq!(inst.pops(), N, "batched drain lost pops in the instrumentation");
-    let tail = inst.rank_tail();
-    let lambda = fit_tail_exponent(&tail).expect("batched drain must still fit");
-    assert!(lambda > 0.0, "batched tail does not decay");
-    let scalar_tail = rank_tail(SimMultiQueue::new(K, StdRng::seed_from_u64(SEED)));
-    let scalar_lambda = fit_tail_exponent(&scalar_tail).expect("scalar fit");
-    let (k_batched, k_scalar) = (1.0 / lambda, 1.0 / scalar_lambda);
-    assert!(
-        k_batched >= 2.0 * k_scalar,
-        "batch-8 drain should relax ≥ 2× beyond scalar (k̂ {k_batched:.1} vs {k_scalar:.1})"
-    );
-}

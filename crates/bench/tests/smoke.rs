@@ -43,9 +43,15 @@ fn every_binary_answers_help() {
 #[test]
 fn every_binary_rejects_unknown_flags() {
     // `--json` is a retired option: it must fail like any other unknown
-    // flag, not run the workload and silently write nothing.
+    // flag, not run the workload and silently write nothing. So is the
+    // sequential binaries' `--batch-size`: their framework pops one task at
+    // a time.
     for (name, exe) in BINARIES {
-        for args in [&["--no-such-flag"][..], &["--json", "x"]] {
+        let batch: &[&[&str]] = match *name {
+            "workloads" | "incremental_algos" => &[&["--batch-size", "2"]],
+            _ => &[],
+        };
+        for &args in [&["--no-such-flag"][..], &["--json", "x"]].iter().chain(batch) {
             let out = Command::new(exe)
                 .args(args)
                 .output()

@@ -160,11 +160,12 @@ where
 /// occupancy (pops and purges minus inserts) wakes the producers parked on
 /// `capacity`; `None` (prefill, sealed runs, a service without a watermark)
 /// skips `wake_all`'s fence. Outcome counters and the obs probes are
-/// tallied in the run's locals and land once per run too. The worker spins
-/// briefly on empty observations (a blocked task may be in another worker's
-/// hands, about to be re-inserted). Tasks the scheduler purged on the way
-/// count as obsolete pops, and a call that only purged is a run like any
-/// other: progress, not an empty observation. Termination is by the ledger
+/// tallied in the run's locals and land once per run too. The worker backs
+/// off on empty observations (a blocked task may be in another worker's
+/// hands, about to be re-inserted) and after a run whose every task
+/// blocked, and resets on any other run. Tasks the scheduler purged on the
+/// way count as obsolete pops, and a call that only purged is a run like
+/// any other: progress, not an empty observation. Termination is by the ledger
 /// ([`Ledger::drained`]), never scheduler emptiness — a blocked task may be
 /// in another worker's hands, and a streaming scheduler is *expected* to sit
 /// empty between arrivals. A panicking `handle` drops the run's buffer with
@@ -216,7 +217,6 @@ where
                 backoff.snooze();
                 continue;
             }
-            backoff.reset();
             let _run_span = rsched_obs::span!("engine_run");
             rsched_obs::hist!("engine_run_batch_size").record(got as u64);
             let t0 = rsched_obs::now_ns();
@@ -271,9 +271,16 @@ where
             if let Some(capacity) = capacity.filter(|_| got + purged > out.len()) {
                 capacity.wake_all();
             }
+            // A stuck run also backs off, as an empty pop does: its blocked
+            // predecessors are in another worker's hands, and re-popping them
+            // at once only contends with that worker (the exact scheduler's
+            // retry heap hands the same task straight back).
             if got > 0 && blocked == got {
                 hint = hint.wrapping_add(1);
                 rsched_obs::counter!("engine_affinity_drift_total").inc();
+                backoff.snooze();
+            } else {
+                backoff.reset();
             }
             out.clear();
         }

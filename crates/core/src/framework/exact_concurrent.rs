@@ -9,7 +9,10 @@
 //! process." (§4) Here the wait is a retry: the engine re-inserts a
 //! `Blocked` task like any failed delete, into a small locked heap that
 //! every pop drains first, lowest label first, so the order stays exact and
-//! the scheduler is the only difference from [`super::run_concurrent`].
+//! the scheduler is the only difference from [`super::run_concurrent`]. The
+//! backoff is the engine's: a worker whose whole run blocked snoozes before
+//! it pops again, so it does not re-pop its retry while the predecessor's
+//! worker still holds it.
 
 use super::concurrent::run_concurrent_batched;
 use super::ConcurrentAlgorithm;
@@ -52,7 +55,9 @@ impl ConcurrentScheduler<TaskId> for ExactOrder<'_> {
 
     fn insert_batch(&self, entries: &[(u64, TaskId)]) {
         let mut retry = self.retry.lock().expect("no heap operation panics");
-        retry.insert_batch(entries);
+        for &(priority, task) in entries {
+            retry.insert(priority, task);
+        }
         self.retry_len.store(retry.len(), Ordering::Relaxed);
     }
 

@@ -7,15 +7,17 @@
 //! answers with a [`TaskOutcome`], and every executor calls it.
 //!
 //! * **Sequential-model executors** — [`run_exact`] (Algorithm 1, no queue)
-//!   and [`run_relaxed`] / [`run_relaxed_batched`] (Algorithms 2 and 4 over
-//!   any [`rsched_queues::PriorityScheduler`]) — call `try_process` from
-//!   one thread, where it is the state check followed by the processing
-//!   step, and count pops into [`crate::stats::ExecutionStats`]: the
-//!   quantities Theorems 1–2 bound.
+//!   and [`run_relaxed`] (Algorithms 2 and 4 over any
+//!   [`rsched_queues::PriorityScheduler`], one pop per iteration) — call
+//!   `try_process` from one thread, where it is the state check followed
+//!   by the processing step, and count pops into
+//!   [`crate::stats::ExecutionStats`]: the quantities Theorems 1–2 bound.
 //! * **Thread executors** — [`run_concurrent`] / [`run_concurrent_batched`]
 //!   (relaxed, over any [`rsched_queues::ConcurrentScheduler`]) and
 //!   [`run_exact_concurrent`] (the §4 comparison framework: the same worker
-//!   engine over an exact-order scheduler) — call it from many.
+//!   engine over an exact-order scheduler) — call it from many. A worker
+//!   pops a run of up to `batch_size` tasks; that is the framework's only
+//!   batching.
 //!
 //! One loop serves both Algorithm 2 (generic) and Algorithm 4 (MIS): the
 //! difference is entirely in the oracle, which may report a task
@@ -32,7 +34,7 @@ pub(crate) mod testing;
 
 pub use concurrent::{fill_scheduler, run_concurrent, run_concurrent_batched};
 pub use exact_concurrent::run_exact_concurrent;
-pub use sequential::{run_exact, run_relaxed, run_relaxed_batched};
+pub use sequential::{run_exact, run_relaxed};
 
 use crate::TaskId;
 

@@ -1,6 +1,7 @@
 //! Sequential-model executors: Algorithm 1 (exact) and Algorithms 2/4
 //! (relaxed), driving the same [`ConcurrentAlgorithm::try_process`] the
-//! thread executors call.
+//! thread executors call. The relaxed loop pops one task per iteration, as
+//! the paper's analysis does; runs of pops are the thread executors'.
 
 use super::{ConcurrentAlgorithm, TaskOutcome};
 use crate::stats::ExecutionStats;
@@ -48,34 +49,9 @@ where
 /// determinism claim, and the test suite checks it for every algorithm and
 /// scheduler combination.
 ///
-/// This is [`run_relaxed_batched`] at batch size 1: one pop, one
-/// `try_process`, one conditional re-insert per iteration.
-///
-/// # Panics
-///
-/// As [`run_relaxed_batched`].
-pub fn run_relaxed<A, S>(alg: &A, pi: &Permutation, sched: S) -> ExecutionStats
-where
-    A: ConcurrentAlgorithm,
-    S: PriorityScheduler<TaskId>,
-{
-    run_relaxed_batched(alg, pi, sched, 1)
-}
-
-/// [`run_relaxed`] with a batch size: pops a batch of up to `batch_size`
-/// tasks, processes them in pop order, and re-inserts all failed deletes of
-/// the batch in one [`PriorityScheduler::insert_batch`].
-///
-/// This is the sequential *simulation* of the batched concurrent executor:
-/// a batch is popped in full before any of its tasks is processed, so the
-/// effective relaxation grows by the batch size (a `k`-relaxed scheduler
-/// drives the run like an `O(k·batch_size)`-relaxed one) while the output
-/// stays identical to [`run_exact`]'s — the paper's determinism claim is
-/// insensitive to relaxation, batched or not. At `batch_size == 1` every
-/// `pop_batch` / `insert_batch` override must degenerate to its scalar
-/// `pop` / `insert` — same element, same RNG draws — which
-/// `tests/determinism.rs` pins against a scalar reference loop for every
-/// scheduler that overrides either.
+/// One pop per iteration, as in the paper's sequential model: batching
+/// belongs to the thread executors ([`super::run_concurrent_batched`]),
+/// where a run of pops is the unit of synchronization.
 ///
 /// The run ends when the scheduler is empty, and then audits the ledger
 /// the thread executors terminate on: each of the `n` entries must have
@@ -84,46 +60,28 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `batch_size == 0`, if `pi.len() != alg.num_tasks()`, or if
-/// the ledger is out of balance once the scheduler has drained.
-pub fn run_relaxed_batched<A, S>(
-    alg: &A,
-    pi: &Permutation,
-    mut sched: S,
-    batch_size: usize,
-) -> ExecutionStats
+/// Panics if `pi.len() != alg.num_tasks()`, or if the ledger is out of
+/// balance once the scheduler has drained.
+pub fn run_relaxed<A, S>(alg: &A, pi: &Permutation, mut sched: S) -> ExecutionStats
 where
     A: ConcurrentAlgorithm,
     S: PriorityScheduler<TaskId>,
 {
-    assert!(batch_size >= 1, "need a positive batch size");
     let n = alg.num_tasks();
     assert_eq!(n, pi.len(), "permutation size must match task count");
     for v in 0..n as u32 {
         sched.insert(pi.label(v) as u64, v);
     }
     let mut stats = ExecutionStats::new(n);
-    let mut batch: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
-    let mut blocked: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
-    loop {
-        batch.clear();
-        if sched.pop_batch(&mut batch, batch_size) == 0 {
-            break;
-        }
-        for &(priority, v) in &batch {
-            stats.total_pops += 1;
-            match alg.try_process(v) {
-                TaskOutcome::Processed => stats.processed += 1,
-                TaskOutcome::Blocked => {
-                    stats.wasted += 1;
-                    blocked.push((priority, v));
-                }
-                TaskOutcome::Obsolete => stats.obsolete += 1,
+    while let Some((priority, v)) = sched.pop() {
+        stats.total_pops += 1;
+        match alg.try_process(v) {
+            TaskOutcome::Processed => stats.processed += 1,
+            TaskOutcome::Blocked => {
+                stats.wasted += 1;
+                sched.insert(priority, v); // a failed delete
             }
-        }
-        if !blocked.is_empty() {
-            sched.insert_batch(&blocked); // failed deletes; one bulk re-insert
-            blocked.clear();
+            TaskOutcome::Obsolete => stats.obsolete += 1,
         }
     }
     // The probes read the run's own tallies, once: nothing reads them
@@ -192,21 +150,6 @@ mod tests {
         assert_eq!(stats_a.total_pops, stats_b.total_pops);
     }
 
-    #[test]
-    fn batched_chain_is_deterministic_across_batch_sizes() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let pi = Permutation::random(60, &mut StdRng::seed_from_u64(9));
-        let exact_log = exact_log(&pi);
-        for batch in [1usize, 2, 4, 8, 64] {
-            let sched = TopKUniform::new(6, StdRng::seed_from_u64(batch as u64));
-            let alg = Chain::new(&pi);
-            let stats = run_relaxed_batched(&alg, &pi, sched, batch);
-            assert_eq!(alg.into_log(), exact_log, "batch={batch}");
-            assert_eq!(stats.processed, 60);
-            assert_eq!(stats.total_pops, 60 + stats.wasted + stats.obsolete);
-        }
-    }
-
     /// Hands every entry through, except that it drops the victim's (`.2`)
     /// unseen the first time it pops it after the vertex died.
     struct LosesDeadEntry<'a, S>(S, &'a ConcurrentMis<'a>, TaskId);
@@ -240,14 +183,7 @@ mod tests {
         let victim = greedy_mis(&g, &pi).iter().position(|&inside| !inside).unwrap() as TaskId;
         let alg = ConcurrentMis::new(&g, &pi);
         let inner = TopKUniform::new(4, StdRng::seed_from_u64(1));
-        let _ = run_relaxed_batched(&alg, &pi, LosesDeadEntry(inner, &alg, victim), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive batch size")]
-    fn zero_batch_size_panics() {
-        let pi = Permutation::identity(3);
-        let _ = run_relaxed_batched(&Chain::new(&pi), &pi, BinaryHeapScheduler::new(), 0);
+        let _ = run_relaxed(&alg, &pi, LosesDeadEntry(inner, &alg, victim));
     }
 
     #[test]

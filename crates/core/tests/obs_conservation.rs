@@ -25,9 +25,7 @@ use rand::SeedableRng;
 use rsched_core::algorithms::incremental::connectivity::ConcurrentConnectivity;
 use rsched_core::algorithms::incremental::insertion_order;
 use rsched_core::algorithms::mis::ConcurrentMis;
-use rsched_core::framework::{
-    fill_scheduler, run_concurrent_batched, run_relaxed_batched, TaskOutcome,
-};
+use rsched_core::framework::{fill_scheduler, run_concurrent_batched, run_relaxed, TaskOutcome};
 use rsched_core::service::{
     run_service, Producer, ProducerFn, RequestHandler, ServiceConfig, SubmitCtx,
 };
@@ -112,11 +110,10 @@ proptest! {
     }
 
     /// Sequential framework: `seq_pop_total` deltas equal the
-    /// `ExecutionStats` ledger for arbitrary (k, batch, n).
+    /// `ExecutionStats` ledger for arbitrary (k, n).
     #[test]
     fn sequential_counters_conserve(
         k in 1usize..=16,
-        batch in 1usize..=8,
         n in 32usize..=300,
         seed in 0u64..1000,
     ) {
@@ -126,7 +123,7 @@ proptest! {
         let sched = SimMultiQueue::new(k, StdRng::seed_from_u64(seed ^ 2));
 
         let base = rsched_obs::snapshot();
-        let stats = run_relaxed_batched(&ConcurrentMis::new(&g, &pi), &pi, sched, batch);
+        let stats = run_relaxed(&ConcurrentMis::new(&g, &pi), &pi, sched);
         let end = rsched_obs::snapshot();
 
         prop_assert_eq!(delta(&end, &base, "success", "seq_pop_total"), stats.processed);

@@ -7,13 +7,19 @@
 //! the Harris-list bucket is in `lf_multiqueue.rs`.
 
 use crate::rng;
-use crate::{ConcurrentScheduler, Entry, SchedulerLoad, BATCH_SCATTER_RUN};
+use crate::{ConcurrentScheduler, Entry, SchedulerLoad};
 use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 use rsched_sync::atomic::{AtomicIsize, AtomicU32, Ordering};
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
+
+/// Longest contiguous run of a batch that `insert_batch` places in a single
+/// bucket. Small batches (≤ this) pay exactly one lock / pin; huge bulk
+/// loads (e.g. the framework's initial fill) still scatter across buckets
+/// in runs of this length, so no single bucket swallows the whole load.
+const BATCH_SCATTER_RUN: usize = 64;
 
 /// One internal queue of a [`MultiQueueCore`]. Which bucket to pop, when
 /// to retry, where an insert goes and what `len` is are the core's; the

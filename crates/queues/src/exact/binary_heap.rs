@@ -65,41 +65,6 @@ impl<T> PriorityScheduler<T> for BinaryHeapScheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use std::collections::HashSet;
-
-    proptest! {
-        #[test]
-        fn sequential_default_batch_ops_conserve_len(
-            entries in proptest::collection::vec(0u64..1000, 0..60),
-            max in 1usize..16,
-        ) {
-            // The defaulted trait methods on a sequential scheduler: insert_batch
-            // then pop_batch to empty must return every entry exactly once, in
-            // exact order for an exact queue.
-            let mut q = BinaryHeapScheduler::new();
-            let batch: Vec<(u64, u64)> =
-                entries.iter().enumerate().map(|(i, &p)| (p, i as u64)).collect();
-            q.insert_batch(&batch);
-            prop_assert_eq!(q.len(), batch.len());
-            let mut out = Vec::new();
-            loop {
-                let before = out.len();
-                let got = q.pop_batch(&mut out, max);
-                prop_assert!(got <= max);
-                prop_assert_eq!(out.len(), before + got);
-                if got == 0 {
-                    break;
-                }
-            }
-            prop_assert!(q.is_empty());
-            prop_assert_eq!(out.len(), batch.len());
-            // Exact scheduler: batched drain preserves full priority order.
-            prop_assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
-            let ids: HashSet<u64> = out.iter().map(|e| e.1).collect();
-            prop_assert_eq!(ids.len(), batch.len());
-        }
-    }
 
     #[test]
     fn pops_in_priority_order() {

@@ -89,32 +89,6 @@ impl<S> Instrumented<S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
-
-    /// Records one pop of `priority`: rank against the live set, inversion
-    /// bump for every smaller live element, removal from the live set.
-    ///
-    /// Shared by [`PriorityScheduler::pop`] and
-    /// [`PriorityScheduler::pop_batch`]: a batched pop of `b` elements is
-    /// recorded element-by-element in pop order, each against the live set
-    /// *after* the previous element's removal — so batched drains feed the
-    /// same Definition 1 tail estimators, and the recorded ranks reflect
-    /// the extra relaxation the batch introduces.
-    fn record_pop(&mut self, priority: u64) {
-        self.pops += 1;
-        let rank = self.present.rank_of(priority); // elements strictly smaller
-        bump(&mut self.rank_counts, rank + 1);
-        // Live rank-error sample (1-based, as in Definition 1) for the
-        // metrics registry; no-op unless the `obs` feature is on.
-        rsched_obs::hist!("sched_rank_error").record(rank as u64 + 1);
-        // Every smaller live element suffers one inversion (unless rank 0:
-        // this pop was exact).
-        for r in 0..rank {
-            let smaller = self.present.select(r).expect("rank within len");
-            self.inv_live[smaller as usize] += 1;
-        }
-        bump(&mut self.inv_counts, self.inv_live[priority as usize] as usize);
-        self.present.remove(priority);
-    }
 }
 
 fn tail_from_histogram(hist: &[u64], total: u64) -> Vec<f64> {
@@ -151,30 +125,29 @@ where
         self.inner.insert(priority, item);
     }
 
+    /// Records the pop: rank against the live set, one inversion for every
+    /// smaller live element, removal from the live set.
     fn pop(&mut self) -> Option<(u64, T)> {
         let (priority, item) = self.inner.pop()?;
-        self.record_pop(priority);
+        self.pops += 1;
+        let rank = self.present.rank_of(priority); // elements strictly smaller
+        bump(&mut self.rank_counts, rank + 1);
+        // Live rank-error sample (1-based, as in Definition 1) for the
+        // metrics registry; no-op unless the `obs` feature is on.
+        rsched_obs::hist!("sched_rank_error").record(rank as u64 + 1);
+        // Every smaller live element suffers one inversion (unless rank 0:
+        // this pop was exact).
+        for r in 0..rank {
+            let smaller = self.present.select(r).expect("rank within len");
+            self.inv_live[smaller as usize] += 1;
+        }
+        bump(&mut self.inv_counts, self.inv_live[priority as usize] as usize);
+        self.present.remove(priority);
         Some((priority, item))
     }
 
     fn len(&self) -> usize {
         self.inner.len()
-    }
-
-    fn pop_batch(&mut self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        // Delegate to the inner scheduler's (possibly amortized) batch pop,
-        // then record each returned element in pop order.
-        let start = out.len();
-        let got = self.inner.pop_batch(out, max);
-        // `out` and `self` are disjoint, so reading the popped priorities
-        // while mutating the histograms is fine.
-        let mut pos = start;
-        while let Some(entry) = out.get(pos) {
-            let priority = entry.0;
-            self.record_pop(priority);
-            pos += 1;
-        }
-        got
     }
 }
 

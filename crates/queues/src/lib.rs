@@ -53,13 +53,6 @@ pub mod sharded;
 pub use entry::Entry;
 pub use indexed_set::IndexedSet;
 
-/// Longest contiguous run of a batch that `insert_batch` overrides place in
-/// a single internal queue. Small batches (≤ this) pay exactly one lock /
-/// pin; huge bulk loads (e.g. the framework's initial fill) still scatter
-/// across internal queues in runs of this length, so no single queue
-/// swallows the whole load.
-pub(crate) const BATCH_SCATTER_RUN: usize = 64;
-
 /// A sequential priority scheduler: the interface of the paper's `Q`.
 ///
 /// `pop` is the paper's `ApproxGetMin()`: implementations may return an
@@ -83,42 +76,6 @@ pub trait PriorityScheduler<T> {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Inserts every entry of `entries` (a bulk `insert`).
-    ///
-    /// The default loops over [`PriorityScheduler::insert`] in slice order,
-    /// so with respect to tie-breaking and RNG consumption it is
-    /// operation-for-operation identical to inserting one at a time.
-    fn insert_batch(&mut self, entries: &[(u64, T)])
-    where
-        T: Clone,
-    {
-        for (priority, item) in entries {
-            self.insert(*priority, item.clone());
-        }
-    }
-
-    /// Pops up to `max` elements into `out`, returning how many were popped.
-    ///
-    /// Returns 0 iff the scheduler is empty or `max == 0`; popped elements
-    /// are appended to `out` in pop order. The default loops over
-    /// [`PriorityScheduler::pop`]. Batching relaxes further: a batch of `b`
-    /// elements is popped before any of them is processed, so a `k`-relaxed
-    /// scheduler behaves like an `O(k·b)`-relaxed one (see DESIGN.md,
-    /// "Batching semantics").
-    fn pop_batch(&mut self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        let mut got = 0usize;
-        while got < max {
-            match self.pop() {
-                Some(e) => {
-                    out.push(e);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        got
-    }
 }
 
 /// A mutable borrow schedules like the scheduler itself — lets callers run
@@ -137,15 +94,6 @@ impl<T, S: PriorityScheduler<T>> PriorityScheduler<T> for &mut S {
     fn is_empty(&self) -> bool {
         (**self).is_empty()
     }
-    fn insert_batch(&mut self, entries: &[(u64, T)])
-    where
-        T: Clone,
-    {
-        (**self).insert_batch(entries)
-    }
-    fn pop_batch(&mut self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        (**self).pop_batch(out, max)
-    }
 }
 
 impl<T> PriorityScheduler<T> for Box<dyn PriorityScheduler<T> + '_> {
@@ -160,15 +108,6 @@ impl<T> PriorityScheduler<T> for Box<dyn PriorityScheduler<T> + '_> {
     }
     fn is_empty(&self) -> bool {
         (**self).is_empty()
-    }
-    fn insert_batch(&mut self, entries: &[(u64, T)])
-    where
-        T: Clone,
-    {
-        (**self).insert_batch(entries)
-    }
-    fn pop_batch(&mut self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        (**self).pop_batch(out, max)
     }
 }
 

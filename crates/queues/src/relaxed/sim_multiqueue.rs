@@ -6,7 +6,7 @@
 //! and `O(q log q)`-fair with exponential tails — i.e. a `k`-relaxed
 //! scheduler with `k = O(q)`. This is the scheduler Table 1 sweeps.
 
-use crate::{Entry, PriorityScheduler, BATCH_SCATTER_RUN};
+use crate::{Entry, PriorityScheduler};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -111,85 +111,6 @@ impl<T, R: Rng> PriorityScheduler<T> for SimMultiQueue<T, R> {
     fn len(&self) -> usize {
         self.len
     }
-
-    // The batched overrides mirror the *concurrent* MultiQueue's batch
-    // semantics (one queue per ≤ BATCH_SCATTER_RUN insert run, one
-    // two-choice winner drained per pop batch), so the sequential
-    // simulation — Table 1's scheduler — exhibits the same
-    // effective-relaxation growth with batch size that the concurrent
-    // executor pays.
-
-    fn insert_batch(&mut self, entries: &[(u64, T)])
-    where
-        T: Clone,
-    {
-        for run in entries.chunks(BATCH_SCATTER_RUN) {
-            let i = self.rng.gen_range(0..self.queues.len());
-            for (priority, item) in run {
-                let seq = self.seq;
-                self.seq = seq.wrapping_add(1);
-                self.queues[i].push(Reverse(Entry::new(*priority, seq, item.clone())));
-            }
-            self.len += run.len();
-        }
-    }
-
-    fn pop_batch(&mut self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        if max == 0 || self.len == 0 {
-            return 0;
-        }
-        let q = self.queues.len();
-        for _ in 0..8 {
-            let i = self.rng.gen_range(0..q);
-            let j = self.rng.gen_range(0..q);
-            let best = match (self.top_key(i), self.top_key(j)) {
-                (Some(a), Some(b)) => {
-                    if a <= b {
-                        i
-                    } else {
-                        j
-                    }
-                }
-                (Some(_), None) => i,
-                (None, Some(_)) => j,
-                (None, None) => continue,
-            };
-            let got = drain_heap(&mut self.queues[best], out, max);
-            self.len -= got;
-            if got > 0 {
-                return got;
-            }
-        }
-        // Deterministic fallback: first non-empty queue.
-        match (0..q).find(|&idx| !self.queues[idx].is_empty()) {
-            Some(idx) => {
-                let got = drain_heap(&mut self.queues[idx], out, max);
-                self.len -= got;
-                got
-            }
-            None => 0,
-        }
-    }
-}
-
-/// Pops up to `max` entries off one internal heap, the per-batch drain of
-/// the batched two-choice pop.
-fn drain_heap<T>(
-    heap: &mut BinaryHeap<Reverse<Entry<T>>>,
-    out: &mut Vec<(u64, T)>,
-    max: usize,
-) -> usize {
-    let mut got = 0usize;
-    while got < max {
-        match heap.pop() {
-            Some(Reverse(e)) => {
-                out.push((e.priority, e.item));
-                got += 1;
-            }
-            None => break,
-        }
-    }
-    got
 }
 
 impl<T, R> fmt::Debug for SimMultiQueue<T, R> {
@@ -274,39 +195,5 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_queues_rejected() {
         let _ = SimMultiQueue::<(), _>::new(0, StdRng::seed_from_u64(1));
-    }
-
-    #[test]
-    fn batch_ops_pop_each_element_exactly_once() {
-        let mut q = SimMultiQueue::new(8, StdRng::seed_from_u64(6));
-        let entries: Vec<(u64, u64)> = (0..500u64).map(|p| (p, p)).collect();
-        q.insert_batch(&entries);
-        assert_eq!(q.len(), 500);
-        let mut popped = Vec::new();
-        let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            let got = q.pop_batch(&mut buf, 16);
-            assert!(got <= 16);
-            if got == 0 {
-                break;
-            }
-            popped.extend(buf.iter().map(|e| e.0));
-        }
-        popped.sort_unstable();
-        assert_eq!(popped, (0..500).collect::<Vec<_>>());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn single_queue_batched_is_exact() {
-        // q = 1 degenerates to an exact scheduler even under batching: the
-        // single internal heap is drained in priority order.
-        let mut q = SimMultiQueue::new(1, StdRng::seed_from_u64(7));
-        q.insert_batch(&[(5u64, ()), (1, ()), (4, ()), (2, ()), (3, ())]);
-        let mut out = Vec::new();
-        while q.pop_batch(&mut out, 2) > 0 {}
-        let order: Vec<u64> = out.iter().map(|e| e.0).collect();
-        assert_eq!(order, vec![1, 2, 3, 4, 5]);
     }
 }

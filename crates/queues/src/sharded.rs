@@ -162,45 +162,6 @@ impl<S: SchedulerLoad> SchedulerLoad for ShardedScheduler<S> {
     }
 }
 
-/// Where [`route_batch`] sends entries: one entry to its shard's `insert`,
-/// or a group to its shard's `insert_batch`.
-enum Route<'a, T> {
-    One(u64, T),
-    Group(&'a [(u64, T)]),
-}
-
-/// The one `insert_batch` routing of both scheduler impls, feeding
-/// `sink(shard, route)`. One shard passes the batch through whole, keeping
-/// that configuration bit-for-bit the bare inner scheduler (no regrouping
-/// clone). At most `shards` entries — expected group size ≤ 1, the hot path
-/// of an executor flushing a handful of blocked tasks per run — route
-/// elementwise, since grouping buffers buy nothing there. A larger batch is
-/// grouped by shard, slice order kept within each group, one inner bulk
-/// call per shard touched.
-fn route_batch<T, F>(entries: &[(u64, T)], shards: usize, mut sink: F)
-where
-    T: Clone + Hash,
-    F: FnMut(usize, Route<'_, T>),
-{
-    if shards == 1 {
-        sink(0, Route::Group(entries));
-    } else if entries.len() <= shards {
-        for (priority, item) in entries {
-            sink(shard_index(item, shards), Route::One(*priority, item.clone()));
-        }
-    } else {
-        let mut groups: Vec<Vec<(u64, T)>> = (0..shards).map(|_| Vec::new()).collect();
-        for (priority, item) in entries {
-            groups[shard_index(item, shards)].push((*priority, item.clone()));
-        }
-        for (shard, group) in groups.iter().enumerate() {
-            if !group.is_empty() {
-                sink(shard, Route::Group(group));
-            }
-        }
-    }
-}
-
 impl<T, S> PriorityScheduler<T> for ShardedScheduler<S>
 where
     T: Hash,
@@ -229,34 +190,6 @@ where
 
     fn len(&self) -> usize {
         self.shards.iter().map(|q| q.len()).sum()
-    }
-
-    fn insert_batch(&mut self, entries: &[(u64, T)])
-    where
-        T: Clone,
-    {
-        let shards = &mut self.shards;
-        route_batch(entries, shards.len(), |shard, route| match route {
-            Route::One(priority, item) => shards[shard].insert(priority, item),
-            Route::Group(group) => shards[shard].insert_batch(group),
-        });
-    }
-
-    /// Pops the batch from the first non-empty shard at or after the cursor
-    /// (one inner `pop_batch` per shard probed, at most `s` probes), then
-    /// advances the cursor. A batch never spans shards: partial batches
-    /// carry no emptiness signal, exactly as for the inner schedulers.
-    fn pop_batch(&mut self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        let s = self.shards.len();
-        for probe in 0..s {
-            let idx = (self.cursor + probe) % s;
-            let got = self.shards[idx].pop_batch(out, max);
-            if got > 0 {
-                self.cursor = (idx + 1) % s;
-                return got;
-            }
-        }
-        0
     }
 }
 
@@ -343,14 +276,35 @@ where
         e
     }
 
+    /// One shard passes the batch through whole, keeping that configuration
+    /// bit-for-bit the bare inner scheduler (no regrouping clone). At most
+    /// `s` entries — expected group size ≤ 1, the hot path of an executor
+    /// flushing a handful of blocked tasks per run — route elementwise,
+    /// since grouping buffers buy nothing there. A larger batch is grouped
+    /// by shard, slice order kept within each group, one inner bulk call
+    /// per shard touched.
     fn insert_batch(&self, entries: &[(u64, T)])
     where
         T: Clone,
     {
-        route_batch(entries, self.shards.len(), |shard, route| match route {
-            Route::One(priority, item) => self.shards[shard].insert(priority, item),
-            Route::Group(group) => self.shards[shard].insert_batch(group),
-        });
+        let s = self.shards.len();
+        if s == 1 {
+            self.shards[0].insert_batch(entries);
+        } else if entries.len() <= s {
+            for (priority, item) in entries {
+                self.shards[shard_index(item, s)].insert(*priority, item.clone());
+            }
+        } else {
+            let mut groups: Vec<Vec<(u64, T)>> = (0..s).map(|_| Vec::new()).collect();
+            for (priority, item) in entries {
+                groups[shard_index(item, s)].push((*priority, item.clone()));
+            }
+            for (shard, group) in groups.iter().enumerate() {
+                if !group.is_empty() {
+                    self.shards[shard].insert_batch(group);
+                }
+            }
+        }
     }
 
     fn pop_batch(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
@@ -524,29 +478,6 @@ mod tests {
                 assert_eq!(q.shard_for(&v), shard, "prefilled {v} routed to wrong shard");
             }
         }
-    }
-
-    #[test]
-    fn sequential_pop_batch_never_spans_shards() {
-        let mut q = ShardedScheduler::from_fn(4, |_| BinaryHeapScheduler::new());
-        for p in 0..400u64 {
-            q.insert(p, p as u32);
-        }
-        let mut total = 0usize;
-        let mut buf: Vec<(u64, u32)> = Vec::new();
-        loop {
-            buf.clear();
-            let got = q.pop_batch(&mut buf, 32);
-            if got == 0 {
-                break;
-            }
-            assert!(got <= 32);
-            // All entries of one batch route to one shard.
-            let shard = q.shard_for(&buf[0].1);
-            assert!(buf.iter().all(|(_, v)| q.shard_for(v) == shard));
-            total += got;
-        }
-        assert_eq!(total, 400);
     }
 
     #[test]

@@ -7,12 +7,6 @@
 //! the relaxed one over every MultiQueue variant and a 3-shard
 //! `ShardedScheduler` at 1, 2 and 4 threads and batch sizes 1 and 8, and
 //! the exact one, `run_exact_concurrent`.
-//!
-//! The same table pins the one sequential loop: `run_relaxed` is the batched
-//! loop at batch size 1, so every scheduler's `pop_batch` / `insert_batch`
-//! must degenerate to its scalar `pop` / `insert` — same element, same RNG
-//! draws. Each row is therefore also run through a scalar reference loop
-//! kept here, and output *and* `ExecutionStats` must agree.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,10 +26,9 @@ use rsched::core::algorithms::matching::{
 };
 use rsched::core::algorithms::mis::{greedy_mis, verify_mis, ConcurrentMis};
 use rsched::core::framework::{
-    fill_scheduler, run_concurrent_batched, run_exact, run_exact_concurrent, run_relaxed_batched,
-    ConcurrentAlgorithm, TaskOutcome,
+    fill_scheduler, run_concurrent_batched, run_exact, run_exact_concurrent, run_relaxed,
+    ConcurrentAlgorithm,
 };
-use rsched::core::stats::ExecutionStats;
 use rsched::core::TaskId;
 use rsched::graph::geom::uniform_square;
 use rsched::graph::{gen, CsrGraph, ListInstance, Permutation};
@@ -48,32 +41,6 @@ use rsched::queues::sharded::ShardedScheduler;
 use rsched::queues::{ConcurrentScheduler, PriorityScheduler};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
-
-/// Algorithm 2 verbatim — one `pop`, one `try_process`, one `insert` of a
-/// failed delete. The framework's loop at batch size 1 must perform exactly
-/// this operation sequence on every scheduler.
-fn scalar_reference<A, S>(alg: &A, pi: &Permutation, mut sched: S) -> ExecutionStats
-where
-    A: ConcurrentAlgorithm,
-    S: PriorityScheduler<TaskId>,
-{
-    for v in 0..pi.len() as u32 {
-        sched.insert(pi.label(v) as u64, v);
-    }
-    let mut stats = ExecutionStats::new(pi.len());
-    while let Some((priority, v)) = sched.pop() {
-        stats.total_pops += 1;
-        match alg.try_process(v) {
-            TaskOutcome::Processed => stats.processed += 1,
-            TaskOutcome::Blocked => {
-                stats.wasted += 1;
-                sched.insert(priority, v);
-            }
-            TaskOutcome::Obsolete => stats.obsolete += 1,
-        }
-    }
-    stats
-}
 
 /// `shards` hash-routed `SimMultiQueue(4)` shards drained round-robin.
 fn sharded_sim(shards: usize, seed: u64) -> ShardedScheduler<SimMultiQueue<TaskId, StdRng>> {
@@ -93,40 +60,29 @@ fn assert_deterministic<A, O>(
     A: ConcurrentAlgorithm,
     O: PartialEq + std::fmt::Debug,
 {
-    type SchedFactory = Box<dyn FnMut() -> Box<dyn PriorityScheduler<TaskId>>>;
-    let scheds: Vec<(&str, SchedFactory)> = vec![
-        ("binary-heap", Box::new(|| Box::new(BinaryHeapScheduler::new()))),
-        ("top-4", Box::new(|| Box::new(TopKUniform::new(4, StdRng::seed_from_u64(1))))),
-        ("top-64", Box::new(|| Box::new(TopKUniform::new(64, StdRng::seed_from_u64(2))))),
-        ("sim-mq-8", Box::new(|| Box::new(SimMultiQueue::new(8, StdRng::seed_from_u64(3))))),
-        (
-            "sim-spray-16",
-            Box::new(|| Box::new(SimSprayList::with_threads(16, StdRng::seed_from_u64(4)))),
-        ),
-        ("uniform-random", Box::new(|| Box::new(UniformRandom::new(StdRng::seed_from_u64(5))))),
-        // Rows whose `pop_batch` / `insert_batch` are overrides (sim-mq-8
-        // above is one too); the rows before take the trait defaults.
+    let scheds: Vec<(&str, Box<dyn PriorityScheduler<TaskId>>)> = vec![
+        ("binary-heap", Box::new(BinaryHeapScheduler::new())),
+        ("top-4", Box::new(TopKUniform::new(4, StdRng::seed_from_u64(1)))),
+        ("top-64", Box::new(TopKUniform::new(64, StdRng::seed_from_u64(2)))),
+        ("sim-mq-8", Box::new(SimMultiQueue::new(8, StdRng::seed_from_u64(3)))),
+        ("sim-spray-16", Box::new(SimSprayList::with_threads(16, StdRng::seed_from_u64(4)))),
+        ("uniform-random", Box::new(UniformRandom::new(StdRng::seed_from_u64(5)))),
+        // A wrapped scheduler and the sequential model of sharding.
         (
             "instrumented-sim-mq-8",
-            Box::new(|| {
-                Box::new(Instrumented::new(SimMultiQueue::new(8, StdRng::seed_from_u64(6))))
-            }),
+            Box::new(Instrumented::new(SimMultiQueue::new(8, StdRng::seed_from_u64(6)))),
         ),
-        ("sharded-1", Box::new(|| Box::new(sharded_sim(1, 7)))),
-        ("sharded-3", Box::new(|| Box::new(sharded_sim(3, 8)))),
+        ("sharded-1", Box::new(sharded_sim(1, 7))),
+        ("sharded-3", Box::new(sharded_sim(3, 8))),
     ];
     let alg = make_alg();
     let exact_stats = run_exact(&alg, pi);
     assert_eq!(&output(alg), expected, "run_exact diverged from reference");
     assert_eq!(exact_stats.total_pops as usize, pi.len());
-    for (name, mut mk) in scheds {
+    for (name, sched) in scheds {
         let alg = make_alg();
-        let stats = run_relaxed_batched(&alg, pi, mk(), 1);
+        let stats = run_relaxed(&alg, pi, sched);
         assert_eq!(&output(alg), expected, "scheduler {name} changed the output");
-        let alg = make_alg();
-        let ref_stats = scalar_reference(&alg, pi, mk());
-        assert_eq!(&output(alg), expected, "{name}: the scalar loop changed the output");
-        assert_eq!(stats, ref_stats, "{name}: batch 1 does not degenerate to pop / insert");
         assert_eq!(
             stats.total_pops,
             pi.len() as u64 + stats.extra_iterations(),
