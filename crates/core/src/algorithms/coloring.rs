@@ -145,12 +145,7 @@ impl ConcurrentAlgorithm for ConcurrentColoring<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{run_concurrent, run_exact, run_exact_concurrent, run_relaxed};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use rsched_graph::gen;
-    use rsched_queues::concurrent::LockFreeMultiQueue;
-    use rsched_queues::relaxed::{SimMultiQueue, TopKUniform};
 
     #[test]
     fn mex_basics() {
@@ -185,61 +180,6 @@ mod tests {
         assert!(!verify_coloring(&g, &[0, 0, 1]));
         assert!(!verify_coloring(&g, &[0, 1])); // wrong length
         assert!(!verify_coloring(&g, &[0, u32::MAX, 0])); // uncolored
-    }
-
-    #[test]
-    fn framework_matches_greedy() {
-        let mut rng = StdRng::seed_from_u64(20);
-        let g = gen::gnm(300, 1500, &mut rng);
-        let pi = Permutation::random(300, &mut rng);
-        let expected = greedy_coloring(&g, &pi);
-        assert!(verify_coloring(&g, &expected));
-
-        let alg = ConcurrentColoring::new(&g, &pi);
-        let stats = run_exact(&alg, &pi);
-        assert_eq!(alg.into_output(), expected);
-        assert_eq!(stats.total_pops, 300);
-
-        for seed in 0..3 {
-            let alg = ConcurrentColoring::new(&g, &pi);
-            let stats = run_relaxed(&alg, &pi, TopKUniform::new(12, StdRng::seed_from_u64(seed)));
-            assert_eq!(alg.into_output(), expected);
-            assert_eq!(stats.processed, 300); // no obsolete tasks in coloring
-            let alg = ConcurrentColoring::new(&g, &pi);
-            let _ = run_relaxed(&alg, &pi, SimMultiQueue::new(6, StdRng::seed_from_u64(seed)));
-            assert_eq!(alg.into_output(), expected);
-        }
-    }
-
-    #[test]
-    fn concurrent_matches_greedy() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let g = gen::gnm(400, 2500, &mut rng);
-        let pi = Permutation::random(400, &mut rng);
-        let expected = greedy_coloring(&g, &pi);
-        for threads in [1, 2, 4] {
-            let alg = ConcurrentColoring::new(&g, &pi);
-            let sched = LockFreeMultiQueue::prefilled(
-                4 * threads,
-                (0..400u32).map(|v| (pi.label(v) as u64, v)),
-            );
-            let stats = run_concurrent(&alg, &pi, &sched, threads);
-            assert_eq!(alg.into_output(), expected, "threads={threads}");
-            assert_eq!(stats.processed, 400);
-        }
-    }
-
-    #[test]
-    fn exact_concurrent_matches_greedy() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let g = gen::gnm(200, 1000, &mut rng);
-        let pi = Permutation::random(200, &mut rng);
-        let expected = greedy_coloring(&g, &pi);
-        for threads in [1, 2] {
-            let alg = ConcurrentColoring::new(&g, &pi);
-            let _ = run_exact_concurrent(&alg, &pi, threads);
-            assert_eq!(alg.into_output(), expected);
-        }
     }
 
     #[test]

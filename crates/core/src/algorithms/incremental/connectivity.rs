@@ -215,17 +215,11 @@ impl ConcurrentAlgorithm for ConcurrentConnectivity<'_> {
 mod tests {
     use super::*;
     use crate::algorithms::incremental::insertion_order;
-    use crate::framework::{
-        fill_scheduler, run_concurrent_batched, run_exact, run_exact_concurrent, run_relaxed,
-    };
-    use crate::stats::ExecutionStats;
+    use crate::framework::{run_exact, run_relaxed};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::gen;
-    use rsched_graph::Permutation;
-    use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
-    use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
-    use rsched_queues::sharded::ShardedScheduler;
+    use rsched_queues::relaxed::SimMultiQueue;
 
     fn random_edges(n: usize, m: usize, seed: u64) -> Vec<(u32, u32)> {
         gen::gnm(n, m, &mut StdRng::seed_from_u64(seed)).edge_list()
@@ -246,22 +240,6 @@ mod tests {
         }
     }
 
-    /// One sequential-model run: labels and the pop counters (a tree edge
-    /// is a `processed` pop).
-    fn relaxed<S>(
-        n: usize,
-        edges: &[(u32, u32)],
-        pi: &Permutation,
-        sched: S,
-    ) -> (Vec<u32>, ExecutionStats)
-    where
-        S: rsched_queues::PriorityScheduler<TaskId>,
-    {
-        let alg = ConcurrentConnectivity::new(n, edges);
-        let stats = run_relaxed(&alg, pi, sched);
-        (alg.into_labels(), stats)
-    }
-
     #[test]
     fn waste_is_order_independent() {
         // The defining property of the commutative workload: every pop
@@ -279,82 +257,14 @@ mod tests {
         assert_eq!(stats.obsolete, expected_obsolete);
 
         for seed in 0..3 {
-            let sched = SimMultiQueue::new(16, StdRng::seed_from_u64(seed));
-            let (labels, stats) = relaxed(n, &edges, &pi, sched);
-            assert_eq!(labels, expected, "seed {seed}");
+            let alg = ConcurrentConnectivity::new(n, &edges);
+            let stats = run_relaxed(&alg, &pi, SimMultiQueue::new(16, StdRng::seed_from_u64(seed)));
+            assert_eq!(alg.into_labels(), expected, "seed {seed}");
             assert_eq!(stats.processed, (n - c) as u64, "tree edges are n − c");
             assert_eq!(stats.obsolete, expected_obsolete, "seed {seed}");
             assert_eq!(stats.wasted, 0, "unions commute: nothing ever blocks");
             assert_eq!(stats.total_pops, edges.len() as u64);
         }
-    }
-
-    #[test]
-    fn all_sequential_models_reproduce_ground_truth() {
-        let n = 250;
-        let edges = random_edges(n, 700, 5);
-        let expected = components(n, &edges);
-        let pi = insertion_order(edges.len(), 7);
-        let sharded = ShardedScheduler::from_fn(4, |i| {
-            SimMultiQueue::new(4, StdRng::seed_from_u64(10 + i as u64))
-        });
-        let runs = [
-            ("top-k", relaxed(n, &edges, &pi, TopKUniform::new(32, StdRng::seed_from_u64(1)))),
-            (
-                "sim-multiqueue",
-                relaxed(n, &edges, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(2))),
-            ),
-            (
-                "sim-spray",
-                relaxed(n, &edges, &pi, SimSprayList::with_threads(8, StdRng::seed_from_u64(3))),
-            ),
-            ("sharded", relaxed(n, &edges, &pi, sharded)),
-        ];
-        for (name, (labels, stats)) in runs {
-            assert_eq!(labels, expected, "{name}");
-            let c = expected.iter().zip(0u32..).filter(|&(&l, v)| l == v).count();
-            assert_eq!(stats.processed, (n - c) as u64, "{name}");
-        }
-    }
-
-    #[test]
-    fn concurrent_matches_ground_truth_on_every_scheduler() {
-        let n = 500;
-        let edges = random_edges(n, 2_000, 8);
-        let expected = components(n, &edges);
-        let pi = insertion_order(edges.len(), 9);
-        for threads in [1usize, 4] {
-            for batch in [1usize, 16] {
-                let alg = ConcurrentConnectivity::new(n, &edges);
-                let sched: MultiQueue<TaskId> = MultiQueue::prefilled_for_threads(
-                    threads,
-                    (0..edges.len() as u32).map(|e| (pi.label(e) as u64, e)),
-                );
-                let stats = run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(stats.processed + stats.obsolete, edges.len() as u64);
-                assert_eq!(stats.wasted, 0);
-                assert_eq!(alg.into_labels(), expected, "multiqueue t={threads} b={batch}");
-
-                let alg = ConcurrentConnectivity::new(n, &edges);
-                let sched: LockFreeMultiQueue<TaskId> = LockFreeMultiQueue::for_threads(threads);
-                fill_scheduler(&sched, &pi);
-                run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(alg.into_labels(), expected, "lfmq t={threads} b={batch}");
-
-                let alg = ConcurrentConnectivity::new(n, &edges);
-                let sched: ShardedScheduler<MultiQueue<TaskId>> =
-                    ShardedScheduler::from_fn(3, |_| MultiQueue::new(2));
-                fill_scheduler(&sched, &pi);
-                run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(alg.into_labels(), expected, "sharded t={threads} b={batch}");
-            }
-        }
-        // The exact concurrent executor too; unions never block, so it pops
-        // each edge once.
-        let alg = ConcurrentConnectivity::new(n, &edges);
-        let stats = run_exact_concurrent(&alg, &pi, 4);
-        assert_eq!(stats.total_pops, edges.len() as u64);
-        assert_eq!(alg.into_labels(), expected, "exact");
     }
 
     #[test]

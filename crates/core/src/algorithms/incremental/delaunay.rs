@@ -1098,7 +1098,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::geom::{degenerate_grid, gaussian_clusters, uniform_square};
-    use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
+    use rsched_queues::concurrent::MultiQueue;
     use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
     use rsched_queues::sharded::ShardedScheduler;
 
@@ -1153,18 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_framework_run_equals_reference() {
-        let pts = uniform_square(200, 1 << 13, &mut StdRng::seed_from_u64(21));
-        let pi = insertion_order(200, 2);
-        let expected = delaunay_reference(&pts, &pi);
-        let (out, stats) = exact(&pts, &pi);
-        assert_eq!(out, expected, "label order must reproduce the reference bit-for-bit");
-        assert_eq!(stats.total_pops, 200);
-        assert_eq!(stats.obsolete, 3, "exactly the three seeds");
-        assert_eq!(stats.wasted, 0, "label order never blocks");
-    }
-
-    #[test]
     fn relaxed_runs_are_verifier_clean_and_count_stable() {
         let pts = uniform_square(250, 1 << 14, &mut StdRng::seed_from_u64(22));
         let pi = insertion_order(250, 3);
@@ -1214,40 +1202,6 @@ mod tests {
         for (name, out) in runs {
             assert!(verify_delaunay(&pts, &out.triangles), "{name}");
             assert_eq!(out.triangles.len(), expected_count, "{name}");
-        }
-    }
-
-    #[test]
-    fn concurrent_runs_verify_on_every_scheduler() {
-        let pts = uniform_square(300, 1 << 14, &mut StdRng::seed_from_u64(24));
-        let pi = insertion_order(300, 6);
-        let expected_count = delaunay_reference(&pts, &pi).triangles.len();
-        for threads in [1usize, 4] {
-            for batch in [1usize, 8] {
-                let alg = ConcurrentDelaunay::new(&pts, &pi);
-                let sched: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
-                fill_scheduler(&sched, &pi);
-                let stats = run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(stats.processed + stats.obsolete, 300);
-                let out = alg.into_output();
-                assert!(verify_delaunay(&pts, &out.triangles), "mq t={threads} b={batch}");
-                assert_eq!(out.triangles.len(), expected_count);
-
-                let alg = ConcurrentDelaunay::new(&pts, &pi);
-                let sched: LockFreeMultiQueue<TaskId> = LockFreeMultiQueue::for_threads(threads);
-                fill_scheduler(&sched, &pi);
-                run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                let out = alg.into_output();
-                assert!(verify_delaunay(&pts, &out.triangles), "lfmq t={threads} b={batch}");
-
-                let alg = ConcurrentDelaunay::new(&pts, &pi);
-                let sched: ShardedScheduler<MultiQueue<TaskId>> =
-                    ShardedScheduler::from_fn(3, |_| MultiQueue::new(2));
-                fill_scheduler(&sched, &pi);
-                run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                let out = alg.into_output();
-                assert!(verify_delaunay(&pts, &out.triangles), "sharded t={threads} b={batch}");
-            }
         }
     }
 

@@ -159,11 +159,9 @@ impl ConcurrentAlgorithm for ConcurrentShuffle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{run_concurrent, run_exact, run_exact_concurrent, run_relaxed};
+    use crate::framework::run_exact;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rsched_queues::concurrent::MultiQueue;
-    use rsched_queues::relaxed::{SimMultiQueue, TopKUniform};
 
     #[test]
     fn fisher_yates_identity_targets() {
@@ -229,48 +227,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn framework_matches_fisher_yates() {
-        let mut rng = StdRng::seed_from_u64(52);
-        let targets = random_targets(300, &mut rng);
-        let pi = shuffle_priorities(300);
-        let expected = fisher_yates(&targets);
-
-        let alg = ConcurrentShuffle::new(targets.clone());
-        let stats = run_exact(&alg, &pi);
-        assert_eq!(alg.into_output(), expected);
-        assert_eq!(stats.wasted, 0);
-
-        for seed in 0..3 {
-            let alg = ConcurrentShuffle::new(targets.clone());
-            let _ = run_relaxed(&alg, &pi, TopKUniform::new(16, StdRng::seed_from_u64(seed)));
-            assert_eq!(alg.into_output(), expected);
-            let alg = ConcurrentShuffle::new(targets.clone());
-            let _ = run_relaxed(&alg, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(seed)));
-            assert_eq!(alg.into_output(), expected);
-        }
-    }
-
-    #[test]
-    fn concurrent_matches_fisher_yates() {
-        let mut rng = StdRng::seed_from_u64(53);
-        let targets = random_targets(500, &mut rng);
-        let pi = shuffle_priorities(500);
-        let expected = fisher_yates(&targets);
-        for threads in [1, 2, 4] {
-            let alg = ConcurrentShuffle::new(targets.clone());
-            let sched: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
-            crate::framework::fill_scheduler(&sched, &pi);
-            let _ = run_concurrent(&alg, &pi, &sched, threads);
-            assert_eq!(alg.into_output(), expected, "threads={threads}");
-        }
-        for threads in [1, 2] {
-            let alg = ConcurrentShuffle::new(targets.clone());
-            let _ = run_exact_concurrent(&alg, &pi, threads);
-            assert_eq!(alg.into_output(), expected);
         }
     }
 

@@ -162,11 +162,6 @@ impl ConcurrentAlgorithm for ConcurrentContraction<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{run_concurrent, run_exact, run_exact_concurrent, run_relaxed};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rsched_queues::concurrent::MultiQueue;
-    use rsched_queues::relaxed::{SimMultiQueue, TopKUniform};
 
     #[test]
     fn identity_list_identity_order() {
@@ -194,58 +189,6 @@ mod tests {
         assert_eq!(rec[4], (2, NIL)); // 3 already gone
         assert_eq!(rec[2], (0, NIL));
         assert_eq!(rec[0], (NIL, NIL));
-    }
-
-    #[test]
-    fn framework_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(40);
-        let list = ListInstance::new_shuffled(300, &mut rng);
-        let pi = Permutation::random(300, &mut rng);
-        let expected = sequential_contraction(&list, &pi);
-
-        let alg = ConcurrentContraction::new(&list, &pi);
-        let stats = run_exact(&alg, &pi);
-        assert_eq!(alg.into_output(), expected);
-        assert_eq!(stats.wasted, 0);
-
-        for seed in 0..3 {
-            let alg = ConcurrentContraction::new(&list, &pi);
-            let stats = run_relaxed(&alg, &pi, TopKUniform::new(16, StdRng::seed_from_u64(seed)));
-            assert_eq!(alg.into_output(), expected);
-            assert_eq!(stats.processed, 300);
-            let alg = ConcurrentContraction::new(&list, &pi);
-            let _ = run_relaxed(&alg, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(seed)));
-            assert_eq!(alg.into_output(), expected);
-        }
-    }
-
-    #[test]
-    fn concurrent_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let list = ListInstance::new_shuffled(500, &mut rng);
-        let pi = Permutation::random(500, &mut rng);
-        let expected = sequential_contraction(&list, &pi);
-        for threads in [1, 2, 4] {
-            let alg = ConcurrentContraction::new(&list, &pi);
-            let sched: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
-            crate::framework::fill_scheduler(&sched, &pi);
-            let stats = run_concurrent(&alg, &pi, &sched, threads);
-            assert_eq!(alg.into_output(), expected, "threads={threads}");
-            assert_eq!(stats.processed, 500);
-        }
-    }
-
-    #[test]
-    fn exact_concurrent_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let list = ListInstance::new_shuffled(200, &mut rng);
-        let pi = Permutation::random(200, &mut rng);
-        let expected = sequential_contraction(&list, &pi);
-        for threads in [1, 2] {
-            let alg = ConcurrentContraction::new(&list, &pi);
-            let _ = run_exact_concurrent(&alg, &pi, threads);
-            assert_eq!(alg.into_output(), expected);
-        }
     }
 
     #[test]

@@ -132,12 +132,11 @@ pub type ConcurrentMatching<'a> = ConcurrentMis<'a, MatchingInstance>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{run_concurrent, run_exact, run_relaxed};
+    use crate::framework::run_relaxed;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::gen;
-    use rsched_queues::concurrent::MultiQueue;
-    use rsched_queues::relaxed::{SimMultiQueue, TopKUniform};
+    use rsched_queues::relaxed::TopKUniform;
 
     #[test]
     fn path_matching() {
@@ -188,45 +187,6 @@ mod tests {
             let explicit = ConcurrentMis::new(&lg, &pi);
             let _ = run_relaxed(&explicit, &pi, TopKUniform::new(8, StdRng::seed_from_u64(seed)));
             assert_eq!(explicit.into_output(), direct);
-        }
-    }
-
-    #[test]
-    fn framework_matches_greedy() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let g = gen::gnm(150, 600, &mut rng);
-        let inst = MatchingInstance::new(&g);
-        let pi = Permutation::random(inst.num_edges(), &mut rng);
-        let expected = greedy_matching(&inst, &pi);
-
-        let alg = ConcurrentMatching::new(&inst, &pi);
-        let _ = run_exact(&alg, &pi);
-        assert_eq!(alg.into_output(), expected);
-
-        for seed in 0..3 {
-            let alg = ConcurrentMatching::new(&inst, &pi);
-            let stats = run_relaxed(&alg, &pi, TopKUniform::new(16, StdRng::seed_from_u64(seed)));
-            assert_eq!(alg.into_output(), expected);
-            assert_eq!(stats.processed + stats.obsolete, inst.num_edges() as u64);
-            let alg = ConcurrentMatching::new(&inst, &pi);
-            let _ = run_relaxed(&alg, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(seed)));
-            assert_eq!(alg.into_output(), expected);
-        }
-    }
-
-    #[test]
-    fn concurrent_matches_greedy() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let g = gen::gnm(200, 900, &mut rng);
-        let inst = MatchingInstance::new(&g);
-        let pi = Permutation::random(inst.num_edges(), &mut rng);
-        let expected = greedy_matching(&inst, &pi);
-        for threads in [1, 2, 4] {
-            let alg = ConcurrentMatching::new(&inst, &pi);
-            let sched: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
-            crate::framework::fill_scheduler(&sched, &pi);
-            let _ = run_concurrent(&alg, &pi, &sched, threads);
-            assert_eq!(alg.into_output(), expected, "threads={threads}");
         }
     }
 

@@ -207,13 +207,11 @@ impl<G: Adjacency> ConcurrentAlgorithm for ConcurrentMis<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{run_concurrent, run_exact, run_exact_concurrent, run_relaxed};
-    use crate::stats::ExecutionStats;
+    use crate::framework::run_relaxed;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::gen;
-    use rsched_queues::concurrent::MultiQueue;
-    use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform, UniformRandom};
+    use rsched_queues::relaxed::TopKUniform;
 
     #[test]
     fn greedy_on_star_picks_center_or_leaves() {
@@ -245,106 +243,6 @@ mod tests {
         assert!(greedy_mis(&g0, &Permutation::identity(0)).is_empty());
     }
 
-    /// One sequential-model run: the output and the pop counters.
-    fn relaxed<S>(g: &CsrGraph, pi: &Permutation, sched: S) -> (Vec<bool>, ExecutionStats)
-    where
-        S: rsched_queues::PriorityScheduler<TaskId>,
-    {
-        let alg = ConcurrentMis::new(g, pi);
-        let stats = run_relaxed(&alg, pi, sched);
-        (alg.into_output(), stats)
-    }
-
-    #[test]
-    fn framework_matches_greedy_across_schedulers() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let g = gen::gnm(300, 1200, &mut rng);
-        let pi = Permutation::random(300, &mut rng);
-        let expected = greedy_mis(&g, &pi);
-
-        let alg = ConcurrentMis::new(&g, &pi);
-        let stats = run_exact(&alg, &pi);
-        assert_eq!(alg.into_output(), expected);
-        assert_eq!(stats.total_pops, 300);
-
-        for seed in 0..3 {
-            let (out, stats) = relaxed(&g, &pi, TopKUniform::new(16, StdRng::seed_from_u64(seed)));
-            assert_eq!(out, expected, "top-k seed {seed}");
-            // Every task's final pop is either a process or an obsolete drop.
-            assert_eq!(stats.processed + stats.obsolete, 300);
-            assert_eq!(stats.total_pops, 300 + stats.wasted);
-            let (out, _) = relaxed(&g, &pi, SimMultiQueue::new(8, StdRng::seed_from_u64(seed)));
-            assert_eq!(out, expected, "multiqueue seed {seed}");
-            let (out, _) =
-                relaxed(&g, &pi, SimSprayList::with_threads(8, StdRng::seed_from_u64(seed)));
-            assert_eq!(out, expected, "spray seed {seed}");
-            let (out, _) = relaxed(&g, &pi, UniformRandom::new(StdRng::seed_from_u64(seed)));
-            assert_eq!(out, expected, "uniform-random seed {seed}");
-        }
-    }
-
-    #[test]
-    fn concurrent_matches_greedy() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = gen::gnm(500, 3000, &mut rng);
-        let pi = Permutation::random(500, &mut rng);
-        let expected = greedy_mis(&g, &pi);
-        for threads in [1, 2, 4] {
-            let alg = ConcurrentMis::new(&g, &pi);
-            let sched: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
-            crate::framework::fill_scheduler(&sched, &pi);
-            let stats = run_concurrent(&alg, &pi, &sched, threads);
-            assert_eq!(stats.processed + stats.obsolete, 500, "threads={threads}");
-            assert_eq!(alg.into_output(), expected, "threads={threads}");
-            assert_eq!(stats.processed + stats.obsolete, stats.total_pops - stats.wasted);
-        }
-    }
-
-    #[test]
-    fn batched_concurrent_matches_greedy_on_every_scheduler() {
-        use rsched_queues::concurrent::LockFreeMultiQueue;
-        let mut rng = StdRng::seed_from_u64(13);
-        let g = gen::gnm(400, 2400, &mut rng);
-        let pi = Permutation::random(400, &mut rng);
-        let expected = greedy_mis(&g, &pi);
-        for threads in [1usize, 4] {
-            for batch in [1usize, 8, 32] {
-                let alg = ConcurrentMis::new(&g, &pi);
-                let sched: MultiQueue<TaskId> = MultiQueue::prefilled_for_threads(
-                    threads,
-                    (0..400u32).map(|v| (pi.label(v) as u64, v)),
-                );
-                let stats =
-                    crate::framework::run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(alg.into_output(), expected, "multiqueue t={threads} b={batch}");
-                assert_eq!(stats.processed + stats.obsolete, stats.total_pops - stats.wasted);
-
-                let alg = ConcurrentMis::new(&g, &pi);
-                let sched: LockFreeMultiQueue<TaskId> = LockFreeMultiQueue::prefilled(
-                    4 * threads,
-                    (0..400u32).map(|v| (pi.label(v) as u64, v)),
-                );
-                let _ = crate::framework::run_concurrent_batched(&alg, &pi, &sched, threads, batch);
-                assert_eq!(alg.into_output(), expected, "lfmq t={threads} b={batch}");
-            }
-        }
-    }
-
-    #[test]
-    fn exact_concurrent_matches_greedy() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let g = gen::gnm(400, 2000, &mut rng);
-        let pi = Permutation::random(400, &mut rng);
-        let expected = greedy_mis(&g, &pi);
-        for threads in [1, 2, 4] {
-            let alg = ConcurrentMis::new(&g, &pi);
-            let stats = run_exact_concurrent(&alg, &pi, threads);
-            assert_eq!(alg.into_output(), expected, "threads={threads}");
-            assert_eq!(stats.processed + stats.obsolete, 400, "threads={threads}");
-            assert_eq!(stats.total_pops, stats.processed + stats.wasted + stats.obsolete);
-        }
-    }
-
     #[test]
     fn clique_mis_is_single_vertex() {
         let g = gen::complete(20);
@@ -352,17 +250,8 @@ mod tests {
         let mis = greedy_mis(&g, &pi);
         assert_eq!(mis.iter().filter(|&&b| b).count(), 1);
         assert!(mis[19]); // highest priority = first in order
-        let (out, _) = relaxed(&g, &pi, TopKUniform::new(4, StdRng::seed_from_u64(0)));
-        assert_eq!(out, mis);
-    }
-
-    #[test]
-    fn wasted_steps_zero_with_exact_queue() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let g = gen::gnm(200, 800, &mut rng);
-        let pi = Permutation::random(200, &mut rng);
-        let (_, stats) = relaxed(&g, &pi, rsched_queues::exact::BinaryHeapScheduler::new());
-        assert_eq!(stats.wasted, 0);
-        assert_eq!(stats.total_pops, 200);
+        let alg = ConcurrentMis::new(&g, &pi);
+        run_relaxed(&alg, &pi, TopKUniform::new(4, StdRng::seed_from_u64(0)));
+        assert_eq!(alg.into_output(), mis);
     }
 }

@@ -240,7 +240,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsched_graph::gen;
-    use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
     use rsched_queues::relaxed::SimMultiQueue;
 
     fn random_weighted(n: usize, m: usize, seed: u64) -> WeightedCsr {
@@ -272,18 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_matches_dijkstra() {
-        let g = random_weighted(300, 1500, 61);
-        let expected = dijkstra(&g, 0);
-        for seed in 0..3 {
-            let (dist, stats) =
-                relaxed_sssp(&g, 0, SimMultiQueue::new(8, StdRng::seed_from_u64(seed)));
-            assert_eq!(dist, expected, "seed {seed}");
-            assert_eq!(stats.pops, stats.stale + (stats.pops - stats.stale));
-        }
-    }
-
-    #[test]
     fn relaxation_costs_stale_pops_not_correctness() {
         let g = random_weighted(400, 3000, 62);
         let expected = dijkstra(&g, 5);
@@ -292,18 +279,6 @@ mod tests {
         // A 32-queue MultiQueue on a dense instance essentially always
         // causes some re-expansion.
         assert!(stats.pops >= 400);
-    }
-
-    #[test]
-    fn concurrent_matches_dijkstra_all_schedulers() {
-        let g = random_weighted(300, 1200, 63);
-        let expected = dijkstra(&g, 0);
-        for threads in [1, 2, 4] {
-            let mq: MultiQueue<u32> = MultiQueue::for_threads(threads);
-            assert_eq!(concurrent_sssp(&g, 0, &mq, threads), expected, "MultiQueue t={threads}");
-        }
-        let lf: LockFreeMultiQueue<u32> = LockFreeMultiQueue::for_threads(2);
-        assert_eq!(concurrent_sssp(&g, 0, &lf, 2), expected, "LockFreeMultiQueue");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! sharded scheduler whose shard count (3) deliberately does not divide the
 //! worker count, so affinity, steal, and fairness paths all run constantly
 //! while the workloads race their own shared state — the CAS union-find
-//! and the mutex-guarded triangulation with its blocked-retry path.
+//! and the triangulation's per-cell lock flags with its blocked-retry path.
 //!
 //! Pass criteria are exact, not statistical: connectivity components must
 //! equal the sequential union-find ground truth bit-for-bit, the Delaunay

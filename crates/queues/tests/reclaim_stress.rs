@@ -13,17 +13,36 @@
 //! once** — a double-free (e.g. a stale VBR read validating) increments a
 //! cell twice, a leak (a lost slot) leaves one at zero. CI runs the suite
 //! in release mode as well, where the tighter instruction stream makes
-//! version-recheck races most likely.
+//! version-recheck races most likely. Every case runs under a watchdog: a
+//! fault that corrupts a list's links can leave an operation spinning on a
+//! link that never changes, and the case must fail rather than hang.
 
 use proptest::prelude::*;
 use rsched_queues::concurrent::HarrisList;
 use rsched_queues::reclaim::{Ebr, Reclaim, Vbr};
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 3_000;
 const PREFILL: usize = 1_000;
+
+/// Runs `case` on a thread of its own, passes its panic on, and fails if it
+/// is still running after a minute (the whole file takes well under a
+/// second in debug, so the bound leaves room for AddressSanitizer).
+fn within_watchdog(case: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(case)));
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(result) => result.unwrap_or_else(|panic| resume_unwind(panic)),
+        Err(_) => panic!("still running after 60 s: a list operation never finished"),
+    }
+}
 
 /// A payload that records its drop in a caller-owned cell.
 struct Probe<'a> {
@@ -114,12 +133,12 @@ fn stress_exactly_once<R: Reclaim>() {
 
 #[test]
 fn ebr_eight_thread_stress_drops_exactly_once() {
-    stress_exactly_once::<Ebr>();
+    within_watchdog(stress_exactly_once::<Ebr>);
 }
 
 #[test]
 fn vbr_eight_thread_stress_drops_exactly_once() {
-    stress_exactly_once::<Vbr>();
+    within_watchdog(stress_exactly_once::<Vbr>);
 }
 
 /// Random ops against the oracle. `(0, _, _)` inserts one key, `(1, len, _)`
@@ -177,7 +196,9 @@ proptest! {
     fn random_op_sequences_match_oracle_on_both_backends(
         ops in proptest::collection::vec((0u8..3, 1usize..=8, 0usize..8), 1..200)
     ) {
-        apply_ops::<Ebr>(&ops);
-        apply_ops::<Vbr>(&ops);
+        within_watchdog(move || {
+            apply_ops::<Ebr>(&ops);
+            apply_ops::<Vbr>(&ops);
+        });
     }
 }

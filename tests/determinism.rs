@@ -4,9 +4,12 @@
 //! algorithm's for the same priority permutation. The executors are the
 //! sequential model over every scheduler (exact, canonical top-k, simulated
 //! MultiQueue, simulated SprayList, fully random) and the thread executors:
-//! the relaxed one over every MultiQueue variant and a 3-shard
-//! `ShardedScheduler` at 1, 2 and 4 threads and batch sizes 1 and 8, and
-//! the exact one, `run_exact_concurrent`.
+//! the relaxed one over every MultiQueue variant and two 3-shard
+//! `ShardedScheduler`s (locked buckets, and the streaming service's
+//! lock-free lists over EBR) at 1, 2 and 4 threads and batch sizes 1 and 8,
+//! and the exact one, `run_exact_concurrent`. This is the one equivalence
+//! table: the algorithm modules' own tests check their kernels, not the
+//! executors.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,11 +86,10 @@ fn assert_deterministic<A, O>(
         let alg = make_alg();
         let stats = run_relaxed(&alg, pi, sched);
         assert_eq!(&output(alg), expected, "scheduler {name} changed the output");
-        assert_eq!(
-            stats.total_pops,
-            pi.len() as u64 + stats.extra_iterations(),
-            "accounting broken for {name}"
-        );
+        // The `ConcurrentAlgorithm` contract: no task blocks in exact order.
+        if name == "binary-heap" {
+            assert_eq!(stats.wasted, 0, "a task blocked in exact order");
+        }
     }
     assert_concurrent_deterministic(pi, &[1, 2, 4], make_alg, |alg, row| {
         assert_eq!(&output(alg), expected, "{row} changed the output");
@@ -98,10 +100,11 @@ fn assert_deterministic<A, O>(
 /// `threads` and hands each finished algorithm to `verify` with its row's
 /// name: the relaxed executor at batch sizes 1 and 8 over every MultiQueue
 /// variant — the locked one both bulk-loaded (its sorted runs serve) and
-/// filled by inserts (its insert buffers do) — and over a 3-shard
-/// `ShardedScheduler`; then `run_exact_concurrent`. Every row must finish
-/// the algorithm and balance its pop ledger; the exact row's retries are
-/// pops like any failed delete.
+/// filled by inserts (its insert buffers do) — and over 3-shard
+/// `ShardedScheduler`s of locked buckets and of the service's EBR lists;
+/// then `run_exact_concurrent`. Every row must finish the algorithm and
+/// balance its pop ledger; the exact row's retries are pops like any
+/// failed delete.
 fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
     pi: &Permutation,
     threads: &[usize],
@@ -129,6 +132,12 @@ fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
             row!("inserted", filled(MultiQueue::for_threads(t), pi));
             row!("inserted over 3 shards", {
                 filled(ShardedScheduler::from_fn(3, |_| MultiQueue::for_threads(t)), pi)
+            });
+            // The streaming service's scheduler: four EBR lists per shard.
+            row!("list/ebr over 3 shards", {
+                ShardedScheduler::prefilled_with(3, tasks(), |_, group| {
+                    LockFreeMultiQueue::<_, Ebr>::prefilled_in(4, group)
+                })
             });
         }
         let alg = make_alg();
