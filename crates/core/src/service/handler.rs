@@ -82,12 +82,3 @@ impl<A: ConcurrentAlgorithm> RequestHandler for AlgorithmHandler<'_, A> {
         self.0.try_process(task)
     }
 }
-
-/// Incremental connectivity as a service workload: producers stream edge
-/// indices, the union-find absorbs them in any order. (A plain
-/// [`AlgorithmHandler`] over
-/// [`ConcurrentConnectivity`](crate::algorithms::incremental::connectivity::ConcurrentConnectivity),
-/// named for discoverability — connectivity is the canonical
-/// tasks-arrive-over-time workload of the incremental-algorithms line.)
-pub type ConnectivityHandler<'a, 'e> =
-    AlgorithmHandler<'a, crate::algorithms::incremental::connectivity::ConcurrentConnectivity<'e>>;

@@ -83,7 +83,7 @@ mod handler;
 mod ingest;
 
 pub use crate::algorithms::sssp::SsspHandler;
-pub use handler::{AlgorithmHandler, ConnectivityHandler, RequestHandler, SubmitCtx};
+pub use handler::{AlgorithmHandler, RequestHandler, SubmitCtx};
 pub use ingest::{Ledger, Producer, PushError};
 
 use crate::framework::concurrent::run_engine;
@@ -394,109 +394,6 @@ mod tests {
 
     fn sched(shards: usize) -> ShardedScheduler<MultiQueue<TaskId>> {
         ShardedScheduler::from_fn(shards, |_| MultiQueue::new(2))
-    }
-
-    #[test]
-    fn streams_every_task_exactly_once() {
-        let n = 2_000u32;
-        let handler = CountingHandler::new(n as usize);
-        let q = sched(3);
-        let config = ServiceConfig { workers: 3, flush_batch: 64, ..Default::default() };
-        let producers: Vec<ProducerFn<'_>> = (0..4u32)
-            .map(|p| {
-                Box::new(move |prod: Producer<'_>| {
-                    for t in (p..n).step_by(4) {
-                        prod.push(t as u64, t).unwrap();
-                    }
-                }) as ProducerFn<'_>
-            })
-            .collect();
-        let stats = run_service(&handler, &q, &config, producers);
-        assert!(stats.exactly_once(), "{stats:?}");
-        assert_eq!(stats.accepted, n as u64);
-        assert!(handler.hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn zero_producers_drains_immediately() {
-        let handler = CountingHandler::new(1);
-        let q = sched(2);
-        let stats = run_service(&handler, &q, &ServiceConfig::default(), Vec::new());
-        assert!(stats.exactly_once());
-        assert_eq!(stats.accepted, 0);
-        assert_eq!(stats.total_pops, 0);
-    }
-
-    #[test]
-    fn seal_all_rejects_later_pushes_but_completes_accepted_work() {
-        let handler = CountingHandler::new(10);
-        let q = sched(1);
-        let producers: Vec<ProducerFn<'_>> = vec![Box::new(|prod: Producer<'_>| {
-            for t in 0..5u32 {
-                prod.push(t as u64, t).unwrap();
-            }
-            prod.seal_all();
-            assert_eq!(prod.push(5, 5), Err(PushError::Sealed));
-        })];
-        let stats = run_service(&handler, &q, &ServiceConfig::default(), producers);
-        assert!(stats.exactly_once());
-        assert_eq!(stats.accepted, 5, "sealed push must not be accepted");
-        assert!((0..5).all(|t| handler.hits[t].load(Ordering::SeqCst) == 1));
-        assert_eq!(handler.hits[5].load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn watermark_backpressure_still_drains() {
-        // Short runs + a 4-task shard watermark force constant producer
-        // parks; everything must still complete.
-        let n = 1_000u32;
-        let handler = CountingHandler::new(n as usize);
-        let q = sched(2);
-        let config =
-            ServiceConfig { workers: 2, flush_batch: 4, shard_watermark: 4, ..Default::default() };
-        let producers: Vec<ProducerFn<'_>> = (0..2u32)
-            .map(|p| {
-                Box::new(move |prod: Producer<'_>| {
-                    for t in (p..n).step_by(2) {
-                        prod.push(t as u64, t).unwrap();
-                    }
-                }) as ProducerFn<'_>
-            })
-            .collect();
-        let stats = run_service(&handler, &q, &config, producers);
-        assert!(stats.exactly_once(), "{stats:?}");
-        assert_eq!(stats.accepted, n as u64);
-        assert!(handler.hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn handler_follow_up_submits_are_drained() {
-        /// Each seed task `t < n/2` submits follow-up `t + n/2`.
-        struct Chaining {
-            n: u32,
-            hits: Vec<AtomicU32>,
-        }
-        impl RequestHandler for Chaining {
-            fn handle(&self, _p: u64, task: TaskId, ctx: &mut SubmitCtx<'_>) -> TaskOutcome {
-                self.hits[task as usize].fetch_add(1, Ordering::SeqCst);
-                if task < self.n / 2 {
-                    ctx.submit(u64::from(task), task + self.n / 2);
-                }
-                TaskOutcome::Processed
-            }
-        }
-        let n = 500u32;
-        let handler = Chaining { n, hits: (0..n).map(|_| AtomicU32::new(0)).collect() };
-        let q = sched(2);
-        let producers: Vec<ProducerFn<'_>> = vec![Box::new(move |prod: Producer<'_>| {
-            for t in 0..n / 2 {
-                prod.push(t as u64, t).unwrap();
-            }
-        })];
-        let stats = run_service(&handler, &q, &ServiceConfig::default(), producers);
-        assert!(stats.exactly_once(), "{stats:?}");
-        assert_eq!(stats.accepted, n as u64, "250 pushes + 250 follow-ups");
-        assert!(handler.hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
     }
 
     /// Runs `test` on a thread of its own and fails unless it returns

@@ -52,12 +52,55 @@ fn sched(shards: usize) -> ShardedScheduler<MultiQueue<TaskId>> {
     ShardedScheduler::from_fn(shards, |_| MultiQueue::new(2))
 }
 
+/// `n` tasks pushed by `nproducers` producers (at least one while `n > 0`)
+/// through one service topology: the drain terminates, every task completes
+/// exactly once with one pop, and the ledger books balance. A
+/// `watermark_raw` of 0 disables the watermark; small nonzero values force
+/// constant producer parks (the protocol must still terminate).
+fn drain(
+    n: u32,
+    nproducers: usize,
+    flush_batch: usize,
+    workers: usize,
+    batch_size: usize,
+    shards: usize,
+    watermark_raw: usize,
+) -> TestCaseResult {
+    let shard_watermark = if watermark_raw == 0 { usize::MAX } else { watermark_raw };
+    let handler = CountingHandler::new(n as usize, 0);
+    let q = sched(shards);
+    let config =
+        ServiceConfig { workers, batch_size, flush_batch, shard_watermark, ..Default::default() };
+    let np = nproducers.max(usize::from(n > 0));
+    let producers: Vec<ProducerFn<'_>> = (0..np as u32)
+        .map(|p| {
+            Box::new(move |prod: Producer<'_>| {
+                for t in (p..n).step_by(np) {
+                    prod.push(u64::from(t), t).unwrap();
+                }
+            }) as ProducerFn<'_>
+        })
+        .collect();
+    let stats = run_service(&handler, &q, &config, producers);
+    prop_assert!(stats.exactly_once(), "{:?}", stats);
+    prop_assert_eq!(stats.accepted, u64::from(n));
+    prop_assert_eq!(stats.total_pops, u64::from(n));
+    prop_assert_eq!(handler.total_hits(), u64::from(n));
+    prop_assert!(handler.hits.iter().all(|h| h.load(Ordering::SeqCst) <= 1));
+    Ok(())
+}
+
+/// The corner the strategy seldom draws: no producer and no task drains at
+/// once, without a pop.
+#[test]
+fn zero_producers_drain_at_once() {
+    drain(0, 0, 256, 2, 1, 2, 0).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary service topology over a fixed task set: the drain
-    /// terminates, every task completes exactly once, and the ledger books
-    /// balance.
+    /// Arbitrary service topology over a fixed task set.
     #[test]
     fn drain_terminates_exactly_once_for_arbitrary_topologies(
         n in 0u32..400,
@@ -68,33 +111,7 @@ proptest! {
         shards in 1usize..4,
         watermark_raw in 0usize..24,
     ) {
-        // 0 disables the watermark; small nonzero values force constant
-        // producer parks (the protocol must still terminate).
-        let shard_watermark = if watermark_raw == 0 { usize::MAX } else { watermark_raw };
-        let handler = CountingHandler::new(n as usize, 0);
-        let q = sched(shards);
-        let config = ServiceConfig {
-            workers,
-            batch_size,
-            flush_batch,
-            shard_watermark,
-            ..Default::default()
-        };
-        let np = nproducers.max(usize::from(n > 0));
-        let producers: Vec<ProducerFn<'_>> = (0..np as u32)
-            .map(|p| {
-                Box::new(move |prod: Producer<'_>| {
-                    for t in (p..n).step_by(np) {
-                        prod.push(u64::from(t), t).unwrap();
-                    }
-                }) as ProducerFn<'_>
-            })
-            .collect();
-        let stats = run_service(&handler, &q, &config, producers);
-        prop_assert!(stats.exactly_once(), "{:?}", stats);
-        prop_assert_eq!(stats.accepted, u64::from(n));
-        prop_assert_eq!(handler.total_hits(), u64::from(n));
-        prop_assert!(handler.hits.iter().all(|h| h.load(Ordering::SeqCst) <= 1));
+        drain(n, nproducers, flush_batch, workers, batch_size, shards, watermark_raw)?;
     }
 
     /// Handler follow-up submits under arbitrary topologies: chained tasks

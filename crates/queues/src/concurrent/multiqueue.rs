@@ -1262,23 +1262,6 @@ mod tests {
         assert_eq!(LIVE.with(Cell::get), base);
     }
 
-    #[test]
-    fn overflow_interleaves_with_run() {
-        let q = MultiQueue::prefilled(1, [(10u64, 10u32), (20, 20), (30, 30)]);
-        q.insert(15, 15);
-        q.insert(5, 5);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(p, _)| p)).collect();
-        assert_eq!(order, vec![5, 10, 15, 20, 30]);
-    }
-
-    #[test]
-    fn ties_keep_insertion_order_within_run() {
-        let q = MultiQueue::prefilled(1, [(7u64, 1u32), (7, 2), (7, 3)]);
-        assert_eq!(q.pop(), Some((7, 1)));
-        assert_eq!(q.pop(), Some((7, 2)));
-        assert_eq!(q.pop(), Some((7, 3)));
-    }
-
     /// Every bucket's entries as `(priority, item)`, in the order the bucket
     /// pops them, emptying it.
     fn bucket_contents<B: Bucket<u64>>(q: &MultiQueueCore<u64, B>) -> Vec<Vec<(u64, u64)>> {

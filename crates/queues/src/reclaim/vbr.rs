@@ -250,6 +250,14 @@ impl<T> VbrDomain<T> {
     }
 }
 
+#[cfg(test)]
+impl<T> VbrDomain<T> {
+    /// Slots the arena has handed out fresh; recycled ones do not count.
+    pub(crate) fn slots(&self) -> usize {
+        self.len.load(Relaxed)
+    }
+}
+
 /// Validates that `slot` is still in the lifetime `expected_ver` names.
 ///
 /// The relaxed recheck is sound: see the module docs — any new-lifetime

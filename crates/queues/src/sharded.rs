@@ -414,22 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_affinity_pop_steals_when_own_shard_empty() {
-        let q: ShardedScheduler<MultiQueue<u32>> =
-            ShardedScheduler::from_fn(4, |_| MultiQueue::new(2));
-        // Put everything in whatever shards the items route to; a worker
-        // whose affinity shard is empty must still drain the rest.
-        for p in 0..64u64 {
-            ConcurrentScheduler::insert(&q, p, p as u32);
-        }
-        let mut seen = HashSet::new();
-        while let Some((_, v)) = q.pop_for(3) {
-            assert!(seen.insert(v));
-        }
-        assert_eq!(seen.len(), 64, "affinity pop with steal must drain all shards");
-    }
-
-    #[test]
     fn concurrent_batch_ops_group_by_shard() {
         let q: ShardedScheduler<MultiQueue<u64>> =
             ShardedScheduler::from_fn(4, |_| MultiQueue::new(2));
@@ -502,44 +486,6 @@ mod tests {
             ConcurrentScheduler::insert(&q, p, v);
         }
         assert!(found, "fairness probe never reached the foreign shard");
-    }
-
-    #[test]
-    fn load_counters_track_concurrent_ops() {
-        let q: ShardedScheduler<MultiQueue<u64>> =
-            ShardedScheduler::from_fn(4, |_| MultiQueue::new(2));
-        let entries: Vec<(u64, u64)> = (0..200u64).map(|i| (i, i)).collect();
-        ConcurrentScheduler::insert_batch(&q, &entries);
-        assert_eq!(q.total_load(), 200);
-        let mut drained = 0usize;
-        let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            let got = q.pop_batch_for(1, &mut buf, 16);
-            if got == 0 {
-                break;
-            }
-            drained += got;
-            assert_eq!(q.total_load(), 200 - drained);
-        }
-        assert_eq!(drained, 200);
-        assert_eq!(q.max_partition_load(), 0);
-    }
-
-    #[test]
-    fn prefilled_with_seeds_load_counters() {
-        let entries: Vec<(u64, u32)> = (0..500u64).map(|i| (i, i as u32)).collect();
-        let q: ShardedScheduler<LockFreeMultiQueue<u32>> =
-            ShardedScheduler::prefilled_with(7, entries, |_, group| {
-                LockFreeMultiQueue::prefilled(2, group)
-            });
-        assert_eq!(q.total_load(), 500);
-        let per_shard: usize = (0..7).map(|i| q.shards()[i].len()).sum();
-        assert_eq!(per_shard, 500);
-        let (_, v) = ConcurrentScheduler::pop(&q).expect("non-empty");
-        assert_eq!(q.total_load(), 499);
-        // The pop debited the shard that actually served the element.
-        assert!(q.shards()[q.shard_for(&v)].len() < per_shard);
     }
 
     #[test]

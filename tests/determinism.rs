@@ -6,8 +6,10 @@
 //! MultiQueue, simulated SprayList, fully random) and the thread executors:
 //! the relaxed one over every MultiQueue variant and two 3-shard
 //! `ShardedScheduler`s (locked buckets, and the streaming service's
-//! lock-free lists over EBR) at 1, 2 and 4 threads and batch sizes 1 and 8,
-//! and the exact one, `run_exact_concurrent`. This is the one equivalence
+//! lock-free lists over EBR, bulk-loaded), the streaming service itself
+//! (`run_service` over its own scheduler, one producer pushing the tasks in
+//! label order), all at 1, 2 and 4 threads and batch sizes 1 and 8, and
+//! the exact one, `run_exact_concurrent`. This is the one equivalence
 //! table: the algorithm modules' own tests check their kernels, not the
 //! executors.
 
@@ -32,6 +34,9 @@ use rsched::core::framework::{
     fill_scheduler, run_concurrent_batched, run_exact, run_exact_concurrent, run_relaxed,
     ConcurrentAlgorithm,
 };
+use rsched::core::service::{
+    run_service, AlgorithmHandler, Producer, ProducerFn, ServiceConfig, ServiceStats,
+};
 use rsched::core::TaskId;
 use rsched::graph::geom::uniform_square;
 use rsched::graph::{gen, CsrGraph, ListInstance, Permutation};
@@ -41,7 +46,7 @@ use rsched::queues::instrument::Instrumented;
 use rsched::queues::reclaim::{Ebr, Vbr};
 use rsched::queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform, UniformRandom};
 use rsched::queues::sharded::ShardedScheduler;
-use rsched::queues::{ConcurrentScheduler, PriorityScheduler};
+use rsched::queues::{ConcurrentScheduler, PriorityScheduler, SchedulerLoad};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -102,9 +107,10 @@ fn assert_deterministic<A, O>(
 /// variant — the locked one both bulk-loaded (its sorted runs serve) and
 /// filled by inserts (its insert buffers do) — and over 3-shard
 /// `ShardedScheduler`s of locked buckets and of the service's EBR lists;
-/// then `run_exact_concurrent`. Every row must finish the algorithm and
-/// balance its pop ledger; the exact row's retries are pops like any
-/// failed delete.
+/// the streaming service over its own scheduler, at `t` workers popping
+/// the same run lengths; then `run_exact_concurrent`. Every row must
+/// finish the algorithm and balance its pop ledger; the exact row's
+/// retries are pops like any failed delete.
 fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
     pi: &Permutation,
     threads: &[usize],
@@ -114,17 +120,22 @@ fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
     let tasks = || (0..pi.len() as TaskId).map(|v| (u64::from(pi.label(v)), v));
     for &t in threads {
         for batch in [1, 8] {
-            // One row: a fresh algorithm run to the end over `$sched`.
+            // One row: a fresh algorithm run to the end by `$run`, or by
+            // the relaxed executor over `$sched`.
             macro_rules! row {
-                ($name:literal, $sched:expr) => {{
-                    let (alg, row) = (make_alg(), format!("{} t={t} b={batch}", $name));
-                    let stats = run_concurrent_batched(&alg, pi, &$sched, t, batch);
+                ($name:literal, |$alg:ident, $row:ident| $run:expr) => {{
+                    let row = format!("{} t={t} b={batch}", $name);
+                    let ($alg, $row) = (make_alg(), row.as_str());
+                    let stats = $run;
                     let n = pi.len() as u64;
                     assert_eq!(stats.processed + stats.obsolete, n, "{row}: ledger out of balance");
                     let decided = stats.processed + stats.wasted + stats.obsolete;
                     assert_eq!(stats.total_pops, decided, "{row}: pops ≠ outcomes");
-                    verify(alg, &row);
+                    verify($alg, &row);
                 }};
+                ($name:literal, $sched:expr) => {
+                    row!($name, |alg, _row| run_concurrent_batched(&alg, pi, &$sched, t, batch))
+                };
             }
             row!("prefilled", MultiQueue::prefilled_for_threads(t, tasks()));
             row!("list/ebr", LockFreeMultiQueue::<_, Ebr>::prefilled_in(4 * t, tasks()));
@@ -133,11 +144,19 @@ fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
             row!("inserted over 3 shards", {
                 filled(ShardedScheduler::from_fn(3, |_| MultiQueue::for_threads(t)), pi)
             });
-            // The streaming service's scheduler: four EBR lists per shard.
+            // The service's scheduler, bulk-loaded, under the relaxed
+            // executor and the algorithm's purge.
             row!("list/ebr over 3 shards", {
                 ShardedScheduler::prefilled_with(3, tasks(), |_, group| {
                     LockFreeMultiQueue::<_, Ebr>::prefilled_in(4, group)
                 })
+            });
+            // The streaming service on its own scheduler, four EBR lists per
+            // shard, filled as it runs.
+            row!("streamed", |alg, row| {
+                let sched =
+                    ShardedScheduler::from_fn(3, |_| LockFreeMultiQueue::<_, Ebr>::new_in(4));
+                streamed(&alg, pi, &sched, t, batch, row)
             });
         }
         let alg = make_alg();
@@ -148,6 +167,34 @@ fn assert_concurrent_deterministic<A: ConcurrentAlgorithm>(
         assert_eq!(stats.total_pops, decided, "exact t={t}: pops ≠ outcomes");
         verify(alg, &format!("exact t={t}"));
     }
+}
+
+/// Runs `alg` behind `run_service` over `sched`: `workers` workers popping
+/// runs of `batch_size`, one producer pushing every task at its label in
+/// label order and flushing runs of 8. The service's ledger must balance
+/// over exactly the `n` tasks pushed.
+fn streamed<A, S>(
+    alg: &A,
+    pi: &Permutation,
+    sched: &S,
+    workers: usize,
+    batch_size: usize,
+    row: &str,
+) -> ServiceStats
+where
+    A: ConcurrentAlgorithm,
+    S: ConcurrentScheduler<TaskId> + SchedulerLoad,
+{
+    let config = ServiceConfig { workers, batch_size, flush_batch: 8, ..Default::default() };
+    let producer: ProducerFn<'_> = Box::new(|prod: Producer<'_>| {
+        for pos in 0..pi.len() as u32 {
+            prod.push(u64::from(pos), pi.task_at(pos)).unwrap();
+        }
+    });
+    let stats = run_service(&AlgorithmHandler(alg), sched, &config, vec![producer]);
+    assert!(stats.exactly_once(), "{row}: {stats:?}");
+    assert_eq!(stats.accepted, pi.len() as u64, "{row}: pushes not all accepted");
+    stats
 }
 
 /// `sched` after `fill_scheduler`.
@@ -320,6 +367,27 @@ fn delaunay_is_deterministic_in_general_position() {
             |alg| alg.into_output().triangles,
         );
     }
+}
+
+/// The streaming service over one list and one worker pops in label order,
+/// so it matches the sequential algorithm also where the order shows and
+/// the output does not: Delaunay's created and destroyed cell counts, and
+/// connectivity never blocking.
+#[test]
+fn streamed_over_one_list_runs_in_label_order() {
+    let one_list = || ShardedScheduler::from_fn(1, |_| LockFreeMultiQueue::<_, Ebr>::new_in(1));
+    let pts = uniform_square(400, 1 << 16, &mut StdRng::seed_from_u64(77));
+    let pi = insertion_order(pts.len(), 78);
+    let alg = ConcurrentDelaunay::new(&pts, &pi);
+    streamed(&alg, &pi, &one_list(), 1, 1, "delaunay");
+    assert_eq!(alg.into_output(), delaunay_reference(&pts, &pi), "delaunay");
+    let n = 800;
+    let edges = gen::gnm(n, 2_000, &mut StdRng::seed_from_u64(75)).edge_list();
+    let pi = insertion_order(edges.len(), 76);
+    let alg = ConcurrentConnectivity::new(n, &edges);
+    let stats = streamed(&alg, &pi, &one_list(), 1, 1, "connectivity");
+    assert_eq!(stats.wasted, 0, "connectivity: a task blocked in label order");
+    assert_eq!(alg.into_labels(), components(n, &edges), "connectivity");
 }
 
 /// Chain depths by the definition: label order, one more than the deepest

@@ -1,9 +1,11 @@
 //! SSSP integration: every scheduler (sequential models, concurrent
-//! structures) converges to Dijkstra's distances on assorted graph shapes.
+//! structures) and the streaming service converge to Dijkstra's distances
+//! on assorted graph shapes.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched::core::algorithms::sssp::{concurrent_sssp, dijkstra, relaxed_sssp, UNREACHABLE};
+use rsched::core::service::{run_service, Producer, ProducerFn, ServiceConfig, SsspHandler};
 use rsched::graph::{gen, WeightedCsr};
 use rsched::queues::concurrent::{LockFreeMultiQueue, MultiQueue};
 use rsched::queues::reclaim::Vbr;
@@ -131,4 +133,28 @@ fn locked_buckets_agree_at_flush_scale() {
         let mq: MultiQueue<u32> = MultiQueue::for_threads(threads);
         assert_eq!(concurrent_sssp(&g, 0, &mq, threads), expected, "MultiQueue, t={threads}");
     }
+}
+
+/// Through the streaming service: two producers push the same query, so the
+/// second wave of relaxations meets warm distances and must be absorbed as
+/// obsolete work, never corrupt them.
+#[test]
+fn sssp_streamed_repeated_queries_converge() {
+    let g = weighted(500, 2_500, 82);
+    let expected = dijkstra(&g, 7);
+    let handler = SsspHandler::new(&g);
+    let sched: ShardedScheduler<MultiQueue<u32>> =
+        ShardedScheduler::from_fn(2, |_| MultiQueue::new(2));
+    let config = ServiceConfig { workers: 3, ..Default::default() };
+    let (seed_priority, seed_task) = handler.request(0, 7);
+    let producers: Vec<ProducerFn<'_>> = (0..2)
+        .map(|_| {
+            Box::new(move |prod: Producer<'_>| {
+                prod.push(seed_priority, seed_task).unwrap();
+            }) as ProducerFn<'_>
+        })
+        .collect();
+    let stats = run_service(&handler, &sched, &config, producers);
+    assert!(stats.exactly_once(), "{stats:?}");
+    assert_eq!(handler.into_dist(), expected);
 }
