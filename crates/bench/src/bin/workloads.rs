@@ -11,12 +11,10 @@
 //! Usage: `workloads [--n N] [--m M] [--reps R] [--ks 4,16,64] [--seed S]
 //! [--shards S] [--trace PATH] [--metrics [PATH]]`
 //!
-//! Built with `--features obs`, the run feeds the live `seq_pop_total`
-//! wasted-work counters (so extra-iterations is readable from a metrics
-//! snapshot mid-run) and asserts at exit that the final snapshot agrees
-//! exactly with the framework's end-of-run totals. Compiled without the
-//! feature, every probe is a no-op and the output is byte-identical to
-//! the uninstrumented binary.
+//! Built with `--features obs`, every run adds its totals to the
+//! `seq_pop_total` counters once it ends, so `--metrics` prints the wasted
+//! work of all runs summed. Compiled without the feature, every probe is a
+//! no-op and the output is byte-identical to the uninstrumented binary.
 //!
 //! The framework pops one task per iteration, as in the paper's sequential
 //! model; batched runs of pops are the thread executors' (`figure2
@@ -79,7 +77,6 @@ fn main() {
         return;
     };
     let (args, quick) = (cli.args, cli.quick);
-    let obs_base = rsched_obs::snapshot();
     let n = args.get_usize("n", if quick { 3_000 } else { 30_000 });
     let m = args.get_usize("m", if quick { 10_000 } else { 100_000 });
     let reps = args.get_usize("reps", if quick { 2 } else { 5 });
@@ -103,21 +100,8 @@ fn main() {
     let g = gen::gnm(n, m, &mut StdRng::seed_from_u64(seed));
     let inst = MatchingInstance::new(&g);
 
-    // End-of-run pop-outcome totals across every rep of every workload;
-    // diffed against the observability layer's `seq_pop_total` counters at
-    // exit (they must agree exactly — the live snapshot a `--metrics` probe
-    // reads mid-run is the same ledger, just earlier).
-    let ledger = std::cell::RefCell::new(ExecutionStats::default());
     let run_avg = |mk: &dyn Fn(usize, u64) -> ExecutionStats, k: usize| -> f64 {
-        let mut extra = 0u64;
-        for r in 0..reps {
-            let stats = mk(k, seed + r as u64 * 31);
-            let mut t = ledger.borrow_mut();
-            t.processed += stats.processed;
-            t.wasted += stats.wasted;
-            t.obsolete += stats.obsolete;
-            extra += stats.extra_iterations();
-        }
+        let extra: u64 = (0..reps).map(|r| mk(k, seed + r as u64 * 31).extra_iterations()).sum();
         extra as f64 / reps as f64
     };
 
@@ -198,22 +182,6 @@ fn main() {
     println!("MIS and matching waste the least — dead-marking (Theorem 2) beats even the");
     println!("sparse-Theorem-1 workloads (shuffle, contraction), whose fixed/chain-structured");
     println!("priorities carry larger constants.");
-
-    if rsched_obs::ENABLED {
-        // The same counters a live `--metrics` snapshot reads mid-run must
-        // land exactly on the framework's end-of-run totals.
-        let snap = rsched_obs::snapshot();
-        let d = |name: &str| snap.counter_delta(&obs_base, name);
-        let t = ledger.borrow();
-        assert_eq!(d(r#"seq_pop_total{outcome="success"}"#), t.processed);
-        assert_eq!(d(r#"seq_pop_total{outcome="blocked"}"#), t.wasted);
-        assert_eq!(d(r#"seq_pop_total{outcome="obsolete"}"#), t.obsolete);
-        println!(
-            "\nobs: seq_pop_total counters reconcile with framework totals \
-             ({} processed, {} wasted, {} obsolete)",
-            t.processed, t.wasted, t.obsolete
-        );
-    }
 
     rsched_bench::obs::emit(&args);
 }

@@ -1,10 +1,12 @@
-//! End-to-end observability smoke: runs a streamed connectivity service
-//! and an SSSP flood in-process over the sharded lock-free MultiQueue,
-//! checks that the `engine_pop_total` counters reconcile with the
-//! exactly-once ledgers, then validates that the chrome://tracing JSON
-//! actually parses (a hand-rolled recursive-descent validator, no serde)
-//! and that the metrics snapshot carries the counter families every layer
-//! of the stack is supposed to feed.
+//! End-to-end observability smoke: runs every executor in-process — the
+//! prefill engine over a `MultiQueue` (batch 1 and 8), the sequential
+//! framework over a `SimMultiQueue`, and a streamed connectivity service
+//! and an SSSP flood over the sharded lock-free MultiQueue — and checks
+//! that each publishes exactly its own totals to the `engine_pop_total` /
+//! `seq_pop_total` counters. It then validates that the chrome://tracing
+//! JSON actually parses (a hand-rolled recursive-descent validator, no
+//! serde) and that the metrics snapshot carries the counter families every
+//! layer of the stack is supposed to feed.
 //!
 //! Built only with `--features obs` (see `Cargo.toml`); CI runs it as the
 //! observability gate.
@@ -14,23 +16,28 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched_core::algorithms::incremental::connectivity::{components, ConcurrentConnectivity};
+use rsched_core::algorithms::mis::ConcurrentMis;
 use rsched_core::algorithms::sssp::dijkstra;
+use rsched_core::framework::{fill_scheduler, run_concurrent_batched, run_relaxed};
 use rsched_core::service::{
     run_service, AlgorithmHandler, Producer, ProducerFn, RequestHandler, ServiceConfig,
     ServiceStats, SsspHandler,
 };
 use rsched_core::TaskId;
-use rsched_graph::{gen, WeightedCsr};
-use rsched_queues::concurrent::LockFreeMultiQueue;
+use rsched_graph::{gen, Permutation, WeightedCsr};
+use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
 use rsched_queues::reclaim::Ebr;
+use rsched_queues::relaxed::SimMultiQueue;
 use rsched_queues::sharded::ShardedScheduler;
+use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 const N: usize = 5_000;
 const M: usize = 20_000;
 const PRODUCERS: u32 = 4;
 const SHARDS: usize = 3;
 const SEED: u64 = 23;
-const EMPTY: &str = r#"engine_pop_total{outcome="empty"}"#;
+const OUTCOMES: [&str; 4] = ["success", "blocked", "obsolete", "empty"];
 
 /// Validates `s` is one complete JSON value. Returns the rest on success.
 fn json_value(s: &str) -> Result<&str, String> {
@@ -110,13 +117,96 @@ fn assert_valid_json(text: &str, what: &str) {
     }
 }
 
-/// One service run over a fresh `ShardedScheduler` of EBR lock-free
-/// MultiQueues, 4 workers popping batches of 8; asserts the ledger.
-fn serve(handler: &impl RequestHandler, producers: Vec<ProducerFn<'_>>) -> ServiceStats {
-    let sched: ShardedScheduler<LockFreeMultiQueue<TaskId, Ebr>> =
-        ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new_in(4));
+/// How far each `family{outcome=…}` counter grew while `run` ran, in
+/// `OUTCOMES` order, beside what `run` returned.
+fn published<R>(family: &str, run: impl FnOnce() -> R) -> ([u64; 4], R) {
+    let base = rsched_obs::snapshot();
+    let r = run();
+    let end = rsched_obs::snapshot();
+    (OUTCOMES.map(|o| end.counter_delta(&base, &format!(r#"{family}{{outcome="{o}"}}"#))), r)
+}
+
+/// MIS on `G(N, M)` by the prefill engine: 2 workers over a filled
+/// 4-queue `MultiQueue`. MIS purges, so `obsolete` carries purged entries.
+fn prefill_run(batch: usize) -> [u64; 4] {
+    let g = gen::gnm(N, M, &mut StdRng::seed_from_u64(SEED));
+    let pi = Permutation::random(N, &mut StdRng::seed_from_u64(SEED ^ 1));
+    let sched = MultiQueue::new(4);
+    fill_scheduler(&sched, &pi);
+    let s = run_concurrent_batched(&ConcurrentMis::new(&g, &pi), &pi, &sched, 2, batch);
+    [s.processed, s.wasted, s.obsolete, s.empty_pops]
+}
+
+/// MIS on `G(N, M)` by the sequential framework over a `SimMultiQueue(8)`,
+/// which never observes an empty scheduler.
+fn sequential_run() -> [u64; 4] {
+    let g = gen::gnm(N, M, &mut StdRng::seed_from_u64(SEED));
+    let pi = Permutation::random(N, &mut StdRng::seed_from_u64(SEED ^ 1));
+    let sched = SimMultiQueue::new(8, StdRng::seed_from_u64(SEED ^ 2));
+    let s = run_relaxed(&ConcurrentMis::new(&g, &pi), &pi, sched);
+    [s.processed, s.wasted, s.obsolete, 0]
+}
+
+/// A `ShardedScheduler` of EBR lock-free MultiQueues that notes when a pop
+/// has observed it empty.
+struct Watched {
+    inner: ShardedScheduler<LockFreeMultiQueue<TaskId, Ebr>>,
+    seen_empty: AtomicBool,
+}
+
+impl Watched {
+    fn new() -> Self {
+        let inner = ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new_in(4));
+        Watched { inner, seen_empty: AtomicBool::new(false) }
+    }
+}
+
+impl ConcurrentScheduler<TaskId> for Watched {
+    fn insert(&self, priority: u64, item: TaskId) {
+        self.inner.insert(priority, item);
+    }
+    fn insert_batch(&self, entries: &[(u64, TaskId)]) {
+        self.inner.insert_batch(entries);
+    }
+    fn pop(&self) -> Option<(u64, TaskId)> {
+        self.inner.pop()
+    }
+    fn pop_purging_for<F>(
+        &self,
+        worker: usize,
+        out: &mut Vec<(u64, TaskId)>,
+        max: usize,
+        obsolete: F,
+    ) -> (usize, usize)
+    where
+        F: Fn(u64, &TaskId) -> bool,
+    {
+        let got = self.inner.pop_purging_for(worker, out, max, obsolete);
+        if got == (0, 0) {
+            self.seen_empty.store(true, Relaxed);
+        }
+        got
+    }
+}
+
+impl SchedulerLoad for Watched {
+    fn total_load(&self) -> usize {
+        self.inner.total_load()
+    }
+    fn max_partition_load(&self) -> usize {
+        self.inner.max_partition_load()
+    }
+}
+
+/// One service run over `sched`, 4 workers popping batches of 8; asserts
+/// the ledger.
+fn serve(
+    handler: &impl RequestHandler,
+    sched: &Watched,
+    producers: Vec<ProducerFn<'_>>,
+) -> ServiceStats {
     let config = ServiceConfig { workers: 4, batch_size: 8, ..Default::default() };
-    let stats = run_service(handler, &sched, &config, producers);
+    let stats = run_service(handler, sched, &config, producers);
     assert!(stats.exactly_once(), "ledger out of balance: {stats:?}");
     stats
 }
@@ -135,55 +225,61 @@ fn connectivity_run() -> ServiceStats {
             }) as ProducerFn<'_>
         })
         .collect();
-    let stats = serve(&AlgorithmHandler(&alg), producers);
+    let stats = serve(&AlgorithmHandler(&alg), &Watched::new(), producers);
     assert_eq!(stats.accepted, u64::from(m));
     assert_eq!(alg.into_labels(), components(N, &edges), "streamed connectivity diverged");
     stats
 }
 
 /// Every producer seeds the same source; the whole wavefront arrives as
-/// handler follow-up submits. The seeds wait until a worker has counted a
-/// pop of the empty scheduler, so the `empty` outcome is fed on every run
-/// rather than when the threads happen to interleave that way.
+/// handler follow-up submits. The seeds wait until a worker has popped the
+/// empty scheduler, so the `empty` outcome is fed on every run rather than
+/// when the threads happen to interleave that way.
 fn sssp_run() -> ServiceStats {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x55);
     let g = gen::gnm(N / 2, M / 2, &mut rng);
     let g = WeightedCsr::with_uniform_weights(&g, 1, 100, &mut rng);
     let handler = SsspHandler::new(&g);
     let (seed_priority, seed_task) = handler.request(0, 0);
-    let base = rsched_obs::snapshot();
+    let sched = Watched::new();
     let producers: Vec<ProducerFn<'_>> = (0..PRODUCERS)
         .map(|_| {
-            let base = &base;
+            let seen_empty = &sched.seen_empty;
             Box::new(move |prod: Producer<'_>| {
-                while rsched_obs::snapshot().counter_delta(base, EMPTY) == 0 {
+                while !seen_empty.load(Relaxed) {
                     std::thread::yield_now();
                 }
                 prod.push(seed_priority, seed_task).unwrap();
             }) as ProducerFn<'_>
         })
         .collect();
-    let stats = serve(&handler, producers);
+    let stats = serve(&handler, &sched, producers);
     assert_eq!(handler.into_dist(), dijkstra(&g, 0), "streamed SSSP diverged from Dijkstra");
     stats
 }
 
+/// One test, so no other run's counts land between its snapshots: the
+/// registry is process-global and the harness runs tests concurrently.
 #[test]
-fn service_runs_emit_trace_and_metrics() {
-    let base = rsched_obs::snapshot();
-    let runs = [connectivity_run(), sssp_run()];
-
-    // The metrics layer keeps its own books; they must agree with the
-    // exactly-once ledgers bit for bit, or one of the two is lying.
-    let snap = rsched_obs::snapshot();
-    let delta = |outcome: &str| {
-        snap.counter_delta(&base, &format!(r#"engine_pop_total{{outcome="{outcome}"}}"#))
-    };
+fn executor_runs_emit_trace_and_metrics() {
+    // Each executor publishes its own stats once per call, so every
+    // counter grows by exactly what the call returned.
+    for batch in [1, 8] {
+        let (got, stats) = published("engine_pop_total", || prefill_run(batch));
+        assert_eq!(got, stats, "prefill, batch {batch}");
+    }
+    let (got, stats) = published("seq_pop_total", sequential_run);
+    assert_eq!(got, stats, "sequential");
+    let (got, runs) = published("engine_pop_total", || [connectivity_run(), sssp_run()]);
     let total = |field: fn(&ServiceStats) -> u64| runs.iter().map(field).sum::<u64>();
-    assert_eq!(delta("success"), total(|s| s.processed));
-    assert_eq!(delta("blocked"), total(|s| s.wasted));
-    assert_eq!(delta("obsolete"), total(|s| s.obsolete));
-    assert_eq!(delta("empty"), total(|s| s.empty_pops));
+    let stats = [
+        total(|s| s.processed),
+        total(|s| s.wasted),
+        total(|s| s.obsolete),
+        total(|s| s.empty_pops),
+    ];
+    assert_eq!(got, stats, "service");
+    assert!(got[3] > 0, "the SSSP seeds wait for an empty pop");
 
     let trace = rsched_obs::chrome_trace_json();
     assert_valid_json(&trace, "chrome trace");
@@ -192,15 +288,17 @@ fn service_runs_emit_trace_and_metrics() {
         assert!(trace.contains(needle), "trace missing {needle}");
     }
 
-    let metrics = snap.text();
+    let metrics = rsched_obs::snapshot().text();
     // One probe family per instrumented layer: worker engine (pops,
-    // batches, service times), sharded scheduler (steals, fairness probes)
-    // and the reclamation backend. Counters that need backpressure to
-    // fire (service_producer_park_total / service_producer_unpark_total)
-    // are deliberately absent: these runs never park.
+    // batches, service times), sequential framework (pops), sharded
+    // scheduler (steals, fairness probes) and the reclamation backend.
+    // Counters that need backpressure to fire
+    // (service_producer_park_total / service_producer_unpark_total) are
+    // deliberately absent: these runs never park.
     for family in [
         r#"engine_pop_total{outcome="success"}"#,
         r#"engine_pop_total{outcome="empty"}"#,
+        r#"seq_pop_total{outcome="success"}"#,
         "engine_run_batch_size_count",
         "engine_run_service_ns_count",
         "sharded_steal_total",

@@ -159,17 +159,19 @@ where
 /// purged entries — decided. After the flush a run that retired scheduler
 /// occupancy (pops and purges minus inserts) wakes the producers parked on
 /// `capacity`; `None` (prefill, sealed runs, a service without a watermark)
-/// skips `wake_all`'s fence. Outcome counters and the obs probes are
-/// tallied in the run's locals and land once per run too. The worker backs
-/// off on empty observations (a blocked task may be in another worker's
-/// hands, about to be re-inserted) and after a run whose every task
-/// blocked, and resets on any other run. Tasks the scheduler purged on the
-/// way count as obsolete pops, and a call that only purged is a run like
-/// any other: progress, not an empty observation. Termination is by the ledger
-/// ([`Ledger::drained`]), never scheduler emptiness — a blocked task may be
-/// in another worker's hands, and a streaming scheduler is *expected* to sit
-/// empty between arrivals. A panicking `handle` drops the run's buffer with
-/// the run: nothing in it was booked or inserted.
+/// skips `wake_all`'s fence. Outcome counters are tallied in the run's
+/// locals and land in the worker's [`EngineTotals`] once per run; the
+/// pop-outcome probes publish the summed totals once, after every worker
+/// has joined. The worker backs off on empty observations (a
+/// blocked task may be in another worker's hands, about to be re-inserted)
+/// and after a run whose every task blocked, and resets on any other run.
+/// Tasks the scheduler purged on the way count as obsolete pops, and a
+/// call that only purged is a run like any other: progress, not an empty
+/// observation. Termination is by the ledger ([`Ledger::drained`]), never
+/// scheduler emptiness — a blocked task may be in another worker's hands,
+/// and a streaming scheduler is *expected* to sit empty between arrivals.
+/// A panicking `handle` drops the run's buffer with the run: nothing in it
+/// was booked or inserted.
 ///
 /// # Panics
 ///
@@ -190,7 +192,7 @@ where
     S: ConcurrentScheduler<TaskId>,
 {
     assert!(batch_size >= 1, "need a positive batch size");
-    run_workers(threads, |worker, poisoned| {
+    let totals = run_workers(threads, |worker, poisoned| {
         let mut c = EngineTotals::default();
         let backoff = Backoff::new();
         let mut run: Vec<(u64, TaskId)> = Vec::with_capacity(batch_size);
@@ -213,7 +215,6 @@ where
                 sched.pop_purging_for(hint, &mut run, batch_size, |_, &task| is_obsolete(task));
             if got + purged == 0 {
                 c.empty += 1;
-                rsched_obs::counter!(r#"engine_pop_total{outcome="empty"}"#).inc();
                 backoff.snooze();
                 continue;
             }
@@ -239,18 +240,6 @@ where
             c.wasted += blocked as u64;
             c.obsolete += (obsolete + purged) as u64;
             c.purged += purged as u64;
-            // A zero `add` is still an RMW when the probes are compiled in.
-            if processed > 0 {
-                rsched_obs::counter!(r#"engine_pop_total{outcome="success"}"#)
-                    .add(processed as u64);
-            }
-            if blocked > 0 {
-                rsched_obs::counter!(r#"engine_pop_total{outcome="blocked"}"#).add(blocked as u64);
-            }
-            if obsolete + purged > 0 {
-                rsched_obs::counter!(r#"engine_pop_total{outcome="obsolete"}"#)
-                    .add((obsolete + purged) as u64);
-            }
             // Accept strictly before the flush makes the follow-ups
             // poppable, decide strictly after the accept: `decided ==
             // accepted` can then never be observed with work still in flight
@@ -277,7 +266,6 @@ where
             // retry heap hands the same task straight back).
             if got > 0 && blocked == got {
                 hint = hint.wrapping_add(1);
-                rsched_obs::counter!("engine_affinity_drift_total").inc();
                 backoff.snooze();
             } else {
                 backoff.reset();
@@ -285,7 +273,13 @@ where
             out.clear();
         }
         c
-    })
+    });
+    // The probes read the summed tallies, once: nothing reads them mid-run.
+    rsched_obs::counter!(r#"engine_pop_total{outcome="success"}"#).add(totals.processed);
+    rsched_obs::counter!(r#"engine_pop_total{outcome="blocked"}"#).add(totals.wasted);
+    rsched_obs::counter!(r#"engine_pop_total{outcome="obsolete"}"#).add(totals.obsolete);
+    rsched_obs::counter!(r#"engine_pop_total{outcome="empty"}"#).add(totals.empty);
+    totals
 }
 
 /// Runs `alg` to completion on `threads` workers sharing `sched`, which

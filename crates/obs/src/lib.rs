@@ -6,9 +6,9 @@
 //! observable *while the system runs*:
 //!
 //! * **Metrics** — a lock-free named registry of [`Counter`]s (cache-padded
-//!   per-worker cells summed on read), [`Gauge`]s, and log-bucketed
-//!   [`Histogram`]s; exported as a [`Snapshot`] with a Prometheus-style
-//!   [`Snapshot::text`] rendering.
+//!   per-worker cells summed on read) and log-bucketed [`Histogram`]s;
+//!   exported as a [`Snapshot`] with a Prometheus-style [`Snapshot::text`]
+//!   rendering.
 //! * **Tracing** — per-thread fixed-capacity ring buffers of span
 //!   enter/exit and point events, no allocation on the hot path, flushed on
 //!   demand by [`chrome_trace_json`] (load the file in `chrome://tracing`
@@ -51,7 +51,7 @@ mod metrics;
 mod trace;
 
 #[cfg(feature = "obs")]
-pub use metrics::{counter, gauge, histogram, snapshot, Counter, Gauge, Histogram};
+pub use metrics::{counter, histogram, snapshot, Counter, Histogram};
 #[cfg(feature = "obs")]
 pub use trace::{chrome_trace_json, instant_event, intern, now_ns, Span};
 
@@ -60,13 +60,13 @@ mod noop;
 
 #[cfg(not(feature = "obs"))]
 pub use noop::{
-    chrome_trace_json, counter, gauge, histogram, instant_event, intern, now_ns, snapshot, Counter,
-    Gauge, Histogram, Span,
+    chrome_trace_json, counter, histogram, instant_event, intern, now_ns, snapshot, Counter,
+    Histogram, Span,
 };
 
 /// `true` iff the `obs` feature compiled the live probes in. Lets callers
-/// `const`-gate work that only makes sense with real metrics (e.g. building
-/// per-shard gauge names) without `cfg` in downstream crates.
+/// `const`-gate work that only makes sense with real metrics (e.g. reading
+/// a snapshot back) without `cfg` in downstream crates.
 #[cfg(feature = "obs")]
 pub const ENABLED: bool = true;
 /// `true` iff the `obs` feature compiled the live probes in.
@@ -101,8 +101,6 @@ pub struct HistSummary {
 pub struct Snapshot {
     /// `(name, total)` for every registered counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, level)` for every registered gauge.
-    pub gauges: Vec<(String, i64)>,
     /// `(name, summary)` for every registered histogram.
     pub hists: Vec<(String, HistSummary)>,
 }
@@ -110,17 +108,12 @@ pub struct Snapshot {
 impl Snapshot {
     /// Whether nothing is registered (always true with the feature off).
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+        self.counters.is_empty() && self.hists.is_empty()
     }
 
     /// The named counter's total (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
-    }
-
-    /// The named gauge's level (0 if absent).
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
     }
 
     /// The named histogram's summary, if registered.
@@ -136,13 +129,11 @@ impl Snapshot {
 
     /// Prometheus-style text exposition: one `name{label="v"} value` line
     /// per instrument (labels are embedded in the registered names), sorted;
-    /// histograms render `_count`/`_sum` plus `{q="…"}` percentile lines.
+    /// histograms render `_count`/`_sum` plus percentile lines that add a
+    /// `q="…"` label to the name's own.
     pub fn text(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
-            out.push_str(&format!("{name} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
             out.push_str(&format!("{name} {v}\n"));
         }
         for (name, h) in &self.hists {
@@ -152,8 +143,10 @@ impl Snapshot {
             };
             out.push_str(&format!("{base}_count{labels} {}\n", h.count));
             out.push_str(&format!("{base}_sum{labels} {}\n", h.sum));
+            // The quantile label joins the name's own: `{queue="0",q="…"}`.
+            let open = labels.strip_suffix('}').map_or_else(|| "{".to_owned(), |l| format!("{l},"));
             for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-                out.push_str(&format!("{base}{{q=\"{q}\"}} {v}\n"));
+                out.push_str(&format!("{base}{open}q=\"{q}\"}} {v}\n"));
             }
         }
         out
@@ -179,28 +172,6 @@ macro_rules! counter {
     ($name:expr) => {{
         let _ = $name;
         $crate::Counter
-    }};
-}
-
-/// Registers (feature on) or discards (feature off) a gauge, caching the
-/// handle per call site.
-#[cfg(feature = "obs")]
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static HANDLE: $crate::__private::OnceLock<$crate::Gauge> =
-            $crate::__private::OnceLock::new();
-        *HANDLE.get_or_init(|| $crate::gauge($name))
-    }};
-}
-
-/// Feature-off variant: a ZST whose methods are empty inline bodies.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        let _ = $name;
-        $crate::Gauge
     }};
 }
 
@@ -275,18 +246,15 @@ mod tests {
         let h = HistSummary { count: 2, sum: 30, p50: 10, p95: 20, p99: 20 };
         let snap = Snapshot {
             counters: vec![(r#"pops_total{outcome="success"}"#.into(), 7)],
-            gauges: vec![("depth".into(), -3)],
             hists: vec![(r#"lat_ns{queue="0"}"#.into(), h)],
         };
         let text = snap.text();
         assert!(text.contains(r#"pops_total{outcome="success"} 7"#), "{text}");
-        assert!(text.contains("depth -3"), "{text}");
         assert!(text.contains(r#"lat_ns_count{queue="0"} 2"#), "{text}");
         assert!(text.contains(r#"lat_ns_sum{queue="0"} 30"#), "{text}");
-        assert!(text.contains(r#"lat_ns{q="0.95"} 20"#), "{text}");
+        assert!(text.contains(r#"lat_ns{queue="0",q="0.95"} 20"#), "{text}");
         assert_eq!(snap.counter(r#"pops_total{outcome="success"}"#), 7);
         assert_eq!(snap.counter("absent"), 0);
-        assert_eq!(snap.gauge("depth"), -3);
         assert!(!snap.is_empty());
     }
 

@@ -1,15 +1,15 @@
-//! Live metrics: striped counters, gauges, and the named registry.
+//! Live metrics: striped counters, histograms, and the named registry.
 //!
 //! Compiled only with the `obs` feature; `noop.rs` mirrors every public
 //! item as a ZST no-op. Registration (name lookup) takes a mutex but is
-//! cold — the `counter!`/`gauge!`/`hist!` macros cache the returned handle
+//! cold — the `counter!`/`hist!` macros cache the returned handle
 //! in a per-call-site `OnceLock`, so the hot path is a `Relaxed` fetch_add
 //! on a cache-padded cell.
 
 use crate::hist::LogHistogram;
 use crate::{HistSummary, Snapshot};
 use crossbeam::utils::CachePadded;
-use rsched_sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use rsched_sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -74,51 +74,6 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// Backing storage of a [`Gauge`]. A single padded cell: gauges track
-/// small signed levels (queue depth, shard load) where the read side wants
-/// an exact instantaneous value, so striping would be counterproductive.
-pub(crate) struct GaugeCell {
-    // `AtomicIsize`: the model façade deliberately exports no AtomicI64.
-    cell: CachePadded<AtomicIsize>,
-}
-
-/// An instantaneous signed level. Copy handle; obtain via [`crate::gauge`]
-/// or the caching [`gauge!`](crate::gauge) macro. Named gauges are global:
-/// two call sites registering the same name share the cell.
-#[derive(Clone, Copy)]
-pub struct Gauge(pub(crate) &'static GaugeCell);
-
-impl Gauge {
-    /// Adds `n` (may be negative via [`Gauge::sub`]).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.0.cell.fetch_add(n as isize, Relaxed);
-    }
-
-    /// Subtracts `n`.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.add(-n);
-    }
-
-    /// Overwrites the level.
-    #[inline]
-    pub fn set(&self, n: i64) {
-        self.0.cell.store(n as isize, Relaxed);
-    }
-
-    /// Current level.
-    pub fn value(&self) -> i64 {
-        self.0.cell.load(Relaxed) as i64
-    }
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Gauge").field(&self.value()).finish()
-    }
-}
-
 /// A registered log-bucketed histogram. Copy handle; obtain via
 /// [`crate::histogram`] or the caching [`hist!`](crate::hist) macro.
 #[derive(Clone, Copy)]
@@ -149,7 +104,6 @@ impl std::fmt::Debug for Histogram {
 #[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<String, &'static CounterCells>>,
-    gauges: Mutex<BTreeMap<String, &'static GaugeCell>>,
     hists: Mutex<BTreeMap<String, &'static LogHistogram>>,
 }
 
@@ -169,18 +123,6 @@ pub fn counter(name: &str) -> Counter {
     Counter(cells)
 }
 
-/// Registers (or looks up) the gauge `name`. Cold path; cache the handle.
-pub fn gauge(name: &str) -> Gauge {
-    let mut map = registry().gauges.lock().unwrap();
-    if let Some(g) = map.get(name) {
-        return Gauge(g);
-    }
-    let cell: &'static GaugeCell =
-        Box::leak(Box::new(GaugeCell { cell: CachePadded::new(AtomicIsize::new(0)) }));
-    map.insert(name.to_owned(), cell);
-    Gauge(cell)
-}
-
 /// Registers (or looks up) the histogram `name`. Cold path; cache the
 /// handle.
 pub fn histogram(name: &str) -> Histogram {
@@ -194,20 +136,13 @@ pub fn histogram(name: &str) -> Histogram {
 }
 
 /// A point-in-time copy of every registered instrument, sorted by name.
-/// Counters/gauges only ever accumulate globally, so callers comparing a
+/// Counters only ever accumulate globally, so callers comparing a
 /// single run take a snapshot before and after and diff (see
 /// [`Snapshot::counter_delta`](crate::Snapshot::counter_delta)).
 pub fn snapshot() -> Snapshot {
     let reg = registry();
     let counters =
         reg.counters.lock().unwrap().iter().map(|(n, c)| (n.clone(), c.value())).collect();
-    let gauges = reg
-        .gauges
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(n, g)| (n.clone(), g.cell.load(Relaxed) as i64))
-        .collect();
     let hists = reg
         .hists
         .lock()
@@ -218,5 +153,5 @@ pub fn snapshot() -> Snapshot {
             (n.clone(), HistSummary { count: h.count(), sum: h.sum(), p50, p95, p99 })
         })
         .collect();
-    Snapshot { counters, gauges, hists }
+    Snapshot { counters, hists }
 }

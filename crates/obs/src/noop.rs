@@ -21,22 +21,6 @@ impl Counter {
     }
 }
 
-/// No-op gauge handle (ZST).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Gauge;
-
-impl Gauge {
-    #[inline(always)]
-    pub fn add(&self, _n: i64) {}
-    #[inline(always)]
-    pub fn sub(&self, _n: i64) {}
-    #[inline(always)]
-    pub fn set(&self, _n: i64) {}
-    pub fn value(&self) -> i64 {
-        0
-    }
-}
-
 /// No-op histogram handle (ZST).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Histogram;
@@ -61,11 +45,6 @@ impl Span {
 #[inline(always)]
 pub fn counter(_name: &str) -> Counter {
     Counter
-}
-
-#[inline(always)]
-pub fn gauge(_name: &str) -> Gauge {
-    Gauge
 }
 
 #[inline(always)]

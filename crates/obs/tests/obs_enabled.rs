@@ -1,6 +1,6 @@
 //! Behavior of the **live** (`--features obs`) build: counters stripe and
-//! sum correctly across threads, gauges track levels, histograms register,
-//! spans and instants land in the chrome-trace JSON. All per-test numbers
+//! sum correctly across threads, histograms register, spans and instants
+//! land in the chrome-trace JSON. All per-test numbers
 //! use snapshot deltas (the registry is process-global) and test-unique
 //! names (tests in one binary run concurrently).
 
@@ -30,18 +30,6 @@ fn counter_sums_across_threads() {
     assert_eq!(snap.counter_delta(&base, NAME), 8 * 1000);
     // Handles are Copy and map to the same cells per name.
     assert_eq!(obs::counter(NAME).value(), snap.counter(NAME));
-}
-
-#[test]
-fn gauge_tracks_level_and_is_shared_by_name() {
-    const NAME: &str = r#"t_gauge{case="level"}"#;
-    let g1 = obs::gauge(NAME);
-    let g2 = obs::gauge(NAME);
-    g1.set(0);
-    g1.add(10);
-    g2.sub(4);
-    assert_eq!(g1.value(), 6);
-    assert_eq!(obs::snapshot().gauge(NAME), 6);
 }
 
 #[test]

@@ -20,7 +20,6 @@ fn feature_gate_reports_disabled() {
 #[test]
 fn handles_are_zero_sized() {
     assert_eq!(size_of::<obs::Counter>(), 0);
-    assert_eq!(size_of::<obs::Gauge>(), 0);
     assert_eq!(size_of::<obs::Histogram>(), 0);
     assert_eq!(size_of::<obs::Span>(), 0);
     assert_eq!(align_of::<obs::Span>(), 1);
@@ -34,12 +33,6 @@ fn probes_are_inert() {
     c.add(41);
     c.inc();
     assert_eq!(c.value(), 0);
-
-    let g = obs::gauge!("zc_gauge");
-    g.add(7);
-    g.sub(3);
-    g.set(99);
-    assert_eq!(g.value(), 0);
 
     let h = obs::hist!("zc_hist_ns");
     h.record(123);

@@ -132,9 +132,6 @@ where
         self.pops += 1;
         let rank = self.present.rank_of(priority); // elements strictly smaller
         bump(&mut self.rank_counts, rank + 1);
-        // Live rank-error sample (1-based, as in Definition 1) for the
-        // metrics registry; no-op unless the `obs` feature is on.
-        rsched_obs::hist!("sched_rank_error").record(rank as u64 + 1);
         // Every smaller live element suffers one inversion (unless rank 0:
         // this pop was exact).
         for r in 0..rank {

@@ -270,11 +270,7 @@ fn validate<T>(slot: &Slot<T>, expected_ver: u64) -> bool {
         // slot version — stale reads from a recycled slot then validate.
         return true;
     }
-    let ok = slot.ver.load(Relaxed) & SVER_MASK == expected_ver & SVER_MASK;
-    if !ok {
-        rsched_obs::counter!(r#"reclaim_recheck_fail_total{backend="vbr"}"#).inc();
-    }
-    ok
+    slot.ver.load(Relaxed) & SVER_MASK == expected_ver & SVER_MASK
 }
 
 // SAFETY: the version protocol provides the trait's contract — validated
