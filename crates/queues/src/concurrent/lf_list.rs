@@ -537,6 +537,33 @@ mod tests {
         walk_is_paid_once_per_run_impl::<Vbr>();
     }
 
+    /// The same bound for a run that arrives out of order: 64 odd keys in
+    /// a scrambled order, interleaved with a backlog of L even ones, through
+    /// `insert_batch` into a one-list `LockFreeMultiQueue`, which sorts the
+    /// run before linking it. Linked as they came, they would search from
+    /// the sentinel at every descent: thousands of visits.
+    fn unsorted_run_is_walked_once_impl<R: Reclaim>() {
+        const L: usize = 256;
+        let backlog = (0..L as u64).map(|p| (2 * p, p));
+        let q = crate::concurrent::LockFreeMultiQueue::<u64, R>::prefilled_in(1, backlog);
+        let run: Vec<(u64, u64)> = (0..64).map(|i| (2 * (50 + i * 37 % 64) + 1, i)).collect();
+        let before = VISITS.get();
+        crate::ConcurrentScheduler::insert_batch(&q, &run);
+        let visits = VISITS.get() - before;
+        assert!(visits <= L + 2 * 64, "{visits} node visits for one unsorted run over {L} entries");
+        let mut all: Vec<u64> =
+            (0..L as u64).map(|p| 2 * p).chain(run.iter().map(|e| e.0)).collect();
+        all.sort_unstable();
+        let pop = || crate::ConcurrentScheduler::pop(&q).map(|(p, _)| p);
+        assert_eq!(std::iter::from_fn(pop).collect::<Vec<_>>(), all);
+    }
+
+    #[test]
+    fn unsorted_run_is_walked_once() {
+        unsorted_run_is_walked_once_impl::<Ebr>();
+        unsorted_run_is_walked_once_impl::<Vbr>();
+    }
+
     /// Between two entries of one run, pops claim everything the run linked
     /// so far — its resume node last. Under EBR the resume node reads
     /// marked; under VBR its slot is recycled for the next entry, so the

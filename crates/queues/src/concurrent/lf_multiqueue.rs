@@ -7,11 +7,12 @@
 //! [`Reclaim`] backend (epoch pins by default; version validation under
 //! [`Vbr`](crate::reclaim::Vbr), which removes the per-pop pin fence).
 
-use super::multiqueue::{Bucket, MultiQueueCore};
+use super::multiqueue::{Bucket, MultiQueueCore, BATCH_SCATTER_RUN};
 use crate::concurrent::HarrisList;
 use crate::reclaim::{Ebr, Reclaim};
 use crate::Entry;
 use rsched_sync::atomic::{AtomicIsize, Ordering};
+use std::mem::MaybeUninit;
 
 /// The lock-free bucket: a [`HarrisList`] and, on the same padded line, its
 /// live count. Opening never blocks and needs only the operation's
@@ -60,16 +61,28 @@ impl<T: Send, R: Reclaim> Bucket<T> for ListBucket<T, R> {
         self.list.pop_run_with(max, out, open)
     }
 
-    /// One walk per ascending run, starting at the list's finger: each
-    /// search resumes from the node the entry before linked
-    /// ([`HarrisList::insert_run_with`]).
+    /// One walk per run, starting at the list's finger: each search
+    /// resumes from the node the entry before linked
+    /// ([`HarrisList::insert_run_with`]), so the run is linked in key
+    /// order. A run that does not ascend is sorted first, in a stash on the
+    /// stack; one that does is linked as it comes. Entries are taken
+    /// `BATCH_SCATTER_RUN` (64) at a time, the longest run an `insert_batch`
+    /// hands a bucket.
     fn push_run(&self, open: &mut &R::Guard<T>, run: impl Iterator<Item = Entry<T>>) -> isize {
-        let mut pushed = 0;
-        let run = run.map(|e| {
-            pushed += 1;
-            (e.priority, e.seq, e.item)
-        });
-        self.list.insert_run_with(run, open);
+        let (mut run, mut pushed) = (run.peekable(), 0);
+        while run.peek().is_some() {
+            let (mut stash, mut ascending, mut last) = (Stash::new(), true, None);
+            for e in run.by_ref().take(BATCH_SCATTER_RUN) {
+                ascending &= last <= Some(e.key());
+                last = Some(e.key());
+                stash.push(e);
+            }
+            if !ascending {
+                stash.sort();
+            }
+            pushed += stash.len as isize;
+            self.list.insert_run_with(stash.drain().map(|e| (e.priority, e.seq, e.item)), open);
+        }
         pushed
     }
 
@@ -81,6 +94,52 @@ impl<T: Send, R: Reclaim> Bucket<T> for ListBucket<T, R> {
 
     fn count(&self) -> isize {
         self.live.load(Ordering::Acquire)
+    }
+}
+
+/// Up to `BATCH_SCATTER_RUN` entries of one run, on the stack: the first
+/// `len` slots are initialized, and dropped with the stash unless drained.
+struct Stash<T> {
+    slots: [MaybeUninit<Entry<T>>; BATCH_SCATTER_RUN],
+    len: usize,
+}
+
+impl<T> Stash<T> {
+    fn new() -> Self {
+        Stash { slots: [const { MaybeUninit::uninit() }; BATCH_SCATTER_RUN], len: 0 }
+    }
+
+    /// The initialized entries.
+    fn entries(&mut self) -> &mut [Entry<T>] {
+        // SAFETY: the first `len` slots are initialized.
+        unsafe { &mut *(&raw mut self.slots[..self.len] as *mut [Entry<T>]) }
+    }
+
+    /// Adds `e`; the stash must not be full.
+    fn push(&mut self, e: Entry<T>) {
+        self.slots[self.len].write(e);
+        self.len += 1;
+    }
+
+    fn sort(&mut self) {
+        self.entries().sort_unstable_by_key(Entry::key);
+    }
+
+    /// Moves the entries out, in order.
+    fn drain(&mut self) -> impl ExactSizeIterator<Item = Entry<T>> + '_ {
+        let len = std::mem::take(&mut self.len);
+        // SAFETY: the first `len` slots were initialized, and with `len`
+        // reset nothing else reads or drops them: each is moved out once.
+        // An iteration cut short by a panic leaks the rest.
+        self.slots[..len].iter().map(|slot| unsafe { slot.assume_init_read() })
+    }
+}
+
+impl<T> Drop for Stash<T> {
+    fn drop(&mut self) {
+        // SAFETY: the first `len` slots are initialized and not drained;
+        // they are dropped once, here.
+        unsafe { std::ptr::drop_in_place(self.entries()) };
     }
 }
 

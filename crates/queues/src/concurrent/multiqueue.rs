@@ -19,7 +19,7 @@ use std::mem::MaybeUninit;
 /// bucket. Small batches (≤ this) pay exactly one lock / pin; huge bulk
 /// loads (e.g. the framework's initial fill) still scatter across buckets
 /// in runs of this length, so no single bucket swallows the whole load.
-const BATCH_SCATTER_RUN: usize = 64;
+pub(super) const BATCH_SCATTER_RUN: usize = 64;
 
 /// One internal queue of a [`MultiQueueCore`]. Which bucket to pop, when
 /// to retry, where an insert goes and what `len` is are the core's; the
@@ -104,9 +104,11 @@ const RADIX_BITS: u32 = 11;
 /// differ, so equal priorities keep their claim order, and the result is
 /// the one a comparison sort of the `(priority, seq)` keys gives for any
 /// run claimed within 2³² (a wrapped one stays sorted by priority). One read
-/// finds the span, one counts every digit, and each digit that varies is
-/// one scatter through `scratch`, which the caller may reuse across runs.
-fn radix_sort<T>(run: &mut Vec<Entry<T>>, scratch: &mut Vec<Entry<T>>) {
+/// finds the span, one counts every digit into `offsets`, and each digit
+/// that varies is one scatter through `scratch`. The caller may reuse both
+/// across runs: once they are as large as a run needs, a sort allocates
+/// nothing.
+fn radix_sort<T>(run: &mut Vec<Entry<T>>, scratch: &mut Vec<Entry<T>>, offsets: &mut Vec<usize>) {
     let n = run.len();
     if n < 2 {
         return;
@@ -123,7 +125,8 @@ fn radix_sort<T>(run: &mut Vec<Entry<T>>, scratch: &mut Vec<Entry<T>>) {
     let width = bits.div_ceil(passes);
     let (radix, mask) = (1usize << width, (1u64 << width) - 1);
     let digit = |e: &Entry<T>, pass: u32| (((e.priority - min) >> (pass * width)) & mask) as usize;
-    let mut offsets = vec![0usize; passes as usize * radix];
+    offsets.clear();
+    offsets.resize(passes as usize * radix, 0);
     for e in run.iter() {
         for pass in 0..passes {
             offsets[pass as usize * radix + digit(e, pass)] += 1;
@@ -195,8 +198,8 @@ impl<T: Send, B: Bucket<T>> MultiQueueCore<T, B> {
             claimed += 1;
         }
         let sort = |runs: &mut [Vec<Entry<T>>]| {
-            let mut scratch = Vec::new();
-            runs.iter_mut().for_each(|r| radix_sort(r, &mut scratch));
+            let (mut scratch, mut offsets) = (Vec::new(), Vec::new());
+            runs.iter_mut().for_each(|r| radix_sort(r, &mut scratch, &mut offsets));
         };
         if sort_threads > 1 && claimed >= PARALLEL_SORT_MIN {
             std::thread::scope(|s| {
@@ -479,10 +482,11 @@ impl<T: Send> Bucket<T> for Locked<T> {
 }
 
 /// Entries the insert buffer of a [`LockedQueue`] holds before a flush
-/// sorts them into a run: 1024 `Entry<u32>` are 16 KiB, so the buffers of
-/// a paper-sized queue stay in cache (DESIGN.md "The run bucket"). A
-/// constant, not a parameter.
-const BUF: usize = 1024;
+/// sorts them into a run: 4 096 `Entry<u32>` are 64 KiB, so a bucket's
+/// buffer and its flush's radix scratch stay in L2, and a flushed entry is
+/// merged about `log₂(n / BUF)` times in a bucket of `n` (DESIGN.md "The
+/// run bucket" has the sizing). A constant, not a parameter.
+const BUF: usize = 4096;
 
 /// Entries per block of a run: a flush fills `BUF / BLOCK` blocks, and a
 /// block drained by pops or by a merge goes back to the slab's free list.
@@ -501,10 +505,11 @@ const NIL: u32 = u32::MAX;
 /// What a [`Locked`] bucket guards, a run bucket after Sanders' sequence
 /// heap: the sorted run it was built from, consumed from the front; an
 /// in-cache [`Heap`] buffer of up to [`BUF`] later inserts; and the runs
-/// that full buffers were sorted into, each a chain of [`BLOCK`]-entry
-/// blocks in one slab, ordered by their smallest entries in a small
-/// [`Heap`] of [`Tail`]s. A new run is merged with every run no larger, so
-/// a bucket of `n` entries holds `O(log(n / BUF))` runs. A pop takes the
+/// that full buffers were radix-sorted into, each a chain of
+/// [`BLOCK`]-entry blocks in one slab, ordered by their smallest entries in
+/// a small [`Heap`] of [`Tail`]s. A new run is merged with every run no
+/// larger, block by block, so a bucket of `n` entries holds
+/// `O(log(n / BUF))` runs and every flush and merge is linear. A pop takes the
 /// smallest of the three heads by `(priority, seq)`, so from a run it reads
 /// the next entry of a sequential block instead of sifting a large heap
 /// out of cache (DESIGN.md "The run bucket").
@@ -530,6 +535,11 @@ pub struct LockedQueue<T> {
     slab: Vec<Block<T>>,
     /// Head of the free list, linked through [`Block::next`].
     free: u32,
+    /// The flush's radix-sort scratch, swapped with the buffer by each
+    /// digit pass: allocated by the bucket's first flush, reused after.
+    scratch: Vec<Entry<T>>,
+    /// The flush's radix-sort digit counters, reused likewise.
+    offsets: Vec<usize>,
 }
 
 /// A run's next entries: a block of the slab, holding its entries in
@@ -588,6 +598,8 @@ impl<T> LockedQueue<T> {
             tails: Heap { entries: Vec::with_capacity(HEAP_ARITY) },
             slab: Vec::with_capacity(SLAB_INIT),
             free: NIL,
+            scratch: Vec::new(),
+            offsets: Vec::new(),
         }
     }
 
@@ -675,9 +687,48 @@ impl<T> LockedQueue<T> {
         }
     }
 
-    /// Merges runs `a` and `b`, which have left the tail heap, into one:
-    /// entry by entry, smallest first, each block of theirs going to the
-    /// free list as soon as it is drained, for the merged run's next ones.
+    /// A free block linked after `out`, the merged run's newest block.
+    fn chain_block(&mut self, out: u32) -> u32 {
+        let next = self.take_block();
+        self.slab[out as usize].next = next;
+        next
+    }
+
+    /// Moves `run` on from a drained head block, which goes to the free
+    /// list, to the next block of its chain; a run with none left stays
+    /// drained (`len` 0). Does nothing while the head block has entries.
+    fn next_block(&mut self, run: &mut Tail) {
+        if run.len > 0 {
+            return;
+        }
+        let block = &mut self.slab[run.block as usize];
+        let next = block.next;
+        block.next = self.free;
+        self.free = run.block;
+        if next != NIL {
+            (run.block, run.len, run.rest) = (next, BLOCK as u32, run.rest - 1);
+        }
+    }
+
+    /// Where block `at`'s entries start, off `slab`, the slab's base pointer.
+    ///
+    /// # Safety
+    ///
+    /// `at` is a block index of the slab `slab` points at, which has not
+    /// grown since `slab` was taken.
+    unsafe fn entries(slab: *mut Block<T>, at: u32) -> *mut Entry<T> {
+        // SAFETY: the caller's `at` is in bounds of a live slab; no
+        // reference is made, so other blocks' pointers stay valid.
+        unsafe { (&raw mut (*slab.add(at as usize)).entries).cast() }
+    }
+
+    /// Merges runs `a` and `b`, which have left the tail heap, into one,
+    /// smallest first, filling the merged run's blocks from their last slot
+    /// down; each block of theirs goes to the free list as soon as it is
+    /// drained, for the merged run's next ones. While both runs last,
+    /// entries move in stretches that end where one of the three blocks
+    /// does, each step a branch-free pick of the smaller head and a copy;
+    /// then the rest of the other run is copied block-wise.
     fn merge(&mut self, mut a: Tail, mut b: Tail) -> Tail {
         let size = a.size() + b.size();
         // The merged run's head block holds what is left over from full
@@ -685,45 +736,59 @@ impl<T> LockedQueue<T> {
         let head_len = (size - 1) % BLOCK + 1;
         let head = self.take_block();
         let (mut out, mut at) = (head, head_len);
-        for _ in 0..size {
+        while a.len > 0 && b.len > 0 {
             if at == 0 {
-                let next = self.take_block();
-                self.slab[out as usize].next = next;
-                (out, at) = (next, BLOCK);
+                (out, at) = (self.chain_block(out), BLOCK);
             }
-            let from = match (a.len, b.len) {
-                (0, _) => &mut b,
-                (_, 0) => &mut a,
-                _ if b.key() < a.key() => &mut b,
-                _ => &mut a,
-            };
-            from.len -= 1;
-            at -= 1;
-            let block = &mut self.slab[from.block as usize];
-            // SAFETY: the last live entry of `from`'s head block (see
-            // `pop_tail`) moves to slot `at` of the merged run's newest
-            // block, which is free: slots above `at` were filled before it.
-            // The decrement above makes the source slot dead, and nothing
-            // can panic before the write below. (A panic in `take_block`
-            // leaks both runs' entries, never drops one twice: no tail
-            // points at them any more.)
-            let e = unsafe { block.entries[from.len as usize].assume_init_read() };
-            if from.len == 0 {
-                let (drained, next) = (from.block, block.next);
-                block.next = self.free;
-                self.free = drained;
-                if next != NIL {
-                    (from.block, from.len, from.rest) = (next, BLOCK as u32, from.rest - 1);
+            let (mut la, mut lb) = (a.len as usize, b.len as usize);
+            let slab = self.slab.as_mut_ptr();
+            // SAFETY: `a`'s, `b`'s and `out`'s blocks are three distinct
+            // blocks of the slab, which does not grow in the loop. With
+            // `at.min(la).min(lb)` steps, each step that decrements one of
+            // `la` and `lb` once, both stay ≥ 1 until the last step ends:
+            // every step reads the last live entry of `a`'s or `b`'s block,
+            // makes it dead by the decrement, and writes it to slot
+            // `at − 1` of `out`, which is free (the slots above it were
+            // filled before). The two heads are in the one slab
+            // allocation, so the masked offset from `a`'s lands on one of
+            // them. Nothing in the loop can panic.
+            unsafe {
+                let (pa, pb) = (Self::entries(slab, a.block), Self::entries(slab, b.block));
+                let po = Self::entries(slab, out);
+                for _ in 0..at.min(la).min(lb) {
+                    let (ea, eb) = (pa.add(la - 1), pb.add(lb - 1));
+                    let take_b = packed(&*eb) < packed(&*ea);
+                    at -= 1;
+                    // All-ones to take `b`: opaque to the optimizer, which
+                    // would otherwise turn the pick back into a branch.
+                    let mask = std::hint::black_box(-isize::from(take_b));
+                    po.add(at).write(ea.byte_offset(eb.byte_offset_from(ea) & mask).read());
+                    la -= usize::from(!take_b);
+                    lb -= usize::from(take_b);
                 }
             }
-            if from.len > 0 {
-                // SAFETY: as in `pop_tail`, `from.len ≥ 1` entries are live.
-                let next = unsafe {
-                    self.slab[from.block as usize].entries[from.len as usize - 1].assume_init_ref()
-                };
-                from.set_key(next.key());
+            (a.len, b.len) = (la as u32, lb as u32);
+            self.next_block(&mut a);
+            self.next_block(&mut b);
+        }
+        let mut rest = if a.len > 0 { a } else { b };
+        while rest.len > 0 {
+            if at == 0 {
+                (out, at) = (self.chain_block(out), BLOCK);
             }
-            self.slab[out as usize].entries[at].write(e);
+            let n = at.min(rest.len as usize);
+            (rest.len, at) = (rest.len - n as u32, at - n);
+            let slab = self.slab.as_mut_ptr();
+            // SAFETY: the last `n` live entries of `rest`'s block, the
+            // smallest it holds, are descending like the `n` free slots of
+            // `out` below the ones filled before, so they move there in one
+            // copy; the decrement above made them dead. The two blocks are
+            // distinct.
+            unsafe {
+                let from = Self::entries(slab, rest.block).add(rest.len as usize);
+                std::ptr::copy_nonoverlapping(from, Self::entries(slab, out).add(at), n);
+            }
+            self.next_block(&mut rest);
         }
         self.slab[out as usize].next = NIL;
         // SAFETY: the merged run's head block holds `head_len` live entries,
@@ -734,11 +799,19 @@ impl<T> LockedQueue<T> {
         Tail { priority, seq, block: head, len: head_len as u32, rest }
     }
 
-    /// Sorts the full buffer into a new run — descending, cut into blocks
-    /// of [`BLOCK`] entries from the largest down, chained smallest first —
-    /// and merges it with the runs no larger than it.
+    /// Sorts the full buffer into a new run — in `(priority, seq)` order,
+    /// then cut descending into blocks of [`BLOCK`] entries from the largest
+    /// down, chained smallest first — and merges it with the runs no larger
+    /// than it.
     fn flush(&mut self) {
-        self.buf.entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        let entries = &mut self.buf.entries;
+        radix_sort(entries, &mut self.scratch, &mut self.offsets);
+        // The radix sort is stable, but the buffer is in heap order, not
+        // claim order: each run of equal priorities is put in `seq` order.
+        entries.chunk_by_mut(|x, y| x.priority == y.priority).for_each(|tie| {
+            tie.sort_unstable_by_key(|e| e.seq);
+        });
+        entries.reverse();
         let (priority, seq) = self.buf.entries[BUF - 1].key();
         let mut chain = NIL;
         for chunk in 0..BUF / BLOCK {
@@ -818,6 +891,13 @@ impl<T> fmt::Debug for LockedQueue<T> {
 /// pairs when the heap was the whole bucket (DESIGN.md "The run bucket");
 /// a constant, not a parameter.
 const HEAP_ARITY: usize = 8;
+
+/// `e`'s `(priority, seq)` as one integer that orders as the pair does,
+/// so that the merge compares two entries without a branch.
+#[inline]
+fn packed<T>(e: &Entry<T>) -> u128 {
+    (u128::from(e.priority) << 64) | u128::from(e.seq)
+}
 
 /// What a [`Heap`] orders by: an entry's `(priority, seq)`.
 trait Keyed {
@@ -992,17 +1072,41 @@ mod tests {
     use crate::reclaim::{Ebr, Vbr};
     use proptest::prelude::*;
     use std::cell::Cell;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `case` on a thread of its own, passes its panic on, and fails if
+    /// it is still running after two minutes (the run-bucket cases take a
+    /// few seconds in debug, so the bound leaves room for AddressSanitizer):
+    /// a slab fault that links a block into two chains or the free list
+    /// into a cycle can leave a walk that never ends, and the case must fail
+    /// rather than hang.
+    fn within_watchdog(case: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(case)));
+        });
+        match rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(result) => result.unwrap_or_else(|panic| resume_unwind(panic)),
+            Err(_) => panic!("still running after 120 s: a slab walk never ended"),
+        }
+    }
 
     /// One bucket on one thread is an exact scheduler: a shuffled insert set
     /// with many ties drains in `(priority, insertion)` order, by `pop` and
-    /// by `pop_batch(.., 32)`, across the two flushes of its 3 000 inserts.
+    /// by `pop_batch(.., 32)`, across the three flushes (and their merges)
+    /// of its `3.5 · BUF` inserts.
     /// The benchmark's `exact_s` rows of `sssp_gnm` and `service_conn` run
     /// on `MultiQueue::new(1)`. With the claim counter started 100 short of
     /// its wrap, the batch's one claim straddles it, and the drain is in
     /// `(priority, wrapped seq)` order: ties claimed after the wrap first.
     #[test]
     fn one_heap_drains_in_exact_order() {
-        let entries: Vec<(u64, u64)> = (0..3_000u64).map(|i| (i * 7919 % 3_001 / 16, i)).collect();
+        let n = (3 * BUF + BUF / 2) as u64;
+        let entries: Vec<(u64, u64)> = (0..n).map(|i| (i * 7919 % 3_001 / 16, i)).collect();
         for (start, key_of) in [(0, claim_key as KeyOf), (NEAR_WRAP, wrap_key)] {
             let mut want = entries.clone();
             want.sort_unstable_by_key(|&(p, i)| key_of(p, i));
@@ -1077,12 +1181,12 @@ mod tests {
         }
     }
 
-    /// A locked bucket's queue beside a sorted `Vec` of the keys it holds.
+    /// A locked bucket's queue beside a min-heap of the keys it holds.
     /// Tied keys carry equal payloads, so the model need not say which of
     /// two twins a pop returns.
     struct Model {
         q: LockedQueue<Tracked>,
-        keys: Vec<(u64, u32)>,
+        keys: BinaryHeap<Reverse<(u64, u32)>>,
         key_of: KeyOf,
         pushed: u64,
     }
@@ -1102,6 +1206,7 @@ mod tests {
                 entries.for_each(|e| q.push(e));
                 q
             };
+            let keys = keys.into_iter().map(Reverse).collect();
             Model { q, keys, key_of, pushed: initial.len() as u64 }
         }
 
@@ -1112,15 +1217,14 @@ mod tests {
                     let (p, s) = (self.key_of)(priority, self.pushed);
                     self.pushed += 1;
                     self.q.push(Entry::new(p, s, Tracked::new(s)));
-                    let at = self.keys.partition_point(|&k| k < (p, s));
-                    self.keys.insert(at, (p, s));
+                    self.keys.push(Reverse((p, s)));
                 }
                 1 => {
                     let got = self.q.pop().map(|e| (e.priority, e.seq, e.item.0));
-                    let want = (!self.keys.is_empty()).then(|| self.keys.remove(0));
+                    let want = self.keys.pop().map(|Reverse(key)| key);
                     prop_assert_eq!(got, want.map(|(p, s)| (p, s, s)));
                 }
-                _ => prop_assert_eq!(self.q.peek(), self.keys.first().map(|&(p, _)| p)),
+                _ => prop_assert_eq!(self.q.peek(), self.keys.peek().map(|&Reverse((p, _))| p)),
             }
             Ok(())
         }
@@ -1170,7 +1274,8 @@ mod tests {
             5 | 6 => 1,
             _ => 2,
         });
-        collection::vec((op, 0u64..6), 6_000..10_000)
+        // 5/8 of 6–10 buffers' worth of ops are pushes.
+        collection::vec((op, 0u64..6), 6 * BUF..10 * BUF)
     }
 
     proptest! {
@@ -1195,17 +1300,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The same across flushes: some 3 700–6 300 pushes fill the buffer
-        /// three to six times, so runs merge, and runs are popped across
-        /// block boundaries while later ones are flushed and merged into
-        /// recycled blocks; then the queue is dropped holding `keep`
-        /// entries in its runs, buffer and prefill. The same three key
-        /// kinds: twins are sorted, merged and popped together.
-        #[test]
-        fn runs_match_sorted_model(
+        /// The cases of `runs_match_sorted_model`.
+        fn runs_match_sorted_model_cases(
             initial in collection::vec(0u64..6, 0..40),
             ops in long_ops(),
-            keep in 0usize..1_500,
+            keep in 0..BUF + BUF / 2,
         ) {
             for key_of in [tie_key as KeyOf, wrap_key, twin_key] {
                 queue_model(key_of, &initial, &ops, keep)?;
@@ -1213,11 +1312,23 @@ mod tests {
         }
     }
 
+    /// The same across flushes: some `3.75–6.25 · BUF` pushes fill the
+    /// buffer three to six times, so runs merge, and runs are popped across
+    /// block boundaries while later ones are flushed and merged into
+    /// recycled blocks; then the queue is dropped holding `keep` entries in
+    /// its runs, buffer and prefill. The same three key kinds: twins are
+    /// sorted, merged and popped together.
+    #[test]
+    fn runs_match_sorted_model() {
+        within_watchdog(runs_match_sorted_model_cases);
+    }
+
     /// The sizes of the runs `q` holds, ascending, after checking that
     /// every block of its slab is in a run or on the free list.
     fn run_sizes<T>(q: &LockedQueue<T>) -> Vec<usize> {
         let (mut free, mut at) = (0, q.free);
         while at != NIL {
+            assert!(free < q.slab.len(), "the free list is longer than the slab: a cycle");
             (free, at) = (free + 1, q.slab[at as usize].next);
         }
         let held: usize = q.tails.entries.iter().map(|t| 1 + t.rest as usize).sum();
@@ -1236,30 +1347,81 @@ mod tests {
     /// entry; and a drop with entries in a run and the buffer.
     #[test]
     fn runs_cross_flushes_and_recycle_blocks() {
-        let base = LIVE.with(Cell::get);
-        let mut m = Model::new(tie_key, &[], false);
-        let mut steps = 0;
-        let mut step = |m: &mut Model, op: u8| {
-            m.apply(op, m.pushed / 64).unwrap();
-            steps += 1;
-            if steps % 5 == 0 {
-                m.apply(2, 0).unwrap();
+        within_watchdog(|| {
+            // Sizes in buffers: 3.5 pushed, 1.5 popped, 3 pushed, 2.5 popped.
+            const FILL: usize = 3 * BUF + BUF / 2;
+            const CUT: usize = BUF + BUF / 2;
+            const MORE: usize = 3 * BUF;
+            let base = LIVE.with(Cell::get);
+            let mut m = Model::new(tie_key, &[], false);
+            let mut steps = 0;
+            let mut step = |m: &mut Model, op: u8| {
+                m.apply(op, m.pushed / 64).unwrap();
+                steps += 1;
+                if steps % 5 == 0 {
+                    m.apply(2, 0).unwrap();
+                }
+            };
+            (0..FILL).for_each(|_| step(&mut m, 0));
+            assert_eq!(run_sizes(&m.q), [BUF, 2 * BUF]);
+            assert_eq!(m.q.buf.entries.len(), FILL - 3 * BUF);
+            (0..CUT).for_each(|_| step(&mut m, 1));
+            assert_eq!(run_sizes(&m.q), [2 * BUF - CUT, BUF]);
+            let blocks = m.q.slab.len();
+            (0..MORE).for_each(|_| step(&mut m, 0));
+            assert_eq!(run_sizes(&m.q), [2 * BUF, 4 * BUF - CUT]);
+            let grown = m.q.slab.len() - blocks;
+            assert!(grown < 3 * BUF / BLOCK, "{grown} new blocks for three flushes");
+            (0..4 * BUF - CUT).for_each(|_| step(&mut m, 1));
+            assert_eq!(run_sizes(&m.q), [2 * BUF]);
+            m.drain_to(3 * BUF / 4).unwrap();
+            assert_eq!(LIVE.with(Cell::get), base);
+        });
+    }
+
+    /// One `Locked` bucket, through the interface the core drives it by,
+    /// over four cycles of pushes in runs of 64 — three to six flushes
+    /// each, with merges — and a drain in pops of 32: each cycle pops
+    /// every entry once and in key order, drops every payload once, and
+    /// leaves every slab block on the free list, which the next cycle's
+    /// flushes and merges take their blocks from.
+    #[test]
+    fn locked_bucket_drains_and_refills() {
+        within_watchdog(|| {
+            let base = LIVE.with(Cell::get);
+            let bucket = Locked::from_sorted(Vec::new());
+            let mut seq = 0u32;
+            for cycle in 0..4 {
+                let n = (3 + cycle) * BUF + 100 * cycle;
+                let first = seq;
+                let mut open = bucket.open(&());
+                for run in 0..n.div_ceil(64) {
+                    let entries = (run * 64..n.min(run * 64 + 64)).map(|i| {
+                        seq += 1;
+                        let priority = (i as u64 * 7919 % 3_001) / 8;
+                        Entry::new(priority, seq - 1, Tracked::new(seq - 1))
+                    });
+                    bucket.push_run(&mut open, entries);
+                }
+                bucket.close(open, n as isize);
+                let mut got = Vec::with_capacity(n);
+                loop {
+                    let mut open = bucket.open(&());
+                    let popped = bucket.pop_run(&mut open, 32, |(p, item)| got.push((p, item.0)));
+                    bucket.close(open, -(popped as isize));
+                    if popped < 32 {
+                        break;
+                    }
+                }
+                assert_eq!(bucket.count(), 0, "cycle {cycle}");
+                assert!(got.is_sorted(), "cycle {cycle}: popped out of key order");
+                let mut seqs: Vec<u32> = got.iter().map(|&(_, s)| s).collect();
+                seqs.sort_unstable();
+                assert_eq!(seqs, (first..seq).collect::<Vec<_>>(), "cycle {cycle}");
+                assert_eq!(LIVE.with(Cell::get), base, "cycle {cycle}: payloads not dropped once");
+                assert_eq!(run_sizes(&bucket.lock.lock()), [], "cycle {cycle}");
             }
-        };
-        (0..3_500).for_each(|_| step(&mut m, 0));
-        assert_eq!(run_sizes(&m.q), [BUF, 2 * BUF]);
-        assert_eq!(m.q.buf.entries.len(), 3_500 - 3 * BUF);
-        (0..1_500).for_each(|_| step(&mut m, 1));
-        assert_eq!(run_sizes(&m.q), [2 * BUF - 1_500, BUF]);
-        let blocks = m.q.slab.len();
-        (0..3_000).for_each(|_| step(&mut m, 0));
-        assert_eq!(run_sizes(&m.q), [2 * BUF, 4 * BUF - 1_500]);
-        let grown = m.q.slab.len() - blocks;
-        assert!(grown < 3 * BUF / BLOCK, "{grown} new blocks for three flushes");
-        (0..4 * BUF - 1_500).for_each(|_| step(&mut m, 1));
-        assert_eq!(run_sizes(&m.q), [2 * BUF]);
-        m.drain_to(700).unwrap();
-        assert_eq!(LIVE.with(Cell::get), base);
+        });
     }
 
     /// Every bucket's entries as `(priority, item)`, in the order the bucket
@@ -1333,7 +1495,7 @@ mod tests {
                 entries.iter().map(|&(p, i)| Entry::new(p, i as u32, i)).collect();
             let mut want = run.clone();
             want.sort_unstable();
-            radix_sort(&mut run, &mut Vec::new());
+            radix_sort(&mut run, &mut Vec::new(), &mut Vec::new());
             let fields = |r: &[Entry<u64>]| -> Vec<_> {
                 r.iter().map(|e| (e.priority, e.seq, e.item)).collect()
             };
