@@ -31,6 +31,13 @@
 //! finite far-away vertex) and keeps all arithmetic within the
 //! exact-predicate coordinate bound.
 //!
+//! **Shared writes.** [`ConcurrentDelaunay`] inserts under per-cell flags
+//! and writes no line that every worker writes: a worker takes its fan
+//! cells' ids from a block of the cell arena it claimed for itself (the ids
+//! a block leaves unused are *holes*, default cells nothing links to), and
+//! [`DelaunayOutput`]'s `created` / `destroyed` are counted off the arena
+//! after the run instead of by every insert.
+//!
 //! Ties: for cocircular point sets (the degenerate grid generator) the
 //! Delaunay triangulation is not unique and the insertion order picks among
 //! the valid tie-breakings, so different schedulers may produce different —
@@ -498,6 +505,44 @@ impl Region {
             Region::Ghost(u, w) => orient2d(u, w, p) > 0 || on_open_segment(u, w, p),
         }
     }
+
+    /// Whether `p` is strictly inside a real triangle; `false` for a ghost
+    /// cell.
+    fn holds_strictly(&self, p: Point) -> bool {
+        match *self {
+            Region::Tri([a, b, c]) => {
+                orient2d(a, b, p) > 0 && orient2d(b, c, p) > 0 && orient2d(c, a, p) > 0
+            }
+            Region::Ghost(..) => false,
+        }
+    }
+}
+
+/// Fan-cell ids a worker claims from an arena at a time: a fan is about six
+/// cells, so one `fetch_add` on [`CellArena::len`] serves some forty
+/// inserts. A constant, not a parameter.
+const ID_BLOCK: usize = 256;
+
+/// The unused tail `next..end` of the id block a worker last claimed, from
+/// the arena of the [`ConcurrentDelaunay`] whose `instance` is `owner`
+/// (0: none yet).
+struct IdBlock {
+    owner: u64,
+    next: u32,
+    end: u32,
+}
+
+/// Asks the cache for the line holding `x`, ahead of a read that would
+/// otherwise wait for it; a no-op off x86-64.
+#[inline(always)]
+fn prefetch<T>(x: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint: it reads nothing the program sees and
+    // cannot fault, and SSE, which it needs, is in the x86-64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(x).cast::<i8>());
+    }
 }
 
 /// Every per-insert buffer of [`ConcurrentDelaunay::try_process`], one set
@@ -514,8 +559,11 @@ struct Scratch {
     boundary: Vec<(u32, u32, u32, usize)>,
     displaced: Vec<u32>,
     relocated: Vec<(u32, u32)>,
-    /// Bucketing regions of the fan cells, then of the ring cells.
+    /// Bucketing regions of the fan cells, then (once a displaced point
+    /// matches none of those) of the ring cells.
     regions: Vec<Region>,
+    /// The worker's fan-cell ids.
+    ids: IdBlock,
 }
 
 impl Scratch {
@@ -528,6 +576,7 @@ impl Scratch {
             displaced: Vec::new(),
             relocated: Vec::new(),
             regions: Vec::new(),
+            ids: IdBlock { owner: 0, next: 0, end: 0 },
         }
     }
 }
@@ -546,9 +595,15 @@ const MAX_CHUNKS: usize = 21;
 /// geometrically growing chunks. Cell ids are stable for the lifetime of
 /// the arena and never reused, so stale ids read by speculation stay safe
 /// to dereference (they resolve to dead cells, never to freed memory).
+///
+/// Workers claim ids in blocks of [`ID_BLOCK`], so below `len` lie ids no
+/// insert used — the tail of a block too short for the next fan, or left
+/// when the run ended. Such a *hole* stays the default cell: dead, all
+/// vertices [`GHOST`] (no real cell has more than one), unlinked, so
+/// nothing reads it but [`ConcurrentDelaunay::into_output`], which skips it.
 struct CellArena {
     chunks: [OnceLock<Box<[ConcCell]>>; MAX_CHUNKS],
-    /// Bumped by every insertion; padded off the `chunks` line every cell
+    /// Bumped once per id block; padded off the `chunks` line every cell
     /// lookup reads.
     len: CachePadded<AtomicUsize>,
 }
@@ -636,6 +691,15 @@ impl fmt::Debug for CellArena {
 /// buffer moves into a fan cell instead of being freed, so only a bucket
 /// that outgrows what it inherited allocates.
 ///
+/// Nor does an insertion write a line that every worker writes: it takes
+/// its fan's ids from the worker's own block of 256 (`ID_BLOCK`; one shared
+/// `fetch_add` per block, keyed in the thread's scratch by the instance's
+/// `instance` number), and the structural counts are not kept as it goes
+/// but read off the arena by [`ConcurrentDelaunay::into_output`]. Every
+/// other line it writes belongs to the part of the triangulation it
+/// changes: its lockset's cells, its fan, and the `loc` slots of the
+/// points it displaces.
+///
 /// Retries are bounded in practice by the same argument as the sequential
 /// conflict semantics: whoever holds the contended cells finishes a finite
 /// insertion and releases, and the smallest-label point in a bucket is
@@ -645,17 +709,14 @@ pub struct ConcurrentDelaunay {
     labels: Vec<u32>,
     arena: CellArena,
     loc: Box<[AtomicU32]>,
-    counters: CachePadded<Counters>,
+    /// This instance's number, distinct from every other's in the process:
+    /// what a worker's [`IdBlock`] names its arena by.
+    instance: u64,
     degenerate: bool,
 }
 
-/// What every insertion writes, on a line of its own, away from the
-/// read-mostly headers every `try_process` goes through.
-// lint:allow(hot-counter-padded) held only as `CachePadded<Counters>`
-struct Counters {
-    created: AtomicU64,
-    destroyed: AtomicU64,
-}
+/// The next [`ConcurrentDelaunay::instance`]; 0 is no instance.
+static INSTANCES: AtomicU64 = AtomicU64::new(1);
 
 impl fmt::Debug for ConcurrentDelaunay {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -677,6 +738,9 @@ impl ConcurrentDelaunay {
     /// Panics if `pi.len() != points.len()`.
     pub fn new(points: &[Point], pi: &Permutation) -> Self {
         let seed = Triangulation::new(points, pi);
+        // The output counts every non-hole cell created and every dead one
+        // destroyed: the seed's cells are its first `created`, none dead.
+        debug_assert_eq!((seed.created, seed.destroyed), (seed.cells.len() as u64, 0));
         let arena = CellArena::new();
         if !seed.degenerate {
             let base = arena.alloc(seed.cells.len());
@@ -709,10 +773,7 @@ impl ConcurrentDelaunay {
             labels: seed.labels,
             arena,
             loc,
-            counters: CachePadded::new(Counters {
-                created: AtomicU64::new(seed.created),
-                destroyed: AtomicU64::new(seed.destroyed),
-            }),
+            instance: INSTANCES.fetch_add(1, Ordering::Relaxed),
             degenerate: seed.degenerate,
         }
     }
@@ -780,16 +841,38 @@ impl ConcurrentDelaunay {
         true
     }
 
-    /// Extracts the run output.
+    /// `count` consecutive fan-cell ids off the worker's block `ids`,
+    /// which first claims a fresh block of [`ID_BLOCK`] (or of `count`, if
+    /// larger) when it belongs to another instance or has fewer than
+    /// `count` left; the rest of the old block stays holes.
+    fn fan_ids(&self, count: usize, ids: &mut IdBlock) -> u32 {
+        if ids.owner != self.instance || ((ids.end - ids.next) as usize) < count {
+            let claim = ID_BLOCK.max(count);
+            let next = self.arena.alloc(claim);
+            *ids = IdBlock { owner: self.instance, next, end: next + claim as u32 };
+        }
+        let base = ids.next;
+        ids.next += count as u32;
+        base
+    }
+
+    /// Extracts the run output. The structural counts are read off the
+    /// arena: `created` is every cell that is not a hole, the seed's
+    /// included, and `destroyed` every dead one — no seed cell starts dead,
+    /// and an insert kills exactly its cavity.
     pub fn into_output(self) -> DelaunayOutput {
         let len = self.arena.len.load(Ordering::Acquire) as u32;
-        let mut triangles: Vec<[u32; 3]> = Vec::new();
+        let (mut triangles, mut created, mut destroyed) = (Vec::new(), 0, 0);
         for id in 0..len {
-            let c = self.arena.get(id);
-            if !c.alive.load(Ordering::Relaxed) {
+            let v = self.cell_v(id);
+            if v == [GHOST; 3] {
+                continue; // a hole
+            }
+            created += 1;
+            if !self.arena.get(id).alive.load(Ordering::Relaxed) {
+                destroyed += 1;
                 continue;
             }
-            let v = self.cell_v(id);
             if v.contains(&GHOST) {
                 continue;
             }
@@ -797,11 +880,7 @@ impl ConcurrentDelaunay {
             triangles.push([v[m], v[(m + 1) % 3], v[(m + 2) % 3]]);
         }
         triangles.sort_unstable();
-        DelaunayOutput {
-            triangles,
-            created: self.counters.created.load(Ordering::Relaxed),
-            destroyed: self.counters.destroyed.load(Ordering::Relaxed),
-        }
+        DelaunayOutput { triangles, created, destroyed }
     }
 }
 
@@ -840,7 +919,7 @@ impl ConcurrentDelaunay {
 
     /// Steps 2–4 over the cavity and ring speculation left in `s`.
     fn lock_and_commit(&self, task: TaskId, start: u32, s: &mut Scratch) -> TaskOutcome {
-        let Scratch { cavity, ring, lockset, boundary, displaced, relocated, regions } = s;
+        let Scratch { cavity, ring, lockset, boundary, displaced, relocated, regions, ids } = s;
         let ti = task as usize;
 
         // 2. Try-take cavity ∪ ring in ascending id order. The total order
@@ -891,6 +970,14 @@ impl ConcurrentDelaunay {
         if dep_blocked {
             return TaskOutcome::Blocked;
         }
+        // Rebucketing reads each displaced point's coordinates, a random
+        // load apiece: ask for them now, so that they arrive while the
+        // boundary pass and the fan build below run.
+        for &cell in cavity.iter() {
+            // SAFETY: `cell` is locked by us.
+            let bucket = unsafe { &*self.arena.get(cell).bucket.get() };
+            bucket.iter().for_each(|&q| prefetch(&self.pts[q as usize]));
+        }
 
         // The boundary edges `(a, b, outer, slot in outer)`, in cavity
         // order: every link from a cavity cell to a ring cell, with the
@@ -914,11 +1001,11 @@ impl ConcurrentDelaunay {
             }
         }
 
-        // 4. Commit. Fan: allocate unpublished cells and build them
-        // completely — vertices, all three links, liveness — before any id
-        // escapes.
+        // 4. Commit. Fan: take unpublished cells from the worker's id block
+        // and build them completely — vertices, all three links, liveness —
+        // before any id escapes.
         let m = boundary.len();
-        let base = self.arena.alloc(m);
+        let base = self.fan_ids(m, ids);
         for (idx, &(a, b, outer, _)) in boundary.iter().enumerate() {
             let nc = self.arena.get(base + idx as u32);
             nc.v[0].store(task, Ordering::Relaxed);
@@ -960,18 +1047,32 @@ impl ConcurrentDelaunay {
         // carved region, so a displaced point lands in a fan cell — except
         // exactly on the cavity boundary, where the (locked) surviving
         // neighbor may be the only closed-region match. First match wins,
-        // fan cells in boundary order, then the ring in speculation order.
+        // fan cells in boundary order, then the ring in speculation order;
+        // the ring's regions are built only for a point the fan misses,
+        // which on points in general position is none. A point strictly
+        // inside a real fan cell lies in no other fan cell's region — the
+        // fan's triangles meet only along edges, and a ghost cell's region
+        // is outside the hull — so that cell is its first match too. The
+        // points of one carved bucket lie close together: the cell the last
+        // point landed in is tried that way first.
         relocated.clear();
         if !displaced.is_empty() {
             regions.clear();
             regions.extend(boundary.iter().map(|&(a, b, ..)| self.region([task, a, b])));
-            regions.extend(ring.iter().map(|&o| self.region(self.cell_v(o))));
+            let mut last = None;
             for &q in displaced.iter() {
                 let qp = self.pts[q as usize];
-                let k = regions
-                    .iter()
-                    .position(|r| r.contains(qp))
-                    .expect("displaced point matched neither fan nor boundary cell");
+                let first = || regions[..m].iter().position(|r| r.contains(qp));
+                let fan = last.filter(|&k: &usize| regions[k].holds_strictly(qp)).or_else(first);
+                debug_assert_eq!(fan, first(), "point {q} left its first match");
+                last = fan;
+                let k = fan.unwrap_or_else(|| {
+                    if regions.len() == m {
+                        regions.extend(ring.iter().map(|&o| self.region(self.cell_v(o))));
+                    }
+                    let k = regions[m..].iter().position(|r| r.contains(qp));
+                    m + k.expect("displaced point matched neither fan nor boundary cell")
+                });
                 let cell = if k < m { base + k as u32 } else { ring[k - m] };
                 // SAFETY: a fan cell is ours until published below; a ring
                 // cell is locked by us.
@@ -989,8 +1090,6 @@ impl ConcurrentDelaunay {
         for &(q, cell) in relocated.iter() {
             self.loc[q as usize].store(cell, Ordering::Release);
         }
-        self.counters.created.fetch_add(m as u64, Ordering::Relaxed);
-        self.counters.destroyed.fetch_add(cavity.len() as u64, Ordering::Relaxed);
         self.loc[ti].store(LOC_INSERTED, Ordering::Release);
         drop(held);
         TaskOutcome::Processed
@@ -1205,9 +1304,66 @@ mod tests {
         }
     }
 
-    /// Every cell the arena has handed out, with its id.
-    fn cells(alg: &ConcurrentDelaunay) -> impl Iterator<Item = (u32, &ConcCell)> {
+    /// Every id below the arena's `len`, holes included, with its cell.
+    fn ids(alg: &ConcurrentDelaunay) -> impl Iterator<Item = (u32, &ConcCell)> {
         (0..alg.arena.len.load(Ordering::Relaxed) as u32).map(|id| (id, alg.arena.get(id)))
+    }
+
+    /// Every cell an insert (or the seed) has built, with its id: the
+    /// arena's ids less the holes.
+    fn cells(alg: &ConcurrentDelaunay) -> impl Iterator<Item = (u32, &ConcCell)> {
+        ids(alg).filter(|&(id, _)| alg.cell_v(id) != [GHOST; 3])
+    }
+
+    #[test]
+    fn holes_stay_default_cells_and_the_counts_skip_them() {
+        // Four workers each leave a block's tail unused, and every block
+        // switch leaves a tail too short for the next fan.
+        let pts = uniform_square(3_000, 1 << 20, &mut StdRng::seed_from_u64(31));
+        let pi = insertion_order(pts.len(), 13);
+        let alg = ConcurrentDelaunay::new(&pts, &pi);
+        let sched: MultiQueue<TaskId> = MultiQueue::for_threads(4);
+        fill_scheduler(&sched, &pi);
+        run_concurrent_batched(&alg, &pi, &sched, 4, 1);
+        let holes: Vec<u32> =
+            ids(&alg).filter(|&(id, _)| alg.cell_v(id) == [GHOST; 3]).map(|(id, _)| id).collect();
+        assert!(!holes.is_empty(), "a run that ends mid-block leaves holes");
+        for &id in &holes {
+            let c = alg.arena.get(id);
+            assert!(!c.alive.load(Ordering::Relaxed) && !c.locked.load(Ordering::Relaxed));
+            assert!(c.nbr.iter().all(|n| n.load(Ordering::Relaxed) == u32::MAX), "hole {id}");
+            // SAFETY: the run is over; nothing else touches the cell.
+            assert_eq!(unsafe { (*c.bucket.get()).capacity() }, 0, "hole {id}");
+        }
+        // No live cell links to a hole.
+        for (id, c) in cells(&alg).filter(|(_, c)| c.alive.load(Ordering::Relaxed)) {
+            let nbr = c.nbr.each_ref().map(|n| n.load(Ordering::Relaxed));
+            assert!(nbr.iter().all(|n| holes.binary_search(n).is_err()), "cell {id}: {nbr:?}");
+        }
+        let (created, destroyed) = cells(&alg).fold((0, 0), |(c, d), (_, cell)| {
+            (c + 1, d + u64::from(!cell.alive.load(Ordering::Relaxed)))
+        });
+        let out = alg.into_output();
+        assert_eq!((out.created, out.destroyed), (created, destroyed));
+        assert!(verify_delaunay(&pts, &out.triangles));
+    }
+
+    #[test]
+    fn one_worker_alternating_two_instances_keys_its_block_by_instance() {
+        // A block claimed from one arena must never serve the other: a fan
+        // there would land on ids the other arena hands out again.
+        // Each switch claims a fresh block, so keep the input small.
+        let pts = uniform_square(300, 1 << 20, &mut StdRng::seed_from_u64(32));
+        let pi = insertion_order(pts.len(), 14);
+        let (a, b) = (ConcurrentDelaunay::new(&pts, &pi), ConcurrentDelaunay::new(&pts, &pi));
+        for pos in 0..pts.len() as u32 {
+            let t = pi.task_at(pos);
+            assert_ne!(a.try_process(t), TaskOutcome::Blocked, "task {t}");
+            assert_ne!(b.try_process(t), TaskOutcome::Blocked, "task {t}");
+        }
+        let expected = delaunay_reference(&pts, &pi);
+        assert_eq!(a.into_output(), expected);
+        assert_eq!(b.into_output(), expected);
     }
 
     #[test]
@@ -1254,7 +1410,7 @@ mod tests {
         assert!(cavity.iter().chain(&ring).any(|&c| c < forced));
         alg.arena.get(forced).locked.store(true, Ordering::Relaxed);
         assert_eq!(alg.try_process(task), TaskOutcome::Blocked);
-        for (id, c) in cells(&alg) {
+        for (id, c) in ids(&alg) {
             assert_eq!(c.locked.load(Ordering::Relaxed), id == forced, "cell {id}");
         }
         alg.arena.get(forced).locked.store(false, Ordering::Relaxed);

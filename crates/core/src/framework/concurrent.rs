@@ -57,6 +57,12 @@ where
     }
 }
 
+/// Terminal outcomes a worker of [`run_engine`] gathers before it books
+/// them with one [`Ledger::decide`]: at batch 1, one write to the ledger's
+/// shared line per 64 tasks instead of one per task. A constant, not a
+/// parameter.
+const DECIDE_BATCH: usize = 64;
+
 /// Engine counters: each worker counts into its own copy and returns it
 /// from its join handle; [`run_workers`] sums them. The shared core of
 /// [`ConcurrentStats`] and the service's stats.
@@ -153,10 +159,15 @@ where
 /// run's outgoing buffer, and returns that buffer — the tasks the run
 /// spawned and its failed deletes — in one `insert_batch` (at
 /// `batch_size == 1` that is the scalar executor's op order: pop, process,
-/// conditional insert; the engine never calls the scalar `insert`). A run is
-/// booked once, before its flush: the tasks it spawned are accepted into
-/// `ledger`, and its terminal outcomes — processed and obsolete pops, and
-/// purged entries — decided. After the flush a run that retired scheduler
+/// conditional insert; the engine never calls the scalar `insert`). A run
+/// accepts the tasks it spawned into `ledger` before its flush. Its
+/// terminal outcomes — processed and obsolete pops, and purged entries —
+/// join the worker's unbooked count, which the worker books with one
+/// [`Ledger::decide`] once it reaches `DECIDE_BATCH` (64) and whenever its
+/// pop comes back empty, before it backs off; so no worker idles with
+/// decisions unbooked, and since an unbooked decision keeps `decided`
+/// below `accepted`, [`Ledger::drained`] reads true only after every worker
+/// has booked all of its own. After the flush a run that retired scheduler
 /// occupancy (pops and purges minus inserts) wakes the producers parked on
 /// `capacity`; `None` (prefill, sealed runs, a service without a watermark)
 /// skips `wake_all`'s fence. Outcome counters are tallied in the run's
@@ -209,12 +220,18 @@ where
         // frontier instead of churning failed deletes in place; for
         // monolithic schedulers the hint is ignored and the drift is free.
         let mut hint = worker;
+        // Decided here and not yet on the ledger's books.
+        let mut unbooked = 0;
         while !poisoned.load(Ordering::Relaxed) && !ledger.drained() {
             run.clear();
             let (got, purged) =
                 sched.pop_purging_for(hint, &mut run, batch_size, |_, &task| is_obsolete(task));
             if got + purged == 0 {
                 c.empty += 1;
+                // The run may be over but for this worker's books.
+                if unbooked > 0 {
+                    ledger.decide(std::mem::take(&mut unbooked));
+                }
                 backoff.snooze();
                 continue;
             }
@@ -244,13 +261,14 @@ where
             // poppable, decide strictly after the accept: `decided ==
             // accepted` can then never be observed with work still in flight
             // (see [`Ledger`]). A zero is not worth the RMW on the line every
-            // worker's loop test reads.
-            let (spawned, decided) = (out.len() - blocked, processed + obsolete + purged);
+            // worker's loop test reads, and the decisions wait for a batch.
+            let spawned = out.len() - blocked;
             if spawned > 0 {
                 ledger.accept(spawned);
             }
-            if decided > 0 {
-                ledger.decide(decided);
+            unbooked += processed + obsolete + purged;
+            if unbooked >= DECIDE_BATCH {
+                ledger.decide(std::mem::take(&mut unbooked));
             }
             if !out.is_empty() {
                 // Everything the run sends back goes in one synchronization
@@ -272,6 +290,7 @@ where
             }
             out.clear();
         }
+        debug_assert!(unbooked == 0 || poisoned.load(Ordering::Relaxed), "left with {unbooked}");
         c
     });
     // The probes read the summed tallies, once: nothing reads them mid-run.

@@ -21,8 +21,13 @@ use std::thread;
 /// makes it poppable) and handler follow-up submits (one `accept(n)` per
 /// worker run, likewise before its `insert_batch`). `decided` counts
 /// terminal outcomes (`Processed`, `Obsolete` or a purge; a `Blocked`
-/// re-insert is not a decision), one `decide(n)` per run, after that run's
-/// accept. A follow-up only exists while the parent that submitted it is
+/// re-insert is not a decision), booked by each worker in batches after
+/// the accepts of the runs that made them: one `decide(n)` per 64 of its
+/// decisions, and one for whatever it holds when its pop comes back empty
+/// (`run_engine`). A decision not yet booked only keeps `decided` lower,
+/// and a worker with work left to book never idles on it, so the books
+/// balance once the last worker with decisions finds the scheduler
+/// empty. A follow-up only exists while the parent that submitted it is
 /// still unbooked, a pushed task only while its producer's handle is alive
 /// (and the ledger unsealed), and nobody can pop — let alone decide — a
 /// task before it is accepted, so `decided == accepted` once sealed implies no
@@ -35,7 +40,9 @@ use std::thread;
 ///
 /// The two sides write different lines: `accepted` (producers' flushes) has
 /// one to itself, and `decided` shares the other only with `sealed`, which
-/// the workers read beside it in every [`Ledger::drained`].
+/// the workers read beside it in every [`Ledger::drained`]. Batched
+/// decisions keep that line read-mostly: a relaxed prefill run writes it
+/// about once per 64 tasks per worker, not once per run.
 #[derive(Debug, Default)]
 #[doc(hidden)] // public only so the model-checker suite can drive it
 pub struct Ledger {

@@ -56,7 +56,9 @@
 //! [ledger](Ledger): `accepted` counts every task admitted (flushed
 //! producer runs and handler follow-up submits), `decided` counts terminal
 //! outcomes. Both sides accept a run strictly before the `insert_batch`
-//! that makes it poppable; a worker decides after that accept. Because the
+//! that makes it poppable; a worker books its decisions after that
+//! accept, in batches it empties whenever its pop comes back empty, so
+//! it never idles on decisions the books do not hold yet. Because the
 //! ledger seals only after the last flush, every push that returned `Ok`
 //! is accepted before the books can balance. Once sealed and `decided ==
 //! accepted`, no task is buffered, scheduled, or in a worker's hands, and

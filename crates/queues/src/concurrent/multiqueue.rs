@@ -1021,6 +1021,12 @@ impl<E: Keyed> Heap<E> {
 pub type MultiQueue<T> = MultiQueueCore<T, Locked<T>>;
 
 impl<T: Send> MultiQueue<T> {
+    /// Entries a bucket's insert buffer takes before a flush sorts them
+    /// into a run. Public only so that the allocation test counts flushes
+    /// in the bucket's own unit.
+    #[doc(hidden)]
+    pub const FLUSH_ENTRIES: usize = BUF;
+
     /// Creates a MultiQueue with `num_queues` internal queues.
     ///
     /// # Panics

@@ -1,11 +1,11 @@
 //! The locked MultiQueue keeps its flushes off the allocator: a bucket
-//! radix-sorts each full insert buffer (4 096 entries) through scratch
-//! buffers it keeps, into a run of blocks taken from its slab, whose
-//! drained blocks are reused, so churn through `MultiQueue<u32>` allocates
-//! when the slab (or the small heap of run tails, or the sort's scratch on
-//! a bucket's first flush) outgrows its capacity — a logarithmic number of
-//! times as the backlog grows, and not at all once it stops growing —
-//! never per flush.
+//! radix-sorts each full insert buffer (`MultiQueue::FLUSH_ENTRIES`, 4 096
+//! entries) through scratch buffers it keeps, into a run of blocks taken
+//! from its slab, whose drained blocks are reused, so churn through
+//! `MultiQueue<u32>` allocates when the slab (or the small heap of run
+//! tails, or the sort's scratch on a bucket's first flush) outgrows its
+//! capacity — a logarithmic number of times as the backlog grows, and not
+//! at all once it stops growing — never per flush.
 //! A counting global allocator checks it; this file is its own test
 //! binary, so nothing else allocates meanwhile.
 
@@ -57,9 +57,10 @@ fn churn_allocates_with_the_slab_not_per_flush() {
     const RUN: usize = 64;
     const BUCKETS: usize = 4;
     // At least this many entries pass through a bucket per flush: its
-    // insert buffer. The sizes below are in its units, so that growth and
-    // steady state each span some 250 and 1 250 flushes.
-    const PER_FLUSH: usize = 4_096;
+    // insert buffer, read off the bucket so that the flush counts below
+    // follow any change of its size. The sizes below are in its units, so
+    // that growth and steady state each span some 250 and 1 250 flushes.
+    const PER_FLUSH: usize = MultiQueue::<u32>::FLUSH_ENTRIES;
     const BACKLOG: usize = 256 * PER_FLUSH;
     const ROUNDS: usize = 20 * PER_FLUSH;
     let q = MultiQueue::<u32>::new(BUCKETS);
