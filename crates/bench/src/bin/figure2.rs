@@ -1,8 +1,8 @@
 //! Regenerates **Figure 2** of the paper: concurrent MIS wall-clock time vs
-//! thread count on three `G(n, p)` classes, comparing the relaxed MultiQueue
-//! scheduler, the exact-order scheduler (the same worker engine, retrying a
-//! blocked task before any later one), and the optimized sequential
-//! baseline.
+//! thread count on three `G(n, m)` classes (`gen::gnm`: exactly `m`
+//! distinct uniform edges), comparing the relaxed MultiQueue scheduler, the
+//! exact-order scheduler (the same worker engine, retrying a blocked task
+//! before any later one), and the optimized sequential baseline.
 //!
 //! Default instance sizes are scaled to this machine (DESIGN.md substitution
 //! #1 and #3), preserving each class's average degree regime:

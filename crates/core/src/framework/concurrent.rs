@@ -36,7 +36,7 @@ const FILL_CHUNK: usize = 1024;
 /// requires.
 ///
 /// Schedulers with a bulk-load constructor (e.g.
-/// `LockFreeMultiQueue::prefilled`) can be filled at construction instead;
+/// `LockFreeMultiQueue::prefilled_in`) can be filled at construction instead;
 /// [`run_concurrent`] only requires that each task has exactly one entry in
 /// the scheduler when it starts.
 pub fn fill_scheduler<S>(sched: &S, pi: &Permutation)

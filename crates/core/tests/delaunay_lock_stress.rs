@@ -28,6 +28,7 @@ use rsched_core::TaskId;
 use rsched_graph::geom::{gaussian_clusters, uniform_square, Point};
 use rsched_graph::Permutation;
 use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
+use rsched_queues::reclaim::Ebr;
 use rsched_queues::sharded::ShardedScheduler;
 use rsched_queues::ConcurrentScheduler;
 
@@ -67,7 +68,7 @@ fn every_scheduler_at_every_thread_count_is_verifier_clean() {
         let mq: MultiQueue<TaskId> = MultiQueue::for_threads(threads);
         run_and_audit(&pts, &pi, mq, threads, 1, expected, &format!("mq t={threads}"));
 
-        let lf: LockFreeMultiQueue<TaskId> = LockFreeMultiQueue::for_threads(threads);
+        let lf: LockFreeMultiQueue<TaskId, Ebr> = LockFreeMultiQueue::new_in(4 * threads);
         run_and_audit(&pts, &pi, lf, threads, 1, expected, &format!("lfmq t={threads}"));
 
         let sharded: ShardedScheduler<MultiQueue<TaskId>> =

@@ -1,5 +1,5 @@
 //! Multi-threaded release stress for the incremental workloads, wired into
-//! CI alongside `scheduler_conformance`/`reclaim_stress`: 8 workers over a
+//! CI alongside `scheduler_conformance`: 8 workers over a
 //! sharded scheduler whose shard count (3) deliberately does not divide the
 //! worker count, so affinity, steal, and fairness paths all run constantly
 //! while the workloads race their own shared state — the CAS union-find
@@ -23,6 +23,7 @@ use rsched_core::TaskId;
 use rsched_graph::gen;
 use rsched_graph::geom::uniform_square;
 use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
+use rsched_queues::reclaim::Ebr;
 use rsched_queues::sharded::ShardedScheduler;
 
 const THREADS: usize = 8;
@@ -37,8 +38,8 @@ fn eight_thread_connectivity_over_sharded_lock_free_scheduler() {
 
     for batch in [1usize, 16] {
         let alg = ConcurrentConnectivity::new(n, &edges);
-        let sched: ShardedScheduler<LockFreeMultiQueue<TaskId>> =
-            ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new(4));
+        let sched: ShardedScheduler<LockFreeMultiQueue<TaskId, Ebr>> =
+            ShardedScheduler::from_fn(SHARDS, |_| LockFreeMultiQueue::new_in(4));
         fill_scheduler(&sched, &pi);
         let stats = run_concurrent_batched(&alg, &pi, &sched, THREADS, batch);
         // Exactly-once ledger: every edge decided once, nothing blocks.

@@ -47,8 +47,8 @@ fn storm_of_producers_under_tight_backpressure_completes_exactly_once() {
     // producers over more shards than they are, and one producer alone.
     for (nproducers, shards) in [(PRODUCERS, SHARDS), (2, 5), (1, 4)] {
         let handler = Hits((0..n).map(|_| AtomicU32::new(0)).collect());
-        let sched: ShardedScheduler<LockFreeMultiQueue<TaskId>> =
-            ShardedScheduler::from_fn(shards, |_| LockFreeMultiQueue::new(4));
+        let sched: ShardedScheduler<LockFreeMultiQueue<TaskId, Ebr>> =
+            ShardedScheduler::from_fn(shards, |_| LockFreeMultiQueue::new_in(4));
         let config = ServiceConfig {
             workers: WORKERS,
             batch_size: 16,

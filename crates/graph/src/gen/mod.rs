@@ -1,9 +1,10 @@
 //! Random and structured graph generators.
 //!
-//! The paper evaluates on Erdős–Rényi graphs ([`gnp`], [`gnm`]); the
-//! structured and power-law families here back the wider test suite and the
-//! ablation benches (e.g. the clique worst case of Theorem 1 uses
-//! [`complete`]).
+//! The paper's Figure 2 classes are Erdős–Rényi graphs given by node and
+//! edge counts; `figure2` draws them with [`gnm`] (`G(n, m)`: exactly `m`
+//! distinct edges), and [`gnp`] is the `G(n, p)` variant. The structured
+//! and power-law families here back the wider test suite and the theorem
+//! sweeps (e.g. the clique worst case of Theorem 1 uses [`complete`]).
 
 mod er;
 mod powerlaw;
@@ -11,6 +12,6 @@ mod regular;
 mod structured;
 
 pub use er::{gnm, gnp};
-pub use powerlaw::{barabasi_albert, rmat};
+pub use powerlaw::barabasi_albert;
 pub use regular::near_regular;
 pub use structured::{complete, complete_bipartite, cycle, empty, grid2d, path, star};

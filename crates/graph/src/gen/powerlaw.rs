@@ -1,8 +1,8 @@
-//! Skewed-degree generators: preferential attachment and R-MAT.
+//! A skewed-degree generator: preferential attachment.
 //!
-//! The paper's experiments use `G(n, p)`; these families stress the
-//! schedulers with heavy-tailed degree distributions in the wider test
-//! suite and the ablation benches.
+//! The paper's experiments use Erdős–Rényi graphs; this family stresses
+//! the schedulers with a heavy-tailed degree distribution in the wider
+//! test suite and `theorem2_sweep`.
 
 use crate::CsrGraph;
 use rand::Rng;
@@ -46,45 +46,6 @@ pub fn barabasi_albert<R: Rng>(n: usize, attach: usize, rng: &mut R) -> CsrGraph
     CsrGraph::from_edges(n, edges)
 }
 
-/// R-MAT generator: `2^scale` vertices, `edge_count` recursive-quadrant edge
-/// samples with quadrant probabilities `(a, b, c, d)`. Duplicates and
-/// self-loops are dropped, so the result has *at most* `edge_count` edges.
-///
-/// # Panics
-///
-/// Panics if the probabilities are negative or do not sum to ≈ 1.
-pub fn rmat<R: Rng>(
-    scale: u32,
-    edge_count: usize,
-    (a, b, c, d): (f64, f64, f64, f64),
-    rng: &mut R,
-) -> CsrGraph {
-    assert!(a >= 0.0 && b >= 0.0 && c >= 0.0 && d >= 0.0, "negative quadrant probability");
-    assert!(((a + b + c + d) - 1.0).abs() < 1e-9, "probabilities must sum to 1");
-    let n = 1usize << scale;
-    let mut edges = Vec::with_capacity(edge_count);
-    for _ in 0..edge_count {
-        let (mut u, mut v) = (0u32, 0u32);
-        for _ in 0..scale {
-            u <<= 1;
-            v <<= 1;
-            let r: f64 = rng.gen();
-            if r < a {
-                // top-left: nothing to add
-            } else if r < a + b {
-                v |= 1;
-            } else if r < a + b + c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
-        }
-        edges.push((u, v));
-    }
-    CsrGraph::from_edges(n, edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,21 +76,5 @@ mod tests {
     fn ba_zero_attach() {
         let mut rng = StdRng::seed_from_u64(1);
         let _ = barabasi_albert(10, 0, &mut rng);
-    }
-
-    #[test]
-    fn rmat_basic() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = rmat(8, 1000, (0.57, 0.19, 0.19, 0.05), &mut rng);
-        assert_eq!(g.num_vertices(), 256);
-        assert!(g.num_edges() <= 1000);
-        assert!(g.num_edges() > 500); // most samples survive dedup at this density
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn rmat_bad_probabilities() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let _ = rmat(4, 10, (0.5, 0.5, 0.5, 0.5), &mut rng);
     }
 }

@@ -41,7 +41,6 @@
 //! line suppresses that rule for the line; for `hot-counter-padded`, one in
 //! the comment block above a `struct` line suppresses it for the struct.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -380,14 +379,6 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Violation>) {
             });
         }
     }
-}
-
-// Keep the Violation Display-ish formatting in one place for tests.
-#[allow(dead_code)]
-fn render(v: &Violation) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
-    s
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //! [`Ebr`](crate::reclaim::Ebr) a chain is one deferred epoch item whose
 //! nodes go back to the list's node pool after the grace period; under
 //! [`Vbr`](crate::reclaim::Vbr) nodes live in a version-stamped slot arena
-//! and readers validate instead of pinning. The `*_with(guard)` variants
-//! let callers amortize one pin over a run; runs long enough to stall
+//! and readers validate instead of pinning. Every operation takes the
+//! caller's guard, so one pin covers a run; runs long enough to stall
 //! global reclamation should take a fresh guard each, as the MultiQueue
 //! core does.
 //!
@@ -53,14 +53,15 @@ use crate::reclaim::Reclaim;
 use rsched_sync::atomic::{fence, AtomicU64, Ordering::SeqCst};
 use std::fmt;
 
-/// A sorted lock-free linked list with `insert` and `pop_min`.
+/// A sorted lock-free linked list of `(priority, seq)`-keyed entries.
 ///
 /// Optimized for the scheduling workload: pops take the head region (the
 /// minimum is first) and inserts are sorted walks. Runtime inserts are not
 /// rare — the streaming service sends every task through them — so both
-/// directions work in runs: [`HarrisList::insert_run_with`] starts at the
-/// list's finger, the last node a run linked, and
-/// [`HarrisList::pop_run_with`] unlinks a popped prefix with one CAS.
+/// directions work in runs, under a guard the caller takes once per run:
+/// [`HarrisList::insert_run_with`] starts at the list's finger, the last
+/// node a run linked, and [`HarrisList::pop_run_with`] unlinks a popped
+/// prefix with one CAS.
 ///
 /// The second type parameter selects the reclamation backend; there is no
 /// default, so every list names its backend at [`HarrisList::new_in`] or
@@ -73,11 +74,12 @@ use std::fmt;
 /// use rsched_queues::reclaim::Ebr;
 ///
 /// let list = HarrisList::<_, Ebr>::new_in();
-/// list.insert(2, 0, "b");
-/// list.insert(1, 1, "a");
-/// assert_eq!(list.pop_min(), Some((1, "a")));
-/// assert_eq!(list.pop_min(), Some((2, "b")));
-/// assert_eq!(list.pop_min(), None);
+/// list.insert_run_with([(2, 0, "b"), (1, 1, "a")], &list.guard());
+/// assert_eq!(list.peek_min_with(&list.guard()), Some(1));
+/// let mut popped = Vec::new();
+/// assert_eq!(list.pop_run_with(8, |e| popped.push(e), &list.guard()), 2);
+/// assert_eq!(popped, [(1, "a"), (2, "b")]);
+/// assert_eq!(list.pop_run_with(8, drop, &list.guard()), 0);
 /// ```
 pub struct HarrisList<T: Send, R: Reclaim> {
     dom: R::Domain<T>,
@@ -138,30 +140,21 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
         HarrisList { dom, head, finger }
     }
 
-    /// Enters a read-side critical section for the `*_with` variants (an
+    /// Enters the read-side critical section every operation runs under (an
     /// epoch pin under EBR; free under VBR).
     pub fn guard(&self) -> R::Guard<T> {
         R::pin(&self.dom)
     }
 
-    /// Flushes thread-local deferred garbage toward the collector.
-    pub fn flush_guard(&self, guard: &R::Guard<T>) {
-        R::flush(&self.dom, guard);
-    }
-
-    /// Inserts `item` with the key `(priority, seq)`, before any live entry
-    /// with an equal key (the MultiQueue wrapper's `seq` is a wrapping claim
-    /// counter, so a key repeats only 2³² claims later).
-    pub fn insert(&self, priority: u64, seq: u32, item: T) {
-        self.insert_run_with([(priority, seq, item)], &self.guard());
-    }
-
-    /// Inserts `(priority, seq, item)` entries under one guard. The first
-    /// search starts at the finger, each later one at the node the entry
-    /// before linked: an ascending run above the last one starts where that
-    /// run ended, not at the head. An entry below or equal to its start, or
-    /// whose start a pop claimed, searches from the sentinel, so the run
-    /// need not be sorted. Takes its nodes from the domain once per run.
+    /// Inserts `(priority, seq, item)` entries under one guard, each before
+    /// any live entry with an equal key (the MultiQueue's `seq` is a
+    /// wrapping claim counter, so a key repeats only 2³² claims later). The
+    /// first search starts at the finger, each later one at the node the
+    /// entry before linked: an ascending run above the last one starts where
+    /// that run ended, not at the head. An entry below or equal to its
+    /// start, or whose start a pop claimed, searches from the sentinel, so
+    /// the run need not be sorted. Takes its nodes from the domain once per
+    /// run.
     pub fn insert_run_with<I>(&self, run: I, guard: &R::Guard<T>)
     where
         I: IntoIterator<Item = (u64, u32, T)>,
@@ -216,14 +209,6 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
 
     fn clear_finger(&self, word: u64) {
         let _ = self.finger.compare_exchange(word, Self::no_finger(), SeqCst, SeqCst);
-    }
-
-    /// Removes and returns the element with the smallest key, or `None` if
-    /// the list was observed empty.
-    pub fn pop_min(&self) -> Option<(u64, T)> {
-        let mut got = None;
-        self.pop_run_with(1, |e| got = Some(e), &self.guard());
-        got
     }
 
     /// Pops up to `max` entries, smallest first, into `out`; returns how
@@ -296,11 +281,6 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
     /// The smallest live priority, or `None` if the list was observed empty.
     ///
     /// A racy snapshot, used by the MultiQueue's two-choice comparison.
-    pub fn peek_min(&self) -> Option<u64> {
-        self.peek_min_with(&self.guard())
-    }
-
-    /// [`HarrisList::peek_min`] under a caller-provided guard.
     pub fn peek_min_with(&self, guard: &R::Guard<T>) -> Option<u64> {
         'retry: loop {
             let mut cur = match R::load_next(&self.dom, self.head, guard) {
@@ -324,11 +304,6 @@ impl<T: Send, R: Reclaim> HarrisList<T, R> {
                 cur = R::with_tag(next, 0);
             }
         }
-    }
-
-    /// Whether the list was observed to hold no live element.
-    pub fn is_empty(&self) -> bool {
-        self.peek_min().is_none()
     }
 
     /// Finds the insertion point for `key`: returns `(prev, cur)` where
@@ -498,8 +473,10 @@ impl<T: Send, R: Reclaim> fmt::Debug for HarrisList<T, R> {
 mod tests {
     use super::*;
     use crate::reclaim::{Ebr, Vbr};
-    use rsched_sync::atomic::Ordering;
+    use proptest::prelude::*;
+    use rsched_sync::atomic::{AtomicUsize, Ordering};
     use std::cell::Cell;
+    use std::collections::BTreeSet;
 
     thread_local! {
         /// Nodes `find` and `pop_run_with` have visited on this thread: the
@@ -507,6 +484,18 @@ mod tests {
         pub(super) static VISITS: Cell<usize> = const { Cell::new(0) };
         /// Link-word CASes this thread has issued: marks, links, unlinks.
         pub(super) static CASES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Pops everything left, in runs of up to 8.
+    fn drain<T: Send, R: Reclaim>(list: &HarrisList<T, R>) -> Vec<(u64, T)> {
+        let mut left = Vec::new();
+        while list.pop_run_with(8, |e| left.push(e), &list.guard()) > 0 {}
+        left
+    }
+
+    /// The priorities [`drain`] pops.
+    fn drain_priorities<T: Send, R: Reclaim>(list: &HarrisList<T, R>) -> Vec<u64> {
+        drain(list).into_iter().map(|(p, _)| p).collect()
     }
 
     fn walk_is_paid_once_per_run_impl<R: Reclaim>() {
@@ -526,8 +515,7 @@ mod tests {
             assert!(visits <= L + 2 * 64, "{visits} node visits for one run over {L} entries");
             let mut all: Vec<u64> = backlog.into_iter().chain(run).collect();
             all.sort_unstable();
-            let order: Vec<u64> = std::iter::from_fn(|| list.pop_min().map(|(p, _)| p)).collect();
-            assert_eq!(order, all);
+            assert_eq!(drain_priorities(&list), all);
         }
     }
 
@@ -574,14 +562,13 @@ mod tests {
         let mut popped = Vec::new();
         let run = (0..64u64).map(|p| {
             if p == 32 {
-                popped.extend((0..32).map(|_| list.pop_min().unwrap().0));
+                assert_eq!(list.pop_run_with(32, |(p, _)| popped.push(p), &list.guard()), 32);
             }
             (p, p as u32, p)
         });
         list.insert_run_with(run, &list.guard());
         assert_eq!(popped, (0..32).collect::<Vec<_>>());
-        let order: Vec<u64> = std::iter::from_fn(|| list.pop_min().map(|(p, _)| p)).collect();
-        assert_eq!(order, (32..64).chain(1000..1010).collect::<Vec<_>>());
+        assert_eq!(drain_priorities(&list), (32..64).chain(1000..1010).collect::<Vec<_>>());
     }
 
     #[test]
@@ -632,12 +619,11 @@ mod tests {
         assert_eq!(popped, (0..32).collect::<Vec<_>>());
         assert_eq!(finger(&list), null, "the unlink retired the finger's node and kept it");
         for _ in 0..1_000 {
-            list.flush_guard(&list.guard());
+            R::flush(&list.dom, &list.guard());
             std::thread::yield_now();
         }
         list.insert_run_with((32..64).map(|p| (p, p as u32, p)), &list.guard());
-        let order: Vec<u64> = std::iter::from_fn(|| list.pop_min().map(|(p, _)| p)).collect();
-        assert_eq!(order, (32..64).chain(100..110).collect::<Vec<_>>());
+        assert_eq!(drain_priorities(&list), (32..64).chain(100..110).collect::<Vec<_>>());
     }
 
     #[test]
@@ -648,10 +634,9 @@ mod tests {
 
     fn bulk_load_matches_inserts_impl<R: Reclaim>() {
         let list: HarrisList<u64, R> = HarrisList::from_sorted_in((0..100u64).map(|p| (p, 0, p)));
-        assert_eq!(list.peek_min(), Some(0));
-        let order: Vec<u64> = std::iter::from_fn(|| list.pop_min().map(|(p, _)| p)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-        assert!(list.is_empty());
+        assert_eq!(list.peek_min_with(&list.guard()), Some(0));
+        assert_eq!(drain_priorities(&list), (0..100).collect::<Vec<_>>());
+        assert_eq!(list.peek_min_with(&list.guard()), None);
     }
 
     #[test]
@@ -663,22 +648,21 @@ mod tests {
     #[test]
     fn ties_resolved_by_seq() {
         let list = HarrisList::<_, Ebr>::new_in();
-        list.insert(1, 1, "second");
-        list.insert(1, 0, "first");
-        assert_eq!(list.pop_min().unwrap().1, "first");
-        assert_eq!(list.pop_min().unwrap().1, "second");
+        list.insert_run_with([(1, 1, "second")], &list.guard());
+        list.insert_run_with([(1, 0, "first")], &list.guard());
+        assert_eq!(drain(&list), [(1, "first"), (1, "second")]);
+    }
+
+    fn empty_list_behaviour_impl<R: Reclaim>() {
+        let list: HarrisList<u8, R> = HarrisList::new_in();
+        assert_eq!(list.peek_min_with(&list.guard()), None);
+        assert_eq!(list.pop_run_with(8, |_| unreachable!(), &list.guard()), 0);
     }
 
     #[test]
     fn empty_list_behaviour() {
-        let list: HarrisList<u8, Ebr> = HarrisList::new_in();
-        assert!(list.is_empty());
-        assert_eq!(list.pop_min(), None);
-        assert_eq!(list.peek_min(), None);
-        let vbr: HarrisList<u8, Vbr> = HarrisList::new_in();
-        assert!(vbr.is_empty());
-        assert_eq!(vbr.pop_min(), None);
-        assert_eq!(vbr.peek_min(), None);
+        empty_list_behaviour_impl::<Ebr>();
+        empty_list_behaviour_impl::<Vbr>();
     }
 
     /// Churn far beyond the initial population: without the free list the
@@ -689,13 +673,13 @@ mod tests {
         let list: HarrisList<u64, Vbr> = HarrisList::new_in();
         for round in 0..200u64 {
             for i in 0..16u64 {
-                list.insert(i, (round * 16 + i) as u32, i);
+                list.insert_run_with([(i, (round * 16 + i) as u32, i)], &list.guard());
             }
             for _ in 0..16 {
-                assert!(list.pop_min().is_some());
+                assert_eq!(list.pop_run_with(1, drop, &list.guard()), 1);
             }
         }
-        assert!(list.is_empty());
+        assert_eq!(list.peek_min_with(&list.guard()), None);
         let slots = list.dom.slots();
         assert!(slots <= 1_024, "churn took {slots} fresh slots, past the first chunk");
     }
@@ -716,11 +700,79 @@ mod tests {
                 if list.dom.pool_stats().1 >= 16 {
                     break;
                 }
-                list.flush_guard(&list.guard());
+                Ebr::flush(&list.dom, &list.guard());
                 std::thread::yield_now();
             }
         }
-        assert!(list.is_empty());
+        assert_eq!(list.peek_min_with(&list.guard()), None);
         assert_eq!(list.dom.pool_stats().0, 1, "churn carved a block past the first");
+    }
+
+    /// A payload that counts its drops in `cells[seq]`.
+    struct Counted<'a> {
+        seq: u32,
+        cells: &'a [AtomicUsize],
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.cells[self.seq as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Replays `ops` on one list against a `BTreeSet` of keys: `(0, _, _)`
+    /// inserts one entry, `(1, len, _)` pops a run of `len`, and
+    /// `(2, len, d)` inserts `len` entries in one run, sorted and then
+    /// rotated left by `d` (one descent when `0 < d < len`). Every run pop
+    /// takes the oracle's exact prefix, what is left drains in key order,
+    /// and every payload is dropped once, popped or drained.
+    fn matches_oracle<R: Reclaim>(ops: &[(u8, usize, usize)]) {
+        let total: usize = ops.iter().map(|&(kind, len, _)| [1, 0, len][kind as usize]).sum();
+        let cells: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
+        let list: HarrisList<Counted<'_>, R> = HarrisList::new_in();
+        let mut oracle: BTreeSet<(u64, u32)> = BTreeSet::new();
+        let mut seq = 0u32;
+        for (i, &(kind, len, d)) in ops.iter().enumerate() {
+            if kind == 1 {
+                let mut got = Vec::new();
+                list.pop_run_with(len, |(p, c)| got.push((p, c.seq)), &list.guard());
+                let want: Vec<_> = std::iter::from_fn(|| oracle.pop_first()).take(len).collect();
+                assert_eq!(got, want, "a single-threaded run pop takes the exact prefix");
+                continue;
+            }
+            let len = if kind == 0 { 1 } else { len };
+            let mut run: Vec<(u64, u32)> =
+                (0..len).map(|j| ((i as u64 * 7 + j as u64 * 5) % 13, seq + j as u32)).collect();
+            seq += len as u32;
+            run.sort_unstable();
+            run.rotate_left(d % len);
+            oracle.extend(run.iter().copied());
+            let cells = &cells[..];
+            list.insert_run_with(
+                run.into_iter().map(|(p, seq)| (p, seq, Counted { seq, cells })),
+                &list.guard(),
+            );
+        }
+        let left: Vec<_> = drain(&list).into_iter().map(|(p, c)| (p, c.seq)).collect();
+        assert_eq!(left, oracle.into_iter().collect::<Vec<_>>(), "what is left drains sorted");
+        drop(list);
+        for (seq, cell) in cells.iter().enumerate() {
+            let drops = cell.load(Ordering::Relaxed);
+            assert_eq!(drops, 1, "payload {seq} dropped {drops} times");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Single-threaded, the list is an exact priority queue on either
+        /// backend, however a run is ordered.
+        #[test]
+        fn random_runs_match_a_sorted_oracle(
+            ops in proptest::collection::vec((0u8..3, 1usize..=8, 0usize..8), 1..200)
+        ) {
+            matches_oracle::<Ebr>(&ops);
+            matches_oracle::<Vbr>(&ops);
+        }
     }
 }

@@ -148,58 +148,32 @@ impl<T> Drop for Stash<T> {
 /// A `pop_batch` takes a prefix of one sorted list: one mark CAS per entry
 /// and one unlink CAS for the run. Runtime inserts are sorted walks, and
 /// not rare: the prefill executors bulk-load
-/// ([`LockFreeMultiQueue::prefilled`]) and re-insert only failed deletes,
+/// ([`LockFreeMultiQueue::prefilled_in`]) and re-insert only failed deletes,
 /// but the streaming service sends every task through `insert_batch`. Each
 /// run of an `insert_batch` costs at most one walk of its list, not one per
 /// entry: the first search starts at the list's finger (the last node a run
 /// linked), every later one at the node the entry before linked.
 ///
 /// The second type parameter selects the reclamation backend (default
-/// [`Ebr`]); `*_in` constructors build a queue over another backend, e.g.
-/// `LockFreeMultiQueue::<u64, Vbr>::prefilled_in(..)` for the pin-free
-/// read path. Every `pop`, `pop_batch` and ≤ 64-entry run of an
-/// `insert_batch` takes one guard (an epoch pin under EBR; free under VBR),
-/// so a large batch never stalls other threads' reclamation.
+/// [`Ebr`]); the `*_in` constructors build a queue over the backend the
+/// caller names, e.g. `LockFreeMultiQueue::<u64, Vbr>::prefilled_in(..)`
+/// for the pin-free read path. Every `pop`, `pop_batch` and ≤ 64-entry run
+/// of an `insert_batch` takes one guard (an epoch pin under EBR; free under
+/// VBR), so a large batch never stalls other threads' reclamation.
 ///
 /// # Examples
 ///
 /// ```
-/// use rsched_queues::{ConcurrentScheduler, concurrent::LockFreeMultiQueue};
+/// use rsched_queues::{ConcurrentScheduler, concurrent::LockFreeMultiQueue, reclaim::Ebr};
 ///
-/// let q = LockFreeMultiQueue::prefilled(4, (0..10u64).map(|p| (p, p)));
+/// let q = LockFreeMultiQueue::<_, Ebr>::prefilled_in(4, (0..10u64).map(|p| (p, p)));
 /// let (p, _) = q.pop().unwrap();
 /// assert!(p < 10);
 /// ```
 pub type LockFreeMultiQueue<T, R = Ebr> = MultiQueueCore<T, ListBucket<T, R>>;
 
-impl<T: Send> LockFreeMultiQueue<T, Ebr> {
-    /// Creates an empty queue with `num_queues` internal lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_queues == 0`.
-    pub fn new(num_queues: usize) -> Self {
-        Self::new_in(num_queues)
-    }
-
-    /// Creates a queue sized as in the paper: four lists per thread.
-    pub fn for_threads(threads: usize) -> Self {
-        Self::for_threads_in(threads)
-    }
-
-    /// Bulk-loads `entries`, scattering them randomly across the internal
-    /// lists with no CAS traffic. This is how the framework loads its
-    /// initial task set.
-    pub fn prefilled<I>(num_queues: usize, entries: I) -> Self
-    where
-        I: IntoIterator<Item = (u64, T)>,
-    {
-        Self::prefilled_in(num_queues, entries)
-    }
-}
-
 impl<T: Send, R: Reclaim> LockFreeMultiQueue<T, R> {
-    /// [`LockFreeMultiQueue::new`] for an explicit backend `R`.
+    /// Creates an empty queue with `num_queues` lists over backend `R`.
     ///
     /// # Panics
     ///
@@ -208,12 +182,9 @@ impl<T: Send, R: Reclaim> LockFreeMultiQueue<T, R> {
         Self::prefilled_in(num_queues, std::iter::empty())
     }
 
-    /// [`LockFreeMultiQueue::for_threads`] for an explicit backend `R`.
-    pub fn for_threads_in(threads: usize) -> Self {
-        Self::new_in(4 * threads.max(1))
-    }
-
-    /// [`LockFreeMultiQueue::prefilled`] for an explicit backend `R`.
+    /// Bulk-loads `entries` over backend `R`, scattering them randomly
+    /// across the `num_queues` lists with no CAS traffic. This is how the
+    /// framework loads its initial task set.
     ///
     /// # Panics
     ///
@@ -235,7 +206,7 @@ mod tests {
     /// `(priority, seq)` key, with `seq` continuing past the prefill.
     #[test]
     fn prefill_and_insert_share_one_order() {
-        let q = LockFreeMultiQueue::prefilled(1, [(10u64, 'a'), (20, 'b'), (20, 'c')]);
+        let q = LockFreeMultiQueue::<_, Ebr>::prefilled_in(1, [(10u64, 'a'), (20, 'b'), (20, 'c')]);
         q.insert(20, 'd');
         q.insert(5, 'e');
         let order: String = std::iter::from_fn(|| q.pop().map(|(_, c)| c)).collect();

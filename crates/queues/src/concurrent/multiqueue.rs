@@ -1564,7 +1564,7 @@ mod tests {
         // The list itself: twins bulk-loaded and inserted, run and single.
         fn list_twins<R: crate::reclaim::Reclaim>() {
             let list: HarrisList<u64, R> = HarrisList::from_sorted_in([(1, 5, 0), (1, 5, 1)]);
-            list.insert(1, 5, 2);
+            list.insert_run_with([(1, 5, 2)], &list.guard());
             list.insert_run_with([(0, 5, 3), (1, 5, 4), (1, 5, 5)], &list.guard());
             let mut got = Vec::new();
             while list.pop_run_with(2, |(p, i)| got.push((p, i)), &list.guard()) > 0 {}
@@ -1620,7 +1620,5 @@ mod tests {
     fn for_threads_is_four_buckets_per_thread() {
         assert_eq!(MultiQueue::<()>::for_threads(3).num_queues(), 12);
         assert_eq!(MultiQueue::<()>::prefilled_for_threads(3, []).num_queues(), 12);
-        assert_eq!(LockFreeMultiQueue::<()>::for_threads(2).num_queues(), 8);
-        assert_eq!(LockFreeMultiQueue::<(), Vbr>::for_threads_in(2).num_queues(), 8);
     }
 }

@@ -349,6 +349,7 @@ mod tests {
     use super::*;
     use crate::concurrent::{LockFreeMultiQueue, MultiQueue};
     use crate::exact::BinaryHeapScheduler;
+    use crate::reclaim::Ebr;
     use crate::relaxed::SimMultiQueue;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -455,7 +456,7 @@ mod tests {
         let entries: Vec<(u64, u32)> = (0..500u64).map(|i| (i, i as u32)).collect();
         let q: ShardedScheduler<LockFreeMultiQueue<u32>> =
             ShardedScheduler::prefilled_with(7, entries, |_, group| {
-                LockFreeMultiQueue::prefilled(2, group)
+                LockFreeMultiQueue::<_, Ebr>::prefilled_in(2, group)
             });
         for (shard, inner) in q.shards().iter().enumerate() {
             while let Some((_, v)) = inner.pop() {

@@ -1,15 +1,23 @@
-//! The locked MultiQueue keeps its flushes off the allocator: a bucket
-//! radix-sorts each full insert buffer (`MultiQueue::FLUSH_ENTRIES`, 4 096
-//! entries) through scratch buffers it keeps, into a run of blocks taken
-//! from its slab, whose drained blocks are reused, so churn through
-//! `MultiQueue<u32>` allocates when the slab (or the small heap of run
-//! tails, or the sort's scratch on a bucket's first flush) outgrows its
-//! capacity — a logarithmic number of times as the backlog grows, and not
-//! at all once it stops growing — never per flush.
-//! A counting global allocator checks it; this file is its own test
-//! binary, so nothing else allocates meanwhile.
+//! Both bucket kinds keep their steady traffic off the allocator; a
+//! counting global allocator checks each in turn. This file is its own test
+//! binary with one `#[test]`, so nothing else allocates meanwhile.
+//!
+//! * Harris lists under EBR: a run takes its nodes from the list's pool,
+//!   and a popped run goes back there as one deferred chain once its grace
+//!   period has passed. So steady-state churn through
+//!   `LockFreeMultiQueue<u32, Ebr>` allocates per block (and per epoch
+//!   collection), not per node.
+//! * Locked buckets: a bucket radix-sorts each full insert buffer
+//!   (`MultiQueue::FLUSH_ENTRIES`, 4 096 entries) through scratch buffers it
+//!   keeps, into a run of blocks taken from its slab, whose drained blocks
+//!   are reused, so churn through `MultiQueue<u32>` allocates when the slab
+//!   (or the small heap of run tails, or the sort's scratch on a bucket's
+//!   first flush) outgrows its capacity — a logarithmic number of times as
+//!   the backlog grows, and not at all once it stops growing — never per
+//!   flush.
 
-use rsched_queues::concurrent::MultiQueue;
+use rsched_queues::concurrent::{LockFreeMultiQueue, MultiQueue};
+use rsched_queues::reclaim::Ebr;
 use rsched_queues::ConcurrentScheduler;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -52,8 +60,37 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Both pins in sequence, on the one test thread.
 #[test]
-fn churn_allocates_with_the_slab_not_per_flush() {
+fn churn_allocates_per_block_not_per_entry() {
+    list_churn_allocates_per_block_not_per_node();
+    locked_churn_allocates_with_the_slab_not_per_flush();
+}
+
+fn list_churn_allocates_per_block_not_per_node() {
+    const RUN: usize = 64;
+    const ROUNDS: usize = 10_000;
+    let q = LockFreeMultiQueue::<u32, Ebr>::new_in(8);
+    let batch: Vec<(u64, u32)> = (0..RUN as u32).map(|i| (u64::from(i), i)).collect();
+    let mut out = Vec::with_capacity(RUN);
+    let churn = |rounds: usize, out: &mut Vec<(u64, u32)>| {
+        for _ in 0..rounds {
+            q.insert_batch(&batch);
+            while q.pop_batch(out, RUN) > 0 {
+                out.clear();
+            }
+        }
+    };
+    // Warm up: the pools carve their blocks, the epoch bag grows.
+    churn(ROUNDS / 10, &mut out);
+    let before = ALLOCS.load(Relaxed);
+    churn(ROUNDS, &mut out);
+    let (allocs, nodes) = (ALLOCS.load(Relaxed) - before, ROUNDS * RUN);
+    assert!(q.is_empty());
+    assert!(allocs * 64 < nodes, "{allocs} allocations for {nodes} nodes through the lists");
+}
+
+fn locked_churn_allocates_with_the_slab_not_per_flush() {
     const RUN: usize = 64;
     const BUCKETS: usize = 4;
     // At least this many entries pass through a bucket per flush: its

@@ -32,10 +32,17 @@ use rsched_queues::reclaim::{Ebr, Reclaim, Vbr};
 use rsched_sync::model::{Model, Report, Sim};
 use std::sync::{Arc, Mutex};
 
+/// Pops one entry of `list`, if it holds one.
+fn pop_one<R: Reclaim>(list: &HarrisList<u32, R>) -> Option<u32> {
+    let mut got = None;
+    list.pop_run_with(1, |(_, v)| got = Some(v), &list.guard());
+    got
+}
+
 /// Drains `list`, then checks `popped` plus what was left against
 /// `inserted`.
 fn audit<R: Reclaim>(list: &HarrisList<u32, R>, popped: &Mutex<Vec<u32>>, inserted: &[u32]) {
-    let left: Vec<u32> = std::iter::from_fn(|| list.pop_min().map(|(_, v)| v)).collect();
+    let left: Vec<u32> = std::iter::from_fn(|| pop_one(list)).collect();
     assert!(left.is_sorted(), "list left unsorted: {left:?}");
     let mut all: Vec<u32> = popped.lock().unwrap().iter().copied().chain(left).collect();
     all.sort_unstable();
@@ -54,7 +61,7 @@ fn resume_races_pop(sim: &mut Sim) {
     {
         let (list, popped) = (list.clone(), popped.clone());
         sim.thread(move || {
-            let got: Vec<u32> = (0..2).filter_map(|_| list.pop_min().map(|(_, v)| v)).collect();
+            let got: Vec<u32> = (0..2).filter_map(|_| pop_one(&list)).collect();
             popped.lock().unwrap().extend(got);
         });
     }
@@ -109,7 +116,7 @@ fn run_pop_races_insert_run_and_pop(sim: &mut Sim) {
     {
         let (list, popped) = (list.clone(), popped.clone());
         sim.thread(move || {
-            let got = list.pop_min().map(|(_, v)| v);
+            let got = pop_one(&list);
             popped.lock().unwrap().extend(got);
         });
     }

@@ -14,6 +14,7 @@ use rsched::core::framework::{fill_scheduler, run_concurrent, run_exact_concurre
 use rsched::core::TaskId;
 use rsched::graph::{gen, Permutation};
 use rsched::queues::concurrent::{LockFreeMultiQueue, MultiQueue};
+use rsched::queues::reclaim::Ebr;
 use std::time::Instant;
 
 fn main() {
@@ -40,8 +41,9 @@ fn main() {
 
     // Relaxed: the lock-free MultiQueue over Harris lists (§4's variant).
     let alg = ConcurrentMis::new(&g, &pi);
-    let sched: LockFreeMultiQueue<TaskId> =
-        LockFreeMultiQueue::prefilled(4 * threads, (0..n as u32).map(|v| (pi.label(v) as u64, v)));
+    let tasks = (0..n as u32).map(|v| (pi.label(v) as u64, v));
+    let sched: LockFreeMultiQueue<TaskId, Ebr> =
+        LockFreeMultiQueue::prefilled_in(4 * threads, tasks);
     let stats = run_concurrent(&alg, &pi, &sched, threads);
     assert_eq!(alg.into_output(), expected);
     println!("relaxed LF-MultiQueue:     {stats}");

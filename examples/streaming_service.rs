@@ -24,10 +24,11 @@ use rsched::core::service::{
 };
 use rsched::graph::{gen, WeightedCsr};
 use rsched::queues::concurrent::LockFreeMultiQueue;
+use rsched::queues::reclaim::Ebr;
 use rsched::queues::sharded::ShardedScheduler;
 
-fn sched(shards: usize) -> ShardedScheduler<LockFreeMultiQueue<u32>> {
-    ShardedScheduler::from_fn(shards, |_| LockFreeMultiQueue::new(4))
+fn sched(shards: usize) -> ShardedScheduler<LockFreeMultiQueue<u32, Ebr>> {
+    ShardedScheduler::from_fn(shards, |_| LockFreeMultiQueue::new_in(4))
 }
 
 fn main() {

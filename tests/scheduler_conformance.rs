@@ -12,7 +12,8 @@
 //! 2. `len` conserved after every step of those interleavings — for a
 //!    sharded configuration, the summed shard lengths and `total_load` too;
 //! 3. churn over drop-cell payloads — 4 and 8 threads each cycling through
-//!    every method, then 3 producers beside 3 plain-`pop` consumers: each
+//!    every method, then 3 producers beside 3 plain-`pop` consumers, and 8
+//!    threads racing one Harris list under each backend: each
 //!    cell counts the live copies of one payload, so at quiescence an
 //!    entry never returned reads 1 (held once, not lost, not copied) and
 //!    one returned reads 0, and once the scheduler is dropped every cell
@@ -26,23 +27,43 @@
 //!    dead. (A run of `b` pops is only `O(k·b)`-relaxed, with no constant
 //!    claimed: at run lengths 8 and 64 the same two means differ by up to
 //!    1.5× between builds.)
+//!
+//! Every test runs under a watchdog: a fault that corrupts a list's links
+//! can leave an operation spinning on a link that never changes, and the
+//! test must fail rather than hang.
 
 use proptest::prelude::*;
 use rsched::queues::concurrent::{Bucket, LockFreeMultiQueue, MultiQueue, MultiQueueCore};
 use rsched::queues::hash::splitmix64;
-use rsched::queues::reclaim::{Ebr, Vbr};
+use rsched::queues::reclaim::{Ebr, Reclaim, Vbr};
 use rsched::queues::sharded::ShardedScheduler;
 use rsched::queues::{ConcurrentScheduler, IndexedSet, SchedulerLoad};
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// The run lengths every check is exercised at.
 const RUNS: [usize; 3] = [1, 8, 64];
 
 /// Buckets per scheduler, or per shard, in the concurrent checks.
 const QUEUES: usize = 4;
+
+/// Runs `case` on a thread of its own, passes its panic on, and fails if it
+/// has not returned within 5 minutes: the slowest test takes some 15 s in
+/// debug, and the bound leaves room for AddressSanitizer.
+fn within_watchdog<R: Send + 'static>(case: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(case)));
+    });
+    match rx.recv_timeout(Duration::from_secs(300)) {
+        Ok(result) => result.unwrap_or_else(|panic| resume_unwind(panic)),
+        Err(_) => panic!("still running after 300 s: a scheduler operation never finished"),
+    }
+}
 
 /// Every count a scheduler keeps of what it holds: `len`, and for a sharded
 /// scheduler the summed shard lengths and `total_load`.
@@ -322,11 +343,14 @@ proptest! {
         prefill in 0usize..40,
         ops in proptest::collection::vec(op(), 0..40),
     ) {
-        every_config!(u64, |cfg| {
-            for run in RUNS {
-                interleave(&cfg, queues, run, prefill, &ops)?;
-            }
-        });
+        within_watchdog(move || {
+            every_config!(u64, |cfg| {
+                for run in RUNS {
+                    interleave(&cfg, queues, run, prefill, &ops)?;
+                }
+            });
+            Ok(())
+        })?;
     }
 }
 
@@ -444,15 +468,29 @@ where
     ledger.settle(q, &name);
 }
 
+/// Check 3 on one Harris list under backend `R`, at 8 threads: every op
+/// lands on the same list, so marks, unlinks and retires race each other.
+fn one_list<R: Reclaim>(name: &str) {
+    let build = |_: usize, e: Vec<(u64, Probe)>| LockFreeMultiQueue::<_, R>::prefilled_in(1, e);
+    let cfg = Config { name: name.into(), ranked: false, build };
+    for run in RUNS {
+        churn(&cfg, run, 8);
+    }
+}
+
 #[test]
 fn churn_drops_every_payload_once() {
-    every_config!(Probe, |cfg| {
-        for run in RUNS {
-            for threads in [4, 8] {
-                churn(&cfg, run, threads);
+    within_watchdog(|| {
+        every_config!(Probe, |cfg| {
+            for run in RUNS {
+                for threads in [4, 8] {
+                    churn(&cfg, run, threads);
+                }
+                producers_and_consumers(&cfg, run);
             }
-            producers_and_consumers(&cfg, run);
-        }
+        });
+        one_list::<Ebr>("one list/ebr");
+        one_list::<Vbr>("one list/vbr");
     });
 }
 
@@ -508,10 +546,12 @@ where
 
 #[test]
 fn purging_returns_or_purges_every_entry_once() {
-    every_config!(Probe, |cfg| {
-        for run in RUNS {
-            purge(&cfg, run);
-        }
+    within_watchdog(|| {
+        every_config!(Probe, |cfg| {
+            for run in RUNS {
+                purge(&cfg, run);
+            }
+        });
     });
 }
 
@@ -569,9 +609,11 @@ where
 
 #[test]
 fn rank_error_is_pinned_where_claimed() {
-    every_config!(u64, |cfg| {
-        if cfg.ranked {
-            rank(&cfg);
-        }
+    within_watchdog(|| {
+        every_config!(u64, |cfg| {
+            if cfg.ranked {
+                rank(&cfg);
+            }
+        });
     });
 }

@@ -8,7 +8,7 @@ use rsched::core::algorithms::sssp::{concurrent_sssp, dijkstra, relaxed_sssp, UN
 use rsched::core::service::{run_service, Producer, ProducerFn, ServiceConfig, SsspHandler};
 use rsched::graph::{gen, WeightedCsr};
 use rsched::queues::concurrent::{LockFreeMultiQueue, MultiQueue};
-use rsched::queues::reclaim::Vbr;
+use rsched::queues::reclaim::{Ebr, Vbr};
 use rsched::queues::relaxed::SimMultiQueue;
 use rsched::queues::sharded::ShardedScheduler;
 
@@ -36,7 +36,7 @@ fn concurrent_schedulers_converge() {
         let mq: MultiQueue<u32> = MultiQueue::for_threads(threads);
         assert_eq!(concurrent_sssp(&g, 0, &mq, threads), expected, "mq t={threads}");
     }
-    let lf: LockFreeMultiQueue<u32> = LockFreeMultiQueue::new(8);
+    let lf: LockFreeMultiQueue<u32, Ebr> = LockFreeMultiQueue::new_in(8);
     assert_eq!(concurrent_sssp(&g, 0, &lf, 2), expected);
     // The engine passes worker hints and drifts affinity: more workers than
     // shards, so some share a home shard and all of them steal.
@@ -57,7 +57,7 @@ fn assert_concurrent_rows(shape: &str, g: &WeightedCsr) {
         assert_eq!(concurrent_sssp(g, 0, &one, threads), expected, "one heap, {at}");
         let mq: MultiQueue<u32> = MultiQueue::for_threads(threads);
         assert_eq!(concurrent_sssp(g, 0, &mq, threads), expected, "MultiQueue, {at}");
-        let ebr: LockFreeMultiQueue<u32> = LockFreeMultiQueue::for_threads(threads);
+        let ebr: LockFreeMultiQueue<u32, Ebr> = LockFreeMultiQueue::new_in(4 * threads);
         assert_eq!(concurrent_sssp(g, 0, &ebr, threads), expected, "lock-free over EBR, {at}");
         let vbr: LockFreeMultiQueue<u32, Vbr> = LockFreeMultiQueue::new_in(4 * threads);
         assert_eq!(concurrent_sssp(g, 0, &vbr, threads), expected, "lock-free over VBR, {at}");
